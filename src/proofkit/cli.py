@@ -10,8 +10,6 @@ import argparse
 import json
 import random
 import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .errors import ProofkitError
@@ -62,80 +60,22 @@ def cmd_nf(args) -> int:
     return 0
 
 
-def _schedule_levels(scripts):
-    """Dependency levels: a script joins the earliest level after every
-    label it cites (restricted to corpus labels) is available."""
-    by_label = {s.label: s for s in scripts}
-    level_of: dict[str, int] = {}
-    levels: list[list] = []
-    for s in scripts:
-        deps = set()
-        items = []
-        for item in s.lines:
-            if isinstance(item, kscripts.ClaimBlock):
-                items.extend(item.lines)
-            else:
-                items.append(item)
-        for u in items:
-            if isinstance(u, kscripts.UseLine) and u.label in by_label:
-                deps.add(u.label)
-        lvl = 0
-        for d in deps:
-            lvl = max(lvl, level_of.get(d, 0) + 1)
-        level_of[s.label] = lvl
-        while len(levels) <= lvl:
-            levels.append([])
-        levels[lvl].append(s)
-    return levels
-
-
 def cmd_check_corpus(args) -> int:
     bundle = _bundle(args)
     paths = [Path(p) for p in args.paths] if args.paths else None
     if paths and len(paths) == 1 and paths[0].is_dir():
         paths = sorted(paths[0].glob("*.prf"))
     scripts = stringarith.load_corpus(paths)
-    start = time.perf_counter()
-    entries = []
-    failed = False
-    if args.jobs > 1:
-        levels = _schedule_levels(scripts)
-        for level in levels:
-            if failed:
-                break
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                verdicts = list(
-                    pool.map(
-                        lambda s: kscripts.check_script(bundle.registry, s, args.budget),
-                        level,
-                    )
-                )
-            for s, v in zip(level, verdicts):
-                entries.append(v)
-                if v.ok:
-                    stmt = sx.parse(s.statement_text, "formula", bundle.registry.symbols)
-                    if s.label in bundle.registry.entries:
-                        bundle.registry.entries[s.label].checked = True
-                    else:
-                        bundle.registry.add(
-                            kscripts.Entry(s.label, "theorem", stmt, checked=True)
-                        )
-                else:
-                    failed = True
-        elapsed = time.perf_counter() - start
-        report_entries = [
-            stringarith.CorpusEntryReport(v.label, v.ok, v.message, v.elapsed, len(v.instances))
-            for v in entries
-        ]
-        report = stringarith.CorpusReport(report_entries, elapsed)
-    else:
-        report = stringarith.check_corpus(
-            bundle, scripts, budget=args.budget, oracle_samples=args.oracle, seed=args.seed
-        )
-    lines = [f"{'label':<8} {'verdict':<8} {'lines':>6} {'time':>8}"]
+    report = stringarith.check_corpus(
+        bundle, scripts, budget=args.budget, oracle_samples=args.oracle, seed=args.seed
+    )
+    oracle = args.oracle > 0
+    header = f"{'label':<8} {'verdict':<8} {'lines':>6} {'time':>8}"
+    lines = [header + ("  oracle" if oracle else "")]
     for e in report.entries:
         lines.append(
             f"{e.label:<8} {'pass' if e.ok else 'FAIL':<8} {e.instance_count:>6} {e.elapsed:>7.3f}s"
+            + (f"  {e.oracle or '-'}" if oracle else "")
             + (f"  {e.message}" if not e.ok else "")
         )
     lines.append(
@@ -148,32 +88,15 @@ def cmd_check_corpus(args) -> int:
 def cmd_check_proof(args) -> int:
     bundle = _bundle(args)
     if args.with_corpus:
-        stringarith.check_corpus(bundle)
+        stringarith.check_corpus(bundle, budget=args.budget)
     scripts = kscripts.parse_script_file(Path(args.file).read_text())
-    ok = True
-    rows = []
-    for s in scripts:
-        v = kscripts.check_script(bundle.registry, s, args.budget)
-        rows.append(v)
-        if v.ok:
-            stmt = sx.parse(s.statement_text, "formula", bundle.registry.symbols)
-            if s.label not in bundle.registry.entries:
-                bundle.registry.add(kscripts.Entry(s.label, "theorem", stmt, checked=True))
-            else:
-                bundle.registry.entries[s.label].checked = True
-        ok = ok and v.ok
-    payload = {
-        "ok": ok,
-        "scripts": [
-            {"label": v.label, "ok": v.ok, "message": v.message} for v in rows
-        ],
-    }
+    report = stringarith.check_corpus(bundle, scripts, budget=args.budget, halt_on_failure=False)
     _emit(
         args,
-        payload,
-        [f"{v.label:<8} {'pass' if v.ok else 'FAIL'}  {v.message}" for v in rows],
+        report.to_json(),
+        [f"{e.label:<8} {'pass' if e.ok else 'FAIL'}  {e.message}" for e in report.entries],
     )
-    return 0 if ok else 1
+    return 0 if report.ok else 1
 
 
 def cmd_ha_reduce(args) -> int:
@@ -183,6 +106,9 @@ def cmd_ha_reduce(args) -> int:
         rng = random.Random(args.seed)
         theory, seq = hilbertack.generate_inconsistent_case(rng, 2)
     result = hilbertack.ha_run(theory, seq, budget=args.budget)
+    refutable = isinstance(
+        propcalc.ground_refute(list(result.final.formulas), want_cert=False), propcalc.Refutation
+    )
     lines = [f"{'step':>4} {'mode':<10} {'rho':>3} {'lam':>4} {'kap':>4} {'|seq|':>6} {'out':>5}"]
     p0 = hilbertack.profile(seq)
     lines.append(f"{0:>4} {'input':<10} {p0.rho:>3} {p0.lam:>4} {p0.kappa:>4} {len(seq.formulas):>6} {'':>5}")
@@ -192,7 +118,8 @@ def cmd_ha_reduce(args) -> int:
             f"{t.profile_out.kappa:>4} {t.size_in:>6} {t.size_out:>5}"
         )
     lines.append(
-        f"final: {len(result.final.formulas)} formulas; bound {result.bound} = "
+        f"final: {len(result.final.formulas)} formulas; ground-refutable={refutable}; "
+        f"bound {result.bound} = "
         f"{result.bound_value if result.bound_value is not None else 'symbolic'}; "
         f"observed max {result.observed_max}"
         + ("" if result.within_bound is None else f"; within bound: {result.within_bound}")
@@ -201,6 +128,7 @@ def cmd_ha_reduce(args) -> int:
         "ok": True,
         "steps": len(result.trace),
         "final_size": len(result.final.formulas),
+        "refutable": refutable,
         "bound": str(result.bound),
         "bound_value": result.bound_value,
         "observed_max": result.observed_max,
@@ -308,11 +236,18 @@ def cmd_fuzz_axioms(args) -> int:
     return 0 if report.ok else 1
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for budgets and caps, which must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="proofkit")
     ap.add_argument("--format", choices=("text", "json"), default="text")
-    ap.add_argument("--budget", type=int, default=kscripts.DEFAULT_SCRIPT_BUDGET)
-    ap.add_argument("--jobs", type=int, default=1)
+    ap.add_argument("--budget", type=_positive_int, default=kscripts.DEFAULT_SCRIPT_BUDGET)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--theory", help="theory file (defaults to the bundled one)")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -359,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rm-kbound", help="bounded complexity upper bound")
     p.add_argument("target")
-    p.add_argument("--len-cap", type=int, default=16)
+    p.add_argument("--len-cap", type=_positive_int, default=16)
     p.set_defaults(fn=cmd_rm_kbound)
 
     p = sub.add_parser("fuzz-axioms", help="evaluate the axioms on random strings")

@@ -32,12 +32,6 @@ class CheckError(ProofkitError):
     """A proof, script, or classification failed to verify."""
 
 
-class BudgetExhausted(ProofkitError):
-    def __init__(self, message, spent):
-        self.spent = spent
-        super().__init__(f"{message} (budget spent: {spent})")
-
-
 class SizeGuardExceeded(ProofkitError):
     def __init__(self, message, projected):
         self.projected = projected

@@ -110,17 +110,6 @@ def match_instance(pattern: Formula, candidate: Formula, variables) -> Optional[
     return None
 
 
-def anti_substitution(body: Formula, x: str, candidate: Formula) -> Optional[Term]:
-    """A term a with candidate == body_x(a), or None.  When x is not free in
-    body and candidate == body, returns the marker None-slot via ()."""
-    got = match_instance(body, candidate, frozenset({x}))
-    if got is None:
-        return None
-    if x in got:
-        return got[x]
-    return App(FnSym("eps", 0)) if candidate == body else None
-
-
 def classify_delta(
     theory: Theory, f: Formula, rho_cap: Optional[int] = None
 ) -> DeltaClass:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..errors import CheckError, ParseError, ProofkitError
 from .. import normform as nform
@@ -503,37 +503,3 @@ def _replay_explicit(registry, script, statement: Formula, budget) -> list:
         ):
             return derived
     raise CheckError("explicit proof reaches no contradiction")
-
-
-# ---------------------------------------------------------------------------
-# corpus driver
-
-
-@dataclass
-class CorpusReport:
-    verdicts: list[ScriptVerdict]
-
-    @property
-    def ok(self) -> bool:
-        return all(v.ok for v in self.verdicts)
-
-
-def check_scripts(
-    registry: Registry,
-    scripts: Sequence[Script],
-    budget: int = DEFAULT_SCRIPT_BUDGET,
-    register: bool = True,
-) -> CorpusReport:
-    verdicts = []
-    for s in scripts:
-        v = check_script(registry, s, budget)
-        verdicts.append(v)
-        if v.ok and register:
-            if s.label in registry.entries:
-                registry.entries[s.label].checked = True
-            else:
-                stmt = sx.parse(s.statement_text, "formula", registry.symbols)
-                registry.add(Entry(s.label, "theorem", stmt, checked=True))
-        if not v.ok:
-            break
-    return CorpusReport(verdicts)

@@ -159,10 +159,6 @@ def taut_check(
     return TautVerdict(False, TruthValuation(assignment))
 
 
-def is_tautology(f: Formula, atom_guard: int = DEFAULT_ATOM_GUARD) -> bool:
-    return taut_check(f, (), atom_guard).consequence
-
-
 # ---------------------------------------------------------------------------
 # one-resolution
 

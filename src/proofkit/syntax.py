@@ -162,10 +162,6 @@ Node = Union[Term, Formula]
 # constructors for the defined connectives (desugared on the spot)
 
 
-def fneg(a: Formula) -> Formula:
-    return Not(a)
-
-
 def fand(a: Formula, b: Formula) -> Formula:
     return Not(Or(Not(a), Not(b)))
 
@@ -757,16 +753,6 @@ def fresh_name(base: str, used: Iterable[str]) -> str:
         if cand not in used:
             return cand
     raise AssertionError
-
-
-def rename_bound(f: Formula, x: str, y: str) -> Formula:
-    """One variant step: replace a binder exists x B by exists y B_x(y)."""
-    assert isinstance(f, Exists) and f.var == x
-    if y == x:
-        return f
-    if occurs_free(f.body, y):
-        raise CaptureError(y, x)
-    return Exists(y, subst(f.body, {x: Var(y)}))
 
 
 def make_adjusted_variant(f: Formula, avoid: Iterable[str] = ()) -> Formula:

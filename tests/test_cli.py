@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from proofkit import cli
+from proofkit import cli, stringarith
 from proofkit.stringarith import DATA_DIR
 
 
@@ -23,6 +23,13 @@ def test_usage_error_exit_code(capsys):
     assert cli.main(["nosuch-command"]) == 2
     code, _, err = run(capsys, "rm-run", "/nonexistent/machine.rm")
     assert code == 2
+    for argv in (
+        ("--budget", "0", "check-corpus"),
+        ("--budget", "-5", "check-corpus"),
+        ("rm-kbound", "", "--len-cap", "-1"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "must be at least 1" in err
 
 
 def test_check_corpus_subset_text_and_json(capsys, tmp_path):
@@ -37,28 +44,41 @@ def test_check_corpus_subset_text_and_json(capsys, tmp_path):
     assert code == 0
     payload = json.loads(jout)
     assert payload["ok"] and [s["label"] for s in payload["scripts"]] == ["t22", "t23", "t24"]
+    code, out, _ = run(capsys, "check-corpus", "--oracle", "3", str(subset))
+    assert code == 0
+    assert out.splitlines()[0].split()[-1] == "oracle" and "agrees" in out
 
 
-def test_jobs_flag_does_not_change_verdicts(capsys, tmp_path):
-    subset = tmp_path / "subset.prf"
+def test_failing_script_exit_one(capsys, tmp_path, monkeypatch):
+    bundle = stringarith.load_theory()
+    monkeypatch.setattr(cli, "_bundle", lambda args: bundle)
     text = (DATA_DIR / "corpus" / "s20.prf").read_text()
-    cut = text.index("theorem t30")
-    subset.write_text(text[:cut])
-    code1, out1, _ = run(capsys, "--format", "json", "check-corpus", str(subset))
-    code2, out2, _ = run(capsys, "--format", "json", "--jobs", "4", "check-corpus", str(subset))
-    assert code1 == code2 == 0
-    v1 = {(s["label"], s["ok"]) for s in json.loads(out1)["scripts"]}
-    v2 = {(s["label"], s["ok"]) for s in json.loads(out2)["scripts"]}
-    assert v1 == v2
-
-
-def test_failing_script_exit_one(capsys, tmp_path):
     bad = tmp_path / "bad.prf"
     bad.write_text(
-        "theorem nope : (= eps (s0 eps))\nproof\n  H\n  use a20\nqed\n"
+        "theorem nope : (= eps (s0 eps))\nproof\n  H\n  use a20\nqed\n\n"
+        + text[text.index("theorem t22") : text.index("theorem t23")]
     )
     code, out, _ = run(capsys, "check-proof", str(bad))
     assert code == 1 and "FAIL" in out
+    code, jout, _ = run(capsys, "--format", "json", "check-proof", str(bad))
+    assert code == 1
+    verdicts = [(s["label"], s["ok"]) for s in json.loads(jout)["scripts"]]
+    assert verdicts == [("nope", False), ("t22", True)]
+    assert bundle.registry.entries["t22"].checked
+
+
+def test_check_proof_tags_schema_theorems(capsys, tmp_path, monkeypatch):
+    bundle = stringarith.load_theory()
+    monkeypatch.setattr(cli, "_bundle", lambda args: bundle)
+    assert stringarith.check_corpus(
+        bundle, stringarith.load_corpus([DATA_DIR / "corpus" / "s20.prf"])
+    ).ok
+    text = (DATA_DIR / "corpus" / "s21.prf").read_text()
+    ta3 = tmp_path / "ta3.prf"
+    ta3.write_text(text[text.index("theorem ta3") : text.index("theorem ta4")])
+    code, out, _ = run(capsys, "check-proof", str(ta3))
+    assert code == 0 and "ta3" in out and "pass" in out
+    assert bundle.registry.entries["ta3"].section == "schema"
 
 
 def test_ha_reduce_demo(capsys):
@@ -68,6 +88,7 @@ def test_ha_reduce_demo(capsys):
     code, jout, _ = run(capsys, "--format", "json", "ha-reduce", "--demo", "rank1")
     payload = json.loads(jout)
     assert payload["steps"] == 1 and payload["trace"][0]["rho"] == 1
+    assert payload["refutable"] is True and "ground-refutable=True" in out
 
 
 def test_translate_and_reduce(capsys):
