@@ -326,31 +326,14 @@ def translate_out(reg: DefinitionRegistry, f: Formula) -> TranslationResult:
 def _translate_stage(stage: Stage, f: Formula) -> Formula:
     avoid = set(sx.all_var_names(f))
 
-    def on_term(t: Term) -> Term:
-        if isinstance(t, SpecialConst):
-            new_sub = walk(t.subscript)
-            return t if new_sub == t.subscript else special_constant(new_sub, t.alias)
-        if isinstance(t, App):
-            return App(t.fn, tuple(on_term(a) for a in t.args))
-        return t
+    def on_atom(atom: Atom) -> Formula:
+        if stage.kind == "p" and atom.pred == stage.symbol:
+            return _translate_p_atom(stage, atom, avoid | sx.occurring_var_names(atom))
+        if stage.kind == "f":
+            return _translate_f_in_atom(stage, atom, avoid)
+        return atom
 
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, Atom):
-            atom = Atom(g.pred, tuple(on_term(a) for a in g.args))
-            if stage.kind == "p" and atom.pred == stage.symbol:
-                return _translate_p_atom(stage, atom, avoid | sx.occurring_var_names(atom))
-            if stage.kind == "f":
-                return _translate_f_in_atom(stage, atom, avoid)
-            return atom
-        if isinstance(g, Not):
-            return Not(walk(g.body))
-        if isinstance(g, Or):
-            return Or(walk(g.left), walk(g.right))
-        if isinstance(g, Exists):
-            return Exists(g.var, walk(g.body))
-        raise TypeError(g)
-
-    return walk(f)
+    return sx.rewrite(f, atom=on_atom)
 
 
 def contains_defined_symbols(reg: DefinitionRegistry, f: Formula) -> bool:
@@ -372,22 +355,15 @@ def _phi_at(phi: Formula, t: Term) -> Formula:
     return subst(phi, {"x": t})
 
 
+def _guard_exists(phi: Formula):
+    """The relativizing map on a rebuilt existential: exists x [phi(x) & B]."""
+    return lambda g: Exists(g.var, fand(_phi_at(phi, Var(g.var)), g.body))
+
+
 def relativize(f: Formula, phi: Formula) -> Relativization:
     if tuple(free_vars(phi)) != ("x",):
         raise CheckError("relativizer must be unary with free variable x")
-
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, Atom):
-            return g
-        if isinstance(g, Not):
-            return Not(walk(g.body))
-        if isinstance(g, Or):
-            return Or(walk(g.left), walk(g.right))
-        if isinstance(g, Exists):
-            return Exists(g.var, fand(_phi_at(phi, Var(g.var)), walk(g.body)))
-        raise TypeError(g)
-
-    bounded = walk(f)
+    bounded = sx.rewrite(f, exists=_guard_exists(phi), const=lambda c: c)
     frees = free_vars(f)
     if not frees:
         return Relativization(bounded, bounded)
@@ -577,23 +553,16 @@ def instantiate_closure(pb: ProofBuilder, closure_idx: int, terms: Sequence[Term
     return cur_idx
 
 
-def _hom_builder(line_map):
-    """Run a per-line justification over a proof, rebuilding taut lines."""
-
-    def run(pb: ProofBuilder, proof: ProofObject, on_delta):
-        images = {}
-        for i, line in enumerate(proof.lines):
-            if line.just[0] in ("delta", "default"):
-                images[i] = on_delta(pb, i, line)
-            else:
-                idxs = line.just[1]
-                if idxs is None:
-                    idxs = tuple(range(i))
-                goal = line_map(line.formula)
-                images[i] = pb.taut(goal, tuple(images[j] for j in idxs))
-        return images
-
-    return run
+def _embed(pb: ProofBuilder, proof: ProofObject, target: Optional[Formula] = None) -> int:
+    """Append a finished proof to pb and return the new index of its line
+    holding target, or of its last line when target is None."""
+    remap = pb.extend(proof)
+    if target is None:
+        return remap[len(proof.lines) - 1]
+    for j, ln in enumerate(proof.lines):
+        if ln.formula == target:
+            return remap[j]
+    raise CheckError(f"embedded proof lacks {sx.render(target)}")
 
 
 def reduce_proof(reg: DefinitionRegistry, proof: ProofObject) -> ProofObject:
@@ -620,26 +589,18 @@ def reduce_proof(reg: DefinitionRegistry, proof: ProofObject) -> ProofObject:
 
 def _reduce_t(theory: Theory, stage: Stage, proof: ProofObject) -> ProofObject:
     pb = ProofBuilder()
-    embedded: dict = {}
+    base_idx = None
 
-    def on_delta(pb, i, line):
+    def on_delta(line):
+        nonlocal base_idx
         f = line.formula
         if line.just[0] == "default":
             return pb.default(f)
         if core.in_delta(theory, f):
             return pb.delta(f)
         # a closed instance of the t-axiom: embed its proof, instantiate
-        if "t" not in embedded:
-            remap = pb.extend(stage.proof)
-            embedded["t"] = remap
-        cls = closure(stage.axiom)
-        base_idx = None
-        for j, ln in enumerate(stage.proof.lines):
-            if ln.formula == cls:
-                base_idx = embedded["t"][j]
-                break
         if base_idx is None:
-            raise CheckError("registered t-proof lacks the axiom closure")
+            base_idx = _embed(pb, stage.proof, closure(stage.axiom))
         binding = core.match_instance(
             stage.axiom, f, frozenset(free_vars(stage.axiom))
         )
@@ -648,37 +609,19 @@ def _reduce_t(theory: Theory, stage: Stage, proof: ProofObject) -> ProofObject:
         terms = [binding.get(x, theory.zero_term) for x in free_vars(stage.axiom)]
         return instantiate_closure(pb, base_idx, terms)
 
-    runner = _hom_builder(lambda f: f)
-    runner(pb, proof, on_delta)
+    core.map_proof(pb, proof, lambda f: f, on_delta)
     return pb.build()
 
 
 def _p_hom(stage: Stage):
     args = free_vars(stage.definiens)
 
-    def on_term(t: Term) -> Term:
-        if isinstance(t, SpecialConst):
-            new_sub = walk(t.subscript)
-            return t if new_sub == t.subscript else special_constant(new_sub, t.alias)
-        if isinstance(t, App):
-            return App(t.fn, tuple(on_term(a) for a in t.args))
-        return t
+    def on_atom(atom: Atom) -> Formula:
+        if atom.pred == stage.symbol and sx.is_variable_free(atom):
+            return subst(stage.definiens, dict(zip(args, atom.args)))
+        return atom
 
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, Atom):
-            atom = Atom(g.pred, tuple(on_term(a) for a in g.args))
-            if atom.pred == stage.symbol and sx.is_variable_free(atom):
-                return subst(stage.definiens, dict(zip(args, atom.args)))
-            return atom
-        if isinstance(g, Not):
-            return Not(walk(g.body))
-        if isinstance(g, Or):
-            return Or(walk(g.left), walk(g.right))
-        if isinstance(g, Exists):
-            return Exists(g.var, walk(g.body))
-        raise TypeError(g)
-
-    return walk
+    return lambda node: sx.rewrite(node, atom=on_atom)
 
 
 def _reduce_p(theory: Theory, stage: Stage, proof: ProofObject) -> ProofObject:
@@ -686,7 +629,7 @@ def _reduce_p(theory: Theory, stage: Stage, proof: ProofObject) -> ProofObject:
     pb = ProofBuilder()
     args = free_vars(stage.definiens)
 
-    def on_delta(pb, i, line):
+    def on_delta(line):
         f = line.formula
         g = hom(f)
         if line.just[0] == "default":
@@ -711,25 +654,16 @@ def _reduce_p(theory: Theory, stage: Stage, proof: ProofObject) -> ProofObject:
                 and isinstance(concl, Atom)
                 and concl.pred == stage.symbol
             ):
-                a_terms = [on_term_only(stage, t) for t in prem.args]
-                b_terms = [on_term_only(stage, t) for t in concl.args]
+                a_terms = [hom(t) for t in prem.args]
+                b_terms = [hom(t) for t in concl.args]
                 _, sub_proof = proofgen.equality_theorem_proof(
                     list(args), a_terms, b_terms, stage.definiens
                 )
-                remap = pb.extend(sub_proof)
-                inner = remap[len(sub_proof.lines) - 1]
-                return pb.taut(g, (inner,))
+                return pb.taut(g, (_embed(pb, sub_proof),))
         raise CheckError(f"cannot justify reduced line {sx.render(g)}")
 
-    runner = _hom_builder(hom)
-    runner(pb, proof, on_delta)
+    core.map_proof(pb, proof, hom, on_delta)
     return pb.build()
-
-
-def on_term_only(stage: Stage, t: Term) -> Term:
-    hom = _p_hom(stage) if stage.kind == "p" else _f_hom(stage)
-    got = hom(Atom(sx.EQ, (t, t)))
-    return got.args[0] if isinstance(got, Atom) else t
 
 
 def _f_hom(stage: Stage):
@@ -738,30 +672,13 @@ def _f_hom(stage: Stage):
     f = stage.symbol
     params = free_vars(Exists(stage.out_var, stage.definiens))
 
-    def on_term(t: Term) -> Term:
-        if isinstance(t, SpecialConst):
-            new_sub = walk(t.subscript)
-            return t if new_sub == t.subscript else special_constant(new_sub, t.alias)
-        if isinstance(t, App):
-            new = App(t.fn, tuple(on_term(a) for a in t.args))
-            if new.fn == f and sx.is_variable_free(new):
-                inst = subst(stage.definiens, dict(zip(params, new.args)))
-                return special_constant(Exists(stage.out_var, inst))
-            return new
+    def on_app(t: App) -> Term:
+        if t.fn == f and sx.is_variable_free(t):
+            inst = subst(stage.definiens, dict(zip(params, t.args)))
+            return special_constant(Exists(stage.out_var, inst))
         return t
 
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, Atom):
-            return Atom(g.pred, tuple(on_term(a) for a in g.args))
-        if isinstance(g, Not):
-            return Not(walk(g.body))
-        if isinstance(g, Or):
-            return Or(walk(g.left), walk(g.right))
-        if isinstance(g, Exists):
-            return Exists(g.var, walk(g.body))
-        raise TypeError(g)
-
-    return walk
+    return lambda node: sx.rewrite(node, app=on_app)
 
 
 def _f_ec_closure(stage: Stage) -> Formula:
@@ -794,15 +711,7 @@ def _reduce_f(theory: Theory, stage: Stage, proof: ProofObject) -> ProofObject:
             subf = pb.delta(fimp(sx.eq(val, val), inst_e))
             e_idx = pb.taut(inst_e, (ident, subf))
         else:
-            ec = _f_ec_closure(stage)
-            remap = pb.extend(stage.ec_proof)
-            base = None
-            for j, ln in enumerate(stage.ec_proof.lines):
-                if ln.formula == ec:
-                    base = remap[j]
-                    break
-            if base is None:
-                raise CheckError("EC proof lacks its closure")
+            base = _embed(pb, stage.ec_proof, _f_ec_closure(stage))
             e_idx = instantiate_closure(pb, base, list(arg_terms))
         spa = pb.delta(special_axiom(r))
         d_at_r = subst(stage.definiens, {**dict(zip(params, arg_terms)), y: r})
@@ -817,14 +726,7 @@ def _reduce_f(theory: Theory, stage: Stage, proof: ProofObject) -> ProofObject:
             goal = fimp(fand(sx.eq(t1, val), sx.eq(t2, val)), sx.eq(t1, t2))
             return quasitaut_gap(pb, goal, ())
         uc = _f_uc_closure(stage)
-        remap = pb.extend(stage.uc_proof)
-        base = None
-        for j, ln in enumerate(stage.uc_proof.lines):
-            if ln.formula == uc:
-                base = remap[j]
-                break
-        if base is None:
-            raise CheckError("UC proof lacks its closure")
+        base = _embed(pb, stage.uc_proof, uc)
         # closure order: params then y then y'
         prefix, _ = nform.prenex_prefix(uc)
         order = [x for _, x in prefix]
@@ -838,7 +740,7 @@ def _reduce_f(theory: Theory, stage: Stage, proof: ProofObject) -> ProofObject:
                 binding[x] = arg_terms[list(params).index(x)]
         return instantiate_closure(pb, base, [binding[x] for x in order])
 
-    def on_delta(pb, i, line):
+    def on_delta(line):
         f_line = line.formula
         g = hom(f_line)
         if line.just[0] == "default":
@@ -851,10 +753,7 @@ def _reduce_f(theory: Theory, stage: Stage, proof: ProofObject) -> ProofObject:
                 stage.axiom, f_line, frozenset(sx.free_vars(stage.axiom))
             )
             if binding is not None:
-                arg_terms = [
-                    on_term_only(stage, binding.get(x, theory.zero_term))
-                    for x in params
-                ]
+                arg_terms = [hom(binding.get(x, theory.zero_term)) for x in params]
                 r = special_constant(
                     Exists(y, subst(stage.definiens, dict(zip(params, arg_terms))))
                 )
@@ -872,8 +771,8 @@ def _reduce_f(theory: Theory, stage: Stage, proof: ProofObject) -> ProofObject:
                 and isinstance(lhs.args[0], App)
                 and lhs.args[0].fn == stage.symbol
             ):
-                arg_terms = [on_term_only(stage, t) for t in lhs.args[0].args]
-                b_term = on_term_only(stage, lhs.args[1])
+                arg_terms = [hom(t) for t in lhs.args[0].args]
+                b_term = hom(lhs.args[1])
                 r = special_constant(
                     Exists(y, subst(stage.definiens, dict(zip(params, arg_terms))))
                 )
@@ -883,8 +782,7 @@ def _reduce_f(theory: Theory, stage: Stage, proof: ProofObject) -> ProofObject:
                     [y], [r], [b_term],
                     subst(stage.definiens, dict(zip(params, arg_terms))),
                 )
-                remap = pb.extend(eq_proof)
-                eq_idx = remap[len(eq_proof.lines) - 1]
+                eq_idx = _embed(pb, eq_proof)
                 # backward: D(as, b) & D(as, r) -> b = r by UC
                 uc_idx = derive_uc_at(pb, arg_terms, b_term, r)
                 return quasitaut_gap(pb, g, (d_r, eq_idx, uc_idx))
@@ -900,8 +798,8 @@ def _reduce_f(theory: Theory, stage: Stage, proof: ProofObject) -> ProofObject:
                 and concl.args[1].fn == stage.symbol
             ):
                 # equality formula for f: as-eqs -> f(as) = f(bs)
-                a_terms = [on_term_only(stage, t) for t in concl.args[0].args]
-                b_terms = [on_term_only(stage, t) for t in concl.args[1].args]
+                a_terms = [hom(t) for t in concl.args[0].args]
+                b_terms = [hom(t) for t in concl.args[1].args]
                 r1 = special_constant(
                     Exists(y, subst(stage.definiens, dict(zip(params, a_terms))))
                 )
@@ -915,8 +813,7 @@ def _reduce_f(theory: Theory, stage: Stage, proof: ProofObject) -> ProofObject:
                         list(params), a_terms, b_terms,
                         subst(stage.definiens, {y: r1}),
                     )
-                    remap = pb.extend(eq_proof)
-                    eq_idx = remap[len(eq_proof.lines) - 1]
+                    eq_idx = _embed(pb, eq_proof)
                 else:
                     eq_idx = None
                 d2 = derive_d_at(pb, b_terms, r2)
@@ -925,34 +822,14 @@ def _reduce_f(theory: Theory, stage: Stage, proof: ProofObject) -> ProofObject:
                 return quasitaut_gap(pb, g, prem)
         raise CheckError(f"cannot justify reduced line {sx.render(g)}")
 
-    runner = _hom_builder(hom)
-    runner(pb, proof, on_delta)
+    core.map_proof(pb, proof, hom, on_delta)
     return pb.build()
 
 
 def _r_hom(stage: Stage):
-    phi = stage.phi
-
-    def on_term(t: Term) -> Term:
-        if isinstance(t, SpecialConst):
-            new_sub = walk(t.subscript)
-            return t if new_sub == t.subscript else special_constant(new_sub, t.alias)
-        if isinstance(t, App):
-            return App(t.fn, tuple(on_term(a) for a in t.args))
-        return t
-
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, Atom):
-            return Atom(g.pred, tuple(on_term(a) for a in g.args))
-        if isinstance(g, Not):
-            return Not(walk(g.body))
-        if isinstance(g, Or):
-            return Or(walk(g.left), walk(g.right))
-        if isinstance(g, Exists):
-            return Exists(g.var, fand(_phi_at(phi, Var(g.var)), walk(g.body)))
-        raise TypeError(g)
-
-    return walk
+    """Relativization entering subscripts, for the lines of a proof."""
+    guard = _guard_exists(stage.phi)
+    return lambda node: sx.rewrite(node, exists=guard)
 
 
 def _reduce_r(theory: Theory, stage: Stage, proof: ProofObject):
@@ -982,15 +859,7 @@ def _reduce_r(theory: Theory, stage: Stage, proof: ProofObject):
             pr = stage.respects.get(t.fn)
             if pr is None:
                 raise CheckError(f"no respects proof for {t.fn.name}")
-            ob = closure(respects_obligation(t.fn, phi))
-            remap = pb.extend(pr)
-            base = None
-            for j, ln in enumerate(pr.lines):
-                if ln.formula == ob:
-                    base = remap[j]
-                    break
-            if base is None:
-                raise CheckError("respects proof lacks its closure")
+            base = _embed(pb, pr, closure(respects_obligation(t.fn, phi)))
             if t.args:
                 inst = instantiate_closure(pb, base, list(t.args))
             else:
@@ -998,7 +867,7 @@ def _reduce_r(theory: Theory, stage: Stage, proof: ProofObject):
             return pb.taut(goal, tuple(child) + (inst,))
         raise CheckError("cannot establish phi at a non-ground term")
 
-    def on_delta(pb, i, line):
+    def on_delta(line):
         f_line = line.formula
         g = hom(f_line)
         if line.just[0] == "default":
@@ -1017,17 +886,9 @@ def _reduce_r(theory: Theory, stage: Stage, proof: ProofObject):
                 # instance of the adjoined axiom: use the registered proof
                 # of A^phi
                 goal_cls = closure(relativize(stage.axiom, phi).relativized)
-                remap = pb.extend(stage.proof)
-                base = None
-                for j, ln in enumerate(stage.proof.lines):
-                    if ln.formula == goal_cls:
-                        base = remap[j]
-                        break
-                if base is None:
-                    raise CheckError("r-proof lacks its closure")
+                base = _embed(pb, stage.proof, goal_cls)
                 binding = dict(cls.detail[1])
-                order = free_vars(stage.axiom)
-                terms = [hom(Atom(sx.EQ, (binding[x], binding[x]))).args[0] for x in order]
+                terms = [hom(binding[x]) for x in free_vars(stage.axiom)]
                 inst = instantiate_closure(pb, base, terms)
                 guards = [derive_phi(pb, t) for t in terms]
                 return quasitaut_gap(pb, g, (inst,) + tuple(guards))
@@ -1053,14 +914,13 @@ def _reduce_r(theory: Theory, stage: Stage, proof: ProofObject):
             b_term = binding.get(e.var) if binding else None
             if b_term is None:
                 b_term = theory.zero_term
-            b2 = hom(Atom(sx.EQ, (b_term, b_term))).args[0]
+            b2 = hom(b_term)
             subf = pb.delta(fimp(subst(e2.body, {e2.var: b2}), e2))
             guard = derive_phi(pb, b2)
             return pb.taut(g, (subf, guard))
         raise CheckError(f"cannot justify relativized line {sx.render(g)}")
 
-    runner = _hom_builder(hom)
-    runner(pb, proof, on_delta)
+    core.map_proof(pb, proof, hom, on_delta)
     return pb.build(), used_defaults[0]
 
 
@@ -1077,7 +937,7 @@ def _default_repl(theory: Theory):
         if c in cache:
             return cache[c]
         e = c.subscript
-        body = walk(e.body)
+        body = hom(e.body)
         x = e.var
         xp = sx.fresh_name(x + "'", sx.all_var_names(body) | {x})
         variant = Exists(xp, subst(body, {x: Var(xp)}))
@@ -1088,25 +948,10 @@ def _default_repl(theory: Theory):
         cache[c] = out
         return out
 
-    def on_term(t: Term) -> Term:
-        if isinstance(t, SpecialConst):
-            return bar(t)
-        if isinstance(t, App):
-            return App(t.fn, tuple(on_term(a) for a in t.args))
-        return t
+    def hom(node):
+        return sx.rewrite(node, const=bar)
 
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, Atom):
-            return Atom(g.pred, tuple(on_term(a) for a in g.args))
-        if isinstance(g, Not):
-            return Not(walk(g.body))
-        if isinstance(g, Or):
-            return Or(walk(g.left), walk(g.right))
-        if isinstance(g, Exists):
-            return Exists(g.var, walk(g.body))
-        raise TypeError(g)
-
-    return walk, bar
+    return hom, bar
 
 
 def eliminate_defaults(theory: Theory, proof: ProofObject) -> ProofObject:
@@ -1156,7 +1001,7 @@ def eliminate_defaults(theory: Theory, proof: ProofObject) -> ProofObject:
         pair = sx.as_and(second[1])
         return pair[0].body  # the (not variant) conjunct's body
 
-    def on_delta(pb, i, line):
+    def on_delta(line):
         f = line.formula
         g = hom(f)
         if line.just[0] == "default":
@@ -1175,6 +1020,5 @@ def eliminate_defaults(theory: Theory, proof: ProofObject) -> ProofObject:
             return idx
         return pb.delta(g)
 
-    runner = _hom_builder(hom)
-    runner(pb, proof, on_delta)
+    core.map_proof(pb, proof, hom, on_delta)
     return pb.build()

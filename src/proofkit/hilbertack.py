@@ -11,15 +11,15 @@ strictly decreases the owner count."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional
 
 from .errors import CheckError
 from . import propcalc
 from . import syntax as sx
 from .kernel import core
 from .kernel.core import ProofBuilder, ProofObject, SpecialSequence, Theory
-from .syntax import Formula, Not, Or, SpecialConst, Term, fimp, subst
+from .syntax import Formula, Not, SpecialConst, Term, fimp, subst
 
 TOWER_CUTOFF = 2 ** 64
 
@@ -370,8 +370,6 @@ def generate_inconsistent_case(rng, rank: int):
     """A random openly inconsistent theory with a special sequence of the
     requested active rank, built from substitution chains over a fresh
     predicate and ground witness terms."""
-    import random as _random
-
     assert rank in (1, 2)
     eps = sx.App(sx.EPS)
     ground = [eps, sx.App(sx.S0, (eps,)), sx.App(sx.S1, (eps,)), sx.App(sx.S0, (sx.App(sx.S0, (eps,)),))]

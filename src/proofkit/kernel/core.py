@@ -4,10 +4,10 @@ purge of extraneous symbols, special-sequence extraction)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..errors import CheckError
+from ..errors import CheckError, SizeGuardExceeded
 from .. import propcalc
 from .. import syntax as sx
 from ..syntax import (
@@ -272,6 +272,22 @@ class ProofBuilder:
         return ProofObject(tuple(self.lines))
 
 
+def map_proof(pb: ProofBuilder, proof: ProofObject, line_map, on_delta) -> None:
+    """Rebuild a proof line by line into pb.  Delta and default lines go to
+    on_delta, which returns the index of the line's image in pb; every other
+    line becomes line_map of its formula, cited from the images of its
+    premises."""
+    images: dict[int, int] = {}
+    for i, line in enumerate(proof.lines):
+        if line.just[0] in ("delta", "default"):
+            images[i] = on_delta(line)
+        else:
+            idxs = line.just[1]
+            if idxs is None:
+                idxs = range(i)
+            images[i] = pb.taut(line_map(line.formula), tuple(images[j] for j in idxs))
+
+
 def is_default_formula(theory: Theory, f: Formula) -> bool:
     """not exists x B -> r = 0, with r the special constant for exists x B."""
     pair = sx.as_imp(f)
@@ -356,25 +372,19 @@ def deduction_transform(theory: Theory, c: Formula, proof: ProofObject) -> Proof
     if not verdict.ok:
         raise CheckError(f"input proof fails in T[C] at line {verdict.failed_index}: {verdict.message}")
     out = ProofBuilder()
-    images: dict[int, int] = {}
-    for i, line in enumerate(proof.lines):
+
+    def on_delta(line):
         f = line.formula
         goal = sx.fimp(c, f)
-        if line.just[0] == "delta":
-            if in_delta(theory, f):
-                base = out.delta(f)
-                images[i] = out.taut(goal, (base,))
-            else:
-                # a closed instance of the new axiom C; C is closed, so the
-                # instance is C itself and C -> C is a tautology
-                if f != c:
-                    raise CheckError("unexpected delta formula in T[C]")
-                images[i] = out.taut(goal, ())
-        else:
-            idxs = line.just[1]
-            if idxs is None:
-                idxs = tuple(range(i))
-            images[i] = out.taut(goal, tuple(images[j] for j in idxs))
+        if in_delta(theory, f):
+            return out.taut(goal, (out.delta(f),))
+        # a closed instance of the new axiom C; C is closed, so the instance
+        # is C itself and C -> C is a tautology
+        if f != c:
+            raise CheckError("unexpected delta formula in T[C]")
+        return out.taut(goal, ())
+
+    map_proof(out, proof, lambda f: sx.fimp(c, f), on_delta)
     return out.build()
 
 
@@ -388,51 +398,29 @@ def purge_extraneous(theory: Theory, goal: Formula, proof: ProofObject) -> Proof
     become 0, everywhere including subscripts."""
     keep = theory.language_symbols() | sx.appearing_symbols(goal) | {theory.zero}
     zero = theory.zero_term
+    zero_eq = sx.eq(zero, zero)
 
-    def term(t: Term) -> Term:
-        if isinstance(t, Var):
-            return t
-        if isinstance(t, SpecialConst):
-            new_sub = formula(t.subscript)
-            return t if new_sub == t.subscript else special_constant(new_sub, t.alias)
-        if isinstance(t, App):
-            if t.fn not in keep:
-                return zero
-            return App(t.fn, tuple(term(a) for a in t.args))
-        raise TypeError(t)
-
-    def formula(f: Formula) -> Formula:
-        if isinstance(f, Atom):
-            if f.pred != EQ and f.pred not in keep:
-                return sx.eq(zero, zero)
-            return Atom(f.pred, tuple(term(a) for a in f.args))
-        if isinstance(f, Not):
-            return Not(formula(f.body))
-        if isinstance(f, Or):
-            return Or(formula(f.left), formula(f.right))
-        if isinstance(f, Exists):
-            return Exists(f.var, formula(f.body))
-        raise TypeError(f)
+    def purge(f: Formula) -> Formula:
+        return sx.rewrite(
+            f,
+            app=lambda t: t if t.fn in keep else zero,
+            atom=lambda a: a if a.pred == EQ or a.pred in keep else zero_eq,
+        )
 
     out = ProofBuilder()
-    ident = out.delta(sx.eq(zero, zero))
-    images: dict[int, int] = {}
-    for i, line in enumerate(proof.lines):
-        g = formula(line.formula)
+    ident = out.delta(zero_eq)
+
+    def on_delta(line):
+        g = purge(line.formula)
         if line.just[0] == "default":
-            images[i] = out.default(g)
-        elif line.just[0] == "delta":
-            if in_delta(theory, g):
-                images[i] = out.delta(g)
-            else:
-                # an equality formula for a purged symbol collapses to a
-                # tautological consequence of the identity formula 0=0
-                images[i] = out.taut(g, (ident,))
-        else:
-            idxs = line.just[1]
-            if idxs is None:
-                idxs = tuple(range(i))
-            images[i] = out.taut(g, tuple(images[j] for j in idxs))
+            return out.default(g)
+        if in_delta(theory, g):
+            return out.delta(g)
+        # an equality formula for a purged symbol collapses to a
+        # tautological consequence of the identity formula 0=0
+        return out.taut(g, (ident,))
+
+    map_proof(out, proof, purge, on_delta)
     return out.build()
 
 
@@ -453,7 +441,7 @@ def sequence_valid(seq: SpecialSequence, budget: int = propcalc.DEFAULT_BUDGET) 
     skeleton is small, by the propositional engine otherwise."""
     try:
         return propcalc.taut_check(seq.negation_disjunction()).consequence
-    except Exception:
+    except SizeGuardExceeded:
         return propcalc.prop_unsat(list(seq.formulas), budget)
 
 

@@ -8,7 +8,7 @@ bridge needs, so no open-formula theoremhood is ever manipulated."""
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..errors import CheckError
 from .. import normform as nform
@@ -346,8 +346,6 @@ def negation_form_proof(f: Formula):
 
 # ---------------------------------------------------------------------------
 # prenex pulls (Theorem 9 recipes) and the composed prenex equivalence
-
-_LEFT_RULES = {"or-left": 30, "and-left": 32, "all-or-left": 34, "all-and-left": 36}
 
 
 def _pull_redex(f: Formula):

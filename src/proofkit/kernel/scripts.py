@@ -24,7 +24,7 @@ from ..errors import CheckError, ParseError, ProofkitError
 from .. import normform as nform
 from .. import propcalc
 from .. import syntax as sx
-from ..syntax import Exists, Formula, Not, Term, closure, fimp, subst
+from ..syntax import Formula, Not, closure, fimp, subst
 
 DEFAULT_SCRIPT_BUDGET = 100_000
 
@@ -366,7 +366,7 @@ def check_script(
     try:
         statement = sx.parse(script.statement_text, "formula", registry.symbols)
         if script.explicit is not None:
-            instances = _replay_explicit(registry, script, statement, budget)
+            instances = _replay_explicit(registry, script, statement)
             return ScriptVerdict(
                 script.label, True, instances=tuple(instances),
                 elapsed=time.perf_counter() - start,
@@ -431,20 +431,16 @@ def check_script(
         )
 
 
-def _replay_explicit(registry, script, statement: Formula, budget) -> list:
+def _replay_explicit(registry, script, statement: Formula) -> list:
     """Very simple proofs: literal step-by-step replay."""
-    a0 = nform.to_normal_form(Not(closure(statement)))
+    cur = nform.to_normal_form(Not(closure(statement)))
     # witness the leading existentials (these are the goal's frozen variables)
-    steps_dir = []
-    cur = a0
     while True:
         loc = nform.leftmost_quantifier(cur)
         if loc is None or loc[0] != "E" or loc[1] != ():
             break
-        e = cur
-        steps_dir.append(("witness", f"{e.var}"))
         cur = nform.special_case(
-            cur, nform.SpecialCaseDirective((("witness", e.var),))
+            cur, nform.SpecialCaseDirective((("witness", cur.var),))
         )
     derived: list = list(sx.conjuncts(cur))
     env: dict = {}
@@ -491,15 +487,6 @@ def _replay_explicit(registry, script, statement: Formula, budget) -> list:
             derived.append(propcalc.one_resolution(derived[i - 1], derived[j - 1]))
         else:
             raise CheckError(f"unknown step kind {step.kind!r}")
-    have = set(derived)
-    for f in derived:
-        if sx.opposite(f) in have:
-            return derived
-        if (
-            isinstance(f, Not)
-            and isinstance(f.body, sx.Atom)
-            and f.body.pred == sx.EQ
-            and f.body.args[0] == f.body.args[1]
-        ):
-            return derived
+    if propcalc.contradictory(set(derived)):
+        return derived
     raise CheckError("explicit proof reaches no contradiction")

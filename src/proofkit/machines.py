@@ -14,15 +14,13 @@ code."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import CheckError, ParseError
 
 ENCODING_VERSION = 1
 
-OPS = ("prepend0", "prepend1", "pred", "case")
 _OPCODE = {"prepend0": "00", "prepend1": "01", "pred": "10", "case": "11"}
 _OPNAME = {v: k for k, v in _OPCODE.items()}
 

@@ -24,7 +24,6 @@ from .syntax import (
     Not,
     Or,
     SpecialConst,
-    Term,
     as_all,
     as_and,
     fand,

@@ -171,14 +171,6 @@ def one_resolution(c: Formula, d: Formula) -> Formula:
     return _resolve_elementary(c, d)
 
 
-def equality_substitution(a: Term, b: Term, body: Formula, x: str):
-    """The closed instance  a=b & A_x(a) -> A_x(b)  with a kernel-checkable
-    proof (generated by the equality-theorem induction)."""
-    from .kernel.proofgen import equality_substitution as _impl
-
-    return _impl(a, b, body, x)
-
-
 def _resolve_elementary(c: Formula, d: Formula) -> Formula:
     """one_resolution with closed elementary pivots admitted."""
     base = c.body if isinstance(c, Not) else c
@@ -380,14 +372,15 @@ def replay(cert: Refutation, inputs: Sequence[Formula]) -> bool:
                 )
             else:
                 raise CheckError(f"unknown step kind {kind!r}")
-        if _contradictory(derived):
+        if contradictory(derived):
             return True
         raise CheckError("certificate branch reaches no contradiction")
 
     return run(cert.steps, set())
 
 
-def _contradictory(derived: set) -> bool:
+def contradictory(derived: set) -> bool:
+    """Some formula's opposite is also derived, or some a != a is."""
     for f in derived:
         if opposite(f) in derived:
             return True

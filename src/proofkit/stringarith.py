@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 
 from .errors import CheckError, ParseError
 from . import extend
-from . import normform as nform
 from . import syntax as sx
 from .kernel import Registry, Theory, bsi_template, scripts as kscripts
 from .syntax import (

@@ -15,6 +15,7 @@ import re
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import is_not as _is_not
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ArityError, CaptureError, ParseError
@@ -668,33 +669,64 @@ def substitute(f: Formula, bindings: Sequence[tuple[str, Term]]) -> Formula:
     return subst(f, dict(bindings))
 
 
+def rewrite(node: Node, app=None, atom=None, exists=None, const=None) -> Node:
+    """The bottom-up homomorphism given by hooks on rebuilt nodes.
+
+    Children are rewritten first, left to right; then app, atom or exists,
+    when given, maps the rebuilt App, Atom or Exists.  A node whose children
+    all come back as the same objects is kept as it is.  const, when given,
+    maps each special constant and its result is final.  Without it a
+    special constant's subscript goes through the same hooks and is
+    re-canonicalised under the constant's alias; the constant is kept when
+    its subscript is unchanged."""
+
+    def walk(n):
+        if isinstance(n, App):
+            args = tuple(map(walk, n.args))
+            if any(map(_is_not, args, n.args)):
+                n = App(n.fn, args)
+            return n if app is None else app(n)
+        if isinstance(n, Var):
+            return n
+        if isinstance(n, SpecialConst):
+            if const is not None:
+                return const(n)
+            return _resubscript(n, walk(n.subscript))
+        if isinstance(n, Atom):
+            args = tuple(map(walk, n.args))
+            if any(map(_is_not, args, n.args)):
+                n = Atom(n.pred, args)
+            return n if atom is None else atom(n)
+        if isinstance(n, Not):
+            body = walk(n.body)
+            return n if body is n.body else Not(body)
+        if isinstance(n, Or):
+            left, right = walk(n.left), walk(n.right)
+            return n if left is n.left and right is n.right else Or(left, right)
+        if isinstance(n, Exists):
+            body = walk(n.body)
+            if body is not n.body:
+                n = Exists(n.var, body)
+            return n if exists is None else exists(n)
+        raise TypeError(n)
+
+    return walk(node)
+
+
 def replace_const(node: Node, c: SpecialConst, a: Term) -> Node:
     """Replace c by a everywhere it appears, including inside subscripts of
     other special constants (rebuilding them canonically)."""
 
-    def walk(n):
-        if isinstance(n, Var):
-            return n
-        if isinstance(n, SpecialConst):
-            if n == c:
-                return a
-            new_sub = walk(n.subscript)
-            if new_sub == n.subscript:
-                return n
-            return special_constant(new_sub, n.alias)
-        if isinstance(n, App):
-            return App(n.fn, tuple(walk(x) for x in n.args))
-        if isinstance(n, Atom):
-            return Atom(n.pred, tuple(walk(x) for x in n.args))
-        if isinstance(n, Not):
-            return Not(walk(n.body))
-        if isinstance(n, Or):
-            return Or(walk(n.left), walk(n.right))
-        if isinstance(n, Exists):
-            return Exists(n.var, walk(n.body))
-        raise TypeError(n)
+    def on_const(n):
+        return a if n == c else _resubscript(n, rewrite(n.subscript, const=on_const))
 
-    return walk(node)
+    return rewrite(node, const=on_const)
+
+
+def _resubscript(c: SpecialConst, sub: Formula) -> SpecialConst:
+    """c itself when sub is its subscript, else the canonical constant for
+    sub under c's alias."""
+    return c if sub == c.subscript else special_constant(sub, c.alias)
 
 
 def replace_subformula(f: Formula, old: Formula, new: Formula) -> Formula:
@@ -716,16 +748,9 @@ def replace_subformula(f: Formula, old: Formula, new: Formula) -> Formula:
 
 
 def map_atoms(f: Formula, fn) -> Formula:
-    """Homomorphism determined by its action on atomic formulas."""
-    if isinstance(f, Atom):
-        return fn(f)
-    if isinstance(f, Not):
-        return Not(map_atoms(f.body, fn))
-    if isinstance(f, Or):
-        return Or(map_atoms(f.left, fn), map_atoms(f.right, fn))
-    if isinstance(f, Exists):
-        return Exists(f.var, map_atoms(f.body, fn))
-    raise TypeError(f)
+    """Homomorphism determined by its action on atomic formulas (subscripts
+    untouched)."""
+    return rewrite(f, atom=fn, const=lambda c: c)
 
 
 # ---------------------------------------------------------------------------
@@ -885,8 +910,6 @@ def numeral(n: int) -> Term:
 
 _TOKEN = re.compile(r"\(|\)|[^\s()]+")
 _IDENT = re.compile(r"[a-z][a-z0-9_']*$")
-
-_SUGAR = {"and", "imp", "iff", "forall", "not", "or", "exists", "exists<=", "forall<=", "=", "sc"}
 
 
 class _Reader:

@@ -161,6 +161,35 @@ def test_translate_rightmost_first_nesting():
     assert isinstance(out, Exists) and isinstance(sx.as_and(out.body)[1], Exists)
 
 
+def test_translate_out_rewrites_inside_subscripts():
+    # the variable names private to this test keep the intern table's
+    # aliases independent of suite order
+    reg, _, leq = _zee_leq_registry()
+    c = sx.special_constant(Exists("pin_y", Atom(leq, (Var("pin_y"), E))), "pin_t")
+    out = extend.translate_out(reg, Atom(Q, (c,))).formula
+    (inner,) = out.args
+    assert isinstance(inner, sx.SpecialConst) and inner.alias == "pin_t"
+    assert inner.subscript == extend.translate_out(reg, c.subscript).formula
+    assert not extend.contains_defined_symbols(reg, out)
+    plain = sx.special_constant(Exists("pin_u", Atom(Q, (Var("pin_u"),))), "pin_k")
+    assert extend.translate_out(reg, Atom(Q, (plain,))).formula.args[0] is plain
+
+
+def test_f_homomorphism_rewrites_inside_subscripts():
+    reg = fresh_registry()
+    st = reg.define_function_explicit("df", "g1", App(PD, (Var("x"),)))
+    hom = extend._f_hom(st)
+    c = sx.special_constant(
+        Exists("pin_v", sx.eq(Var("pin_v"), App(st.symbol, (E,)))), "pin_f"
+    )
+    (inner,) = hom(Atom(Q, (c,))).args
+    r = sx.special_constant(Exists(st.out_var, sx.eq(Var(st.out_var), App(PD, (E,)))))
+    assert inner.subscript == Exists("pin_v", sx.eq(Var("pin_v"), r))
+    assert inner.alias == "pin_f"
+    plain = sx.special_constant(Exists("pin_w", Atom(Q, (Var("pin_w"),))), "pin_g")
+    assert hom(Atom(Q, (plain,))).args[0] is plain
+
+
 # --- relativization ---------------------------------------------------------
 
 
@@ -183,6 +212,15 @@ def test_relativization_distributes():
     assert extend.relativize(Or(a, b), phi).bounded == Or(
         extend.relativize(a, phi).bounded, extend.relativize(b, phi).bounded
     )
+
+
+def test_relativize_leaves_subscripts_alone():
+    phi = Atom(Q, (Var("x"),))
+    c = sx.special_constant(Exists("pin_r", Atom(Q, (Var("pin_r"),))), "pin_rel")
+    f = Exists("u", sx.eq(Var("u"), c))
+    bounded = extend.relativize(f, phi).bounded
+    assert bounded == Exists("u", sx.fand(Atom(Q, (Var("u"),)), sx.eq(Var("u"), c)))
+    assert sx.as_and(bounded.body)[1].args[1].alias == "pin_rel"
 
 
 def test_respects_obligations():

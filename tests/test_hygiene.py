@@ -1,0 +1,47 @@
+"""Every name a module of the package imports is used in that module.
+
+Package ``__init__.py`` files are exempt: their imports are re-exports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import proofkit
+
+PACKAGE = Path(proofkit.__file__).parent
+MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree):
+    """(bound name, line) for every import in the module, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                yield a.asname or a.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                yield a.asname or a.name, node.lineno
+
+
+def _used(tree):
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # quoted annotations such as "Formula" name types too
+            try:
+                inner = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            names |= {n.id for n in ast.walk(inner) if isinstance(n, ast.Name)}
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text())
+    used = _used(tree)
+    unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in used]
+    assert not unused, f"unused imports: {', '.join(unused)}"

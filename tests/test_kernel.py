@@ -5,7 +5,7 @@ import pytest
 from proofkit import normform as nf
 from proofkit import propcalc as pc
 from proofkit import syntax as sx
-from proofkit.errors import CheckError
+from proofkit.errors import CheckError, SizeGuardExceeded
 from proofkit.kernel import (
     ProofBuilder,
     ProofLine,
@@ -336,6 +336,22 @@ def test_purge_unchanged_when_already_inside():
     assert [l.formula for l in out.lines][1:] == [Atom(Q, (E,))]
 
 
+def test_purge_rewrites_inside_subscripts():
+    t = Theory("t", (Atom(Q, (Var("x"),)),), EPS)
+    scratch = PredSym("pin_scratch", 1)
+    w = Var("pin_w")
+    c = sx.special_constant(Exists("pin_w", Or(Atom(Q, (w,)), Atom(scratch, (w,)))), "pin_p")
+    plain = sx.special_constant(Exists("pin_z", Atom(Q, (Var("pin_z"),))), "pin_q")
+    pb = ProofBuilder()
+    pb.taut(Or(Atom(Q, (c,)), Atom(Q, (plain,))), ())
+    out = purge_extraneous(t, Atom(Q, (E,)), pb.build())
+    line = out.lines[-1].formula
+    purged, kept = line.left.args[0], line.right.args[0]
+    assert purged.subscript == Exists("pin_w", Or(Atom(Q, (w,)), sx.eq(E, E)))
+    assert purged.alias == "pin_p"
+    assert kept is plain
+
+
 # --- special sequences ----------------------------------------------------------
 
 
@@ -348,6 +364,16 @@ def test_extract_special_sequence_toy():
     seq = extract_special_sequence(t, pb.build())
     assert seq.formulas == (Atom(Q, (E,)), Not(Atom(Q, (E,))))
     assert core.sequence_valid(seq)
+
+
+def test_sequence_valid_past_the_truth_table_guard():
+    atoms = [Atom(PredSym(f"a{i}", 0)) for i in range(25)]
+    valid = core.SpecialSequence(tuple(atoms) + (Not(atoms[0]),))
+    invalid = core.SpecialSequence(tuple(atoms))
+    with pytest.raises(SizeGuardExceeded):
+        pc.taut_check(valid.negation_disjunction())
+    assert core.sequence_valid(valid)
+    assert not core.sequence_valid(invalid)
 
 
 def test_extract_requires_inconsistency():
@@ -478,6 +504,18 @@ qed
         "theorem vs2 : (p eps eps)\nexplicit\n  special ax1 ; eps\nqed\n"
     )[0]
     assert "no contradiction" in check_script(reg, bad).message
+
+
+def test_explicit_proof_ending_in_self_inequality():
+    st2 = SymbolTable(LANG)
+    reg = Registry(st2)
+    reg.add_axiom("ax4", parse("(not (= (pd x) (pd x)))"))
+    script = parse_script_file(
+        "theorem vs3 : (q eps)\nexplicit\n  special ax4 ; eps\nqed\n"
+    )[0]
+    v = check_script(reg, script)
+    assert v.ok, v.message
+    assert Not(sx.eq(App(PD, (E,)), App(PD, (E,)))) in v.instances
 
 
 def test_bsi_template_shape():

@@ -210,6 +210,31 @@ def test_special_constant_canonical_and_levels():
     )
 
 
+def test_replace_const_rewrites_inside_subscripts():
+    # predicates private to this test keep the intern table's aliases
+    # independent of suite order
+    pin = PredSym("pin_rc", 2)
+    c = sx.special_constant(Exists("x", Atom(pin, (Var("x"), Var("x")))), "pin_c")
+    d = sx.special_constant(Exists("y", Atom(pin, (Var("y"), c))), "pin_d")
+    out = sx.replace_const(Atom(Q, (d,)), c, App(EPS))
+    (inner,) = out.args
+    assert inner.subscript == Exists("y", Atom(pin, (Var("y"), App(EPS))))
+    assert inner.alias == "pin_d"
+    # nothing to replace: the constant itself, alias and all, is kept
+    other = sx.special_constant(Exists("z", Atom(pin, (Var("z"), App(EPS)))), "pin_o")
+    assert sx.replace_const(Atom(Q, (d,)), other, App(EPS)).args[0] is d
+
+
+def test_map_atoms_leaves_subscripts_alone():
+    pin, swap = PredSym("pin_ma", 1), PredSym("pin_ma2", 1)
+    c = sx.special_constant(Exists("x", Atom(pin, (Var("x"),))), "pin_mc")
+    f = Or(Atom(pin, (c,)), Not(Atom(Q, (c,))))
+    out = sx.map_atoms(f, lambda a: Atom(swap, a.args) if a.pred == pin else a)
+    assert out == Or(Atom(swap, (c,)), Not(Atom(Q, (c,))))
+    assert out.left.args[0].subscript == Exists("x", Atom(pin, (Var("x"),)))
+    assert out.left.args[0].alias == "pin_mc"
+
+
 def test_special_constant_requires_closed_instantiation():
     with pytest.raises(ArityError):
         sx.special_constant(parse("(exists x (= x y))"))
