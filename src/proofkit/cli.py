@@ -316,6 +316,9 @@ def main(argv=None) -> int:
     except (ProofkitError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -363,6 +363,7 @@ def check_script(
     budget: int = DEFAULT_SCRIPT_BUDGET,
 ) -> ScriptVerdict:
     start = time.perf_counter()
+    spent = 0  # refutation budget used, summed over the segments
     try:
         statement = sx.parse(script.statement_text, "formula", registry.symbols)
         if script.explicit is not None:
@@ -407,6 +408,7 @@ def check_script(
                 target = goal_negation
             inputs = instances + proved_claims + [target]
             res = propcalc.ground_refute(inputs, budget, want_cert=False)
+            spent += res.spent
             if isinstance(res, propcalc.OutOfBudget):
                 raise CheckError(f"refutation budget exhausted ({res.spent})")
             if not isinstance(res, propcalc.Refutation):
@@ -416,7 +418,15 @@ def check_script(
                     else "goal"
                 )
                 dump = "; ".join(sx.render(i, "infix-pretty") for i in inputs)
-                raise CheckError(f"refutation failed for {what}: [{dump}]")
+                true_atoms = sorted(
+                    sx.render(a, "infix-pretty")
+                    for a, v in res.model.assignment.items()
+                    if v
+                )
+                raise CheckError(
+                    f"refutation failed for {what}: [{dump}]; "
+                    f"true in the surviving valuation: [{'; '.join(true_atoms)}]"
+                )
             if claim_formula is not None:
                 proved_claims.append(claim_formula)
         return ScriptVerdict(
@@ -424,10 +434,11 @@ def check_script(
             True,
             instances=tuple(all_instances),
             elapsed=time.perf_counter() - start,
+            spent=spent,
         )
     except ProofkitError as e:
         return ScriptVerdict(
-            script.label, False, str(e), elapsed=time.perf_counter() - start
+            script.label, False, str(e), elapsed=time.perf_counter() - start, spent=spent
         )
 
 

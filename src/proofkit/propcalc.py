@@ -193,11 +193,13 @@ def _resolve_elementary(c: Formula, d: Formula) -> Formula:
 @dataclass
 class Refutation:
     steps: list
+    spent: int = 0
 
 
 @dataclass
 class Saturated:
     model: TruthValuation
+    spent: int = 0
 
 
 @dataclass
@@ -667,8 +669,8 @@ def _refute(inputs, budget, use_congruence, want_cert=True):
     if result[0] == "sat":
         assign = result[1]
         model = {a: assign.get(a, False) for a in atoms}
-        return Saturated(TruthValuation(model))
-    return Refutation(result[1])
+        return Saturated(TruthValuation(model), spent[0])
+    return Refutation(result[1], spent[0])
 
 
 def _lit_formula(atom: Formula, pol: bool) -> Formula:

@@ -487,6 +487,7 @@ class CorpusEntryReport:
     elapsed: float
     instance_count: int
     oracle: Optional[str] = None  # "agrees" | "skipped"
+    spent: int = 0  # refutation budget used, summed over segments
 
 
 @dataclass
@@ -510,6 +511,7 @@ class CorpusReport:
                     "elapsed": e.elapsed,
                     "instances": e.instance_count,
                     "oracle": e.oracle,
+                    "spent": e.spent,
                 }
                 for e in self.entries
             ],
@@ -540,7 +542,7 @@ def check_corpus(
                 oracle = _oracle_check(bundle, stmt, oracle_samples, rng)
         entries.append(
             CorpusEntryReport(
-                script.label, v.ok, v.message, v.elapsed, len(v.instances), oracle
+                script.label, v.ok, v.message, v.elapsed, len(v.instances), oracle, v.spent
             )
         )
         if not v.ok and halt_on_failure:

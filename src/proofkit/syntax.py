@@ -100,12 +100,27 @@ class Formula:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """Make `cls` a frozen, slotted dataclass hashed by a stored `_hash`
+    field, which its `__post_init__` sets once to the hash of the tuple of
+    its compare fields (the value the generated dataclass hash returns).
+    Children are built first, so that costs O(arity), never a tree walk."""
+    cls.__annotations__["_hash"] = int
+    cls._hash = field(init=False, repr=False, compare=False)
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__hash__ = lambda node: node._hash
+    return cls
+
+
+@_node
 class Var(Term):
     name: str
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.name,)))
 
-@dataclass(frozen=True)
+
+@_node
 class App(Term):
     fn: FnSym
     args: tuple[Term, ...] = ()
@@ -113,9 +128,10 @@ class App(Term):
     def __post_init__(self):
         if len(self.args) != self.fn.arity:
             raise ArityError(f"{self.fn.name} expects {self.fn.arity} arguments")
+        object.__setattr__(self, "_hash", hash((self.fn, self.args)))
 
 
-@dataclass(frozen=True)
+@_node
 class SpecialConst(Term):
     """The special constant for a closed instantiation; identity is by
     subscript, the alias is presentation only."""
@@ -128,9 +144,10 @@ class SpecialConst(Term):
             raise ArityError("special-constant subscript must be an instantiation")
         if free_vars(self.subscript):
             raise ArityError("special-constant subscript must be closed")
+        object.__setattr__(self, "_hash", hash((self.subscript,)))
 
 
-@dataclass(frozen=True)
+@_node
 class Atom(Formula):
     pred: PredSym
     args: tuple[Term, ...] = ()
@@ -138,23 +155,33 @@ class Atom(Formula):
     def __post_init__(self):
         if len(self.args) != self.pred.arity:
             raise ArityError(f"{self.pred.name} expects {self.pred.arity} arguments")
+        object.__setattr__(self, "_hash", hash((self.pred, self.args)))
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     body: Formula
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.body,)))
 
-@dataclass(frozen=True)
+
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
 
-@dataclass(frozen=True)
+
+@_node
 class Exists(Formula):
     var: str
     body: Formula
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.var, self.body)))
 
 
 Node = Union[Term, Formula]

@@ -60,11 +60,37 @@ def test_failing_script_exit_one(capsys, tmp_path, monkeypatch):
     )
     code, out, _ = run(capsys, "check-proof", str(bad))
     assert code == 1 and "FAIL" in out
+    assert "true in the surviving valuation: [pd(eps) = eps]" in out
     code, jout, _ = run(capsys, "--format", "json", "check-proof", str(bad))
     assert code == 1
     verdicts = [(s["label"], s["ok"]) for s in json.loads(jout)["scripts"]]
     assert verdicts == [("nope", False), ("t22", True)]
     assert bundle.registry.entries["t22"].checked
+
+
+def test_spent_per_script(capsys, tmp_path):
+    subset = tmp_path / "subset.prf"
+    text = (DATA_DIR / "corpus" / "s20.prf").read_text()
+    subset.write_text(text[: text.index("theorem t26")])
+    code, jout, _ = run(capsys, "--format", "json", "--budget", "500", "check-corpus", str(subset))
+    assert code == 0
+    spent = [s["spent"] for s in json.loads(jout)["scripts"]]
+    assert len(spent) == 3 and all(0 < n <= 500 for n in spent)
+    explicit = tmp_path / "explicit.prf"
+    explicit.write_text("theorem e1 : (not (= (s0 eps) eps))\nexplicit\n  special a1 ; eps\nqed\n")
+    code, jout, _ = run(capsys, "--format", "json", "check-proof", str(explicit))
+    assert code == 0
+    assert [(s["label"], s["spent"]) for s in json.loads(jout)["scripts"]] == [("e1", 0)]
+
+
+@pytest.mark.parametrize("command", ["translate", "parse"])
+def test_deep_input_exit_two(capsys, command):
+    term = "x"
+    for _ in range(2_000):
+        term = f"(s0 {term})"
+    code, _, err = run(capsys, command, f"(= {term} eps)")
+    assert code == 2
+    assert err.strip() == "error: input nested too deeply"
 
 
 def test_check_proof_tags_schema_theorems(capsys, tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from proofkit.syntax import (
     Not,
     Or,
     PredSym,
+    SpecialConst,
     SymbolTable,
     Var,
     EPS,
@@ -272,3 +275,57 @@ def test_sc_term_round_trip():
     r = sx.special_constant(e)
     t = App(CAT, (r, App(EPS)))
     assert sx.parse(sx.render(t), "term", ST) == t
+
+
+# --- stored hashes ----------------------------------------------------------
+
+
+def _one_of_each_kind():
+    x = Var("x")
+    qx, qe = Atom(Q, (x,)), Atom(Q, (App(EPS),))
+    sub = Exists("x", qx)
+    return [
+        (x, ("x",)),
+        (App(S0, (x,)), (S0, (x,))),
+        (SpecialConst(sub, "c"), (sub,)),
+        (qx, (Q, (x,))),
+        (Not(qx), (qx,)),
+        (Or(qx, qe), (qx, qe)),
+        (sub, ("x", qx)),
+    ]
+
+
+def test_stored_hash_is_the_dataclass_hash():
+    # hash of the tuple of compare fields, as the generated dataclass hash,
+    # so set and dict orders under a fixed hash seed do not change
+    kinds = _one_of_each_kind()
+    assert len({type(n) for n, _ in kinds}) == 7
+    for node, compare_fields in kinds:
+        assert hash(node) == hash(compare_fields), type(node).__name__
+
+
+def test_special_constant_alias_is_not_hashed():
+    sub = Exists("x", Atom(Q, (Var("x"),)))
+    a, b = SpecialConst(sub, "a"), SpecialConst(sub, "b")
+    assert a == b and hash(a) == hash(b)
+
+
+def test_replace_recomputes_the_stored_hash():
+    node = App(CAT, (Var("x"), Var("y")))
+    moved = dataclasses.replace(node, args=(Var("y"), Var("x")))
+    assert moved == App(CAT, (Var("y"), Var("x")))
+    assert hash(moved) == hash(App(CAT, (Var("y"), Var("x"))))
+
+
+def test_nodes_have_no_instance_dict():
+    for node, _ in _one_of_each_kind():
+        assert not hasattr(node, "__dict__"), type(node).__name__
+
+
+def test_deep_chain_hashes_without_recursion():
+    t = App(EPS)
+    for _ in range(100_000):
+        t = App(S0, (t,))
+    seen = {t}
+    assert t in seen
+    assert App(S0, (t,)) not in seen
