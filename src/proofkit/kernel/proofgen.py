@@ -353,36 +353,28 @@ def _pull_redex(f: Formula):
     rhs) or None.  At a node with quantifiers on both operands the left one
     is pulled first."""
 
-    def q_head(g):
-        if isinstance(g, Exists):
-            return ("E", g.var, g.body)
-        pair = as_all(g)
-        if pair is not None:
-            return ("A", pair[0], pair[1])
-        return None
-
     def node_rewrite(g):
         pair = as_and(g)
         if pair is not None:
             a, c = pair
-            qa = q_head(a)
+            qa = _quant(a)
             if qa is not None:
                 kind, x, b = qa
                 inner = fand(b, c)
                 return Exists(x, inner) if kind == "E" else fall(x, inner)
-            qc = q_head(c)
+            qc = _quant(c)
             if qc is not None:
                 kind, x, b = qc
                 inner = fand(a, b)
                 return Exists(x, inner) if kind == "E" else fall(x, inner)
             return None
         if isinstance(g, Or):
-            qa = q_head(g.left)
+            qa = _quant(g.left)
             if qa is not None:
                 kind, x, b = qa
                 inner = Or(b, g.right)
                 return Exists(x, inner) if kind == "E" else fall(x, inner)
-            qc = q_head(g.right)
+            qc = _quant(g.right)
             if qc is not None:
                 kind, x, b = qc
                 inner = Or(g.left, b)
@@ -587,17 +579,9 @@ def prenex_equivalence_proof(f: Formula):
 
         # rebuild the path against the current whole formula
         chain.append(_lift_iff(pb, cur, path, lhs, rhs, {}, leaf))
-        cur = _rebuild_whole(cur, path, rhs)
+        cur = _rebuild(cur, path, rhs)
     target = nform.to_prenex(f)
     if cur != target:
         raise CheckError("prenex rewrite sequence diverged from to_prenex")
     idx = pb.taut(sx.fiff(f, cur), tuple(chain))
     return pb.build(), idx
-
-
-def _rebuild_whole(whole: Formula, path, rhs: Formula) -> Formula:
-    if not path:
-        return rhs
-    (tag, node), rest = path[0], path[1:]
-    assert node == whole
-    return _rebuild(whole, path, rhs)

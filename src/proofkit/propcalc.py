@@ -458,49 +458,47 @@ class _UnionFind:
 
 
 class CongruenceCore:
-    """Congruence closure over variable-free terms; merge reasons are
-    ("eq", equation-atom) or ("cong", lhs-app, rhs-app)."""
+    """Congruence closure over variable-free terms by signature table: an
+    application's signature is its symbol and the classes of its arguments,
+    and two applications with one signature are merged.  Merge reasons are
+    ("eq", equation-atom) or ("cong", lhs-app, rhs-app); merges counts the
+    unions made."""
 
     def __init__(self):
         self.uf = _UnionFind()
-        self.terms: set = set()
+        self.apps: list = []  # applications with arguments, in order added
+        self.closed = True
+        self.merges = 0
 
     def add_term(self, t: Term):
-        if t in self.terms:
+        if t in self.uf.parent:
             return
-        self.terms.add(t)
         self.uf.add(t)
-        if isinstance(t, sx.App):
+        if isinstance(t, sx.App) and t.args:
+            self.apps.append(t)
+            self.closed = False
             for a in t.args:
                 self.add_term(a)
 
     def assert_eq(self, a: Term, b: Term, reason):
         self.add_term(a)
         self.add_term(b)
-        if self.uf.find(a) != self.uf.find(b):
-            self.uf.union(a, b, reason)
-        self._propagate()
+        if self.uf.union(a, b, reason):
+            self.merges += 1
+            self.closed = False
 
     def _propagate(self):
-        changed = True
-        while changed:
-            changed = False
-            apps = [t for t in self.terms if isinstance(t, sx.App)]
-            by_fn: dict = {}
-            for t in apps:
-                by_fn.setdefault(t.fn, []).append(t)
-            for group in by_fn.values():
-                for i in range(len(group)):
-                    for j in range(i + 1, len(group)):
-                        s, t = group[i], group[j]
-                        if self.uf.find(s) == self.uf.find(t):
-                            continue
-                        if s.args and all(
-                            self.uf.find(p) == self.uf.find(q)
-                            for p, q in zip(s.args, t.args)
-                        ):
-                            self.uf.union(s, t, ("cong", s, t))
-                            changed = True
+        """Close under congruence: rounds of signature lookups until a
+        round merges nothing.  A no-op when nothing was added since."""
+        find, union = self.uf.find, self.uf.union
+        while not self.closed:
+            self.closed = True
+            sig: dict = {}
+            for t in self.apps:
+                s = sig.setdefault((t.fn, tuple(map(find, t.args))), t)
+                if s is not t and union(s, t, ("cong", s, t)):
+                    self.merges += 1
+                    self.closed = False
 
     def congruent(self, a: Term, b: Term) -> bool:
         self.add_term(a)
@@ -631,7 +629,7 @@ def _refute(inputs, budget, use_congruence, want_cert=True):
                 reasons[a] = ("unit", c)
                 local.append(a)
             if use_congruence:
-                conflict = _theory_conflict(assign, reasons, inputs, want_cert)
+                conflict = _theory_conflict(assign, reasons, inputs, want_cert, charge)
                 if conflict is not None:
                     return ("refuted", conflict)
             pick = None
@@ -721,17 +719,24 @@ class _Emitter:
         if why[0] == "unit":
             clause = why[1]
             cur = self.derive_clause(clause)
+            pivots = []
             for x, p in clause.lits:
-                if x == atom:
-                    continue
-                self.derive_assigned(x, not p)
-                piv = _lit_formula(x, not p)
-                nxt = _resolve_elementary(piv, cur)
-                self.emit(("resolve", nxt, piv, cur))
-                cur = nxt
+                if x != atom:
+                    self.derive_assigned(x, not p)
+                    pivots.append(_lit_formula(x, not p))
+            cur = self.resolve_away(cur, pivots)
             assert cur == lit
             return
         raise AssertionError(why)
+
+    def resolve_away(self, cur: Formula, pivots) -> Formula:
+        """Resolve each derived pivot literal away from the clause cur in
+        turn, emitting each step; returns the last resolvent."""
+        for piv in pivots:
+            nxt = _resolve_elementary(piv, cur)
+            self.emit(("resolve", nxt, piv, cur))
+            cur = nxt
+        return cur
 
     # --- equality reasoning ---
 
@@ -769,10 +774,7 @@ class _Emitter:
         _, lhs, rhs = reason
         base = sx.eq(lhs, rhs)
         if base not in self.derived:
-            hyp = []
-            for x, y in zip(lhs.args, rhs.args):
-                self.derive_eq(core, x, y)
-                hyp.append(sx.eq(x, y))
+            hyp = [self.derive_eq(core, x, y) for x, y in zip(lhs.args, rhs.args)]
             self._horn(hyp, base)
         if base == want:
             return want
@@ -783,11 +785,7 @@ class _Emitter:
         (already derived) hypotheses away, deriving the conclusion."""
         ax = sx.disj([Not(h) for h in hyps] + [concl])
         self.emit(("eq_axiom", ax))
-        cur = ax
-        for h in hyps:
-            nxt = _resolve_elementary(h, cur)
-            self.emit(("resolve", nxt, h, cur))
-            cur = nxt
+        cur = self.resolve_away(ax, hyps)
         assert cur == concl
         return concl
 
@@ -821,50 +819,45 @@ def _prop_conflict_steps(clause: _Clause, assign, reasons, inputs):
     cur = em.derive_clause(clause)
     for a, p in clause.lits:
         em.derive_assigned(a, not p)
-    for a, p in list(clause.lits)[:-1]:
-        piv = _lit_formula(a, not p)
-        nxt = _resolve_elementary(piv, cur)
-        em.emit(("resolve", nxt, piv, cur))
-        cur = nxt
+    em.resolve_away(cur, [_lit_formula(a, not p) for a, p in clause.lits[:-1]])
     return em.steps
 
 
-def _theory_conflict(assign, reasons, inputs, want_cert):
+def _theory_conflict(assign, reasons, inputs, want_cert, charge):
+    """Steps refuting the assignment by equality reasoning, or None.  The
+    closure's merges are charged to the budget."""
     core = CongruenceCore()
-    for a, pol in assign.items():
-        if isinstance(a, Atom) and a.pred == EQ and pol:
+    atoms = [(a, pol) for a, pol in assign.items() if isinstance(a, Atom)]
+    for a, pol in atoms:
+        for t in a.args:
+            core.add_term(t)
+        if pol and a.pred == EQ:
             core.assert_eq(a.args[0], a.args[1], ("eq", a))
-        elif isinstance(a, Atom):
-            for t in a.args:
-                core.add_term(t)
     core._propagate()
+    charge(core.merges)
+    em = _Emitter(assign, reasons, inputs)
 
-    for a, pol in assign.items():
-        if isinstance(a, Atom) and a.pred == EQ and not pol:
-            s, t = a.args
-            if core.congruent(s, t):
-                if not want_cert:
-                    return []
-                em = _Emitter(assign, reasons, inputs)
+    for a, pol in atoms:
+        if a.pred == EQ and not pol and core.congruent(*a.args):
+            if want_cert:
                 em.derive_assigned(a, False)
-                em.derive_eq(core, s, t)
-                return em.steps
-    trues = [a for a, pol in assign.items() if pol and isinstance(a, Atom) and a.pred != EQ]
-    falses = [a for a, pol in assign.items() if not pol and isinstance(a, Atom) and a.pred != EQ]
-    for ta in trues:
-        for fa in falses:
-            if ta.pred != fa.pred or ta == fa or not ta.args:
-                continue
-            if all(core.congruent(p, q) for p, q in zip(ta.args, fa.args)):
-                if not want_cert:
-                    return []
-                em = _Emitter(assign, reasons, inputs)
+                em.derive_eq(core, *a.args)
+            return em.steps
+
+    def signature(a):
+        return a.pred, tuple(map(core.uf.find, a.args))
+
+    trues: dict = {}
+    for a, pol in atoms:
+        if a.pred != EQ and pol:
+            trues.setdefault(signature(a), a)
+    for fa, pol in atoms:
+        ta = trues.get(signature(fa)) if fa.pred != EQ and not pol else None
+        if ta is not None:
+            if want_cert:
                 em.derive_assigned(ta, True)
                 em.derive_assigned(fa, False)
-                hyp = []
-                for p, q in zip(ta.args, fa.args):
-                    em.derive_eq(core, p, q)
-                    hyp.append(sx.eq(p, q))
+                hyp = [em.derive_eq(core, p, q) for p, q in zip(ta.args, fa.args)]
                 em._horn(hyp + [ta], fa)
-                return em.steps
+            return em.steps
     return None

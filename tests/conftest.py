@@ -135,12 +135,18 @@ def brute_force_quasitaut_unsat(fs, atom_cap=26):
 # random generators
 
 
-def random_ground_problem(rng: random.Random, max_terms=4, max_atoms=6):
+def random_ground_problem(rng: random.Random, max_terms=4, max_atoms=6, nesting=0):
     """A random set of closed quantifier-free formulas over a small ground
-    vocabulary."""
+    vocabulary.  With nesting n > 0 the terms are drawn from the chain
+    k1, f1(k1), ..., f1^n(k1) instead; it is closed under subterms, so
+    n <= 3 keeps brute_force_quasitaut_unsat within its atom cap."""
     c1, c2 = App(FnSym("k1", 0)), App(FnSym("k2", 0))
     f1 = FnSym("f1", 1)
     base = [c1, c2, App(f1, (c1,)), App(f1, (c2,))]
+    if nesting:
+        base = [c1]
+        for _ in range(nesting):
+            base.append(App(f1, (base[-1],)))
     terms = rng.sample(base, rng.randint(2, max_terms))
     p = PredSym("pr", 1)
     atoms = []
