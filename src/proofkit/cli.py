@@ -156,8 +156,11 @@ def cmd_translate(args) -> int:
     rendered = sx.render(res.formula)
     lines = [rendered]
     if args.verbose:
+        # Prefix form shows each special constant's subscript; infix shows
+        # only its alias, which a translated constant keeps.
         for label, ob in res.obligations:
-            lines.append(f"obligation [{label}]: {sx.render(ob, 'infix-pretty')}")
+            before, after = sx.as_iff(ob)
+            lines.append(f"obligation [{label}]: {sx.render(before)} <-> {sx.render(after)}")
     _emit(
         args,
         {"ok": True, "rendered": rendered, "obligations": [l for l, _ in res.obligations]},

@@ -353,33 +353,22 @@ def _pull_redex(f: Formula):
     rhs) or None.  At a node with quantifiers on both operands the left one
     is pulled first."""
 
+    def pull(rebuild, operands):
+        """Pull the first quantified operand's quantifier above rebuild."""
+        for i, operand in enumerate(operands):
+            q = _quant(operand)
+            if q is not None:
+                kind, x, b = q
+                inner = rebuild(*operands[:i], b, *operands[i + 1 :])
+                return Exists(x, inner) if kind == "E" else fall(x, inner)
+        return None
+
     def node_rewrite(g):
         pair = as_and(g)
         if pair is not None:
-            a, c = pair
-            qa = _quant(a)
-            if qa is not None:
-                kind, x, b = qa
-                inner = fand(b, c)
-                return Exists(x, inner) if kind == "E" else fall(x, inner)
-            qc = _quant(c)
-            if qc is not None:
-                kind, x, b = qc
-                inner = fand(a, b)
-                return Exists(x, inner) if kind == "E" else fall(x, inner)
-            return None
+            return pull(fand, pair)
         if isinstance(g, Or):
-            qa = _quant(g.left)
-            if qa is not None:
-                kind, x, b = qa
-                inner = Or(b, g.right)
-                return Exists(x, inner) if kind == "E" else fall(x, inner)
-            qc = _quant(g.right)
-            if qc is not None:
-                kind, x, b = qc
-                inner = Or(g.left, b)
-                return Exists(x, inner) if kind == "E" else fall(x, inner)
-            return None
+            return pull(Or, (g.left, g.right))
         return None
 
     def walk(g, path):

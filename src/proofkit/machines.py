@@ -9,13 +9,16 @@ in order: a 2-bit opcode (00 prepend0, 01 prepend1, 10 pred, 11 case), then
 register fields of ceil(log2 mu) bits and state fields of ceil(log2 kappa)
 bits, each storing value-1.  Opcodes 00/01/10 carry fields nu nu' lambda';
 opcode 11 carries nu lambda1 lambda2 lambda3.  gamma is the Elias gamma
-code."""
+code.  The estimator enumerates the well-formed encodings directly from
+these fields (encodings()), in the order and with the result of decoding
+every bit string by length then lexicographically."""
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import CheckError, ParseError
 
@@ -86,9 +89,7 @@ def case_function(x: str, y: str, z: str, w: str) -> str:
     return z if x[0] == "0" else w
 
 
-def step(m: Machine, c: Configuration, mode: str = "direct") -> Configuration:
-    if mode == "compiled":
-        return compiled_step(m, c)
+def step(m: Machine, c: Configuration) -> Configuration:
     if len(c.registers) != m.registers or not 1 <= c.state <= m.states:
         raise CheckError("malformed configuration")
     if c.state == m.states:
@@ -175,7 +176,7 @@ def _h(m: Machine, lam: int, gamma: int) -> CaseExpr:
         return _var(gamma)
     if gamma == cmd.dst:
         inner = _var(cmd.reg)
-        return CaseExpr({"prepend0": "prepend0", "prepend1": "prepend1", "pred": "pred"}[cmd.op], (inner,))
+        return CaseExpr(cmd.op, (inner,))
     if gamma == m.registers + 1:
         return _lit("0" * cmd.goto)
     return _var(gamma)
@@ -271,26 +272,71 @@ def _field_width(n: int) -> int:
     return max((n - 1).bit_length(), 0)
 
 
+def _field(value: int, width: int) -> str:
+    """A register or state number as a fixed-width field storing value-1."""
+    return format(value - 1, f"0{width}b") if width else ""
+
+
 def encode_machine(m: Machine) -> str:
     out = [_gamma_code(m.states), _gamma_code(m.registers)]
     rw = _field_width(m.registers)
     sw = _field_width(m.states)
-
-    def reg_field(v):
-        return format(v - 1, f"0{rw}b") if rw else ""
-
-    def state_field(v):
-        return format(v - 1, f"0{sw}b") if sw else ""
-
     for cmd in m.commands:
         out.append(_OPCODE[cmd.op])
-        out.append(reg_field(cmd.reg))
+        out.append(_field(cmd.reg, rw))
         if cmd.op == "case":
-            out.extend(state_field(l) for l in cmd.branches)
+            out.extend(_field(l, sw) for l in cmd.branches)
         else:
-            out.append(reg_field(cmd.dst))
-            out.append(state_field(cmd.goto))
+            out.append(_field(cmd.dst, rw))
+            out.append(_field(cmd.goto, sw))
     return "".join(out)
+
+
+def _command_codes(mu: int, kappa: int) -> list[str]:
+    """Every encoded command of a machine with mu registers and kappa states."""
+    rw, sw = _field_width(mu), _field_width(kappa)
+    regs = [_field(v, rw) for v in range(1, mu + 1)]
+    states = [_field(v, sw) for v in range(1, kappa + 1)]
+    stores = [_OPCODE[op] for op in ("prepend0", "prepend1", "pred")]
+    return [
+        "".join(fields)
+        for fields in itertools.chain(
+            itertools.product(stores, regs, regs, states),
+            itertools.product([_OPCODE["case"]], regs, states, states, states),
+        )
+    ]
+
+
+def encodings(len_cap: int) -> Iterator[str]:
+    """Every string of at most len_cap bits that decode_machine accepts,
+    ordered by length then lexicographically, built from the encoding's
+    fields rather than found by decoding every bit string."""
+    by_length: list[list[str]] = [[] for _ in range(len_cap + 1)]
+    for kappa in itertools.count(1):
+        sw = _field_width(kappa)
+        for mu in itertools.count(1):
+            header = _gamma_code(kappa) + _gamma_code(mu)
+            rw = _field_width(mu)
+            # a case command is the shorter kind when 2*sw < rw
+            shortest = 2 + rw + min(rw + sw, 3 * sw)
+            if len(header) + (kappa - 1) * shortest > len_cap:
+                break  # more registers lengthen the header and every command
+            partial = [header]
+            if kappa > 1:
+                codes = _command_codes(mu, kappa)
+                for left in range(kappa - 2, -1, -1):
+                    partial = [
+                        p + c
+                        for p in partial
+                        for c in codes
+                        if len(p) + len(c) + left * shortest <= len_cap
+                    ]
+            for bits in partial:
+                by_length[len(bits)].append(bits)
+        if mu == 1:
+            break  # not even one register fits, nor will it with more states
+    for bucket in by_length:
+        yield from sorted(bucket)
 
 
 def decode_machine(bits: str, index: int = 0) -> Machine:
@@ -325,19 +371,16 @@ class KBound:
 
 
 def k_upper_bound(target: str, len_cap: int = 16, budget: int = 200) -> Optional[KBound]:
-    """Enumerate machine encodings ordered by length then lexicographically;
-    return the first (hence shortest under this encoding) that halts with
-    the target in its output register.  An upper bound only."""
-    for length in range(1, len_cap + 1):
-        for value in range(1 << length):
-            bits = format(value, f"0{length}b")
-            try:
-                m = decode_machine(bits)
-            except CheckError:
-                continue
-            outcome = run(m, [], budget)
-            if outcome.halted and outcome.output == target:
-                return KBound(length, m, bits)
+    """Run the machine encodings of at most len_cap bits in the order of
+    encodings(), by length then lexicographically; return the first (hence
+    shortest under this encoding) that halts within budget steps with the
+    target in its output register.  The result is the one a scan decoding
+    every bit string in that order would find.  An upper bound only."""
+    for bits in encodings(len_cap):
+        m = decode_machine(bits)
+        outcome = run(m, [], budget)
+        if outcome.halted and outcome.output == target:
+            return KBound(len(bits), m, bits)
     return None
 
 
@@ -408,8 +451,6 @@ def all_configurations(m: Machine, maxlen: int):
     for _ in range(maxlen):
         frontier = [s + b for s in frontier for b in "01"]
         strings.extend(frontier)
-    import itertools
-
     for regs in itertools.product(strings, repeat=m.registers):
         for state in range(1, m.states + 1):
             yield Configuration(tuple(regs), state)

@@ -124,6 +124,28 @@ def test_translate_and_reduce(capsys):
     assert code == 0 and out2 == out
 
 
+def test_translate_verbose_obligation_sides_differ(capsys):
+    text = "(= (sc (exists y (leq y eps))) eps)"
+    code, out, _ = run(capsys, "translate", "--verbose", text)
+    obligations = [l for l in out.splitlines() if l.startswith("obligation [")]
+    assert code == 0 and len(obligations) == 2
+    for line in obligations:
+        before, after = line.split(": ", 1)[1].split(" <-> ")
+        assert before != after
+    code, jout, _ = run(capsys, "--format", "json", "translate", "--verbose", text)
+    assert code == 0 and json.loads(jout)["obligations"] == ["d27", "d25"]
+
+
+@pytest.mark.parametrize(
+    "target,cap,encoding", [("0", "12", "0101001"), ("11", "14", "011101010110")]
+)
+def test_rm_kbound_pins(capsys, target, cap, encoding):
+    argv = ("--format", "json", "--budget", "200", "rm-kbound", target, "--len-cap", cap)
+    code, jout, _ = run(capsys, *argv)
+    payload = json.loads(jout)
+    assert code == 0 and payload["encoding"] == encoding and payload["length"] == len(encoding)
+
+
 def test_rm_subcommands(capsys, tmp_path):
     mfile = tmp_path / "m.rm"
     mfile.write_text(

@@ -144,6 +144,32 @@ def test_k_upper_bound_none_result():
     assert rm.k_upper_bound("0101", len_cap=3, budget=10) is None
 
 
+def _decodable(length):
+    """The bit strings of one length that decode_machine accepts, in order."""
+    out = []
+    for value in range(1 << length):
+        bits = format(value, f"0{length}b")
+        try:
+            rm.decode_machine(bits)
+        except CheckError:
+            continue
+        out.append(bits)
+    return out
+
+
+def test_encodings_equal_the_decode_filter():
+    # Up to 16 bits: a case command is shorter than a store command only
+    # when 2*sw < rw, and pruning by the store length alone first drops
+    # encodings at 15 bits.
+    want = [bits for length in range(1, 17) for bits in _decodable(length)]
+    assert list(rm.encodings(16)) == want
+
+
+@pytest.mark.parametrize("cap,count", [(8, 21), (12, 198), (16, 1226)])
+def test_encoding_counts(cap, count):
+    assert sum(1 for _ in rm.encodings(cap)) == count
+
+
 # --- description files -----------------------------------------------------------
 
 
