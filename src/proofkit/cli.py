@@ -31,6 +31,11 @@ def _emit(args, payload: dict, text_lines):
             print(line)
 
 
+def _budget(args, default: int = kscripts.DEFAULT_SCRIPT_BUDGET) -> int:
+    """The global --budget, or the command's own default when it is not given."""
+    return default if args.budget is None else args.budget
+
+
 def _loose_symbols(bundle):
     st = sx.SymbolTable(bundle.symbols.language, bundle.symbols.order, auto_predicates=True)
     return st
@@ -67,7 +72,7 @@ def cmd_check_corpus(args) -> int:
         paths = sorted(paths[0].glob("*.prf"))
     scripts = stringarith.load_corpus(paths)
     report = stringarith.check_corpus(
-        bundle, scripts, budget=args.budget, oracle_samples=args.oracle, seed=args.seed
+        bundle, scripts, budget=_budget(args), oracle_samples=args.oracle, seed=args.seed
     )
     oracle = args.oracle > 0
     header = f"{'label':<8} {'verdict':<8} {'lines':>6} {'time':>8}"
@@ -88,9 +93,9 @@ def cmd_check_corpus(args) -> int:
 def cmd_check_proof(args) -> int:
     bundle = _bundle(args)
     if args.with_corpus:
-        stringarith.check_corpus(bundle, budget=args.budget)
+        stringarith.check_corpus(bundle, budget=_budget(args))
     scripts = kscripts.parse_script_file(Path(args.file).read_text())
-    report = stringarith.check_corpus(bundle, scripts, budget=args.budget, halt_on_failure=False)
+    report = stringarith.check_corpus(bundle, scripts, budget=_budget(args), halt_on_failure=False)
     _emit(
         args,
         report.to_json(),
@@ -105,7 +110,7 @@ def cmd_ha_reduce(args) -> int:
     else:
         rng = random.Random(args.seed)
         theory, seq = hilbertack.generate_inconsistent_case(rng, 2)
-    result = hilbertack.ha_run(theory, seq, budget=args.budget)
+    result = hilbertack.ha_run(theory, seq, budget=_budget(args))
     refutable = isinstance(
         propcalc.ground_refute(list(result.final.formulas), want_cert=False), propcalc.Refutation
     )
@@ -180,7 +185,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_rm_run(args) -> int:
     machine = machines.parse_machine(Path(args.file).read_text())
-    outcome = machines.run(machine, args.inputs, args.budget, mode=args.mode)
+    outcome = machines.run(machine, args.inputs, _budget(args), mode=args.mode)
     payload = {
         "ok": outcome.halted,
         "halted": outcome.halted,
@@ -197,7 +202,7 @@ def cmd_rm_run(args) -> int:
 
 
 def cmd_rm_kbound(args) -> int:
-    got = machines.k_upper_bound(args.target, args.len_cap, args.budget)
+    got = machines.k_upper_bound(args.target, args.len_cap, _budget(args, machines.KBOUND_BUDGET))
     if got is None:
         _emit(args, {"ok": False, "found": False}, ["no machine found under the caps"])
         return 1
@@ -250,7 +255,12 @@ def _positive_int(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="proofkit")
     ap.add_argument("--format", choices=("text", "json"), default="text")
-    ap.add_argument("--budget", type=_positive_int, default=kscripts.DEFAULT_SCRIPT_BUDGET)
+    ap.add_argument(
+        "--budget",
+        type=_positive_int,
+        help=f"steps per run for rm-kbound (default {machines.KBOUND_BUDGET}), "
+        f"else the refutation or run budget (default {kscripts.DEFAULT_SCRIPT_BUDGET})",
+    )
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--theory", help="theory file (defaults to the bundled one)")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -370,7 +370,10 @@ class KBound:
     encoding: str
 
 
-def k_upper_bound(target: str, len_cap: int = 16, budget: int = 200) -> Optional[KBound]:
+KBOUND_BUDGET = 200  # steps per machine run in k_upper_bound
+
+
+def k_upper_bound(target: str, len_cap: int = 16, budget: int = KBOUND_BUDGET) -> Optional[KBound]:
     """Run the machine encodings of at most len_cap bits in the order of
     encodings(), by length then lexicographically; return the first (hence
     shortest under this encoding) that halts within budget steps with the

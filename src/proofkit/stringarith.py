@@ -3,14 +3,17 @@ concrete bit-string interpreter that serves as an independent semantic
 oracle, and the proof-script corpus driver.
 
 Strings are Python str over '0'/'1', leftmost bit first.  The interpreter
-evaluates defined predicates by unfolding their definientia with bounded
-witness search: an existential witness that appears only under the zero
-product is searched over all-zero strings (only its length matters), an
-equationally determined witness is computed outright, and order-bounded
-quantifiers enumerate strings up to the bound's length."""
+compiles a formula once into closures from an environment to its value,
+analysing all syntax, witness strategies included, at compile time.  The
+code for each formula and definiens is kept on the TheoryBundle (its
+`compiled` memo), so a bundle's copy starts empty and the code goes with
+the bundle.  An equationally determined witness is computed outright, an
+order-bounded one ranges over the strings up to the bound's length, and
+one that appears only under the zero product over all-zero strings."""
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 import time
@@ -47,105 +50,149 @@ S_LANGUAGE = sx.Language((EPS, S0, S1, PD, CAT, ZPROD), (), EPS)
 
 
 # ---------------------------------------------------------------------------
-# the interpreter
+# the interpreter: each formula is compiled into closures once per bundle
 
 
 LENGTH_FUNS = {"zprod", "zee"}
 
+# the builtin function symbols, each a closure over its compiled arguments
+BUILTINS = {
+    "eps": lambda: lambda env: "",
+    "s0": lambda x: lambda env: "0" + x(env),
+    "s1": lambda x: lambda env: "1" + x(env),
+    "pd": lambda x: lambda env: x(env)[1:],
+    "cat": lambda x, y: lambda env: x(env) + y(env),
+    "zprod": lambda x, y: lambda env: "0" * (len(x(env)) * len(y(env))),
+}
 
-def eval_term(t: Term, env: Optional[dict] = None, bundle: "TheoryBundle" = None) -> str:
-    env = env or {}
+
+def _raiser(message: str):
+    def fail(env):
+        raise CheckError(message)
+
+    return fail
+
+
+def _memo(bundle, key, build):
+    """The code for `key` = (node, strict, cap), compiled once per bundle.
+    It relies on no stage or order changing once looked up."""
+    if bundle is None:
+        return build()
+    code = bundle.compiled.get(key)
+    if code is None:
+        code = bundle.compiled[key] = build()
+    return code
+
+
+def _call(code, body, args):
+    """`code`, a defined symbol's compiled body, on its compiled arguments."""
+    pairs = tuple(zip(sx.free_vars(body), args))
+    return lambda env: code({p: a(env) for p, a in pairs})
+
+
+def compile_term(t: Term, bundle=None):
+    """A closure from an environment to the value of `t`.  Errors are
+    raised when the closure reaches them."""
     if isinstance(t, Var):
-        if t.name not in env:
-            raise CheckError(f"unbound variable {t.name}")
-        return env[t.name]
+        name = t.name
+
+        def var(env):
+            try:
+                return env[name]
+            except KeyError:
+                raise CheckError(f"unbound variable {name}") from None
+
+        return var
     if isinstance(t, sx.SpecialConst):
-        raise CheckError("special constants are uninterpretable")
+        return _raiser("special constants are uninterpretable")
     assert isinstance(t, App)
-    name = t.fn.name
-    if name == "eps":
-        return ""
-    if name == "s0":
-        return "0" + eval_term(t.args[0], env, bundle)
-    if name == "s1":
-        return "1" + eval_term(t.args[0], env, bundle)
-    if name == "pd":
-        return eval_term(t.args[0], env, bundle)[1:]
-    if name == "cat":
-        return eval_term(t.args[0], env, bundle) + eval_term(t.args[1], env, bundle)
-    if name == "zprod":
-        x = eval_term(t.args[0], env, bundle)
-        y = eval_term(t.args[1], env, bundle)
-        return "0" * (len(x) * len(y))
-    if bundle is not None:
-        stage = bundle.fn_stages.get(t.fn)
-        if stage is not None and stage.explicit_body is not None:
-            params = sx.free_vars(stage.explicit_body)
-            inner = {
-                p: eval_term(a, env, bundle) for p, a in zip(params, t.args)
-            }
-            return eval_term(stage.explicit_body, inner, bundle)
-    raise CheckError(f"uninterpretable symbol {name}")
+    args = [compile_term(a, bundle) for a in t.args]
+    if t.fn.name in BUILTINS:
+        return BUILTINS[t.fn.name](*args)
+    stage = bundle.fn_stages.get(t.fn) if bundle is not None else None
+    if stage is None or stage.explicit_body is None:
+        return _raiser(f"uninterpretable symbol {t.fn.name}")
+    body = stage.explicit_body
+    return _call(_memo(bundle, (body, None, None), lambda: compile_term(body, bundle)), body, args)
 
 
-def _search_space(e: Exists, env: dict, bundle, cap: int):
-    """Choose the witness search strategy for an existential."""
-    z = e.var
-    parts = sx.conjuncts(e.body)
-    # equationally determined witness
-    for p in parts:
-        if isinstance(p, Atom) and p.pred == sx.EQ:
-            for a, b in (p.args, p.args[::-1]):
-                if (
-                    a == Var(z)
-                    and z not in sx.occurring_var_names(b)
-                    and set(sx.free_vars(b)) <= set(env)
-                ):
-                    return [eval_term(b, env, bundle)]
-    # order-bounded (exists z <= b ...)
-    head = parts[0]
-    if (
-        isinstance(head, Atom)
-        and bundle is not None
-        and bundle.order is not None
-        and head.pred == bundle.order
-        and head.args[0] == Var(z)
-        and z not in sx.occurring_var_names(head.args[1])
-        and set(sx.free_vars(head.args[1])) <= set(env)
-    ):
-        bound = len(eval_term(head.args[1], env, bundle))
-        return _all_strings(bound)
-    # length-only witness (only occurs under the zero product): zero-product
-    # growth makes the needed length at worst quadratic in the environment
-    if _length_only_var(e):
-        quad = max(cap, (cap - 4) * (cap - 4) + 4)
-        return ["0" * k for k in range(quad + 1)]
-    return None
+def compile_formula(f: Formula, bundle=None, strict: bool = True, cap: Optional[int] = None):
+    """A closure from an environment to the truth of `f` (see eval_formula).
+    Syntax is analysed here; the closure checks only which variables are
+    bound."""
+    if isinstance(f, Atom):
+        args = [compile_term(a, bundle) for a in f.args]
+        if f.pred == sx.EQ:
+            x, y = args
+            return lambda env: x(env) == y(env)
+        stage = bundle.pred_stages.get(f.pred) if bundle is not None else None
+        if stage is None:
+            return _raiser(f"uninterpretable predicate {f.pred.name}")
+        d = stage.definiens
+        code = _memo(bundle, (d, strict, cap), lambda: compile_formula(d, bundle, strict, cap))
+        return _call(code, d, args)
+    if isinstance(f, Not):
+        inner = compile_formula(f.body, bundle, strict, cap)
+        return lambda env: not inner(env)
+    if isinstance(f, Or):
+        left = compile_formula(f.left, bundle, strict, cap)
+        right = compile_formula(f.right, bundle, strict, cap)
+        return lambda env: left(env) or right(env)
+    if isinstance(f, Exists):
+        return _compile_exists(f, bundle, strict, cap)
+    raise TypeError(f)
 
 
-def _length_only_var(e: Exists) -> bool:
-    z = e.var
+def _compile_exists(e: Exists, bundle, strict: bool, cap: Optional[int]):
+    """The witness z is, in order of preference: b, for the first conjunct
+    z = b or b = z whose b is bound; every string up to the length of b,
+    when the first conjunct is the order's z <= b and b is bound; an
+    all-zero string, when z is length-only; else, unless strict, any
+    string up to a capped length."""
+    z, parts = e.var, sx.conjuncts(e.body)
+    eqs = [p.args for p in parts if isinstance(p, Atom) and p.pred == sx.EQ]
+    found = [(b, lambda w: (w,)) for args in eqs for a, b in (args, args[::-1]) if a == Var(z)]
+    head, order = parts[0], bundle.order if bundle is not None else None
+    if isinstance(head, Atom) and head.pred == order and head.args[0] == Var(z):
+        found.append((head.args[1], lambda w: _all_strings(len(w))))
+    candidates = [
+        (frozenset(sx.free_vars(b)), compile_term(b, bundle), space)
+        for b, space in found
+        if z not in sx.occurring_var_names(b)
+    ]
+    # a witness that occurs only under the zero product: only its length matters
+    erased = sx.rewrite(
+        e.body, app=lambda t: App(EPS) if t.fn.name in LENGTH_FUNS else t, const=lambda c: c
+    )
+    length_only = z not in sx.free_vars(erased)
+    unbounded = f"unbounded quantifier: {sx.render(e)[:80]}"
+    if strict and not (candidates or length_only):
+        return _raiser(unbounded)
+    body = compile_formula(e.body, bundle, strict, cap)
 
-    def term_ok(t: Term, shielded=False) -> bool:
-        if isinstance(t, Var) and t.name == z:
-            return shielded
-        if isinstance(t, App):
-            inner = shielded or t.fn.name in LENGTH_FUNS
-            return all(term_ok(a, inner) for a in t.args)
-        return True
+    def exists(env: dict) -> bool:
+        for need, term, space_of in candidates:
+            if need <= env.keys():
+                space = space_of(term(env))
+                break
+        else:
+            local = cap if cap is not None else sum(map(len, env.values())) + 4
+            if length_only:
+                # zero-product growth: the length needed is at worst quadratic
+                quad = max(local, (local - 4) * (local - 4) + 4)
+                space = ("0" * k for k in range(quad + 1))
+            elif strict:
+                raise CheckError(unbounded)
+            else:
+                space = _all_strings(min(local, 10))
+        env = dict(env)
+        for val in space:
+            env[z] = val
+            if body(env):
+                return True
+        return False
 
-    def walk(g: Formula) -> bool:
-        if isinstance(g, Atom):
-            return all(term_ok(t) for t in g.args)
-        if isinstance(g, Not):
-            return walk(g.body)
-        if isinstance(g, Or):
-            return walk(g.left) and walk(g.right)
-        if isinstance(g, Exists):
-            return True if g.var == z else walk(g.body)
-        raise TypeError(g)
-
-    return walk(e.body)
+    return exists
 
 
 def _all_strings(maxlen: int):
@@ -155,6 +202,10 @@ def _all_strings(maxlen: int):
         frontier = [s + b for s in frontier for b in "01"]
         out.extend(frontier)
     return out
+
+
+def eval_term(t: Term, env: Optional[dict] = None, bundle: "TheoryBundle" = None) -> str:
+    return compile_term(t, bundle)(env or {})
 
 
 def eval_formula(
@@ -167,46 +218,8 @@ def eval_formula(
     """Truth of a formula on concrete strings.  With strict=True only
     definitional and order-bounded quantifiers are admitted; otherwise
     capped enumeration is used as a last resort (for translated formulas)."""
-    env = env or {}
-
-    def local_cap(env: dict) -> int:
-        if cap is not None:
-            return cap
-        return sum(len(v) for v in env.values()) + 4
-
-    def ev(g: Formula, env: dict) -> bool:
-        if isinstance(g, Atom):
-            if g.pred == sx.EQ:
-                return eval_term(g.args[0], env, bundle) == eval_term(
-                    g.args[1], env, bundle
-                )
-            stage = bundle.pred_stages.get(g.pred) if bundle else None
-            if stage is None:
-                raise CheckError(f"uninterpretable predicate {g.pred.name}")
-            params = sx.free_vars(stage.definiens)
-            inner = {p: eval_term(a, env, bundle) for p, a in zip(params, g.args)}
-            return ev(stage.definiens, inner)
-        if isinstance(g, Not):
-            return not ev(g.body, env)
-        if isinstance(g, Or):
-            return ev(g.left, env) or ev(g.right, env)
-        if isinstance(g, Exists):
-            space = _search_space(g, env, bundle, local_cap(env))
-            if space is None:
-                if strict:
-                    raise CheckError(
-                        f"unbounded quantifier: {sx.render(g)[:80]}"
-                    )
-                space = _all_strings(min(local_cap(env), 10))
-            for val in space:
-                env2 = dict(env)
-                env2[g.var] = val
-                if ev(g.body, env2):
-                    return True
-            return False
-        raise TypeError(g)
-
-    return ev(f, env)
+    code = _memo(bundle, (f, strict, cap), lambda: compile_formula(f, bundle, strict, cap))
+    return code(env or {})
 
 
 def evaluable(f: Formula, bundle, strict: bool = True) -> bool:
@@ -233,6 +246,7 @@ class TheoryBundle:
     fn_stages: dict = field(default_factory=dict)
     pred_stages: dict = field(default_factory=dict)
     schema_symbols: tuple = ()
+    compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def register_theorem(self, label: str, statement: Formula):
         """Record a checked theorem, tagging it with the schema section when
@@ -246,9 +260,7 @@ class TheoryBundle:
             if sx.appearing_symbols(statement) & schema_preds
             else "base"
         )
-        from .kernel import scripts as _ks
-
-        self.registry.add(_ks.Entry(label, "theorem", statement, section, checked=True))
+        self.registry.add(kscripts.Entry(label, "theorem", statement, section, checked=True))
 
 
 def load_theory(path: Optional[Path] = None) -> TheoryBundle:
@@ -398,10 +410,7 @@ def _define_fun_by_citation(
 
 
 # ---------------------------------------------------------------------------
-# names, numerals, schema instances
-
-name_term = sx.name_term
-numeral = sx.numeral
+# schema instances
 
 
 def bsi_instance(bundle: TheoryBundle, phi_label: str, t: Term) -> Formula:
@@ -446,20 +455,12 @@ def fuzz_axioms(
               if bundle.registry.entries[lbl].kind == "axiom"]
     for label, f in axioms:
         fv = sx.free_vars(f)
-        for _ in range(samples):
-            env = {x: random_string(rng, maxlen) for x in fv}
-            checked += 1
-            if not eval_formula(f, env, bundle):
-                bad.append((label, env))
+        envs = [{x: random_string(rng, maxlen) for x in fv} for _ in range(samples)]
         if exhaustive_len:
-            space = _all_strings(exhaustive_len)
-            envs = [{}]
-            for x in fv:
-                envs = [dict(e, **{x: s}) for e in envs for s in space]
-            for env in envs:
-                checked += 1
-                if not eval_formula(f, env, bundle):
-                    bad.append((label, env))
+            every = itertools.product(_all_strings(exhaustive_len), repeat=len(fv))
+            envs += [dict(zip(fv, values)) for values in every]
+        checked += len(envs)
+        bad += [(label, env) for env in envs if not eval_formula(f, env, bundle)]
     return FuzzReport(checked, bad)
 
 
@@ -604,11 +605,8 @@ def instantiate_schema(bundle: TheoryBundle, phi_label: str) -> Registry:
             continue
         if entry.kind == "theorem":
             continue  # re-proved against the instantiated statements
-        stage = None
-        for s in (bundle.schema.stages if bundle.schema else []):
-            if s.label == label:
-                stage = s
-                break
+        stages = bundle.schema.stages if bundle.schema else []
+        stage = next((s for s in stages if s.label == label), None)
         if stage is None or stage.kind != "p":
             raise CheckError(f"cannot re-instantiate schema entry {label}")
         definiens = kscripts._instantiate_phi(stage.definiens, phi)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from proofkit import cli, stringarith
+from proofkit import cli, machines, stringarith
 from proofkit.stringarith import DATA_DIR
 
 
@@ -146,6 +146,25 @@ def test_rm_kbound_pins(capsys, target, cap, encoding):
     assert code == 0 and payload["encoding"] == encoding and payload["length"] == len(encoding)
 
 
+def test_rm_kbound_default_budget(capsys, monkeypatch, tmp_path):
+    """Without --budget, rm-kbound runs each machine for k_upper_bound's own
+    200 steps, while rm-run keeps the 100,000-step default."""
+    budgets = []
+    real = machines.k_upper_bound
+
+    def spy(target, len_cap, budget):
+        budgets.append(budget)
+        return real(target, len_cap, budget)
+
+    monkeypatch.setattr(machines, "k_upper_bound", spy)
+    code, out, _ = run(capsys, "rm-kbound", "11", "--len-cap", "14")
+    assert code == 0 and out.split()[-1] == "011101010110" and budgets == [200]
+    loop = tmp_path / "loop.rm"
+    loop.write_text("machine i=1 m=2 k=2\nstate 1 : case 1 ? 1 1 1\n")
+    code, out, _ = run(capsys, "rm-run", str(loop), "0")
+    assert code == 1 and out.strip() == "budget exhausted after 100000 steps"
+
+
 def test_rm_subcommands(capsys, tmp_path):
     mfile = tmp_path / "m.rm"
     mfile.write_text(
@@ -166,3 +185,6 @@ def test_fuzz_axioms_cli(capsys):
     )
     payload = json.loads(jout)
     assert code == 0 and payload["ok"] and payload["checked"] >= 210
+    argv = ("--seed", "3", "fuzz-axioms", "--samples", "50", "--maxlen", "16", "--exhaustive", "2")
+    code, jout, _ = run(capsys, "--format", "json", *argv)
+    assert code == 0 and json.loads(jout) == {"ok": True, "checked": 2613, "counterexamples": []}

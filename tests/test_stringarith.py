@@ -1,13 +1,15 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import mutate_script
 from proofkit import extend, stringarith as sa
 from proofkit import syntax as sx
 from proofkit.errors import CheckError
 from proofkit.kernel import scripts as ks
-from proofkit.syntax import App, Atom, Var, EPS, S0, S1, PD, CAT, ZPROD
+from proofkit.syntax import App, Atom, FnSym, Not, Or, Var, EPS, S0, S1, PD, CAT, ZPROD
 
 E = App(EPS)
 
@@ -100,6 +102,109 @@ def test_leq_coincides_with_length_order(bundle):
         x = sa.random_string(rng, 6)
         y = sa.random_string(rng, 6)
         assert sa.eval_formula(f, {"x": x, "y": y}, bundle) == (len(x) <= len(y))
+
+
+# --- the interpreter's contract ----------------------------------------------
+
+
+def test_errors_are_raised_only_when_reached(bundle):
+    true = formula(bundle, "(= x x)")
+    special = sx.special_constant(formula(bundle, "(exists x (= x x))"))
+    for bad, message in (
+        (Atom(sx.EQ, (special, E)), "special constants are uninterpretable"),
+        (formula(bundle, "(phi x)"), "uninterpretable predicate phi"),
+        (formula(bundle, "(= y eps)"), "unbound variable y"),
+    ):
+        assert sa.eval_formula(Or(true, bad), {"x": "0"}, bundle)
+        with pytest.raises(CheckError) as err:
+            sa.eval_formula(Or(Not(true), bad), {"x": "0"}, bundle)
+        assert str(err.value) == message
+    f = formula(bundle, "(exists z (= (cat z x) y))")
+    with pytest.raises(CheckError) as err:
+        sa.eval_formula(f, {"x": "0", "y": "10"}, bundle)
+    assert str(err.value) == "unbounded quantifier: " + sx.render(f)[:80]
+
+
+def test_compiled_code_is_kept_per_strictness_cap_and_bundle(bundle):
+    f = formula(bundle, "(exists z (= (cat z x) y))")
+    env = {"x": "0", "y": "10"}
+    assert sa.eval_formula(f, env, bundle, strict=False)
+    with pytest.raises(CheckError):
+        sa.eval_formula(f, env, bundle, strict=True)
+    # no equation or bound fixes z: the capped search finds "01" only from cap 2
+    g = formula(bundle, "(exists z (= (cat z z) y))")
+    for cap, want in ((2, True), (1, False), (2, True)):
+        assert sa.eval_formula(g, {"y": "0101"}, bundle, cap=cap, strict=False) is want
+    sim = formula(bundle, "(sim x y)")
+    assert sa.eval_formula(sim, {"x": "00", "y": "11"}, bundle)
+    bare = dataclasses.replace(bundle, pred_stages={})
+    with pytest.raises(CheckError, match="uninterpretable predicate sim"):
+        sa.eval_formula(sim, {"x": "00", "y": "11"}, bare)
+
+
+def test_equational_witness_comes_before_the_order_bound(bundle):
+    # Searching z <= y from eps would reach (phi z), which cannot be
+    # interpreted; the equation z = y gives the witness at once.
+    f = formula(bundle, "(exists z (and (leq z y) (and (or (= z y) (phi z)) (= z y))))")
+    assert sa.eval_formula(f, {"y": "10"}, bundle)
+
+
+# plain-Python meaning of each function symbol, independent of stringarith
+REFERENCE = {
+    "eps": lambda: "",
+    "s0": lambda x: "0" + x,
+    "s1": lambda x: "1" + x,
+    "pd": lambda x: x[1:],
+    "cat": lambda x, y: x + y,
+    "zprod": lambda x, y: "0" * (len(x) * len(y)),
+    "zee": lambda x: "0" * len(x),
+}
+LENGTH = {
+    "eps": lambda: 0,
+    "s0": lambda n: n + 1,
+    "s1": lambda n: n + 1,
+    "pd": lambda n: max(n - 1, 0),
+    "cat": lambda m, n: m + n,
+    "zprod": lambda m, n: m * n,
+    "zee": lambda n: n,
+}
+ZEE = FnSym("zee", 1)
+
+
+def reference(t, env, table=REFERENCE, leaf=lambda s: s):
+    if isinstance(t, Var):
+        return leaf(env[t.name])
+    return table[t.fn.name](*(reference(a, env, table, leaf) for a in t.args))
+
+
+def interpreter_terms():
+    leaves = st.sampled_from([App(EPS), Var("x"), Var("y"), Var("z")])
+    unary = st.sampled_from([S0, S1, PD, ZEE])
+    binary = st.sampled_from([CAT, ZPROD])
+
+    def grow(children):
+        return st.one_of(
+            st.builds(lambda f, a: App(f, (a,)), unary, children),
+            st.builds(lambda f, a, b: App(f, (a, b)), binary, children, children),
+        )
+
+    return st.recursive(leaves, grow, max_leaves=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    interpreter_terms(),
+    st.dictionaries(st.sampled_from("xyz"), st.text(alphabet="01", max_size=5)),
+)
+def test_eval_term_matches_plain_string_operations(bundle, t, env):
+    assume(reference(t, {x: env.get(x, "") for x in "xyz"}, LENGTH, len) <= 4096)
+    try:
+        want = reference(t, env)
+    except KeyError as unbound:
+        with pytest.raises(CheckError, match=f"^unbound variable {unbound.args[0]}$"):
+            sa.eval_term(t, env, bundle)
+    else:
+        assert sa.eval_term(t, env, bundle) == want
 
 
 # --- axioms ------------------------------------------------------------------
