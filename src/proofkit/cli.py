@@ -1,8 +1,11 @@
 """Batch front end.
 
 Exit status: 0 when every verdict passes, 1 on verification failure, 2 on
-usage errors.  All randomized subcommands take --seed (fixed default) and
-reports carry the same verdict set in text and JSON form."""
+usage errors.  --format, --budget, --seed and --theory are global flags and
+go before the subcommand: `proofkit --seed 3 fuzz-axioms`, not
+`proofkit fuzz-axioms --seed 3`.  Every randomized subcommand draws from
+--seed (default 0), and reports carry the same verdict set in text and JSON
+form."""
 
 from __future__ import annotations
 
@@ -261,7 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"steps per run for rm-kbound (default {machines.KBOUND_BUDGET}), "
         f"else the refutation or run budget (default {kscripts.DEFAULT_SCRIPT_BUDGET})",
     )
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument(
+        "--seed", type=int, default=0, help="seed of every randomized subcommand"
+    )
     ap.add_argument("--theory", help="theory file (defaults to the bundled one)")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -5,8 +5,11 @@ taut_check decides tautological consequence over the propositional skeleton
 decides quasitautological inconsistency of a closed formula set by DPLL-style
 case splitting plus congruence closure over the occurring variable-free
 terms; congruence closure stands in for saturating with identity/equality
-axiom instances over those terms.  On success it returns a certificate whose
-steps replay through an independent replayer.
+axiom instances over those terms.  The search is a loop, not a recursion:
+a trail that backtracks by popping, with two watched positions per clause
+for unit propagation (Chaff, 2001; MiniSat, 2003).  On success it returns a
+certificate, built from the search's unit and decision reasons, whose steps
+replay through an independent replayer.
 
 Certificate step kinds (resolution pivots are closed elementary literals;
 instantiations are opaque atoms here):
@@ -27,6 +30,7 @@ the derived set contains a literal and its opposite or a formula a != a.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .errors import CheckError, SizeGuardExceeded
@@ -516,6 +520,11 @@ class _Clause:
     lits: tuple  # (atom, polarity) pairs
     source: Formula
 
+    @cached_property
+    def formula(self) -> Formula:
+        """The clause as a disjunction of its literals, built once."""
+        return sx.disj([_lit_formula(a, p) for a, p in self.lits])
+
 
 def clausify(f: Formula, guard: int = 10_000) -> list[tuple]:
     """Clauses of the conjunctive form of f, as (atom, polarity) tuples over
@@ -546,9 +555,18 @@ def clausify(f: Formula, guard: int = 10_000) -> list[tuple]:
     return walk(f)
 
 
+def _clauses(inputs) -> tuple[list[_Clause], list]:
+    """The inputs' clauses, and their distinct atoms in order of first
+    occurrence."""
+    clauses = [_Clause(lits, f) for f in inputs for lits in clausify(f)]
+    atoms = list(dict.fromkeys(a for c in clauses for a, _ in c.lits))
+    return clauses, atoms
+
+
 def prop_unsat(fs: Sequence[Formula], budget: int = DEFAULT_BUDGET) -> bool:
     """Propositional (tautological) unsatisfiability without the atom guard."""
-    res = _refute(list(fs), budget, use_congruence=False, want_cert=False)
+    clauses, atoms = _clauses(fs)
+    res = _refute(clauses, atoms, budget, use_congruence=False, want_cert=False)
     return isinstance(res, Refutation)
 
 
@@ -565,110 +583,154 @@ def ground_refute(
 
     Sound always; complete for the quasitautology relation when the budget
     suffices.  Saturated means provably no refutation exists."""
-    for f in inputs:
-        if sx.free_vars(f):
-            raise CheckError(f"ground_refute requires closed inputs: {sx.render(f)}")
-    return _refute(list(inputs), budget, use_congruence=True, want_cert=want_cert)
+    clauses, atoms = _clauses(inputs)
+    # an input is closed exactly when its atoms are; only an open one is
+    # looked for among the inputs, to name it
+    if any(sx.free_vars(a) for a in atoms):
+        f = next(f for f in inputs if sx.free_vars(f))
+        raise CheckError(f"ground_refute requires closed inputs: {sx.render(f)}")
+    return _refute(clauses, atoms, budget, use_congruence=True, want_cert=want_cert)
 
 
-def _refute(inputs, budget, use_congruence, want_cert=True):
-    clauses: list[_Clause] = []
-    for f in inputs:
-        for lits in clausify(f):
-            clauses.append(_Clause(lits, f))
-    atoms: list = []
-    seen = set()
-    for c in clauses:
-        for a, _ in c.lits:
-            if a not in seen:
-                seen.add(a)
-                atoms.append(a)
-    spent = [0]
+class _Stop(Exception):
+    """The budget is spent."""
 
-    class _Stop(Exception):
-        pass
 
-    def charge(n=1):
-        spent[0] += n
-        if spent[0] > budget:
+def _refute(clauses, atoms, budget, use_congruence, want_cert):
+    """Case splits on the atoms in order, True first; unit propagation by
+    two watched positions per clause; with use_congruence, a congruence
+    check at each node that assigned an atom with arguments.
+
+    Atom i's literals have codes 2i (negative) and 2i + 1 (positive), and
+    `val[code]` is a literal's truth value, None while unassigned.  A frame
+    per decision level holds the decided atom, the trail length before it
+    and, once its True branch is refuted, that branch's steps.  Each unit
+    propagation, decision and congruence merge costs one budget unit."""
+    index = {a: i for i, a in enumerate(atoms)}
+    n = len(atoms)
+    val: list = [None] * (2 * n)
+    trail: list = []
+    reasons: dict = {}  # atom -> reason of its latest assignment
+    frames: list = []  # [atom index, trail length before it, True-branch steps]
+    theory = [isinstance(a, Atom) and bool(a.args) for a in atoms]
+    codes = [tuple(2 * index[a] + p for a, p in c.lits) for c in clauses]
+    # watches[code]: clauses with a watched position holding that literal;
+    # watched[k]: clause k's two watched positions (clauses of two or more)
+    watches: list = [[] for _ in range(2 * n)]
+    watched = [[0, 1] for _ in codes]
+    for k, cs in enumerate(codes):
+        if len(cs) > 1:
+            watches[cs[0]].append(k)
+            watches[cs[1]].append(k)
+    spent = 0
+    head = 0  # trail entries before head have been propagated
+
+    def charge(amount=1):
+        nonlocal spent
+        spent += amount
+        if spent > budget:
             raise _Stop
 
-    def search(assign: dict, reasons: dict):
-        """Returns ("refuted", steps) or ("sat", assignment)."""
-        local: list = []
-        try:
-            while True:
-                unit = None
-                for c in clauses:
-                    unassigned = []
-                    satisfied = False
-                    for lit in c.lits:
-                        v = assign.get(lit[0])
-                        if v is None:
-                            unassigned.append(lit)
-                        elif v == lit[1]:
-                            satisfied = True
-                            break
-                    if satisfied:
-                        continue
-                    if not unassigned:
-                        steps = (
-                            _prop_conflict_steps(c, assign, reasons, inputs)
-                            if want_cert
-                            else []
-                        )
-                        return ("refuted", steps)
-                    if len(unassigned) == 1:
-                        unit = (c, unassigned[0])
+    def assign(code, reason):
+        i = code >> 1
+        val[code] = True
+        val[code ^ 1] = False
+        trail.append(i)
+        reasons[atoms[i]] = reason
+
+    def backtrack(length):
+        nonlocal head
+        while len(trail) > length:
+            i = trail.pop()
+            val[2 * i] = val[2 * i + 1] = None
+        head = length
+
+    def propagate():
+        """Unit propagation from the trail's head to a fixpoint; returns a
+        clause with every position false, or None."""
+        nonlocal head
+        while head < len(trail):
+            i = trail[head]
+            head += 1
+            false = 2 * i + (val[2 * i] is True)
+            ws = watches[false]
+            keep = []
+            for at, k in enumerate(ws):
+                cs, w = codes[k], watched[k]
+                slot = 0 if cs[w[0]] == false else 1
+                other = cs[w[1 - slot]]
+                if val[other] is True:
+                    keep.append(k)
+                    continue
+                for j, c in enumerate(cs):
+                    if j != w[0] and j != w[1] and val[c] is not False:
+                        w[slot] = j
+                        watches[c].append(k)
                         break
-                if unit is None:
-                    break
-                charge()
-                c, (a, pol) = unit
-                assign[a] = pol
-                reasons[a] = ("unit", c)
-                local.append(a)
-            if use_congruence:
-                conflict = _theory_conflict(assign, reasons, inputs, want_cert, charge)
-                if conflict is not None:
-                    return ("refuted", conflict)
-            pick = None
-            for a in atoms:
-                if a not in assign:
-                    pick = a
-                    break
-            if pick is None:
-                return ("sat", dict(assign))
-            charge()
-            assign[pick] = True
-            reasons[pick] = ("decide",)
-            r1 = search(assign, reasons)
-            del assign[pick]
-            del reasons[pick]
-            if r1[0] == "sat":
-                return r1
-            assign[pick] = False
-            reasons[pick] = ("decide",)
-            r2 = search(assign, reasons)
-            del assign[pick]
-            del reasons[pick]
-            if r2[0] == "sat":
-                return r2
-            return ("refuted", [("split", pick, r1[1], r2[1])])
-        finally:
-            for a in local:
-                assign.pop(a, None)
-                reasons.pop(a, None)
+                else:
+                    keep.append(k)
+                    if val[other] is False:
+                        keep.extend(ws[at + 1 :])
+                        watches[false] = keep
+                        return clauses[k]
+                    charge()
+                    assign(other, ("unit", clauses[k]))
+            watches[false] = keep
+        return None
+
+    def level_zero():
+        """Assign the one-position clauses; returns a conflicting one or None."""
+        for k, cs in enumerate(codes):
+            if len(cs) == 1:
+                if val[cs[0]] is False:
+                    return clauses[k]
+                if val[cs[0]] is None:
+                    charge()
+                    assign(cs[0], ("unit", clauses[k]))
+        return propagate()
 
     try:
-        result = search({}, {})
+        conflict = level_zero()
+        cursor = 0  # atoms before it are assigned
+        while True:
+            steps = None
+            if conflict is not None:
+                steps = _prop_conflict_steps(conflict, reasons) if want_cert else []
+            elif use_congruence and any(
+                theory[i] for i in trail[frames[-1][1] if frames else 0 :]
+            ):
+                steps = _theory_conflict(
+                    [(atoms[i], val[2 * i + 1]) for i in trail if theory[i]],
+                    reasons,
+                    want_cert,
+                    charge,
+                )
+            if steps is None:
+                while cursor < n and val[2 * cursor] is not None:
+                    cursor += 1
+                if cursor == n:
+                    model = {a: val[2 * i + 1] for i, a in enumerate(atoms)}
+                    return Saturated(TruthValuation(model), spent)
+                charge()
+                frames.append([cursor, len(trail), None])
+                assign(2 * cursor + 1, ("decide",))
+                conflict = propagate()
+                continue
+            # the node is refuted: close every split whose branches both are
+            while frames and frames[-1][2] is not None:
+                i, length, first = frames.pop()
+                backtrack(length)
+                steps = [("split", atoms[i], first, steps)]
+            if not frames:
+                return Refutation(steps, spent)
+            frame = frames[-1]
+            backtrack(frame[1])
+            frame[2] = steps
+            cursor = frame[0]
+            assign(2 * cursor, ("decide",))
+            conflict = propagate()
     except _Stop:
-        return OutOfBudget(spent[0])
-    if result[0] == "sat":
-        assign = result[1]
-        model = {a: assign.get(a, False) for a in atoms}
-        return Saturated(TruthValuation(model), spent[0])
-    return Refutation(result[1], spent[0])
+        return OutOfBudget(spent)
 
 
 def _lit_formula(atom: Formula, pol: bool) -> Formula:
@@ -679,10 +741,8 @@ class _Emitter:
     """Accumulates certificate steps for one conflict, deriving each needed
     literal from inputs, unit chains, and enclosing split assumptions."""
 
-    def __init__(self, assign, reasons, inputs):
-        self.assign = assign
+    def __init__(self, reasons):
         self.reasons = reasons
-        self.inputs = inputs
         self.steps: list = []
         self.derived: set = set()
 
@@ -693,11 +753,8 @@ class _Emitter:
         self.steps.append(step)
         self.have(step[1])
 
-    def clause_formula(self, c: _Clause) -> Formula:
-        return sx.disj([_lit_formula(a, p) for a, p in c.lits])
-
     def derive_clause(self, c: _Clause) -> Formula:
-        f = self.clause_formula(c)
+        f = c.formula
         if f in self.derived:
             return f
         if c.source not in self.derived:
@@ -814,8 +871,8 @@ class _Emitter:
         return self._horn([rev, eq2, ident], goal)
 
 
-def _prop_conflict_steps(clause: _Clause, assign, reasons, inputs):
-    em = _Emitter(assign, reasons, inputs)
+def _prop_conflict_steps(clause: _Clause, reasons):
+    em = _Emitter(reasons)
     cur = em.derive_clause(clause)
     for a, p in clause.lits:
         em.derive_assigned(a, not p)
@@ -823,11 +880,12 @@ def _prop_conflict_steps(clause: _Clause, assign, reasons, inputs):
     return em.steps
 
 
-def _theory_conflict(assign, reasons, inputs, want_cert, charge):
-    """Steps refuting the assignment by equality reasoning, or None.  The
-    closure's merges are charged to the budget."""
+def _theory_conflict(atoms, reasons, want_cert, charge):
+    """Steps refuting the assigned (atom, polarity) pairs by equality
+    reasoning, or None.  Only atoms with arguments matter: a 0-ary atom
+    takes part in no congruence.  The closure's merges are charged to the
+    budget."""
     core = CongruenceCore()
-    atoms = [(a, pol) for a, pol in assign.items() if isinstance(a, Atom)]
     for a, pol in atoms:
         for t in a.args:
             core.add_term(t)
@@ -835,7 +893,7 @@ def _theory_conflict(assign, reasons, inputs, want_cert, charge):
             core.assert_eq(a.args[0], a.args[1], ("eq", a))
     core._propagate()
     charge(core.merges)
-    em = _Emitter(assign, reasons, inputs)
+    em = _Emitter(reasons)
 
     for a, pol in atoms:
         if a.pred == EQ and not pol and core.congruent(*a.args):

@@ -4,6 +4,7 @@ import pytest
 
 from proofkit import normform as nf
 from proofkit import propcalc as pc
+from proofkit import stringarith
 from proofkit import syntax as sx
 from proofkit.errors import CheckError, SizeGuardExceeded
 from proofkit.kernel import (
@@ -522,3 +523,24 @@ def test_bsi_template_shape():
     t = bsi_template()
     assert sx.free_vars(t) == ("x",)
     assert sx.unnested_rank(t) == 1
+
+
+def test_every_corpus_segment_refutation_replays(monkeypatch):
+    # check_script asks for no certificate; each segment's inputs are
+    # recorded here and refuted again with one
+    segments = []
+    refute = pc.ground_refute
+
+    def spy(inputs, budget=pc.DEFAULT_BUDGET, want_cert=True):
+        segments.append((list(inputs), budget))
+        return refute(inputs, budget, want_cert)
+
+    monkeypatch.setattr(ks.propcalc, "ground_refute", spy)
+    bundle = stringarith.load_theory()
+    assert stringarith.check_corpus(bundle, stringarith.load_corpus()).ok
+    monkeypatch.undo()
+    assert len(segments) >= 76
+    for inputs, budget in segments:
+        res = pc.ground_refute(inputs, budget)
+        assert isinstance(res, pc.Refutation)
+        assert pc.replay(res, inputs)

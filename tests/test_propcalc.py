@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import brute_force_quasitaut_unsat, random_ground_problem, random_qf_formula
 from proofkit import propcalc as pc
@@ -188,6 +188,21 @@ def test_refute_requires_closed_inputs():
         pc.ground_refute([sx.eq(Var("x"), Var("x"))])
 
 
+def test_closedness_is_judged_through_existential_atoms():
+    r = PredSym("r", 2)
+    q = PredSym("q", 1)
+    # y is free inside the quantified atom, which clausifies as one atom
+    open_input = Or(A, Not(Exists("x", Atom(r, (Var("x"), Var("y"))))))
+    with pytest.raises(CheckError) as err:
+        pc.ground_refute([Atom(q, (E1,)), open_input])
+    assert str(err.value) == (
+        f"ground_refute requires closed inputs: {sx.render(open_input)}"
+    )
+    closed = Exists("x", Atom(q, (Var("x"),)))
+    res = pc.ground_refute([Or(A, closed), Not(A)])
+    assert isinstance(res, pc.Saturated) and res.model.value(closed)
+
+
 def test_budget_exhaustion_reports_cap():
     atoms = [Atom(PredSym(f"h{i}", 0)) for i in range(14)]
     clauses = []
@@ -259,6 +274,123 @@ def test_certificates_always_replay_on_random_refutables():
             found += 1
             assert pc.replay(res, problem)
     assert found >= 10
+
+
+# --- the search: watched positions, the trail, backtracking ----------------
+
+Q = PredSym("q", 1)
+_POOL = [A, B, C, sx.eq(E1, E2), sx.eq(E2, E3), sx.eq(E1, E3), Atom(Q, (E1,)), Atom(Q, (E3,))]
+_literal = st.builds(
+    lambda a, pol: a if pol else Not(a), st.sampled_from(_POOL), st.booleans()
+)
+# small pools make duplicate positions, tautologies and unit clauses common
+_clause_sets = st.lists(
+    st.lists(_literal, min_size=1, max_size=4).map(sx.disj), min_size=1, max_size=7
+)
+
+
+def _reference_search(problem):
+    """What the refuter must find, by a plain recursive search that decides
+    atoms in order of first occurrence, True first, propagates a clause
+    whose positions are all false but one, and rejects a node whose
+    assigned literals the brute-force oracle refutes.  Returns
+    ("sat", model) or ("refuted", splits), where splits is the tree of case
+    splits as nested (atom, splits, splits) tuples, None at a leaf.  Both
+    are independent of the order in which units are propagated."""
+    clauses = [lits for f in problem for lits in pc.clausify(f)]
+    atoms = pc.elementary_subformulas(problem)
+
+    def search(assign):
+        while True:
+            unit = None
+            for lits in clauses:
+                if any(assign.get(a) == pol for a, pol in lits):
+                    continue
+                free = [(a, pol) for a, pol in lits if a not in assign]
+                if not free:
+                    return "refuted", None
+                if len(free) == 1:
+                    unit = free[0]
+                    break
+            if unit is None:
+                break
+            assign = {**assign, unit[0]: unit[1]}
+        if brute_force_quasitaut_unsat([a if v else Not(a) for a, v in assign.items()]):
+            return "refuted", None
+        pick = next((a for a in atoms if a not in assign), None)
+        if pick is None:
+            return "sat", {a: assign[a] for a in atoms}
+        branches = []
+        for value in (True, False):
+            got = search({**assign, pick: value})
+            if got[0] == "sat":
+                return got
+            branches.append(got[1])
+        return "refuted", (pick, *branches)
+
+    return search({})
+
+
+def _splits(steps):
+    """The tree of case splits of a certificate, as _reference_search
+    gives it."""
+    if steps and steps[-1][0] == "split":
+        _, atom, first, second = steps[-1]
+        return atom, _splits(first), _splits(second)
+    return None
+
+
+P, R = Atom(PredSym("p", 0)), Atom(PredSym("r", 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_clause_sets)
+@example([Or(P, Or(P, R)), Not(R)])  # p | p | r is no unit clause when r is false
+@example([Or(P, Or(P, R)), Not(R), Not(P)])
+@example([Or(P, Not(P)), R])  # a tautology
+@example([Or(P, Not(P))])
+@example([P, Not(P)])  # two unit clauses in conflict at level 0
+@example([Or(Not(P), R), Or(Not(P), Not(R)), Or(Not(R), A), Or(R, B)])
+@example(  # p forces r and b, which clash; then p is false
+    [Or(P, A), Or(Not(P), R), Or(Not(P), B), Or(Not(R), Not(B)), Or(Not(A), C)]
+)
+@example(  # p forces r, whose clauses meet a conflict before -r | -b is
+    # visited; -r | -b must still watch -r when r is forced again under -p
+    [
+        sx.disj([Not(P), Not(R), A]),
+        sx.disj([Not(P), Not(R), Not(A)]),
+        Or(Not(R), Not(B)),
+        Or(Not(P), R),
+        Or(R, P),
+        Or(B, C),
+        Or(B, Not(C)),
+    ]
+)
+def test_search_agrees_with_brute_force_and_a_recursive_search(problem):
+    res = pc.ground_refute(problem)
+    assert isinstance(res, (pc.Refutation, pc.Saturated))
+    assert isinstance(res, pc.Refutation) == brute_force_quasitaut_unsat(problem)
+    kind, want = _reference_search(problem)
+    if isinstance(res, pc.Refutation):
+        assert pc.replay(res, problem)
+        assert kind == "refuted" and _splits(res.steps) == want
+    else:
+        assert all(res.model.value(f) for f in problem)
+        assert kind == "sat" and res.model.assignment == want
+
+
+@pytest.mark.parametrize("pairs", [600, 5_000])
+def test_deep_inputs_are_decided(pairs):
+    # one decision level per atom: far deeper than the recursion limit
+    rng = random.Random(pairs)
+    atoms = [Atom(PredSym(f"d{i}", 0)) for i in range(2 * pairs)]
+    inputs = [
+        sx.disj([a if rng.random() < 0.5 else Not(a) for a in atoms[2 * i : 2 * i + 2]])
+        for i in range(pairs)
+    ]
+    res = pc.ground_refute(inputs)
+    assert isinstance(res, pc.Saturated)
+    assert all(res.model.value(f) for f in inputs)
 
 
 # --- recognizers ------------------------------------------------------------
