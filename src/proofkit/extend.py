@@ -253,46 +253,24 @@ def _translate_f_in_atom(stage: Stage, atom: Atom, avoid: set) -> Formula:
     occurrence."""
     f = stage.symbol
 
-    def rightmost(t: Term):
-        """Path to the rightmost f-application in a term, or None."""
-        if isinstance(t, App):
-            for i in range(len(t.args) - 1, -1, -1):
-                got = rightmost(t.args[i])
-                if got is not None:
-                    return (i,) + got
-            if t.fn == f:
-                return ()
-        return None
-
-    def term_get(t, path):
-        for i in path:
-            t = t.args[i]
-        return t
-
-    def term_put(t, path, new):
-        if not path:
-            return new
-        args = list(t.args)
-        args[path[0]] = term_put(args[path[0]], path[1:], new)
-        return App(t.fn, tuple(args))
-
-    def find(atom_args):
-        best = None
-        for i in range(len(atom_args) - 1, -1, -1):
-            got = rightmost(atom_args[i])
+    def rightmost(n):
+        """Path to the rightmost f-application in a term or atom, or None."""
+        kids = sx.children(n)
+        for i in range(len(kids) - 1, -1, -1):
+            got = rightmost(kids[i])
             if got is not None:
                 return (i,) + got
-        return best
+        if isinstance(n, App) and n.fn == f:
+            return ()
+        return None
 
-    path = find(atom.args)
+    path = rightmost(atom)
     if path is None:
         return atom
-    occurrence = term_get(atom.args[path[0]], path[1:])
+    occurrence = sx.node_at(atom, path)
     z = sx.fresh_name("z", avoid | sx.occurring_var_names(atom))
     avoid = avoid | {z}
-    new_args = list(atom.args)
-    new_args[path[0]] = term_put(atom.args[path[0]], path[1:], Var(z))
-    reduced = Atom(atom.pred, tuple(new_args))
+    reduced = sx.replace_at(atom, path, Var(z))
     inner = _translate_f_in_atom(stage, reduced, avoid)
     d = _variant_avoiding(stage.definiens, avoid | sx.occurring_var_names(atom))
     params = free_vars(Exists(stage.out_var, stage.definiens))
@@ -433,38 +411,21 @@ def _bounded_shape(g: Exists, order: PredSym, strict: bool) -> Optional[str]:
 def _length_only(g: Exists, order: PredSym) -> bool:
     z = g.var
 
-    def term_ok(t: Term, under_zprod=False) -> bool:
-        if isinstance(t, Var) and t.name == z:
+    def ok(n, under_zprod=False) -> bool:
+        """z occurs in n only as an argument of zprod."""
+        if isinstance(n, Var) and n.name == z:
             return under_zprod
-        if isinstance(t, App):
-            if t.fn.name == "zprod":
-                return all(term_ok(a, True) for a in t.args)
-            return all(term_ok(a, under_zprod=False) for a in t.args)
-        return True
+        zprod = isinstance(n, App) and n.fn.name == "zprod"
+        return all(ok(k, zprod) for k in sx.children(n))
 
-    ok_occurrence = True
-    has_bounding_eq = False
-    for a in _atoms_of(g.body):
-        if not all(term_ok(t) for t in a.args):
-            ok_occurrence = False
-        if a.pred == sx.EQ:
-            l_has = z in sx.occurring_var_names(a.args[0])
-            r_has = z in sx.occurring_var_names(a.args[1])
-            if l_has != r_has:
-                has_bounding_eq = True
-    return ok_occurrence and has_bounding_eq
+    def bounding(f: Formula) -> bool:
+        """Some equation in f has z on exactly one side."""
+        if isinstance(f, Atom):
+            sides = [z in sx.occurring_var_names(t) for t in f.args]
+            return f.pred == sx.EQ and sides[0] != sides[1]
+        return any(map(bounding, sx.children(f)))
 
-
-def _atoms_of(f: Formula) -> list[Atom]:
-    if isinstance(f, Atom):
-        return [f]
-    if isinstance(f, Not):
-        return _atoms_of(f.body)
-    if isinstance(f, Or):
-        return _atoms_of(f.left) + _atoms_of(f.right)
-    if isinstance(f, Exists):
-        return _atoms_of(f.body)
-    raise TypeError(f)
+    return ok(g.body) and bounding(g.body)
 
 
 def _find_unbounded(f: Formula, order: PredSym, strict: bool) -> Optional[Formula]:

@@ -159,7 +159,7 @@ def special_case_proof(f: Formula, directive: nform.SpecialCaseDirective):
         if kind == "term":
             if qkind != "A":
                 raise CheckError("term argument at existential position")
-            node = nform._get(cur, path)
+            node = sx.node_at(cur, path)
             e = node.body
             inner = e.body
             if isinstance(inner, Not):
@@ -168,15 +168,15 @@ def special_case_proof(f: Formula, directive: nform.SpecialCaseDirective):
             else:
                 repl = Not(subst(inner, {e.var: payload}))
                 bridge = pb.delta(fimp(subst(inner, {e.var: payload}), e))
-            nxt = nform._put(cur, path, repl)
+            nxt = sx.replace_at(cur, path, repl)
         else:
             if qkind != "E":
                 raise CheckError("witness name at universal position")
-            e = nform._get(cur, path)
+            e = sx.node_at(cur, path)
             r = special_constant(e, payload)
             repl = subst(e.body, {e.var: r})
             bridge = pb.delta(special_axiom(r))
-            nxt = nform._put(cur, path, repl)
+            nxt = sx.replace_at(cur, path, repl)
         step = pb.taut(fimp(cur, nxt), (bridge,))
         bridges.append(step)
         cur = nxt

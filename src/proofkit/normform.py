@@ -224,43 +224,18 @@ def leftmost_quantifier(f: Formula):
     the Exists node (for "A", its enclosing negation)."""
 
     def walk(g, path):
-        if isinstance(g, Atom):
-            return None
         if isinstance(g, Not) and isinstance(g.body, Exists):
             return ("A", path)
         if isinstance(g, Exists):
             return ("E", path)
-        if isinstance(g, Not):
-            return walk(g.body, path + (0,))
-        if isinstance(g, Or):
-            return walk(g.left, path + (0,)) or walk(g.right, path + (1,))
-        raise TypeError(g)
+        if not isinstance(g, Atom):
+            for i, h in enumerate(sx.children(g)):
+                got = walk(h, path + (i,))
+                if got is not None:
+                    return got
+        return None
 
     return walk(f, ())
-
-
-def _get(f: Formula, path):
-    for i in path:
-        if isinstance(f, Not):
-            f = f.body
-        elif isinstance(f, Or):
-            f = f.left if i == 0 else f.right
-        else:
-            raise AssertionError
-    return f
-
-
-def _put(f: Formula, path, new: Formula) -> Formula:
-    if not path:
-        return new
-    i, rest = path[0], path[1:]
-    if isinstance(f, Not):
-        return Not(_put(f.body, rest, new))
-    if isinstance(f, Or):
-        if i == 0:
-            return Or(_put(f.left, rest, new), f.right)
-        return Or(f.left, _put(f.right, rest, new))
-    raise AssertionError
 
 
 def special_case(
@@ -285,24 +260,24 @@ def special_case(
                 )
             if not sx.is_variable_free(payload):
                 raise CheckError("special-case terms must be variable free")
-            node = _get(cur, path)  # Not(Exists(x, M))
+            node = sx.node_at(cur, path)  # Not(Exists(x, M))
             e = node.body
             inner = e.body
             if isinstance(inner, Not):
                 repl = subst(inner.body, {e.var: payload})
             else:
                 repl = Not(subst(inner, {e.var: payload}))
-            cur = _put(cur, path, repl)
+            cur = sx.replace_at(cur, path, repl)
         elif kind == "witness":
             if qkind != "E":
                 raise CheckError(
                     f"witness name at universal position (step {idx + 1})"
                 )
-            e = _get(cur, path)
+            e = sx.node_at(cur, path)
             r = special_constant(e, payload)
             if record is not None:
                 record.append((payload, r))
-            cur = _put(cur, path, subst(e.body, {e.var: r}))
+            cur = sx.replace_at(cur, path, subst(e.body, {e.var: r}))
         else:
             raise CheckError(f"unknown directive step kind {kind!r}")
     return cur

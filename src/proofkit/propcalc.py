@@ -401,8 +401,17 @@ def contradictory(derived: set) -> bool:
 
 
 class _UnionFind:
+    """Union-find with a proof forest (Nieuwenhuis & Oliveras, 2007): each
+    union adds one edge, labelled with its reason, between the two terms it
+    joins.  The smaller class's proof tree is re-rooted at its end of the
+    edge, so a term lies on O(log n) re-rooted paths in all.  The classes
+    themselves are not linked by size: a's root goes under b's, because the
+    roots steer which signature `CongruenceCore._propagate` meets first in
+    a round, and so its merges and the certificates."""
+
     def __init__(self):
         self.parent: dict = {}
+        self.size: dict = {}  # root -> size of its class, when above 1
         self.proof_parent: dict = {}
         self.proof_reason: dict = {}
 
@@ -420,6 +429,9 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
+        size_a, size_b = self.size.pop(ra, 1), self.size.get(rb, 1)
+        if size_a > size_b:
+            a, b = b, a
         path = []
         node = a
         while node in self.proof_parent:
@@ -429,11 +441,10 @@ class _UnionFind:
             par = self.proof_parent[child]
             self.proof_parent[par] = child
             self.proof_reason[par] = self.proof_reason[child]
-        self.proof_parent.pop(a, None)
-        self.proof_reason.pop(a, None)
         self.proof_parent[a] = b
         self.proof_reason[a] = reason
         self.parent[ra] = rb
+        self.size[rb] = size_a + size_b
         return True
 
     def explain_path(self, a, b):
@@ -764,27 +775,33 @@ class _Emitter:
         return f
 
     def derive_assigned(self, atom: Formula, pol: bool):
-        """Derive the literal recording that atom is assigned pol."""
-        lit = _lit_formula(atom, pol)
-        if lit in self.derived:
-            return
-        why = self.reasons[atom]
-        if why[0] == "decide":
-            # in scope through the enclosing split assumption
-            self.have(lit)
-            return
-        if why[0] == "unit":
+        """Derive the literal recording that atom is assigned pol.  A unit
+        reason's clause is derived, then the opposites of its other
+        literals, left to right, then the resolvent: a post-order walk kept
+        on an explicit stack, so a unit chain of any length fits."""
+        todo: list = [(atom, _lit_formula(atom, pol))]
+        while todo:
+            item = todo.pop()
+            if len(item) == 3:  # a unit whose pivots are all derived
+                lit, cur, pivots = item
+                cur = self.resolve_away(cur, pivots)
+                assert cur == lit
+                continue
+            atom, lit = item
+            if lit in self.derived:
+                continue
+            why = self.reasons[atom]
+            if why[0] == "decide":
+                # in scope through the enclosing split assumption
+                self.have(lit)
+                continue
+            if why[0] != "unit":
+                raise AssertionError(why)
             clause = why[1]
             cur = self.derive_clause(clause)
-            pivots = []
-            for x, p in clause.lits:
-                if x != atom:
-                    self.derive_assigned(x, not p)
-                    pivots.append(_lit_formula(x, not p))
-            cur = self.resolve_away(cur, pivots)
-            assert cur == lit
-            return
-        raise AssertionError(why)
+            others = [(x, _lit_formula(x, not p)) for x, p in clause.lits if x != atom]
+            todo.append((lit, cur, [piv for _, piv in others]))
+            todo.extend(reversed(others))
 
     def resolve_away(self, cur: Formula, pivots) -> Formula:
         """Resolve each derived pivot literal away from the clause cur in

@@ -187,6 +187,53 @@ class Exists(Formula):
 Node = Union[Term, Formula]
 
 
+# the node-shape table: each class's immediate subnodes, left to right, and
+# how to rebuild a node of that class from new ones.  A special constant's
+# subscript is not a subnode; a walk enters it only on purpose.
+_SHAPES = {
+    Var: (lambda n: (), None),
+    SpecialConst: (lambda n: (), None),
+    App: (lambda n: n.args, lambda n, kids: App(n.fn, kids)),
+    Atom: (lambda n: n.args, lambda n, kids: Atom(n.pred, kids)),
+    Not: (lambda n: (n.body,), lambda n, kids: Not(*kids)),
+    Or: (lambda n: (n.left, n.right), lambda n, kids: Or(*kids)),
+    Exists: (lambda n: (n.body,), lambda n, kids: Exists(n.var, *kids)),
+}
+
+
+def _shape(node):
+    shape = _SHAPES.get(type(node))
+    if shape is None:
+        raise TypeError(node)
+    return shape
+
+
+def children(node: Node) -> tuple:
+    """The immediate subnodes, left to right."""
+    return _shape(node)[0](node)
+
+
+def node_at(node: Node, path: Sequence[int]) -> Node:
+    """The subnode a path of child indices leads to."""
+    for i in path:
+        node = children(node)[i]
+    return node
+
+
+def replace_at(node: Node, path: Sequence[int], new: Node) -> Node:
+    """node with the subnode at path replaced by new."""
+    if not path:
+        return new
+    kids = list(children(node))
+    kids[path[0]] = replace_at(kids[path[0]], path[1:], new)
+    return _rebuild(node, tuple(kids))
+
+
+def _rebuild(node: Node, kids: tuple) -> Node:
+    """A node of node's class and labels with kids as its children."""
+    return _shape(node)[1](node, kids)
+
+
 # constructors for the defined connectives (desugared on the spot)
 
 
@@ -331,19 +378,26 @@ def free_vars(node: Node) -> tuple[str, ...]:
     return tuple(out)
 
 
+def _subformulas(f: Formula) -> tuple:
+    """The immediate subformulas; an atom has none, its arguments being
+    terms."""
+    if isinstance(f, Atom):
+        return ()
+    if isinstance(f, Formula):
+        return children(f)
+    raise TypeError(f)
+
+
+def _names(measure, node: Node) -> frozenset[str]:
+    """The union of a name measure over node's children, with the variable
+    node binds when it is a quantifier."""
+    out = frozenset().union(*map(measure, children(node)))
+    return out | {node.var} if isinstance(node, Exists) else out
+
+
 @lru_cache(maxsize=None)
 def bound_vars(node: Node) -> frozenset[str]:
-    if isinstance(node, (Var, SpecialConst)):
-        return frozenset()
-    if isinstance(node, (App, Atom)):
-        return frozenset().union(*(bound_vars(a) for a in node.args)) if node.args else frozenset()
-    if isinstance(node, Not):
-        return bound_vars(node.body)
-    if isinstance(node, Or):
-        return bound_vars(node.left) | bound_vars(node.right)
-    if isinstance(node, Exists):
-        return bound_vars(node.body) | {node.var}
-    raise TypeError(node)
+    return _names(bound_vars, node)
 
 
 @lru_cache(maxsize=None)
@@ -354,18 +408,7 @@ def all_var_names(node: Node) -> frozenset[str]:
         return frozenset({node.name})
     if isinstance(node, SpecialConst):
         return all_var_names(node.subscript)
-    if isinstance(node, (App, Atom)):
-        out = frozenset()
-        for a in node.args:
-            out |= all_var_names(a)
-        return out
-    if isinstance(node, Not):
-        return all_var_names(node.body)
-    if isinstance(node, Or):
-        return all_var_names(node.left) | all_var_names(node.right)
-    if isinstance(node, Exists):
-        return all_var_names(node.body) | {node.var}
-    raise TypeError(node)
+    return _names(all_var_names, node)
 
 
 @lru_cache(maxsize=None)
@@ -374,20 +417,7 @@ def occurring_var_names(node: Node) -> frozenset[str]:
     (their subscripts are not written out for mere occurrence)."""
     if isinstance(node, Var):
         return frozenset({node.name})
-    if isinstance(node, SpecialConst):
-        return frozenset()
-    if isinstance(node, (App, Atom)):
-        out = frozenset()
-        for a in node.args:
-            out |= occurring_var_names(a)
-        return out
-    if isinstance(node, Not):
-        return occurring_var_names(node.body)
-    if isinstance(node, Or):
-        return occurring_var_names(node.left) | occurring_var_names(node.right)
-    if isinstance(node, Exists):
-        return occurring_var_names(node.body) | {node.var}
-    raise TypeError(node)
+    return _names(occurring_var_names, node)
 
 
 def is_variable_free(node: Node) -> bool:
@@ -400,46 +430,18 @@ def is_closed(f: Formula) -> bool:
 
 def is_open(f: Formula) -> bool:
     """No existential quantifier occurs."""
-    if isinstance(f, Atom):
-        return True
-    if isinstance(f, Not):
-        return is_open(f.body)
-    if isinstance(f, Or):
-        return is_open(f.left) and is_open(f.right)
-    if isinstance(f, Exists):
-        return False
-    raise TypeError(f)
+    return not isinstance(f, Exists) and all(map(is_open, _subformulas(f)))
 
 
 @lru_cache(maxsize=None)
 def is_plain(node: Node) -> bool:
     """No special constant appears, including transitively inside subscripts."""
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, SpecialConst):
-        return False
-    if isinstance(node, (App, Atom)):
-        return all(is_plain(a) for a in node.args)
-    if isinstance(node, Not):
-        return is_plain(node.body)
-    if isinstance(node, Or):
-        return is_plain(node.left) and is_plain(node.right)
-    if isinstance(node, Exists):
-        return is_plain(node.body)
-    raise TypeError(node)
+    return not isinstance(node, SpecialConst) and all(map(is_plain, children(node)))
 
 
 def height(f: Formula) -> int:
     """Number of logical-operator occurrences."""
-    if isinstance(f, Atom):
-        return 0
-    if isinstance(f, Not):
-        return 1 + height(f.body)
-    if isinstance(f, Or):
-        return 1 + height(f.left) + height(f.right)
-    if isinstance(f, Exists):
-        return 1 + height(f.body)
-    raise TypeError(f)
+    return (not isinstance(f, Atom)) + sum(map(height, _subformulas(f)))
 
 
 def index(f: Formula) -> int:
@@ -450,29 +452,14 @@ def index(f: Formula) -> int:
 def unnested_rank(f: Formula) -> int:
     """Number of occurrences of the existential quantifier (special
     constants opaque)."""
-    if isinstance(f, Atom):
-        return 0
-    if isinstance(f, Not):
-        return unnested_rank(f.body)
-    if isinstance(f, Or):
-        return unnested_rank(f.left) + unnested_rank(f.right)
-    if isinstance(f, Exists):
-        return 1 + unnested_rank(f.body)
-    raise TypeError(f)
+    return isinstance(f, Exists) + sum(map(unnested_rank, _subformulas(f)))
 
 
 @lru_cache(maxsize=None)
 def nested_rank(f: Formula) -> int:
     """Maximal un-nested rank over instantiations occurring in the formula."""
-    if isinstance(f, Atom):
-        return 0
-    if isinstance(f, Not):
-        return nested_rank(f.body)
-    if isinstance(f, Or):
-        return max(nested_rank(f.left), nested_rank(f.right))
-    if isinstance(f, Exists):
-        return max(unnested_rank(f), nested_rank(f.body))
-    raise TypeError(f)
+    own = unnested_rank(f) if isinstance(f, Exists) else 0
+    return max([own, *map(nested_rank, _subformulas(f))])
 
 
 def const_rank(c: SpecialConst) -> int:
@@ -490,22 +477,9 @@ def const_level(c: SpecialConst) -> int:
 @lru_cache(maxsize=None)
 def special_constants(node: Node) -> frozenset[SpecialConst]:
     """Special constants occurring (one level; subscripts opaque)."""
-    if isinstance(node, Var):
-        return frozenset()
     if isinstance(node, SpecialConst):
         return frozenset({node})
-    if isinstance(node, (App, Atom)):
-        out = frozenset()
-        for a in node.args:
-            out |= special_constants(a)
-        return out
-    if isinstance(node, Not):
-        return special_constants(node.body)
-    if isinstance(node, Or):
-        return special_constants(node.left) | special_constants(node.right)
-    if isinstance(node, Exists):
-        return special_constants(node.body)
-    raise TypeError(node)
+    return frozenset().union(*map(special_constants, children(node)))
 
 
 @lru_cache(maxsize=None)
@@ -526,37 +500,16 @@ def appearing_constants(node: Node) -> frozenset[SpecialConst]:
 def appearing_symbols(node: Node) -> frozenset:
     """Nonlogical symbols appearing (transitive through subscripts)."""
     out = set()
-
-    def walk(n):
-        if isinstance(n, Var):
-            return
+    todo = [node]
+    while todo:
+        n = todo.pop()
         if isinstance(n, SpecialConst):
-            walk(n.subscript)
-            return
-        if isinstance(n, App):
+            todo.append(n.subscript)
+        elif isinstance(n, App):
             out.add(n.fn)
-            for a in n.args:
-                walk(a)
-            return
-        if isinstance(n, Atom):
-            if n.pred != EQ:
-                out.add(n.pred)
-            for a in n.args:
-                walk(a)
-            return
-        if isinstance(n, Not):
-            walk(n.body)
-            return
-        if isinstance(n, Or):
-            walk(n.left)
-            walk(n.right)
-            return
-        if isinstance(n, Exists):
-            walk(n.body)
-            return
-        raise TypeError(n)
-
-    walk(node)
+        elif isinstance(n, Atom) and n.pred != EQ:
+            out.add(n.pred)
+        todo.extend(children(n))
     return frozenset(out)
 
 
@@ -761,17 +714,10 @@ def replace_subformula(f: Formula, old: Formula, new: Formula) -> Formula:
     constants are atomic for occurrence)."""
     if f == old:
         return new
-    if isinstance(f, Atom):
+    subs = _subformulas(f)
+    if not subs:
         return f
-    if isinstance(f, Not):
-        return Not(replace_subformula(f.body, old, new))
-    if isinstance(f, Or):
-        return Or(
-            replace_subformula(f.left, old, new), replace_subformula(f.right, old, new)
-        )
-    if isinstance(f, Exists):
-        return Exists(f.var, replace_subformula(f.body, old, new))
-    raise TypeError(f)
+    return _rebuild(f, tuple(replace_subformula(g, old, new) for g in subs))
 
 
 def map_atoms(f: Formula, fn) -> Formula:
@@ -816,11 +762,7 @@ def make_adjusted_variant(f: Formula, avoid: Iterable[str] = ()) -> Formula:
 
     def walk(g, ren):
         if isinstance(g, Atom):
-            return Atom(g.pred, tuple(subst_term(a, ren) for a in g.args))
-        if isinstance(g, Not):
-            return Not(walk(g.body, ren))
-        if isinstance(g, Or):
-            return Or(walk(g.left, ren), walk(g.right, ren))
+            return subst(g, ren, check=False)
         if isinstance(g, Exists):
             name = g.var
             if name in taken:
@@ -829,16 +771,7 @@ def make_adjusted_variant(f: Formula, avoid: Iterable[str] = ()) -> Formula:
             ren2 = dict(ren)
             ren2[g.var] = Var(name)
             return Exists(name, walk(g.body, ren2))
-        raise TypeError(g)
-
-    def subst_term(t, ren):
-        if isinstance(t, Var):
-            return ren.get(t.name, t)
-        if isinstance(t, App):
-            return App(t.fn, tuple(subst_term(a, ren) for a in t.args))
-        if isinstance(t, SpecialConst):
-            return t
-        raise TypeError(t)
+        return _rebuild(g, tuple(walk(h, ren) for h in _subformulas(g)))
 
     return walk(f, {})
 
@@ -848,18 +781,11 @@ def is_adjusted(f: Formula) -> bool:
     free = set(free_vars(f))
 
     def walk(g):
-        if isinstance(g, Atom):
-            return True
-        if isinstance(g, Not):
-            return walk(g.body)
-        if isinstance(g, Or):
-            return walk(g.left) and walk(g.right)
         if isinstance(g, Exists):
             if g.var in seen or g.var in free:
                 return False
             seen.add(g.var)
-            return walk(g.body)
-        raise TypeError(g)
+        return all(map(walk, _subformulas(g)))
 
     return walk(f)
 

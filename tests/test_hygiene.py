@@ -1,8 +1,11 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every private definition is referred to from outside itself.
 
-Package ``__init__.py`` files are exempt: their imports are re-exports."""
+Package ``__init__.py`` files are exempt from the import check: their
+imports are re-exports."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -45,3 +48,35 @@ def test_every_import_is_used(path):
     used = _used(tree)
     unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in used]
     assert not unused, f"unused imports: {', '.join(unused)}"
+
+
+SOURCES = sorted(PACKAGE.rglob("*.py"))
+
+
+def _references(tree):
+    """Counter of the names a tree refers to, as names or attributes."""
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            refs[node.name.split(".")[-1]] += 1
+    return refs
+
+
+def test_every_private_definition_is_referenced():
+    # a private def or class referred to only from inside itself is dead
+    trees = {p: ast.parse(p.read_text()) for p in SOURCES}
+    refs = sum(map(_references, trees.values()), Counter())
+    dead = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno} {node.name}"
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+        and refs[node.name] == _references(node)[node.name]
+    ]
+    assert not dead, f"unreferenced private definitions: {', '.join(dead)}"

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -180,6 +181,38 @@ def test_budget_meters_congruence_merges():
     assert isinstance(pc.ground_refute(inputs, budget=n + 1), pc.OutOfBudget)
     res = pc.ground_refute(inputs, budget=2 * (n + 1))
     assert isinstance(res, pc.Refutation) and res.spent == 2 * (n + 1)
+    assert pc.replay(res, inputs)
+
+
+def test_adversarial_unions_reroot_the_smaller_proof_tree():
+    # a chain k0 = ... = k_half, then fresh constants joined to its two ends
+    # in turn, the end first: re-rooting the end's side of the proof forest
+    # each time would walk the whole chain, quadratic in all
+    n, half = 10_000, 5_000
+    ks = [App(FnSym(f"k{i}", 0)) for i in range(n + 1)]
+    core = pc.CongruenceCore()
+    start = time.perf_counter()
+    for i in range(half):
+        core.assert_eq(ks[i], ks[i + 1], ("eq", sx.eq(ks[i], ks[i + 1])))
+    for j in range(half + 1, n + 1):
+        end = ks[0] if j % 2 else ks[half]
+        core.assert_eq(end, ks[j], ("eq", sx.eq(end, ks[j])))
+    assert time.perf_counter() - start < 5.0
+    assert core.merges == n
+    edges = core.uf.explain_path(ks[0], ks[half])
+    assert len(edges) == half
+    assert [p for p, _, _ in edges] == ks[:half]
+    assert [q for _, q, _ in edges] == ks[1 : half + 1]
+    assert all(reason == ("eq", sx.eq(p, q)) for p, q, reason in edges)
+
+
+def test_long_unit_chain_certificate_replays():
+    # p0, -p0 | p1, ..., -p1999 | p2000, -p2000: the conflict's certificate
+    # derives every link of the chain
+    ps = [Atom(PredSym(f"p{i}", 0)) for i in range(2001)]
+    inputs = [ps[0], *(Or(Not(ps[i]), ps[i + 1]) for i in range(2000)), Not(ps[2000])]
+    res = pc.ground_refute(inputs)
+    assert isinstance(res, pc.Refutation) and res.spent == 2001
     assert pc.replay(res, inputs)
 
 

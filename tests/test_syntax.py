@@ -329,3 +329,68 @@ def test_deep_chain_hashes_without_recursion():
     seen = {t}
     assert t in seen
     assert App(S0, (t,)) not in seen
+
+
+# --- the node-shape table and the measures over it ---------------------------
+
+x, y, z, w = map(Var, "xyzw")
+C1 = SpecialConst(Exists("u", sx.eq(Var("u"), App(EPS))), "c1")
+C2 = SpecialConst(Exists("v", Or(sx.eq(Var("v"), C1), Atom(Q, (Var("v"),)))), "c2")
+SHADOWED = Or(sx.eq(x, C2), Exists("x", Not(Atom(P2, (x, y)))))
+NESTED = Not(Exists("z", Or(Atom(Q, (App(S1, (z,)),)), Exists("w", sx.eq(w, z)))))
+
+# node, bound_vars, all_var_names, occurring_var_names, is_plain,
+# special_constants, appearing_symbols, and for a formula is_open, height,
+# unnested_rank and nested_rank
+MEASURED = [
+    # x is free on the left and bound on the right; C1 is inside C2's
+    # subscript; p is a predicate other than =
+    (SHADOWED, "x", "uvxy", "xy", False, {C2}, {EPS, P2, Q}, (False, 3, 1, 1)),
+    (NESTED, "wz", "wz", "wz", True, set(), {Q, S1}, (False, 4, 2, 2)),
+    (sx.fimp(Atom(Q, (App(S0, (x,)),)), sx.eq(App(EPS), x)), "", "x", "x", True, set(),
+     {EPS, Q, S0}, (True, 2, 0, 0)),
+    (App(CAT, (x, C2)), "", "uvx", "x", False, {C2}, {CAT, EPS, Q}, None),
+    (C2, "", "uv", "", False, {C2}, {EPS, Q}, None),
+]
+
+
+@pytest.mark.parametrize("case", MEASURED, ids=lambda c: sx.render(c[0]))
+def test_structural_measures(case):
+    node, bound, every, occurring, plain, consts, symbols, formula = case
+    assert sx.bound_vars(node) == set(bound)
+    assert sx.all_var_names(node) == set(every)
+    assert sx.occurring_var_names(node) == set(occurring)
+    assert sx.is_plain(node) is plain
+    assert sx.special_constants(node) == consts
+    assert sx.appearing_symbols(node) == symbols
+    measures = (sx.is_open, sx.height, sx.unnested_rank, sx.nested_rank)
+    if formula is None:
+        for measure in measures:
+            with pytest.raises(TypeError):
+                measure(node)
+    else:
+        assert tuple(m(node) for m in measures) == formula
+
+
+def test_replace_subformula_examples():
+    got = sx.replace_subformula(SHADOWED, Atom(P2, (x, y)), sx.eq(x, y))
+    assert got == Or(sx.eq(x, C2), Exists("x", Not(sx.eq(x, y))))
+    got = sx.replace_subformula(NESTED, sx.eq(w, z), Atom(Q, (w,)))
+    assert got == Not(Exists("z", Or(Atom(Q, (App(S1, (z,)),)), Exists("w", Atom(Q, (w,))))))
+    # occurrence is at formula level: an atom's terms are not searched
+    assert sx.replace_subformula(NESTED, Atom(Q, (z,)), Atom(Q, (w,))) == NESTED
+
+
+def test_children_and_node_paths():
+    assert sx.children(SHADOWED) == (SHADOWED.left, SHADOWED.right)
+    assert sx.children(SHADOWED.right) == (SHADOWED.right.body,)
+    assert sx.children(App(CAT, (x, C2))) == (x, C2)
+    assert sx.children(x) == () and sx.children(C2) == ()
+    path = (1, 0, 0, 1)
+    assert sx.node_at(SHADOWED, path) == y
+    moved = sx.replace_at(SHADOWED, path, App(EPS))
+    assert moved == Or(sx.eq(x, C2), Exists("x", Not(Atom(P2, (x, App(EPS))))))
+    assert sx.replace_at(SHADOWED, (), x) == x
+    for junk in ("x", 3, None, Q, (x, y)):
+        with pytest.raises(TypeError):
+            sx.children(junk)
