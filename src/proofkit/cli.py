@@ -118,7 +118,7 @@ def cmd_ha_reduce(args) -> int:
         propcalc.ground_refute(list(result.final.formulas), want_cert=False), propcalc.Refutation
     )
     lines = [f"{'step':>4} {'mode':<10} {'rho':>3} {'lam':>4} {'kap':>4} {'|seq|':>6} {'out':>5}"]
-    p0 = hilbertack.profile(seq)
+    p0 = result.profile_in
     lines.append(f"{0:>4} {'input':<10} {p0.rho:>3} {p0.lam:>4} {p0.kappa:>4} {len(seq.formulas):>6} {'':>5}")
     for i, t in enumerate(result.trace, 1):
         lines.append(

@@ -403,12 +403,12 @@ def _bounded_shape(g: Exists, order: PredSym, strict: bool) -> Optional[str]:
                     return "equation"
     # length-only witness: z occurs only under zprod and some conjunct is an
     # equation one side of which is z-free
-    if _length_only(g, order):
+    if _length_only(g):
         return "length"
     return None
 
 
-def _length_only(g: Exists, order: PredSym) -> bool:
+def _length_only(g: Exists) -> bool:
     z = g.var
 
     def ok(n, under_zprod=False) -> bool:

@@ -97,23 +97,60 @@ class Profile:
     lam: int
     kappa: int
     valid: bool
+    owners: tuple  # per formula, the special constant it belongs to, or None
 
 
 def profile(seq: SpecialSequence, budget: int = propcalc.DEFAULT_BUDGET) -> Profile:
-    consts = set()
-    owners = []
-    for f in seq.formulas:
-        consts |= sx.appearing_constants(f)
-        owner = core.belongs_to(f)
-        if owner is not None:
-            owners.append(owner)
-            consts.add(owner)
-    rho = max((sx.const_rank(c) for c in consts), default=0)
-    lam = max((sx.const_level(c) for c in consts), default=0)
-    kappa = max(
-        (sx.const_level(c) for c in owners if sx.const_rank(c) == rho), default=0
-    )
-    return Profile(rho, lam, kappa, core.sequence_valid(seq, budget))
+    return _Analysis(None, budget).profile(seq)
+
+
+def _owned_rank(owners) -> int:
+    """The highest rank among the owners (None for a formula that belongs
+    to no special constant), or 0."""
+    return max((sx.const_rank(o) for o in owners if o is not None), default=0)
+
+
+class _Analysis:
+    """What one run has learned, so that each piece is worked out once: the
+    owner and delta class of each formula and the profile of each sequence,
+    all under the run's theory and budget."""
+
+    def __init__(self, theory: Optional[Theory], budget: int):
+        self.theory = theory
+        self.budget = budget
+        self.owners: dict = {}
+        self.classes: dict = {}
+        self.profiles: dict = {}
+
+    def owner(self, f: Formula) -> Optional[SpecialConst]:
+        if f not in self.owners:
+            self.owners[f] = core.belongs_to(f)
+        return self.owners[f]
+
+    def delta(self, f: Formula, rho_cap: Optional[int] = None) -> core.DeltaClass:
+        """`core.classify_delta(theory, f, rho_cap)`, classifying f once."""
+        cls = self.classes.get(f)
+        if cls is None:
+            cls = self.classes[f] = core.classify_delta(self.theory, f)
+        return core._cap_check(cls, rho_cap)
+
+    def profile(self, seq: SpecialSequence) -> Profile:
+        got = self.profiles.get(seq)
+        if got is not None:
+            return got
+        owners = tuple(map(self.owner, seq.formulas))
+        consts = {o for o in owners if o is not None}
+        for f in seq.formulas:
+            consts |= sx.appearing_constants(f)
+        rho = max((sx.const_rank(c) for c in consts), default=0)
+        lam = max((sx.const_level(c) for c in consts), default=0)
+        kappa = max(
+            (sx.const_level(c) for c in owners if c is not None and sx.const_rank(c) == rho),
+            default=0,
+        )
+        got = Profile(rho, lam, kappa, core.sequence_valid(seq, self.budget), owners)
+        self.profiles[seq] = got
+        return got
 
 
 # ---------------------------------------------------------------------------
@@ -133,78 +170,63 @@ class StepTrace:
     collapsed: int = 0
 
 
-def _owned_by(theory: Theory, seq: SpecialSequence):
-    out = []
-    for f in seq.formulas:
-        out.append(core.belongs_to(f))
-    return out
-
-
 def ha_step(
     theory: Theory,
     seq: SpecialSequence,
     rho0: Optional[int] = None,
     budget: int = propcalc.DEFAULT_BUDGET,
+    analysis: Optional[_Analysis] = None,
 ) -> tuple[SpecialSequence, StepTrace]:
     """One round of the consistency-theorem elimination.  Requires a valid
     sequence whose formulas lie in delta_rho(T) with owned rank rho > rho0
     and kappa > 0; produces a valid sequence of at most nu^2 formulas with
-    levels at most doubled and strictly less high-rank ownership."""
+    levels at most doubled and strictly less high-rank ownership.  `ha_run`
+    passes its analysis, so nothing it has worked out is worked out again."""
     if rho0 is None:
         rho0 = theory.rank_profile()
+    if analysis is None:
+        analysis = _Analysis(theory, budget)
     if any(not (sx.is_open(a) and sx.is_plain(a)) for a in theory.axioms):
         raise CheckError("the eliminator requires plain nonlogical axioms")
-    prof = profile(seq, budget)
+    prof = analysis.profile(seq)
     if not prof.valid:
         raise CheckError("input is not a special sequence")
-    owners = _owned_by(theory, seq)
-    owned_ranks = [sx.const_rank(o) for o in owners if o is not None]
     # a sequence with no owners of rank above rho is re-read at the lower
     # rank (a (rho,lam,0)-special sequence is (rho-1,lam,lam)-special)
-    target_rho = max((r for r in owned_ranks), default=0)
+    target_rho = _owned_rank(prof.owners)
     if target_rho <= rho0:
         raise CheckError(f"nothing to eliminate: owned rank {target_rho} <= {rho0}")
-    target_kappa = max(
-        sx.const_level(o)
-        for o in owners
-        if o is not None and sx.const_rank(o) == target_rho
-    )
+    top = [o for o in prof.owners if o is not None and sx.const_rank(o) == target_rho]
+    target_kappa = max(map(sx.const_level, top))
+    # every owner is among the profiled constants, so target_rho <= prof.rho
     for f in seq.formulas:
-        core.classify_delta(theory, f, rho_cap=max(prof.rho, target_rho))
+        analysis.delta(f, rho_cap=prof.rho)
 
     targets = sorted(
-        {
-            o
-            for o in owners
-            if o is not None
-            and sx.const_rank(o) == target_rho
-            and sx.const_level(o) == target_kappa
-        },
+        {o for o in top if sx.const_level(o) == target_kappa},
         key=lambda c: sx.render(c.subscript),
     )
     try:
-        out, trace = _eliminate(theory, seq, owners, tuple(targets), prof, "batch", budget)
-        return out, trace
+        return _eliminate(analysis, seq, tuple(targets), prof, "batch")
     except CheckError:
         if len(targets) <= 1:
             raise
-    out, trace = _eliminate(theory, seq, owners, (targets[0],), prof, "singleton", budget)
-    return out, trace
+    return _eliminate(analysis, seq, (targets[0],), prof, "singleton")
 
 
-def _eliminate(theory, seq, owners, targets, prof, mode, budget):
+def _eliminate(analysis, seq, targets, prof, mode):
     target_set = set(targets)
     gamma: list[Formula] = []
     pairs: list[tuple[SpecialConst, Term]] = []
-    for f, owner in zip(seq.formulas, owners):
+    for f, owner in zip(seq.formulas, prof.owners):
         if owner in target_set:
-            cls = core.classify_delta(theory, f)
+            cls = analysis.delta(f)
             if cls.kind == "special-axiom":
                 continue  # becomes B(r) -> B(r) after the rewrite: deleted
             assert cls.kind == "substitution"
             x, a = cls.detail
             if a is None:
-                a = theory.zero_term
+                a = analysis.theory.zero_term
             pairs.append((owner, a))
         else:
             image = f
@@ -226,14 +248,13 @@ def _eliminate(theory, seq, owners, targets, prof, mode, budget):
     nu = len(seq.formulas)
     if len(out_multi) > nu * nu:
         raise CheckError("output exceeds the nu^2 bound")
-    if not core.sequence_valid(out_seq, budget):
+    out_prof = analysis.profile(out_seq)
+    if not out_prof.valid:
         raise CheckError("output failed the tautology re-verification")
-    out_prof = profile(out_seq, budget)
     if out_prof.lam > 2 * prof.lam:
         raise CheckError("output levels exceed twice the input levels")
-    for f in out_formulas:
-        core.classify_delta(theory, f, rho_cap=prof.rho)
-        owner = core.belongs_to(f)
+    for f, owner in zip(out_formulas, out_prof.owners):
+        analysis.delta(f, rho_cap=prof.rho)
         if owner in target_set:
             raise CheckError("an output formula still belongs to a target")
     trace = StepTrace(
@@ -268,15 +289,7 @@ class RunResult:
     bound_value: Optional[int]
     observed_max: int
     within_bound: Optional[bool]
-
-
-def _owned_rank(theory: Theory, seq: SpecialSequence, rho0: int) -> int:
-    best = 0
-    for f in seq.formulas:
-        o = core.belongs_to(f)
-        if o is not None:
-            best = max(best, sx.const_rank(o))
-    return best
+    profile_in: Profile  # the input sequence's
 
 
 def ha_run(
@@ -288,29 +301,32 @@ def ha_run(
 ) -> RunResult:
     """Iterate the eliminator until no formula belongs to a special constant
     of rank above rho0; compare observed sizes against the evaluated bound
-    when it is below the cutoff."""
+    when it is below the cutoff.  Each sequence is profiled once and each
+    formula classified once per run."""
     if rho0 is None:
         rho0 = theory.rank_profile()
-    prof0 = profile(seq, budget)
+    analysis = _Analysis(theory, budget)
+    prof0 = analysis.profile(seq)
     if not prof0.valid:
         raise CheckError("input is not a special sequence")
     bound = bound_eval(len(seq.formulas), max(prof0.lam, 1), max(prof0.rho, 1), rho0)
     bound_value = bound.eval()
     trace: list[StepTrace] = []
     observed = len(seq.formulas)
-    cur = seq
+    cur, prof = seq, prof0
     steps = 0
-    while _owned_rank(theory, cur, rho0) > rho0:
+    while _owned_rank(prof.owners) > rho0:
         steps += 1
         if steps > limits.max_steps:
             raise CheckError(f"step limit exhausted after {limits.max_steps}")
-        cur, t = ha_step(theory, cur, rho0, budget)
+        cur, t = ha_step(theory, cur, rho0, budget, analysis)
+        prof = t.profile_out
         trace.append(t)
         observed = max(observed, t.size_out_multiset)
         if len(cur.formulas) > limits.max_formulas:
             raise CheckError("formula limit exhausted")
     within = None if bound_value is None else observed <= bound_value
-    return RunResult(cur, trace, bound, bound_value, observed, within)
+    return RunResult(cur, trace, bound, bound_value, observed, within, prof0)
 
 
 # ---------------------------------------------------------------------------

@@ -465,20 +465,14 @@ def _quant(g):
     return None
 
 
-def _lift_iff(pb: ProofBuilder, whole: Formula, path, lhs, rhs, sub, leaf) -> int:
-    """Line index of  whole@sub <-> whole[path := rhs]@sub."""
+def _lift_iff(pb: ProofBuilder, path, rhs, sub, leaf) -> int:
+    """Line index of  whole@sub <-> whole[path := rhs]@sub, whole being the
+    formula the path starts at."""
     if not path:
         return leaf(pb, sub)
     (tag, node), rest = path[0], path[1:]
-    if tag in ("or-l", "or-r"):
-        child = node.left if tag == "or-l" else node.right
-        rec = _lift_iff(pb, child, rest, lhs, rhs, sub, leaf)
-        na = subst(node, sub)
-        nb = subst(_rebuild(node, path, rhs), sub)
-        return pb.taut(sx.fiff(na, nb), (rec,))
-    if tag in ("and-l", "and-r"):
-        child = as_and(node)[0] if tag == "and-l" else as_and(node)[1]
-        rec = _lift_iff(pb, child, rest, lhs, rhs, sub, leaf)
+    if tag in ("or-l", "or-r", "and-l", "and-r"):
+        rec = _lift_iff(pb, rest, rhs, sub, leaf)
         na = subst(node, sub)
         nb = subst(_rebuild(node, path, rhs), sub)
         return pb.taut(sx.fiff(na, nb), (rec,))
@@ -492,7 +486,7 @@ def _lift_iff(pb: ProofBuilder, whole: Formula, path, lhs, rhs, sub, leaf) -> in
         def rec(pb2, r):
             s2 = dict(sub)
             s2[x] = r
-            inner = _lift_iff(pb2, body, rest, lhs, rhs, s2, leaf)
+            inner = _lift_iff(pb2, rest, rhs, s2, leaf)
             na = Not(subst(body, s2))
             nb = Not(subst(new_body, s2))
             return pb2.taut(sx.fiff(na, nb), (inner,))
@@ -508,7 +502,7 @@ def _lift_iff(pb: ProofBuilder, whole: Formula, path, lhs, rhs, sub, leaf) -> in
         def rec(pb2, r):
             s2 = dict(sub)
             s2[x] = r
-            return _lift_iff(pb2, node.body, rest, lhs, rhs, s2, leaf)
+            return _lift_iff(pb2, rest, rhs, s2, leaf)
 
         e1 = subst(node, sub)
         e2 = subst(new_node, sub)
@@ -567,7 +561,7 @@ def prenex_equivalence_proof(f: Formula):
             return _pull_rule_proof(pb2, lhs, rhs, sub2)
 
         # rebuild the path against the current whole formula
-        chain.append(_lift_iff(pb, cur, path, lhs, rhs, {}, leaf))
+        chain.append(_lift_iff(pb, path, rhs, {}, leaf))
         cur = _rebuild(cur, path, rhs)
     target = nform.to_prenex(f)
     if cur != target:

@@ -420,14 +420,16 @@ class _UnionFind:
             self.parent[t] = t
 
     def find(self, t):
-        while self.parent[t] != t:
+        # roots are the stored keys, so identity decides; == would walk
+        # two distinct deep terms
+        while self.parent[t] is not t:
             self.parent[t] = self.parent[self.parent[t]]
             t = self.parent[t]
         return t
 
     def union(self, a, b, reason):
         ra, rb = self.find(a), self.find(b)
-        if ra == rb:
+        if ra is rb:
             return False
         size_a, size_b = self.size.pop(ra, 1), self.size.get(rb, 1)
         if size_a > size_b:
@@ -519,7 +521,7 @@ class CongruenceCore:
         self.add_term(a)
         self.add_term(b)
         self._propagate()
-        return self.uf.find(a) == self.uf.find(b)
+        return self.uf.find(a) is self.uf.find(b)
 
 
 # ---------------------------------------------------------------------------

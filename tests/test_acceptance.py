@@ -206,7 +206,7 @@ def test_criterion_6_hilbert_ackermann():
     toy_ok = (
         trace.size_out_multiset <= 16
         and core.sequence_valid(out)
-        and ha._owned_rank(theory, out, 0) == 0
+        and ha._owned_rank(ha.profile(out).owners) == 0
     )
     rng = random.Random(66)
     run_ok = True
@@ -216,7 +216,7 @@ def test_criterion_6_hilbert_ackermann():
         final_refutable = isinstance(
             pc.ground_refute(list(res.final.formulas), want_cert=False), pc.Refutation
         )
-        run_ok = run_ok and final_refutable and ha._owned_rank(th, res.final, 0) == 0
+        run_ok = run_ok and final_refutable and ha._owned_rank(ha.profile(res.final).owners) == 0
         run_ok = run_ok and all(t.size_out_multiset <= t.size_in ** 2 for t in res.trace)
         run_ok = run_ok and all(
             t.profile_out.lam <= 2 * max(t.profile_in.lam, 1) for t in res.trace

@@ -85,12 +85,12 @@ def test_ha_step_size_and_level_bounds_hold():
 def test_ha_step_hypothesis_violations():
     theory, _ = ha.demo_rank1()
     flat = SpecialSequence((qa(E), Not(qa(E))))
-    with pytest.raises(CheckError):
+    with pytest.raises(CheckError, match="nothing to eliminate"):
         ha.ha_step(theory, flat)  # nothing above rank 0
-    with pytest.raises(CheckError):
+    with pytest.raises(CheckError, match="input is not a special sequence"):
         ha.ha_step(theory, SpecialSequence((qa(E),)))  # invalid
     impure = Theory("impure", (Exists("x", qa(Var("x"))),), EPS)
-    with pytest.raises(CheckError):
+    with pytest.raises(CheckError, match="requires plain nonlogical axioms"):
         ha.ha_step(impure, flat)  # nonlogical axioms must be open and plain
 
 
@@ -132,9 +132,34 @@ def test_ha_run_fifty_generated_theories():
         assert all(
             t.profile_out.lam <= 2 * max(t.profile_in.lam, 1) for t in res.trace
         )
-        assert ha._owned_rank(theory, res.final, 0) == 0
+        assert ha._owned_rank(ha.profile(res.final).owners) == 0
         got = pc.ground_refute(list(res.final.formulas), want_cert=False)
         assert isinstance(got, pc.Refutation)
+
+
+def test_ha_run_analyses_each_sequence_and_formula_once(monkeypatch):
+    # one validity check per (sequence, budget), one owner lookup and one
+    # delta classification per formula, over a whole multi-step run
+    seen = {}
+
+    def spy(name, key):
+        real = getattr(core, name)
+
+        def wrapper(*args, **kwargs):
+            seen.setdefault(name, []).append(key(*args, **kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(core, name, wrapper)
+
+    spy("sequence_valid", lambda seq, budget=pc.DEFAULT_BUDGET: (seq, budget))
+    spy("belongs_to", lambda f: f)
+    spy("classify_delta", lambda theory, f, rho_cap=None: f)
+    theory, seq = ha.generate_inconsistent_case(random.Random(7), 2)
+    res = ha.ha_run(theory, seq)
+    assert len(res.trace) >= 2
+    assert sorted(seen) == ["belongs_to", "classify_delta", "sequence_valid"]
+    for name, keys in seen.items():
+        assert len(keys) == len(set(keys)), f"{name}: {len(keys)} calls, {len(set(keys))} distinct"
 
 
 def test_monotone_progress_measure():

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every private definition is referred to from outside itself.
+"""Every name a module of the package imports is used in that module,
+every private definition is referred to from outside itself, and every
+private module-level function reads each of its parameters.
 
 Package ``__init__.py`` files are exempt from the import check: their
 imports are re-exports."""
@@ -80,3 +81,31 @@ def test_every_private_definition_is_referenced():
         and refs[node.name] == _references(node)[node.name]
     ]
     assert not dead, f"unreferenced private definitions: {', '.join(dead)}"
+
+
+def _unread_parameters(fn):
+    args = fn.args
+    params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+    read = {
+        n.id
+        for stmt in fn.body
+        for n in ast.walk(stmt)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    return [p for p in params if p not in read]
+
+
+def test_private_functions_read_every_parameter():
+    # every call site of a private function passes what it never reads;
+    # closures nested in a function are not checked
+    unread = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno} {node.name}({p})"
+        for path in SOURCES
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+        for p in _unread_parameters(node)
+    ]
+    assert not unread, f"unread parameters: {', '.join(unread)}"

@@ -206,6 +206,24 @@ def test_adversarial_unions_reroot_the_smaller_proof_tree():
     assert all(reason == ("eq", sx.eq(p, q)) for p, q, reason in edges)
 
 
+def test_deep_terms_equal_below_are_refuted_and_replay():
+    # c = d, f1^200(c) != f1^200(d): roots are compared by identity, so the
+    # two distinct deep terms are never walked side by side
+    f = FnSym("f1", 1)
+    inputs = [sx.eq(E1, E2), Not(sx.eq(_iterate(f, E1, 200), _iterate(f, E2, 200)))]
+    start = time.perf_counter()
+    res = pc.ground_refute(inputs)
+    assert isinstance(res, pc.Refutation) and pc.replay(res, inputs)
+    assert time.perf_counter() - start < 5.0
+
+
+def test_deeper_terms_equal_below_are_refuted_without_certificate():
+    # a tree walk of depth 300 per comparison would exceed the recursion limit
+    f = FnSym("f1", 1)
+    inputs = [sx.eq(E1, E2), Not(sx.eq(_iterate(f, E1, 300), _iterate(f, E2, 300)))]
+    assert isinstance(pc.ground_refute(inputs, want_cert=False), pc.Refutation)
+
+
 def test_long_unit_chain_certificate_replays():
     # p0, -p0 | p1, ..., -p1999 | p2000, -p2000: the conflict's certificate
     # derives every link of the chain
