@@ -255,6 +255,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type for sample counts and string lengths, which must be at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="proofkit")
     ap.add_argument("--format", choices=("text", "json"), default="text")
@@ -316,9 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_rm_kbound)
 
     p = sub.add_parser("fuzz-axioms", help="evaluate the axioms on random strings")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--maxlen", type=int, default=16)
-    p.add_argument("--exhaustive", type=int, default=0)
+    p.add_argument("--samples", type=_non_negative_int, default=200)
+    p.add_argument("--maxlen", type=_non_negative_int, default=16)
+    p.add_argument("--exhaustive", type=_non_negative_int, default=0)
     p.set_defaults(fn=cmd_fuzz_axioms)
     return ap
 

@@ -112,26 +112,30 @@ def _owned_rank(owners) -> int:
 
 class _Analysis:
     """What one run has learned, so that each piece is worked out once: the
-    owner and delta class of each formula and the profile of each sequence,
-    all under the run's theory and budget."""
+    special match and delta class of each formula and the profile of each
+    sequence, all under the run's theory and budget."""
 
     def __init__(self, theory: Optional[Theory], budget: int):
         self.theory = theory
         self.budget = budget
-        self.owners: dict = {}
+        self.matches: dict = {}
         self.classes: dict = {}
         self.profiles: dict = {}
 
+    def match(self, f: Formula) -> Optional[core.DeltaClass]:
+        if f not in self.matches:
+            self.matches[f] = core.match_special(f)
+        return self.matches[f]
+
     def owner(self, f: Formula) -> Optional[SpecialConst]:
-        if f not in self.owners:
-            self.owners[f] = core.belongs_to(f)
-        return self.owners[f]
+        got = self.match(f)
+        return None if got is None else got.owner
 
     def delta(self, f: Formula, rho_cap: Optional[int] = None) -> core.DeltaClass:
         """`core.classify_delta(theory, f, rho_cap)`, classifying f once."""
         cls = self.classes.get(f)
         if cls is None:
-            cls = self.classes[f] = core.classify_delta(self.theory, f)
+            cls = self.classes[f] = core.classify_matched(self.theory, f, self.match(f))
         return core._cap_check(cls, rho_cap)
 
     def profile(self, seq: SpecialSequence) -> Profile:

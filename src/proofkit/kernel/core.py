@@ -115,19 +115,19 @@ def classify_delta(
 ) -> DeltaClass:
     """Classify a closed formula into one of the five delta classes, or
     raise CheckError with a nearest-miss diagnosis."""
+    return _cap_check(classify_matched(theory, f, match_special(f)), rho_cap)
+
+
+def classify_matched(
+    theory: Theory, f: Formula, special: Optional[DeltaClass]
+) -> DeltaClass:
+    """`classify_delta` without the rank cap, for a formula whose
+    `match_special` result is already known."""
     if free_vars(f):
         raise CheckError("delta formulas are closed")
-    misses = []
-
-    got = _try_special_axiom(f)
-    if got is not None:
-        return _cap_check(got, rho_cap)
-    misses.append("not a special axiom")
-
-    got = _try_substitution(f)
-    if got is not None:
-        return _cap_check(got, rho_cap)
-    misses.append("not a substitution formula")
+    if special is not None:
+        return special
+    misses = ["not a special axiom", "not a substitution formula"]
 
     if propcalc.is_identity_instance(f):
         return DeltaClass("identity")
@@ -145,44 +145,31 @@ def classify_delta(
     raise CheckError("; ".join(misses))
 
 
-def _try_special_axiom(f: Formula) -> Optional[DeltaClass]:
+def match_special(f: Formula) -> Optional[DeltaClass]:
+    """The special-axiom or substitution class of f, whose owner is the
+    special constant f belongs to, or None when f is neither.  Only a
+    closed formula matches."""
     pair = sx.as_imp(f)
     if pair is None:
         return None
-    e, concl = pair
-    if not isinstance(e, Exists) or free_vars(e):
-        return None
-    r = special_constant(e)
-    if concl == subst(e.body, {e.var: r}):
-        return DeltaClass("special-axiom", owner=r)
+    hyp, concl = pair
+    if isinstance(hyp, Exists) and not free_vars(hyp):
+        r = special_constant(hyp)
+        if concl == subst(hyp.body, {hyp.var: r}):
+            return DeltaClass("special-axiom", owner=r)
+    if isinstance(concl, Exists) and not free_vars(concl):
+        got = match_instance(concl.body, hyp, frozenset({concl.var}))
+        if got is not None:
+            detail = (concl.var, got.get(concl.var))
+            return DeltaClass("substitution", owner=special_constant(concl), detail=detail)
     return None
-
-
-def _try_substitution(f: Formula) -> Optional[DeltaClass]:
-    pair = sx.as_imp(f)
-    if pair is None:
-        return None
-    hyp, e = pair
-    if not isinstance(e, Exists) or free_vars(e):
-        return None
-    got = match_instance(e.body, hyp, frozenset({e.var}))
-    if got is None:
-        return None
-    a = got.get(e.var)
-    owner = special_constant(e)
-    return DeltaClass("substitution", owner=owner, detail=(e.var, a))
 
 
 def belongs_to(f: Formula) -> Optional[SpecialConst]:
     """The special constant a formula belongs to (it is its special axiom or
     a substitution formula for its subscript), if any."""
-    got = _try_special_axiom(f)
-    if got is not None:
-        return got.owner
-    got = _try_substitution(f)
-    if got is not None:
-        return got.owner
-    return None
+    got = match_special(f)
+    return None if got is None else got.owner
 
 
 def _cap_check(cls: DeltaClass, rho_cap: Optional[int]) -> DeltaClass:

@@ -11,7 +11,11 @@ bits, each storing value-1.  Opcodes 00/01/10 carry fields nu nu' lambda';
 opcode 11 carries nu lambda1 lambda2 lambda3.  gamma is the Elias gamma
 code.  The estimator enumerates the well-formed encodings directly from
 these fields (encodings()), in the order and with the result of decoding
-every bit string by length then lexicographically."""
+every bit string by length then lexicographically.  It skips two kinds of
+machine that never halt: one whose halt state no command path reaches from
+state 1, and one whose run repeats a (state, registers) configuration.
+Since step is deterministic, neither can halt later, so the first halting
+encoding with the target output, and the bound, are unchanged."""
 
 from __future__ import annotations
 
@@ -76,9 +80,16 @@ class Configuration:
         return "0" * self.state
 
 
+def _is_bit_string(s: str) -> bool:
+    return not set(s) - {"0", "1"}
+
+
 def initial_configuration(m: Machine, inputs: Sequence[str]) -> Configuration:
     if len(inputs) != m.index:
         raise CheckError(f"machine wants {m.index} inputs")
+    for s in inputs:
+        if not _is_bit_string(s):
+            raise CheckError(f"machine inputs must be bit strings, got {s!r}")
     regs = list(inputs) + [""] * (m.registers - m.index)
     return Configuration(tuple(regs), 1)
 
@@ -373,16 +384,53 @@ class KBound:
 KBOUND_BUDGET = 200  # steps per machine run in k_upper_bound
 
 
+def _halt_reachable(m: Machine) -> bool:
+    """Whether the command graph has a path from state 1 to the halt state:
+    a store command's edge is its goto, a case command's its three branches."""
+    seen, todo = {1}, [1]
+    while todo:
+        state = todo.pop()
+        if state == m.states:
+            return True
+        cmd = m.commands[state - 1]
+        for nxt in cmd.branches if cmd.op == "case" else (cmd.goto,):
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return False
+
+
+def _halting_output(m: Machine, budget: int) -> Optional[str]:
+    """The output of run(m, [], budget) if that run halts, else None.  The
+    run stops early at its first repeated configuration: step is
+    deterministic, so from there the machine loops and never halts."""
+    c = initial_configuration(m, [])
+    seen = set()
+    for _ in range(budget):
+        if c.state == m.states or c in seen:
+            break
+        seen.add(c)
+        c = step(m, c)
+    return c.registers[-1] if c.state == m.states else None
+
+
 def k_upper_bound(target: str, len_cap: int = 16, budget: int = KBOUND_BUDGET) -> Optional[KBound]:
     """Run the machine encodings of at most len_cap bits in the order of
     encodings(), by length then lexicographically; return the first (hence
     shortest under this encoding) that halts within budget steps with the
     target in its output register.  The result is the one a scan decoding
-    every bit string in that order would find.  An upper bound only."""
+    every bit string in that order would find.  An upper bound only.
+
+    Two prunes skip machines that never halt, and so leave the result
+    unchanged: a machine whose halt state is unreachable from state 1 in
+    its command graph is not run, and a run stops at its first repeated
+    (state, registers) configuration.  Both are sound because step is
+    deterministic."""
+    if not _is_bit_string(target):
+        raise CheckError(f"target must be a bit string, got {target!r}")
     for bits in encodings(len_cap):
         m = decode_machine(bits)
-        outcome = run(m, [], budget)
-        if outcome.halted and outcome.output == target:
+        if _halt_reachable(m) and _halting_output(m, budget) == target:
             return KBound(len(bits), m, bits)
     return None
 

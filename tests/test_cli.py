@@ -30,6 +30,13 @@ def test_usage_error_exit_code(capsys):
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2 and "must be at least 1" in err
+    for argv in (
+        ("fuzz-axioms", "--maxlen", "-3", "--samples", "3"),
+        ("fuzz-axioms", "--samples", "-1"),
+        ("fuzz-axioms", "--exhaustive", "-2"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "must be at least 0" in err
 
 
 def test_check_corpus_subset_text_and_json(capsys, tmp_path):
@@ -137,13 +144,39 @@ def test_translate_verbose_obligation_sides_differ(capsys):
 
 
 @pytest.mark.parametrize(
-    "target,cap,encoding", [("0", "12", "0101001"), ("11", "14", "011101010110")]
+    "target,cap,encoding",
+    [
+        ("0", "12", "0101001"),
+        ("11", "14", "011101010110"),
+        # the remaining targets of the benchmark's workbench workload
+        ("", "8", "11"),
+        ("1", "12", "0101011"),
+        ("00", "14", "011100010010"),
+        ("01", "14", "011101010010"),
+        ("10", "14", "011100010110"),
+        ("0110", "16", None),
+        ("000", "16", None),
+        ("101", "16", None),
+    ],
 )
 def test_rm_kbound_pins(capsys, target, cap, encoding):
     argv = ("--format", "json", "--budget", "200", "rm-kbound", target, "--len-cap", cap)
     code, jout, _ = run(capsys, *argv)
     payload = json.loads(jout)
-    assert code == 0 and payload["encoding"] == encoding and payload["length"] == len(encoding)
+    if encoding is None:
+        assert code == 1 and payload == {"ok": False, "found": False}
+    else:
+        assert code == 0 and payload["encoding"] == encoding and payload["length"] == len(encoding)
+
+
+def test_machine_strings_must_be_bits(capsys, tmp_path):
+    code, out, err = run(capsys, "rm-kbound", "2", "--len-cap", "10")
+    assert code == 2 and out == "" and err.strip() == "error: target must be a bit string, got '2'"
+    mfile = tmp_path / "m.rm"
+    mfile.write_text("machine i=1 m=2 k=2\nstate 1 : prepend0 1 -> 2 goto 2\n")
+    code, out, err = run(capsys, "rm-run", str(mfile), "2a")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: machine inputs must be bit strings, got '2a'"
 
 
 def test_rm_kbound_default_budget(capsys, monkeypatch, tmp_path):

@@ -138,7 +138,7 @@ def test_ha_run_fifty_generated_theories():
 
 
 def test_ha_run_analyses_each_sequence_and_formula_once(monkeypatch):
-    # one validity check per (sequence, budget), one owner lookup and one
+    # one validity check per (sequence, budget), one special match and one
     # delta classification per formula, over a whole multi-step run
     seen = {}
 
@@ -152,12 +152,12 @@ def test_ha_run_analyses_each_sequence_and_formula_once(monkeypatch):
         monkeypatch.setattr(core, name, wrapper)
 
     spy("sequence_valid", lambda seq, budget=pc.DEFAULT_BUDGET: (seq, budget))
-    spy("belongs_to", lambda f: f)
-    spy("classify_delta", lambda theory, f, rho_cap=None: f)
+    spy("match_special", lambda f: f)
+    spy("classify_matched", lambda theory, f, special: f)
     theory, seq = ha.generate_inconsistent_case(random.Random(7), 2)
     res = ha.ha_run(theory, seq)
     assert len(res.trace) >= 2
-    assert sorted(seen) == ["belongs_to", "classify_delta", "sequence_valid"]
+    assert sorted(seen) == ["classify_matched", "match_special", "sequence_valid"]
     for name, keys in seen.items():
         assert len(keys) == len(set(keys)), f"{name}: {len(keys)} calls, {len(set(keys))} distinct"
 

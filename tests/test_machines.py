@@ -144,6 +144,88 @@ def test_k_upper_bound_none_result():
     assert rm.k_upper_bound("0101", len_cap=3, budget=10) is None
 
 
+def _reference_k_upper_bound(targets, len_cap, budget):
+    """The unpruned scan: run every encoding for the whole budget and keep,
+    per target, the first that halts with it."""
+    found = {}
+    for bits in rm.encodings(len_cap):
+        outcome = rm.run(rm.decode_machine(bits), [], budget)
+        if outcome.halted and outcome.output in targets:
+            found.setdefault(outcome.output, bits)
+    return found
+
+
+@pytest.mark.parametrize("budget", [30, 200])
+def test_k_upper_bound_equals_the_unpruned_scan(budget):
+    targets = [format(v, f"0{n}b") if n else "" for n in range(4) for v in range(1 << n)]
+    want = _reference_k_upper_bound(set(targets), 14, budget)
+    for target in targets:
+        got = rm.k_upper_bound(target, 14, budget)
+        if target in want:
+            bits = want[target]
+            assert (got.encoding, got.length, got.machine) == (bits, len(bits), rm.decode_machine(bits))
+        else:
+            assert got is None
+
+
+def test_pruned_machines_never_halt():
+    unreachable = 0
+    for bits in rm.encodings(14):
+        m = rm.decode_machine(bits)
+        outcome = rm.run(m, [], 300)
+        if not rm._halt_reachable(m):
+            unreachable += 1
+            assert not outcome.halted, bits
+        # a run cut at a repeated configuration returns None, as run does
+        # for a machine that has not halted
+        assert rm._halting_output(m, 300) == outcome.output, bits
+    assert unreachable == 93
+
+
+# Machines without inputs that revisit a state: the first halts after nine
+# steps with output 00, the second repeats its initial configuration.
+REVISITING = [
+    rm.Machine(
+        0,
+        2,
+        7,
+        (
+            rm.Command("prepend1", 1, 1, 2),
+            rm.Command("prepend1", 1, 1, 3),
+            rm.Command("case", 1, branches=(7, 4, 4)),
+            rm.Command("pred", 1, 1, 6),
+            rm.Command("prepend0", 1, 1, 7),  # unreachable
+            rm.Command("prepend0", 2, 2, 3),
+        ),
+    ),
+    rm.Machine(
+        0,
+        1,
+        4,
+        (
+            rm.Command("case", 1, branches=(2, 3, 4)),
+            rm.Command("prepend0", 1, 1, 3),
+            rm.Command("pred", 1, 1, 1),
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("machine", REVISITING)
+def test_halting_output_is_the_runs_output_at_every_budget(machine):
+    assert rm._halt_reachable(machine)
+    for budget in range(13):
+        assert rm._halting_output(machine, budget) == rm.run(machine, [], budget).output
+    assert rm.run(machine, [], 9).output == ("00" if machine is REVISITING[0] else None)
+
+
+def test_machine_strings_must_be_bits():
+    with pytest.raises(CheckError, match="target must be a bit string"):
+        rm.k_upper_bound("012", len_cap=4)
+    with pytest.raises(CheckError, match="machine inputs must be bit strings"):
+        rm.run(rm.const0_machine(), ["1 0"])
+
+
 def _decodable(length):
     """The bit strings of one length that decode_machine accepts, in order."""
     out = []
