@@ -484,7 +484,7 @@ def quasitaut_gap(
 
     def collect(steps):
         for s in steps:
-            if s[0] in ("eq_axiom", "eq_subst"):
+            if s[0] == "eq_axiom":
                 extra.append(s[1])
             elif s[0] == "split":
                 collect(s[2])

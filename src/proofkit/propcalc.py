@@ -7,24 +7,34 @@ case splitting plus congruence closure over the occurring variable-free
 terms; congruence closure stands in for saturating with identity/equality
 axiom instances over those terms.  The search is a loop, not a recursion:
 a trail that backtracks by popping, with two watched positions per clause
-for unit propagation (Chaff, 2001; MiniSat, 2003).  On success it returns a
-certificate, built from the search's unit and decision reasons, whose steps
-replay through an independent replayer.
+for unit propagation (Chaff, 2001; MiniSat, 2003).  Each conflict records
+what refutes it; once the search has refuted its root, and only then, a
+certificate is built from those records, and replay checks it by code of
+its own that shares nothing with the search but the syntax.
 
-Certificate step kinds (resolution pivots are closed elementary literals;
-instantiations are opaque atoms here):
+A certificate is a list of steps, read as resolution proofs are checked
+(Zhang & Malik, 2003): every step but a split derives one clause, a tuple
+of literals, which takes the next position in its branch.  A branch's
+positions continue those of the branch around it, and a split's branch
+begins by deriving its assumption.  Premises are cited by position, as in
+LRAT hints, and the checker computes every resolvent itself.  Resolution
+pivots are closed elementary literals; instantiations are opaque atoms.
 
-    ("input", F)          F is one of the refuted input formulas
-    ("conjunct", F, G)    F is a conjunct of the conjunctive form of a
-                          previously derived G
-    ("eq_axiom", F)       closed instance of an identity or equality axiom
-    ("eq_subst", F)       closed instance of  a=b & A_x(a) -> A_x(b)
-    ("resolve", F, C, D)  F follows by one-resolution from derived C and D
-    ("split", A, b1, b2)  case split on elementary A; branch b1 assumes A,
-                          branch b2 assumes its negation; both must refute
+    ("input", F)          F is one of the refuted inputs; derives the
+                          tuple of F's disjuncts
+    ("conjunct", C, F)    the tuple C is a clause of the conjunctive form
+                          of the input F; derives C
+    ("eq_axiom", F)       F, in clause form, is a closed instance of an
+                          identity or equality axiom; derives its disjuncts
+    ("resolve", i, j)     position i holds a unit clause (L,) and position
+                          j a clause with L's opposite; derives j's clause
+                          without that opposite (its first occurrence)
+    ("split", A, b1, b2)  case split on the closed elementary A, as its
+                          branch's last step; b1 begins by deriving (A,),
+                          b2 by deriving (not A,), and both must refute
 
-A step list refutes when it ends in a split whose branches refute, or when
-the derived set contains a literal and its opposite or a formula a != a.
+A branch refutes when it ends in a split whose branches refute, or when its
+last step derives the empty clause.
 """
 
 from __future__ import annotations
@@ -172,14 +182,6 @@ def one_resolution(c: Formula, d: Formula) -> Formula:
     c, re-associating the remaining disjuncts right to left."""
     if not is_literal(c):
         raise CheckError(f"not a literal: {sx.render(c)}")
-    return _resolve_elementary(c, d)
-
-
-def _resolve_elementary(c: Formula, d: Formula) -> Formula:
-    """one_resolution with closed elementary pivots admitted."""
-    base = c.body if isinstance(c, Not) else c
-    if not is_elementary(base) or sx.free_vars(c):
-        raise CheckError("resolution pivot must be a closed elementary literal")
     opp = opposite(c)
     parts = disjuncts(d)
     if len(parts) < 2:
@@ -328,61 +330,102 @@ def _differs_only_by(fa: Formula, fb: Formula, a: Term, b: Term) -> bool:
     return walk(fa, fb)
 
 
+# The length of a well-formed step of each kind.
+_STEP_LENGTHS = {"input": 2, "conjunct": 3, "eq_axiom": 2, "resolve": 3, "split": 4}
+
+
 def replay(cert: Refutation, inputs: Sequence[Formula]) -> bool:
-    """Replay a certificate against the inputs, checking every side
-    condition; raises CheckError on any mismatch."""
-    from .normform import to_conjunctive
-
+    """Check a certificate against the inputs, every side condition
+    included; returns True or raises CheckError.  Branches are checked
+    from an explicit stack, over one list of the clauses derived in scope
+    that each branch cuts back to its start."""
     inputs = set(inputs)
-
-    def run(steps, derived: set) -> bool:
-        derived = set(derived)
-        for step in steps:
+    conjunctive: dict = {}  # input -> the clauses of its conjunctive form
+    have: list = []  # position -> the clause derived there
+    todo = [(cert.steps, 0, None)]  # (steps, positions before, assumption)
+    while todo:
+        steps, length, assumed = todo.pop()
+        del have[length:]
+        if assumed is not None:
+            have.append((assumed,))
+        for at, step in enumerate(steps):
             kind = step[0]
+            if _STEP_LENGTHS.get(kind) != len(step):
+                raise CheckError(f"unknown or malformed step of kind {kind!r}")
             if kind == "input":
                 if step[1] not in inputs:
                     raise CheckError("certificate cites a non-input formula")
-                derived.add(step[1])
+                have.append(tuple(sx.disjuncts(step[1])))
             elif kind == "conjunct":
-                _, f, g = step
-                if g not in derived:
-                    raise CheckError("conjunct cites an underived formula")
-                if f not in sx.conjuncts(to_conjunctive(g)):
+                _, clause, f = step
+                if f not in inputs:
+                    raise CheckError("conjunct of a non-input formula")
+                if f not in conjunctive:
+                    conjunctive[f] = set(_conjunctive_clauses(f))
+                if clause not in conjunctive[f]:
                     raise CheckError("claimed conjunct is not one")
-                derived.add(f)
+                have.append(clause)
             elif kind == "eq_axiom":
                 f = step[1]
                 if not (is_identity_instance(f) or is_equality_axiom_instance(f)):
                     raise CheckError(
                         f"not an identity/equality axiom instance: {sx.render(f)}"
                     )
-                derived.add(f)
-            elif kind == "eq_subst":
-                f = step[1]
-                if not is_equality_substitution(f):
-                    raise CheckError("not an equality substitution")
-                derived.add(f)
+                have.append(tuple(sx.disjuncts(f)))
             elif kind == "resolve":
-                _, f, c, d = step
-                if c not in derived or d not in derived:
-                    raise CheckError("resolution premises must precede")
-                if _resolve_elementary(c, d) != f:
-                    raise CheckError("resolution step does not reproduce its formula")
-                derived.add(f)
-            elif kind == "split":
-                _, atom, br1, br2 = step
+                have.append(_resolvent(have, step[1], step[2]))
+            else:
+                _, atom, first, second = step
                 if not is_elementary(atom) or sx.free_vars(atom):
                     raise CheckError("split must be on a closed elementary formula")
-                return run(list(br1), derived | {atom}) and run(
-                    list(br2), derived | {Not(atom)}
-                )
-            else:
-                raise CheckError(f"unknown step kind {kind!r}")
-        if contradictory(derived):
-            return True
-        raise CheckError("certificate branch reaches no contradiction")
+                if at != len(steps) - 1:
+                    raise CheckError("a split must be its branch's last step")
+                todo.append((second, len(have), Not(atom)))
+                todo.append((first, len(have), atom))
+                break
+        else:
+            if not steps or have[-1]:
+                raise CheckError("certificate branch reaches no contradiction")
+    return True
 
-    return run(cert.steps, set())
+
+def _resolvent(have: list, i, j) -> tuple:
+    """The clause at position j without the opposite of the literal of the
+    unit clause at position i.  Literals are told apart by their stored
+    hashes first, so two distinct deep literals are never walked."""
+    if not (type(i) is type(j) is int and 0 <= i < len(have) and 0 <= j < len(have)):
+        raise CheckError("resolution premises must precede")
+    unit, clause = have[i], have[j]
+    lit = unit[0] if len(unit) == 1 else None
+    base = lit.body if isinstance(lit, Not) else lit
+    if not is_elementary(base) or sx.free_vars(base):
+        raise CheckError("resolution pivot must be a closed elementary literal")
+    opp = base if base is not lit else Not(lit)
+    h = hash(opp)
+    for k, x in enumerate(clause):
+        if x is opp or (hash(x) == h and x == opp):
+            return clause[:k] + clause[k + 1 :]
+    raise CheckError("opposite of the pivot is not in the clause")
+
+
+def _conjunctive_clauses(f: Formula) -> list[tuple]:
+    """The clauses of f's conjunctive form, as tuples of literals: the
+    checker's own reading, which agrees with clausify's."""
+    pair = sx.as_and(f)
+    if pair is not None:
+        return _conjunctive_clauses(pair[0]) + _conjunctive_clauses(pair[1])
+    if isinstance(f, Or):
+        ls, rs = _conjunctive_clauses(f.left), _conjunctive_clauses(f.right)
+        if len(ls) * len(rs) > 10_000:
+            raise CheckError("conjunctive form too large to check")
+        return [a + b for a in ls for b in rs]
+    if isinstance(f, Not) and isinstance(f.body, Not):
+        return _conjunctive_clauses(f.body.body)
+    if isinstance(f, Not) and isinstance(f.body, Or):
+        return _conjunctive_clauses(Not(f.body.left)) + _conjunctive_clauses(
+            Not(f.body.right)
+        )
+    return [(f,)]
 
 
 def contradictory(derived: set) -> bool:
@@ -467,7 +510,7 @@ class _UnionFind:
         meet = node
         edges = []
         node = a
-        while node != meet:
+        while not _same(node, meet):
             edges.append((node, self.proof_parent[node], self.proof_reason[node]))
             node = self.proof_parent[node]
         edges.extend(reversed(back))
@@ -534,9 +577,14 @@ class _Clause:
     source: Formula
 
     @cached_property
-    def formula(self) -> Formula:
-        """The clause as a disjunction of its literals, built once."""
-        return sx.disj([_lit_formula(a, p) for a, p in self.lits])
+    def whole(self) -> bool:
+        """Whether the source is this clause itself, literal for literal,
+        rather than a formula whose conjunctive form has it."""
+        parts = disjuncts(self.source)
+        return len(parts) == len(self.lits) and all(
+            d is a if p else isinstance(d, Not) and d.body is a
+            for d, (a, p) in zip(parts, self.lits)
+        )
 
 
 def clausify(f: Formula, guard: int = 10_000) -> list[tuple]:
@@ -618,13 +666,19 @@ def _refute(clauses, atoms, budget, use_congruence, want_cert):
     `val[code]` is a literal's truth value, None while unassigned.  A frame
     per decision level holds the decided atom, the trail length before it
     and, once its True branch is refuted, that branch's steps.  Each unit
-    propagation, decision and congruence merge costs one budget unit."""
+    propagation, decision and congruence merge costs one budget unit.
+
+    A refuted node's steps are an empty list until the root is refuted.
+    With want_cert, each conflict records what its steps are built from:
+    the conflict, a snapshot of the reasons and its split depth.  Only a
+    Refutation builds them, filling those lists in place."""
     index = {a: i for i, a in enumerate(atoms)}
     n = len(atoms)
     val: list = [None] * (2 * n)
     trail: list = []
     reasons: dict = {}  # atom -> reason of its latest assignment
     frames: list = []  # [atom index, trail length before it, True-branch steps]
+    leaves: list = []  # (steps to fill, conflict, reasons, split depth)
     theory = [isinstance(a, Atom) and bool(a.args) for a in atoms]
     codes = [tuple(2 * index[a] + p for a, p in c.lits) for c in clauses]
     # watches[code]: clauses with a watched position holding that literal;
@@ -706,19 +760,13 @@ def _refute(clauses, atoms, budget, use_congruence, want_cert):
         conflict = level_zero()
         cursor = 0  # atoms before it are assigned
         while True:
-            steps = None
-            if conflict is not None:
-                steps = _prop_conflict_steps(conflict, reasons) if want_cert else []
-            elif use_congruence and any(
+            if conflict is None and use_congruence and any(
                 theory[i] for i in trail[frames[-1][1] if frames else 0 :]
             ):
-                steps = _theory_conflict(
-                    [(atoms[i], val[2 * i + 1]) for i in trail if theory[i]],
-                    reasons,
-                    want_cert,
-                    charge,
+                conflict = _theory_conflict(
+                    [(atoms[i], val[2 * i + 1]) for i in trail if theory[i]], charge
                 )
-            if steps is None:
+            if conflict is None:
                 while cursor < n and val[2 * cursor] is not None:
                     cursor += 1
                 if cursor == n:
@@ -726,184 +774,38 @@ def _refute(clauses, atoms, budget, use_congruence, want_cert):
                     return Saturated(TruthValuation(model), spent)
                 charge()
                 frames.append([cursor, len(trail), None])
-                assign(2 * cursor + 1, ("decide",))
+                assign(2 * cursor + 1, ("decide", len(frames) - 1))
                 conflict = propagate()
                 continue
+            steps: list = []
+            if want_cert:
+                leaves.append((steps, conflict, dict(reasons), len(frames)))
             # the node is refuted: close every split whose branches both are
             while frames and frames[-1][2] is not None:
                 i, length, first = frames.pop()
                 backtrack(length)
                 steps = [("split", atoms[i], first, steps)]
             if not frames:
+                for leaf_steps, found, why, depth in leaves:
+                    leaf_steps.extend(_Emitter(why, depth).refute(found))
                 return Refutation(steps, spent)
             frame = frames[-1]
             backtrack(frame[1])
             frame[2] = steps
             cursor = frame[0]
-            assign(2 * cursor, ("decide",))
+            assign(2 * cursor, ("decide", len(frames) - 1))
             conflict = propagate()
     except _Stop:
         return OutOfBudget(spent)
 
 
-def _lit_formula(atom: Formula, pol: bool) -> Formula:
-    return atom if pol else Not(atom)
-
-
-class _Emitter:
-    """Accumulates certificate steps for one conflict, deriving each needed
-    literal from inputs, unit chains, and enclosing split assumptions."""
-
-    def __init__(self, reasons):
-        self.reasons = reasons
-        self.steps: list = []
-        self.derived: set = set()
-
-    def have(self, f: Formula):
-        self.derived.add(f)
-
-    def emit(self, step):
-        self.steps.append(step)
-        self.have(step[1])
-
-    def derive_clause(self, c: _Clause) -> Formula:
-        f = c.formula
-        if f in self.derived:
-            return f
-        if c.source not in self.derived:
-            self.emit(("input", c.source))
-        if f != c.source:
-            self.emit(("conjunct", f, c.source))
-        return f
-
-    def derive_assigned(self, atom: Formula, pol: bool):
-        """Derive the literal recording that atom is assigned pol.  A unit
-        reason's clause is derived, then the opposites of its other
-        literals, left to right, then the resolvent: a post-order walk kept
-        on an explicit stack, so a unit chain of any length fits."""
-        todo: list = [(atom, _lit_formula(atom, pol))]
-        while todo:
-            item = todo.pop()
-            if len(item) == 3:  # a unit whose pivots are all derived
-                lit, cur, pivots = item
-                cur = self.resolve_away(cur, pivots)
-                assert cur == lit
-                continue
-            atom, lit = item
-            if lit in self.derived:
-                continue
-            why = self.reasons[atom]
-            if why[0] == "decide":
-                # in scope through the enclosing split assumption
-                self.have(lit)
-                continue
-            if why[0] != "unit":
-                raise AssertionError(why)
-            clause = why[1]
-            cur = self.derive_clause(clause)
-            others = [(x, _lit_formula(x, not p)) for x, p in clause.lits if x != atom]
-            todo.append((lit, cur, [piv for _, piv in others]))
-            todo.extend(reversed(others))
-
-    def resolve_away(self, cur: Formula, pivots) -> Formula:
-        """Resolve each derived pivot literal away from the clause cur in
-        turn, emitting each step; returns the last resolvent."""
-        for piv in pivots:
-            nxt = _resolve_elementary(piv, cur)
-            self.emit(("resolve", nxt, piv, cur))
-            cur = nxt
-        return cur
-
-    # --- equality reasoning ---
-
-    def derive_eq(self, core: CongruenceCore, s: Term, t: Term) -> Formula:
-        goal = sx.eq(s, t)
-        if goal in self.derived:
-            return goal
-        if s == t:
-            self.emit(("eq_axiom", goal))
-            return goal
-        edges = core.uf.explain_path(s, t)
-        chain_eqs = []
-        node = s
-        for p, q, reason in edges:
-            step_eq = self._derive_edge(core, p, q, reason, forward=(node == p))
-            chain_eqs.append(step_eq)
-            node = q if node == p else p
-        # fold with transitivity
-        cur = chain_eqs[0]
-        for nxt_eq in chain_eqs[1:]:
-            cur = self._transitivity(cur, nxt_eq)
-        assert cur == goal, (sx.render(cur), sx.render(goal))
-        return cur
-
-    def _derive_edge(self, core, p, q, reason, forward: bool) -> Formula:
-        want = sx.eq(p, q) if forward else sx.eq(q, p)
-        if want in self.derived:
-            return want
-        if reason[0] == "eq":
-            lit = reason[1]
-            self.derive_assigned(lit, True)
-            if lit == want:
-                return want
-            return self._symmetry(lit, want)
-        _, lhs, rhs = reason
-        base = sx.eq(lhs, rhs)
-        if base not in self.derived:
-            hyp = [self.derive_eq(core, x, y) for x, y in zip(lhs.args, rhs.args)]
-            self._horn(hyp, base)
-        if base == want:
-            return want
-        return self._symmetry(base, want)
-
-    def _horn(self, hyps, concl):
-        """Emit the clause form of an equality-axiom instance and resolve the
-        (already derived) hypotheses away, deriving the conclusion."""
-        ax = sx.disj([Not(h) for h in hyps] + [concl])
-        self.emit(("eq_axiom", ax))
-        cur = self.resolve_away(ax, hyps)
-        assert cur == concl
-        return concl
-
-    def _symmetry(self, have_eq: Formula, want_eq: Formula) -> Formula:
-        a, b = have_eq.args
-        assert want_eq == sx.eq(b, a)
-        if want_eq in self.derived:
-            return want_eq
-        ident = sx.eq(a, a)
-        if ident not in self.derived:
-            self.emit(("eq_axiom", ident))
-        return self._horn([have_eq, ident, ident], want_eq)
-
-    def _transitivity(self, eq1: Formula, eq2: Formula) -> Formula:
-        # eq1: s=u, eq2: u=v  |-  s=v  via  u=s & u=v & u=u -> s=v
-        s, u = eq1.args
-        u2, v = eq2.args
-        assert u == u2
-        goal = sx.eq(s, v)
-        if goal in self.derived:
-            return goal
-        rev = self._symmetry(eq1, sx.eq(u, s))
-        ident = sx.eq(u, u)
-        if ident not in self.derived:
-            self.emit(("eq_axiom", ident))
-        return self._horn([rev, eq2, ident], goal)
-
-
-def _prop_conflict_steps(clause: _Clause, reasons):
-    em = _Emitter(reasons)
-    cur = em.derive_clause(clause)
-    for a, p in clause.lits:
-        em.derive_assigned(a, not p)
-    em.resolve_away(cur, [_lit_formula(a, not p) for a, p in clause.lits[:-1]])
-    return em.steps
-
-
-def _theory_conflict(atoms, reasons, want_cert, charge):
-    """Steps refuting the assigned (atom, polarity) pairs by equality
-    reasoning, or None.  Only atoms with arguments matter: a 0-ary atom
-    takes part in no congruence.  The closure's merges are charged to the
-    budget."""
+def _theory_conflict(atoms, charge):
+    """What refutes the assigned (atom, polarity) pairs by equality
+    reasoning, or None: (closure, None, e) for a false equation e that the
+    closure of the true ones makes true, or (closure, t, f) for a true atom
+    t and a false atom f of one predicate whose arguments it joins.  Only
+    atoms with arguments matter: a 0-ary atom takes part in no congruence.
+    The closure's merges are charged to the budget."""
     core = CongruenceCore()
     for a, pol in atoms:
         for t in a.args:
@@ -912,14 +814,10 @@ def _theory_conflict(atoms, reasons, want_cert, charge):
             core.assert_eq(a.args[0], a.args[1], ("eq", a))
     core._propagate()
     charge(core.merges)
-    em = _Emitter(reasons)
 
     for a, pol in atoms:
         if a.pred == EQ and not pol and core.congruent(*a.args):
-            if want_cert:
-                em.derive_assigned(a, False)
-                em.derive_eq(core, *a.args)
-            return em.steps
+            return core, None, a
 
     def signature(a):
         return a.pred, tuple(map(core.uf.find, a.args))
@@ -931,10 +829,165 @@ def _theory_conflict(atoms, reasons, want_cert, charge):
     for fa, pol in atoms:
         ta = trues.get(signature(fa)) if fa.pred != EQ and not pol else None
         if ta is not None:
-            if want_cert:
-                em.derive_assigned(ta, True)
-                em.derive_assigned(fa, False)
-                hyp = [em.derive_eq(core, p, q) for p, q in zip(ta.args, fa.args)]
-                em._horn(hyp + [ta], fa)
-            return em.steps
+            return core, ta, fa
     return None
+
+
+def _same(x, y) -> bool:
+    """x == y, with the stored hashes compared first, so that two distinct
+    deep terms are not walked side by side."""
+    return x is y or (hash(x) == hash(y) and x == y)
+
+
+class _Emitter:
+    """Builds one refuted leaf's steps, deriving each literal it needs from
+    the inputs, unit chains, congruence-closure explanations and the
+    enclosing split assumptions.  The leaf's positions start after those
+    assumptions, one per split around it; the assumption of the split at
+    depth d holds position d.  `at` maps each derived literal, as an
+    (atom, polarity) pair, and each derived input clause, as its tuple of
+    pairs, to its position."""
+
+    def __init__(self, reasons, depth):
+        self.reasons = reasons
+        self.depth = depth
+        self.steps: list = []
+        self.at: dict = {}
+
+    def emit(self, step) -> int:
+        self.steps.append(step)
+        return self.depth + len(self.steps) - 1
+
+    def refute(self, conflict) -> list:
+        """The leaf's steps, down to the empty clause: for a clause whose
+        literals are all false, each is resolved away; for
+        _theory_conflict's (closure, true atom or None, false atom), the
+        false atom is derived from the closure and resolved against its
+        own negation."""
+        if isinstance(conflict, _Clause):
+            cur = self.derive_clause(conflict)
+            pivots = [(a, not p) for a, p in conflict.lits]
+            for a, p in pivots:
+                self.derive_assigned(a, p)
+            self.resolve_away(cur, pivots)
+            return self.steps
+        core, true, false = conflict
+        if true is not None:
+            self.derive_assigned(true, True)
+        neg = self.derive_assigned(false, False)
+        if true is None:
+            self.derive_eq(core, *false.args)
+        else:
+            hyps = []
+            for p, q in zip(true.args, false.args):
+                hyps.append(self.derive_eq(core, p, q))
+            self._horn(hyps + [true], false)
+        self.emit(("resolve", neg, self.at[(false, True)]))
+        return self.steps
+
+    def derive_clause(self, c: _Clause) -> int:
+        pos = self.at.get(c.lits)
+        if pos is None:
+            if c.whole:
+                pos = self.emit(("input", c.source))
+            else:
+                lits = tuple(a if p else Not(a) for a, p in c.lits)
+                pos = self.emit(("conjunct", lits, c.source))
+            self.at[c.lits] = pos
+        return pos
+
+    def derive_assigned(self, atom: Formula, pol: bool) -> int:
+        """Derive the literal recording that atom is assigned pol.  A unit
+        reason's clause is derived, then the opposites of its other
+        literals, left to right, then the resolvent: a post-order walk kept
+        on an explicit stack, so a unit chain of any length fits."""
+        todo: list = [(atom, pol)]
+        while todo:
+            item = todo.pop()
+            if len(item) == 3:  # a unit whose pivots are all derived
+                lit, cur, pivots = item
+                self.at[lit] = self.resolve_away(cur, pivots)
+                continue
+            if item in self.at:
+                continue
+            why = self.reasons[item[0]]
+            if why[0] == "decide":
+                self.at[item] = why[1]  # the enclosing split's assumption
+                continue
+            clause = why[1]
+            others = [(x, not p) for x, p in clause.lits if not _same(x, item[0])]
+            todo.append((item, self.derive_clause(clause), others))
+            todo.extend(reversed(others))
+        return self.at[(atom, pol)]
+
+    def resolve_away(self, cur: int, pivots) -> int:
+        """Resolve each derived pivot literal away from the clause at cur in
+        turn; returns the last resolvent's position."""
+        for piv in pivots:
+            cur = self.emit(("resolve", self.at[piv], cur))
+        return cur
+
+    # --- equality reasoning ---
+
+    def derive_eq(self, core: CongruenceCore, s: Term, t: Term) -> Formula:
+        """Derive s = t along the closure's proof-forest path from s to t,
+        joining the edges' equations by transitivity; returns s = t."""
+        goal = sx.eq(s, t)
+        if (goal, True) in self.at:
+            return goal
+        if _same(s, t):
+            return self._identity(s)
+        edges = core.uf.explain_path(s, t)
+        cur = self._edge(core, *edges[0])
+        for p, q, reason in edges[1:]:
+            cur = self._transitivity(cur, self._edge(core, p, q, reason))
+        return cur
+
+    def _edge(self, core, p, q, reason) -> Formula:
+        """Derive p = q for a proof-forest edge: from its equation, or from
+        a congruence axiom over its applications' arguments."""
+        want = sx.eq(p, q)
+        if (want, True) in self.at:
+            return want
+        if reason[0] == "eq":
+            base = reason[1]
+            self.derive_assigned(base, True)
+        else:
+            _, lhs, rhs = reason
+            base = sx.eq(lhs, rhs)
+            if (base, True) not in self.at:
+                hyps = []
+                for x, y in zip(lhs.args, rhs.args):
+                    hyps.append(self.derive_eq(core, x, y))
+                self._horn(hyps, base)
+        if _same(base, want):
+            return want
+        return self._symmetry(base, want)
+
+    def _horn(self, hyps, concl):
+        """Emit the clause form of an equality-axiom instance and resolve
+        its (already derived) hypotheses away, deriving the conclusion."""
+        ax = self.emit(("eq_axiom", sx.disj([Not(h) for h in hyps] + [concl])))
+        self.at[(concl, True)] = self.resolve_away(ax, [(h, True) for h in hyps])
+
+    def _identity(self, a: Term) -> Formula:
+        ident = sx.eq(a, a)
+        if (ident, True) not in self.at:
+            self.at[(ident, True)] = self.emit(("eq_axiom", ident))
+        return ident
+
+    def _symmetry(self, have_eq: Formula, want_eq: Formula) -> Formula:
+        """Derive b = a (want_eq) from the derived a = b (have_eq)."""
+        if (want_eq, True) not in self.at:
+            ident = self._identity(have_eq.args[0])
+            self._horn([have_eq, ident, ident], want_eq)
+        return want_eq
+
+    def _transitivity(self, eq1: Formula, eq2: Formula) -> Formula:
+        # eq1: s=u, eq2: u=v  |-  s=v  via  u=s & u=v & u=u -> s=v
+        s, u = eq1.args
+        goal = sx.eq(s, eq2.args[1])
+        if (goal, True) not in self.at:
+            rev = self._symmetry(eq1, sx.eq(u, s))
+            self._horn([rev, eq2, self._identity(u)], goal)
+        return goal

@@ -109,3 +109,48 @@ def test_private_functions_read_every_parameter():
         for p in _unread_parameters(node)
     ]
     assert not unread, f"unread parameters: {', '.join(unread)}"
+
+
+# The refuter's side of propcalc: the search, the congruence closure and
+# the certificate emitter.
+REFUTER = {
+    "_Emitter",
+    "_refute",
+    "_Clause",
+    "clausify",
+    "CongruenceCore",
+    "_UnionFind",
+    "_theory_conflict",
+    "_prop_conflict_steps",
+    "_same",
+    "normform",
+    "to_conjunctive",
+}
+
+
+def _checker(tree):
+    """The module-level definitions that propcalc.replay reaches by name,
+    replay included."""
+    defs = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    reached: dict = {}
+    todo = ["replay"]
+    while todo:
+        name = todo.pop()
+        if name in defs and name not in reached:
+            reached[name] = defs[name]
+            todo.extend(_references(defs[name]))
+    return reached
+
+
+def test_certificate_checker_shares_no_code_with_the_refuter():
+    # replay must not trust what it checks: it and its side-condition
+    # helpers refer to nothing of the search or the emitter (normform's
+    # to_conjunctive goes through the refuter's clausify)
+    checker = _checker(ast.parse((PACKAGE / "propcalc.py").read_text()))
+    assert {"replay", "_resolvent", "is_equality_axiom_instance"} <= set(checker)
+    refs = set().union(*map(_references, checker.values()))
+    assert not refs & REFUTER, f"the checker refers to {sorted(refs & REFUTER)}"

@@ -224,6 +224,22 @@ def test_deeper_terms_equal_below_are_refuted_without_certificate():
     assert isinstance(pc.ground_refute(inputs, want_cert=False), pc.Refutation)
 
 
+def test_deep_certified_equalities_compare_stored_hashes_first():
+    # c = d, g^300(c) != g^300(d), certified: the emitter and the checker
+    # tell the two towers' terms apart by their stored hashes, never by
+    # walking them side by side.  The symbols are this test's own: the
+    # structural measures are cached process-wide, and equal towers built
+    # elsewhere would be walked when looked up.
+    g = FnSym("tower1", 1)
+    c, d, k = (App(FnSym(f"tower_{x}", 0)) for x in "cdk")
+    gc, gd = _iterate(g, c, 300), _iterate(g, d, 300)
+    equal_below = [sx.eq(c, d), Not(sx.eq(gc, gd))]
+    joined_through_k = [sx.eq(k, gc), sx.eq(k, gd), Not(sx.eq(gc, gd))]
+    for inputs in (equal_below, joined_through_k):
+        res = pc.ground_refute(inputs)
+        assert isinstance(res, pc.Refutation) and pc.replay(res, inputs)
+
+
 def test_long_unit_chain_certificate_replays():
     # p0, -p0 | p1, ..., -p1999 | p2000, -p2000: the conflict's certificate
     # derives every link of the chain
@@ -442,6 +458,122 @@ def test_deep_inputs_are_decided(pairs):
     res = pc.ground_refute(inputs)
     assert isinstance(res, pc.Saturated)
     assert all(res.model.value(f) for f in inputs)
+
+
+# --- certificates: built only for refutations, checked by replay ----------
+
+# needs a case split, congruence in both branches, and its first input is
+# no clause, so that its clauses enter by "conjunct" steps
+_SPLIT_INPUTS = [
+    sx.fand(Or(sx.eq(E1, E2), sx.eq(E1, E3)), Atom(Q, (E1,))),
+    Not(Atom(Q, (E2,))),
+    Not(Atom(Q, (E3,))),
+]
+
+
+def _first(steps, kind, depth=0):
+    """(branch, index, position) of the first step of a kind, depth first;
+    a branch's positions start after its depth's split assumptions."""
+    for k, step in enumerate(steps):
+        if step[0] == kind:
+            return steps, k, depth + k
+        if step[0] == "split":
+            for branch in step[2:]:
+                got = _first(branch, kind, depth + k + 1)
+                if got is not None:
+                    return got
+    return None
+
+
+def _every_step(steps):
+    for step in steps:
+        yield step
+        if step[0] == "split":
+            yield from _every_step(step[2])
+            yield from _every_step(step[3])
+
+
+def test_certificate_steps_are_compact():
+    res = pc.ground_refute(_SPLIT_INPUTS)
+    assert isinstance(res, pc.Refutation) and pc.replay(res, _SPLIT_INPUTS)
+    kinds = {step[0] for step in _every_step(res.steps)}
+    assert kinds == {"input", "conjunct", "eq_axiom", "resolve", "split"}
+    branch, k, _ = _first(res.steps, "conjunct")
+    assert branch[k][1] == (Atom(Q, (E1,)),)  # a tuple of literals
+    branch, k, pos = _first(res.steps, "resolve")
+    _, i, j = branch[k]
+    assert type(i) is int and type(j) is int and 0 <= i < pos and 0 <= j < pos
+
+
+# name -> (kind of the step altered, the steps that replace it)
+_MUTATIONS = {
+    "input cites a non-input": ("input", lambda s, pos: [("input", Not(s[1]))]),
+    "conjunct is not one": ("conjunct", lambda s, pos: [("conjunct", s[1][:-1], s[2])]),
+    "conjunct of a non-input": (
+        "conjunct",
+        lambda s, pos: [("conjunct", s[1], Or(s[2], A))],
+    ),
+    "axiom is no instance": ("eq_axiom", lambda s, pos: [("eq_axiom", sx.eq(E1, E2))]),
+    "premise points forward": ("resolve", lambda s, pos: [("resolve", s[1], pos)]),
+    "premise points before 0": ("resolve", lambda s, pos: [("resolve", -1, s[2])]),
+    "pivot is the clause itself": ("resolve", lambda s, pos: [("resolve", s[2], s[2])]),
+    "split atom is open": (
+        "split",
+        lambda s, pos: [("split", Atom(Q, (Var("x"),)), s[2], s[3])],
+    ),
+    "split atom is no atom": (
+        "split",
+        lambda s, pos: [("split", Or(A, B), s[2], s[3])],
+    ),
+    "step after a split": ("split", lambda s, pos: [s, ("input", _SPLIT_INPUTS[1])]),
+    "unknown kind": ("input", lambda s, pos: [("lemma", s[1])]),
+    "malformed step": ("resolve", lambda s, pos: [("resolve", s[1])]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MUTATIONS))
+def test_replay_rejects_a_certificate_with_one_field_altered(name):
+    kind, mutate = _MUTATIONS[name]
+    res = pc.ground_refute(_SPLIT_INPUTS)
+    branch, k, pos = _first(res.steps, kind)
+    branch[k : k + 1] = mutate(branch[k], pos)
+    with pytest.raises(CheckError):
+        pc.replay(res, _SPLIT_INPUTS)
+
+
+def test_replay_rejects_a_leaf_short_of_the_empty_clause():
+    res = pc.ground_refute(_SPLIT_INPUTS)
+    branch, _, _ = _first(res.steps, "input")
+    assert branch[-1][0] == "resolve"
+    branch.pop()
+    with pytest.raises(CheckError):
+        pc.replay(res, _SPLIT_INPUTS)
+
+
+def test_certificate_is_built_only_for_a_refutation(monkeypatch):
+    built = []
+    emit = pc._Emitter.emit
+
+    def spy(self, step):
+        built.append(step)
+        return emit(self, step)
+
+    monkeypatch.setattr(pc._Emitter, "emit", spy)
+    # p is decided True first and meets a conflict (r and -r); the search
+    # then saturates under -p
+    sat = [Or(P, A), Or(Not(P), R), Or(Not(P), Not(R))]
+    res = pc.ground_refute(sat)
+    assert isinstance(res, pc.Saturated) and res.model.assignment[P] is False
+    assert built == []
+    refutable = _SPLIT_INPUTS
+    res = pc.ground_refute(refutable, want_cert=False)
+    assert isinstance(res, pc.Refutation) and built == []
+    res = pc.ground_refute(refutable)
+    assert isinstance(res, pc.Refutation)
+    assert built == [s for s in _every_step(res.steps) if s[0] != "split"]
+    assert pc.replay(res, refutable)
+    kind, want = _reference_search(refutable)
+    assert kind == "refuted" and _splits(res.steps) == want and want is not None
 
 
 # --- recognizers ------------------------------------------------------------
