@@ -296,7 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-corpus", help="verify the proof corpus")
     p.add_argument("paths", nargs="*")
-    p.add_argument("--oracle", type=int, default=0, help="oracle samples per theorem")
+    p.add_argument(
+        "--oracle", type=_non_negative_int, default=0, help="oracle samples per theorem"
+    )
     p.set_defaults(fn=cmd_check_corpus)
 
     p = sub.add_parser("ha-reduce", help="run the quantifier eliminator")

@@ -7,9 +7,16 @@ compiles a formula once into closures from an environment to its value,
 analysing all syntax, witness strategies included, at compile time.  The
 code for each formula and definiens is kept on the TheoryBundle (its
 `compiled` memo), so a bundle's copy starts empty and the code goes with
-the bundle.  An equationally determined witness is computed outright, an
-order-bounded one ranges over the strings up to the bound's length, and
-one that appears only under the zero product over all-zero strings."""
+the bundle.  A conjunction, in its `not (or (not a) (not b))` shape, and a
+double negation compile to the code of their parts, with the same order of
+evaluation and the same lazy errors.  An equationally determined witness
+is computed outright, an order-bounded one ranges over the strings up to
+the bound's length, and one that appears only under the zero product over
+all-zero strings.
+
+Random strings are drawn as one rng.choice("01") per bit would draw them,
+but read from the generator's words in batches (see random_string), so a
+seed samples the same strings as it always has."""
 
 from __future__ import annotations
 
@@ -87,6 +94,12 @@ def _memo(bundle, key, build):
 def _call(code, body, args):
     """`code`, a defined symbol's compiled body, on its compiled arguments."""
     pairs = tuple(zip(sx.free_vars(body), args))
+    if len(pairs) == 1:
+        ((p, a),) = pairs
+        return lambda env: code({p: a(env)})
+    if len(pairs) == 2:
+        (p, a), (q, b) = pairs
+        return lambda env: code({p: a(env), q: b(env)})
     return lambda env: code({p: a(env) for p, a in pairs})
 
 
@@ -132,6 +145,13 @@ def compile_formula(f: Formula, bundle=None, strict: bool = True, cap: Optional[
         code = _memo(bundle, (d, strict, cap), lambda: compile_formula(d, bundle, strict, cap))
         return _call(code, d, args)
     if isinstance(f, Not):
+        pair = sx.as_and(f)
+        if pair is not None:
+            left = compile_formula(pair[0], bundle, strict, cap)
+            right = compile_formula(pair[1], bundle, strict, cap)
+            return lambda env: left(env) and right(env)
+        if isinstance(f.body, Not):
+            return compile_formula(f.body.body, bundle, strict, cap)
         inner = compile_formula(f.body, bundle, strict, cap)
         return lambda env: not inner(env)
     if isinstance(f, Or):
@@ -151,7 +171,7 @@ def _compile_exists(e: Exists, bundle, strict: bool, cap: Optional[int]):
     string up to a capped length."""
     z, parts = e.var, sx.conjuncts(e.body)
     eqs = [p.args for p in parts if isinstance(p, Atom) and p.pred == sx.EQ]
-    found = [(b, lambda w: (w,)) for args in eqs for a, b in (args, args[::-1]) if a == Var(z)]
+    found = [(b, _one) for args in eqs for a, b in (args, args[::-1]) if a == Var(z)]
     head, order = parts[0], bundle.order if bundle is not None else None
     if isinstance(head, Atom) and head.pred == order and head.args[0] == Var(z):
         found.append((head.args[1], lambda w: _all_strings(len(w))))
@@ -173,7 +193,10 @@ def _compile_exists(e: Exists, bundle, strict: bool, cap: Optional[int]):
     def exists(env: dict) -> bool:
         for need, term, space_of in candidates:
             if need <= env.keys():
-                space = space_of(term(env))
+                w = term(env)
+                if space_of is _one:
+                    return body({**env, z: w})
+                space = space_of(w)
                 break
         else:
             local = cap if cap is not None else sum(map(len, env.values())) + 4
@@ -193,6 +216,12 @@ def _compile_exists(e: Exists, bundle, strict: bool, cap: Optional[int]):
         return False
 
     return exists
+
+
+def _one(w: str):
+    """The witness space of an equation z = b: b's value alone, at which
+    `exists` evaluates its body directly."""
+    return (w,)
 
 
 def _all_strings(maxlen: int):
@@ -434,9 +463,24 @@ class FuzzReport:
         return not self.counterexamples
 
 
+# rng.choice("01") reads one 32-bit word per try and keeps its top two bits
+# when they are below 2: a high byte 0x00-0x3F gives '0', 0x40-0x7F '1', and
+# 0x80-0xFF is drawn again.  This table maps each high byte to its bit.
+_BIT_OF_HIGH_BYTE = bytes.maketrans(bytes(range(128)), b"0" * 64 + b"1" * 64)
+_REJECTED_HIGH_BYTES = bytes(range(128, 256))
+
+
 def random_string(rng: random.Random, maxlen: int) -> str:
+    """The string that `n` calls of rng.choice("01") would give, with `rng`
+    left in the same state: the same words are read in batches, never more
+    words than bits still wanted."""
     n = rng.randint(0, maxlen)
-    return "".join(rng.choice("01") for _ in range(n))
+    out = b""
+    while len(out) < n:
+        need = n - len(out)
+        high = rng.getrandbits(32 * need).to_bytes(4 * need, "little")[3::4]
+        out += high.translate(_BIT_OF_HIGH_BYTE, _REJECTED_HIGH_BYTES)
+    return out.decode()
 
 
 def fuzz_axioms(
@@ -447,7 +491,8 @@ def fuzz_axioms(
     exhaustive_len: int = 0,
 ) -> FuzzReport:
     """Evaluate every axiom on random assignments (and exhaustively over all
-    strings up to exhaustive_len); any counterexample is reported."""
+    strings up to exhaustive_len); any counterexample is reported.  The
+    exhaustive assignments are made as they are checked, not held in a list."""
     rng = random.Random(seed)
     checked = 0
     bad = []
@@ -456,11 +501,14 @@ def fuzz_axioms(
     for label, f in axioms:
         fv = sx.free_vars(f)
         envs = [{x: random_string(rng, maxlen) for x in fv} for _ in range(samples)]
-        if exhaustive_len:
-            every = itertools.product(_all_strings(exhaustive_len), repeat=len(fv))
-            envs += [dict(zip(fv, values)) for values in every]
         checked += len(envs)
-        bad += [(label, env) for env in envs if not eval_formula(f, env, bundle)]
+        if exhaustive_len:
+            strings = _all_strings(exhaustive_len)
+            checked += len(strings) ** len(fv)
+            every = itertools.product(strings, repeat=len(fv))
+            envs = itertools.chain(envs, (dict(zip(fv, values)) for values in every))
+        code = _memo(bundle, (f, True, None), lambda: compile_formula(f, bundle))
+        bad += [(label, env) for env in envs if not code(env)]
     return FuzzReport(checked, bad)
 
 
@@ -487,7 +535,7 @@ class CorpusEntryReport:
     message: str
     elapsed: float
     instance_count: int
-    oracle: Optional[str] = None  # "agrees" | "skipped"
+    oracle: Optional[str] = None  # "agrees" | "disagrees" | "skipped"
     spent: int = 0  # refutation budget used, summed over segments
 
 
@@ -528,38 +576,46 @@ def check_corpus(
     halt_on_failure: bool = True,
 ) -> CorpusReport:
     """Dependency-ordered verification of the corpus, optionally
-    cross-validating every evaluable statement against the interpreter."""
+    cross-validating every evaluable statement against the interpreter.  A
+    script the interpreter disagrees with fails, and is not registered."""
     scripts = load_corpus() if scripts is None else scripts
     rng = random.Random(seed)
     entries = []
     start = time.perf_counter()
     for script in scripts:
         v = kscripts.check_script(bundle.registry, script, budget)
-        oracle = None
+        ok, message, oracle = v.ok, v.message, None
         if v.ok:
             stmt = sx.parse(script.statement_text, "formula", bundle.registry.symbols)
-            bundle.register_theorem(script.label, stmt)
             if oracle_samples:
-                oracle = _oracle_check(bundle, stmt, oracle_samples, rng)
+                oracle, disagreement = _oracle_check(bundle, stmt, oracle_samples, rng)
+                if disagreement:
+                    ok, message = False, disagreement
+            if ok:
+                bundle.register_theorem(script.label, stmt)
         entries.append(
             CorpusEntryReport(
-                script.label, v.ok, v.message, v.elapsed, len(v.instances), oracle, v.spent
+                script.label, ok, message, v.elapsed, len(v.instances), oracle, v.spent
             )
         )
-        if not v.ok and halt_on_failure:
+        if not ok and halt_on_failure:
             break
     return CorpusReport(entries, time.perf_counter() - start)
 
 
-def _oracle_check(bundle, stmt: Formula, samples: int, rng) -> str:
+def _oracle_check(bundle, stmt: Formula, samples: int, rng) -> tuple[str, str]:
+    """The interpreter's verdict on `stmt` over `samples` random assignments,
+    and a message naming the first assignment that falsifies it ("" when
+    none does)."""
     if not evaluable(stmt, bundle):
-        return "skipped"
+        return "skipped", ""
+    code = _memo(bundle, (stmt, True, None), lambda: compile_formula(stmt, bundle))
     fv = sx.free_vars(stmt)
     for _ in range(samples):
         env = {x: random_string(rng, 8) for x in fv}
-        if not eval_formula(stmt, env, bundle):
-            raise CheckError(f"oracle disagrees on {sx.render(stmt)} at {env}")
-    return "agrees"
+        if not code(env):
+            return "disagrees", f"oracle disagrees on {sx.render(stmt)} at {env}"
+    return "agrees", ""
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ def test_usage_error_exit_code(capsys):
         ("fuzz-axioms", "--maxlen", "-3", "--samples", "3"),
         ("fuzz-axioms", "--samples", "-1"),
         ("fuzz-axioms", "--exhaustive", "-2"),
+        ("check-corpus", "--oracle", "-3"),
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2 and "must be at least 0" in err
@@ -54,6 +55,32 @@ def test_check_corpus_subset_text_and_json(capsys, tmp_path):
     code, out, _ = run(capsys, "check-corpus", "--oracle", "3", str(subset))
     assert code == 0
     assert out.splitlines()[0].split()[-1] == "oracle" and "agrees" in out
+
+
+def test_oracle_disagreement_is_a_failing_verdict(capsys, tmp_path, monkeypatch):
+    # The checker never runs s0; the interpreter's broken s0 falsifies t22.
+    monkeypatch.setitem(stringarith.BUILTINS, "s0", lambda x: lambda env: "")
+    bundles = []
+    monkeypatch.setattr(
+        cli, "_bundle", lambda args: bundles.append(stringarith.load_theory()) or bundles[-1]
+    )
+    text = (DATA_DIR / "corpus" / "s20.prf").read_text()
+    subset = tmp_path / "subset.prf"
+    subset.write_text(text[: text.index("theorem t26")])
+    code, jout, _ = run(capsys, "--format", "json", "check-corpus", str(subset))
+    assert code == 0 and json.loads(jout)["ok"]
+    code, jout, err = run(
+        capsys, "--format", "json", "check-corpus", "--oracle", "20", str(subset)
+    )
+    assert code == 1 and err == ""
+    [entry] = json.loads(jout)["scripts"]
+    assert (entry["label"], entry["ok"], entry["oracle"]) == ("t22", False, "disagrees")
+    assert entry["message"] == (
+        "oracle disagrees on (not (= (cat (s0 x) y) eps)) at {'x': '0', 'y': ''}"
+    )
+    assert "t22" not in bundles[-1].registry.entries
+    code, out, _ = run(capsys, "check-corpus", "--oracle", "20", str(subset))
+    assert code == 1 and "FAIL" in out and "disagrees" in out
 
 
 def test_failing_script_exit_one(capsys, tmp_path, monkeypatch):
