@@ -15,7 +15,7 @@ import random
 import sys
 from pathlib import Path
 
-from .errors import ProofkitError
+from .errors import CheckError, ProofkitError
 from . import extend, hilbertack, machines, normform, propcalc, stringarith
 from . import syntax as sx
 from .kernel import scripts as kscripts
@@ -114,9 +114,16 @@ def cmd_ha_reduce(args) -> int:
         rng = random.Random(args.seed)
         theory, seq = hilbertack.generate_inconsistent_case(rng, 2)
     result = hilbertack.ha_run(theory, seq, budget=_budget(args))
-    refutable = isinstance(
-        propcalc.ground_refute(list(result.final.formulas), want_cert=False), propcalc.Refutation
-    )
+    final = list(result.final.formulas)
+    refuted = propcalc.ground_refute(final, want_cert=True)
+    refutable = isinstance(refuted, propcalc.Refutation)
+    failure = None
+    if refutable:
+        try:
+            propcalc.replay(refuted, final)
+        except CheckError as e:
+            refutable = False
+            failure = f"the refutation's certificate does not replay: {e}"
     lines = [f"{'step':>4} {'mode':<10} {'rho':>3} {'lam':>4} {'kap':>4} {'|seq|':>6} {'out':>5}"]
     p0 = result.profile_in
     lines.append(f"{0:>4} {'input':<10} {p0.rho:>3} {p0.lam:>4} {p0.kappa:>4} {len(seq.formulas):>6} {'':>5}")
@@ -132,8 +139,10 @@ def cmd_ha_reduce(args) -> int:
         f"observed max {result.observed_max}"
         + ("" if result.within_bound is None else f"; within bound: {result.within_bound}")
     )
+    if failure is not None:
+        lines.append(f"FAIL: {failure}")
     payload = {
-        "ok": True,
+        "ok": failure is None,
         "steps": len(result.trace),
         "final_size": len(result.final.formulas),
         "refutable": refutable,
@@ -153,8 +162,10 @@ def cmd_ha_reduce(args) -> int:
             for t in result.trace
         ],
     }
+    if failure is not None:
+        payload["message"] = failure
     _emit(args, payload, lines)
-    return 0
+    return 0 if failure is None else 1
 
 
 def cmd_translate(args) -> int:

@@ -19,7 +19,7 @@ from . import propcalc
 from . import syntax as sx
 from .kernel import core
 from .kernel.core import ProofBuilder, ProofObject, SpecialSequence, Theory
-from .syntax import Formula, Not, SpecialConst, Term, fimp, subst
+from .syntax import Formula, Not, SpecialConst, Term, fimp
 
 TOWER_CUTOFF = 2 ** 64
 
@@ -220,6 +220,7 @@ def ha_step(
 
 def _eliminate(analysis, seq, targets, prof, mode):
     target_set = set(targets)
+    subscripts = {r.subscript for r in targets}
     gamma: list[Formula] = []
     pairs: list[tuple[SpecialConst, Term]] = []
     for f, owner in zip(seq.formulas, prof.owners):
@@ -233,11 +234,9 @@ def _eliminate(analysis, seq, targets, prof, mode):
                 a = analysis.theory.zero_term
             pairs.append((owner, a))
         else:
-            image = f
-            for r in targets:
-                e = r.subscript
-                image = sx.replace_subformula(image, e, subst(e.body, {e.var: r}))
-            if image != f:
+            # rewriting a target's subscript e to e's instance at r would
+            # change f exactly when e occurs in it
+            if sx.has_subformula(f, subscripts):
                 raise CheckError(
                     "targeted instantiation occurs outside its own formulas"
                 )

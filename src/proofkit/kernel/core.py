@@ -244,9 +244,6 @@ class ProofBuilder:
             remap[i] = self._add(ProofLine(ln.formula, just))
         return remap
 
-    def index_of(self, f: Formula) -> Optional[int]:
-        return self._index.get(f)
-
     def _add(self, line: ProofLine) -> int:
         if line.just[0] == "delta" and line.formula in self._index:
             return self._index[line.formula]
@@ -419,15 +416,15 @@ def purge_extraneous(theory: Theory, goal: Formula, proof: ProofObject) -> Proof
 class SpecialSequence:
     formulas: tuple[Formula, ...]
 
-    def negation_disjunction(self) -> Formula:
-        return sx.disj([Not(f) for f in self.formulas])
-
 
 def sequence_valid(seq: SpecialSequence, budget: int = propcalc.DEFAULT_BUDGET) -> bool:
     """not A1 v ... v not An is a tautology; checked by truth table when the
-    skeleton is small, by the propositional engine otherwise."""
+    skeleton is small, by the propositional engine otherwise.  The table
+    asks whether not An follows from A1 ... An-1, which has the same
+    elementary subformulas in the same order and the same answer."""
+    fs = seq.formulas
     try:
-        return propcalc.taut_check(seq.negation_disjunction()).consequence
+        return propcalc.taut_check(Not(fs[-1]), fs[:-1]).consequence
     except SizeGuardExceeded:
         return propcalc.prop_unsat(list(seq.formulas), budget)
 

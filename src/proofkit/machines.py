@@ -9,9 +9,10 @@ in order: a 2-bit opcode (00 prepend0, 01 prepend1, 10 pred, 11 case), then
 register fields of ceil(log2 mu) bits and state fields of ceil(log2 kappa)
 bits, each storing value-1.  Opcodes 00/01/10 carry fields nu nu' lambda';
 opcode 11 carries nu lambda1 lambda2 lambda3.  gamma is the Elias gamma
-code.  The estimator enumerates the well-formed encodings directly from
-these fields (encodings()), in the order and with the result of decoding
-every bit string by length then lexicographically.  It skips two kinds of
+code.  The estimator builds each well-formed encoding and its machine
+together from these fields, and decodes nothing; it meets them in the
+order, and with the machines, of decoding every bit string by length then
+lexicographically (encodings() yields the bits alone).  It skips two kinds of
 machine that never halt: one whose halt state no command path reaches from
 state 1, and one whose run repeats a (state, registers) configuration.
 Since step is deterministic, neither can halt later, so the first halting
@@ -303,26 +304,28 @@ def encode_machine(m: Machine) -> str:
     return "".join(out)
 
 
-def _command_codes(mu: int, kappa: int) -> list[str]:
-    """Every encoded command of a machine with mu registers and kappa states."""
+def _commands(mu: int, kappa: int) -> list[tuple[str, Command]]:
+    """Every command of a machine with mu registers and kappa states, with
+    its code."""
     rw, sw = _field_width(mu), _field_width(kappa)
-    regs = [_field(v, rw) for v in range(1, mu + 1)]
-    states = [_field(v, sw) for v in range(1, kappa + 1)]
-    stores = [_OPCODE[op] for op in ("prepend0", "prepend1", "pred")]
-    return [
-        "".join(fields)
-        for fields in itertools.chain(
-            itertools.product(stores, regs, regs, states),
-            itertools.product([_OPCODE["case"]], regs, states, states, states),
-        )
-    ]
+    regs = [(_field(v, rw), v) for v in range(1, mu + 1)]
+    states = [(_field(v, sw), v) for v in range(1, kappa + 1)]
+    out = []
+    for op in ("prepend0", "prepend1", "pred"):
+        for (rc, reg), (dc, dst), (gc, goto) in itertools.product(regs, regs, states):
+            out.append((_OPCODE[op] + rc + dc + gc, Command(op, reg, dst, goto)))
+    for (rc, reg), *targets in itertools.product(regs, states, states, states):
+        code = _OPCODE["case"] + rc + "".join(c for c, _ in targets)
+        out.append((code, Command("case", reg, branches=tuple(v for _, v in targets))))
+    return out
 
 
-def encodings(len_cap: int) -> Iterator[str]:
-    """Every string of at most len_cap bits that decode_machine accepts,
-    ordered by length then lexicographically, built from the encoding's
-    fields rather than found by decoding every bit string."""
-    by_length: list[list[str]] = [[] for _ in range(len_cap + 1)]
+def _machines(len_cap: int) -> Iterator[tuple[str, Machine]]:
+    """(encoding, machine) for every string of at most len_cap bits that
+    decode_machine accepts, ordered by length then lexicographically.  Each
+    machine is built from the fields its encoding is assembled from, when
+    it is yielded; the machine is the one decode_machine would return."""
+    by_length: list[list] = [[] for _ in range(len_cap + 1)]
     for kappa in itertools.count(1):
         sw = _field_width(kappa)
         for mu in itertools.count(1):
@@ -332,22 +335,32 @@ def encodings(len_cap: int) -> Iterator[str]:
             shortest = 2 + rw + min(rw + sw, 3 * sw)
             if len(header) + (kappa - 1) * shortest > len_cap:
                 break  # more registers lengthen the header and every command
-            partial = [header]
+            partial = [(header, ())]
             if kappa > 1:
-                codes = _command_codes(mu, kappa)
+                commands = _commands(mu, kappa)
                 for left in range(kappa - 2, -1, -1):
                     partial = [
-                        p + c
-                        for p in partial
-                        for c in codes
-                        if len(p) + len(c) + left * shortest <= len_cap
+                        (bits + code, cmds + (cmd,))
+                        for bits, cmds in partial
+                        for code, cmd in commands
+                        if len(bits) + len(code) + left * shortest <= len_cap
                     ]
-            for bits in partial:
-                by_length[len(bits)].append(bits)
+            for bits, cmds in partial:
+                by_length[len(bits)].append((bits, mu, kappa, cmds))
         if mu == 1:
             break  # not even one register fits, nor will it with more states
     for bucket in by_length:
-        yield from sorted(bucket)
+        bucket.sort(key=lambda entry: entry[0])
+        for bits, mu, kappa, cmds in bucket:
+            yield bits, Machine(0, mu, kappa, cmds)
+
+
+def encodings(len_cap: int) -> Iterator[str]:
+    """Every string of at most len_cap bits that decode_machine accepts,
+    ordered by length then lexicographically, built from the encoding's
+    fields rather than found by decoding every bit string."""
+    for bits, _ in _machines(len_cap):
+        yield bits
 
 
 def decode_machine(bits: str, index: int = 0) -> Machine:
@@ -418,8 +431,10 @@ def k_upper_bound(target: str, len_cap: int = 16, budget: int = KBOUND_BUDGET) -
     """Run the machine encodings of at most len_cap bits in the order of
     encodings(), by length then lexicographically; return the first (hence
     shortest under this encoding) that halts within budget steps with the
-    target in its output register.  The result is the one a scan decoding
-    every bit string in that order would find.  An upper bound only.
+    target in its output register.  Each machine is built from the fields
+    its encoding is assembled from, and no encoding is decoded; the result
+    is the one a scan decoding every bit string in that order would find.
+    An upper bound only.
 
     Two prunes skip machines that never halt, and so leave the result
     unchanged: a machine whose halt state is unreachable from state 1 in
@@ -428,8 +443,7 @@ def k_upper_bound(target: str, len_cap: int = 16, budget: int = KBOUND_BUDGET) -
     deterministic."""
     if not _is_bit_string(target):
         raise CheckError(f"target must be a bit string, got {target!r}")
-    for bits in encodings(len_cap):
-        m = decode_machine(bits)
+    for bits, m in _machines(len_cap):
         if _halt_reachable(m) and _halting_output(m, budget) == target:
             return KBound(len(bits), m, bits)
     return None

@@ -720,6 +720,19 @@ def replace_subformula(f: Formula, old: Formula, new: Formula) -> Formula:
     return _rebuild(f, tuple(replace_subformula(g, old, new) for g in subs))
 
 
+def has_subformula(f: Formula, olds) -> bool:
+    """Whether some subformula of f is in the set olds: whether
+    replace_subformula would replace anything (special constants are
+    atomic for occurrence)."""
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if g in olds:
+            return True
+        todo.extend(_subformulas(g))
+    return False
+
+
 def map_atoms(f: Formula, fn) -> Formula:
     """Homomorphism determined by its action on atomic formulas (subscripts
     untouched)."""

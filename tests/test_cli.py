@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from proofkit import cli, machines, stringarith
+from proofkit import cli, machines, propcalc, stringarith
+from proofkit.errors import CheckError
 from proofkit.stringarith import DATA_DIR
 
 
@@ -149,6 +150,20 @@ def test_ha_reduce_demo(capsys):
     payload = json.loads(jout)
     assert payload["steps"] == 1 and payload["trace"][0]["rho"] == 1
     assert payload["refutable"] is True and "ground-refutable=True" in out
+
+
+def test_ha_reduce_fails_when_the_certificate_does_not_replay(capsys, monkeypatch):
+    def reject(cert, inputs):
+        raise CheckError("step 3 does not follow")
+
+    monkeypatch.setattr(propcalc, "replay", reject)
+    code, out, _ = run(capsys, "ha-reduce", "--demo", "rank1")
+    assert code == 1
+    assert "ground-refutable=False" in out
+    assert "FAIL: the refutation's certificate does not replay: step 3 does not follow" in out
+    code, jout, _ = run(capsys, "--format", "json", "ha-reduce", "--demo", "rank1")
+    payload = json.loads(jout)
+    assert code == 1 and payload["ok"] is False and payload["refutable"] is False
 
 
 def test_translate_and_reduce(capsys):

@@ -1,13 +1,14 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from proofkit import hilbertack as ha
 from proofkit import propcalc as pc
 from proofkit import syntax as sx
 from proofkit.errors import CheckError
 from proofkit.kernel import ProofBuilder, SpecialSequence, Theory, check_proof, core
-from proofkit.syntax import App, Atom, Exists, Not, PredSym, Var, EPS
+from proofkit.syntax import App, Atom, Exists, Not, Or, PredSym, Var, EPS, S0
 
 Q = PredSym("q", 1)
 E = App(EPS)
@@ -102,6 +103,65 @@ def test_ha_step_retargets_lower_owned_rank():
     spiked = SpecialSequence(seq.formulas + (sx.eq(r2, r2),))
     out, trace = ha.ha_step(theory, spiked)
     assert all(sx.const_rank(t) == 1 for t in trace.targets)
+
+
+# --- the occurrence test of the targets' subscripts ---------------------------
+
+
+def _rebuilt_differs(f, targets):
+    """The eliminator's former check: rewrite each target's subscript e in f
+    to its instance at the target, and compare."""
+    image = f
+    for e in targets:
+        image = sx.replace_subformula(image, e, sx.subst(e.body, {e.var: sx.special_constant(e)}))
+    return image != f
+
+
+@st.composite
+def _formula_and_targets(draw):
+    """A closed formula over ground q-atoms and random closed
+    instantiations, each of which may mention earlier ones as a subformula
+    or through their special constants; and a nonempty list of targets."""
+    subs = []
+    for _ in range(draw(st.integers(1, 4))):
+        terms = [E, App(S0, (E,)), Var("v")] + [sx.special_constant(e) for e in subs]
+        leaves = st.one_of(st.sampled_from(terms).map(qa), st.sampled_from(subs or [qa(E)]))
+        subs.append(Exists("v", draw(_connectives(leaves, 4))))
+    ground = [E] + [sx.special_constant(e) for e in subs]
+    leaves = st.one_of(st.sampled_from(ground).map(qa), st.sampled_from(subs))
+    f = draw(_connectives(leaves, 8))
+    targets = draw(st.lists(st.sampled_from(subs), min_size=1, max_size=3, unique=True))
+    return f, targets
+
+
+def _connectives(leaves, max_leaves):
+    return st.recursive(
+        leaves,
+        lambda c: st.one_of(
+            c.map(Not),
+            st.tuples(c, c).map(lambda p: Or(*p)),
+            c.map(lambda g: Exists("z", g)),
+        ),
+        max_leaves=max_leaves,
+    )
+
+
+E1 = Exists("x", qa(Var("x")))
+E2 = Exists("x", Or(qa(Var("x")), E1))
+
+
+@given(_formula_and_targets())
+@example((Or(qa(E), Not(E1)), [E1]))  # nested under Not and Or
+@example((qa(sx.special_constant(E2)), [E1]))  # only inside another subscript
+@settings(max_examples=300, deadline=None)
+def test_occurrence_test_agrees_with_rebuilding(case):
+    f, targets = case
+    assert sx.has_subformula(f, set(targets)) == _rebuilt_differs(f, targets)
+
+
+def test_occurrence_test_on_nested_and_hidden_subscripts():
+    assert sx.has_subformula(Or(qa(E), Not(E1)), {E1})
+    assert not sx.has_subformula(qa(sx.special_constant(E2)), {E1})
 
 
 # --- the driver ------------------------------------------------------------------

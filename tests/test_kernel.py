@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proofkit import normform as nf
 from proofkit import propcalc as pc
@@ -372,9 +373,27 @@ def test_sequence_valid_past_the_truth_table_guard():
     valid = core.SpecialSequence(tuple(atoms) + (Not(atoms[0]),))
     invalid = core.SpecialSequence(tuple(atoms))
     with pytest.raises(SizeGuardExceeded):
-        pc.taut_check(valid.negation_disjunction())
+        pc.taut_check(sx.disj([Not(f) for f in valid.formulas]))
     assert core.sequence_valid(valid)
     assert not core.sequence_valid(invalid)
+
+
+def _sequences():
+    letters = [Atom(PredSym(f"a{i}", 0)) for i in range(5)]
+    atoms = st.sampled_from(letters + [Exists("x", Atom(Q, (Var("x"),)))])
+    formula = st.recursive(
+        atoms,
+        lambda c: st.one_of(c.map(Not), st.tuples(c, c).map(lambda p: Or(*p))),
+        max_leaves=5,
+    )
+    return st.lists(formula, min_size=1, max_size=5).map(lambda fs: core.SpecialSequence(tuple(fs)))
+
+
+@given(_sequences())
+@settings(max_examples=300, deadline=None)
+def test_sequence_valid_is_the_negation_disjunctions_truth_table(seq):
+    table = pc.taut_check(sx.disj([Not(f) for f in seq.formulas]))
+    assert core.sequence_valid(seq) == table.consequence
 
 
 def test_extract_requires_inconsistency():

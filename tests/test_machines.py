@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -226,25 +227,67 @@ def test_machine_strings_must_be_bits():
         rm.run(rm.const0_machine(), ["1 0"])
 
 
+@functools.lru_cache(maxsize=None)
 def _decodable(length):
-    """The bit strings of one length that decode_machine accepts, in order."""
+    """(bits, decode_machine(bits)) for the bit strings of one length that
+    decode_machine accepts, in order."""
     out = []
     for value in range(1 << length):
         bits = format(value, f"0{length}b")
         try:
-            rm.decode_machine(bits)
+            out.append((bits, rm.decode_machine(bits)))
         except CheckError:
             continue
-        out.append(bits)
-    return out
+    return tuple(out)
 
 
 def test_encodings_equal_the_decode_filter():
     # Up to 16 bits: a case command is shorter than a store command only
     # when 2*sw < rw, and pruning by the store length alone first drops
     # encodings at 15 bits.
-    want = [bits for length in range(1, 17) for bits in _decodable(length)]
+    want = [bits for length in range(1, 17) for bits, _ in _decodable(length)]
     assert list(rm.encodings(16)) == want
+
+
+@pytest.mark.parametrize("len_cap", range(1, 17))
+def test_machines_are_built_as_decode_machine_reads_them(len_cap):
+    want = [pair for length in range(1, len_cap + 1) for pair in _decodable(length)]
+    assert list(rm._machines(len_cap)) == want
+
+
+def _decoding_k_upper_bound(target, len_cap, budget):
+    """k_upper_bound as a scan that decodes each encoding."""
+    for bits in rm.encodings(len_cap):
+        m = rm.decode_machine(bits)
+        if rm._halt_reachable(m) and rm._halting_output(m, budget) == target:
+            return bits
+    return None
+
+
+# The workbench targets: (target, length cap, shortest encoding or None).
+WORKBENCH_TARGETS = [
+    ("", 8, 2),
+    ("0", 12, 7),
+    ("1", 12, 7),
+    ("00", 14, 12),
+    ("01", 14, 12),
+    ("10", 14, 12),
+    ("11", 14, 12),
+    ("0110", 16, None),
+    ("000", 16, None),
+    ("101", 16, None),
+]
+
+
+@pytest.mark.parametrize("target,len_cap,length", WORKBENCH_TARGETS)
+def test_k_upper_bound_equals_the_decoding_scan(target, len_cap, length):
+    got = rm.k_upper_bound(target, len_cap)
+    bits = _decoding_k_upper_bound(target, len_cap, rm.KBOUND_BUDGET)
+    if length is None:
+        assert got is None and bits is None
+    else:
+        assert len(bits) == length
+        assert (got.length, got.encoding, got.machine) == (length, bits, rm.decode_machine(bits))
 
 
 @pytest.mark.parametrize("cap,count", [(8, 21), (12, 198), (16, 1226)])
