@@ -421,8 +421,11 @@ def sequence_valid(seq: SpecialSequence, budget: int = propcalc.DEFAULT_BUDGET) 
     """not A1 v ... v not An is a tautology; checked by truth table when the
     skeleton is small, by the propositional engine otherwise.  The table
     asks whether not An follows from A1 ... An-1, which has the same
-    elementary subformulas in the same order and the same answer."""
+    elementary subformulas in the same order and the same answer.  The
+    empty disjunction is false, so the empty sequence is not valid."""
     fs = seq.formulas
+    if not fs:
+        return False
     try:
         return propcalc.taut_check(Not(fs[-1]), fs[:-1]).consequence
     except SizeGuardExceeded:

@@ -3,16 +3,21 @@ concrete bit-string interpreter that serves as an independent semantic
 oracle, and the proof-script corpus driver.
 
 Strings are Python str over '0'/'1', leftmost bit first.  The interpreter
-compiles a formula once into closures from an environment to its value,
-analysing all syntax, witness strategies included, at compile time.  The
-code for each formula and definiens is kept on the TheoryBundle (its
-`compiled` memo), so a bundle's copy starts empty and the code goes with
-the bundle.  A conjunction, in its `not (or (not a) (not b))` shape, and a
-double negation compile to the code of their parts, with the same order of
-evaluation and the same lazy errors.  An equationally determined witness
-is computed outright, an order-bounded one ranges over the strings up to
-the bound's length, and one that appears only under the zero product over
-all-zero strings.
+turns a formula, once, into the source of one Python function of its free
+variables and compiles it: terms and connectives become one expression
+(a10 reads `x + (y + z) == (x + y) + z`), each builtin written out from
+its template in BUILTINS, and a defined symbol is a call of its own
+function with positional arguments.  All syntax, witness strategies
+included, is analysed while generating, and the code only computes
+values; where an environment lacks a variable, a second version that
+tests each read runs instead.  Each formula's and definiens's code is
+kept on the TheoryBundle (its `compiled` memo), so a bundle's copy starts
+empty and the code goes with the bundle.  Evaluation order and errors are
+those of a direct recursive evaluation: an error is raised only when
+reached.  An equationally determined witness is a local assigned
+outright, an order-bounded one ranges over the strings up to the bound's
+length, and one that appears only under the zero product over all-zero
+strings.
 
 Random strings are drawn as one rng.choice("01") per bit would draw them,
 but read from the generator's words in batches (see random_string), so a
@@ -20,6 +25,7 @@ seed samples the same strings as it always has."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import re
@@ -57,27 +63,304 @@ S_LANGUAGE = sx.Language((EPS, S0, S1, PD, CAT, ZPROD), (), EPS)
 
 
 # ---------------------------------------------------------------------------
-# the interpreter: each formula is compiled into closures once per bundle
+# the interpreter: each formula is compiled to one Python function per bundle
 
 
 LENGTH_FUNS = {"zprod", "zee"}
 
-# the builtin function symbols, each a closure over its compiled arguments
+# the builtin function symbols, each a Python expression over its arguments'
+# values {0} and {1}, which generated code writes out in place
 BUILTINS = {
-    "eps": lambda: lambda env: "",
-    "s0": lambda x: lambda env: "0" + x(env),
-    "s1": lambda x: lambda env: "1" + x(env),
-    "pd": lambda x: lambda env: x(env)[1:],
-    "cat": lambda x, y: lambda env: x(env) + y(env),
-    "zprod": lambda x, y: lambda env: "0" * (len(x(env)) * len(y(env))),
+    "eps": "''",
+    "s0": "'0' + {0}",
+    "s1": "'1' + {0}",
+    "pd": "{0}[1:]",
+    "cat": "{0} + {1}",
+    "zprod": "'0' * (len({0}) * len({1}))",
 }
 
+# Parentheses one generated expression may nest (CPython refuses 200): a
+# deeper node becomes a function of its own.
+_MAX_DEPTH = 50
 
-def _raiser(message: str):
-    def fail(env):
-        raise CheckError(message)
 
-    return fail
+def _raise(message: str):
+    raise CheckError(message)
+
+
+def _bound(value, name: str):
+    """A parameter's value, in the code that checks each read: None stands
+    for a variable the environment lacks."""
+    if value is None:
+        raise CheckError(f"unbound variable {name}")
+    return value
+
+
+def _local(env, rebound: frozenset, params: tuple, *witnesses) -> int:
+    """The length of every value in scope, plus 4: those of the caller's
+    whole environment when there is one, else of the bound parameters, with
+    the witnesses in scope in place of the names they rebind."""
+    if env is None:
+        outer = sum(len(v) for v in params if v is not None)
+    else:
+        outer = sum(len(v) for k, v in env.items() if k not in rebound)
+    return outer + sum(map(len, witnesses)) + 4
+
+
+def _zeros(local: int):
+    """The all-zero strings a length-only witness ranges over: the length
+    needed under the zero product is at worst quadratic."""
+    return map("0".__mul__, range(max(local, (local - 4) * (local - 4) + 4) + 1))
+
+
+def _all_strings(maxlen: int):
+    out = [""]
+    frontier = [""]
+    for _ in range(maxlen):
+        frontier = [s + b for s in frontier for b in "01"]
+        out.extend(frontier)
+    return out
+
+
+def _defines(f: Formula, z: str, b: Term) -> bool:
+    """Whether f is the equation z = b or b = z."""
+    return isinstance(f, Atom) and f.pred == sx.EQ and f.args in ((Var(z), b), (b, Var(z)))
+
+
+class _Code:
+    """The generated function `fn` of one memo entry: positional in the
+    entry's free variables `params`, then, optionally, the caller's
+    environment, whose other values count in the bound of a witness search.
+    Called on an environment, it reads the parameters from it; when one is
+    missing it runs `checked`, code that tests each read and each
+    candidate witness's variables as it reaches them."""
+
+    __slots__ = ("fn", "params", "_source", "_checked")
+
+    def __init__(self, node, bundle, strict, cap):
+        self._source = node, bundle, strict, cap
+        self.fn, self.params = _Generator(bundle, strict, cap, False).unit(node)
+        self._checked = None
+
+    def checked(self, *args):
+        if self._checked is None:
+            node, bundle, strict, cap = self._source
+            self._checked = _Generator(bundle, strict, cap, True).unit(node)[0]
+        return self._checked(*args)
+
+    def __call__(self, env: dict):
+        try:
+            args = [*map(env.__getitem__, self.params)]
+        except KeyError:
+            return self.checked(*map(env.get, self.params), env)
+        return self.fn(*args) if len(env) == len(args) else self.fn(*args, env)
+
+
+class _Generator:
+    """Python source for one memo entry, compiled once.  Variables become
+    parameters `v<i>` and witnesses locals `w<i>`; messages, names and other
+    entries' functions are constants `c<i>` of the code's namespace, so no
+    text of the input is written into the source.  A function `f<i>` takes
+    every variable in scope and `env`, the caller's environment or None."""
+
+    def __init__(self, bundle, strict, cap, checked: bool):
+        self.bundle, self.strict, self.cap, self.checked = bundle, strict, cap, checked
+        self.ns = {
+            "_raise": _raise, "_bound": _bound, "_local": _local,
+            "_zeros": _zeros, "_all_strings": _all_strings,
+        }
+        self.consts: dict = {}
+        self.defs: list[str] = []
+        self.params: set[str] = set()
+        self.count = 0
+
+    def unit(self, node):
+        """The entry's function and its parameters' names."""
+        names = sx.free_vars(node)
+        scope = {x: self.fresh("v") for x in names}
+        self.params = set(scope.values())
+        text, _ = self.term(node, scope) if isinstance(node, Term) else self.formula(node, scope)
+        name = text.partition("(")[0]
+        if text != self.call_text(name, scope):  # not a function of the parameters yet
+            name = self.call(scope, f"    return {text}")[0].partition("(")[0]
+        exec(compile("\n".join(self.defs), "<interpreter>", "exec"), self.ns)
+        return self.ns[name], names
+
+    def fresh(self, prefix: str) -> str:
+        self.count += 1
+        return f"{prefix}{self.count}"
+
+    def const(self, value) -> str:
+        key = (type(value), value)
+        name = self.consts.get(key)
+        if name is None:
+            name = self.consts[key] = self.fresh("c")
+            self.ns[name] = value
+        return name
+
+    def call(self, scope: dict, body: str):
+        """A call of a new function with `body`, on the variables in scope."""
+        name = self.fresh("f")
+        self.defs.append(f"def {name}({', '.join([*scope.values(), 'env=None'])}):\n{body}")
+        return self.call_text(name, scope), 1
+
+    @staticmethod
+    def call_text(name: str, scope: dict) -> str:
+        return f"{name}({', '.join([*scope.values(), 'env'])})"
+
+    def fits(self, text: str, depth: int, scope: dict):
+        """The expression, or a call of a function returning it when it
+        nests too deeply."""
+        if depth <= _MAX_DEPTH:
+            return text, depth
+        return self.call(scope, f"    return {text}")
+
+    def fail(self, message: str):
+        return f"_raise({self.const(message)})", 1
+
+    def apply(self, code: _Code, args: list, scope: dict):
+        """A defined symbol's function on its arguments' values.  Only the
+        arguments its body has variables for are evaluated; a body with
+        more variables than arguments finds the rest unbound."""
+        texts = [self.term(a, scope) for a in args[: len(code.params)]]
+        fn = code.fn
+        if len(texts) < len(code.params):
+            fn = code.checked
+            texts += [("None", 0)] * (len(code.params) - len(texts))
+        depth = 1 + max((d for _, d in texts), default=0)
+        return self.fits(f"{self.const(fn)}({', '.join(t for t, _ in texts)})", depth, scope)
+
+    def code(self, node, strict, cap) -> _Code:
+        """A definiens's code, kept on the bundle."""
+        return _memo(self.bundle, (node, strict, cap), lambda: _Code(node, self.bundle, strict, cap))
+
+    def term(self, t: Term, scope: dict):
+        if isinstance(t, Var):
+            name = scope[t.name]
+            if self.checked and name in self.params:
+                return f"_bound({name}, {self.const(t.name)})", 1
+            return name, 0
+        if isinstance(t, sx.SpecialConst):
+            return self.fail("special constants are uninterpretable")
+        template = BUILTINS.get(t.fn.name)
+        if template is not None:
+            args = [self.term(a, scope) for a in t.args]
+            # at most as deep as the template's own brackets over its deepest argument
+            depth = 1 + template.count("(") + template.count("[") + max((d for _, d in args), default=0)
+            return self.fits(f"({template.format(*(a for a, _ in args))})", depth, scope)
+        stage = self.bundle.fn_stages.get(t.fn) if self.bundle is not None else None
+        if stage is None or stage.explicit_body is None:
+            return self.fail(f"uninterpretable symbol {t.fn.name}")
+        body = stage.explicit_body
+        return self.apply(self.code(body, None, None), t.args, scope)
+
+    def formula(self, f: Formula, scope: dict):
+        """Its truth as an expression (see eval_formula)."""
+        if isinstance(f, Atom):
+            if f.pred == sx.EQ:
+                (x, dx), (y, dy) = (self.term(a, scope) for a in f.args)
+                return self.fits(f"({x} == {y})", 1 + max(dx, dy), scope)
+            stage = self.bundle.pred_stages.get(f.pred) if self.bundle is not None else None
+            if stage is None:
+                return self.fail(f"uninterpretable predicate {f.pred.name}")
+            return self.apply(self.code(stage.definiens, self.strict, self.cap), f.args, scope)
+        if isinstance(f, Not):
+            pair = sx.as_and(f)
+            if pair is not None:
+                (a, da), (b, db) = (self.formula(p, scope) for p in pair)
+                return self.fits(f"({a} and {b})", 1 + max(da, db), scope)
+            if isinstance(f.body, Not):
+                return self.formula(f.body.body, scope)
+            a, da = self.formula(f.body, scope)
+            return self.fits(f"(not {a})", 1 + da, scope)
+        if isinstance(f, Or):
+            (a, da), (b, db) = self.formula(f.left, scope), self.formula(f.right, scope)
+            return self.fits(f"({a} or {b})", 1 + max(da, db), scope)
+        if isinstance(f, Exists):
+            return self.exists(f, scope)
+        raise TypeError(f)
+
+    def exists(self, e: Exists, scope: dict):
+        """The witness z is, in order of preference: b, for the first
+        conjunct z = b or b = z whose b is bound; every string up to the
+        length of b, when the first conjunct is the order's z <= b and b is
+        bound; an all-zero string, when z is length-only; else, unless
+        strict, any string up to a capped length.  Every variable in scope
+        is bound unless the code is checked, so the first candidate is then
+        taken without a test."""
+        z, parts = e.var, sx.conjuncts(e.body)
+        eqs = [p.args for p in parts if isinstance(p, Atom) and p.pred == sx.EQ]
+        found = [(b, True) for args in eqs for a, b in (args, args[::-1]) if a == Var(z)]
+        head, order = parts[0], self.bundle.order if self.bundle is not None else None
+        if isinstance(head, Atom) and head.pred == order and head.args[0] == Var(z):
+            found.append((head.args[1], False))
+        candidates = [(b, one) for b, one in found if z not in sx.occurring_var_names(b)]
+        # a witness that occurs only under the zero product: only its length matters
+        erased = sx.rewrite(
+            e.body, app=lambda t: App(EPS) if t.fn.name in LENGTH_FUNS else t, const=lambda c: c
+        )
+        length_only = z not in sx.free_vars(erased)
+        unbounded = lambda: f"unbounded quantifier: {sx.render(e)[:80]}"
+        if self.strict and not (candidates or length_only):
+            return self.fail(unbounded())
+        w = self.fresh("w")
+        inner = {**scope, z: w}
+        body = functools.cache(lambda: self.formula(e.body, inner)[0])
+        lines = []
+        for b, one in candidates:
+            value, dv = self.term(b, scope)
+            need = [scope[x] for x in sx.free_vars(b) if scope[x] in self.params]
+            test = " and ".join(f"{v} is not None" for v in need) if self.checked else ""
+            if one:
+                # z = b holds once z is b's value, which is computed again alike
+                given, dg = self.conjunction(
+                    [p for p in parts if not _defines(p, z, b)], inner
+                )
+                if not (test or lines):
+                    return self.fits(f"(({w} := {value}), {given})[1]", 2 + max(dv, dg), scope)
+            indent = "        " if test else "    "
+            if test:
+                lines.append(f"    if {test}:")
+            if one:
+                lines += [f"{indent}{w} = {value}", f"{indent}return {given}"]
+            else:
+                lines += self.loop(indent, w, f"_all_strings(len({value}))", body())
+            if not test:
+                break
+        else:
+            local = self.const(self.cap) if self.cap is not None else self.local(scope)
+            if length_only:
+                lines += self.loop("    ", w, f"_zeros({local})", body())
+            elif self.strict:
+                lines.append(f"    return _raise({self.const(unbounded())})")
+            else:
+                lines += self.loop("    ", w, f"_all_strings(min({local}, 10))", body())
+        return self.call(scope, "\n".join(lines))
+
+    def conjunction(self, parts: list, scope: dict):
+        """The conjunction of `parts`, left to right; True when empty."""
+        texts = [self.formula(p, scope) for p in parts]
+        if len(texts) < 2:
+            return texts[0] if texts else ("True", 0)
+        depth = 1 + max(d for _, d in texts)
+        return self.fits(f"({' and '.join(t for t, _ in texts)})", depth, scope)
+
+    @staticmethod
+    def loop(indent: str, w: str, space: str, body: str) -> list[str]:
+        return [
+            f"{indent}for {w} in {space}:",
+            f"{indent}    if {body}:",
+            f"{indent}        return True",
+            f"{indent}return False",
+        ]
+
+    def local(self, scope: dict) -> str:
+        """The search bound's length (see _local) at this scope."""
+        params = [v for v in scope.values() if v in self.params]
+        witnesses = {x: v for x, v in scope.items() if v not in self.params}
+        rebound = self.const(frozenset(witnesses))
+        params = "(" + "".join(f"{v}, " for v in params) + ")"
+        return f"_local({', '.join(['env', rebound, params, *witnesses.values()])})"
 
 
 def _memo(bundle, key, build):
@@ -91,146 +374,15 @@ def _memo(bundle, key, build):
     return code
 
 
-def _call(code, body, args):
-    """`code`, a defined symbol's compiled body, on its compiled arguments."""
-    pairs = tuple(zip(sx.free_vars(body), args))
-    if len(pairs) == 1:
-        ((p, a),) = pairs
-        return lambda env: code({p: a(env)})
-    if len(pairs) == 2:
-        (p, a), (q, b) = pairs
-        return lambda env: code({p: a(env), q: b(env)})
-    return lambda env: code({p: a(env) for p, a in pairs})
+def compile_term(t: Term, bundle=None) -> _Code:
+    """`t`'s value as code called on an environment.  Errors are raised
+    when the code reaches them."""
+    return _Code(t, bundle, None, None)
 
 
-def compile_term(t: Term, bundle=None):
-    """A closure from an environment to the value of `t`.  Errors are
-    raised when the closure reaches them."""
-    if isinstance(t, Var):
-        name = t.name
-
-        def var(env):
-            try:
-                return env[name]
-            except KeyError:
-                raise CheckError(f"unbound variable {name}") from None
-
-        return var
-    if isinstance(t, sx.SpecialConst):
-        return _raiser("special constants are uninterpretable")
-    assert isinstance(t, App)
-    args = [compile_term(a, bundle) for a in t.args]
-    if t.fn.name in BUILTINS:
-        return BUILTINS[t.fn.name](*args)
-    stage = bundle.fn_stages.get(t.fn) if bundle is not None else None
-    if stage is None or stage.explicit_body is None:
-        return _raiser(f"uninterpretable symbol {t.fn.name}")
-    body = stage.explicit_body
-    return _call(_memo(bundle, (body, None, None), lambda: compile_term(body, bundle)), body, args)
-
-
-def compile_formula(f: Formula, bundle=None, strict: bool = True, cap: Optional[int] = None):
-    """A closure from an environment to the truth of `f` (see eval_formula).
-    Syntax is analysed here; the closure checks only which variables are
-    bound."""
-    if isinstance(f, Atom):
-        args = [compile_term(a, bundle) for a in f.args]
-        if f.pred == sx.EQ:
-            x, y = args
-            return lambda env: x(env) == y(env)
-        stage = bundle.pred_stages.get(f.pred) if bundle is not None else None
-        if stage is None:
-            return _raiser(f"uninterpretable predicate {f.pred.name}")
-        d = stage.definiens
-        code = _memo(bundle, (d, strict, cap), lambda: compile_formula(d, bundle, strict, cap))
-        return _call(code, d, args)
-    if isinstance(f, Not):
-        pair = sx.as_and(f)
-        if pair is not None:
-            left = compile_formula(pair[0], bundle, strict, cap)
-            right = compile_formula(pair[1], bundle, strict, cap)
-            return lambda env: left(env) and right(env)
-        if isinstance(f.body, Not):
-            return compile_formula(f.body.body, bundle, strict, cap)
-        inner = compile_formula(f.body, bundle, strict, cap)
-        return lambda env: not inner(env)
-    if isinstance(f, Or):
-        left = compile_formula(f.left, bundle, strict, cap)
-        right = compile_formula(f.right, bundle, strict, cap)
-        return lambda env: left(env) or right(env)
-    if isinstance(f, Exists):
-        return _compile_exists(f, bundle, strict, cap)
-    raise TypeError(f)
-
-
-def _compile_exists(e: Exists, bundle, strict: bool, cap: Optional[int]):
-    """The witness z is, in order of preference: b, for the first conjunct
-    z = b or b = z whose b is bound; every string up to the length of b,
-    when the first conjunct is the order's z <= b and b is bound; an
-    all-zero string, when z is length-only; else, unless strict, any
-    string up to a capped length."""
-    z, parts = e.var, sx.conjuncts(e.body)
-    eqs = [p.args for p in parts if isinstance(p, Atom) and p.pred == sx.EQ]
-    found = [(b, _one) for args in eqs for a, b in (args, args[::-1]) if a == Var(z)]
-    head, order = parts[0], bundle.order if bundle is not None else None
-    if isinstance(head, Atom) and head.pred == order and head.args[0] == Var(z):
-        found.append((head.args[1], lambda w: _all_strings(len(w))))
-    candidates = [
-        (frozenset(sx.free_vars(b)), compile_term(b, bundle), space)
-        for b, space in found
-        if z not in sx.occurring_var_names(b)
-    ]
-    # a witness that occurs only under the zero product: only its length matters
-    erased = sx.rewrite(
-        e.body, app=lambda t: App(EPS) if t.fn.name in LENGTH_FUNS else t, const=lambda c: c
-    )
-    length_only = z not in sx.free_vars(erased)
-    unbounded = f"unbounded quantifier: {sx.render(e)[:80]}"
-    if strict and not (candidates or length_only):
-        return _raiser(unbounded)
-    body = compile_formula(e.body, bundle, strict, cap)
-
-    def exists(env: dict) -> bool:
-        for need, term, space_of in candidates:
-            if need <= env.keys():
-                w = term(env)
-                if space_of is _one:
-                    return body({**env, z: w})
-                space = space_of(w)
-                break
-        else:
-            local = cap if cap is not None else sum(map(len, env.values())) + 4
-            if length_only:
-                # zero-product growth: the length needed is at worst quadratic
-                quad = max(local, (local - 4) * (local - 4) + 4)
-                space = ("0" * k for k in range(quad + 1))
-            elif strict:
-                raise CheckError(unbounded)
-            else:
-                space = _all_strings(min(local, 10))
-        env = dict(env)
-        for val in space:
-            env[z] = val
-            if body(env):
-                return True
-        return False
-
-    return exists
-
-
-def _one(w: str):
-    """The witness space of an equation z = b: b's value alone, at which
-    `exists` evaluates its body directly."""
-    return (w,)
-
-
-def _all_strings(maxlen: int):
-    out = [""]
-    frontier = [""]
-    for _ in range(maxlen):
-        frontier = [s + b for s in frontier for b in "01"]
-        out.extend(frontier)
-    return out
+def compile_formula(f: Formula, bundle=None, strict: bool = True, cap: Optional[int] = None) -> _Code:
+    """`f`'s truth as code called on an environment (see eval_formula)."""
+    return _Code(f, bundle, strict, cap)
 
 
 def eval_term(t: Term, env: Optional[dict] = None, bundle: "TheoryBundle" = None) -> str:
@@ -483,6 +635,10 @@ def random_string(rng: random.Random, maxlen: int) -> str:
     return out.decode()
 
 
+# the most assignments fuzz_axioms makes for one axiom's exhaustive check
+MAX_EXHAUSTIVE = 10**8
+
+
 def fuzz_axioms(
     bundle: TheoryBundle,
     samples: int = 200,
@@ -491,24 +647,37 @@ def fuzz_axioms(
     exhaustive_len: int = 0,
 ) -> FuzzReport:
     """Evaluate every axiom on random assignments (and exhaustively over all
-    strings up to exhaustive_len); any counterexample is reported.  The
-    exhaustive assignments are made as they are checked, not held in a list."""
+    strings up to exhaustive_len); any counterexample is reported.  Each
+    assignment is passed to the axiom's code as a tuple, made as it is
+    checked; only a counterexample becomes a dict.  An exhaustive length
+    that gives the widest axiom more than MAX_EXHAUSTIVE assignments is
+    refused before anything is drawn."""
+    axioms = [(lbl, bundle.registry.entries[lbl].statement) for lbl in bundle.registry.order
+              if bundle.registry.entries[lbl].kind == "axiom"]
+    width = max((len(sx.free_vars(f)) for _, f in axioms), default=0)
+    strings = ()
+    if exhaustive_len and width:
+        # past length 63 the count is far over the limit; it is not computed
+        count = (2 ** (exhaustive_len + 1) - 1) ** width if exhaustive_len < 64 else None
+        if count is None or count > MAX_EXHAUSTIVE:
+            shown = count if count is not None else f"(2^{exhaustive_len + 1}-1)^{width}"
+            raise CheckError(
+                f"exhaustive length {exhaustive_len} gives {shown} assignments to an "
+                f"axiom's {width} variables, more than {MAX_EXHAUSTIVE}"
+            )
+        strings = _all_strings(exhaustive_len)
     rng = random.Random(seed)
     checked = 0
     bad = []
-    axioms = [(lbl, bundle.registry.entries[lbl].statement) for lbl in bundle.registry.order
-              if bundle.registry.entries[lbl].kind == "axiom"]
     for label, f in axioms:
         fv = sx.free_vars(f)
-        envs = [{x: random_string(rng, maxlen) for x in fv} for _ in range(samples)]
-        checked += len(envs)
+        rows = [tuple(random_string(rng, maxlen) for _ in fv) for _ in range(samples)]
+        checked += samples
         if exhaustive_len:
-            strings = _all_strings(exhaustive_len)
             checked += len(strings) ** len(fv)
-            every = itertools.product(strings, repeat=len(fv))
-            envs = itertools.chain(envs, (dict(zip(fv, values)) for values in every))
-        code = _memo(bundle, (f, True, None), lambda: compile_formula(f, bundle))
-        bad += [(label, env) for env in envs if not code(env)]
+            rows = itertools.chain(rows, itertools.product(strings, repeat=len(fv)))
+        fn = _memo(bundle, (f, True, None), lambda: compile_formula(f, bundle)).fn
+        bad += [(label, dict(zip(fv, row))) for row in rows if not fn(*row)]
     return FuzzReport(checked, bad)
 
 
@@ -609,11 +778,12 @@ def _oracle_check(bundle, stmt: Formula, samples: int, rng) -> tuple[str, str]:
     none does)."""
     if not evaluable(stmt, bundle):
         return "skipped", ""
-    code = _memo(bundle, (stmt, True, None), lambda: compile_formula(stmt, bundle))
+    fn = _memo(bundle, (stmt, True, None), lambda: compile_formula(stmt, bundle)).fn
     fv = sx.free_vars(stmt)
     for _ in range(samples):
-        env = {x: random_string(rng, 8) for x in fv}
-        if not code(env):
+        values = [random_string(rng, 8) for _ in fv]
+        if not fn(*values):
+            env = dict(zip(fv, values))
             return "disagrees", f"oracle disagrees on {sx.render(stmt)} at {env}"
     return "agrees", ""
 

@@ -60,7 +60,7 @@ def test_check_corpus_subset_text_and_json(capsys, tmp_path):
 
 def test_oracle_disagreement_is_a_failing_verdict(capsys, tmp_path, monkeypatch):
     # The checker never runs s0; the interpreter's broken s0 falsifies t22.
-    monkeypatch.setitem(stringarith.BUILTINS, "s0", lambda x: lambda env: "")
+    monkeypatch.setitem(stringarith.BUILTINS, "s0", "''")
     bundles = []
     monkeypatch.setattr(
         cli, "_bundle", lambda args: bundles.append(stringarith.load_theory()) or bundles[-1]
@@ -263,3 +263,22 @@ def test_fuzz_axioms_cli(capsys):
     argv = ("--seed", "3", "fuzz-axioms", "--samples", "50", "--maxlen", "16", "--exhaustive", "2")
     code, jout, _ = run(capsys, "--format", "json", *argv)
     assert code == 0 and json.loads(jout) == {"ok": True, "checked": 2613, "counterexamples": []}
+
+
+def test_fuzz_axioms_refuses_an_exhaustive_length_past_the_bound(capsys, monkeypatch):
+    # The widest axioms have three variables: length 7 gives 255^3 =
+    # 16,581,375 assignments, length 8 gives 511^3, over 10^8.  Nothing is
+    # drawn or built before the refusal.
+    def never(*args):
+        raise AssertionError("drew or built strings before refusing")
+
+    monkeypatch.setattr(stringarith, "_all_strings", never)
+    monkeypatch.setattr(stringarith, "random_string", never)
+    for length, count in (
+        ("8", str(511**3)),
+        ("40", str((2**41 - 1) ** 3)),
+        ("1000000000", "(2^1000000001-1)^3"),
+    ):
+        code, out, err = run(capsys, "fuzz-axioms", "--samples", "1", "--exhaustive", length)
+        assert code == 2 and out == ""
+        assert f"exhaustive length {length} gives {count} assignments" in err

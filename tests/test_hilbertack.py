@@ -58,6 +58,12 @@ def test_profile_invalid_sequence():
     assert not ha.profile(SpecialSequence((qa(E),))).valid
 
 
+def test_empty_sequence_is_not_valid():
+    # the empty negation disjunction is false
+    assert core.sequence_valid(SpecialSequence(())) is False
+    assert not ha.profile(SpecialSequence(())).valid
+
+
 # --- one elimination step -------------------------------------------------------
 
 
@@ -93,6 +99,17 @@ def test_ha_step_hypothesis_violations():
     impure = Theory("impure", (Exists("x", qa(Var("x"))),), EPS)
     with pytest.raises(CheckError, match="requires plain nonlogical axioms"):
         ha.ha_step(impure, flat)  # nonlogical axioms must be open and plain
+
+
+def test_empty_elimination_output_fails_reverification():
+    # a sequence of the target's special axiom alone eliminates to nothing
+    theory, _ = ha.demo_rank1()
+    e = Exists("x", qa(Var("x")))
+    r = sx.special_constant(e, "r")
+    seq = SpecialSequence((sx.fimp(e, qa(r)),))
+    analysis = ha._Analysis(theory, pc.DEFAULT_BUDGET)
+    with pytest.raises(CheckError, match="output failed the tautology re-verification"):
+        ha._eliminate(analysis, seq, (r,), analysis.profile(seq), "batch")
 
 
 def test_ha_step_retargets_lower_owned_rank():

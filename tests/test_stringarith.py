@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -267,6 +268,136 @@ def test_compile_formula_matches_the_primitive_connectives(bundle, f, env):
         assert code(env) is want
 
 
+# --- the generated code ---------------------------------------------------------
+
+
+# what generated code may name besides its own v<i>, w<i>, c<i> and f<i>
+GENERATED = {
+    "def", "return", "env", "None", "True", "False", "and", "or", "not", "is", "if",
+    "else", "for", "in", "len", "min", "_raise", "_bound", "_local",
+    "_zeros", "_all_strings",
+}
+
+
+def test_variable_names_are_never_written_into_the_code(bundle, monkeypatch):
+    sources = []
+    unit = sa._Generator.unit
+
+    def recording(gen, node):
+        got = unit(gen, node)
+        sources.extend(gen.defs)
+        return got
+
+    monkeypatch.setattr(sa._Generator, "unit", recording)
+    f = formula(
+        bundle,
+        "(and (= (cat len env) (cat return lambda)) (and (not (= x' (s1 v1))) (sim env return)))",
+    )
+    env = {"len": "0", "env": "1", "return": "01", "lambda": "", "x'": "1", "v1": ""}
+    assert sa.eval_formula(f, env, bundle) is False
+    assert sa.eval_formula(f, {**env, "x'": "0"}, bundle) is False
+    assert sa.eval_formula(f, {**env, "x'": "0", "len": "", "return": "1"}, bundle) is True
+    for missing in ("return", "x'", "v1"):
+        less = {k: v for k, v in env.items() if k != missing}
+        with pytest.raises(CheckError) as err:
+            sa.eval_formula(f, less, bundle)
+        assert str(err.value) == f"unbound variable {missing}"
+    # the first conjunct already fails, so the unbound rest is never reached
+    assert sa.eval_formula(f, {"len": "0", "env": "1", "return": "1", "lambda": ""}, bundle) is False
+    assert sources
+    for src in sources:
+        names = set(re.findall(r"[A-Za-z_][A-Za-z0-9_']*", src))
+        assert all(re.fullmatch(r"[vwcf]\d+", n) or n in GENERATED for n in names), names
+
+
+def test_a_witness_rebinding_a_name_replaces_its_value_in_the_bound(bundle):
+    # Without an equation or a bound, z ranges over the strings up to the
+    # length of every value in scope plus 4 (at most 10), and needs
+    # length 9 here: the values in scope decide.
+    inner = "(exists z (= (cat z eps) (cat y (cat y y))))"
+    f = formula(bundle, f"(exists x (and (= x eps) {inner}))")
+    for env, want in (
+        ({"y": "111"}, False),  # 3 + 4 < 9
+        ({"x": "1111", "y": "111"}, False),  # the witness x = eps counts, not "1111"
+        ({"q": "11", "y": "111"}, True),  # another key counts: 2 + 3 + 4
+        ({"q": "11", "x": "1111", "y": "111"}, True),
+    ):
+        assert sa.eval_formula(f, env, bundle, strict=False) is want, env
+    free = formula(bundle, f"(and (= x x) (exists x (and (= x eps) {inner})))")
+    assert sa.eval_formula(free, {"x": "1111", "y": "111"}, bundle, strict=False) is False
+    assert sa.eval_formula(free, {"x": "11", "y": "111"}, bundle, strict=False) is False
+    shadow = formula(bundle, "(and (= x (s0 eps)) (exists x (= x (s1 eps))))")
+    assert sa.eval_formula(shadow, {"x": "0"}, bundle) is True
+
+
+def test_parameters_named_like_generated_identifiers(tmp_path):
+    path = tmp_path / "t.th"
+    path.write_text(
+        "theory T\n"
+        "axiom a1 : (= (cat eps x) x)\n"
+        "define fun d1 f1 := (cat w2 (cat env (s1 c3)))\n"
+        "define pred d2 f4 : (= (f1 env c3 w2) (cat w2 (s1 env)))\n"
+    )
+    b = sa.load_theory(path)
+    t = term(b, "(f1 x y z)")
+    for x, y, z in (("", "", ""), ("0", "1", "10"), ("1", "", "0")):
+        assert sa.eval_term(t, {"x": x, "y": y, "z": z}, b) == x + y + "1" + z
+        want = x + y + "1" + z == z + "1" + x
+        assert sa.eval_formula(formula(b, "(f4 x y z)"), {"x": x, "y": y, "z": z}, b) is want
+    assert sa.eval_formula(formula(b, "(f4 x y z)"), {"x": "0", "y": "", "z": "0"}, b) is True
+    with pytest.raises(CheckError) as err:
+        sa.eval_formula(formula(b, "(f4 x y z)"), {"x": "0", "y": ""}, b)
+    assert str(err.value) == "unbound variable z"
+
+
+def test_deep_terms_and_formulas_keep_their_values(bundle):
+    # CPython refuses more than 200 nested parentheses in one expression
+    t = Var("x")
+    for _ in range(300):
+        t = App(S0, (t,))
+    assert sa.eval_term(t, {"x": "1"}, bundle) == "0" * 300 + "1"
+    f = Atom(sx.EQ, (t, sx.numeral(301)))
+    assert sa.eval_formula(f, {"x": "0"}, bundle) is True
+    assert sa.eval_formula(f, {"x": "1"}, bundle) is False
+    assert sa.eval_term(sx.numeral(300), {}, bundle) == "0" * 300
+    leaves = [formula(bundle, text) for text in ("(= x eps)", "(= y (s0 eps))", "(= x y)")]
+    f = leaves[0]
+    for i in range(300):
+        f = Or(Not(f), leaves[i % 3]) if i % 2 else Not(Or(f, Not(leaves[i % 3])))
+    for env in ({"x": x, "y": y} for x in ("", "0") for y in ("", "0")):
+        assert sa.eval_formula(f, env, bundle) is reference_truth(f, env)
+    raised = 0
+    for env in ({"x": ""}, {"x": "0"}, {"y": ""}, {"y": "0"}):
+        try:
+            want = reference_truth(f, env)
+        except KeyError as unbound:
+            raised += 1
+            with pytest.raises(CheckError, match=f"^unbound variable {unbound.args[0]}$"):
+                sa.eval_formula(f, env, bundle)
+        else:
+            assert sa.eval_formula(f, env, bundle) is want
+    assert raised
+
+
+def test_twenty_five_nested_quantifiers(bundle):
+    # CPython refuses more than 20 statically nested blocks in a function
+    z = [f"z{i}" for i in range(25)]
+    searched = formula(bundle, "(= z24 z24)")
+    for i in reversed(range(25)):
+        bound = formula(bundle, f"(leq {z[i]} {z[i - 1] if i else 'y'})")
+        searched = sx.Exists(z[i], sx.fand(bound, searched))
+    assert sa.eval_formula(searched, {"y": "01"}, bundle) is True
+    zeros = Var("x")
+    for _ in range(25):
+        zeros = App(S0, (zeros,))
+    for last, want in ((Atom(sx.EQ, (Var("z24"), zeros)), True), (formula(bundle, "(= z24 x)"), False)):
+        chain = last
+        for i in reversed(range(25)):
+            step = formula(bundle, f"(= {z[i]} (s0 {z[i - 1] if i else 'x'}))")
+            chain = sx.Exists(z[i], sx.fand(step, chain))
+        assert sa.eval_formula(chain, {"x": "1"}, bundle) is want
+
+
 # --- axioms ------------------------------------------------------------------
 
 
@@ -289,7 +420,7 @@ def test_fuzz_axioms_counterexamples_are_pinned(bundle, monkeypatch):
     # s0 appending its bit breaks a5, a8 and a21.  Per axiom, the seed's
     # samples (drawn as one rng.choice("01") per bit drew them) come first,
     # then every assignment of strings of length at most 1.
-    monkeypatch.setitem(sa.BUILTINS, "s0", lambda x: lambda env: x(env) + "0")
+    monkeypatch.setitem(sa.BUILTINS, "s0", "{0} + '0'")
     rep = sa.fuzz_axioms(
         dataclasses.replace(bundle), samples=6, maxlen=5, seed=11, exhaustive_len=1
     )
