@@ -328,7 +328,13 @@ def check_proof(
                 if any(j >= i for j in idxs):
                     return ProofVerdict(False, i, "taut premise does not strictly precede")
                 premises = [proof.lines[j].formula for j in idxs]
-            if not propcalc.prop_taut_consequence(f, premises, budget):
+            found = propcalc.prop_refute([*premises, Not(f)], budget)
+            if isinstance(found, propcalc.OutOfBudget):
+                return ProofVerdict(
+                    False, i, f"budget exhausted ({found.spent} spent, budget {budget}) "
+                    "before deciding tautological consequence of cited lines"
+                )
+            if not isinstance(found, propcalc.Refutation):
                 return ProofVerdict(False, i, "not a tautological consequence of cited lines")
             classes.append(DeltaClass("taut"))
         else:

@@ -624,17 +624,18 @@ def _clauses(inputs) -> tuple[list[_Clause], list]:
     return clauses, atoms
 
 
-def prop_unsat(fs: Sequence[Formula], budget: int = DEFAULT_BUDGET) -> bool:
-    """Propositional (tautological) unsatisfiability without the atom guard."""
+def prop_refute(
+    fs: Sequence[Formula], budget: int = DEFAULT_BUDGET
+) -> Union[Refutation, Saturated, OutOfBudget]:
+    """The propositional (tautological) search on fs, without the atom guard
+    or a certificate: OutOfBudget when the budget runs out first."""
     clauses, atoms = _clauses(fs)
-    res = _refute(clauses, atoms, budget, use_congruence=False, want_cert=False)
-    return isinstance(res, Refutation)
+    return _refute(clauses, atoms, budget, use_congruence=False, want_cert=False)
 
 
-def prop_taut_consequence(
-    goal: Formula, premises: Sequence[Formula], budget: int = DEFAULT_BUDGET
-) -> bool:
-    return prop_unsat(list(premises) + [Not(goal)], budget)
+def prop_unsat(fs: Sequence[Formula], budget: int = DEFAULT_BUDGET) -> bool:
+    """Propositional unsatisfiability; False also when the budget runs out."""
+    return isinstance(prop_refute(fs, budget), Refutation)
 
 
 def ground_refute(

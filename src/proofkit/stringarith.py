@@ -19,16 +19,22 @@ outright, an order-bounded one ranges over the strings up to the bound's
 length, and one that appears only under the zero product over all-zero
 strings.
 
-Random strings are drawn as one rng.choice("01") per bit would draw them,
-but read from the generator's words in batches (see random_string), so a
-seed samples the same strings as it always has."""
+Random strings are drawn as rng.randint(0, maxlen) and then one
+rng.choice("01") per bit would draw them, so a seed samples the same
+strings as it always has.  A reader that owns its generator reads the
+32-bit words ahead in blocks, marks each word accepted or drawn again, and
+finds where a string of n bits ends with one regular-expression match over
+the marks; random_string draws one string through a reader from a shared
+generator and leaves the generator where those calls would have."""
 
 from __future__ import annotations
 
+import array
 import functools
 import itertools
 import random
 import re
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -617,22 +623,92 @@ class FuzzReport:
 
 # rng.choice("01") reads one 32-bit word per try and keeps its top two bits
 # when they are below 2: a high byte 0x00-0x3F gives '0', 0x40-0x7F '1', and
-# 0x80-0xFF is drawn again.  This table maps each high byte to its bit.
+# 0x80-0xFF is drawn again.  These tables map each high byte to its bit, and
+# to its mark: a for accepted, r for drawn again.
 _BIT_OF_HIGH_BYTE = bytes.maketrans(bytes(range(128)), b"0" * 64 + b"1" * 64)
 _REJECTED_HIGH_BYTES = bytes(range(128, 256))
+_MARK_OF_HIGH_BYTE = bytes.maketrans(bytes(range(256)), b"a" * 128 + b"r" * 128)
+
+# the fewest words a reader takes from its generator at once
+_BLOCK_WORDS = 1024
+# an array type code of 32-bit words
+_WORD = next(code for code in "IL" if array.array(code).itemsize == 4)
+
+
+@functools.lru_cache(maxsize=1024)
+def _bits_end(n: int):
+    """Matches the marks of the words that give the next n bits."""
+    return re.compile(b"(?:r*a){%d}" % n).match
+
+
+class _StringReader:
+    """Draws the strings that rng.randint(0, maxlen) and then one
+    rng.choice("01") per bit would draw from `rng`, reading its 32-bit words
+    ahead in blocks.  The reader owns `rng`: words read and never used are
+    dropped with it."""
+
+    def __init__(self, rng: random.Random):
+        self.rng = rng
+        # the words read and not yet dropped, their high bytes and their marks
+        self.words = array.array(_WORD)
+        self.high = self.marks = b""
+        self.pos = 0  # the first of them not yet used
+        self.dropped = 0  # the words used before them
+
+    def refill(self):
+        """Reads a block of words, or as many as are unused if that is more,
+        so that a long string is read in few blocks; drops the used ones."""
+        pos, count = self.pos, max(_BLOCK_WORDS, len(self.marks) - self.pos)
+        new = self.rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+        words = array.array(_WORD, new)
+        if sys.byteorder == "big":
+            words.byteswap()
+        high = new[3::4]
+        self.words = self.words[pos:] + words
+        self.high = self.high[pos:] + high
+        self.marks = self.marks[pos:] + high.translate(_MARK_OF_HIGH_BYTE)
+        self.dropped += pos
+        self.pos = 0
+
+    def length(self, maxlen: int) -> int:
+        """rng.randint(0, maxlen).  CPython keeps the top k bits of one word,
+        k the bit length of maxlen + 1, and draws again while they are more
+        than maxlen."""
+        if not 0 <= maxlen < 2**32 - 1:
+            raise CheckError(f"string length bound {maxlen} is outside 0..{2**32 - 2}")
+        span = maxlen + 1
+        shift = 32 - span.bit_length()
+        while True:
+            if self.pos == len(self.marks):
+                self.refill()
+            n = self.words[self.pos] >> shift
+            self.pos += 1
+            if n < span:
+                return n
+
+    def draw(self, maxlen: int) -> str:
+        """A string of random length up to maxlen: its words end where the
+        marks hold as many accepted words as it has bits."""
+        end = _bits_end(self.length(maxlen))
+        found = end(self.marks, self.pos)
+        while found is None:
+            self.refill()
+            found = end(self.marks, self.pos)
+        start, self.pos = self.pos, found.end()
+        high = self.high[start : self.pos]
+        return high.translate(_BIT_OF_HIGH_BYTE, _REJECTED_HIGH_BYTES).decode()
 
 
 def random_string(rng: random.Random, maxlen: int) -> str:
-    """The string that `n` calls of rng.choice("01") would give, with `rng`
-    left in the same state: the same words are read in batches, never more
-    words than bits still wanted."""
-    n = rng.randint(0, maxlen)
-    out = b""
-    while len(out) < n:
-        need = n - len(out)
-        high = rng.getrandbits(32 * need).to_bytes(4 * need, "little")[3::4]
-        out += high.translate(_BIT_OF_HIGH_BYTE, _REJECTED_HIGH_BYTES)
-    return out.decode()
+    """The string that rng.randint(0, maxlen) and then one rng.choice("01")
+    per bit would give, with `rng` left in the same state: a reader draws it,
+    then `rng` is set back and passed over the words the string used."""
+    state = rng.getstate()
+    reader = _StringReader(rng)
+    out = reader.draw(maxlen)
+    rng.setstate(state)
+    rng.getrandbits(32 * (reader.dropped + reader.pos))
+    return out
 
 
 # the most assignments fuzz_axioms makes for one axiom's exhaustive check
@@ -649,12 +725,19 @@ def fuzz_axioms(
     """Evaluate every axiom on random assignments (and exhaustively over all
     strings up to exhaustive_len); any counterexample is reported.  Each
     assignment is passed to the axiom's code as a tuple, made as it is
-    checked; only a counterexample becomes a dict.  An exhaustive length
-    that gives the widest axiom more than MAX_EXHAUSTIVE assignments is
-    refused before anything is drawn."""
+    checked; only a counterexample becomes a dict.  A run whose samples
+    could hold more than MAX_EXHAUSTIVE random bits for the widest axiom, or
+    whose exhaustive length gives it more than MAX_EXHAUSTIVE assignments,
+    is refused before anything is drawn."""
     axioms = [(lbl, bundle.registry.entries[lbl].statement) for lbl in bundle.registry.order
               if bundle.registry.entries[lbl].kind == "axiom"]
     width = max((len(sx.free_vars(f)) for _, f in axioms), default=0)
+    bits = samples * width * maxlen
+    if bits > MAX_EXHAUSTIVE:
+        raise CheckError(
+            f"{samples} samples of strings up to {maxlen} bits long for an axiom's "
+            f"{width} variables may draw {bits} bits, more than {MAX_EXHAUSTIVE}"
+        )
     strings = ()
     if exhaustive_len and width:
         # past length 63 the count is far over the limit; it is not computed
@@ -666,12 +749,12 @@ def fuzz_axioms(
                 f"axiom's {width} variables, more than {MAX_EXHAUSTIVE}"
             )
         strings = _all_strings(exhaustive_len)
-    rng = random.Random(seed)
+    draw = _StringReader(random.Random(seed)).draw
     checked = 0
     bad = []
     for label, f in axioms:
         fv = sx.free_vars(f)
-        rows = [tuple(random_string(rng, maxlen) for _ in fv) for _ in range(samples)]
+        rows = [tuple(draw(maxlen) for _ in fv) for _ in range(samples)]
         checked += samples
         if exhaustive_len:
             checked += len(strings) ** len(fv)
@@ -748,7 +831,7 @@ def check_corpus(
     cross-validating every evaluable statement against the interpreter.  A
     script the interpreter disagrees with fails, and is not registered."""
     scripts = load_corpus() if scripts is None else scripts
-    rng = random.Random(seed)
+    draw = _StringReader(random.Random(seed)).draw
     entries = []
     start = time.perf_counter()
     for script in scripts:
@@ -757,7 +840,7 @@ def check_corpus(
         if v.ok:
             stmt = sx.parse(script.statement_text, "formula", bundle.registry.symbols)
             if oracle_samples:
-                oracle, disagreement = _oracle_check(bundle, stmt, oracle_samples, rng)
+                oracle, disagreement = _oracle_check(bundle, stmt, oracle_samples, draw)
                 if disagreement:
                     ok, message = False, disagreement
             if ok:
@@ -772,16 +855,16 @@ def check_corpus(
     return CorpusReport(entries, time.perf_counter() - start)
 
 
-def _oracle_check(bundle, stmt: Formula, samples: int, rng) -> tuple[str, str]:
-    """The interpreter's verdict on `stmt` over `samples` random assignments,
-    and a message naming the first assignment that falsifies it ("" when
+def _oracle_check(bundle, stmt: Formula, samples: int, draw) -> tuple[str, str]:
+    """The interpreter's verdict on `stmt` over `samples` assignments of
+    strings up to 8 bits long from `draw`, and a message naming the first assignment that falsifies it ("" when
     none does)."""
     if not evaluable(stmt, bundle):
         return "skipped", ""
     fn = _memo(bundle, (stmt, True, None), lambda: compile_formula(stmt, bundle)).fn
     fv = sx.free_vars(stmt)
     for _ in range(samples):
-        values = [random_string(rng, 8) for _ in fv]
+        values = [draw(8) for _ in fv]
         if not fn(*values):
             env = dict(zip(fv, values))
             return "disagrees", f"oracle disagrees on {sx.render(stmt)} at {env}"

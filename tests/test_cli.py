@@ -274,6 +274,7 @@ def test_fuzz_axioms_refuses_an_exhaustive_length_past_the_bound(capsys, monkeyp
 
     monkeypatch.setattr(stringarith, "_all_strings", never)
     monkeypatch.setattr(stringarith, "random_string", never)
+    monkeypatch.setattr(stringarith._StringReader, "draw", never)
     for length, count in (
         ("8", str(511**3)),
         ("40", str((2**41 - 1) ** 3)),
@@ -282,3 +283,16 @@ def test_fuzz_axioms_refuses_an_exhaustive_length_past_the_bound(capsys, monkeyp
         code, out, err = run(capsys, "fuzz-axioms", "--samples", "1", "--exhaustive", length)
         assert code == 2 and out == ""
         assert f"exhaustive length {length} gives {count} assignments" in err
+
+
+def test_fuzz_axioms_refuses_a_maxlen_past_the_bound(capsys, monkeypatch):
+    # samples x 3 variables x maxlen random bits at most, refused past 10^8
+    # before any word is read
+    def never(*args):
+        raise AssertionError("read random words before refusing")
+
+    monkeypatch.setattr(stringarith._StringReader, "refill", never)
+    for samples, maxlen in (("200", 166_667), ("1", 10**12), ("200", 2**32 - 1)):
+        code, out, err = run(capsys, "fuzz-axioms", "--samples", samples, "--maxlen", str(maxlen))
+        assert code == 2 and out == ""
+        assert f"may draw {int(samples) * 3 * maxlen} bits, more than 100000000" in err

@@ -563,3 +563,25 @@ def test_every_corpus_segment_refutation_replays(monkeypatch):
         res = pc.ground_refute(inputs, budget)
         assert isinstance(res, pc.Refutation)
         assert pc.replay(res, inputs)
+
+
+def test_check_proof_reports_an_exhausted_budget_as_such():
+    # the links a0 -> a1, ..., a10 -> a11 over 12 atoms give a0 -> a11:
+    # decided at budget 1,000, not at budget 2, where the search stops
+    # before it has an answer
+    atoms = [Atom(Q, (sx.numeral(i),)) for i in range(12)]
+    chain = sx.conj([sx.fimp(a, b) for a, b in zip(atoms, atoms[1:])])
+
+    def one_line(f):
+        return ProofObject((ProofLine(f, ("taut", ())),))
+
+    proof = one_line(sx.fimp(chain, sx.fimp(atoms[0], atoms[-1])))
+    assert check_proof(TOY, proof, budget=1000).ok
+    v = check_proof(TOY, proof, budget=2)
+    assert not v.ok and v.failed_index == 0
+    assert v.message == (
+        "budget exhausted (3 spent, budget 2) before deciding tautological "
+        "consequence of cited lines"
+    )
+    v = check_proof(TOY, one_line(sx.fimp(chain, sx.fimp(atoms[-1], atoms[0]))), budget=1000)
+    assert not v.ok and v.message == "not a tautological consequence of cited lines"

@@ -416,6 +416,80 @@ def test_random_string_draws_what_choice_draws(seed, maxlen):
         assert mine.getstate() == theirs.getstate()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**64), st.integers(0, 300), st.integers(0, 3))
+def test_reader_draws_rows_as_choice_draws_them(seed, maxlen, width):
+    # fuzz_axioms' rows: `width` strings each, then one more string
+    draw = sa._StringReader(random.Random(seed)).draw
+    rng = random.Random(seed)
+    for _ in range(20):
+        row = tuple(draw(maxlen) for _ in range(width))
+        assert row == tuple(choice_string(rng, maxlen) for _ in range(width))
+    assert draw(maxlen) == choice_string(rng, maxlen)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**64), st.lists(st.integers(0, 1000), max_size=30))
+def test_reader_draws_what_choice_draws_across_maxlens(seed, maxlens):
+    draw = sa._StringReader(random.Random(seed)).draw
+    rng = random.Random(seed)
+    for maxlen in maxlens:
+        assert draw(maxlen) == choice_string(rng, maxlen)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_reader_draws_what_choice_draws_across_refills(monkeypatch, block):
+    # blocks of a few words: nearly every string is read over several
+    monkeypatch.setattr(sa, "_BLOCK_WORDS", block)
+    for seed in range(40):
+        draw = sa._StringReader(random.Random(seed)).draw
+        shared, rng = random.Random(seed), random.Random(seed)
+        for maxlen in (0, 1, 5, 64, 300, 2, 17):
+            want = choice_string(rng, maxlen)
+            assert draw(maxlen) == want
+            assert sa.random_string(shared, maxlen) == want
+            assert shared.getstate() == rng.getstate()
+
+
+@pytest.mark.parametrize("maxlen", [0, 1, 2, 7, 8, 255, 256, 2**31 - 1, 2**31, 2**32 - 2])
+def test_reader_lengths_are_randint(maxlen):
+    reader = sa._StringReader(random.Random(maxlen))
+    rng = random.Random(maxlen)
+    assert [reader.length(maxlen) for _ in range(50)] == [rng.randint(0, maxlen) for _ in range(50)]
+
+
+@pytest.mark.parametrize("maxlen", [-1, 2**32 - 1, 2**40])
+def test_lengths_needing_more_than_one_word_are_refused(maxlen):
+    reader = sa._StringReader(random.Random(0))
+    with pytest.raises(CheckError, match="outside 0"):
+        reader.draw(maxlen)
+    assert reader.dropped + reader.pos == 0 and reader.marks == b""
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(CheckError, match="outside 0"):
+        sa.random_string(rng, maxlen)
+    assert rng.getstate() == state
+
+
+def test_fuzz_axioms_refuses_more_random_bits_than_the_bound(bundle, monkeypatch):
+    # The widest axioms have three variables: one sample of up to
+    # 33,333,333 bits each may draw 99,999,999 bits, one bit more per
+    # variable is over 10^8.  A refused run draws nothing.
+    def empty(reader, maxlen):
+        drawn.append(maxlen)
+        return ""
+
+    drawn = []
+    monkeypatch.setattr(sa._StringReader, "draw", empty)
+    rep = sa.fuzz_axioms(bundle, samples=1, maxlen=33_333_333)
+    assert rep.ok and drawn and set(drawn) == {33_333_333}
+    drawn.clear()
+    for samples, maxlen, bits in ((1, 33_333_334, 100_000_002), (200, 2**32 - 1, 200 * 3 * (2**32 - 1))):
+        with pytest.raises(CheckError, match=f"may draw {bits} bits, more than 100000000"):
+            sa.fuzz_axioms(bundle, samples=samples, maxlen=maxlen)
+    assert drawn == []
+
+
 def test_fuzz_axioms_counterexamples_are_pinned(bundle, monkeypatch):
     # s0 appending its bit breaks a5, a8 and a21.  Per axiom, the seed's
     # samples (drawn as one rng.choice("01") per bit drew them) come first,
