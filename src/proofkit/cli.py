@@ -15,7 +15,7 @@ import random
 import sys
 from pathlib import Path
 
-from .errors import CheckError, ProofkitError
+from .errors import BudgetExhausted, CheckError, ProofkitError
 from . import extend, hilbertack, machines, normform, propcalc, stringarith
 from . import syntax as sx
 from .kernel import scripts as kscripts
@@ -113,7 +113,11 @@ def cmd_ha_reduce(args) -> int:
     else:
         rng = random.Random(args.seed)
         theory, seq = hilbertack.generate_inconsistent_case(rng, 2)
-    result = hilbertack.ha_run(theory, seq, budget=_budget(args))
+    try:
+        result = hilbertack.ha_run(theory, seq, budget=_budget(args))
+    except BudgetExhausted as e:
+        _emit(args, {"ok": False, "message": str(e)}, [f"FAIL: {e}"])
+        return 1
     final = list(result.final.formulas)
     refuted = propcalc.ground_refute(final, want_cert=True)
     refutable = isinstance(refuted, propcalc.Refutation)

@@ -32,6 +32,10 @@ class CheckError(ProofkitError):
     """A proof, script, or classification failed to verify."""
 
 
+class BudgetExhausted(CheckError):
+    """A search ran out of its budget before it could decide."""
+
+
 class SizeGuardExceeded(ProofkitError):
     def __init__(self, message, projected):
         self.projected = projected

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..errors import CheckError, SizeGuardExceeded
+from ..errors import BudgetExhausted, CheckError, SizeGuardExceeded
 from .. import propcalc
 from .. import syntax as sx
 from ..syntax import (
@@ -428,14 +428,18 @@ def sequence_valid(seq: SpecialSequence, budget: int = propcalc.DEFAULT_BUDGET) 
     skeleton is small, by the propositional engine otherwise.  The table
     asks whether not An follows from A1 ... An-1, which has the same
     elementary subformulas in the same order and the same answer.  The
-    empty disjunction is false, so the empty sequence is not valid."""
+    empty disjunction is false, so the empty sequence is not valid.  When
+    the engine's budget runs out first, BudgetExhausted is raised."""
     fs = seq.formulas
     if not fs:
         return False
     try:
         return propcalc.taut_check(Not(fs[-1]), fs[:-1]).consequence
     except SizeGuardExceeded:
-        return propcalc.prop_unsat(list(seq.formulas), budget)
+        found = propcalc.prop_refute(list(fs), budget)
+    if isinstance(found, propcalc.OutOfBudget):
+        raise BudgetExhausted(f"budget exhausted ({found.spent} spent, budget {budget})")
+    return isinstance(found, propcalc.Refutation)
 
 
 def extract_special_sequence(theory: Theory, proof: ProofObject) -> SpecialSequence:

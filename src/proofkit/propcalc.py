@@ -633,11 +633,6 @@ def prop_refute(
     return _refute(clauses, atoms, budget, use_congruence=False, want_cert=False)
 
 
-def prop_unsat(fs: Sequence[Formula], budget: int = DEFAULT_BUDGET) -> bool:
-    """Propositional unsatisfiability; False also when the budget runs out."""
-    return isinstance(prop_refute(fs, budget), Refutation)
-
-
 def ground_refute(
     inputs: Sequence[Formula], budget: int = DEFAULT_BUDGET, want_cert: bool = True
 ) -> Union[Refutation, Saturated, OutOfBudget]:

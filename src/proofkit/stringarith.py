@@ -17,15 +17,19 @@ those of a direct recursive evaluation: an error is raised only when
 reached.  An equationally determined witness is a local assigned
 outright, an order-bounded one ranges over the strings up to the bound's
 length, and one that appears only under the zero product over all-zero
-strings.
+strings.  Any other search is bounded by the lengths of the values in
+scope plus 4, which the code adds up in place unless a caller's
+environment, whose every value counts, is passed.
 
 Random strings are drawn as rng.randint(0, maxlen) and then one
 rng.choice("01") per bit would draw them, so a seed samples the same
 strings as it always has.  A reader that owns its generator reads the
 32-bit words ahead in blocks, marks each word accepted or drawn again, and
 finds where a string of n bits ends with one regular-expression match over
-the marks; random_string draws one string through a reader from a shared
-generator and leaves the generator where those calls would have."""
+the marks.  It draws a batch of strings in one call, as many calls one
+after another would (fuzz_axioms draws each axiom's samples so);
+random_string draws one string through a reader from a shared generator
+and leaves the generator where those calls would have."""
 
 from __future__ import annotations
 
@@ -126,6 +130,29 @@ def _all_strings(maxlen: int):
         frontier = [s + b for s in frontier for b in "01"]
         out.extend(frontier)
     return out
+
+
+def _occurs_outside_length(z: str, f: Formula) -> bool:
+    """Whether z occurs free in f other than under a length function: if
+    not, only its length matters."""
+    todo = [f]
+    while todo:
+        n = todo.pop()
+        if isinstance(n, Var):
+            if n.name == z:
+                return True
+        elif isinstance(n, App):
+            if n.fn.name not in LENGTH_FUNS:
+                todo += n.args
+        elif isinstance(n, Atom):
+            todo += n.args
+        elif isinstance(n, Not):
+            todo.append(n.body)
+        elif isinstance(n, Or):
+            todo += (n.left, n.right)
+        elif isinstance(n, Exists) and n.var != z:
+            todo.append(n.body)
+    return False
 
 
 def _defines(f: Formula, z: str, b: Term) -> bool:
@@ -238,7 +265,7 @@ class _Generator:
 
     def code(self, node, strict, cap) -> _Code:
         """A definiens's code, kept on the bundle."""
-        return _memo(self.bundle, (node, strict, cap), lambda: _Code(node, self.bundle, strict, cap))
+        return _compiled(self.bundle, node, strict, cap)
 
     def term(self, t: Term, scope: dict):
         if isinstance(t, Var):
@@ -301,11 +328,7 @@ class _Generator:
         if isinstance(head, Atom) and head.pred == order and head.args[0] == Var(z):
             found.append((head.args[1], False))
         candidates = [(b, one) for b, one in found if z not in sx.occurring_var_names(b)]
-        # a witness that occurs only under the zero product: only its length matters
-        erased = sx.rewrite(
-            e.body, app=lambda t: App(EPS) if t.fn.name in LENGTH_FUNS else t, const=lambda c: c
-        )
-        length_only = z not in sx.free_vars(erased)
+        length_only = not _occurs_outside_length(z, e.body)
         unbounded = lambda: f"unbounded quantifier: {sx.render(e)[:80]}"
         if self.strict and not (candidates or length_only):
             return self.fail(unbounded())
@@ -361,22 +384,26 @@ class _Generator:
         ]
 
     def local(self, scope: dict) -> str:
-        """The search bound's length (see _local) at this scope."""
+        """The search bound's length (see _local) at this scope.  Unchecked
+        code binds every parameter, so without a caller's environment it
+        adds the lengths in place."""
         params = [v for v in scope.values() if v in self.params]
         witnesses = {x: v for x, v in scope.items() if v not in self.params}
         rebound = self.const(frozenset(witnesses))
+        inline = "".join(f"len({v}) + " for v in [*params, *witnesses.values()])
         params = "(" + "".join(f"{v}, " for v in params) + ")"
-        return f"_local({', '.join(['env', rebound, params, *witnesses.values()])})"
+        local = f"_local({', '.join(['env', rebound, params, *witnesses.values()])})"
+        return local if self.checked else f"({inline}4 if env is None else {local})"
 
 
-def _memo(bundle, key, build):
-    """The code for `key` = (node, strict, cap), compiled once per bundle.
-    It relies on no stage or order changing once looked up."""
+def _compiled(bundle, node, strict, cap) -> _Code:
+    """The code for (node, strict, cap), compiled once per bundle.  It
+    relies on no stage or order changing once looked up."""
     if bundle is None:
-        return build()
-    code = bundle.compiled.get(key)
+        return _Code(node, bundle, strict, cap)
+    code = bundle.compiled.get((node, strict, cap))
     if code is None:
-        code = bundle.compiled[key] = build()
+        code = bundle.compiled[node, strict, cap] = _Code(node, bundle, strict, cap)
     return code
 
 
@@ -405,8 +432,7 @@ def eval_formula(
     """Truth of a formula on concrete strings.  With strict=True only
     definitional and order-bounded quantifiers are admitted; otherwise
     capped enumeration is used as a last resort (for translated formulas)."""
-    code = _memo(bundle, (f, strict, cap), lambda: compile_formula(f, bundle, strict, cap))
-    return code(env or {})
+    return _compiled(bundle, f, strict, cap)(env or {})
 
 
 def evaluable(f: Formula, bundle, strict: bool = True) -> bool:
@@ -686,17 +712,24 @@ class _StringReader:
             if n < span:
                 return n
 
-    def draw(self, maxlen: int) -> str:
-        """A string of random length up to maxlen: its words end where the
-        marks hold as many accepted words as it has bits."""
-        end = _bits_end(self.length(maxlen))
-        found = end(self.marks, self.pos)
-        while found is None:
-            self.refill()
+    def strings(self, maxlen: int, count: int) -> list[str]:
+        """`count` strings of random length up to maxlen, one after another:
+        each one's words end where the marks hold as many accepted words as
+        it has bits."""
+        length = self.length
+        out = []
+        for _ in range(count):
+            end = _bits_end(length(maxlen))
             found = end(self.marks, self.pos)
-        start, self.pos = self.pos, found.end()
-        high = self.high[start : self.pos]
-        return high.translate(_BIT_OF_HIGH_BYTE, _REJECTED_HIGH_BYTES).decode()
+            while found is None:
+                self.refill()
+                found = end(self.marks, self.pos)
+            start, self.pos = self.pos, found.end()
+            out.append(self.high[start : self.pos].translate(_BIT_OF_HIGH_BYTE, _REJECTED_HIGH_BYTES))
+        return [*map(bytes.decode, out)]
+
+    def draw(self, maxlen: int) -> str:
+        return self.strings(maxlen, 1)[0]
 
 
 def random_string(rng: random.Random, maxlen: int) -> str:
@@ -724,11 +757,11 @@ def fuzz_axioms(
 ) -> FuzzReport:
     """Evaluate every axiom on random assignments (and exhaustively over all
     strings up to exhaustive_len); any counterexample is reported.  Each
-    assignment is passed to the axiom's code as a tuple, made as it is
-    checked; only a counterexample becomes a dict.  A run whose samples
-    could hold more than MAX_EXHAUSTIVE random bits for the widest axiom, or
-    whose exhaustive length gives it more than MAX_EXHAUSTIVE assignments,
-    is refused before anything is drawn."""
+    axiom's samples are drawn in one batch, and each assignment is passed
+    to its code as a tuple; only a counterexample becomes a dict.  A run
+    whose samples could hold more than MAX_EXHAUSTIVE random bits for the
+    widest axiom, or whose exhaustive length gives it more than
+    MAX_EXHAUSTIVE assignments, is refused before anything is drawn."""
     axioms = [(lbl, bundle.registry.entries[lbl].statement) for lbl in bundle.registry.order
               if bundle.registry.entries[lbl].kind == "axiom"]
     width = max((len(sx.free_vars(f)) for _, f in axioms), default=0)
@@ -749,18 +782,23 @@ def fuzz_axioms(
                 f"axiom's {width} variables, more than {MAX_EXHAUSTIVE}"
             )
         strings = _all_strings(exhaustive_len)
-    draw = _StringReader(random.Random(seed)).draw
+    reader = _StringReader(random.Random(seed))
     checked = 0
     bad = []
     for label, f in axioms:
         fv = sx.free_vars(f)
-        rows = [tuple(draw(maxlen) for _ in fv) for _ in range(samples)]
+        drawn = iter(reader.strings(maxlen, samples * len(fv)))
+        drawn = [*zip(*[drawn] * len(fv))] if fv else [()] * samples  # a row per sample
         checked += samples
         if exhaustive_len:
             checked += len(strings) ** len(fv)
-            rows = itertools.chain(rows, itertools.product(strings, repeat=len(fv)))
-        fn = _memo(bundle, (f, True, None), lambda: compile_formula(f, bundle)).fn
-        bad += [(label, dict(zip(fv, row))) for row in rows if not fn(*row)]
+        rows = lambda: itertools.chain(
+            drawn, itertools.product(strings, repeat=len(fv)) if exhaustive_len else ()
+        )
+        fn = _compiled(bundle, f, True, None).fn
+        # walked again, in the same order, only to collect the counterexamples
+        if not all(itertools.starmap(fn, rows())):
+            bad += [(label, dict(zip(fv, row))) for row in rows() if not fn(*row)]
     return FuzzReport(checked, bad)
 
 
@@ -831,7 +869,7 @@ def check_corpus(
     cross-validating every evaluable statement against the interpreter.  A
     script the interpreter disagrees with fails, and is not registered."""
     scripts = load_corpus() if scripts is None else scripts
-    draw = _StringReader(random.Random(seed)).draw
+    strings = _StringReader(random.Random(seed)).strings
     entries = []
     start = time.perf_counter()
     for script in scripts:
@@ -840,7 +878,7 @@ def check_corpus(
         if v.ok:
             stmt = sx.parse(script.statement_text, "formula", bundle.registry.symbols)
             if oracle_samples:
-                oracle, disagreement = _oracle_check(bundle, stmt, oracle_samples, draw)
+                oracle, disagreement = _oracle_check(bundle, stmt, oracle_samples, strings)
                 if disagreement:
                     ok, message = False, disagreement
             if ok:
@@ -855,16 +893,16 @@ def check_corpus(
     return CorpusReport(entries, time.perf_counter() - start)
 
 
-def _oracle_check(bundle, stmt: Formula, samples: int, draw) -> tuple[str, str]:
+def _oracle_check(bundle, stmt: Formula, samples: int, strings) -> tuple[str, str]:
     """The interpreter's verdict on `stmt` over `samples` assignments of
-    strings up to 8 bits long from `draw`, and a message naming the first assignment that falsifies it ("" when
-    none does)."""
+    strings up to 8 bits long from `strings` (a reader's), and a message
+    naming the first assignment that falsifies it ("" when none does)."""
     if not evaluable(stmt, bundle):
         return "skipped", ""
-    fn = _memo(bundle, (stmt, True, None), lambda: compile_formula(stmt, bundle)).fn
+    fn = _compiled(bundle, stmt, True, None).fn
     fv = sx.free_vars(stmt)
     for _ in range(samples):
-        values = [draw(8) for _ in fv]
+        values = strings(8, len(fv))
         if not fn(*values):
             env = dict(zip(fv, values))
             return "disagrees", f"oracle disagrees on {sx.render(stmt)} at {env}"

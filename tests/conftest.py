@@ -1,5 +1,6 @@
 """Shared fixtures: the loaded theory bundle, a one-time corpus run, the
-brute-force quasitautology oracle, random generators, and script mutation."""
+brute-force quasitautology oracle, random generators, script mutation, and
+a special sequence too large for the truth table."""
 
 from __future__ import annotations
 
@@ -7,9 +8,9 @@ import random
 
 import pytest
 
-from proofkit import propcalc, stringarith
+from proofkit import hilbertack, propcalc, stringarith
 from proofkit import syntax as sx
-from proofkit.kernel import scripts as kscripts
+from proofkit.kernel import SpecialSequence, scripts as kscripts
 from proofkit.syntax import App, Atom, Exists, FnSym, Not, Or, PredSym, Var
 
 
@@ -31,6 +32,16 @@ def corpus_report(bundle, corpus_scripts):
 
 # ---------------------------------------------------------------------------
 # the brute-force quasitautology oracle
+
+
+def demo_past_the_truth_table():
+    """hilbertack's rank-1 demo with q(1), ..., q(25) appended: still valid,
+    with 28 elementary subformulas, so only the propositional search decides
+    it (in 28 steps)."""
+    theory, seq = hilbertack.demo_rank1()
+    q = sx.PredSym("q", 1)
+    more = tuple(Atom(q, (sx.numeral(i),)) for i in range(1, 26))
+    return theory, SpecialSequence(seq.formulas + more)
 
 
 def ground_subterms(fs):

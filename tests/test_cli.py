@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from proofkit import cli, machines, propcalc, stringarith
+from conftest import demo_past_the_truth_table
+from proofkit import cli, hilbertack, machines, propcalc, stringarith
 from proofkit.errors import CheckError
 from proofkit.stringarith import DATA_DIR
 
@@ -164,6 +165,18 @@ def test_ha_reduce_fails_when_the_certificate_does_not_replay(capsys, monkeypatc
     code, jout, _ = run(capsys, "--format", "json", "ha-reduce", "--demo", "rank1")
     payload = json.loads(jout)
     assert code == 1 and payload["ok"] is False and payload["refutable"] is False
+
+
+def test_ha_reduce_reports_an_exhausted_budget(capsys, monkeypatch):
+    case = demo_past_the_truth_table()
+    monkeypatch.setattr(hilbertack, "demo_rank1", lambda: case)
+    code, out, _ = run(capsys, "ha-reduce", "--demo", "rank1")
+    assert code == 0 and "ground-refutable=True" in out
+    code, out, err = run(capsys, "--budget", "5", "ha-reduce", "--demo", "rank1")
+    assert code == 1 and out == "FAIL: budget exhausted (6 spent, budget 5)\n" and err == ""
+    code, jout, _ = run(capsys, "--format", "json", "--budget", "5", "ha-reduce", "--demo", "rank1")
+    assert code == 1
+    assert json.loads(jout) == {"ok": False, "message": "budget exhausted (6 spent, budget 5)"}
 
 
 def test_translate_and_reduce(capsys):

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 from proofkit import hilbertack as ha
 from proofkit import propcalc as pc
 from proofkit import syntax as sx
-from proofkit.errors import CheckError
+from conftest import demo_past_the_truth_table
+from proofkit.errors import BudgetExhausted, CheckError
 from proofkit.kernel import ProofBuilder, SpecialSequence, Theory, check_proof, core
 from proofkit.syntax import App, Atom, Exists, Not, Or, PredSym, Var, EPS, S0
 
@@ -237,6 +238,13 @@ def test_ha_run_analyses_each_sequence_and_formula_once(monkeypatch):
     assert sorted(seen) == ["classify_matched", "match_special", "sequence_valid"]
     for name, keys in seen.items():
         assert len(keys) == len(set(keys)), f"{name}: {len(keys)} calls, {len(set(keys))} distinct"
+
+
+def test_profile_reports_an_exhausted_budget_as_such():
+    _, seq = demo_past_the_truth_table()
+    assert ha.profile(seq).valid and ha.profile(seq, budget=28).valid
+    with pytest.raises(BudgetExhausted, match=r"^budget exhausted \(6 spent, budget 5\)$"):
+        ha.profile(seq, budget=5)
 
 
 def test_monotone_progress_measure():

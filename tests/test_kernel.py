@@ -7,7 +7,7 @@ from proofkit import normform as nf
 from proofkit import propcalc as pc
 from proofkit import stringarith
 from proofkit import syntax as sx
-from proofkit.errors import CheckError, SizeGuardExceeded
+from proofkit.errors import BudgetExhausted, CheckError, SizeGuardExceeded
 from proofkit.kernel import (
     ProofBuilder,
     ProofLine,
@@ -376,6 +376,10 @@ def test_sequence_valid_past_the_truth_table_guard():
         pc.taut_check(sx.disj([Not(f) for f in valid.formulas]))
     assert core.sequence_valid(valid)
     assert not core.sequence_valid(invalid)
+    # an exhausted search is neither answer
+    for seq in (valid, invalid):
+        with pytest.raises(BudgetExhausted, match=r"^budget exhausted \(6 spent, budget 5\)$"):
+            core.sequence_valid(seq, budget=5)
 
 
 def _sequences():

@@ -318,11 +318,14 @@ def test_a_witness_rebinding_a_name_replaces_its_value_in_the_bound(bundle):
     f = formula(bundle, f"(exists x (and (= x eps) {inner}))")
     for env, want in (
         ({"y": "111"}, False),  # 3 + 4 < 9
+        ({"y": "11"}, True),  # 2 + 4 = 6, just enough
         ({"x": "1111", "y": "111"}, False),  # the witness x = eps counts, not "1111"
         ({"q": "11", "y": "111"}, True),  # another key counts: 2 + 3 + 4
         ({"q": "11", "x": "1111", "y": "111"}, True),
     ):
         assert sa.eval_formula(f, env, bundle, strict=False) is want, env
+    longer = formula(bundle, f"(exists x (and (= x (s1 (s1 eps))) {inner}))")
+    assert sa.eval_formula(longer, {"y": "111"}, bundle, strict=False) is True  # 3 + 2 + 4
     free = formula(bundle, f"(and (= x x) (exists x (and (= x eps) {inner})))")
     assert sa.eval_formula(free, {"x": "1111", "y": "111"}, bundle, strict=False) is False
     assert sa.eval_formula(free, {"x": "11", "y": "111"}, bundle, strict=False) is False
@@ -398,6 +401,52 @@ def test_twenty_five_nested_quantifiers(bundle):
         assert sa.eval_formula(chain, {"x": "1"}, bundle) is want
 
 
+def erased_length_only(e):
+    """Whether e's witness is length-only as first defined: it is not free
+    once every length function's application is erased to eps."""
+    erased = sx.rewrite(
+        e.body, app=lambda t: E if t.fn.name in sa.LENGTH_FUNS else t, const=lambda c: c
+    )
+    return e.var not in sx.free_vars(erased)
+
+
+def assert_length_only_as_erased(f):
+    found = []
+    sx.rewrite(f, exists=lambda e: found.append(e) or e, const=lambda c: c)
+    for e in found:
+        assert (not sa._occurs_outside_length(e.var, e.body)) is erased_length_only(e), e
+    return found
+
+
+def test_length_only_witnesses_of_the_corpus_as_erased(bundle, corpus_report):
+    seen = []
+    for entry in corpus_report.entries:
+        stmt = bundle.registry.entries[entry.label].statement
+        section = bundle.registry.entries[entry.label].section
+        chain = bundle.schema if section == "schema" else bundle.definitions
+        seen += assert_length_only_as_erased(stmt)
+        seen += assert_length_only_as_erased(extend.translate_out(chain, stmt).formula)
+    assert len(corpus_report.entries) == 76
+    assert any(map(erased_length_only, seen)) and not all(map(erased_length_only, seen))
+
+
+def quantified(bodies):
+    return st.builds(sx.Exists, st.sampled_from("xyz"), bodies)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    quantified(
+        st.one_of(
+            connective_formulas(),
+            st.builds(sx.fand, connective_formulas(), quantified(connective_formulas())),
+        )
+    )
+)
+def test_length_only_witnesses_as_erased(f):
+    assert_length_only_as_erased(f)
+
+
 # --- axioms ------------------------------------------------------------------
 
 
@@ -451,6 +500,27 @@ def test_reader_draws_what_choice_draws_across_refills(monkeypatch, block):
             assert shared.getstate() == rng.getstate()
 
 
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+@pytest.mark.parametrize("maxlen", [0, 1, 8, 64, 255, 256, 300])
+def test_reader_strings_are_draws_in_a_row(monkeypatch, block, maxlen):
+    monkeypatch.setattr(sa, "_BLOCK_WORDS", block)
+    for seed in range(12):
+        batched = sa._StringReader(random.Random(seed))
+        single = sa._StringReader(random.Random(seed))
+        rng = random.Random(seed)
+        for count in (3, 0, 1, 7, 0, 2):
+            got = batched.strings(maxlen, count)
+            assert got == [single.draw(maxlen) for _ in range(count)]
+            assert got == [choice_string(rng, maxlen) for _ in range(count)]
+            assert batched.dropped + batched.pos == single.dropped + single.pos
+
+
+def test_reader_strings_of_none_draw_nothing():
+    reader = sa._StringReader(random.Random(0))
+    assert reader.strings(64, 0) == []
+    assert reader.dropped + reader.pos == 0 and reader.marks == b""
+
+
 @pytest.mark.parametrize("maxlen", [0, 1, 2, 7, 8, 255, 256, 2**31 - 1, 2**31, 2**32 - 2])
 def test_reader_lengths_are_randint(maxlen):
     reader = sa._StringReader(random.Random(maxlen))
@@ -475,12 +545,12 @@ def test_fuzz_axioms_refuses_more_random_bits_than_the_bound(bundle, monkeypatch
     # The widest axioms have three variables: one sample of up to
     # 33,333,333 bits each may draw 99,999,999 bits, one bit more per
     # variable is over 10^8.  A refused run draws nothing.
-    def empty(reader, maxlen):
+    def empty(reader, maxlen, count):
         drawn.append(maxlen)
-        return ""
+        return [""] * count
 
     drawn = []
-    monkeypatch.setattr(sa._StringReader, "draw", empty)
+    monkeypatch.setattr(sa._StringReader, "strings", empty)
     rep = sa.fuzz_axioms(bundle, samples=1, maxlen=33_333_333)
     assert rep.ok and drawn and set(drawn) == {33_333_333}
     drawn.clear()
@@ -511,6 +581,16 @@ def test_fuzz_axioms_counterexamples_are_pinned(bundle, monkeypatch):
         ("a8", {"x": "1", "y": "1"}),
         ("a21", {"x": "0111"}),
     ]
+
+
+def test_fuzz_axioms_checks_an_axiom_without_variables_once_a_sample(bundle, monkeypatch):
+    # a zero product adding lengths breaks a12, (s0 eps) times (s0 eps)
+    monkeypatch.setitem(sa.BUILTINS, "zprod", "'0' * (len({0}) + len({1}))")
+    for exhaustive_len, rows in ((0, 3), (1, 4)):
+        rep = sa.fuzz_axioms(
+            dataclasses.replace(bundle), samples=3, maxlen=2, exhaustive_len=exhaustive_len
+        )
+        assert [c for c in rep.counterexamples if c[0] == "a12"] == [("a12", {})] * rows
 
 
 def test_fuzz_axioms_small(bundle):
