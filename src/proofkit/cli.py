@@ -362,6 +362,9 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

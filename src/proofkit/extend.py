@@ -1,4 +1,4 @@
-"""Extensions by definitions and relativizations: p-/f-/t-/r-extensions, the
+"""Extensions by definitions and relativizations: p-/f-/r-extensions, the
 translation back into the base language, relativization, default-formula
 elimination, bounded-formula analysis, and the reduction of proofs through an
 extension chain.
@@ -39,6 +39,9 @@ from .syntax import (
     subst,
 )
 
+# the refutation budget of one gap in a reduced proof
+GAP_BUDGET = 50_000
+
 
 # ---------------------------------------------------------------------------
 # the extension log
@@ -46,14 +49,14 @@ from .syntax import (
 
 @dataclass
 class Stage:
-    kind: str  # "t" | "p" | "f" | "r"
+    kind: str  # "p" | "f" | "r"
     label: str
     axiom: Formula
     symbol: Optional[object] = None  # PredSym / FnSym for p/f
     definiens: Optional[Formula] = None  # D for p; D (with output var) for f
     out_var: Optional[str] = None  # f: the y of (41)
     explicit_body: Optional[Term] = None  # explicit f-definitions
-    proof: Optional[ProofObject] = None  # t: proof; r: proof of A^phi
+    proof: Optional[ProofObject] = None  # r: proof of A^phi
     ec_proof: Optional[ProofObject] = None
     uc_proof: Optional[ProofObject] = None
     phi: Optional[Formula] = None  # r: the relativizer (unary, free var x)
@@ -95,16 +98,6 @@ class DefinitionRegistry:
         return fns, preds
 
     # -- registration ------------------------------------------------------
-
-    def add_t_extension(self, label: str, statement: Formula, proof: Optional[ProofObject] = None, check: bool = True) -> Stage:
-        if check:
-            if proof is None:
-                raise CheckError("t-extension requires a proof")
-            if not core.proves(self.theory(), proof, statement):
-                raise CheckError(f"proof does not establish {sx.render(statement)}")
-        st = Stage("t", label, statement, proof=proof)
-        self.stages.append(st)
-        return st
 
     def define_predicate(self, label: str, name: str, definiens: Formula) -> Stage:
         key = ("p", definiens)
@@ -188,7 +181,6 @@ class DefinitionRegistry:
         phi: Formula,
         proof: ProofObject,
         respects: Optional[dict] = None,
-        check: bool = True,
     ) -> Stage:
         """Adjoin a plain axiom A given a relativizer phi with a checked
         proof of A^phi; respects-proofs cover the function symbols of L(T)
@@ -200,25 +192,24 @@ class DefinitionRegistry:
         if not sx.is_plain(added):
             raise CheckError("r-extension axiom must be plain")
         respects = dict(respects or {})
-        if check:
-            if not t.is_open():
-                raise CheckError("r-extensions require an open prior theory here")
-            goal = relativize(added, phi).relativized
-            if not core.proves(t, proof, goal):
-                raise CheckError("proof of the relativized axiom fails")
-            language = (
-                t.language_symbols()
-                | {t.zero}
-                | set(self.declared)
-                | sx.appearing_symbols(added)
-            )
-            for fsym in sorted(language, key=lambda s: s.name):
-                if not isinstance(fsym, FnSym):
-                    continue
-                ob = respects_obligation(fsym, phi)
-                pr = respects.get(fsym)
-                if pr is None or not core.proves(t, pr, ob):
-                    raise CheckError(f"missing respects proof for {fsym.name}")
+        if not t.is_open():
+            raise CheckError("r-extensions require an open prior theory here")
+        goal = relativize(added, phi).relativized
+        if not core.proves(t, proof, goal):
+            raise CheckError("proof of the relativized axiom fails")
+        language = (
+            t.language_symbols()
+            | {t.zero}
+            | set(self.declared)
+            | sx.appearing_symbols(added)
+        )
+        for fsym in sorted(language, key=lambda s: s.name):
+            if not isinstance(fsym, FnSym):
+                continue
+            ob = respects_obligation(fsym, phi)
+            pr = respects.get(fsym)
+            if pr is None or not core.proves(t, pr, ob):
+                raise CheckError(f"missing respects proof for {fsym.name}")
         st = Stage("r", label, added, phi=phi, proof=proof, respects=respects)
         self.stages.append(st)
         return st
@@ -237,12 +228,8 @@ class DefinitionRegistry:
 # translation out of p/f extensions
 
 
-def _variant_avoiding(d: Formula, avoid) -> Formula:
-    return sx.make_adjusted_variant(d, avoid)
-
-
 def _translate_p_atom(stage: Stage, atom: Atom, avoid) -> Formula:
-    d = _variant_avoiding(stage.definiens, avoid)
+    d = sx.make_adjusted_variant(stage.definiens, avoid)
     args = free_vars(stage.definiens)
     return subst(d, dict(zip(args, atom.args)))
 
@@ -272,7 +259,7 @@ def _translate_f_in_atom(stage: Stage, atom: Atom, avoid: set) -> Formula:
     avoid = avoid | {z}
     reduced = sx.replace_at(atom, path, Var(z))
     inner = _translate_f_in_atom(stage, reduced, avoid)
-    d = _variant_avoiding(stage.definiens, avoid | sx.occurring_var_names(atom))
+    d = sx.make_adjusted_variant(stage.definiens, avoid | sx.occurring_var_names(atom))
     params = free_vars(Exists(stage.out_var, stage.definiens))
     binding = dict(zip(params, occurrence.args))
     binding[stage.out_var] = Var(z)
@@ -462,8 +449,6 @@ def bounded_translation_check(
 def reduce_image(reg: DefinitionRegistry, f: Formula) -> Formula:
     cur = f
     for stage in reversed(reg.stages):
-        if stage.kind == "t":
-            continue
         if stage.kind in ("p", "f"):
             cur = _translate_stage(stage, cur)
         elif stage.kind == "r":
@@ -471,13 +456,11 @@ def reduce_image(reg: DefinitionRegistry, f: Formula) -> Formula:
     return cur
 
 
-def quasitaut_gap(
-    pb: ProofBuilder, goal: Formula, premise_idx: Sequence[int], budget: int = 50_000
-) -> int:
+def quasitaut_gap(pb: ProofBuilder, goal: Formula, premise_idx: Sequence[int]) -> int:
     """Justify goal from the cited lines plus identity/equality-formula
-    delta lines discovered by the ground refuter."""
+    delta lines discovered by the ground refuter within GAP_BUDGET."""
     premises = [pb.lines[i].formula for i in premise_idx]
-    res = propcalc.ground_refute(premises + [Not(goal)], budget)
+    res = propcalc.ground_refute(premises + [Not(goal)], GAP_BUDGET)
     if not isinstance(res, propcalc.Refutation):
         raise CheckError(f"gap is not quasitautological: {sx.render(goal)}")
     extra = []
@@ -534,9 +517,7 @@ def reduce_proof(reg: DefinitionRegistry, proof: ProofObject) -> ProofObject:
     used_defaults = False
     for stage in reversed(reg.stages):
         before = reg.theory_before(stage)
-        if stage.kind == "t":
-            cur = _reduce_t(before, stage, cur)
-        elif stage.kind == "p":
+        if stage.kind == "p":
             cur = _reduce_p(before, stage, cur)
         elif stage.kind == "f":
             cur = _reduce_f(before, stage, cur)
@@ -546,32 +527,6 @@ def reduce_proof(reg: DefinitionRegistry, proof: ProofObject) -> ProofObject:
     if used_defaults:
         cur = eliminate_defaults(reg.base, cur)
     return cur
-
-
-def _reduce_t(theory: Theory, stage: Stage, proof: ProofObject) -> ProofObject:
-    pb = ProofBuilder()
-    base_idx = None
-
-    def on_delta(line):
-        nonlocal base_idx
-        f = line.formula
-        if line.just[0] == "default":
-            return pb.default(f)
-        if core.in_delta(theory, f):
-            return pb.delta(f)
-        # a closed instance of the t-axiom: embed its proof, instantiate
-        if base_idx is None:
-            base_idx = _embed(pb, stage.proof, closure(stage.axiom))
-        binding = core.match_instance(
-            stage.axiom, f, frozenset(free_vars(stage.axiom))
-        )
-        if binding is None:
-            raise CheckError("delta line is not an instance of the t-axiom")
-        terms = [binding.get(x, theory.zero_term) for x in free_vars(stage.axiom)]
-        return instantiate_closure(pb, base_idx, terms)
-
-    core.map_proof(pb, proof, lambda f: f, on_delta)
-    return pb.build()
 
 
 def _p_hom(stage: Stage):

@@ -22,6 +22,9 @@ from .kernel.core import ProofBuilder, ProofObject, SpecialSequence, Theory
 from .syntax import Formula, Not, SpecialConst, Term, fimp
 
 TOWER_CUTOFF = 2 ** 64
+# the driver's limits: eliminator steps per run, formulas per sequence
+MAX_STEPS = 200
+MAX_FORMULAS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -42,11 +45,11 @@ class TowerExpr:
         sym = {"+": " + ", "*": " * ", "^": " ^ "}[self.op]
         return "(" + sym.join(str(a) for a in self.args) + ")"
 
-    def eval(self, cutoff: int = TOWER_CUTOFF) -> Optional[int]:
-        """Arbitrary-precision value, or None above the cutoff."""
+    def eval(self) -> Optional[int]:
+        """Arbitrary-precision value, or None above TOWER_CUTOFF."""
         if self.op == "num":
-            return self.num if self.num <= cutoff else None
-        vals = [a.eval(cutoff) for a in self.args]
+            return self.num if self.num <= TOWER_CUTOFF else None
+        vals = [a.eval() for a in self.args]
         if any(v is None for v in vals):
             return None
         if self.op == "+":
@@ -58,11 +61,12 @@ class TowerExpr:
         else:
             # right-associated exponentiation with an overflow guard
             out = vals[-1]
+            limit = TOWER_CUTOFF.bit_length() + 8
             for base in reversed(vals[:-1]):
-                if base >= 2 and (base.bit_length() - 1) * out > cutoff.bit_length() + 8:
+                if base >= 2 and (base.bit_length() - 1) * out > limit:
                     return None
                 out = base ** out
-        return out if out <= cutoff else None
+        return out if out <= TOWER_CUTOFF else None
 
 
 def tnum(n: int) -> TowerExpr:
@@ -279,12 +283,6 @@ def _eliminate(analysis, seq, targets, prof, mode):
 
 
 @dataclass
-class RunLimits:
-    max_steps: int = 200
-    max_formulas: int = 100_000
-
-
-@dataclass
 class RunResult:
     final: SpecialSequence
     trace: list
@@ -296,18 +294,14 @@ class RunResult:
 
 
 def ha_run(
-    theory: Theory,
-    seq: SpecialSequence,
-    rho0: Optional[int] = None,
-    limits: RunLimits = RunLimits(),
-    budget: int = propcalc.DEFAULT_BUDGET,
+    theory: Theory, seq: SpecialSequence, budget: int = propcalc.DEFAULT_BUDGET
 ) -> RunResult:
     """Iterate the eliminator until no formula belongs to a special constant
-    of rank above rho0; compare observed sizes against the evaluated bound
-    when it is below the cutoff.  Each sequence is profiled once and each
-    formula classified once per run."""
-    if rho0 is None:
-        rho0 = theory.rank_profile()
+    of rank above the theory's rank profile rho0, within MAX_STEPS steps and
+    MAX_FORMULAS formulas; compare observed sizes against the evaluated
+    bound when it is below TOWER_CUTOFF.  Each sequence is profiled once and
+    each formula classified once per run."""
+    rho0 = theory.rank_profile()
     analysis = _Analysis(theory, budget)
     prof0 = analysis.profile(seq)
     if not prof0.valid:
@@ -320,13 +314,13 @@ def ha_run(
     steps = 0
     while _owned_rank(prof.owners) > rho0:
         steps += 1
-        if steps > limits.max_steps:
-            raise CheckError(f"step limit exhausted after {limits.max_steps}")
+        if steps > MAX_STEPS:
+            raise CheckError(f"step limit exhausted after {MAX_STEPS}")
         cur, t = ha_step(theory, cur, rho0, budget, analysis)
         prof = t.profile_out
         trace.append(t)
         observed = max(observed, t.size_out_multiset)
-        if len(cur.formulas) > limits.max_formulas:
+        if len(cur.formulas) > MAX_FORMULAS:
             raise CheckError("formula limit exhausted")
     within = None if bound_value is None else observed <= bound_value
     return RunResult(cur, trace, bound, bound_value, observed, within, prof0)

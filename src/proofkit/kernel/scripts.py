@@ -327,15 +327,13 @@ def select_direction(statement: Formula, direction: Optional[str]) -> Formula:
     return fimp(lhs, rhs) if direction == "fw" else fimp(rhs, lhs)
 
 
-def elaborate_citation(
-    registry: Registry, use: UseLine, env: dict, require_checked: bool = True
-) -> Formula:
+def elaborate_citation(registry: Registry, use: UseLine, env: dict) -> Formula:
     """One citation line to one closed instance."""
     if use.label == "BSI":
         stmt = registry.bsi_statement(use.phi_label)
     else:
         entry = registry.lookup(use.label)
-        if require_checked and not entry.checked:
+        if not entry.checked:
             raise CheckError(f"citation of unchecked theorem {use.label!r}")
         stmt = select_direction(entry.statement, use.direction)
     steps = []

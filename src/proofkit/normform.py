@@ -281,7 +281,3 @@ def special_case(
         else:
             raise CheckError(f"unknown directive step kind {kind!r}")
     return cur
-
-
-def special_case_conjuncts(f: Formula) -> list[Formula]:
-    return sx.conjuncts(f)

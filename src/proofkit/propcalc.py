@@ -59,7 +59,7 @@ from .syntax import (
     opposite,
 )
 
-DEFAULT_ATOM_GUARD = 24
+ATOM_GUARD = 24  # most elementary atoms taut_check enumerates
 DEFAULT_BUDGET = 100_000
 
 
@@ -131,41 +131,34 @@ def atom_patterns(els, n: int) -> dict:
     return out
 
 
-def _bitvec(f: Formula, atoms: dict, full: int) -> int:
+def bitvec_value(f: Formula, atoms: dict, full: int) -> int:
+    """f's truth under every valuation at once, one bit per valuation;
+    also used by independent enumeration-style oracles."""
     if is_elementary(f):
         return atoms[f]
     if isinstance(f, Not):
-        return full ^ _bitvec(f.body, atoms, full)
+        return full ^ bitvec_value(f.body, atoms, full)
     if isinstance(f, Or):
-        return _bitvec(f.left, atoms, full) | _bitvec(f.right, atoms, full)
+        return bitvec_value(f.left, atoms, full) | bitvec_value(f.right, atoms, full)
     raise TypeError(f)
 
 
-def bitvec_value(f: Formula, atoms: dict, full: int) -> int:
-    """Exposed for independent enumeration-style oracles."""
-    return _bitvec(f, atoms, full)
-
-
-def taut_check(
-    goal: Formula,
-    premises: Sequence[Formula] = (),
-    atom_guard: int = DEFAULT_ATOM_GUARD,
-) -> TautVerdict:
+def taut_check(goal: Formula, premises: Sequence[Formula] = ()) -> TautVerdict:
     """Decide whether goal is a tautological consequence of the premises by
     enumerating all relevant truth valuations (as bit vectors).
 
-    Raises SizeGuardExceeded when the skeleton has more than atom_guard
+    Raises SizeGuardExceeded when the skeleton has more than ATOM_GUARD
     distinct elementary atoms; callers then fall back to ground_refute."""
     els = elementary_subformulas(list(premises) + [goal])
     n = len(els)
-    if n > atom_guard:
+    if n > ATOM_GUARD:
         raise SizeGuardExceeded("propositional skeleton too large", n)
     full = (1 << (1 << n)) - 1
     atoms = atom_patterns(els, n)
     ok = full
     for p in premises:
-        ok &= _bitvec(p, atoms, full)
-    bad = ok & (full ^ _bitvec(goal, atoms, full))
+        ok &= bitvec_value(p, atoms, full)
+    bad = ok & (full ^ bitvec_value(goal, atoms, full))
     if bad == 0:
         return TautVerdict(True)
     idx = (bad & -bad).bit_length() - 1

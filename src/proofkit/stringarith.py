@@ -407,19 +407,15 @@ def _compiled(bundle, node, strict, cap) -> _Code:
     return code
 
 
-def compile_term(t: Term, bundle=None) -> _Code:
-    """`t`'s value as code called on an environment.  Errors are raised
-    when the code reaches them."""
-    return _Code(t, bundle, None, None)
-
-
 def compile_formula(f: Formula, bundle=None, strict: bool = True, cap: Optional[int] = None) -> _Code:
     """`f`'s truth as code called on an environment (see eval_formula)."""
     return _Code(f, bundle, strict, cap)
 
 
 def eval_term(t: Term, env: Optional[dict] = None, bundle: "TheoryBundle" = None) -> str:
-    return compile_term(t, bundle)(env or {})
+    """`t`'s value under env.  Errors are raised when the code reaches
+    them."""
+    return _Code(t, bundle, None, None)(env or {})
 
 
 def eval_formula(

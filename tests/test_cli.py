@@ -309,3 +309,17 @@ def test_fuzz_axioms_refuses_a_maxlen_past_the_bound(capsys, monkeypatch):
         code, out, err = run(capsys, "fuzz-axioms", "--samples", samples, "--maxlen", str(maxlen))
         assert code == 2 and out == ""
         assert f"may draw {int(samples) * 3 * maxlen} bits, more than 100000000" in err
+
+
+def test_fuzz_axioms_out_of_memory_exit_two(capsys, monkeypatch):
+    # --maxlen 33333333 passes the bit bound, but the zero-product axioms
+    # would then build strings of about 10^14 characters; the exhaustion is
+    # simulated, never run
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(stringarith, "fuzz_axioms", exhausted)
+    code, out, err = run(capsys, "fuzz-axioms", "--samples", "1", "--maxlen", "33333333")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: out of memory"
+    assert "Traceback" not in err

@@ -284,10 +284,15 @@ def test_reduce_proof_through_p_stage():
     assert red.contains(sx.subst(d, {"x": E}))
 
 
-def test_reduce_proof_through_r_stage_with_defaults():
-    phi = Atom(Q, (Var("x"),))
-    added = Atom(Q, (App(PD, (Var("x"),)),))
-    relA = extend.relativize(added, phi).relativized
+# The r-extension of BASE by q(pd(x)) relativized to q(x): the relativizer,
+# the added axiom, a proof of its relativization, and the respects proofs
+# for eps and pd.
+R_PHI = Atom(Q, (Var("x"),))
+R_ADDED = Atom(Q, (App(PD, (Var("x"),)),))
+
+
+def r_extension_proofs():
+    relA = extend.relativize(R_ADDED, R_PHI).relativized
     fr = nf.freeze(relA)
     cx = fr.witnesses[0][1]
     pb = ProofBuilder()
@@ -298,7 +303,7 @@ def test_reduce_proof_through_r_stage_with_defaults():
     rel_proof = pb.build()
 
     def respects(fsym):
-        ob = extend.respects_obligation(fsym, phi)
+        ob = extend.respects_obligation(fsym, R_PHI)
         if not sx.free_vars(ob):
             pb = ProofBuilder()
             pb.delta(ob) if core.in_delta(BASE, ob) else pb.taut(ob, ())
@@ -312,10 +317,33 @@ def test_reduce_proof_through_r_stage_with_defaults():
         pb.taut(sx.closure(ob), (axp, rm[fpi]))
         return pb.build()
 
+    return rel_proof, {EPS: respects(EPS), PD: respects(PD)}
+
+
+def test_r_extension_refuses_a_missing_respects_proof():
+    rel_proof, respects = r_extension_proofs()
+    del respects[PD]
     reg = extend.DefinitionRegistry(BASE, declared=(EPS, PD))
-    reg.add_r_extension(
-        "r1", added, phi, rel_proof, {EPS: respects(EPS), PD: respects(PD)}
-    )
+    with pytest.raises(CheckError, match="^missing respects proof for pd$"):
+        reg.add_r_extension("r1", R_ADDED, R_PHI, rel_proof, respects)
+    assert reg.stages == []
+
+
+def test_r_extension_refuses_a_failing_relativized_proof():
+    # a proof of the unrelativized axiom does not establish its relativization
+    _, respects = r_extension_proofs()
+    pb = ProofBuilder()
+    pb.delta(R_ADDED)
+    reg = extend.DefinitionRegistry(BASE, declared=(EPS, PD))
+    with pytest.raises(CheckError, match="^proof of the relativized axiom fails$"):
+        reg.add_r_extension("r1", R_ADDED, R_PHI, pb.build(), respects)
+    assert reg.stages == []
+
+
+def test_reduce_proof_through_r_stage_with_defaults():
+    added = R_ADDED
+    reg = extend.DefinitionRegistry(BASE, declared=(EPS, PD))
+    reg.add_r_extension("r1", added, R_PHI, *r_extension_proofs())
     e = Exists("u", Atom(Q, (Var("u"),)))
     r = sx.special_constant(Exists("w", Atom(Q, (Var("w"),))), "w0")
     pb = ProofBuilder()

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module,
-every private definition is referred to from outside itself, and every
-private module-level function reads each of its parameters.
+every private definition is referred to from outside itself, every function
+and method is named outside its own definition, and every private
+module-level function reads each of its parameters.
 
 Package ``__init__.py`` files are exempt from the import check: their
 imports are re-exports."""
@@ -81,6 +82,27 @@ def test_every_private_definition_is_referenced():
         and refs[node.name] == _references(node)[node.name]
     ]
     assert not dead, f"unreferenced private definitions: {', '.join(dead)}"
+
+
+# Where a function of the package may be named: the package, the tests and
+# the benchmark harness.
+REPO = Path(__file__).resolve().parents[1]
+CALLERS = sorted(p for d in ("src", "tests", "perfbench") for p in (REPO / d).rglob("*.py"))
+
+
+def test_every_function_is_named_outside_its_definition():
+    # a function or method that nothing names, called or passed, is dead;
+    # dunder methods are called by the language itself
+    refs = sum((_references(ast.parse(p.read_text())) for p in CALLERS), Counter())
+    dead = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno} {node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and refs[node.name] == _references(node)[node.name]
+    ]
+    assert not dead, f"functions named only in their own definition: {', '.join(dead)}"
 
 
 def _unread_parameters(fn):

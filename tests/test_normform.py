@@ -191,7 +191,7 @@ def test_special_case_examples():
 def test_special_case_conjuncts():
     p, q, s = Atom(P), Atom(PredSym("q0", 0)), Atom(PredSym("s0p", 0))
     f = sx.fand(Or(p, q), s)
-    assert nf.special_case_conjuncts(f) == [Or(p, q), s]
+    assert sx.conjuncts(f) == [Or(p, q), s]
 
 
 def test_special_case_errors():
