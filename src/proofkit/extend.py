@@ -18,6 +18,7 @@ from . import propcalc
 from . import syntax as sx
 from .kernel import core, proofgen
 from .kernel.core import ProofBuilder, ProofObject, Theory
+from .kernel.scripts import Entry
 from .syntax import (
     App,
     Atom,
@@ -66,13 +67,22 @@ class Stage:
 class DefinitionRegistry:
     """Base theory plus the append-only log of extensions, keyed by
     canonical definiens: re-registering a structurally identical definiens
-    returns the existing symbol."""
+    returns the existing symbol.  Only this class builds and logs a stage."""
 
     def __init__(self, base: Theory, declared=()):
         self.base = base
         self.declared = tuple(declared)  # language symbols beyond occurrences
         self.stages: list[Stage] = []
         self._by_definiens: dict = {}
+
+    def continued(self, *declared) -> "DefinitionRegistry":
+        """A chain over the same base theory that starts with this chain's
+        stages and logs its own after them, with `declared` added to the
+        language."""
+        out = DefinitionRegistry(self.base, self.declared + declared)
+        out.stages = list(self.stages)
+        out._by_definiens = dict(self._by_definiens)
+        return out
 
     def theory(self) -> Theory:
         t = self.base
@@ -88,91 +98,62 @@ class DefinitionRegistry:
             t = t.extend(s.axiom)
         return t
 
-    def symbols(self):
-        fns, preds = [], []
-        for s in self.stages:
-            if s.kind == "p":
-                preds.append(s.symbol)
-            elif s.kind == "f":
-                fns.append(s.symbol)
-        return fns, preds
-
     # -- registration ------------------------------------------------------
 
     def define_predicate(self, label: str, name: str, definiens: Formula) -> Stage:
-        key = ("p", definiens)
-        if key in self._by_definiens:
-            return self._by_definiens[key]
-        if not sx.is_plain(definiens):
-            raise CheckError("definiens must be plain")
-        self._check_language(definiens)
-        args = free_vars(definiens)
-        p = PredSym(name, len(args))
-        axiom = sx.fiff(Atom(p, tuple(Var(x) for x in args)), definiens)
-        st = Stage("p", label, axiom, symbol=p, definiens=definiens)
-        self.stages.append(st)
-        self._by_definiens[key] = st
-        return st
+        def build():
+            args = free_vars(definiens)
+            p = PredSym(name, len(args))
+            axiom = sx.fiff(Atom(p, tuple(Var(x) for x in args)), definiens)
+            return Stage("p", label, axiom, symbol=p, definiens=definiens)
+
+        return self._define(("p", definiens), definiens, build)
 
     def define_function_explicit(self, label: str, name: str, body: Term) -> Stage:
         y = sx.fresh_name("y", sx.occurring_var_names(body))
         definiens = sx.eq(Var(y), body)
-        key = ("f", Exists(y, definiens))
-        if key in self._by_definiens:
-            return self._by_definiens[key]
-        if not sx.is_plain(body):
-            raise CheckError("definiens must be plain")
-        self._check_language(definiens)
-        args = free_vars(body)
-        f = FnSym(name, len(args))
-        head = App(f, tuple(Var(x) for x in args))
-        axiom = sx.eq(head, body)
-        st = Stage(
-            "f", label, axiom, symbol=f, definiens=definiens, out_var=y,
-            explicit_body=body,
-        )
-        self.stages.append(st)
-        self._by_definiens[key] = st
-        return st
+
+        def build():
+            args = free_vars(body)
+            f = FnSym(name, len(args))
+            axiom = sx.eq(App(f, tuple(Var(x) for x in args)), body)
+            return Stage(
+                "f", label, axiom, symbol=f, definiens=definiens, out_var=y,
+                explicit_body=body,
+            )
+
+        return self._define(("f", Exists(y, definiens)), definiens, build)
 
     def define_function(
         self,
         label: str,
         name: str,
         existential: Exists,
-        ec_proof: ProofObject,
-        uc_proof: ProofObject,
+        ec: ProofObject | Entry,
+        uc: ProofObject | Entry,
     ) -> Stage:
-        key = ("f", existential)
-        if key in self._by_definiens:
-            return self._by_definiens[key]
+        """The function f(xs) = the y with D, for `existential` exists y D.
+        `ec` and `uc` establish its existence and uniqueness conditions in
+        the chain's theory: each is a proof of its condition, or a checked
+        registry entry that states it."""
         if not isinstance(existential, Exists):
             raise CheckError("function definition wants an existential formula")
-        y = existential.var
-        definiens = existential.body
-        if not sx.is_plain(definiens):
-            raise CheckError("definiens must be plain")
-        self._check_language(definiens)
-        t = self.theory()
-        if not core.proves(t, ec_proof, existential):
-            raise CheckError("existence condition unproved")
-        yp = sx.fresh_name(y + "'", sx.occurring_var_names(definiens))
-        uc = fimp(
-            fand(definiens, subst(definiens, {y: Var(yp)})), sx.eq(Var(y), Var(yp))
-        )
-        if not core.proves(t, uc_proof, uc):
-            raise CheckError("uniqueness condition unproved")
-        args = free_vars(existential)
-        f = FnSym(name, len(args))
-        head = App(f, tuple(Var(x) for x in args))
-        axiom = sx.fiff(sx.eq(head, Var(y)), definiens)
-        st = Stage(
-            "f", label, axiom, symbol=f, definiens=definiens, out_var=y,
-            ec_proof=ec_proof, uc_proof=uc_proof,
-        )
-        self.stages.append(st)
-        self._by_definiens[key] = st
-        return st
+        y, definiens = existential.var, existential.body
+
+        def build():
+            t = self.theory()
+            ec_proof = _establish(t, ec, existential, "existence")
+            uc_proof = _establish(t, uc, uniqueness_condition(existential), "uniqueness")
+            args = free_vars(existential)
+            f = FnSym(name, len(args))
+            head = App(f, tuple(Var(x) for x in args))
+            axiom = sx.fiff(sx.eq(head, Var(y)), definiens)
+            return Stage(
+                "f", label, axiom, symbol=f, definiens=definiens, out_var=y,
+                ec_proof=ec_proof, uc_proof=uc_proof,
+            )
+
+        return self._define(("f", existential), definiens, build)
 
     def add_r_extension(
         self,
@@ -214,14 +195,50 @@ class DefinitionRegistry:
         self.stages.append(st)
         return st
 
-    def _check_language(self, f: Formula):
+    def _define(self, key: tuple, definiens: Formula, build) -> Stage:
+        """The stage logged under `key`, else the one `build()` makes once
+        the definiens is found plain and in the chain's language, logged."""
+        got = self._by_definiens.get(key)
+        if got is not None:
+            return got
+        if not sx.is_plain(definiens):
+            raise CheckError("definiens must be plain")
         known = set(self.base.language_symbols()) | set(self.declared)
-        for s in self.stages:
-            if s.symbol is not None:
-                known.add(s.symbol)
-        for symb in sx.appearing_symbols(f):
+        known |= {s.symbol for s in self.stages if s.symbol is not None}
+        for symb in sx.appearing_symbols(definiens):
             if symb not in known:
                 raise CheckError(f"definiens uses unregistered symbol {symb.name}")
+        st = build()
+        self.stages.append(st)
+        self._by_definiens[key] = st
+        return st
+
+
+def uniqueness_condition(existential: Exists) -> Formula:
+    """D & D(y') -> y = y'  for the definiens D of  exists y D."""
+    y, d = existential.var, existential.body
+    yp = sx.fresh_name(y + "'", sx.occurring_var_names(d))
+    return fimp(fand(d, subst(d, {y: Var(yp)})), sx.eq(Var(y), Var(yp)))
+
+
+def _establish(
+    theory: Theory, evidence: ProofObject | Entry, condition: Formula, what: str
+) -> Optional[ProofObject]:
+    """Refuse evidence that does not establish the condition: a proof that
+    does not prove it in the theory, or a registry entry that is unchecked
+    or states something else.  The proof is returned, an entry gives None."""
+    if isinstance(evidence, ProofObject):
+        if not core.proves(theory, evidence, condition):
+            raise CheckError(f"{what} condition unproved")
+        return evidence
+    if not evidence.checked:
+        raise CheckError(f"{what} citation {evidence.label!r} is unchecked")
+    if evidence.statement != condition:
+        raise CheckError(
+            f"{what} citation {evidence.label!r} states {sx.render(evidence.statement)}, "
+            f"need {sx.render(condition)}"
+        )
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +577,7 @@ def _reduce_p(theory: Theory, stage: Stage, proof: ProofObject) -> ProofObject:
                 return pb.taut(g, ())
         # an equality formula for the defined predicate becomes an instance
         # of the equality theorem
-        horn = propcalc._as_horn(f)
+        horn = propcalc.as_horn(f)
         if horn is not None:
             parts, concl = horn
             prem = parts[-1]
@@ -597,21 +614,11 @@ def _f_hom(stage: Stage):
     return lambda node: sx.rewrite(node, app=on_app)
 
 
-def _f_ec_closure(stage: Stage) -> Formula:
-    return closure(Exists(stage.out_var, stage.definiens))
-
-
-def _f_uc_closure(stage: Stage) -> Formula:
-    y = stage.out_var
-    d = stage.definiens
-    yp = sx.fresh_name(y + "'", sx.occurring_var_names(d))
-    return closure(fimp(fand(d, subst(d, {y: Var(yp)})), sx.eq(Var(y), Var(yp))))
-
-
 def _reduce_f(theory: Theory, stage: Stage, proof: ProofObject) -> ProofObject:
     hom = _f_hom(stage)
     pb = ProofBuilder()
-    params = free_vars(Exists(stage.out_var, stage.definiens))
+    existential = Exists(stage.out_var, stage.definiens)
+    params = free_vars(existential)
     y = stage.out_var
 
     explicit = stage.explicit_body is not None
@@ -627,7 +634,7 @@ def _reduce_f(theory: Theory, stage: Stage, proof: ProofObject) -> ProofObject:
             subf = pb.delta(fimp(sx.eq(val, val), inst_e))
             e_idx = pb.taut(inst_e, (ident, subf))
         else:
-            base = _embed(pb, stage.ec_proof, _f_ec_closure(stage))
+            base = _embed(pb, stage.ec_proof, closure(existential))
             e_idx = instantiate_closure(pb, base, list(arg_terms))
         spa = pb.delta(special_axiom(r))
         d_at_r = subst(stage.definiens, {**dict(zip(params, arg_terms)), y: r})
@@ -641,7 +648,7 @@ def _reduce_f(theory: Theory, stage: Stage, proof: ProofObject) -> ProofObject:
             val = subst(stage.explicit_body, dict(zip(params, arg_terms)))
             goal = fimp(fand(sx.eq(t1, val), sx.eq(t2, val)), sx.eq(t1, t2))
             return quasitaut_gap(pb, goal, ())
-        uc = _f_uc_closure(stage)
+        uc = closure(uniqueness_condition(existential))
         base = _embed(pb, stage.uc_proof, uc)
         # closure order: params then y then y'
         prefix, _ = nform.prenex_prefix(uc)
@@ -702,7 +709,7 @@ def _reduce_f(theory: Theory, stage: Stage, proof: ProofObject) -> ProofObject:
                 # backward: D(as, b) & D(as, r) -> b = r by UC
                 uc_idx = derive_uc_at(pb, arg_terms, b_term, r)
                 return quasitaut_gap(pb, g, (d_r, eq_idx, uc_idx))
-        horn = propcalc._as_horn(f_line)
+        horn = propcalc.as_horn(f_line)
         if horn is not None:
             parts, concl = horn
             if (

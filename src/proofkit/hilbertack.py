@@ -140,7 +140,7 @@ class _Analysis:
         cls = self.classes.get(f)
         if cls is None:
             cls = self.classes[f] = core.classify_matched(self.theory, f, self.match(f))
-        return core._cap_check(cls, rho_cap)
+        return core.check_rank_cap(cls, rho_cap)
 
     def profile(self, seq: SpecialSequence) -> Profile:
         got = self.profiles.get(seq)

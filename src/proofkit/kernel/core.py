@@ -38,8 +38,8 @@ class Theory:
     axioms: tuple[Formula, ...]
     zero: FnSym
 
-    def extend(self, extra: Formula, label: Optional[str] = None) -> "Theory":
-        return Theory(label or f"{self.label}+", self.axioms + (extra,), self.zero)
+    def extend(self, extra: Formula) -> "Theory":
+        return Theory(f"{self.label}+", self.axioms + (extra,), self.zero)
 
     @property
     def zero_term(self) -> Term:
@@ -115,7 +115,7 @@ def classify_delta(
 ) -> DeltaClass:
     """Classify a closed formula into one of the five delta classes, or
     raise CheckError with a nearest-miss diagnosis."""
-    return _cap_check(classify_matched(theory, f, match_special(f)), rho_cap)
+    return check_rank_cap(classify_matched(theory, f, match_special(f)), rho_cap)
 
 
 def classify_matched(
@@ -172,7 +172,9 @@ def belongs_to(f: Formula) -> Optional[SpecialConst]:
     return None if got is None else got.owner
 
 
-def _cap_check(cls: DeltaClass, rho_cap: Optional[int]) -> DeltaClass:
+def check_rank_cap(cls: DeltaClass, rho_cap: Optional[int]) -> DeltaClass:
+    """The class, unless it belongs to a special constant of rank above
+    rho_cap (no cap when None)."""
     if rho_cap is not None and cls.owner is not None:
         if sx.const_rank(cls.owner) > rho_cap:
             raise CheckError(
@@ -181,9 +183,9 @@ def _cap_check(cls: DeltaClass, rho_cap: Optional[int]) -> DeltaClass:
     return cls
 
 
-def in_delta(theory: Theory, f: Formula, rho_cap: Optional[int] = None) -> bool:
+def in_delta(theory: Theory, f: Formula) -> bool:
     try:
-        classify_delta(theory, f, rho_cap)
+        classify_delta(theory, f)
         return True
     except CheckError:
         return False
@@ -203,9 +205,6 @@ class ProofLine:
 @dataclass(frozen=True)
 class ProofObject:
     lines: tuple[ProofLine, ...]
-
-    def formulas(self):
-        return [ln.formula for ln in self.lines]
 
     def contains(self, f: Formula) -> bool:
         return any(ln.formula == f for ln in self.lines)
@@ -290,7 +289,6 @@ def is_default_formula(theory: Theory, f: Formula) -> bool:
 def check_proof(
     theory: Theory,
     proof: ProofObject,
-    rho_cap: Optional[int] = None,
     level_cap: Optional[int] = None,
     allow_defaults: bool = False,
     budget: int = propcalc.DEFAULT_BUDGET,
@@ -311,7 +309,7 @@ def check_proof(
         kind = line.just[0]
         if kind == "delta":
             try:
-                classes.append(classify_delta(theory, f, rho_cap))
+                classes.append(classify_delta(theory, f))
             except CheckError as e:
                 return ProofVerdict(False, i, str(e))
         elif kind == "default":

@@ -59,8 +59,8 @@ class Registry:
         self.entries[entry.label] = entry
         self.order.append(entry.label)
 
-    def add_axiom(self, label: str, statement: Formula, section: str = "base"):
-        self.add(Entry(label, "axiom", statement, section))
+    def add_axiom(self, label: str, statement: Formula):
+        self.add(Entry(label, "axiom", statement))
 
     def add_definition(self, label: str, statement: Formula, section: str = "base"):
         self.add(Entry(label, "definition", statement, section))
@@ -88,10 +88,10 @@ class Registry:
         phi = self.phi_formulas.get(phi_label)
         if phi is None:
             raise CheckError(f"unregistered phi label {phi_label!r}")
-        return _instantiate_phi(self.bsi_template, phi)
+        return instantiate_phi(self.bsi_template, phi)
 
 
-def _instantiate_phi(template: Formula, phi: Formula) -> Formula:
+def instantiate_phi(template: Formula, phi: Formula) -> Formula:
     """Replace the placeholder atoms phi(t) of a schema template by the
     registered unary formula at t."""
 

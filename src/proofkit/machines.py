@@ -363,12 +363,10 @@ def encodings(len_cap: int) -> Iterator[str]:
         yield bits
 
 
-def decode_machine(bits: str, index: int = 0) -> Machine:
+def decode_machine(bits: str) -> Machine:
     r = _BitReader(bits)
     kappa = r.gamma()
     mu = r.gamma()
-    if mu <= index:
-        raise CheckError("too few registers")
     rw = _field_width(mu)
     sw = _field_width(kappa)
     cmds = []
@@ -384,7 +382,7 @@ def decode_machine(bits: str, index: int = 0) -> Machine:
             cmds.append(Command(op, reg, dst, goto))
     if not r.done():
         raise CheckError("trailing bits")
-    return Machine(index, mu, kappa, tuple(cmds))
+    return Machine(0, mu, kappa, tuple(cmds))
 
 
 @dataclass

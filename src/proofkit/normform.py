@@ -155,13 +155,13 @@ def to_conjunctive(f: Formula, guard: int = DEFAULT_CLAUSE_GUARD) -> Formula:
     return sx.conj(parts)
 
 
-def to_normal_form(f: Formula, guard: int = DEFAULT_CLAUSE_GUARD) -> Formula:
+def to_normal_form(f: Formula) -> Formula:
     """Closed + prenex + negation + conjunctive form."""
     if free_vars(f):
         raise CheckError("normal form requires a closed formula")
     nf = to_negation_form(sx.make_adjusted_variant(f))
     prefix, matrix = _split_prenex(nf)
-    return _assemble(prefix, to_conjunctive(matrix, guard))
+    return _assemble(prefix, to_conjunctive(matrix))
 
 
 # ---------------------------------------------------------------------------

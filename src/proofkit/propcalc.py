@@ -215,7 +215,7 @@ def is_identity_instance(f: Formula) -> bool:
     )
 
 
-def _as_horn(f: Formula):
+def as_horn(f: Formula):
     """Read f as hypotheses -> conclusion, accepting both the conjunction
     form  h1 & ... & hk -> c  and the clause form  -h1 v ... v -hk v c."""
     pair = sx.as_imp(f)
@@ -240,7 +240,7 @@ def is_equality_axiom_instance(f: Formula) -> bool:
     predicate symbol, or for equality itself."""
     if not sx.is_variable_free(f):
         return False
-    horn = _as_horn(f)
+    horn = as_horn(f)
     if horn is None:
         return False
     parts, concl = horn

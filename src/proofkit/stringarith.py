@@ -52,7 +52,6 @@ from .syntax import (
     App,
     Atom,
     Exists,
-    FnSym,
     Formula,
     Not,
     Or,
@@ -170,15 +169,15 @@ class _Code:
 
     __slots__ = ("fn", "params", "_source", "_checked")
 
-    def __init__(self, node, bundle, strict, cap):
-        self._source = node, bundle, strict, cap
-        self.fn, self.params = _Generator(bundle, strict, cap, False).unit(node)
+    def __init__(self, node, bundle, strict):
+        self._source = node, bundle, strict
+        self.fn, self.params = _Generator(bundle, strict, False).unit(node)
         self._checked = None
 
     def checked(self, *args):
         if self._checked is None:
-            node, bundle, strict, cap = self._source
-            self._checked = _Generator(bundle, strict, cap, True).unit(node)[0]
+            node, bundle, strict = self._source
+            self._checked = _Generator(bundle, strict, True).unit(node)[0]
         return self._checked(*args)
 
     def __call__(self, env: dict):
@@ -196,8 +195,8 @@ class _Generator:
     text of the input is written into the source.  A function `f<i>` takes
     every variable in scope and `env`, the caller's environment or None."""
 
-    def __init__(self, bundle, strict, cap, checked: bool):
-        self.bundle, self.strict, self.cap, self.checked = bundle, strict, cap, checked
+    def __init__(self, bundle, strict, checked: bool):
+        self.bundle, self.strict, self.checked = bundle, strict, checked
         self.ns = {
             "_raise": _raise, "_bound": _bound, "_local": _local,
             "_zeros": _zeros, "_all_strings": _all_strings,
@@ -263,9 +262,9 @@ class _Generator:
         depth = 1 + max((d for _, d in texts), default=0)
         return self.fits(f"{self.const(fn)}({', '.join(t for t, _ in texts)})", depth, scope)
 
-    def code(self, node, strict, cap) -> _Code:
+    def code(self, node, strict) -> _Code:
         """A definiens's code, kept on the bundle."""
-        return _compiled(self.bundle, node, strict, cap)
+        return _compiled(self.bundle, node, strict)
 
     def term(self, t: Term, scope: dict):
         if isinstance(t, Var):
@@ -285,7 +284,7 @@ class _Generator:
         if stage is None or stage.explicit_body is None:
             return self.fail(f"uninterpretable symbol {t.fn.name}")
         body = stage.explicit_body
-        return self.apply(self.code(body, None, None), t.args, scope)
+        return self.apply(self.code(body, None), t.args, scope)
 
     def formula(self, f: Formula, scope: dict):
         """Its truth as an expression (see eval_formula)."""
@@ -296,7 +295,7 @@ class _Generator:
             stage = self.bundle.pred_stages.get(f.pred) if self.bundle is not None else None
             if stage is None:
                 return self.fail(f"uninterpretable predicate {f.pred.name}")
-            return self.apply(self.code(stage.definiens, self.strict, self.cap), f.args, scope)
+            return self.apply(self.code(stage.definiens, self.strict), f.args, scope)
         if isinstance(f, Not):
             pair = sx.as_and(f)
             if pair is not None:
@@ -357,7 +356,7 @@ class _Generator:
             if not test:
                 break
         else:
-            local = self.const(self.cap) if self.cap is not None else self.local(scope)
+            local = self.local(scope)
             if length_only:
                 lines += self.loop("    ", w, f"_zeros({local})", body())
             elif self.strict:
@@ -396,39 +395,38 @@ class _Generator:
         return local if self.checked else f"({inline}4 if env is None else {local})"
 
 
-def _compiled(bundle, node, strict, cap) -> _Code:
-    """The code for (node, strict, cap), compiled once per bundle.  It
-    relies on no stage or order changing once looked up."""
+def _compiled(bundle, node, strict) -> _Code:
+    """The code for (node, strict), compiled once per bundle.  It relies on
+    no stage or order changing once looked up."""
     if bundle is None:
-        return _Code(node, bundle, strict, cap)
-    code = bundle.compiled.get((node, strict, cap))
+        return _Code(node, bundle, strict)
+    code = bundle.compiled.get((node, strict))
     if code is None:
-        code = bundle.compiled[node, strict, cap] = _Code(node, bundle, strict, cap)
+        code = bundle.compiled[node, strict] = _Code(node, bundle, strict)
     return code
 
 
-def compile_formula(f: Formula, bundle=None, strict: bool = True, cap: Optional[int] = None) -> _Code:
+def compile_formula(f: Formula, bundle=None, strict: bool = True) -> _Code:
     """`f`'s truth as code called on an environment (see eval_formula)."""
-    return _Code(f, bundle, strict, cap)
+    return _Code(f, bundle, strict)
 
 
 def eval_term(t: Term, env: Optional[dict] = None, bundle: "TheoryBundle" = None) -> str:
     """`t`'s value under env.  Errors are raised when the code reaches
     them."""
-    return _Code(t, bundle, None, None)(env or {})
+    return _Code(t, bundle, None)(env or {})
 
 
 def eval_formula(
     f: Formula,
     env: Optional[dict] = None,
     bundle: "TheoryBundle" = None,
-    cap: Optional[int] = None,
     strict: bool = True,
 ) -> bool:
     """Truth of a formula on concrete strings.  With strict=True only
     definitional and order-bounded quantifiers are admitted; otherwise
     capped enumeration is used as a last resort (for translated formulas)."""
-    return _compiled(bundle, f, strict, cap)(env or {})
+    return _compiled(bundle, f, strict)(env or {})
 
 
 def evaluable(f: Formula, bundle, strict: bool = True) -> bool:
@@ -480,16 +478,12 @@ def load_theory(path: Optional[Path] = None) -> TheoryBundle:
     axioms: list[Formula] = []
     axiom_labels: list[tuple[str, Formula]] = []
     registry: Optional[Registry] = None
-    definitions: Optional[extend.DefinitionRegistry] = None
-    schema: Optional[extend.DefinitionRegistry] = None
+    chain: Optional[extend.DefinitionRegistry] = None  # where definitions go
     bundle = TheoryBundle(
         Theory("S", (), EPS), symbols, Registry(symbols), None
     )
     in_schema = False
     pending_phi: list[tuple[str, str]] = []
-
-    def current_defs():
-        return schema if in_schema else definitions
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -503,21 +497,21 @@ def load_theory(path: Optional[Path] = None) -> TheoryBundle:
             axioms.append(f)
             axiom_labels.append((m.group(1), f))
             continue
-        if definitions is None and not line.startswith("axiom"):
+        if chain is None and not line.startswith("axiom"):
             # first non-axiom line: freeze the base theory
             theory = Theory("S", tuple(axioms), EPS)
             bundle.theory = theory
-            definitions = extend.DefinitionRegistry(theory, declared=lang.functions)
+            chain = extend.DefinitionRegistry(theory, declared=lang.functions)
             registry = Registry(symbols)
             bundle.registry = registry
-            bundle.definitions = definitions
+            bundle.definitions = chain
             for lbl, f in axiom_labels:
                 registry.add_axiom(lbl, f)
         m = re.match(r"define\s+pred\s+([a-z0-9_']+)\s+([a-z0-9_']+)\s*:\s*(.+)$", line)
         if m:
             label, name, body = m.groups()
             definiens = sx.parse(body, "formula", symbols)
-            stage = current_defs().define_predicate(label, name, definiens)
+            stage = chain.define_predicate(label, name, definiens)
             symbols.language = symbols.language.extend(predicates=[stage.symbol])
             bundle.pred_stages[stage.symbol] = stage
             registry.add_definition(label, stage.axiom, "schema" if in_schema else "base")
@@ -528,7 +522,7 @@ def load_theory(path: Optional[Path] = None) -> TheoryBundle:
         if m:
             label, name, body = m.groups()
             term = sx.parse(body, "term", symbols)
-            stage = current_defs().define_function_explicit(label, name, term)
+            stage = chain.define_function_explicit(label, name, term)
             symbols.language = symbols.language.extend(functions=[stage.symbol])
             bundle.fn_stages[stage.symbol] = stage
             registry.add_definition(label, stage.axiom, "schema" if in_schema else "base")
@@ -541,8 +535,8 @@ def load_theory(path: Optional[Path] = None) -> TheoryBundle:
         if m:
             label, name, body, ec_label, uc_label = m.groups()
             existential = sx.parse(body, "formula", symbols)
-            stage = _define_fun_by_citation(
-                current_defs(), registry, label, name, existential, ec_label, uc_label
+            stage = chain.define_function(
+                label, name, existential, registry.lookup(ec_label), registry.lookup(uc_label)
             )
             symbols.language = symbols.language.extend(functions=[stage.symbol])
             bundle.fn_stages[stage.symbol] = stage
@@ -567,13 +561,7 @@ def load_theory(path: Optional[Path] = None) -> TheoryBundle:
             in_schema = True
             phi = PredSym("phi", 1)
             symbols.language = symbols.language.extend(predicates=[phi])
-            schema = extend.DefinitionRegistry(
-                definitions.theory(), declared=tuple(lang.functions) + (phi,)
-            )
-            # carry over the main-chain definitions for language checks
-            schema.stages = list(definitions.stages)
-            schema._by_definiens = dict(definitions._by_definiens)
-            bundle.schema = schema
+            chain = bundle.schema = bundle.definitions.continued(phi)
             continue
         raise ParseError(f"unrecognized theory line: {line!r}", lineno, 1)
     for phi_label, pred_name in pending_phi:
@@ -582,40 +570,6 @@ def load_theory(path: Optional[Path] = None) -> TheoryBundle:
             raise ParseError(f"unknown predicate {pred_name} for phi {phi_label}")
         registry.register_phi(phi_label, Atom(p, (Var("x"),)))
     return bundle
-
-
-def _define_fun_by_citation(
-    defs, registry, label, name, existential, ec_label, uc_label
-):
-    """The `define fun ... : (exists y D) using <ec> <uc>` form: the
-    existence and uniqueness conditions are discharged by citing checked
-    registry entries whose statements match them."""
-    if not isinstance(existential, Exists):
-        raise CheckError("function definition wants an existential formula")
-    y = existential.var
-    d = existential.body
-    yp = sx.fresh_name(y + "'", sx.occurring_var_names(d))
-    uc = sx.fimp(
-        sx.fand(d, sx.subst(d, {y: sx.Var(yp)})), sx.eq(sx.Var(y), sx.Var(yp))
-    )
-    for lbl, want, what in ((ec_label, existential, "existence"), (uc_label, uc, "uniqueness")):
-        entry = registry.lookup(lbl)
-        if not entry.checked:
-            raise CheckError(f"{what} citation {lbl!r} is unchecked")
-        if entry.statement != want:
-            raise CheckError(
-                f"{what} citation {lbl!r} states {sx.render(entry.statement)}, "
-                f"need {sx.render(want)}"
-            )
-    args = sx.free_vars(existential)
-    f = FnSym(name, len(args))
-    axiom = sx.fiff(
-        sx.eq(sx.App(f, tuple(sx.Var(x) for x in args)), sx.Var(y)), d
-    )
-    stage = extend.Stage("f", label, axiom, symbol=f, definiens=d, out_var=y)
-    defs.stages.append(stage)
-    defs._by_definiens[("f", existential)] = stage
-    return stage
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +745,7 @@ def fuzz_axioms(
         rows = lambda: itertools.chain(
             drawn, itertools.product(strings, repeat=len(fv)) if exhaustive_len else ()
         )
-        fn = _compiled(bundle, f, True, None).fn
+        fn = _compiled(bundle, f, True).fn
         # walked again, in the same order, only to collect the counterexamples
         if not all(itertools.starmap(fn, rows())):
             bad += [(label, dict(zip(fv, row))) for row in rows() if not fn(*row)]
@@ -895,7 +849,7 @@ def _oracle_check(bundle, stmt: Formula, samples: int, strings) -> tuple[str, st
     naming the first assignment that falsifies it ("" when none does)."""
     if not evaluable(stmt, bundle):
         return "skipped", ""
-    fn = _compiled(bundle, stmt, True, None).fn
+    fn = _compiled(bundle, stmt, True).fn
     fv = sx.free_vars(stmt)
     for _ in range(samples):
         values = strings(8, len(fv))
@@ -933,12 +887,7 @@ def instantiate_schema(bundle: TheoryBundle, phi_label: str) -> Registry:
     out.phi_formulas = dict(bundle.registry.phi_formulas)
     if bundle.registry.bsi_template is not None:
         out.bsi_template = bundle.registry.bsi_template
-    reg2 = extend.DefinitionRegistry(
-        bundle.definitions.theory(),
-        declared=tuple(S_LANGUAGE.functions) + bundle.schema_symbols,
-    )
-    reg2.stages = list(bundle.definitions.stages)
-    reg2._by_definiens = dict(bundle.definitions._by_definiens)
+    reg2 = bundle.definitions.continued(*bundle.schema_symbols)
     lang = bundle.symbols.language
     mapping = {}
     for label in bundle.registry.order:
@@ -952,7 +901,7 @@ def instantiate_schema(bundle: TheoryBundle, phi_label: str) -> Registry:
         stage = next((s for s in stages if s.label == label), None)
         if stage is None or stage.kind != "p":
             raise CheckError(f"cannot re-instantiate schema entry {label}")
-        definiens = kscripts._instantiate_phi(stage.definiens, phi)
+        definiens = kscripts.instantiate_phi(stage.definiens, phi)
 
         def swap(atom):
             repl = mapping.get(atom.pred)

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module,
-every private definition is referred to from outside itself, every function
-and method is named outside its own definition, and every private
-module-level function reads each of its parameters.
+every private definition is referred to from outside itself, no module
+names another module's private names, every function and method is named
+outside its own definition, and every private module-level function reads
+each of its parameters.
 
 Package ``__init__.py`` files are exempt from the import check: their
 imports are re-exports."""
@@ -82,6 +83,44 @@ def test_every_private_definition_is_referenced():
         and refs[node.name] == _references(node)[node.name]
     ]
     assert not dead, f"unreferenced private definitions: {', '.join(dead)}"
+
+
+def _own_names(tree):
+    """The names a module defines: its functions and classes, the names it
+    binds, and the attributes it assigns on self or cls."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("self", "cls")
+        ):
+            names.add(node.attr)
+    return names
+
+
+def test_no_module_names_another_modules_private_names():
+    # x._name, for x other than self or cls, must name something of this
+    # module: what another module keeps private is its own to change
+    foreign = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        own = _own_names(tree)
+        foreign += [
+            f"{path.relative_to(PACKAGE)}:{node.lineno} {node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and not node.attr.endswith("__")
+            and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+            and node.attr not in own
+        ]
+    assert not foreign, f"private names of other modules: {', '.join(foreign)}"
 
 
 # Where a function of the package may be named: the package, the tests and

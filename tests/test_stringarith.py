@@ -126,16 +126,12 @@ def test_errors_are_raised_only_when_reached(bundle):
     assert str(err.value) == "unbounded quantifier: " + sx.render(f)[:80]
 
 
-def test_compiled_code_is_kept_per_strictness_cap_and_bundle(bundle):
+def test_compiled_code_is_kept_per_strictness_and_bundle(bundle):
     f = formula(bundle, "(exists z (= (cat z x) y))")
     env = {"x": "0", "y": "10"}
     assert sa.eval_formula(f, env, bundle, strict=False)
     with pytest.raises(CheckError):
         sa.eval_formula(f, env, bundle, strict=True)
-    # no equation or bound fixes z: the capped search finds "01" only from cap 2
-    g = formula(bundle, "(exists z (= (cat z z) y))")
-    for cap, want in ((2, True), (1, False), (2, True)):
-        assert sa.eval_formula(g, {"y": "0101"}, bundle, cap=cap, strict=False) is want
     sim = formula(bundle, "(sim x y)")
     assert sa.eval_formula(sim, {"x": "00", "y": "11"}, bundle)
     bare = dataclasses.replace(bundle, pred_stages={})
@@ -652,6 +648,30 @@ define fun dfr front : (exists y (= y (pd x))) using ec1 uc1
     bad.write_text(text.replace("using ec1 uc1", "using a1 uc1"))
     with pytest.raises(CheckError):
         sa.load_theory(bad)
+
+
+def test_theory_file_fun_by_citation_wants_a_plain_definiens(tmp_path):
+    # cited conditions do not excuse a definiens that holds a special constant
+    c = "(sc (exists z (= z eps)))"
+    path = tmp_path / "t.th"
+    path.write_text(f"""
+theory T
+axiom ec1 : (exists y (= y (cat x {c})))
+axiom uc1 : (imp (and (= y (cat x {c})) (= y' (cat x {c}))) (= y y'))
+define fun dfr front : (exists y (= y (cat x {c}))) using ec1 uc1
+""")
+    with pytest.raises(CheckError, match="definiens must be plain"):
+        sa.load_theory(path)
+
+
+def test_schema_chain_continues_the_main_chain_over_its_base(bundle):
+    # each axiom once: the base axioms, then the main and the schema stages
+    schema, main = bundle.schema, bundle.definitions
+    axioms = schema.theory().axioms
+    assert len(axioms) == len(set(axioms)) == 33
+    assert schema.base is main.base and schema.stages[: len(main.stages)] == main.stages
+    d25 = next(s for s in schema.stages if s.label == "d25")
+    assert d25.axiom not in schema.theory_before(d25).axioms
 
 
 # --- the corpus ------------------------------------------------------------------
