@@ -623,6 +623,16 @@ def _reduce_f(theory: Theory, stage: Stage, proof: ProofObject) -> ProofObject:
 
     explicit = stage.explicit_body is not None
 
+    def condition(proof: Optional[ProofObject], what: str) -> ProofObject:
+        """The stage's proof of its `what` condition: a stage defined by
+        cited entries has none."""
+        if proof is None:
+            raise CheckError(
+                f"function stage {stage.label} has no proof of its {what} condition "
+                "to reduce through"
+            )
+        return proof
+
     def derive_d_at(pb, arg_terms, r) -> int:
         """Line with  D(args, r)  for r the constant for exists y D(args)."""
         inst_e = Exists(y, subst(stage.definiens, dict(zip(params, arg_terms))))
@@ -634,7 +644,7 @@ def _reduce_f(theory: Theory, stage: Stage, proof: ProofObject) -> ProofObject:
             subf = pb.delta(fimp(sx.eq(val, val), inst_e))
             e_idx = pb.taut(inst_e, (ident, subf))
         else:
-            base = _embed(pb, stage.ec_proof, closure(existential))
+            base = _embed(pb, condition(stage.ec_proof, "existence"), closure(existential))
             e_idx = instantiate_closure(pb, base, list(arg_terms))
         spa = pb.delta(special_axiom(r))
         d_at_r = subst(stage.definiens, {**dict(zip(params, arg_terms)), y: r})
@@ -649,7 +659,7 @@ def _reduce_f(theory: Theory, stage: Stage, proof: ProofObject) -> ProofObject:
             goal = fimp(fand(sx.eq(t1, val), sx.eq(t2, val)), sx.eq(t1, t2))
             return quasitaut_gap(pb, goal, ())
         uc = closure(uniqueness_condition(existential))
-        base = _embed(pb, stage.uc_proof, uc)
+        base = _embed(pb, condition(stage.uc_proof, "uniqueness"), uc)
         # closure order: params then y then y'
         prefix, _ = nform.prenex_prefix(uc)
         order = [x for _, x in prefix]

@@ -3,23 +3,25 @@ concrete bit-string interpreter that serves as an independent semantic
 oracle, and the proof-script corpus driver.
 
 Strings are Python str over '0'/'1', leftmost bit first.  The interpreter
-turns a formula, once, into the source of one Python function of its free
-variables and compiles it: terms and connectives become one expression
-(a10 reads `x + (y + z) == (x + y) + z`), each builtin written out from
-its template in BUILTINS, and a defined symbol is a call of its own
-function with positional arguments.  All syntax, witness strategies
-included, is analysed while generating, and the code only computes
-values; where an environment lacks a variable, a second version that
-tests each read runs instead.  Each formula's and definiens's code is
-kept on the TheoryBundle (its `compiled` memo), so a bundle's copy starts
-empty and the code goes with the bundle.  Evaluation order and errors are
-those of a direct recursive evaluation: an error is raised only when
-reached.  An equationally determined witness is a local assigned
-outright, an order-bounded one ranges over the strings up to the bound's
-length, and one that appears only under the zero product over all-zero
-strings.  Any other search is bounded by the lengths of the values in
-scope plus 4, which the code adds up in place unless a caller's
-environment, whose every value counts, is passed.
+gives a formula's truth, or a term's value, under an environment that binds
+every free variable of it; other keys are ignored, and a missing one is
+refused ("unbound variable x", the first missing in free_vars order) before
+anything is evaluated.  It turns the formula, once, into the source of one
+Python function of its free variables and compiles it: terms and
+connectives become one expression (a10 reads `x + (y + z) == (x + y) + z`),
+each builtin written out from its template in BUILTINS, and a defined
+symbol is a call of its own function with positional arguments.  All
+syntax, witness strategies included, is analysed while generating, and the
+code only computes values.  Each formula's and definiens's code is kept on
+the TheoryBundle (its `compiled` memo), so a bundle's copy starts empty and
+the code goes with the bundle.  Evaluation order and the other errors are
+those of a direct recursive evaluation: a special constant, an
+uninterpretable symbol or an unbounded quantifier raises only when
+reached.  An equationally determined witness is a local assigned outright,
+an order-bounded one ranges over the strings up to the bound's length, and
+one that appears only under the zero product over all-zero strings.  Any
+other search is bounded by the lengths of the values in scope plus 4, which
+the code adds up in place.
 
 Random strings are drawn as rng.randint(0, maxlen) and then one
 rng.choice("01") per bit would draw them, so a seed samples the same
@@ -97,25 +99,6 @@ def _raise(message: str):
     raise CheckError(message)
 
 
-def _bound(value, name: str):
-    """A parameter's value, in the code that checks each read: None stands
-    for a variable the environment lacks."""
-    if value is None:
-        raise CheckError(f"unbound variable {name}")
-    return value
-
-
-def _local(env, rebound: frozenset, params: tuple, *witnesses) -> int:
-    """The length of every value in scope, plus 4: those of the caller's
-    whole environment when there is one, else of the bound parameters, with
-    the witnesses in scope in place of the names they rebind."""
-    if env is None:
-        outer = sum(len(v) for v in params if v is not None)
-    else:
-        outer = sum(len(v) for k, v in env.items() if k not in rebound)
-    return outer + sum(map(len, witnesses)) + 4
-
-
 def _zeros(local: int):
     """The all-zero strings a length-only witness ranges over: the length
     needed under the zero product is at worst quadratic."""
@@ -160,32 +143,22 @@ def _defines(f: Formula, z: str, b: Term) -> bool:
 
 
 class _Code:
-    """The generated function `fn` of one memo entry: positional in the
-    entry's free variables `params`, then, optionally, the caller's
-    environment, whose other values count in the bound of a witness search.
-    Called on an environment, it reads the parameters from it; when one is
-    missing it runs `checked`, code that tests each read and each
-    candidate witness's variables as it reaches them."""
+    """The generated function `fn` of one memo entry, positional in the
+    entry's free variables `params`.  Called on an environment, it reads the
+    parameters from it; other keys are ignored, and a missing one raises
+    before any code runs."""
 
-    __slots__ = ("fn", "params", "_source", "_checked")
+    __slots__ = ("fn", "params")
 
     def __init__(self, node, bundle, strict):
-        self._source = node, bundle, strict
-        self.fn, self.params = _Generator(bundle, strict, False).unit(node)
-        self._checked = None
-
-    def checked(self, *args):
-        if self._checked is None:
-            node, bundle, strict = self._source
-            self._checked = _Generator(bundle, strict, True).unit(node)[0]
-        return self._checked(*args)
+        self.fn, self.params = _Generator(bundle, strict).unit(node)
 
     def __call__(self, env: dict):
         try:
             args = [*map(env.__getitem__, self.params)]
-        except KeyError:
-            return self.checked(*map(env.get, self.params), env)
-        return self.fn(*args) if len(env) == len(args) else self.fn(*args, env)
+        except KeyError as missing:
+            raise CheckError(f"unbound variable {missing.args[0]}") from None
+        return self.fn(*args)
 
 
 class _Generator:
@@ -193,24 +166,19 @@ class _Generator:
     parameters `v<i>` and witnesses locals `w<i>`; messages, names and other
     entries' functions are constants `c<i>` of the code's namespace, so no
     text of the input is written into the source.  A function `f<i>` takes
-    every variable in scope and `env`, the caller's environment or None."""
+    every variable in scope, each bound to a string."""
 
-    def __init__(self, bundle, strict, checked: bool):
-        self.bundle, self.strict, self.checked = bundle, strict, checked
-        self.ns = {
-            "_raise": _raise, "_bound": _bound, "_local": _local,
-            "_zeros": _zeros, "_all_strings": _all_strings,
-        }
+    def __init__(self, bundle, strict):
+        self.bundle, self.strict = bundle, strict
+        self.ns = {"_raise": _raise, "_zeros": _zeros, "_all_strings": _all_strings}
         self.consts: dict = {}
         self.defs: list[str] = []
-        self.params: set[str] = set()
         self.count = 0
 
     def unit(self, node):
         """The entry's function and its parameters' names."""
         names = sx.free_vars(node)
         scope = {x: self.fresh("v") for x in names}
-        self.params = set(scope.values())
         text, _ = self.term(node, scope) if isinstance(node, Term) else self.formula(node, scope)
         name = text.partition("(")[0]
         if text != self.call_text(name, scope):  # not a function of the parameters yet
@@ -233,12 +201,12 @@ class _Generator:
     def call(self, scope: dict, body: str):
         """A call of a new function with `body`, on the variables in scope."""
         name = self.fresh("f")
-        self.defs.append(f"def {name}({', '.join([*scope.values(), 'env=None'])}):\n{body}")
+        self.defs.append(f"def {name}({', '.join(scope.values())}):\n{body}")
         return self.call_text(name, scope), 1
 
     @staticmethod
     def call_text(name: str, scope: dict) -> str:
-        return f"{name}({', '.join([*scope.values(), 'env'])})"
+        return f"{name}({', '.join(scope.values())})"
 
     def fits(self, text: str, depth: int, scope: dict):
         """The expression, or a call of a function returning it when it
@@ -250,17 +218,13 @@ class _Generator:
     def fail(self, message: str):
         return f"_raise({self.const(message)})", 1
 
-    def apply(self, code: _Code, args: list, scope: dict):
-        """A defined symbol's function on its arguments' values.  Only the
-        arguments its body has variables for are evaluated; a body with
-        more variables than arguments finds the rest unbound."""
-        texts = [self.term(a, scope) for a in args[: len(code.params)]]
-        fn = code.fn
-        if len(texts) < len(code.params):
-            fn = code.checked
-            texts += [("None", 0)] * (len(code.params) - len(texts))
+    def apply(self, code: _Code, args: tuple, scope: dict):
+        """A defined symbol's function on its arguments' values.  The
+        symbol's arity is its definiens's free-variable count, so the
+        arguments bind the function's parameters one for one."""
+        texts = [self.term(a, scope) for a in args]
         depth = 1 + max((d for _, d in texts), default=0)
-        return self.fits(f"{self.const(fn)}({', '.join(t for t, _ in texts)})", depth, scope)
+        return self.fits(f"{self.const(code.fn)}({', '.join(t for t, _ in texts)})", depth, scope)
 
     def code(self, node, strict) -> _Code:
         """A definiens's code, kept on the bundle."""
@@ -268,10 +232,7 @@ class _Generator:
 
     def term(self, t: Term, scope: dict):
         if isinstance(t, Var):
-            name = scope[t.name]
-            if self.checked and name in self.params:
-                return f"_bound({name}, {self.const(t.name)})", 1
-            return name, 0
+            return scope[t.name], 0
         if isinstance(t, sx.SpecialConst):
             return self.fail("special constants are uninterpretable")
         template = BUILTINS.get(t.fn.name)
@@ -314,55 +275,42 @@ class _Generator:
 
     def exists(self, e: Exists, scope: dict):
         """The witness z is, in order of preference: b, for the first
-        conjunct z = b or b = z whose b is bound; every string up to the
-        length of b, when the first conjunct is the order's z <= b and b is
-        bound; an all-zero string, when z is length-only; else, unless
+        conjunct z = b or b = z with z not in b; every string up to the
+        length of b, when the first conjunct is the order's z <= b with z
+        not in b; an all-zero string, when z is length-only; else, unless
         strict, any string up to a capped length.  Every variable in scope
-        is bound unless the code is checked, so the first candidate is then
-        taken without a test."""
+        is bound, so the first candidate is taken."""
         z, parts = e.var, sx.conjuncts(e.body)
         eqs = [p.args for p in parts if isinstance(p, Atom) and p.pred == sx.EQ]
         found = [(b, True) for args in eqs for a, b in (args, args[::-1]) if a == Var(z)]
         head, order = parts[0], self.bundle.order if self.bundle is not None else None
         if isinstance(head, Atom) and head.pred == order and head.args[0] == Var(z):
             found.append((head.args[1], False))
-        candidates = [(b, one) for b, one in found if z not in sx.occurring_var_names(b)]
+        first = next(((b, one) for b, one in found if z not in sx.occurring_var_names(b)), None)
         length_only = not _occurs_outside_length(z, e.body)
-        unbounded = lambda: f"unbounded quantifier: {sx.render(e)[:80]}"
-        if self.strict and not (candidates or length_only):
-            return self.fail(unbounded())
+        if self.strict and not (first or length_only):
+            return self.fail(f"unbounded quantifier: {sx.render(e)[:80]}")
         w = self.fresh("w")
         inner = {**scope, z: w}
-        body = functools.cache(lambda: self.formula(e.body, inner)[0])
-        lines = []
-        for b, one in candidates:
+        if first:
+            b, one = first
             value, dv = self.term(b, scope)
-            need = [scope[x] for x in sx.free_vars(b) if scope[x] in self.params]
-            test = " and ".join(f"{v} is not None" for v in need) if self.checked else ""
             if one:
                 # z = b holds once z is b's value, which is computed again alike
-                given, dg = self.conjunction(
-                    [p for p in parts if not _defines(p, z, b)], inner
-                )
-                if not (test or lines):
-                    return self.fits(f"(({w} := {value}), {given})[1]", 2 + max(dv, dg), scope)
-            indent = "        " if test else "    "
-            if test:
-                lines.append(f"    if {test}:")
-            if one:
-                lines += [f"{indent}{w} = {value}", f"{indent}return {given}"]
-            else:
-                lines += self.loop(indent, w, f"_all_strings(len({value}))", body())
-            if not test:
-                break
+                given, dg = self.conjunction([p for p in parts if not _defines(p, z, b)], inner)
+                return self.fits(f"(({w} := {value}), {given})[1]", 2 + max(dv, dg), scope)
+            space = f"_all_strings(len({value}))"
         else:
-            local = self.local(scope)
-            if length_only:
-                lines += self.loop("    ", w, f"_zeros({local})", body())
-            elif self.strict:
-                lines.append(f"    return _raise({self.const(unbounded())})")
-            else:
-                lines += self.loop("    ", w, f"_all_strings(min({local}, 10))", body())
+            # the lengths of the values in scope, a witness in place of the name it rebinds
+            local = "".join(f"len({v}) + " for v in scope.values()) + "4"
+            space = f"_zeros({local})" if length_only else f"_all_strings(min({local}, 10))"
+        body = self.formula(e.body, inner)[0]
+        lines = (
+            f"    for {w} in {space}:",
+            f"        if {body}:",
+            "            return True",
+            "    return False",
+        )
         return self.call(scope, "\n".join(lines))
 
     def conjunction(self, parts: list, scope: dict):
@@ -372,27 +320,6 @@ class _Generator:
             return texts[0] if texts else ("True", 0)
         depth = 1 + max(d for _, d in texts)
         return self.fits(f"({' and '.join(t for t, _ in texts)})", depth, scope)
-
-    @staticmethod
-    def loop(indent: str, w: str, space: str, body: str) -> list[str]:
-        return [
-            f"{indent}for {w} in {space}:",
-            f"{indent}    if {body}:",
-            f"{indent}        return True",
-            f"{indent}return False",
-        ]
-
-    def local(self, scope: dict) -> str:
-        """The search bound's length (see _local) at this scope.  Unchecked
-        code binds every parameter, so without a caller's environment it
-        adds the lengths in place."""
-        params = [v for v in scope.values() if v in self.params]
-        witnesses = {x: v for x, v in scope.items() if v not in self.params}
-        rebound = self.const(frozenset(witnesses))
-        inline = "".join(f"len({v}) + " for v in [*params, *witnesses.values()])
-        params = "(" + "".join(f"{v}, " for v in params) + ")"
-        local = f"_local({', '.join(['env', rebound, params, *witnesses.values()])})"
-        return local if self.checked else f"({inline}4 if env is None else {local})"
 
 
 def _compiled(bundle, node, strict) -> _Code:
@@ -406,14 +333,9 @@ def _compiled(bundle, node, strict) -> _Code:
     return code
 
 
-def compile_formula(f: Formula, bundle=None, strict: bool = True) -> _Code:
-    """`f`'s truth as code called on an environment (see eval_formula)."""
-    return _Code(f, bundle, strict)
-
-
 def eval_term(t: Term, env: Optional[dict] = None, bundle: "TheoryBundle" = None) -> str:
-    """`t`'s value under env.  Errors are raised when the code reaches
-    them."""
+    """`t`'s value under env, which binds every free variable of `t` (see
+    the module docstring)."""
     return _Code(t, bundle, None)(env or {})
 
 
@@ -423,7 +345,8 @@ def eval_formula(
     bundle: "TheoryBundle" = None,
     strict: bool = True,
 ) -> bool:
-    """Truth of a formula on concrete strings.  With strict=True only
+    """Truth of a formula on concrete strings, under env, which binds every
+    free variable of `f` (see the module docstring).  With strict=True only
     definitional and order-bounded quantifiers are admitted; otherwise
     capped enumeration is used as a last resort (for translated formulas)."""
     return _compiled(bundle, f, strict)(env or {})

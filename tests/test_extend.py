@@ -125,6 +125,22 @@ def test_function_extension_by_cited_entries():
         fresh_registry().define_function("dg", "g1", ex, uc_entry, uc_entry)
 
 
+def test_reduce_proof_through_a_stage_defined_by_cited_entries_is_refused():
+    # the stage holds no proofs of its conditions, only the entries' word
+    ex, _, _ = _prove_ec_uc_for_pd()
+    ec_entry = Entry("ec", "theorem", ex)
+    uc_entry = Entry("uc", "theorem", extend.uniqueness_condition(ex))
+    reg = fresh_registry()
+    st = reg.define_function("dg", "g1", ex, ec_entry, uc_entry)
+    pb = ProofBuilder()
+    pb.delta(sx.subst(st.axiom, {"x": E, "y": E}))
+    with pytest.raises(CheckError) as err:
+        extend.reduce_proof(reg, pb.build())
+    assert str(err.value) == (
+        "function stage dg has no proof of its existence condition to reduce through"
+    )
+
+
 # --- translation ----------------------------------------------------------
 
 

@@ -3,7 +3,7 @@ import random
 import re
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import mutate_script
 from proofkit import extend, stringarith as sa
@@ -114,12 +114,15 @@ def test_errors_are_raised_only_when_reached(bundle):
     for bad, message in (
         (Atom(sx.EQ, (special, E)), "special constants are uninterpretable"),
         (formula(bundle, "(phi x)"), "uninterpretable predicate phi"),
-        (formula(bundle, "(= y eps)"), "unbound variable y"),
     ):
         assert sa.eval_formula(Or(true, bad), {"x": "0"}, bundle)
         with pytest.raises(CheckError) as err:
             sa.eval_formula(Or(Not(true), bad), {"x": "0"}, bundle)
         assert str(err.value) == message
+    # every free variable is read before any code runs, reached or not
+    with pytest.raises(CheckError) as err:
+        sa.eval_formula(Or(true, formula(bundle, "(= y eps)")), {"x": "0"}, bundle)
+    assert str(err.value) == "unbound variable y"
     f = formula(bundle, "(exists z (= (cat z x) y))")
     with pytest.raises(CheckError) as err:
         sa.eval_formula(f, {"x": "0", "y": "10"}, bundle)
@@ -204,20 +207,26 @@ def interpreter_terms(max_leaves=10):
     return st.recursive(leaves, grow, max_leaves=max_leaves)
 
 
+def first_unbound(node, env):
+    """The first free variable of node, in free_vars order, that env lacks."""
+    return next((x for x in sx.free_vars(node) if x not in env), None)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     interpreter_terms(),
     st.dictionaries(st.sampled_from("xyz"), st.text(alphabet="01", max_size=5)),
 )
+# y's value cannot change the product's, yet it must be bound
+@example(t=App(ZPROD, (E, Var("y"))), env={"x": "0"})
 def test_eval_term_matches_plain_string_operations(bundle, t, env):
     assume(reference(t, {x: env.get(x, "") for x in "xyz"}, LENGTH, len) <= 4096)
-    try:
-        want = reference(t, env)
-    except KeyError as unbound:
-        with pytest.raises(CheckError, match=f"^unbound variable {unbound.args[0]}$"):
+    unbound = first_unbound(t, env)
+    if unbound is not None:
+        with pytest.raises(CheckError, match=f"^unbound variable {unbound}$"):
             sa.eval_term(t, env, bundle)
     else:
-        assert sa.eval_term(t, env, bundle) == want
+        assert sa.eval_term(t, env, bundle) == reference(t, env)
 
 
 def connective_formulas():
@@ -253,15 +262,15 @@ def reference_truth(f, env):
     connective_formulas(),
     st.dictionaries(st.sampled_from("xyz"), st.text(alphabet="01", max_size=3)),
 )
-def test_compile_formula_matches_the_primitive_connectives(bundle, f, env):
-    code = sa.compile_formula(f, bundle)
-    try:
-        want = reference_truth(f, env)
-    except KeyError as unbound:
-        with pytest.raises(CheckError, match=f"^unbound variable {unbound.args[0]}$"):
-            code(env)
+# the true left disjunct never reaches y, yet y must be bound
+@example(f=Or(Atom(sx.EQ, (Var("x"), Var("x"))), Atom(sx.EQ, (Var("y"), E))), env={"x": ""})
+def test_eval_formula_matches_the_primitive_connectives(bundle, f, env):
+    unbound = first_unbound(f, env)
+    if unbound is not None:
+        with pytest.raises(CheckError, match=f"^unbound variable {unbound}$"):
+            sa.eval_formula(f, env, bundle)
     else:
-        assert code(env) is want
+        assert sa.eval_formula(f, env, bundle) is reference_truth(f, env)
 
 
 # --- the generated code ---------------------------------------------------------
@@ -269,9 +278,8 @@ def test_compile_formula_matches_the_primitive_connectives(bundle, f, env):
 
 # what generated code may name besides its own v<i>, w<i>, c<i> and f<i>
 GENERATED = {
-    "def", "return", "env", "None", "True", "False", "and", "or", "not", "is", "if",
-    "else", "for", "in", "len", "min", "_raise", "_bound", "_local",
-    "_zeros", "_all_strings",
+    "def", "return", "True", "False", "and", "or", "not", "if", "for", "in", "len", "min",
+    "_raise", "_zeros", "_all_strings",
 }
 
 
@@ -298,8 +306,10 @@ def test_variable_names_are_never_written_into_the_code(bundle, monkeypatch):
         with pytest.raises(CheckError) as err:
             sa.eval_formula(f, less, bundle)
         assert str(err.value) == f"unbound variable {missing}"
-    # the first conjunct already fails, so the unbound rest is never reached
-    assert sa.eval_formula(f, {"len": "0", "env": "1", "return": "1", "lambda": ""}, bundle) is False
+    # the first conjunct already fails, but the unbound rest is refused first
+    with pytest.raises(CheckError) as err:
+        sa.eval_formula(f, {"len": "0", "env": "1", "return": "1", "lambda": ""}, bundle)
+    assert str(err.value) == "unbound variable x'"
     assert sources
     for src in sources:
         names = set(re.findall(r"[A-Za-z_][A-Za-z0-9_']*", src))
@@ -316,8 +326,8 @@ def test_a_witness_rebinding_a_name_replaces_its_value_in_the_bound(bundle):
         ({"y": "111"}, False),  # 3 + 4 < 9
         ({"y": "11"}, True),  # 2 + 4 = 6, just enough
         ({"x": "1111", "y": "111"}, False),  # the witness x = eps counts, not "1111"
-        ({"q": "11", "y": "111"}, True),  # another key counts: 2 + 3 + 4
-        ({"q": "11", "x": "1111", "y": "111"}, True),
+        ({"q": "11", "y": "111"}, False),  # another key is ignored: 3 + 4 < 9
+        ({"q": "11", "x": "1111", "y": "111"}, False),
     ):
         assert sa.eval_formula(f, env, bundle, strict=False) is want, env
     longer = formula(bundle, f"(exists x (and (= x (s1 (s1 eps))) {inner}))")
@@ -365,17 +375,9 @@ def test_deep_terms_and_formulas_keep_their_values(bundle):
         f = Or(Not(f), leaves[i % 3]) if i % 2 else Not(Or(f, Not(leaves[i % 3])))
     for env in ({"x": x, "y": y} for x in ("", "0") for y in ("", "0")):
         assert sa.eval_formula(f, env, bundle) is reference_truth(f, env)
-    raised = 0
-    for env in ({"x": ""}, {"x": "0"}, {"y": ""}, {"y": "0"}):
-        try:
-            want = reference_truth(f, env)
-        except KeyError as unbound:
-            raised += 1
-            with pytest.raises(CheckError, match=f"^unbound variable {unbound.args[0]}$"):
-                sa.eval_formula(f, env, bundle)
-        else:
-            assert sa.eval_formula(f, env, bundle) is want
-    assert raised
+    for env, unbound in (({"x": ""}, "y"), ({"x": "0"}, "y"), ({"y": ""}, "x"), ({"y": "0"}, "x")):
+        with pytest.raises(CheckError, match=f"^unbound variable {unbound}$"):
+            sa.eval_formula(f, env, bundle)
 
 
 def test_twenty_five_nested_quantifiers(bundle):
