@@ -82,7 +82,7 @@ def cmd_check_corpus(args) -> int:
     lines = [header + ("  oracle" if oracle else "")]
     for e in report.entries:
         lines.append(
-            f"{e.label:<8} {'pass' if e.ok else 'FAIL':<8} {e.instance_count:>6} {e.elapsed:>7.3f}s"
+            f"{e.label:<8} {'pass' if e.ok else 'FAIL':<8} {len(e.instances):>6} {e.elapsed:>7.3f}s"
             + (f"  {e.oracle or '-'}" if oracle else "")
             + (f"  {e.message}" if not e.ok else "")
         )

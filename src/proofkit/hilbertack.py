@@ -33,17 +33,17 @@ MAX_FORMULAS = 100_000
 
 @dataclass(frozen=True)
 class TowerExpr:
-    """Symbolic natural-number expression over +, *, and ^ (right-assoc)."""
+    """Symbolic natural number: a numeral, or a right-associated tower of
+    exponents."""
 
-    op: str  # "num" | "+" | "*" | "^"
+    op: str  # "num" | "^"
     num: int = 0
     args: tuple = ()
 
     def __str__(self) -> str:
         if self.op == "num":
             return str(self.num)
-        sym = {"+": " + ", "*": " * ", "^": " ^ "}[self.op]
-        return "(" + sym.join(str(a) for a in self.args) + ")"
+        return "(" + " ^ ".join(str(a) for a in self.args) + ")"
 
     def eval(self) -> Optional[int]:
         """Arbitrary-precision value, or None above TOWER_CUTOFF."""
@@ -52,20 +52,13 @@ class TowerExpr:
         vals = [a.eval() for a in self.args]
         if any(v is None for v in vals):
             return None
-        if self.op == "+":
-            out = sum(vals)
-        elif self.op == "*":
-            out = 1
-            for v in vals:
-                out *= v
-        else:
-            # right-associated exponentiation with an overflow guard
-            out = vals[-1]
-            limit = TOWER_CUTOFF.bit_length() + 8
-            for base in reversed(vals[:-1]):
-                if base >= 2 and (base.bit_length() - 1) * out > limit:
-                    return None
-                out = base ** out
+        # right-associated exponentiation with an overflow guard
+        out = vals[-1]
+        limit = TOWER_CUTOFF.bit_length() + 8
+        for base in reversed(vals[:-1]):
+            if base >= 2 and (base.bit_length() - 1) * out > limit:
+                return None
+            out = base ** out
         return out if out <= TOWER_CUTOFF else None
 
 

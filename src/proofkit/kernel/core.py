@@ -326,7 +326,13 @@ def check_proof(
                 if any(j >= i for j in idxs):
                     return ProofVerdict(False, i, "taut premise does not strictly precede")
                 premises = [proof.lines[j].formula for j in idxs]
-            found = propcalc.prop_refute([*premises, Not(f)], budget)
+            try:
+                found = propcalc.prop_refute([*premises, Not(f)], budget)
+            except SizeGuardExceeded as e:
+                return ProofVerdict(
+                    False, i, f"clausification blowup ({e.projected} clauses, guard "
+                    f"{propcalc.CLAUSE_GUARD}) before deciding tautological consequence of cited lines"
+                )
             if isinstance(found, propcalc.OutOfBudget):
                 return ProofVerdict(
                     False, i, f"budget exhausted ({found.spent} spent, budget {budget}) "

@@ -309,12 +309,17 @@ def _parse_explicit(line: str, lineno: int) -> ExplicitStep:
 
 @dataclass
 class ScriptVerdict:
+    """The one record of a checked script: check_script's verdict, which the
+    corpus driver completes with the oracle's and reports as it stands."""
+
     label: str
     ok: bool
     message: str = ""
-    instances: tuple = ()
+    instances: tuple = ()  # the closed citation instances (explicit: the derived steps)
     elapsed: float = 0.0
-    spent: int = 0
+    spent: int = 0  # refutation budget used, summed over segments
+    statement: Optional[Formula] = None  # the parsed goal, set when the script passes
+    oracle: Optional[str] = None  # "agrees" | "disagrees" | "skipped", set by check_corpus
 
 
 def select_direction(statement: Formula, direction: Optional[str]) -> Formula:
@@ -368,7 +373,7 @@ def check_script(
             instances = _replay_explicit(registry, script, statement)
             return ScriptVerdict(
                 script.label, True, instances=tuple(instances),
-                elapsed=time.perf_counter() - start,
+                elapsed=time.perf_counter() - start, statement=statement,
             )
         order = sx.free_vars(statement)
         if len(script.h_names) != len(order):
@@ -433,6 +438,7 @@ def check_script(
             instances=tuple(all_instances),
             elapsed=time.perf_counter() - start,
             spent=spent,
+            statement=statement,
         )
     except ProofkitError as e:
         return ScriptVerdict(

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 from .errors import CheckError, SizeGuardExceeded
 from . import propcalc
+from .propcalc import CLAUSE_GUARD
 from . import syntax as sx
 from .syntax import (
     Atom,
@@ -33,9 +34,6 @@ from .syntax import (
     special_constant,
     subst,
 )
-
-DEFAULT_CLAUSE_GUARD = 10_000
-
 
 # ---------------------------------------------------------------------------
 # negation form
@@ -144,12 +142,12 @@ def prenex_prefix(f: Formula):
 # conjunctive and normal form
 
 
-def to_conjunctive(f: Formula, guard: int = DEFAULT_CLAUSE_GUARD) -> Formula:
+def to_conjunctive(f: Formula) -> Formula:
     """Distribute disjunction over conjunction to a right-associated
     conjunction of clauses.  Quantified subformulas are atomic here; the
     normal-form pipeline only ever distributes an open matrix."""
-    clauses = propcalc.clausify(f, guard)
-    if len(clauses) > guard:
+    clauses = propcalc.clausify(f)
+    if len(clauses) > CLAUSE_GUARD:
         raise SizeGuardExceeded("conjunctive form too large", len(clauses))
     parts = [sx.disj([a if pol else Not(a) for a, pol in cl]) for cl in clauses]
     return sx.conj(parts)

@@ -60,6 +60,7 @@ from .syntax import (
 )
 
 ATOM_GUARD = 24  # most elementary atoms taut_check enumerates
+CLAUSE_GUARD = 10_000  # most clauses clausify and to_conjunctive make
 DEFAULT_BUDGET = 100_000
 
 
@@ -580,9 +581,11 @@ class _Clause:
         )
 
 
-def clausify(f: Formula, guard: int = 10_000) -> list[tuple]:
+def clausify(f: Formula) -> list[tuple]:
     """Clauses of the conjunctive form of f, as (atom, polarity) tuples over
-    elementary atoms.  Matches normform.to_conjunctive clause for clause."""
+    elementary atoms.  Matches normform.to_conjunctive clause for clause.
+    Raises SizeGuardExceeded when one distribution would make more than
+    CLAUSE_GUARD clauses."""
 
     def walk(g) -> list[tuple]:
         pair = sx.as_and(g)
@@ -591,7 +594,7 @@ def clausify(f: Formula, guard: int = 10_000) -> list[tuple]:
         if isinstance(g, Or):
             ls = walk(g.left)
             rs = walk(g.right)
-            if len(ls) * len(rs) > guard:
+            if len(ls) * len(rs) > CLAUSE_GUARD:
                 raise SizeGuardExceeded("clausification blowup", len(ls) * len(rs))
             return [a + b for a in ls for b in rs]
         if isinstance(g, Not):

@@ -2,6 +2,10 @@
 concrete bit-string interpreter that serves as an independent semantic
 oracle, and the proof-script corpus driver.
 
+The corpus driver reports each script's own verdict
+(kernel.scripts.ScriptVerdict), with the oracle's added, and registers the
+goal that check_script parsed.
+
 Strings are Python str over '0'/'1', leftmost bit first.  The interpreter
 gives a formula's truth, or a term's value, under an environment that binds
 every free variable of it; other keys are ignored, and a missing one is
@@ -241,7 +245,7 @@ class _Generator:
             # at most as deep as the template's own brackets over its deepest argument
             depth = 1 + template.count("(") + template.count("[") + max((d for _, d in args), default=0)
             return self.fits(f"({template.format(*(a for a, _ in args))})", depth, scope)
-        stage = self.bundle.fn_stages.get(t.fn) if self.bundle is not None else None
+        stage = self.bundle.stages.get(t.fn) if self.bundle is not None else None
         if stage is None or stage.explicit_body is None:
             return self.fail(f"uninterpretable symbol {t.fn.name}")
         body = stage.explicit_body
@@ -253,7 +257,7 @@ class _Generator:
             if f.pred == sx.EQ:
                 (x, dx), (y, dy) = (self.term(a, scope) for a in f.args)
                 return self.fits(f"({x} == {y})", 1 + max(dx, dy), scope)
-            stage = self.bundle.pred_stages.get(f.pred) if self.bundle is not None else None
+            stage = self.bundle.stages.get(f.pred) if self.bundle is not None else None
             if stage is None:
                 return self.fail(f"uninterpretable predicate {f.pred.name}")
             return self.apply(self.code(stage.definiens, self.strict), f.args, scope)
@@ -283,7 +287,7 @@ class _Generator:
         z, parts = e.var, sx.conjuncts(e.body)
         eqs = [p.args for p in parts if isinstance(p, Atom) and p.pred == sx.EQ]
         found = [(b, True) for args in eqs for a, b in (args, args[::-1]) if a == Var(z)]
-        head, order = parts[0], self.bundle.order if self.bundle is not None else None
+        head, order = parts[0], self.bundle.symbols.order if self.bundle is not None else None
         if isinstance(head, Atom) and head.pred == order and head.args[0] == Var(z):
             found.append((head.args[1], False))
         first = next(((b, one) for b, one in found if z not in sx.occurring_var_names(b)), None)
@@ -367,15 +371,16 @@ def evaluable(f: Formula, bundle, strict: bool = True) -> bool:
 
 @dataclass
 class TheoryBundle:
-    theory: Theory  # the axioms
+    """A loaded theory, each fact kept once: the axioms and checked theorems
+    in `registry`, the base theory in `definitions.base`, the order symbol
+    in `symbols.order`."""
+
     symbols: sx.SymbolTable
     registry: Registry
     definitions: extend.DefinitionRegistry  # main chain
     schema: Optional[extend.DefinitionRegistry] = None  # chain over phi
-    order: Optional[PredSym] = None
-    fn_stages: dict = field(default_factory=dict)
-    pred_stages: dict = field(default_factory=dict)
-    schema_symbols: tuple = ()
+    stages: dict = field(default_factory=dict)  # each defined symbol's, FnSym or PredSym
+    schema_symbols: tuple = ()  # the predicates the schema section defines
     compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def register_theorem(self, label: str, statement: Formula):
@@ -394,61 +399,59 @@ class TheoryBundle:
 
 
 def load_theory(path: Optional[Path] = None) -> TheoryBundle:
+    """The theory file at `path` (the bundled theory_s.th by default).  Its
+    axioms come first: the base theory is frozen at the first other line,
+    or at the end of the file, and a later axiom is refused."""
     path = path or (DATA_DIR / "theory_s.th")
     text = Path(path).read_text()
-    lang = S_LANGUAGE
-    symbols = sx.SymbolTable(lang)
+    symbols = sx.SymbolTable(S_LANGUAGE)
+    registry = Registry(symbols)
+    bundle = TheoryBundle(symbols, registry, None)
     axioms: list[Formula] = []
-    axiom_labels: list[tuple[str, Formula]] = []
-    registry: Optional[Registry] = None
     chain: Optional[extend.DefinitionRegistry] = None  # where definitions go
-    bundle = TheoryBundle(
-        Theory("S", (), EPS), symbols, Registry(symbols), None
-    )
     in_schema = False
     pending_phi: list[tuple[str, str]] = []
 
+    def base_chain():
+        theory = Theory("S", tuple(axioms), EPS)
+        return extend.DefinitionRegistry(theory, declared=S_LANGUAGE.functions)
+
+    def define(label: str, stage: extend.Stage):
+        if isinstance(stage.symbol, PredSym):
+            symbols.language = symbols.language.extend(predicates=[stage.symbol])
+            if in_schema:
+                bundle.schema_symbols += (stage.symbol,)
+        else:
+            symbols.language = symbols.language.extend(functions=[stage.symbol])
+        bundle.stages[stage.symbol] = stage
+        registry.add_definition(label, stage.axiom, "schema" if in_schema else "base")
+
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("theory "):
+        if not line or line.startswith("theory "):
             continue
         m = re.match(r"axiom\s+([a-z0-9_']+)\s*:\s*(.+)$", line)
         if m:
+            if chain is not None:
+                message = f"axiom {m.group(1)} after a definition or directive: axioms come first"
+                raise ParseError(message, lineno, 1)
             f = sx.parse(m.group(2), "formula", symbols)
             axioms.append(f)
-            axiom_labels.append((m.group(1), f))
+            registry.add_axiom(m.group(1), f)
             continue
-        if chain is None and not line.startswith("axiom"):
-            # first non-axiom line: freeze the base theory
-            theory = Theory("S", tuple(axioms), EPS)
-            bundle.theory = theory
-            chain = extend.DefinitionRegistry(theory, declared=lang.functions)
-            registry = Registry(symbols)
-            bundle.registry = registry
-            bundle.definitions = chain
-            for lbl, f in axiom_labels:
-                registry.add_axiom(lbl, f)
+        if chain is None:
+            chain = bundle.definitions = base_chain()
         m = re.match(r"define\s+pred\s+([a-z0-9_']+)\s+([a-z0-9_']+)\s*:\s*(.+)$", line)
         if m:
             label, name, body = m.groups()
             definiens = sx.parse(body, "formula", symbols)
-            stage = chain.define_predicate(label, name, definiens)
-            symbols.language = symbols.language.extend(predicates=[stage.symbol])
-            bundle.pred_stages[stage.symbol] = stage
-            registry.add_definition(label, stage.axiom, "schema" if in_schema else "base")
-            if in_schema:
-                bundle.schema_symbols += (stage.symbol,)
+            define(label, chain.define_predicate(label, name, definiens))
             continue
         m = re.match(r"define\s+fun\s+([a-z0-9_']+)\s+([a-z0-9_']+)\s*:=\s*(.+)$", line)
         if m:
             label, name, body = m.groups()
             term = sx.parse(body, "term", symbols)
-            stage = chain.define_function_explicit(label, name, term)
-            symbols.language = symbols.language.extend(functions=[stage.symbol])
-            bundle.fn_stages[stage.symbol] = stage
-            registry.add_definition(label, stage.axiom, "schema" if in_schema else "base")
+            define(label, chain.define_function_explicit(label, name, term))
             continue
         m = re.match(
             r"define\s+fun\s+([a-z0-9_']+)\s+([a-z0-9_']+)\s*:\s*(.+?)\s+using\s+"
@@ -461,9 +464,7 @@ def load_theory(path: Optional[Path] = None) -> TheoryBundle:
             stage = chain.define_function(
                 label, name, existential, registry.lookup(ec_label), registry.lookup(uc_label)
             )
-            symbols.language = symbols.language.extend(functions=[stage.symbol])
-            bundle.fn_stages[stage.symbol] = stage
-            registry.add_definition(label, stage.axiom, "schema" if in_schema else "base")
+            define(label, stage)
             continue
         m = re.match(r"order\s+([a-z0-9_']+)$", line)
         if m:
@@ -471,7 +472,6 @@ def load_theory(path: Optional[Path] = None) -> TheoryBundle:
             if p is None:
                 raise ParseError(f"unknown order symbol {m.group(1)}", lineno, 1)
             symbols.order = p
-            bundle.order = p
             continue
         m = re.match(r"phi\s+([a-z0-9_']+)\s*:\s*([a-z0-9_']+)$", line)
         if m:
@@ -487,6 +487,8 @@ def load_theory(path: Optional[Path] = None) -> TheoryBundle:
             chain = bundle.schema = bundle.definitions.continued(phi)
             continue
         raise ParseError(f"unrecognized theory line: {line!r}", lineno, 1)
+    if chain is None:
+        bundle.definitions = base_chain()
     for phi_label, pred_name in pending_phi:
         p = symbols.pred(pred_name)
         if p is None:
@@ -692,19 +694,8 @@ def load_corpus(paths: Optional[Sequence[Path]] = None) -> list[kscripts.Script]
 
 
 @dataclass
-class CorpusEntryReport:
-    label: str
-    ok: bool
-    message: str
-    elapsed: float
-    instance_count: int
-    oracle: Optional[str] = None  # "agrees" | "disagrees" | "skipped"
-    spent: int = 0  # refutation budget used, summed over segments
-
-
-@dataclass
 class CorpusReport:
-    entries: list[CorpusEntryReport]
+    entries: list[kscripts.ScriptVerdict]
     elapsed: float
 
     @property
@@ -721,7 +712,7 @@ class CorpusReport:
                     "ok": e.ok,
                     "message": e.message,
                     "elapsed": e.elapsed,
-                    "instances": e.instance_count,
+                    "instances": len(e.instances),
                     "oracle": e.oracle,
                     "spent": e.spent,
                 }
@@ -740,28 +731,22 @@ def check_corpus(
 ) -> CorpusReport:
     """Dependency-ordered verification of the corpus, optionally
     cross-validating every evaluable statement against the interpreter.  A
-    script the interpreter disagrees with fails, and is not registered."""
+    script the interpreter disagrees with fails, and is not registered.
+    Each entry is the script's own verdict, with the oracle's added."""
     scripts = load_corpus() if scripts is None else scripts
-    strings = _StringReader(random.Random(seed)).strings
+    strings = _StringReader(random.Random(seed)).strings if oracle_samples > 0 else None
     entries = []
     start = time.perf_counter()
     for script in scripts:
         v = kscripts.check_script(bundle.registry, script, budget)
-        ok, message, oracle = v.ok, v.message, None
+        if v.ok and strings is not None:
+            v.oracle, disagreement = _oracle_check(bundle, v.statement, oracle_samples, strings)
+            if disagreement:
+                v.ok, v.message = False, disagreement
         if v.ok:
-            stmt = sx.parse(script.statement_text, "formula", bundle.registry.symbols)
-            if oracle_samples:
-                oracle, disagreement = _oracle_check(bundle, stmt, oracle_samples, strings)
-                if disagreement:
-                    ok, message = False, disagreement
-            if ok:
-                bundle.register_theorem(script.label, stmt)
-        entries.append(
-            CorpusEntryReport(
-                script.label, ok, message, v.elapsed, len(v.instances), oracle, v.spent
-            )
-        )
-        if not ok and halt_on_failure:
+            bundle.register_theorem(script.label, v.statement)
+        entries.append(v)
+        if not v.ok and halt_on_failure:
             break
     return CorpusReport(entries, time.perf_counter() - start)
 
@@ -808,10 +793,8 @@ def instantiate_schema(bundle: TheoryBundle, phi_label: str) -> Registry:
     phi = bundle.registry.phi_formulas[phi_label]
     out = Registry(bundle.symbols)
     out.phi_formulas = dict(bundle.registry.phi_formulas)
-    if bundle.registry.bsi_template is not None:
-        out.bsi_template = bundle.registry.bsi_template
+    out.bsi_template = bundle.registry.bsi_template
     reg2 = bundle.definitions.continued(*bundle.schema_symbols)
-    lang = bundle.symbols.language
     mapping = {}
     for label in bundle.registry.order:
         entry = bundle.registry.entries[label]
@@ -835,10 +818,9 @@ def instantiate_schema(bundle: TheoryBundle, phi_label: str) -> Registry:
         definiens = sx.map_atoms(definiens, swap)
         name = f"{stage.symbol.name}_{phi_label}"
         st2 = reg2.define_predicate(f"{label}_{phi_label}", name, definiens)
-        if lang.pred(name) is None:
+        if bundle.symbols.language.pred(name) is None:
             bundle.symbols.language = bundle.symbols.language.extend(predicates=[st2.symbol])
-            lang = bundle.symbols.language
-        bundle.pred_stages[st2.symbol] = st2
+        bundle.stages[st2.symbol] = st2
         mapping[stage.symbol] = st2.symbol
         out.add(kscripts.Entry(label, "definition", st2.axiom, "schema"))
     override = {old.name: new for old, new in mapping.items()}

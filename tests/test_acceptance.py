@@ -172,7 +172,7 @@ def test_criterion_5_normal_form_pipeline():
         g = nf.to_negation_form(f)
         assert pc.taut_check(sx.fiff(f, g)).consequence
         try:
-            c = nf.to_conjunctive(f, guard=4000)
+            c = nf.to_conjunctive(f)
         except Exception:
             continue
         assert pc.taut_check(sx.fiff(f, c)).consequence
@@ -255,7 +255,7 @@ def test_criterion_7_extensions(bundle, corpus_report):
             rhs = sa.eval_formula(out.formula, env, bundle, strict=False)
             assert lhs == rhs, (entry.label, env)
         agreeing += 1
-    leq = bundle.order
+    leq = bundle.symbols.order
     bounded_probe = sx.parse(
         "(exists<= z y (= z eps))", "formula", bundle.symbols
     )

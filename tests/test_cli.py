@@ -278,6 +278,27 @@ def test_fuzz_axioms_cli(capsys):
     assert code == 0 and json.loads(jout) == {"ok": True, "checked": 2613, "counterexamples": []}
 
 
+def test_theory_file_with_a_late_axiom_is_a_usage_error(capsys, tmp_path):
+    late = tmp_path / "late.th"
+    late.write_text(
+        "theory T\n"
+        "axiom a1 : (not (= (s0 x) eps))\n"
+        "define fun d25 zee := (zprod (s0 eps) x)\n"
+        "axiom a6 : (= (cat eps x) (s0 x))\n"
+    )
+    code, out, err = run(capsys, "--theory", str(late), "fuzz-axioms", "--samples", "10")
+    assert code == 2 and not out and "axiom a6" in err and "4:1" in err
+
+
+def test_theory_file_with_axioms_only(capsys, tmp_path):
+    path = tmp_path / "axioms.th"
+    path.write_text("theory T\naxiom a1 : (not (= (s0 x) eps))\naxiom a6 : (= (cat eps x) x)\n")
+    code, out, _ = run(capsys, "--theory", str(path), "fuzz-axioms", "--samples", "10")
+    assert code == 0 and out.strip() == "20 instances checked; counterexamples: 0"
+    code, out, _ = run(capsys, "--theory", str(path), "translate", "(= x x)")
+    assert code == 0 and out.strip() == "(= x x)"
+
+
 def test_fuzz_axioms_refuses_an_exhaustive_length_past_the_bound(capsys, monkeypatch):
     # The widest axioms have three variables: length 7 gives 255^3 =
     # 16,581,375 assignments, length 8 gives 511^3, over 10^8.  Nothing is

@@ -589,3 +589,18 @@ def test_check_proof_reports_an_exhausted_budget_as_such():
     )
     v = check_proof(TOY, one_line(sx.fimp(chain, sx.fimp(atoms[-1], atoms[0]))), budget=1000)
     assert not v.ok and v.message == "not a tautological consequence of cited lines"
+
+
+def test_check_proof_reports_a_clausification_blowup_as_a_failing_line():
+    # 15 two-atom conjunctions in one disjunction: distributing it passes
+    # the clause guard, which fails the line instead of raising
+    atoms = [Atom(Q, (sx.numeral(i),)) for i in range(30)]
+    big = sx.disj([sx.fand(a, b) for a, b in zip(atoms[::2], atoms[1::2])])
+    pb = ProofBuilder()
+    pb.taut(sx.fimp(big, big), ())
+    v = check_proof(TOY, pb.build())
+    assert not v.ok and v.failed_index == 0
+    assert v.message == (
+        "clausification blowup (16384 clauses, guard 10000) before deciding "
+        "tautological consequence of cited lines"
+    )

@@ -110,12 +110,12 @@ def test_conjunctive_examples():
 
 
 def test_conjunctive_guard_triggers_on_parity_blowup():
-    xs = [Atom(PredSym(f"x{i}", 0)) for i in range(12)]
+    xs = [Atom(PredSym(f"x{i}", 0)) for i in range(15)]  # 16,384 clauses
     f = xs[0]
     for x in xs[1:]:
         f = Or(sx.fand(f, Not(x)), sx.fand(Not(f), x))  # xor chain
     with pytest.raises(SizeGuardExceeded):
-        nf.to_conjunctive(f, guard=64)
+        nf.to_conjunctive(f)
 
 
 @settings(max_examples=200, deadline=None)
@@ -124,7 +124,7 @@ def test_conjunctive_truth_table_equivalent(seed):
     rng = random.Random(seed)
     f = random_qf_formula(rng, max_atoms=8, depth=4)
     try:
-        g = nf.to_conjunctive(f, guard=2000)
+        g = nf.to_conjunctive(f)
     except SizeGuardExceeded:
         return
     assert taut_equiv(f, g)

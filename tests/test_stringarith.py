@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import random
 import re
@@ -8,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import mutate_script
 from proofkit import extend, stringarith as sa
 from proofkit import syntax as sx
-from proofkit.errors import CheckError
+from proofkit.errors import CheckError, ParseError
 from proofkit.kernel import scripts as ks
 from proofkit.syntax import App, Atom, FnSym, Not, Or, Var, EPS, S0, S1, PD, CAT, ZPROD
 
@@ -137,7 +138,7 @@ def test_compiled_code_is_kept_per_strictness_and_bundle(bundle):
         sa.eval_formula(f, env, bundle, strict=True)
     sim = formula(bundle, "(sim x y)")
     assert sa.eval_formula(sim, {"x": "00", "y": "11"}, bundle)
-    bare = dataclasses.replace(bundle, pred_stages={})
+    bare = dataclasses.replace(bundle, stages={})
     with pytest.raises(CheckError, match="uninterpretable predicate sim"):
         sa.eval_formula(sim, {"x": "00", "y": "11"}, bare)
 
@@ -666,6 +667,28 @@ define fun dfr front : (exists y (= y (cat x {c}))) using ec1 uc1
         sa.load_theory(path)
 
 
+def test_theory_file_refuses_an_axiom_after_a_definition(tmp_path):
+    # a false axiom the fuzzer would catch, were it not dropped
+    path = tmp_path / "late.th"
+    path.write_text(
+        "theory T\n"
+        "axiom a1 : (not (= (s0 x) eps))\n"
+        "define fun d25 zee := (zprod (s0 eps) x)\n"
+        "axiom a6 : (= (cat eps x) (s0 x))\n"
+    )
+    with pytest.raises(ParseError, match=r"axiom a6 .* at 4:1$"):
+        sa.load_theory(path)
+
+
+def test_theory_file_with_axioms_only(tmp_path):
+    path = tmp_path / "axioms.th"
+    path.write_text("theory T\naxiom a1 : (not (= (s0 x) eps))\naxiom a6 : (= (cat eps x) x)\n")
+    b = sa.load_theory(path)
+    assert b.registry.order == ["a1", "a6"]
+    assert b.definitions.base.axioms == tuple(b.registry.entries[l].statement for l in ("a1", "a6"))
+    assert sa.fuzz_axioms(b, samples=10, maxlen=8, seed=0).checked == 20
+
+
 def test_schema_chain_continues_the_main_chain_over_its_base(bundle):
     # each axiom once: the base axioms, then the main and the schema stages
     schema, main = bundle.schema, bundle.definitions
@@ -699,9 +722,24 @@ def test_corpus_all_pass(corpus_report):
     assert len(agreeing) >= 40  # every open/bounded statement cross-checks
 
 
+def test_check_corpus_parses_each_statement_once(corpus_scripts, monkeypatch):
+    texts = collections.Counter(s.statement_text for s in corpus_scripts)
+    parsed = collections.Counter()
+    parse = sx.parse
+
+    def counting(text, *args, **kw):
+        if text in texts:
+            parsed[text] += 1
+        return parse(text, *args, **kw)
+
+    monkeypatch.setattr(sx, "parse", counting)
+    report = sa.check_corpus(sa.load_theory(), corpus_scripts)
+    assert report.ok and parsed == texts
+
+
 def test_t24_script_details(bundle, corpus_report):
     entry = next(e for e in corpus_report.entries if e.label == "t24")
-    assert entry.ok and entry.instance_count == 4
+    assert entry.ok and len(entry.instances) == 4
 
 
 def test_mutated_citation_is_rejected(bundle, corpus_report):
