@@ -7,10 +7,12 @@ universal positions, named witness constants at existential positions), and
 accepts when the instances together with the negated frozen goal are
 quasitautologically inconsistent.
 
-Explicit scripts are instead replayed literally as very simple proofs: each
-step a conjunct of a special case of a nonlogical axiom, an equality
-substitution, or a one-resolution of prior steps, ending in a literal and its
-opposite or in a formula a != a.
+Explicit scripts are instead very simple proofs, each step a conjunct of a
+special case of a nonlogical axiom, a closed equality substitution
+not a=b | not A(a) | A(b), or a resolution of prior steps.  The script is
+turned into a certificate whose inputs are the negated goal's conjuncts and
+those steps, closed by a derived literal and its opposite or a formula
+a != a, and passes only when propcalc.replay accepts it.
 """
 
 from __future__ import annotations
@@ -179,12 +181,12 @@ def parse_script_file(text: str) -> list[Script]:
             continue
         if cur is None:
             raise ParseError(f"statement outside a theorem block: {line!r}", lineno, 1)
-        if line == "proof":
-            mode = "proof"
-            continue
-        if line == "explicit":
-            mode = "explicit"
-            cur.explicit = []
+        if line in ("proof", "explicit"):
+            if mode is not None:
+                raise ParseError(f"second proof block in theorem {cur.label}", lineno, 1)
+            mode = line
+            if line == "explicit":
+                cur.explicit = []
             continue
         if line == "qed":
             if claim is not None:
@@ -230,7 +232,7 @@ def parse_script_file(text: str) -> list[Script]:
     return scripts
 
 
-def _split_items(rest: str):
+def _split_items(rest: str, lineno: int):
     """Split '; t1 ; t2 : w' into ((';', 't1'), (';', 't2'), (':', 'w'))."""
     items = []
     buf = []
@@ -251,10 +253,10 @@ def _split_items(rest: str):
     if sep is not None:
         items.append((sep, "".join(buf).strip()))
     elif rest.strip():
-        raise CheckError(f"stray citation arguments {rest!r}")
+        raise ParseError(f"stray citation arguments {rest!r}", lineno, 1)
     for kind, text in items:
         if not text:
-            raise CheckError("empty citation argument")
+            raise ParseError("empty citation argument", lineno, 1)
     return tuple(items)
 
 
@@ -278,7 +280,7 @@ def _parse_use(line: str, lineno: int) -> UseLine:
             label, direction = head[:-3], "bw"
         else:
             label, direction = head, None
-    return UseLine(label, direction, _split_items(rest), phi_label, lineno)
+    return UseLine(label, direction, _split_items(rest, lineno), phi_label, lineno)
 
 
 def _parse_explicit(line: str, lineno: int) -> ExplicitStep:
@@ -287,11 +289,11 @@ def _parse_explicit(line: str, lineno: int) -> ExplicitStep:
         if not m:
             raise ParseError("malformed special step", lineno, 1)
         label = m.group(1)
-        items = _split_items(m.group(2))
+        items = _split_items(m.group(2), lineno)
         k = int(m.group(3)) if m.group(3) else None
         return ExplicitStep("special", (label, items, k), lineno)
     if line.startswith("eqsub"):
-        items = _split_items(line[len("eqsub") :])
+        items = _split_items(line[len("eqsub") :], lineno)
         if len(items) != 4 or any(kind != ";" for kind, _ in items):
             raise ParseError("eqsub expects ; a ; b ; x ; A", lineno, 1)
         return ExplicitStep("eqsub", tuple(t for _, t in items), lineno)
@@ -447,7 +449,12 @@ def check_script(
 
 
 def _replay_explicit(registry, script, statement: Formula) -> list:
-    """Very simple proofs: literal step-by-step replay."""
+    """A very simple proof as a certificate that propcalc.replay checks.
+    The negated goal's conjuncts, the `special` conjuncts and the `eqsub`
+    clauses are its inputs, `resolve i j` resolves positions i and j, and
+    the certificate ends at the first empty clause a step derives, else in
+    a derived unit resolved against its opposite or, for a != a, against
+    the identity a = a.  Returns the derived formulas."""
     cur = nform.to_normal_form(Not(closure(statement)))
     # witness the leading existentials (these are the goal's frozen variables)
     while True:
@@ -457,9 +464,16 @@ def _replay_explicit(registry, script, statement: Formula) -> list:
         cur = nform.special_case(
             cur, nform.SpecialCaseDirective((("witness", cur.var),))
         )
-    derived: list = list(sx.conjuncts(cur))
+    inputs: list = list(sx.conjuncts(cur))
+    steps: list = [("input", f) for f in inputs]
+    have: list = [tuple(sx.disjuncts(f)) for f in inputs]  # position -> clause
     env: dict = {}
     for step in script.explicit:
+        if step.kind == "resolve":
+            i, j = step.payload
+            steps.append(("resolve", i - 1, j - 1))
+            have.append(propcalc.resolvent(have, i - 1, j - 1))
+            continue
         if step.kind == "special":
             label, items, k = step.payload
             entry = registry.lookup(label)
@@ -479,29 +493,40 @@ def _replay_explicit(registry, script, statement: Formula) -> list:
             if k is not None:
                 if not 1 <= k <= len(parts):
                     raise CheckError(f"no conjunct {k}")
-                derived.append(parts[k - 1])
+                f = parts[k - 1]
             elif len(parts) == 1:
-                derived.append(parts[0])
+                f = parts[0]
             else:
                 raise CheckError("ambiguous conjunct; say `conjunct <k>`")
-        elif step.kind == "eqsub":
+        else:  # eqsub
             at, bt, xv, ft = step.payload
             a = sx.parse(at, "term", registry.symbols, env)
             b = sx.parse(bt, "term", registry.symbols, env)
             body = sx.parse(ft, "formula", registry.symbols, env)
-            fa = subst(body, {xv: a})
-            fb = subst(body, {xv: b})
-            clause = sx.disj([Not(sx.eq(a, b)), Not(fa), fb])
-            if not propcalc.is_equality_substitution(clause):
-                raise CheckError("ill-formed equality substitution")
-            derived.append(clause)
-        elif step.kind == "resolve":
-            i, j = step.payload
-            if not (1 <= i <= len(derived) and 1 <= j <= len(derived)):
-                raise CheckError("resolve cites a missing step")
-            derived.append(propcalc.one_resolution(derived[i - 1], derived[j - 1]))
-        else:
-            raise CheckError(f"unknown step kind {step.kind!r}")
-    if propcalc.contradictory(set(derived)):
-        return derived
-    raise CheckError("explicit proof reaches no contradiction")
+            f = sx.disj([Not(sx.eq(a, b)), Not(subst(body, {xv: a})), subst(body, {xv: b})])
+            if sx.free_vars(f):
+                raise CheckError(f"equality substitution is not closed: {sx.render(f)}")
+        inputs.append(f)
+        steps.append(("input", f))
+        have.append(tuple(sx.disjuncts(f)))
+    derived = [sx.disj(c) for c in have if c]
+    if () in have:
+        del steps[have.index(()) + 1 :]
+    else:
+        steps += _closing(have)
+    propcalc.replay(propcalc.Refutation(steps), inputs)
+    return derived
+
+
+def _closing(have: list) -> list:
+    """The steps that refute a derived unit: resolved against its derived
+    opposite, or, for a != a, against the identity a = a.  None when no
+    unit is refuted so."""
+    units = {c[0]: k for k, c in enumerate(have) if len(c) == 1}
+    for lit, k in units.items():
+        opp = lit.body if isinstance(lit, Not) else Not(lit)
+        if opp in units:
+            return [("resolve", k, units[opp])]
+        if isinstance(lit, Not) and propcalc.is_identity_instance(lit.body):
+            return [("eq_axiom", lit.body), ("resolve", len(have), k)]
+    return []

@@ -47,7 +47,6 @@ from .errors import CheckError, SizeGuardExceeded
 from . import syntax as sx
 from .syntax import (
     Atom,
-    Exists,
     Formula,
     Not,
     Or,
@@ -55,8 +54,6 @@ from .syntax import (
     EQ,
     disjuncts,
     is_elementary,
-    is_literal,
-    opposite,
 )
 
 ATOM_GUARD = 24  # most elementary atoms taut_check enumerates
@@ -168,25 +165,6 @@ def taut_check(goal: Formula, premises: Sequence[Formula] = ()) -> TautVerdict:
 
 
 # ---------------------------------------------------------------------------
-# one-resolution
-
-
-def one_resolution(c: Formula, d: Formula) -> Formula:
-    """Delete from d the proper disjunct that is the opposite of the literal
-    c, re-associating the remaining disjuncts right to left."""
-    if not is_literal(c):
-        raise CheckError(f"not a literal: {sx.render(c)}")
-    opp = opposite(c)
-    parts = disjuncts(d)
-    if len(parts) < 2:
-        raise CheckError("opposite is not a proper disjunct")
-    if opp not in parts:
-        raise CheckError("opposite of the pivot is not a disjunct")
-    idx = parts.index(opp)
-    return sx.disj(parts[:idx] + parts[idx + 1 :])
-
-
-# ---------------------------------------------------------------------------
 # certificates and their replayer
 
 
@@ -274,56 +252,6 @@ def is_equality_axiom_instance(f: Formula) -> bool:
     return all(e == (a, b) for e, a, b in zip(eqs[:-1], prem.args, concl.args))
 
 
-def is_equality_substitution(f: Formula) -> bool:
-    """Closed instance of  a=b & A_x(a) -> A_x(b)  for some A and x (clause
-    rendering accepted), decided by matching the two sides up to a-for-b
-    replacement."""
-    if not sx.is_variable_free(f):
-        return False
-    candidates = []
-    pair = sx.as_imp(f)
-    if pair is not None:
-        hyp, concl = pair
-        parts = sx.conjuncts(hyp)
-        if len(parts) == 2:
-            candidates.append((parts[0], parts[1], concl))
-    parts = sx.disjuncts(f)
-    if len(parts) == 3:
-        e, aa, concl = parts
-        if isinstance(e, Not) and isinstance(aa, Not):
-            candidates.append((e.body, aa.body, concl))
-    for e, aa, concl in candidates:
-        if isinstance(e, Atom) and e.pred == EQ:
-            a, b = e.args
-            if _differs_only_by(aa, concl, a, b):
-                return True
-    return False
-
-
-def _differs_only_by(fa: Formula, fb: Formula, a: Term, b: Term) -> bool:
-    def terms(s: Term, t: Term) -> bool:
-        if s == a and t == b:
-            return True
-        if s == t:
-            return True
-        if isinstance(s, sx.App) and isinstance(t, sx.App) and s.fn == t.fn:
-            return all(terms(p, q) for p, q in zip(s.args, t.args))
-        return False
-
-    def walk(x: Formula, y: Formula) -> bool:
-        if isinstance(x, Atom) and isinstance(y, Atom) and x.pred == y.pred:
-            return all(terms(p, q) for p, q in zip(x.args, y.args))
-        if isinstance(x, Not) and isinstance(y, Not):
-            return walk(x.body, y.body)
-        if isinstance(x, Or) and isinstance(y, Or):
-            return walk(x.left, y.left) and walk(x.right, y.right)
-        if isinstance(x, Exists) and isinstance(y, Exists) and x.var == y.var:
-            return walk(x.body, y.body)
-        return False
-
-    return walk(fa, fb)
-
-
 # The length of a well-formed step of each kind.
 _STEP_LENGTHS = {"input": 2, "conjunct": 3, "eq_axiom": 2, "resolve": 3, "split": 4}
 
@@ -367,7 +295,7 @@ def replay(cert: Refutation, inputs: Sequence[Formula]) -> bool:
                     )
                 have.append(tuple(sx.disjuncts(f)))
             elif kind == "resolve":
-                have.append(_resolvent(have, step[1], step[2]))
+                have.append(resolvent(have, step[1], step[2]))
             else:
                 _, atom, first, second = step
                 if not is_elementary(atom) or sx.free_vars(atom):
@@ -383,7 +311,7 @@ def replay(cert: Refutation, inputs: Sequence[Formula]) -> bool:
     return True
 
 
-def _resolvent(have: list, i, j) -> tuple:
+def resolvent(have: list, i, j) -> tuple:
     """The clause at position j without the opposite of the literal of the
     unit clause at position i.  Literals are told apart by their stored
     hashes first, so two distinct deep literals are never walked."""
@@ -420,17 +348,6 @@ def _conjunctive_clauses(f: Formula) -> list[tuple]:
             Not(f.body.right)
         )
     return [(f,)]
-
-
-def contradictory(derived: set) -> bool:
-    """Some formula's opposite is also derived, or some a != a is."""
-    for f in derived:
-        if opposite(f) in derived:
-            return True
-        if isinstance(f, Not) and isinstance(f.body, Atom) and f.body.pred == EQ:
-            if f.body.args[0] == f.body.args[1]:
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -416,7 +416,10 @@ def load_theory(path: Optional[Path] = None) -> TheoryBundle:
         theory = Theory("S", tuple(axioms), EPS)
         return extend.DefinitionRegistry(theory, declared=S_LANGUAGE.functions)
 
-    def define(label: str, stage: extend.Stage):
+    def define(label: str, stage: extend.Stage, lineno: int):
+        if bundle.stages.get(stage.symbol) is stage:  # an earlier line made it
+            message = f"definition {label} repeats the definiens of {stage.label}"
+            raise ParseError(message, lineno, 1)
         if isinstance(stage.symbol, PredSym):
             symbols.language = symbols.language.extend(predicates=[stage.symbol])
             if in_schema:
@@ -445,13 +448,13 @@ def load_theory(path: Optional[Path] = None) -> TheoryBundle:
         if m:
             label, name, body = m.groups()
             definiens = sx.parse(body, "formula", symbols)
-            define(label, chain.define_predicate(label, name, definiens))
+            define(label, chain.define_predicate(label, name, definiens), lineno)
             continue
         m = re.match(r"define\s+fun\s+([a-z0-9_']+)\s+([a-z0-9_']+)\s*:=\s*(.+)$", line)
         if m:
             label, name, body = m.groups()
             term = sx.parse(body, "term", symbols)
-            define(label, chain.define_function_explicit(label, name, term))
+            define(label, chain.define_function_explicit(label, name, term), lineno)
             continue
         m = re.match(
             r"define\s+fun\s+([a-z0-9_']+)\s+([a-z0-9_']+)\s*:\s*(.+?)\s+using\s+"
@@ -464,7 +467,7 @@ def load_theory(path: Optional[Path] = None) -> TheoryBundle:
             stage = chain.define_function(
                 label, name, existential, registry.lookup(ec_label), registry.lookup(uc_label)
             )
-            define(label, stage)
+            define(label, stage, lineno)
             continue
         m = re.match(r"order\s+([a-z0-9_']+)$", line)
         if m:

@@ -332,17 +332,6 @@ def is_elementary(f: Formula) -> bool:
     return isinstance(f, (Atom, Exists))
 
 
-def is_literal(f: Formula) -> bool:
-    """A variable-free atomic formula or the negation of one."""
-    if isinstance(f, Not):
-        f = f.body
-    return isinstance(f, Atom) and is_variable_free(f)
-
-
-def opposite(f: Formula) -> Formula:
-    return f.body if isinstance(f, Not) else Not(f)
-
-
 # ---------------------------------------------------------------------------
 # structural measures (cached; nodes are immutable)
 

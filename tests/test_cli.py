@@ -290,6 +290,31 @@ def test_theory_file_with_a_late_axiom_is_a_usage_error(capsys, tmp_path):
     assert code == 2 and not out and "axiom a6" in err and "4:1" in err
 
 
+def test_theory_file_with_a_repeated_definiens_is_a_usage_error(capsys, tmp_path):
+    dup = tmp_path / "dup.th"
+    dup.write_text(
+        "theory T\n"
+        "axiom a1 : (not (= (s0 x) eps))\n"
+        "define pred d1 p1 : (= x eps)\n"
+        "define pred d2 p2 : (= x eps)\n"
+    )
+    code, out, err = run(capsys, "--theory", str(dup), "translate", "(p2 x)")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: definition d2 repeats the definiens of d1 at 4:1"
+
+
+def test_script_parse_errors_name_their_line(capsys, tmp_path):
+    for body, message in (
+        ("proof\n  H\n  use a2\nexplicit\n  special a1 ; eps\n", "second proof block in theorem e1 at 5:1"),
+        ("proof\n  H\n  use a1 x\n", "stray citation arguments ' x' at 4:1"),
+        ("proof\n  H\n  use a1 ;\n", "empty citation argument at 4:1"),
+        ("explicit\n  special a1 ; eps ;\n", "empty citation argument at 3:1"),
+    ):
+        path = tmp_path / "e1.prf"
+        path.write_text(f"theorem e1 : (not (= (s0 eps) eps))\n{body}qed\n")
+        code, out, err = run(capsys, "check-proof", str(path))
+        assert code == 2 and out == "" and err.strip() == f"error: {message}"
+
 def test_theory_file_with_axioms_only(capsys, tmp_path):
     path = tmp_path / "axioms.th"
     path.write_text("theory T\naxiom a1 : (not (= (s0 x) eps))\naxiom a6 : (= (cat eps x) x)\n")

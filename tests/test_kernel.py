@@ -7,7 +7,7 @@ from proofkit import normform as nf
 from proofkit import propcalc as pc
 from proofkit import stringarith
 from proofkit import syntax as sx
-from proofkit.errors import BudgetExhausted, CheckError, SizeGuardExceeded
+from proofkit.errors import BudgetExhausted, CheckError, ParseError, SizeGuardExceeded
 from proofkit.kernel import (
     ProofBuilder,
     ProofLine,
@@ -182,9 +182,6 @@ def test_equality_substitution_instances():
     # existential case per the induction
     f3, proof3 = equality_substitution(a, b, parse("(exists y (= y x))"), "x")
     assert check_proof(TOY, proof3).ok
-    assert pc.is_equality_substitution(
-        sx.fimp(sx.fand(sx.eq(a, b), Atom(Q, (a,))), Atom(Q, (b,)))
-    )
 
 
 def test_equality_substitution_rejects_open_terms():
@@ -540,6 +537,116 @@ def test_explicit_proof_ending_in_self_inequality():
     v = check_script(reg, script)
     assert v.ok, v.message
     assert Not(sx.eq(App(PD, (E,)), App(PD, (E,)))) in v.instances
+
+
+def _explicit_registry(**axioms):
+    reg = Registry(SymbolTable(LANG))
+    for label, text in axioms.items():
+        reg.add_axiom(label, parse(text))
+    return reg
+
+
+def _check_explicit(reg, goal, *steps):
+    lines = "".join(f"  {step}\n" for step in steps)
+    (script,) = parse_script_file(f"theorem t : {goal}\nexplicit\n{lines}qed\n")
+    return check_script(reg, script)
+
+
+def test_explicit_mutations_fail_with_their_own_message():
+    reg = _explicit_registry(ax1="(q x)", ax3="(or (not (q x)) (p x x))")
+    good = ("special ax1 ; eps", "special ax3 ; eps", "resolve 2 3")
+    assert _check_explicit(reg, "(p eps eps)", *good).ok
+    for steps, message in (
+        # a resolve that cites a step not yet derived
+        (good[:2] + ("resolve 2 5",), "resolution premises must precede"),
+        # an equality substitution over an open formula
+        (good + ("eqsub ; eps ; (s0 eps) ; x ; (q y)",), "equality substitution is not closed"),
+        # a special case at another term
+        (("special ax1 ; (s0 eps)",) + good[1:], "opposite of the pivot is not in the clause"),
+    ):
+        v = _check_explicit(reg, "(p eps eps)", *steps)
+        assert not v.ok and message in v.message, (steps, v.message)
+
+
+def test_explicit_verdict_is_the_replayed_certificate(monkeypatch):
+    reg = _explicit_registry(ax1="(q x)", ax3="(or (not (q x)) (p x x))")
+    steps = ("special ax1 ; eps", "special ax3 ; eps", "resolve 2 3")
+    replayed = []
+    replay = pc.replay
+
+    def spy(cert, inputs):
+        replayed.append(cert.steps)
+        return replay(cert, inputs)
+
+    monkeypatch.setattr(pc, "replay", spy)
+    assert _check_explicit(reg, "(p eps eps)", *steps).ok
+    # the negated goal, two axiom instances, the cited resolution, and the
+    # closing resolution of not p(eps, eps) against the derived p(eps, eps)
+    (cert,) = replayed
+    assert [step[0] for step in cert] == ["input"] * 3 + ["resolve"] * 2
+    assert cert[3:] == [("resolve", 1, 2), ("resolve", 0, 3)]
+
+    def refuse(cert, inputs):
+        raise CheckError("replay refused")
+
+    monkeypatch.setattr(pc, "replay", refuse)
+    v = _check_explicit(reg, "(p eps eps)", *steps)
+    assert not v.ok and v.message == "replay refused"
+
+
+def test_explicit_unit_against_unit_ends_the_certificate():
+    reg = _explicit_registry(ax1="(q x)")
+    v = _check_explicit(reg, "(q eps)", "special ax1 ; eps", "resolve 2 1")
+    assert v.ok, v.message
+    assert v.instances == (Not(Atom(Q, (E,))), Atom(Q, (E,)))
+    # steps after the empty clause are checked but not needed
+    assert _check_explicit(reg, "(q eps)", "special ax1 ; eps", "resolve 2 1", "special ax1 ; (s0 eps)").ok
+    assert not _check_explicit(reg, "(q eps)", "special ax1 ; eps", "resolve 2 1", "resolve 9 1").ok
+
+
+def test_explicit_equality_substitution_takes_any_closed_formula():
+    # a quantified A, with closed existentials as resolution pivots: the
+    # axioms are inconsistent, for all y p(y, eps) and some y not p(y, s0 eps)
+    reg = _explicit_registry(
+        ax9="(not (exists y (not (p y eps))))",
+        ax11="(exists y (not (p y (s0 eps))))",
+        ax6="(= (s0 eps) eps)",
+    )
+    v = _check_explicit(
+        reg,
+        "(q eps)",
+        "special ax9",
+        "special ax11",
+        "special ax6",
+        "eqsub ; (s0 eps) ; eps ; x ; (exists y (not (p y x)))",
+        "resolve 3 5",
+        "resolve 4 6",
+    )
+    assert v.ok, v.message
+    assert v.instances[-1] == parse("(exists y (not (p y eps)))")
+    # a disjunctive A is accepted as a step
+    reg = _explicit_registry(ax1="(q x)", ax3="(or (not (q x)) (p x x))")
+    steps = ("special ax1 ; eps", "special ax3 ; eps", "resolve 2 3")
+    eqsub = "eqsub ; eps ; (s0 eps) ; x ; (or (q x) (p x x))"
+    v = _check_explicit(reg, "(p eps eps)", *steps, eqsub)
+    assert v.ok, v.message
+    s0 = App(S0, (E,))
+    clause = sx.disj([
+        Not(sx.eq(E, s0)),
+        Not(Or(Atom(Q, (E,)), Atom(P2, (E, E)))),
+        Or(Atom(Q, (s0,)), Atom(P2, (s0, s0))),
+    ])
+    assert clause in v.instances
+
+
+@pytest.mark.parametrize("blocks, line", [
+    ("proof\n  H\n  use ax1 ; eps\nexplicit\n  special ax1 ; eps\n", 5),
+    ("explicit\n  special ax1 ; eps\nexplicit\n  special ax1 ; eps\n", 4),
+    ("explicit\n  special ax1 ; eps\nproof\n", 4),
+], ids=["proof-then-explicit", "two-explicit", "explicit-then-proof"])
+def test_one_proof_block_per_theorem(blocks, line):
+    with pytest.raises(ParseError, match=f"second proof block in theorem t1 at {line}:1$"):
+        parse_script_file(f"theorem t1 : (q eps)\n{blocks}qed\n")
 
 
 def test_bsi_template_shape():

@@ -61,13 +61,20 @@ def test_one_resolution_examples():
     p = Atom(PredSym("p0", 0))
     q = Atom(PredSym("q0", 0))
     s = Atom(PredSym("s0p", 0))
-    assert pc.one_resolution(p, Or(Not(p), q)) == q
-    d = Or(sx.eq(E1, E2), Or(q, s))
-    assert pc.one_resolution(Not(sx.eq(E1, E2)), d) == Or(q, s)
-    with pytest.raises(CheckError):
-        pc.one_resolution(p, Not(p))  # not a proper disjunct
-    with pytest.raises(CheckError):
-        pc.one_resolution(Or(p, q), Or(Not(p), q))  # pivot not a literal
+    assert pc.resolvent([(p,), (Not(p), q)], 0, 1) == (q,)
+    have = [(Not(sx.eq(E1, E2)),), (sx.eq(E1, E2), q, s)]
+    assert pc.resolvent(have, 0, 1) == (q, s)
+    assert pc.resolvent([(p,), (Not(p),)], 0, 1) == ()  # unit against unit
+    e = Exists("x", Atom(PredSym("r", 1), (Var("x"),)))
+    assert pc.resolvent([(Not(e),), (e, q)], 0, 1) == (q,)  # closed existential
+    with pytest.raises(CheckError, match="closed elementary"):
+        pc.resolvent([(Or(p, q),), (Not(Or(p, q)), q)], 0, 1)  # pivot not a literal
+    with pytest.raises(CheckError, match="closed elementary"):
+        pc.resolvent([(p, q), (Not(p),)], 0, 1)  # premise not a unit
+    with pytest.raises(CheckError, match="not in the clause"):
+        pc.resolvent([(p,), (p, q)], 0, 1)
+    with pytest.raises(CheckError, match="must precede"):
+        pc.resolvent([(p,)], 0, 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -76,13 +83,14 @@ def test_one_resolution_soundness(seed):
     rng = random.Random(seed)
     q = Atom(PredSym("q0", 0))
     lits = [q, Not(q), A, Not(A), B, Not(B)]
-    d = sx.disj([rng.choice(lits) for _ in range(rng.randint(2, 4))])
-    c = rng.choice([l for l in lits])
+    d = tuple(rng.choice(lits) for _ in range(rng.randint(1, 4)))
+    c = rng.choice(lits)
     try:
-        out = pc.one_resolution(c, d)
+        out = pc.resolvent([(c,), d], 0, 1)
     except CheckError:
         return
-    assert pc.taut_check(out, [c, d]).consequence
+    derived = sx.disj(out) if out else sx.fand(q, Not(q))
+    assert pc.taut_check(derived, [c, sx.disj(d)]).consequence
 
 
 # --- ground refutation ------------------------------------------------------
@@ -591,13 +599,3 @@ def test_equality_axiom_instance_recognizer():
         sx.conj([sx.eq(E1, E2), sx.eq(E1, E1), sx.eq(E1, E1)]), sx.eq(E2, E1)
     )
     assert pc.is_equality_axiom_instance(sym)
-
-
-def test_equality_substitution_recognizer():
-    q = PredSym("q", 1)
-    inst = sx.fimp(sx.fand(sx.eq(E1, E2), Atom(q, (E1,))), Atom(q, (E2,)))
-    assert pc.is_equality_substitution(inst)
-    clause = sx.disj([Not(sx.eq(E1, E2)), Not(Atom(q, (E1,))), Atom(q, (E2,))])
-    assert pc.is_equality_substitution(clause)
-    bad = sx.fimp(sx.fand(sx.eq(E1, E2), Atom(q, (E1,))), Atom(q, (E3,)))
-    assert not pc.is_equality_substitution(bad)

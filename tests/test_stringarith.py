@@ -680,6 +680,18 @@ def test_theory_file_refuses_an_axiom_after_a_definition(tmp_path):
         sa.load_theory(path)
 
 
+def test_theory_file_refuses_a_repeated_definiens(tmp_path):
+    # the chain hands back d1's stage for d2's definiens; d2 is refused at
+    # its line, not left undefined
+    path = tmp_path / "dup.th"
+    for first, second in (
+        ("define pred d1 p1 : (= x eps)", "define pred d2 p2 : (= x eps)"),
+        ("define fun d1 g1 := (s0 x)", "define fun d2 g2 := (s0 x)"),
+    ):
+        path.write_text(f"theory T\naxiom a1 : (not (= (s0 x) eps))\n{first}\n{second}\n")
+        with pytest.raises(ParseError, match=r"definition d2 repeats the definiens of d1 at 4:1$"):
+            sa.load_theory(path)
+
 def test_theory_file_with_axioms_only(tmp_path):
     path = tmp_path / "axioms.th"
     path.write_text("theory T\naxiom a1 : (not (= (s0 x) eps))\naxiom a6 : (= (cat eps x) x)\n")
