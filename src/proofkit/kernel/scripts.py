@@ -454,7 +454,8 @@ def _replay_explicit(registry, script, statement: Formula) -> list:
     clauses are its inputs, `resolve i j` resolves positions i and j, and
     the certificate ends at the first empty clause a step derives, else in
     a derived unit resolved against its opposite or, for a != a, against
-    the identity a = a.  Returns the derived formulas."""
+    the identity a = a.  A witness a `special` step names is bound for the
+    steps after it.  Returns the derived formulas."""
     cur = nform.to_normal_form(Not(closure(statement)))
     # witness the leading existentials (these are the goal's frozen variables)
     while True:
@@ -486,9 +487,16 @@ def _replay_explicit(registry, script, statement: Formula) -> list:
                         ("term", sx.parse(text, "term", registry.symbols, env))
                     )
                 else:
+                    if text in env:
+                        raise CheckError(f"witness name {text!r} is already bound")
                     directive.append(("witness", text))
             base = nform.to_normal_form(closure(entry.statement))
-            out = nform.special_case(base, nform.SpecialCaseDirective(tuple(directive)))
+            record: list = []
+            out = nform.special_case(
+                base, nform.SpecialCaseDirective(tuple(directive)), record
+            )
+            for alias, const in record:
+                env[alias] = const
             parts = sx.conjuncts(out)
             if k is not None:
                 if not 1 <= k <= len(parts):

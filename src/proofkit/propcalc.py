@@ -40,7 +40,6 @@ last step derives the empty clause.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .errors import CheckError, SizeGuardExceeded
@@ -313,8 +312,10 @@ def replay(cert: Refutation, inputs: Sequence[Formula]) -> bool:
 
 def resolvent(have: list, i, j) -> tuple:
     """The clause at position j without the opposite of the literal of the
-    unit clause at position i.  Literals are told apart by their stored
-    hashes first, so two distinct deep literals are never walked."""
+    unit clause at position i: for a positive pivot the first negation of
+    it, for a negative pivot the first occurrence of its body.  No node is
+    built; literals are told apart by identity, then by their stored
+    hashes, so two distinct deep literals are never walked."""
     if not (type(i) is type(j) is int and 0 <= i < len(have) and 0 <= j < len(have)):
         raise CheckError("resolution premises must precede")
     unit, clause = have[i], have[j]
@@ -322,11 +323,17 @@ def resolvent(have: list, i, j) -> tuple:
     base = lit.body if isinstance(lit, Not) else lit
     if not is_elementary(base) or sx.free_vars(base):
         raise CheckError("resolution pivot must be a closed elementary literal")
-    opp = base if base is not lit else Not(lit)
-    h = hash(opp)
-    for k, x in enumerate(clause):
-        if x is opp or (hash(x) == h and x == opp):
-            return clause[:k] + clause[k + 1 :]
+    h = hash(base)
+    if base is lit:
+        for k, x in enumerate(clause):
+            if isinstance(x, Not):
+                b = x.body
+                if b is base or (hash(b) == h and b == base):
+                    return clause[:k] + clause[k + 1 :]
+    else:
+        for k, x in enumerate(clause):
+            if x is base or (hash(x) == h and x == base):
+                return clause[:k] + clause[k + 1 :]
     raise CheckError("opposite of the pivot is not in the clause")
 
 
@@ -486,23 +493,20 @@ class CongruenceCore:
 class _Clause:
     lits: tuple  # (atom, polarity) pairs
     source: Formula
-
-    @cached_property
-    def whole(self) -> bool:
-        """Whether the source is this clause itself, literal for literal,
-        rather than a formula whose conjunctive form has it."""
-        parts = disjuncts(self.source)
-        return len(parts) == len(self.lits) and all(
-            d is a if p else isinstance(d, Not) and d.body is a
-            for d, (a, p) in zip(parts, self.lits)
-        )
+    # the source is this clause itself, literal for literal, rather than a
+    # formula whose conjunctive form has it
+    whole: bool
 
 
 def clausify(f: Formula) -> list[tuple]:
     """Clauses of the conjunctive form of f, as (atom, polarity) tuples over
     elementary atoms.  Matches normform.to_conjunctive clause for clause.
-    Raises SizeGuardExceeded when one distribution would make more than
-    CLAUSE_GUARD clauses."""
+    A disjunction of literals is read as its one clause, in order, without
+    the walk.  Raises SizeGuardExceeded when one distribution would make
+    more than CLAUSE_GUARD clauses."""
+    lits = _literal_clause(f)
+    if lits is not None:
+        return [lits]
 
     def walk(g) -> list[tuple]:
         pair = sx.as_and(g)
@@ -529,10 +533,31 @@ def clausify(f: Formula) -> list[tuple]:
     return walk(f)
 
 
+def _literal_clause(f: Formula) -> Optional[tuple]:
+    """f's disjuncts as one clause of (atom, polarity) pairs, in order, when
+    every disjunct is a literal (elementary, or the negation of one); else
+    None."""
+    lits = []
+    for d in disjuncts(f):
+        if is_elementary(d):
+            lits.append((d, True))
+        elif isinstance(d, Not) and is_elementary(d.body):
+            lits.append((d.body, False))
+        else:
+            return None
+    return tuple(lits)
+
+
 def _clauses(inputs) -> tuple[list[_Clause], list]:
     """The inputs' clauses, and their distinct atoms in order of first
     occurrence."""
-    clauses = [_Clause(lits, f) for f in inputs for lits in clausify(f)]
+    clauses = []
+    for f in inputs:
+        lits = _literal_clause(f)
+        if lits is not None:
+            clauses.append(_Clause(lits, f, True))
+        else:
+            clauses += [_Clause(c, f, False) for c in clausify(f)]
     atoms = list(dict.fromkeys(a for c in clauses for a, _ in c.lits))
     return clauses, atoms
 
@@ -823,8 +848,13 @@ class _Emitter:
             if why[0] == "decide":
                 self.at[item] = why[1]  # the enclosing split's assumption
                 continue
-            clause = why[1]
-            others = [(x, not p) for x, p in clause.lits if not _same(x, item[0])]
+            clause, a = why[1], item[0]
+            h = hash(a)
+            others = [
+                (x, not p)
+                for x, p in clause.lits
+                if not (x is a or (hash(x) == h and x == a))
+            ]
             todo.append((item, self.derive_clause(clause), others))
             todo.extend(reversed(others))
         return self.at[(atom, pol)]

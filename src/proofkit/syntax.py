@@ -322,9 +322,19 @@ def conjuncts(f: Formula) -> list[Formula]:
 
 
 def disjuncts(f: Formula) -> list[Formula]:
-    if isinstance(f, Or):
-        return disjuncts(f.left) + disjuncts(f.right)
-    return [f]
+    """The leaves of f's tree of disjunctions, left to right.  The right
+    spine is followed in a loop, so a long clause built by `disj` costs no
+    recursion; only a left operand that is itself a disjunction recurses."""
+    out: list[Formula] = []
+    while isinstance(f, Or):
+        left = f.left
+        if isinstance(left, Or):
+            out += disjuncts(left)
+        else:
+            out.append(left)
+        f = f.right
+    out.append(f)
+    return out
 
 
 def is_elementary(f: Formula) -> bool:

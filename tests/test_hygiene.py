@@ -179,10 +179,10 @@ REFUTER = {
     "_refute",
     "_Clause",
     "clausify",
+    "_literal_clause",
     "CongruenceCore",
     "_UnionFind",
     "_theory_conflict",
-    "_prop_conflict_steps",
     "_same",
     "normform",
     "to_conjunctive",

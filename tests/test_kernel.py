@@ -604,6 +604,15 @@ def test_explicit_unit_against_unit_ends_the_certificate():
     assert not _check_explicit(reg, "(q eps)", "special ax1 ; eps", "resolve 2 1", "resolve 9 1").ok
 
 
+def test_explicit_witness_is_cited_by_a_later_step():
+    reg = _explicit_registry(ax1="(exists y (q y))", ax2="(not (q x))")
+    v = _check_explicit(reg, "(q eps)", "special ax1 : w", "special ax2 ; w", "resolve 2 3")
+    assert v.ok, v.message
+    # a name names one witness
+    v = _check_explicit(reg, "(q eps)", "special ax1 : w", "special ax1 : w")
+    assert not v.ok and "witness name 'w' is already bound" in v.message
+
+
 def test_explicit_equality_substitution_takes_any_closed_formula():
     # a quantified A, with closed existentials as resolution pivots: the
     # axioms are inconsistent, for all y p(y, eps) and some y not p(y, s0 eps)

@@ -468,6 +468,85 @@ def test_deep_inputs_are_decided(pairs):
     assert all(res.model.value(f) for f in inputs)
 
 
+# --- clausify ---------------------------------------------------------------
+
+
+def _reference_clauses(f):
+    """The conjunctive form by the textbook rules: a disjunction is the
+    product of its operands' clauses, a double negation is dropped, and a
+    negated disjunction is the clauses of both negated operands."""
+    if isinstance(f, Or):
+        return [a + b for a in _reference_clauses(f.left) for b in _reference_clauses(f.right)]
+    if isinstance(f, Not):
+        g = f.body
+        if isinstance(g, Not):
+            return _reference_clauses(g.body)
+        if isinstance(g, Or):
+            return _reference_clauses(Not(g.left)) + _reference_clauses(Not(g.right))
+        return [((g, False),)]
+    return [((f, True),)]
+
+
+_INSTANTIATION = Exists("x", Not(Atom(Q, (Var("x"),))))
+_mixed = st.recursive(
+    st.one_of(_literal, st.sampled_from([_INSTANTIATION, Not(_INSTANTIATION)])),
+    lambda sub: st.one_of(
+        st.builds(Or, sub, sub),
+        st.builds(sx.fand, sub, sub),
+        st.builds(lambda f: Not(Not(f)), sub),
+        st.builds(lambda f, g: Not(Or(f, g)), sub, sub),
+        st.lists(sub, min_size=2, max_size=5).map(sx.disj),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mixed)
+@example(sx.disj([A, Not(B), C]))  # a clause already
+@example(Or(Not(Not(A)), B))  # a clause once a double negation goes
+@example(Or(Or(A, Not(B)), Or(C, A)))  # a clause whose left operand is one
+def test_clausify_agrees_with_the_textbook_rules(f):
+    assert pc.clausify(f) == _reference_clauses(f)
+
+
+def test_an_input_that_is_not_literally_a_clause_enters_by_a_conjunct_step():
+    source = Or(Not(Not(P)), R)
+    inputs = [source, Not(P), Not(R)]
+    res = pc.ground_refute(inputs)
+    assert isinstance(res, pc.Refutation) and pc.replay(res, inputs)
+    steps = list(_every_step(res.steps))
+    assert ("conjunct", (P, R), source) in steps
+    assert ("input", source) not in steps
+    assert ("input", Not(P)) in steps
+
+
+def test_resolvent_finds_an_equal_opposite_built_apart():
+    def q_e1():
+        return Atom(Q, (App(FnSym("e1", 0)),))
+
+    pivot, twin = q_e1(), q_e1()
+    assert pivot is not twin and pivot == twin
+    # a positive pivot removes the first negation of it
+    last = Not(q_e1())
+    got = pc.resolvent([(pivot,), (B, Not(twin), last)], 0, 1)
+    assert got == (B, last) and got[1] is last
+    # a negative pivot removes the first occurrence of its body
+    have = [(Not(pivot),), (twin, B)]
+    assert pc.resolvent(have, 0, 1) == (B,)
+    # a literal of the pivot's own polarity is no opposite
+    with pytest.raises(CheckError, match="opposite of the pivot is not in the clause"):
+        pc.resolvent([(pivot,), (twin, B)], 0, 1)
+
+
+def test_a_clause_of_five_thousand_literals_is_refuted_and_replays():
+    atoms = [Atom(PredSym(f"w{i}", 0)) for i in range(5_000)]
+    inputs = [sx.disj(atoms)] + [Not(a) for a in atoms]
+    res = pc.ground_refute(inputs)
+    assert isinstance(res, pc.Refutation) and pc.replay(res, inputs)
+    assert res.steps[0] == ("input", inputs[0])
+
+
 # --- certificates: built only for refutations, checked by replay ----------
 
 # needs a case split, congruence in both branches, and its first input is

@@ -331,6 +331,15 @@ def test_deep_chain_hashes_without_recursion():
     assert App(S0, (t,)) not in seen
 
 
+def test_disjuncts_are_the_leaves_left_to_right():
+    a, b, c, d = (Atom(Q, (t,)) for t in (App(EPS), x, y, z))
+    assert sx.disjuncts(a) == [a]
+    assert sx.disjuncts(Or(Or(a, Or(b, c)), d)) == [a, b, c, d]
+    assert sx.disjuncts(Or(a, Or(Or(b, c), Not(Or(c, d))))) == [a, b, c, Not(Or(c, d))]
+    long = [Atom(Q, (Var(f"v{i}"),)) for i in range(10_000)]
+    assert sx.disjuncts(sx.disj(long)) == long
+
+
 # --- the node-shape table and the measures over it ---------------------------
 
 x, y, z, w = map(Var, "xyzw")
