@@ -454,21 +454,23 @@ def _replay_explicit(registry, script, statement: Formula) -> list:
     clauses are its inputs, `resolve i j` resolves positions i and j, and
     the certificate ends at the first empty clause a step derives, else in
     a derived unit resolved against its opposite or, for a != a, against
-    the identity a = a.  A witness a `special` step names is bound for the
-    steps after it.  Returns the derived formulas."""
+    the identity a = a.  The goal's variables name their frozen constants,
+    and a witness a `special` step names is bound for the steps after it.
+    Returns the derived formulas."""
     cur = nform.to_normal_form(Not(closure(statement)))
-    # witness the leading existentials (these are the goal's frozen variables)
+    # witness the leading existentials (the goal's frozen variables) by name
+    record: list = []
     while True:
         loc = nform.leftmost_quantifier(cur)
         if loc is None or loc[0] != "E" or loc[1] != ():
             break
         cur = nform.special_case(
-            cur, nform.SpecialCaseDirective((("witness", cur.var),))
+            cur, nform.SpecialCaseDirective((("witness", cur.var),)), record
         )
     inputs: list = list(sx.conjuncts(cur))
     steps: list = [("input", f) for f in inputs]
     have: list = [tuple(sx.disjuncts(f)) for f in inputs]  # position -> clause
-    env: dict = {}
+    env: dict = dict(record)
     for step in script.explicit:
         if step.kind == "resolve":
             i, j = step.payload

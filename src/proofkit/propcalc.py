@@ -5,9 +5,11 @@ taut_check decides tautological consequence over the propositional skeleton
 decides quasitautological inconsistency of a closed formula set by DPLL-style
 case splitting plus congruence closure over the occurring variable-free
 terms; congruence closure stands in for saturating with identity/equality
-axiom instances over those terms.  The search is a loop, not a recursion:
-a trail that backtracks by popping, with two watched positions per clause
-for unit propagation (Chaff, 2001; MiniSat, 2003).  Each conflict records
+axiom instances over those terms.  Each problem's atoms and terms are
+numbered once, and the search, the closure and the certificate emitter
+work on the numbers.  The search is a loop, not a recursion: a trail that
+backtracks by popping, with two watched positions per clause for unit
+propagation (Chaff, 2001; MiniSat, 2003).  Each conflict records
 what refutes it; once the search has refuted its root, and only then, a
 certificate is built from those records, and replay checks it by code of
 its own that shares nothing with the search but the syntax.
@@ -49,7 +51,6 @@ from .syntax import (
     Formula,
     Not,
     Or,
-    Term,
     EQ,
     disjuncts,
     is_elementary,
@@ -184,11 +185,17 @@ class OutOfBudget:
     spent: int
 
 
+def _equal(x, y) -> bool:
+    """x == y for terms, or tuples of them, decided by identity, then by
+    hashes (a node's is stored), before two deep terms are walked."""
+    return x is y or (hash(x) == hash(y) and x == y)
+
+
 def is_identity_instance(f: Formula) -> bool:
     return (
         isinstance(f, Atom)
         and f.pred == EQ
-        and f.args[0] == f.args[1]
+        and _equal(*f.args)
         and sx.is_variable_free(f)
     )
 
@@ -222,10 +229,7 @@ def is_equality_axiom_instance(f: Formula) -> bool:
     if horn is None:
         return False
     parts, concl = horn
-    eqs = [
-        (p.args[0], p.args[1]) if p.pred == EQ else None
-        for p in parts
-    ]
+    eqs = [p.args if p.pred == EQ else None for p in parts]
     if concl.pred == EQ:
         if any(e is None for e in eqs):
             return False
@@ -235,12 +239,12 @@ def is_equality_axiom_instance(f: Formula) -> bool:
             and isinstance(rhs, sx.App)
             and lhs.fn == rhs.fn
             and len(eqs) == len(lhs.args) == len(rhs.args) > 0
-            and all(e == (a, b) for e, a, b in zip(eqs, lhs.args, rhs.args))
+            and all(map(_equal, eqs, zip(lhs.args, rhs.args)))
         ):
             return True
         if len(eqs) == 3:
-            (x1, y1), (x2, y2), (x3, x4) = eqs
-            if (x3, x4) == (x1, x2) and (lhs, rhs) == (y1, y2):
+            (x1, y1), (x2, y2), e3 = eqs
+            if _equal(e3, (x1, x2)) and _equal(concl.args, (y1, y2)):
                 return True
         return False
     if len(parts) != len(concl.args) + 1 or not concl.args:
@@ -248,7 +252,7 @@ def is_equality_axiom_instance(f: Formula) -> bool:
     prem = parts[-1]
     if not (prem.pred == concl.pred) or any(e is None for e in eqs[:-1]):
         return False
-    return all(e == (a, b) for e, a, b in zip(eqs[:-1], prem.args, concl.args))
+    return all(map(_equal, eqs[:-1], zip(prem.args, concl.args)))
 
 
 # The length of a well-formed step of each kind.
@@ -368,7 +372,8 @@ class _UnionFind:
     edge, so a term lies on O(log n) re-rooted paths in all.  The classes
     themselves are not linked by size: a's root goes under b's, because the
     roots steer which signature `CongruenceCore._propagate` meets first in
-    a round, and so its merges and the certificates."""
+    a round, and so its merges and the certificates.  Terms are compared
+    with ==, never `is`: the refuter's are integer ids."""
 
     def __init__(self):
         self.parent: dict = {}
@@ -376,21 +381,15 @@ class _UnionFind:
         self.proof_parent: dict = {}
         self.proof_reason: dict = {}
 
-    def add(self, t):
-        if t not in self.parent:
-            self.parent[t] = t
-
     def find(self, t):
-        # roots are the stored keys, so identity decides; == would walk
-        # two distinct deep terms
-        while self.parent[t] is not t:
+        while self.parent[t] != t:
             self.parent[t] = self.parent[self.parent[t]]
             t = self.parent[t]
         return t
 
     def union(self, a, b, reason):
         ra, rb = self.find(a), self.find(b)
-        if ra is rb:
+        if ra == rb:
             return False
         size_a, size_b = self.size.pop(ra, 1), self.size.get(rb, 1)
         if size_a > size_b:
@@ -428,7 +427,7 @@ class _UnionFind:
         meet = node
         edges = []
         node = a
-        while not _same(node, meet):
+        while node != meet:
             edges.append((node, self.proof_parent[node], self.proof_reason[node]))
             node = self.proof_parent[node]
         edges.extend(reversed(back))
@@ -438,27 +437,35 @@ class _UnionFind:
 class CongruenceCore:
     """Congruence closure over variable-free terms by signature table: an
     application's signature is its symbol and the classes of its arguments,
-    and two applications with one signature are merged.  Merge reasons are
-    ("eq", equation-atom) or ("cong", lhs-app, rhs-app); merges counts the
-    unions made."""
+    and two applications with one signature are merged.  Terms are the ids
+    of a `_Terms` table, whose `shapes` it is given, or else term nodes.
+    Merge reasons are ("eq", equation) or ("cong", lhs-app, rhs-app);
+    merges counts the unions made."""
 
-    def __init__(self):
+    def __init__(self, shapes=None):
         self.uf = _UnionFind()
-        self.apps: list = []  # applications with arguments, in order added
+        self.shapes = shapes
+        self.apps: list = []  # (application, symbol, arguments), in order added
         self.closed = True
         self.merges = 0
 
-    def add_term(self, t: Term):
+    def add_term(self, t):
         if t in self.uf.parent:
             return
-        self.uf.add(t)
-        if isinstance(t, sx.App) and t.args:
-            self.apps.append(t)
+        self.uf.parent[t] = t
+        if self.shapes is not None:
+            fn, args = self.shapes[t]
+        elif isinstance(t, sx.App):
+            fn, args = t.fn, t.args
+        else:
+            args = ()
+        if args:
+            self.apps.append((t, fn, args))
             self.closed = False
-            for a in t.args:
+            for a in args:
                 self.add_term(a)
 
-    def assert_eq(self, a: Term, b: Term, reason):
+    def assert_eq(self, a, b, reason):
         self.add_term(a)
         self.add_term(b)
         if self.uf.union(a, b, reason):
@@ -472,30 +479,21 @@ class CongruenceCore:
         while not self.closed:
             self.closed = True
             sig: dict = {}
-            for t in self.apps:
-                s = sig.setdefault((t.fn, tuple(map(find, t.args))), t)
-                if s is not t and union(s, t, ("cong", s, t)):
+            for t, fn, args in self.apps:
+                s = sig.setdefault((fn, tuple(map(find, args))), t)
+                if s != t and union(s, t, ("cong", s, t)):
                     self.merges += 1
                     self.closed = False
 
-    def congruent(self, a: Term, b: Term) -> bool:
+    def congruent(self, a, b) -> bool:
         self.add_term(a)
         self.add_term(b)
         self._propagate()
-        return self.uf.find(a) is self.uf.find(b)
+        return self.uf.find(a) == self.uf.find(b)
 
 
 # ---------------------------------------------------------------------------
 # the refuter
-
-
-@dataclass
-class _Clause:
-    lits: tuple  # (atom, polarity) pairs
-    source: Formula
-    # the source is this clause itself, literal for literal, rather than a
-    # formula whose conjunctive form has it
-    whole: bool
 
 
 def clausify(f: Formula) -> list[tuple]:
@@ -504,62 +502,106 @@ def clausify(f: Formula) -> list[tuple]:
     A disjunction of literals is read as its one clause, in order, without
     the walk.  Raises SizeGuardExceeded when one distribution would make
     more than CLAUSE_GUARD clauses."""
-    lits = _literal_clause(f)
-    if lits is not None:
-        return [lits]
-
-    def walk(g) -> list[tuple]:
-        pair = sx.as_and(g)
-        if pair is not None:
-            return walk(pair[0]) + walk(pair[1])
-        if isinstance(g, Or):
-            ls = walk(g.left)
-            rs = walk(g.right)
-            if len(ls) * len(rs) > CLAUSE_GUARD:
-                raise SizeGuardExceeded("clausification blowup", len(ls) * len(rs))
-            return [a + b for a in ls for b in rs]
-        if isinstance(g, Not):
-            if is_elementary(g.body):
-                return [((g.body, False),)]
-            if isinstance(g.body, Not):
-                return walk(g.body.body)
-            if isinstance(g.body, Or):
-                return walk(sx.fand(Not(g.body.left), Not(g.body.right)))
-            raise TypeError(g)
-        if is_elementary(g):
-            return [((g, True),)]
-        raise TypeError(g)
-
-    return walk(f)
+    clauses, _, atoms = _clauses([f])
+    return [tuple((atoms[c >> 1], c & 1 == 1) for c in cs) for cs in clauses]
 
 
-def _literal_clause(f: Formula) -> Optional[tuple]:
-    """f's disjuncts as one clause of (atom, polarity) pairs, in order, when
-    every disjunct is a literal (elementary, or the negation of one); else
-    None."""
-    lits = []
-    for d in disjuncts(f):
-        if is_elementary(d):
-            lits.append((d, True))
-        elif isinstance(d, Not) and is_elementary(d.body):
-            lits.append((d.body, False))
-        else:
-            return None
-    return tuple(lits)
-
-
-def _clauses(inputs) -> tuple[list[_Clause], list]:
-    """The inputs' clauses, and their distinct atoms in order of first
-    occurrence."""
-    clauses = []
+def _clauses(inputs) -> tuple[list, list, list]:
+    """The inputs' clauses as tuples of literal codes, atom i's literals
+    being 2i (negative) and 2i + 1 (positive); each clause's source, as
+    (input, whether the clause is that input itself, literal for literal);
+    and the atoms, numbered in order of first occurrence.  A disjunction of
+    literals is read as its one clause; other inputs are walked."""
+    ids: dict = {}  # atom -> its number
+    clauses: list = []
+    sources: list = []
     for f in inputs:
-        lits = _literal_clause(f)
-        if lits is not None:
-            clauses.append(_Clause(lits, f, True))
+        codes = []
+        for d in disjuncts(f):
+            pol = not isinstance(d, Not)
+            atom = d if pol else d.body
+            if not is_elementary(atom):
+                break
+            codes.append(2 * ids.setdefault(atom, len(ids)) + pol)
         else:
-            clauses += [_Clause(c, f, False) for c in clausify(f)]
-    atoms = list(dict.fromkeys(a for c in clauses for a, _ in c.lits))
-    return clauses, atoms
+            clauses.append(tuple(codes))
+            sources.append((f, True))
+            continue
+        # the literals read before the break begin the walk's first clause,
+        # in order, so the atoms keep their order of first occurrence
+        for c in _conjunctive(f):
+            clauses.append(tuple(2 * ids.setdefault(a, len(ids)) + p for a, p in c))
+            sources.append((f, False))
+    return clauses, sources, list(ids)
+
+
+def _conjunctive(g: Formula) -> list[tuple]:
+    """The clauses of g's conjunctive form, as (atom, polarity) tuples."""
+    pair = sx.as_and(g)
+    if pair is not None:
+        return _conjunctive(pair[0]) + _conjunctive(pair[1])
+    if isinstance(g, Or):
+        ls = _conjunctive(g.left)
+        rs = _conjunctive(g.right)
+        if len(ls) * len(rs) > CLAUSE_GUARD:
+            raise SizeGuardExceeded("clausification blowup", len(ls) * len(rs))
+        return [a + b for a in ls for b in rs]
+    if isinstance(g, Not):
+        if is_elementary(g.body):
+            return [((g.body, False),)]
+        if isinstance(g.body, Not):
+            return _conjunctive(g.body.body)
+        if isinstance(g.body, Or):
+            return _conjunctive(sx.fand(Not(g.body.left), Not(g.body.right)))
+        raise TypeError(g)
+    if is_elementary(g):
+        return [((g, True),)]
+    raise TypeError(g)
+
+
+class _Terms:
+    """A problem's terms and atoms, numbered once, symbols included, so that
+    the closure and the emitter hash no node.  Each distinct term under an
+    atom with arguments has an id, and each atom its arguments' ids; the
+    equations the emitter needs beyond the problem's atoms come after them."""
+
+    def __init__(self, atoms):
+        self.atoms: list = list(atoms)  # atom id -> node
+        self.args: list = []  # atom id -> argument ids
+        self.preds: list = []  # atom id -> predicate code, 0 for equality
+        self.eqs: dict = {}  # (s, t) -> atom id of the equation s = t
+        self.terms: list = []  # term id -> node
+        self.shapes: list = []  # term id -> (function code, argument ids)
+        ids: dict = {}  # term -> its id
+        codes: dict = {EQ: 0}  # symbol -> its code
+
+        def term(t) -> int:
+            i = ids.get(t)
+            if i is None:
+                args = tuple(map(term, t.args)) if isinstance(t, sx.App) else ()
+                fn = codes.setdefault(t.fn, len(codes)) if args else None
+                i = ids[t] = len(self.terms)
+                self.terms.append(t)
+                self.shapes.append((fn, args))
+            return i
+
+        for i, a in enumerate(atoms):
+            args = tuple(map(term, a.args)) if isinstance(a, Atom) else ()
+            pred = codes.setdefault(a.pred, len(codes)) if args else None
+            if pred == 0:
+                self.eqs[args] = i
+            self.args.append(args)
+            self.preds.append(pred)
+
+    def eq(self, s: int, t: int) -> int:
+        """The atom id of the equation s = t."""
+        i = self.eqs.get((s, t))
+        if i is None:
+            i = self.eqs[(s, t)] = len(self.atoms)
+            self.atoms.append(sx.eq(self.terms[s], self.terms[t]))
+            self.args.append((s, t))
+            self.preds.append(0)
+        return i
 
 
 def prop_refute(
@@ -567,8 +609,7 @@ def prop_refute(
 ) -> Union[Refutation, Saturated, OutOfBudget]:
     """The propositional (tautological) search on fs, without the atom guard
     or a certificate: OutOfBudget when the budget runs out first."""
-    clauses, atoms = _clauses(fs)
-    return _refute(clauses, atoms, budget, use_congruence=False, want_cert=False)
+    return _refute(*_clauses(fs), budget, use_congruence=False, want_cert=False)
 
 
 def ground_refute(
@@ -578,48 +619,47 @@ def ground_refute(
 
     Sound always; complete for the quasitautology relation when the budget
     suffices.  Saturated means provably no refutation exists."""
-    clauses, atoms = _clauses(inputs)
+    clauses, sources, atoms = _clauses(inputs)
     # an input is closed exactly when its atoms are; only an open one is
     # looked for among the inputs, to name it
     if any(sx.free_vars(a) for a in atoms):
         f = next(f for f in inputs if sx.free_vars(f))
         raise CheckError(f"ground_refute requires closed inputs: {sx.render(f)}")
-    return _refute(clauses, atoms, budget, use_congruence=True, want_cert=want_cert)
+    return _refute(clauses, sources, atoms, budget, use_congruence=True, want_cert=want_cert)
 
 
 class _Stop(Exception):
     """The budget is spent."""
 
 
-def _refute(clauses, atoms, budget, use_congruence, want_cert):
+def _refute(clauses, sources, atoms, budget, use_congruence, want_cert):
     """Case splits on the atoms in order, True first; unit propagation by
-    two watched positions per clause; with use_congruence, a congruence
-    check at each node that assigned an atom with arguments.
+    two watched positions per clause; with use_congruence (which want_cert
+    needs), a congruence check at each node that assigned an atom with
+    arguments, on the problem's terms numbered once in a `_Terms` table.
 
-    Atom i's literals have codes 2i (negative) and 2i + 1 (positive), and
-    `val[code]` is a literal's truth value, None while unassigned.  A frame
-    per decision level holds the decided atom, the trail length before it
-    and, once its True branch is refuted, that branch's steps.  Each unit
-    propagation, decision and congruence merge costs one budget unit.
+    Clauses are tuples of literal codes (see `_clauses`), and `val[code]` is
+    a literal's truth value, None while unassigned.  A frame per decision
+    level holds the decided atom, the trail length before it and, once its
+    True branch is refuted, that branch's steps.  Each unit propagation,
+    decision and congruence merge costs one budget unit.
 
     A refuted node's steps are an empty list until the root is refuted.
     With want_cert, each conflict records what its steps are built from:
     the conflict, a snapshot of the reasons and its split depth.  Only a
     Refutation builds them, filling those lists in place."""
-    index = {a: i for i, a in enumerate(atoms)}
     n = len(atoms)
     val: list = [None] * (2 * n)
     trail: list = []
-    reasons: dict = {}  # atom -> reason of its latest assignment
-    frames: list = []  # [atom index, trail length before it, True-branch steps]
+    reasons: list = [None] * n  # atom id -> reason of its latest assignment
+    frames: list = []  # [atom id, trail length before it, True-branch steps]
     leaves: list = []  # (steps to fill, conflict, reasons, split depth)
-    theory = [isinstance(a, Atom) and bool(a.args) for a in atoms]
-    codes = [tuple(2 * index[a] + p for a, p in c.lits) for c in clauses]
+    table = _Terms(atoms) if use_congruence else None
     # watches[code]: clauses with a watched position holding that literal;
     # watched[k]: clause k's two watched positions (clauses of two or more)
     watches: list = [[] for _ in range(2 * n)]
-    watched = [[0, 1] for _ in codes]
-    for k, cs in enumerate(codes):
+    watched = [[0, 1] for _ in clauses]
+    for k, cs in enumerate(clauses):
         if len(cs) > 1:
             watches[cs[0]].append(k)
             watches[cs[1]].append(k)
@@ -637,7 +677,7 @@ def _refute(clauses, atoms, budget, use_congruence, want_cert):
         val[code] = True
         val[code ^ 1] = False
         trail.append(i)
-        reasons[atoms[i]] = reason
+        reasons[i] = reason
 
     def backtrack(length):
         nonlocal head
@@ -647,8 +687,8 @@ def _refute(clauses, atoms, budget, use_congruence, want_cert):
         head = length
 
     def propagate():
-        """Unit propagation from the trail's head to a fixpoint; returns a
-        clause with every position false, or None."""
+        """Unit propagation from the trail's head to a fixpoint; returns the
+        index of a clause with every position false, or None."""
         nonlocal head
         while head < len(trail):
             i = trail[head]
@@ -657,7 +697,7 @@ def _refute(clauses, atoms, budget, use_congruence, want_cert):
             ws = watches[false]
             keep = []
             for at, k in enumerate(ws):
-                cs, w = codes[k], watched[k]
+                cs, w = clauses[k], watched[k]
                 slot = 0 if cs[w[0]] == false else 1
                 other = cs[w[1 - slot]]
                 if val[other] is True:
@@ -673,21 +713,21 @@ def _refute(clauses, atoms, budget, use_congruence, want_cert):
                     if val[other] is False:
                         keep.extend(ws[at + 1 :])
                         watches[false] = keep
-                        return clauses[k]
+                        return k
                     charge()
-                    assign(other, ("unit", clauses[k]))
+                    assign(other, ("unit", k))
             watches[false] = keep
         return None
 
     def level_zero():
         """Assign the one-position clauses; returns a conflicting one or None."""
-        for k, cs in enumerate(codes):
+        for k, cs in enumerate(clauses):
             if len(cs) == 1:
                 if val[cs[0]] is False:
-                    return clauses[k]
+                    return k
                 if val[cs[0]] is None:
                     charge()
-                    assign(cs[0], ("unit", clauses[k]))
+                    assign(cs[0], ("unit", k))
         return propagate()
 
     try:
@@ -695,10 +735,10 @@ def _refute(clauses, atoms, budget, use_congruence, want_cert):
         cursor = 0  # atoms before it are assigned
         while True:
             if conflict is None and use_congruence and any(
-                theory[i] for i in trail[frames[-1][1] if frames else 0 :]
+                table.args[i] for i in trail[frames[-1][1] if frames else 0 :]
             ):
                 conflict = _theory_conflict(
-                    [(atoms[i], val[2 * i + 1]) for i in trail if theory[i]], charge
+                    [(i, val[2 * i + 1]) for i in trail if table.args[i]], table, charge
                 )
             if conflict is None:
                 while cursor < n and val[2 * cursor] is not None:
@@ -713,7 +753,7 @@ def _refute(clauses, atoms, budget, use_congruence, want_cert):
                 continue
             steps: list = []
             if want_cert:
-                leaves.append((steps, conflict, dict(reasons), len(frames)))
+                leaves.append((steps, conflict, list(reasons), len(frames)))
             # the node is refuted: close every split whose branches both are
             while frames and frames[-1][2] is not None:
                 i, length, first = frames.pop()
@@ -721,7 +761,8 @@ def _refute(clauses, atoms, budget, use_congruence, want_cert):
                 steps = [("split", atoms[i], first, steps)]
             if not frames:
                 for leaf_steps, found, why, depth in leaves:
-                    leaf_steps.extend(_Emitter(why, depth).refute(found))
+                    emitter = _Emitter(clauses, sources, table, why, depth)
+                    leaf_steps.extend(emitter.refute(found))
                 return Refutation(steps, spent)
             frame = frames[-1]
             backtrack(frame[1])
@@ -733,44 +774,39 @@ def _refute(clauses, atoms, budget, use_congruence, want_cert):
         return OutOfBudget(spent)
 
 
-def _theory_conflict(atoms, charge):
-    """What refutes the assigned (atom, polarity) pairs by equality
+def _theory_conflict(assigned, table, charge):
+    """What refutes the assigned (atom id, polarity) pairs by equality
     reasoning, or None: (closure, None, e) for a false equation e that the
     closure of the true ones makes true, or (closure, t, f) for a true atom
     t and a false atom f of one predicate whose arguments it joins.  Only
     atoms with arguments matter: a 0-ary atom takes part in no congruence.
     The closure's merges are charged to the budget."""
-    core = CongruenceCore()
-    for a, pol in atoms:
-        for t in a.args:
+    args, preds = table.args, table.preds
+    core = CongruenceCore(table.shapes)
+    for i, pol in assigned:
+        for t in args[i]:
             core.add_term(t)
-        if pol and a.pred == EQ:
-            core.assert_eq(a.args[0], a.args[1], ("eq", a))
+        if pol and preds[i] == 0:
+            core.assert_eq(args[i][0], args[i][1], ("eq", i))
     core._propagate()
     charge(core.merges)
 
-    for a, pol in atoms:
-        if a.pred == EQ and not pol and core.congruent(*a.args):
-            return core, None, a
+    for i, pol in assigned:
+        if preds[i] == 0 and not pol and core.congruent(*args[i]):
+            return core, None, i
 
-    def signature(a):
-        return a.pred, tuple(map(core.uf.find, a.args))
+    def signature(i):
+        return preds[i], tuple(map(core.uf.find, args[i]))
 
     trues: dict = {}
-    for a, pol in atoms:
-        if a.pred != EQ and pol:
-            trues.setdefault(signature(a), a)
-    for fa, pol in atoms:
-        ta = trues.get(signature(fa)) if fa.pred != EQ and not pol else None
-        if ta is not None:
-            return core, ta, fa
+    for i, pol in assigned:
+        if preds[i] != 0 and pol:
+            trues.setdefault(signature(i), i)
+    for i, pol in assigned:
+        t = trues.get(signature(i)) if preds[i] != 0 and not pol else None
+        if t is not None:
+            return core, t, i
     return None
-
-
-def _same(x, y) -> bool:
-    """x == y, with the stored hashes compared first, so that two distinct
-    deep terms are not walked side by side."""
-    return x is y or (hash(x) == hash(y) and x == y)
 
 
 class _Emitter:
@@ -778,11 +814,14 @@ class _Emitter:
     the inputs, unit chains, congruence-closure explanations and the
     enclosing split assumptions.  The leaf's positions start after those
     assumptions, one per split around it; the assumption of the split at
-    depth d holds position d.  `at` maps each derived literal, as an
-    (atom, polarity) pair, and each derived input clause, as its tuple of
-    pairs, to its position."""
+    depth d holds position d.  `at` maps each derived literal, by its code,
+    and each derived input clause, by its tuple of codes, to its position;
+    equations are atom ids of the term table, and nodes only in the steps."""
 
-    def __init__(self, reasons, depth):
+    def __init__(self, clauses, sources, table, reasons, depth):
+        self.clauses = clauses
+        self.sources = sources
+        self.table = table
         self.reasons = reasons
         self.depth = depth
         self.steps: list = []
@@ -793,71 +832,69 @@ class _Emitter:
         return self.depth + len(self.steps) - 1
 
     def refute(self, conflict) -> list:
-        """The leaf's steps, down to the empty clause: for a clause whose
-        literals are all false, each is resolved away; for
+        """The leaf's steps, down to the empty clause: for a clause (by its
+        index) whose literals are all false, each is resolved away; for
         _theory_conflict's (closure, true atom or None, false atom), the
         false atom is derived from the closure and resolved against its
         own negation."""
-        if isinstance(conflict, _Clause):
+        if not isinstance(conflict, tuple):
             cur = self.derive_clause(conflict)
-            pivots = [(a, not p) for a, p in conflict.lits]
-            for a, p in pivots:
-                self.derive_assigned(a, p)
+            pivots = [c ^ 1 for c in self.clauses[conflict]]
+            for c in pivots:
+                self.derive_assigned(c)
             self.resolve_away(cur, pivots)
             return self.steps
         core, true, false = conflict
+        args = self.table.args
         if true is not None:
-            self.derive_assigned(true, True)
-        neg = self.derive_assigned(false, False)
+            self.derive_assigned(2 * true + 1)
+        neg = self.derive_assigned(2 * false)
         if true is None:
-            self.derive_eq(core, *false.args)
+            self.derive_eq(core, *args[false])
         else:
-            hyps = []
-            for p, q in zip(true.args, false.args):
-                hyps.append(self.derive_eq(core, p, q))
+            hyps = [self.derive_eq(core, p, q) for p, q in zip(args[true], args[false])]
             self._horn(hyps + [true], false)
-        self.emit(("resolve", neg, self.at[(false, True)]))
+        self.emit(("resolve", neg, self.at[2 * false + 1]))
         return self.steps
 
-    def derive_clause(self, c: _Clause) -> int:
-        pos = self.at.get(c.lits)
+    def derive_clause(self, k: int) -> int:
+        codes = self.clauses[k]
+        pos = self.at.get(codes)
         if pos is None:
-            if c.whole:
-                pos = self.emit(("input", c.source))
+            f, whole = self.sources[k]
+            if whole:
+                pos = self.emit(("input", f))
             else:
-                lits = tuple(a if p else Not(a) for a, p in c.lits)
-                pos = self.emit(("conjunct", lits, c.source))
-            self.at[c.lits] = pos
+                atoms = self.table.atoms
+                lits = tuple(atoms[c >> 1] if c & 1 else Not(atoms[c >> 1]) for c in codes)
+                pos = self.emit(("conjunct", lits, f))
+            self.at[codes] = pos
         return pos
 
-    def derive_assigned(self, atom: Formula, pol: bool) -> int:
-        """Derive the literal recording that atom is assigned pol.  A unit
+    def derive_assigned(self, code: int) -> int:
+        """Derive the literal of that code, as it was assigned.  A unit
         reason's clause is derived, then the opposites of its other
         literals, left to right, then the resolvent: a post-order walk kept
         on an explicit stack, so a unit chain of any length fits."""
-        todo: list = [(atom, pol)]
+        todo: list = [code]
         while todo:
             item = todo.pop()
-            if len(item) == 3:  # a unit whose pivots are all derived
+            if isinstance(item, tuple):  # a unit whose pivots are all derived
                 lit, cur, pivots = item
                 self.at[lit] = self.resolve_away(cur, pivots)
                 continue
             if item in self.at:
                 continue
-            why = self.reasons[item[0]]
+            i = item >> 1
+            why = self.reasons[i]
             if why[0] == "decide":
                 self.at[item] = why[1]  # the enclosing split's assumption
                 continue
-            clause, a = why[1], item[0]
-            h = hash(a)
-            others = [
-                (x, not p)
-                for x, p in clause.lits
-                if not (x is a or (hash(x) == h and x == a))
-            ]
-            todo.append((item, self.derive_clause(clause), others))
+            k = why[1]
+            others = [c ^ 1 for c in self.clauses[k] if c >> 1 != i]
+            todo.append((item, self.derive_clause(k), others))
             todo.extend(reversed(others))
-        return self.at[(atom, pol)]
+        return self.at[code]
 
     def resolve_away(self, cur: int, pivots) -> int:
         """Resolve each derived pivot literal away from the clause at cur in
@@ -866,15 +903,15 @@ class _Emitter:
             cur = self.emit(("resolve", self.at[piv], cur))
         return cur
 
-    # --- equality reasoning ---
+    # --- equality reasoning: equations are atom ids, s = t derived at 2i+1 ---
 
-    def derive_eq(self, core: CongruenceCore, s: Term, t: Term) -> Formula:
+    def derive_eq(self, core: CongruenceCore, s: int, t: int) -> int:
         """Derive s = t along the closure's proof-forest path from s to t,
         joining the edges' equations by transitivity; returns s = t."""
-        goal = sx.eq(s, t)
-        if (goal, True) in self.at:
+        goal = self.table.eq(s, t)
+        if 2 * goal + 1 in self.at:
             return goal
-        if _same(s, t):
+        if s == t:
             return self._identity(s)
         edges = core.uf.explain_path(s, t)
         cur = self._edge(core, *edges[0])
@@ -882,51 +919,50 @@ class _Emitter:
             cur = self._transitivity(cur, self._edge(core, p, q, reason))
         return cur
 
-    def _edge(self, core, p, q, reason) -> Formula:
+    def _edge(self, core, p, q, reason) -> int:
         """Derive p = q for a proof-forest edge: from its equation, or from
         a congruence axiom over its applications' arguments."""
-        want = sx.eq(p, q)
-        if (want, True) in self.at:
+        want = self.table.eq(p, q)
+        if 2 * want + 1 in self.at:
             return want
         if reason[0] == "eq":
             base = reason[1]
-            self.derive_assigned(base, True)
+            self.derive_assigned(2 * base + 1)
         else:
             _, lhs, rhs = reason
-            base = sx.eq(lhs, rhs)
-            if (base, True) not in self.at:
-                hyps = []
-                for x, y in zip(lhs.args, rhs.args):
-                    hyps.append(self.derive_eq(core, x, y))
-                self._horn(hyps, base)
-        if _same(base, want):
+            base = self.table.eq(lhs, rhs)
+            if 2 * base + 1 not in self.at:
+                pairs = zip(self.table.shapes[lhs][1], self.table.shapes[rhs][1])
+                self._horn([self.derive_eq(core, x, y) for x, y in pairs], base)
+        if base == want:
             return want
         return self._symmetry(base, want)
 
     def _horn(self, hyps, concl):
         """Emit the clause form of an equality-axiom instance and resolve
         its (already derived) hypotheses away, deriving the conclusion."""
-        ax = self.emit(("eq_axiom", sx.disj([Not(h) for h in hyps] + [concl])))
-        self.at[(concl, True)] = self.resolve_away(ax, [(h, True) for h in hyps])
+        atoms = self.table.atoms
+        ax = self.emit(("eq_axiom", sx.disj([Not(atoms[h]) for h in hyps] + [atoms[concl]])))
+        self.at[2 * concl + 1] = self.resolve_away(ax, [2 * h + 1 for h in hyps])
 
-    def _identity(self, a: Term) -> Formula:
-        ident = sx.eq(a, a)
-        if (ident, True) not in self.at:
-            self.at[(ident, True)] = self.emit(("eq_axiom", ident))
+    def _identity(self, a: int) -> int:
+        ident = self.table.eq(a, a)
+        if 2 * ident + 1 not in self.at:
+            self.at[2 * ident + 1] = self.emit(("eq_axiom", self.table.atoms[ident]))
         return ident
 
-    def _symmetry(self, have_eq: Formula, want_eq: Formula) -> Formula:
+    def _symmetry(self, have_eq: int, want_eq: int) -> int:
         """Derive b = a (want_eq) from the derived a = b (have_eq)."""
-        if (want_eq, True) not in self.at:
-            ident = self._identity(have_eq.args[0])
+        if 2 * want_eq + 1 not in self.at:
+            ident = self._identity(self.table.args[have_eq][0])
             self._horn([have_eq, ident, ident], want_eq)
         return want_eq
 
-    def _transitivity(self, eq1: Formula, eq2: Formula) -> Formula:
+    def _transitivity(self, eq1: int, eq2: int) -> int:
         # eq1: s=u, eq2: u=v  |-  s=v  via  u=s & u=v & u=u -> s=v
-        s, u = eq1.args
-        goal = sx.eq(s, eq2.args[1])
-        if (goal, True) not in self.at:
-            rev = self._symmetry(eq1, sx.eq(u, s))
+        s, u = self.table.args[eq1]
+        goal = self.table.eq(s, self.table.args[eq2][1])
+        if 2 * goal + 1 not in self.at:
+            rev = self._symmetry(eq1, self.table.eq(u, s))
             self._horn([rev, eq2, self._identity(u)], goal)
         return goal

@@ -177,13 +177,13 @@ def test_private_functions_read_every_parameter():
 REFUTER = {
     "_Emitter",
     "_refute",
-    "_Clause",
+    "_clauses",
+    "_conjunctive",
+    "_Terms",
     "clausify",
-    "_literal_clause",
     "CongruenceCore",
     "_UnionFind",
     "_theory_conflict",
-    "_same",
     "normform",
     "to_conjunctive",
 }

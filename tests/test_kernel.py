@@ -613,6 +613,17 @@ def test_explicit_witness_is_cited_by_a_later_step():
     assert not v.ok and "witness name 'w' is already bound" in v.message
 
 
+def test_explicit_step_names_the_goals_frozen_variable():
+    # not (q y) freezes y; `special ax1 ; y` instantiates the axiom at the
+    # frozen constant, which the negated goal's unit then refutes
+    reg = _explicit_registry(ax1="(q x)")
+    v = _check_explicit(reg, "(q y)", "special ax1 ; y", "resolve 2 1")
+    assert v.ok, v.message
+    # the name is bound once, so a witness cannot take it
+    v = _check_explicit(reg, "(q y)", "special ax1 : y")
+    assert not v.ok and "witness name 'y' is already bound" in v.message
+
+
 def test_explicit_equality_substitution_takes_any_closed_formula():
     # a quantified A, with closed existentials as resolution pivots: the
     # axioms are inconsistent, for all y p(y, eps) and some y not p(y, s0 eps)

@@ -1,10 +1,16 @@
+import hashlib
 import random
 import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import brute_force_quasitaut_unsat, random_ground_problem, random_qf_formula
+from conftest import (
+    brute_force_quasitaut_unsat,
+    ground_subterms,
+    random_ground_problem,
+    random_qf_formula,
+)
 from proofkit import propcalc as pc
 from proofkit import syntax as sx
 from proofkit.errors import CheckError, SizeGuardExceeded
@@ -351,6 +357,58 @@ def test_certificates_always_replay_on_random_refutables():
     assert found >= 10
 
 
+# The SHA-256 of what `ground_refute`, certificates on, gives on every
+# problem of `_pinned_problems`: the verdict's class, the budget spent, and
+# the rendered steps or the sorted model.  It was recorded while the refuter
+# still worked on formula nodes, before it numbered each problem's atoms and
+# terms; any change to a verdict, a spent figure or a step changes it.
+PINNED_DIGEST = "ba86cf8bd0489df87e10abac634d257c0344c5b3ea1d443e92020c01cc9989ec"
+
+
+def _pinned_problems():
+    rng = random.Random(24)
+    out = [random_ground_problem(rng, max_atoms=8) for _ in range(200)]
+    out += [random_ground_problem(rng, nesting=3) for _ in range(30)]
+    out += [random_ground_problem(rng, nesting=400) for _ in range(8)]
+    # towers that the closure joins level by level, over 262 terms
+    f, k1, k2 = FnSym("f1", 1), App(FnSym("k1", 0)), App(FnSym("k2", 0))
+    t1, t2 = _iterate(f, k1, 130), _iterate(f, k2, 130)
+    out.append([sx.eq(k1, k2), Not(sx.eq(t1, t2))])
+    pr = PredSym("pr", 1)
+    out.append([sx.eq(k2, k1), Atom(pr, (t1,)), Not(Atom(pr, (t2,)))])
+    return out
+
+
+def _rendered(x) -> str:
+    if isinstance(x, (list, tuple)):
+        return "(" + " ".join(map(_rendered, x)) + ")"
+    if isinstance(x, (sx.Term, sx.Formula)):
+        return sx.render(x)
+    return str(x)
+
+
+def test_verdicts_spent_models_and_certificates_are_pinned():
+    # more than 256 distinct terms under equations in one problem: term ids
+    # past CPython's small-int cache, which `is` would tell apart
+    problems = _pinned_problems()
+    atoms = [
+        [d.body if isinstance(d, Not) else d for f in p for d in sx.disjuncts(f)]
+        for p in problems
+    ]
+    assert max(len(ground_subterms([a for a in p if a.pred == sx.EQ])) for p in atoms) > 256
+    digest = hashlib.sha256()
+    for problem in problems:
+        res = pc.ground_refute(problem)
+        if isinstance(res, pc.Refutation):
+            body = _rendered(res.steps)
+        elif isinstance(res, pc.Saturated):
+            body = _rendered(sorted((sx.render(a), v) for a, v in res.model.assignment.items()))
+        else:
+            body = ""
+        digest.update(f"{type(res).__name__} {res.spent} {body}\n".encode())
+    assert digest.hexdigest() == PINNED_DIGEST
+
+
 # --- the search: watched positions, the trail, backtracking ----------------
 
 Q = PredSym("q", 1)
@@ -678,3 +736,27 @@ def test_equality_axiom_instance_recognizer():
         sx.conj([sx.eq(E1, E2), sx.eq(E1, E1), sx.eq(E1, E1)]), sx.eq(E2, E1)
     )
     assert pc.is_equality_axiom_instance(sym)
+
+
+def test_recognizers_accept_equal_terms_built_apart_and_refuse_others():
+    # every kind of axiom instance, its terms copies built separately: equal
+    # ones are accepted, and a copy that differs at the bottom is refused
+    f, q = FnSym("f1", 1), PredSym("q1", 1)
+    a1, a2 = _iterate(f, E1, 40), _iterate(f, E1, 40)
+    b1, b2 = _iterate(f, E2, 40), _iterate(f, E2, 40)
+    c = _iterate(f, E3, 40)
+    assert a1 is not a2 and a1 == a2
+    assert pc.is_identity_instance(sx.eq(a1, a2))
+    assert not pc.is_identity_instance(sx.eq(a1, b1))
+    cong = lambda s, t: sx.disj([Not(sx.eq(a1, b1)), sx.eq(App(f, (s,)), App(f, (t,)))])
+    assert pc.is_equality_axiom_instance(cong(a2, b2))
+    assert not pc.is_equality_axiom_instance(cong(a2, c))
+    # u = s, u = v, u = u -> s = v
+    trans = lambda v: sx.disj(
+        [Not(sx.eq(a1, b1)), Not(sx.eq(a2, v)), Not(sx.eq(a2, a1)), sx.eq(b2, b1)]
+    )
+    assert pc.is_equality_axiom_instance(trans(b2))
+    assert not pc.is_equality_axiom_instance(trans(c))
+    pred = lambda t: sx.disj([Not(sx.eq(a1, b1)), Not(Atom(q, (a2,))), Atom(q, (t,))])
+    assert pc.is_equality_axiom_instance(pred(b2))
+    assert not pc.is_equality_axiom_instance(pred(c))
