@@ -512,7 +512,10 @@ def _replay_explicit(registry, script, statement: Formula) -> list:
             at, bt, xv, ft = step.payload
             a = sx.parse(at, "term", registry.symbols, env)
             b = sx.parse(bt, "term", registry.symbols, env)
-            body = sx.parse(ft, "formula", registry.symbols, env)
+            # xv is the substitution's variable, even where a goal variable
+            # of that name is bound
+            bound = {k: v for k, v in env.items() if k != xv}
+            body = sx.parse(ft, "formula", registry.symbols, bound)
             f = sx.disj([Not(sx.eq(a, b)), Not(subst(body, {xv: a})), subst(body, {xv: b})])
             if sx.free_vars(f):
                 raise CheckError(f"equality substitution is not closed: {sx.render(f)}")

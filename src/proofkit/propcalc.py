@@ -185,17 +185,11 @@ class OutOfBudget:
     spent: int
 
 
-def _equal(x, y) -> bool:
-    """x == y for terms, or tuples of them, decided by identity, then by
-    hashes (a node's is stored), before two deep terms are walked."""
-    return x is y or (hash(x) == hash(y) and x == y)
-
-
 def is_identity_instance(f: Formula) -> bool:
     return (
         isinstance(f, Atom)
         and f.pred == EQ
-        and _equal(*f.args)
+        and f.args[0] == f.args[1]
         and sx.is_variable_free(f)
     )
 
@@ -229,7 +223,10 @@ def is_equality_axiom_instance(f: Formula) -> bool:
     if horn is None:
         return False
     parts, concl = horn
-    eqs = [p.args if p.pred == EQ else None for p in parts]
+    eqs = [
+        (p.args[0], p.args[1]) if p.pred == EQ else None
+        for p in parts
+    ]
     if concl.pred == EQ:
         if any(e is None for e in eqs):
             return False
@@ -239,12 +236,12 @@ def is_equality_axiom_instance(f: Formula) -> bool:
             and isinstance(rhs, sx.App)
             and lhs.fn == rhs.fn
             and len(eqs) == len(lhs.args) == len(rhs.args) > 0
-            and all(map(_equal, eqs, zip(lhs.args, rhs.args)))
+            and all(e == (a, b) for e, a, b in zip(eqs, lhs.args, rhs.args))
         ):
             return True
         if len(eqs) == 3:
-            (x1, y1), (x2, y2), e3 = eqs
-            if _equal(e3, (x1, x2)) and _equal(concl.args, (y1, y2)):
+            (x1, y1), (x2, y2), (x3, x4) = eqs
+            if (x3, x4) == (x1, x2) and (lhs, rhs) == (y1, y2):
                 return True
         return False
     if len(parts) != len(concl.args) + 1 or not concl.args:
@@ -252,7 +249,7 @@ def is_equality_axiom_instance(f: Formula) -> bool:
     prem = parts[-1]
     if not (prem.pred == concl.pred) or any(e is None for e in eqs[:-1]):
         return False
-    return all(map(_equal, eqs[:-1], zip(prem.args, concl.args)))
+    return all(e == (a, b) for e, a, b in zip(eqs[:-1], prem.args, concl.args))
 
 
 # The length of a well-formed step of each kind.
@@ -373,7 +370,7 @@ class _UnionFind:
     themselves are not linked by size: a's root goes under b's, because the
     roots steer which signature `CongruenceCore._propagate` meets first in
     a round, and so its merges and the certificates.  Terms are compared
-    with ==, never `is`: the refuter's are integer ids."""
+    with ==, never `is`: they are a `_Terms` table's integer ids."""
 
     def __init__(self):
         self.parent: dict = {}
@@ -438,11 +435,11 @@ class CongruenceCore:
     """Congruence closure over variable-free terms by signature table: an
     application's signature is its symbol and the classes of its arguments,
     and two applications with one signature are merged.  Terms are the ids
-    of a `_Terms` table, whose `shapes` it is given, or else term nodes.
-    Merge reasons are ("eq", equation) or ("cong", lhs-app, rhs-app);
-    merges counts the unions made."""
+    of a `_Terms` table, whose `shapes` it is given.  Merge reasons are
+    ("eq", equation) or ("cong", lhs-app, rhs-app); merges counts the
+    unions made."""
 
-    def __init__(self, shapes=None):
+    def __init__(self, shapes):
         self.uf = _UnionFind()
         self.shapes = shapes
         self.apps: list = []  # (application, symbol, arguments), in order added
@@ -453,12 +450,7 @@ class CongruenceCore:
         if t in self.uf.parent:
             return
         self.uf.parent[t] = t
-        if self.shapes is not None:
-            fn, args = self.shapes[t]
-        elif isinstance(t, sx.App):
-            fn, args = t.fn, t.args
-        else:
-            args = ()
+        fn, args = self.shapes[t]
         if args:
             self.apps.append((t, fn, args))
             self.closed = False

@@ -624,6 +624,24 @@ def test_explicit_step_names_the_goals_frozen_variable():
     assert not v.ok and "witness name 'y' is already bound" in v.message
 
 
+def test_explicit_substitution_variable_shadows_a_goal_variable():
+    # the goal binds x to its frozen constant, yet in the eqsub body x is the
+    # variable substituted: the step is (eps != s0 eps) | -(q eps) | (q (s0 eps))
+    reg = _explicit_registry(ax6="(= eps (s0 eps))", ax1="(q eps)", ax2="(not (q (s0 eps)))")
+    v = _check_explicit(
+        reg,
+        "(p x x)",
+        "special ax6",
+        "special ax1",
+        "special ax2",
+        "eqsub ; eps ; (s0 eps) ; x ; (q x)",
+        "resolve 2 5",
+        "resolve 3 6",
+        "resolve 4 7",
+    )
+    assert v.ok, v.message
+
+
 def test_explicit_equality_substitution_takes_any_closed_formula():
     # a quantified A, with closed existentials as resolution pivots: the
     # axioms are inconsistent, for all y p(y, eps) and some y not p(y, s0 eps)

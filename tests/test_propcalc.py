@@ -201,23 +201,24 @@ def test_budget_meters_congruence_merges():
 def test_adversarial_unions_reroot_the_smaller_proof_tree():
     # a chain k0 = ... = k_half, then fresh constants joined to its two ends
     # in turn, the end first: re-rooting the end's side of the proof forest
-    # each time would walk the whole chain, quadratic in all
+    # each time would walk the whole chain, quadratic in all.  The constants
+    # are term ids 0..n of a table whose shapes are all constants.
     n, half = 10_000, 5_000
-    ks = [App(FnSym(f"k{i}", 0)) for i in range(n + 1)]
-    core = pc.CongruenceCore()
+    ks = list(range(n + 1))
+    core = pc.CongruenceCore([(None, ())] * (n + 1))
     start = time.perf_counter()
     for i in range(half):
-        core.assert_eq(ks[i], ks[i + 1], ("eq", sx.eq(ks[i], ks[i + 1])))
+        core.assert_eq(ks[i], ks[i + 1], ("eq", (ks[i], ks[i + 1])))
     for j in range(half + 1, n + 1):
         end = ks[0] if j % 2 else ks[half]
-        core.assert_eq(end, ks[j], ("eq", sx.eq(end, ks[j])))
+        core.assert_eq(end, ks[j], ("eq", (end, ks[j])))
     assert time.perf_counter() - start < 5.0
     assert core.merges == n
     edges = core.uf.explain_path(ks[0], ks[half])
     assert len(edges) == half
     assert [p for p, _, _ in edges] == ks[:half]
     assert [q for _, q, _ in edges] == ks[1 : half + 1]
-    assert all(reason == ("eq", sx.eq(p, q)) for p, q, reason in edges)
+    assert all(reason == ("eq", (p, q)) for p, q, reason in edges)
 
 
 def test_deep_terms_equal_below_are_refuted_and_replay():
@@ -388,8 +389,12 @@ def _rendered(x) -> str:
 
 
 def test_verdicts_spent_models_and_certificates_are_pinned():
-    # more than 256 distinct terms under equations in one problem: term ids
-    # past CPython's small-int cache, which `is` would tell apart
+    # The digest pins behaviour.  The towers give one problem more than 256
+    # distinct terms under equations, so term ids run past CPython's
+    # small-int cache; each id is one int object made once by its table, so
+    # `is` on ids would pass here too, and `==` is kept by design, not by
+    # this test.  The assertion below only guards that the data still holds
+    # such a problem.
     problems = _pinned_problems()
     atoms = [
         [d.body if isinstance(d, Not) else d for f in p for d in sx.disjuncts(f)]
