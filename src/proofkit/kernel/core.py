@@ -428,19 +428,15 @@ class SpecialSequence:
 
 
 def sequence_valid(seq: SpecialSequence, budget: int = propcalc.DEFAULT_BUDGET) -> bool:
-    """not A1 v ... v not An is a tautology; checked by truth table when the
-    skeleton is small, by the propositional engine otherwise.  The table
-    asks whether not An follows from A1 ... An-1, which has the same
-    elementary subformulas in the same order and the same answer.  The
-    empty disjunction is false, so the empty sequence is not valid.  When
-    the engine's budget runs out first, BudgetExhausted is raised."""
+    """not A1 v ... v not An is a tautology, that is, the propositional
+    search refutes A1, ..., An.  The empty disjunction is false, so the
+    empty sequence is not valid.  When the search's budget runs out first,
+    BudgetExhausted is raised; a member whose clause form is too large
+    raises SizeGuardExceeded.  Neither is an answer."""
     fs = seq.formulas
     if not fs:
         return False
-    try:
-        return propcalc.taut_check(Not(fs[-1]), fs[:-1]).consequence
-    except SizeGuardExceeded:
-        found = propcalc.prop_refute(list(fs), budget)
+    found = propcalc.prop_refute(list(fs), budget)
     if isinstance(found, propcalc.OutOfBudget):
         raise BudgetExhausted(f"budget exhausted ({found.spent} spent, budget {budget})")
     return isinstance(found, propcalc.Refutation)

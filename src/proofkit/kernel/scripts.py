@@ -343,8 +343,15 @@ def elaborate_citation(registry: Registry, use: UseLine, env: dict) -> Formula:
         if not entry.checked:
             raise CheckError(f"citation of unchecked theorem {use.label!r}")
         stmt = select_direction(entry.statement, use.direction)
+    return _special_case(registry, nform.to_negation_form(closure(stmt)), use.items, env)
+
+
+def _special_case(registry: Registry, base: Formula, items, env: dict) -> Formula:
+    """base's special case by a citation's `; term` and `: witness` items,
+    read under env: a term must be variable free and a witness name
+    unbound.  The witnesses' aliases are bound into env."""
     steps = []
-    for kind, text in use.items:
+    for kind, text in items:
         if kind == ";":
             term = sx.parse(text, "term", registry.symbols, env)
             if not sx.is_variable_free(term):
@@ -354,11 +361,9 @@ def elaborate_citation(registry: Registry, use: UseLine, env: dict) -> Formula:
             if text in env:
                 raise CheckError(f"witness name {text!r} is already bound")
             steps.append(("witness", text))
-    base = nform.to_negation_form(closure(stmt))
     record: list = []
     out = nform.special_case(base, nform.SpecialCaseDirective(tuple(steps)), record)
-    for alias, const in record:
-        env[alias] = const
+    env.update(record)
     return out
 
 
@@ -482,24 +487,8 @@ def _replay_explicit(registry, script, statement: Formula) -> list:
             entry = registry.lookup(label)
             if entry.kind != "axiom":
                 raise CheckError("special steps cite nonlogical axioms only")
-            directive = []
-            for kind, text in items:
-                if kind == ";":
-                    directive.append(
-                        ("term", sx.parse(text, "term", registry.symbols, env))
-                    )
-                else:
-                    if text in env:
-                        raise CheckError(f"witness name {text!r} is already bound")
-                    directive.append(("witness", text))
             base = nform.to_normal_form(closure(entry.statement))
-            record: list = []
-            out = nform.special_case(
-                base, nform.SpecialCaseDirective(tuple(directive)), record
-            )
-            for alias, const in record:
-                env[alias] = const
-            parts = sx.conjuncts(out)
+            parts = sx.conjuncts(_special_case(registry, base, items, env))
             if k is not None:
                 if not 1 <= k <= len(parts):
                     raise CheckError(f"no conjunct {k}")

@@ -1,9 +1,10 @@
-"""Truth valuations, tautology checking, and ground equality refutation.
+"""Truth valuations and the refuter, the kernel's one propositional decider.
 
-taut_check decides tautological consequence over the propositional skeleton
-(elementary subformulas as atoms) by bit-vector truth tables.  ground_refute
-decides quasitautological inconsistency of a closed formula set by DPLL-style
-case splitting plus congruence closure over the occurring variable-free
+One DPLL-style search (Davis, Logemann & Loveland, 1962) case splits on
+the elementary subformulas as atoms.  prop_refute runs it alone and
+decides tautological inconsistency of a formula set.  ground_refute
+decides quasitautological inconsistency of a closed formula set by the
+same search plus congruence closure over the occurring variable-free
 terms; congruence closure stands in for saturating with identity/equality
 axiom instances over those terms.  Each problem's atoms and terms are
 numbered once, and the search, the closure and the certificate emitter
@@ -42,7 +43,7 @@ last step derives the empty clause.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import CheckError, SizeGuardExceeded
 from . import syntax as sx
@@ -56,38 +57,12 @@ from .syntax import (
     is_elementary,
 )
 
-ATOM_GUARD = 24  # most elementary atoms taut_check enumerates
 CLAUSE_GUARD = 10_000  # most clauses clausify and to_conjunctive make
 DEFAULT_BUDGET = 100_000
 
 
 # ---------------------------------------------------------------------------
-# truth valuations and tautologies
-
-
-def elementary_subformulas(fs) -> list[Formula]:
-    """Distinct elementary subformulas in order of first appearance (bodies
-    of instantiations are not entered; they are opaque atoms)."""
-    out: list[Formula] = []
-    seen = set()
-
-    def walk(f):
-        if is_elementary(f):
-            if f not in seen:
-                seen.add(f)
-                out.append(f)
-            return
-        if isinstance(f, Not):
-            walk(f.body)
-        elif isinstance(f, Or):
-            walk(f.left)
-            walk(f.right)
-        else:
-            raise TypeError(f)
-
-    for f in fs:
-        walk(f)
-    return out
+# truth valuations
 
 
 @dataclass
@@ -105,63 +80,6 @@ class TruthValuation:
         if isinstance(f, Or):
             return self.value(f.left) or self.value(f.right)
         raise TypeError(f)
-
-
-@dataclass
-class TautVerdict:
-    consequence: bool
-    counter: Optional[TruthValuation] = None
-
-
-def atom_patterns(els, n: int) -> dict:
-    """Truth vectors over all 2^n valuations, atom i toggling with period
-    2^(i+1), built by doubling."""
-    width = 1 << n
-    out = {}
-    for i, e in enumerate(els):
-        block = 1 << i
-        pattern = ((1 << block) - 1) << block
-        span = 2 * block
-        while span < width:
-            pattern |= pattern << span
-            span *= 2
-        out[e] = pattern & ((1 << width) - 1)
-    return out
-
-
-def bitvec_value(f: Formula, atoms: dict, full: int) -> int:
-    """f's truth under every valuation at once, one bit per valuation;
-    also used by independent enumeration-style oracles."""
-    if is_elementary(f):
-        return atoms[f]
-    if isinstance(f, Not):
-        return full ^ bitvec_value(f.body, atoms, full)
-    if isinstance(f, Or):
-        return bitvec_value(f.left, atoms, full) | bitvec_value(f.right, atoms, full)
-    raise TypeError(f)
-
-
-def taut_check(goal: Formula, premises: Sequence[Formula] = ()) -> TautVerdict:
-    """Decide whether goal is a tautological consequence of the premises by
-    enumerating all relevant truth valuations (as bit vectors).
-
-    Raises SizeGuardExceeded when the skeleton has more than ATOM_GUARD
-    distinct elementary atoms; callers then fall back to ground_refute."""
-    els = elementary_subformulas(list(premises) + [goal])
-    n = len(els)
-    if n > ATOM_GUARD:
-        raise SizeGuardExceeded("propositional skeleton too large", n)
-    full = (1 << (1 << n)) - 1
-    atoms = atom_patterns(els, n)
-    ok = full
-    for p in premises:
-        ok &= bitvec_value(p, atoms, full)
-    bad = ok & (full ^ bitvec_value(goal, atoms, full))
-    if bad == 0:
-        return TautVerdict(True)
-    idx = (bad & -bad).bit_length() - 1
-    assignment = {e: bool((idx >> i) & 1) for i, e in enumerate(els)}
-    return TautVerdict(False, TruthValuation(assignment))
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +517,10 @@ class _Terms:
 def prop_refute(
     fs: Sequence[Formula], budget: int = DEFAULT_BUDGET
 ) -> Union[Refutation, Saturated, OutOfBudget]:
-    """The propositional (tautological) search on fs, without the atom guard
-    or a certificate: OutOfBudget when the budget runs out first."""
+    """The propositional (tautological) search on fs, without a
+    certificate: OutOfBudget when the budget runs out first.  Raises
+    SizeGuardExceeded when one distribution in a member's clause form would
+    make more than CLAUSE_GUARD clauses."""
     return _refute(*_clauses(fs), budget, use_congruence=False, want_cert=False)
 
 

@@ -410,7 +410,7 @@ def load_theory(path: Optional[Path] = None) -> TheoryBundle:
     axioms: list[Formula] = []
     chain: Optional[extend.DefinitionRegistry] = None  # where definitions go
     in_schema = False
-    pending_phi: list[tuple[str, str]] = []
+    pending_phi: list[tuple[str, str, int]] = []  # (label, predicate, line)
 
     def base_chain():
         theory = Theory("S", tuple(axioms), EPS)
@@ -478,7 +478,7 @@ def load_theory(path: Optional[Path] = None) -> TheoryBundle:
             continue
         m = re.match(r"phi\s+([a-z0-9_']+)\s*:\s*([a-z0-9_']+)$", line)
         if m:
-            pending_phi.append((m.group(1), m.group(2)))
+            pending_phi.append((m.group(1), m.group(2), lineno))
             continue
         if line == "bsi":
             registry.enable_bsi(bsi_template())
@@ -492,10 +492,13 @@ def load_theory(path: Optional[Path] = None) -> TheoryBundle:
         raise ParseError(f"unrecognized theory line: {line!r}", lineno, 1)
     if chain is None:
         bundle.definitions = base_chain()
-    for phi_label, pred_name in pending_phi:
+    for phi_label, pred_name, lineno in pending_phi:
         p = symbols.pred(pred_name)
         if p is None:
-            raise ParseError(f"unknown predicate {pred_name} for phi {phi_label}")
+            raise ParseError(f"unknown predicate {pred_name} for phi {phi_label}", lineno, 1)
+        if p.arity != 1:
+            message = f"phi {phi_label} needs a unary predicate; {pred_name} expects {p.arity} arguments"
+            raise ParseError(message, lineno, 1)
         registry.register_phi(phi_label, Atom(p, (Var("x"),)))
     return bundle
 

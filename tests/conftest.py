@@ -1,6 +1,7 @@
 """Shared fixtures: the loaded theory bundle, a one-time corpus run, the
-brute-force quasitautology oracle, random generators, script mutation, and
-a special sequence too large for the truth table."""
+brute-force truth-table oracles (which share no code with propcalc),
+random generators, script mutation, and a 28-atom valid special
+sequence."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import random
 
 import pytest
 
-from proofkit import hilbertack, propcalc, stringarith
+from proofkit import hilbertack, stringarith
 from proofkit import syntax as sx
 from proofkit.kernel import SpecialSequence, scripts as kscripts
 from proofkit.syntax import App, Atom, Exists, FnSym, Not, Or, PredSym, Var
@@ -31,13 +32,13 @@ def corpus_report(bundle, corpus_scripts):
 
 
 # ---------------------------------------------------------------------------
-# the brute-force quasitautology oracle
+# the brute-force truth-table oracles
 
 
-def demo_past_the_truth_table():
+def demo_valid_28_atoms():
     """hilbertack's rank-1 demo with q(1), ..., q(25) appended: still valid,
-    with 28 elementary subformulas, so only the propositional search decides
-    it (in 28 steps)."""
+    with 28 elementary subformulas, which the propositional search decides
+    in 28 steps."""
     theory, seq = hilbertack.demo_rank1()
     q = sx.PredSym("q", 1)
     more = tuple(Atom(q, (sx.numeral(i),)) for i in range(1, 26))
@@ -124,22 +125,83 @@ def axiom_instances(fs):
     return out
 
 
-def brute_force_quasitaut_unsat(fs, atom_cap=26):
-    """Truth-table unsatisfiability of the inputs together with all
-    identity/equality-axiom instances over the occurring ground terms:
-    enumerate every valuation (as bit vectors) and intersect."""
-    everything = list(fs) + axiom_instances(fs)
-    els = propcalc.elementary_subformulas(everything)
+def elementary_subformulas(fs) -> list:
+    """Distinct elementary subformulas in order of first appearance (bodies
+    of instantiations are not entered; they are opaque atoms)."""
+    out: list = []
+    seen = set()
+
+    def walk(f):
+        if sx.is_elementary(f):
+            if f not in seen:
+                seen.add(f)
+                out.append(f)
+        elif isinstance(f, Not):
+            walk(f.body)
+        elif isinstance(f, Or):
+            walk(f.left)
+            walk(f.right)
+        else:
+            raise TypeError(f)
+
+    for f in fs:
+        walk(f)
+    return out
+
+
+def atom_patterns(els) -> dict:
+    """Truth vectors over all 2^n valuations, atom i toggling with period
+    2^(i+1), built by doubling."""
+    width = 1 << len(els)
+    out = {}
+    for i, e in enumerate(els):
+        block = 1 << i
+        pattern = ((1 << block) - 1) << block
+        span = 2 * block
+        while span < width:
+            pattern |= pattern << span
+            span *= 2
+        out[e] = pattern & ((1 << width) - 1)
+    return out
+
+
+def bitvec_value(f, atoms: dict, full: int) -> int:
+    """f's truth under every valuation at once, one bit per valuation."""
+    if sx.is_elementary(f):
+        return atoms[f]
+    if isinstance(f, Not):
+        return full ^ bitvec_value(f.body, atoms, full)
+    if isinstance(f, Or):
+        return bitvec_value(f.left, atoms, full) | bitvec_value(f.right, atoms, full)
+    raise TypeError(f)
+
+
+def truth_table_unsat(fs):
+    """No valuation of the elementary subformulas makes every formula of fs
+    true: enumerate every valuation (as bit vectors) and intersect."""
+    fs = list(fs)
+    els = elementary_subformulas(fs)
     n = len(els)
-    assert n <= atom_cap, f"oracle skeleton too large: {n}"
+    assert n <= 26, f"oracle skeleton too large: {n}"  # a vector of 2^26 bits is 8 MB
     full = (1 << (1 << n)) - 1
-    atoms = propcalc.atom_patterns(els, n)
+    atoms = atom_patterns(els)
     acc = full
-    for f in everything:
-        acc &= propcalc.bitvec_value(f, atoms, full)
+    for f in fs:
+        acc &= bitvec_value(f, atoms, full)
         if acc == 0:
             return True
     return acc == 0
+
+
+def truth_table_consequence(goal, premises=()):
+    """goal is a tautological consequence of the premises."""
+    return truth_table_unsat([*premises, Not(goal)])
+
+
+def brute_force_quasitaut_unsat(fs):
+    """Truth-table unsatisfiability of the inputs together with all
+    identity/equality-axiom instances over the occurring ground terms."""
+    return truth_table_unsat(list(fs) + axiom_instances(fs))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from conftest import (
     mutate_script,
     random_ground_problem,
     random_qf_formula,
+    truth_table_consequence,
 )
 from proofkit import extend, hilbertack as ha, machines as rm
 from proofkit import normform as nf
@@ -170,12 +171,12 @@ def test_criterion_5_normal_form_pipeline():
     for _ in range(1000):
         f = random_qf_formula(rng, max_atoms=10, depth=4)
         g = nf.to_negation_form(f)
-        assert pc.taut_check(sx.fiff(f, g)).consequence
+        assert truth_table_consequence(sx.fiff(f, g))
         try:
             c = nf.to_conjunctive(f)
         except Exception:
             continue
-        assert pc.taut_check(sx.fiff(f, c)).consequence
+        assert truth_table_consequence(sx.fiff(f, c))
     quantified = sx.SymbolTable(
         sx.Language((EPS,), (PredSym("q", 1), PredSym("p", 2)), EPS),
         auto_predicates=True,

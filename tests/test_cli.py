@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import demo_past_the_truth_table
+from conftest import demo_valid_28_atoms
 from proofkit import cli, hilbertack, machines, propcalc, stringarith
 from proofkit.errors import CheckError
 from proofkit.stringarith import DATA_DIR
@@ -168,7 +168,10 @@ def test_ha_reduce_fails_when_the_certificate_does_not_replay(capsys, monkeypatc
 
 
 def test_ha_reduce_reports_an_exhausted_budget(capsys, monkeypatch):
-    case = demo_past_the_truth_table()
+    # every validity check is bounded, the demo's own small ones included
+    code, out, _ = run(capsys, "--budget", "2", "ha-reduce", "--demo", "rank1")
+    assert code == 1 and out == "FAIL: budget exhausted (3 spent, budget 2)\n"
+    case = demo_valid_28_atoms()
     monkeypatch.setattr(hilbertack, "demo_rank1", lambda: case)
     code, out, _ = run(capsys, "ha-reduce", "--demo", "rank1")
     assert code == 0 and "ground-refutable=True" in out
@@ -314,6 +317,23 @@ def test_script_parse_errors_name_their_line(capsys, tmp_path):
         path.write_text(f"theorem e1 : (not (= (s0 eps) eps))\n{body}qed\n")
         code, out, err = run(capsys, "check-proof", str(path))
         assert code == 2 and out == "" and err.strip() == f"error: {message}"
+
+
+def test_theory_file_phi_errors_name_their_line(capsys, tmp_path):
+    for target, message in (
+        ("nosuch", "unknown predicate nosuch for phi b1 at 4:1"),
+        ("two", "phi b1 needs a unary predicate; two expects 2 arguments at 4:1"),
+    ):
+        path = tmp_path / "phi.th"
+        path.write_text(
+            "theory T\n"
+            "axiom a1 : (not (= (s0 x) eps))\n"
+            "define pred d1 two : (= x y)\n"
+            f"phi b1 : {target}\n"
+        )
+        code, out, err = run(capsys, "--theory", str(path), "translate", "(= x x)")
+        assert code == 2 and out == "" and err.strip() == f"error: {message}"
+
 
 def test_theory_file_with_axioms_only(capsys, tmp_path):
     path = tmp_path / "axioms.th"

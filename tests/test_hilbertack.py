@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from proofkit import hilbertack as ha
 from proofkit import propcalc as pc
 from proofkit import syntax as sx
-from conftest import demo_past_the_truth_table
+from conftest import demo_valid_28_atoms
 from proofkit.errors import BudgetExhausted, CheckError
 from proofkit.kernel import ProofBuilder, SpecialSequence, Theory, check_proof, core
 from proofkit.syntax import App, Atom, Exists, Not, Or, PredSym, Var, EPS, S0
@@ -241,7 +241,7 @@ def test_ha_run_analyses_each_sequence_and_formula_once(monkeypatch):
 
 
 def test_profile_reports_an_exhausted_budget_as_such():
-    _, seq = demo_past_the_truth_table()
+    _, seq = demo_valid_28_atoms()
     assert ha.profile(seq).valid and ha.profile(seq, budget=28).valid
     with pytest.raises(BudgetExhausted, match=r"^budget exhausted \(6 spent, budget 5\)$"):
         ha.profile(seq, budget=5)

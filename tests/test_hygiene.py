@@ -189,16 +189,16 @@ REFUTER = {
 }
 
 
-def _checker(tree):
-    """The module-level definitions that propcalc.replay reaches by name,
-    replay included."""
+def _reached(tree, root):
+    """The module-level definitions that `root` reaches by name, root
+    included."""
     defs = {
         node.name: node
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
     reached: dict = {}
-    todo = ["replay"]
+    todo = [root]
     while todo:
         name = todo.pop()
         if name in defs and name not in reached:
@@ -211,7 +211,31 @@ def test_certificate_checker_shares_no_code_with_the_refuter():
     # replay must not trust what it checks: it and its side-condition
     # helpers refer to nothing of the search or the emitter (normform's
     # to_conjunctive goes through the refuter's clausify)
-    checker = _checker(ast.parse((PACKAGE / "propcalc.py").read_text()))
+    checker = _reached(ast.parse((PACKAGE / "propcalc.py").read_text()), "replay")
     assert {"replay", "resolvent", "is_equality_axiom_instance"} <= set(checker)
     refs = set().union(*map(_references, checker.values()))
     assert not refs & REFUTER, f"the checker refers to {sorted(refs & REFUTER)}"
+
+
+def _module_level_names(tree):
+    """The names a module defines at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_brute_force_oracle_shares_no_code_with_propcalc():
+    # the oracle that tests the refuter enumerates valuations with helpers
+    # of its own: they name neither propcalc nor anything it defines
+    tree = ast.parse((REPO / "tests" / "conftest.py").read_text())
+    oracle = _reached(tree, "brute_force_quasitaut_unsat")
+    helpers = {"truth_table_unsat", "elementary_subformulas", "atom_patterns", "bitvec_value"}
+    assert helpers | {"axiom_instances"} <= set(oracle)
+    own = _module_level_names(ast.parse((PACKAGE / "propcalc.py").read_text()))
+    foreign = set().union(*map(_references, oracle.values())) & (own | {"propcalc"})
+    assert not foreign, f"the oracle refers to {sorted(foreign)}"

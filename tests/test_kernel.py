@@ -1,8 +1,9 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import truth_table_consequence
 from proofkit import normform as nf
 from proofkit import propcalc as pc
 from proofkit import stringarith
@@ -369,8 +370,6 @@ def test_sequence_valid_past_the_truth_table_guard():
     atoms = [Atom(PredSym(f"a{i}", 0)) for i in range(25)]
     valid = core.SpecialSequence(tuple(atoms) + (Not(atoms[0]),))
     invalid = core.SpecialSequence(tuple(atoms))
-    with pytest.raises(SizeGuardExceeded):
-        pc.taut_check(sx.disj([Not(f) for f in valid.formulas]))
     assert core.sequence_valid(valid)
     assert not core.sequence_valid(invalid)
     # an exhausted search is neither answer
@@ -379,9 +378,15 @@ def test_sequence_valid_past_the_truth_table_guard():
             core.sequence_valid(seq, budget=5)
 
 
+S0E = App(S0, (E,))
+# equalities are opaque atoms to the propositional search, so the sequence
+# e = s0(e), not s0(e) = e is not valid
+EQUATIONS = [sx.eq(E, E), sx.eq(E, S0E), sx.eq(S0E, E)]
+
+
 def _sequences():
     letters = [Atom(PredSym(f"a{i}", 0)) for i in range(5)]
-    atoms = st.sampled_from(letters + [Exists("x", Atom(Q, (Var("x"),)))])
+    atoms = st.sampled_from(letters + EQUATIONS + [Exists("x", Atom(Q, (Var("x"),)))])
     formula = st.recursive(
         atoms,
         lambda c: st.one_of(c.map(Not), st.tuples(c, c).map(lambda p: Or(*p))),
@@ -391,10 +396,29 @@ def _sequences():
 
 
 @given(_sequences())
+@example(core.SpecialSequence((EQUATIONS[1], Not(EQUATIONS[2]))))
 @settings(max_examples=300, deadline=None)
 def test_sequence_valid_is_the_negation_disjunctions_truth_table(seq):
-    table = pc.taut_check(sx.disj([Not(f) for f in seq.formulas]))
-    assert core.sequence_valid(seq) == table.consequence
+    assert core.sequence_valid(seq) == truth_table_consequence(
+        sx.disj([Not(f) for f in seq.formulas])
+    )
+
+
+def test_sequence_valid_refuses_a_clause_form_past_the_guard():
+    # two atoms, but 2^14 clauses: refused as a taut line's premises are,
+    # never answered
+    p, q = Atom(PredSym("p", 0)), Atom(PredSym("q", 0))
+    seq = core.SpecialSequence((sx.disj([sx.fand(p, q)] * 14), Not(p)))
+    with pytest.raises(SizeGuardExceeded, match=r"^clausification blowup \(projected size: 16384\)$"):
+        core.sequence_valid(seq)
+
+
+def test_sequence_valid_bounds_a_small_sequence_by_its_budget():
+    p, q = Atom(PredSym("p", 0)), Atom(PredSym("q", 0))
+    seq = core.SpecialSequence((Or(p, q), Not(p), Not(q)))
+    assert core.sequence_valid(seq)
+    with pytest.raises(BudgetExhausted, match=r"^budget exhausted \(2 spent, budget 1\)$"):
+        core.sequence_valid(seq, budget=1)
 
 
 def test_extract_requires_inconsistency():
@@ -622,6 +646,17 @@ def test_explicit_step_names_the_goals_frozen_variable():
     # the name is bound once, so a witness cannot take it
     v = _check_explicit(reg, "(q y)", "special ax1 : y")
     assert not v.ok and "witness name 'y' is already bound" in v.message
+
+
+def test_explicit_special_reads_its_items_as_a_citation_does():
+    # an unbound name is a variable, so the instance is not closed: refused
+    # with the citation's message, in both paths
+    reg = _explicit_registry(ax1="(q x)")
+    v = _check_explicit(reg, "(q eps)", "special ax1 ; x")
+    assert not v.ok and v.message == "citation term 'x' is not variable free"
+    reg.add_axiom("tx", parse("(imp (q x) (q x))"))
+    (s,) = parse_script_file("theorem u : (q eps)\nproof\n  H\n  use tx ; x\nqed\n")
+    assert check_script(reg, s).message == "citation term 'x' is not variable free"
 
 
 def test_explicit_substitution_variable_shadows_a_goal_variable():

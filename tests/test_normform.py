@@ -3,9 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_qf_formula
+from conftest import random_qf_formula, truth_table_consequence
 from proofkit import normform as nf
-from proofkit import propcalc as pc
 from proofkit import syntax as sx
 from proofkit.errors import CheckError, SizeGuardExceeded
 from proofkit.syntax import App, Atom, Exists, Not, Or, PredSym, Var, EPS
@@ -20,7 +19,7 @@ def qx(v="x"):
 
 
 def taut_equiv(a, b):
-    return pc.taut_check(sx.fiff(a, b)).consequence
+    return truth_table_consequence(sx.fiff(a, b))
 
 
 # --- negation form ----------------------------------------------------------

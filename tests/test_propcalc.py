@@ -7,13 +7,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     brute_force_quasitaut_unsat,
+    elementary_subformulas,
     ground_subterms,
     random_ground_problem,
     random_qf_formula,
+    truth_table_consequence,
 )
 from proofkit import propcalc as pc
 from proofkit import syntax as sx
-from proofkit.errors import CheckError, SizeGuardExceeded
+from proofkit.errors import CheckError
 from proofkit.syntax import App, Atom, Exists, FnSym, Not, Or, PredSym, Var
 
 A = Atom(PredSym("a", 0))
@@ -22,42 +24,12 @@ C = Atom(PredSym("c", 0))
 E1, E2, E3 = (App(FnSym(n, 0)) for n in ("e1", "e2", "e3"))
 
 
-# --- truth valuations and tautologies --------------------------------------
+# --- truth valuations ------------------------------------------------------
 
 
 def test_valuation_extension_rules():
     v = pc.TruthValuation({A: True, B: False})
     assert v.value(Not(B)) and v.value(Or(B, A)) and not v.value(Not(Or(B, A)))
-
-
-def test_tautology_and_counterexample():
-    assert pc.taut_check(Or(A, Not(A))).consequence
-    got = pc.taut_check(A, [Or(A, B)])
-    assert not got.consequence
-    val = got.counter
-    assert val.value(Or(A, B)) and not val.value(A)
-
-
-def test_equality_chains_are_not_tautologies():
-    f = sx.fimp(sx.eq(E1, E2), sx.eq(E2, E1))
-    got = pc.taut_check(f)
-    assert not got.consequence  # needs equality instances, not truth tables
-
-
-def test_atom_guard():
-    atoms = [Atom(PredSym(f"g{i}", 0)) for i in range(30)]
-    with pytest.raises(SizeGuardExceeded):
-        pc.taut_check(sx.disj(atoms))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 10_000))
-def test_taut_check_monotone_under_premises(seed):
-    rng = random.Random(seed)
-    goal = random_qf_formula(rng, max_atoms=5, depth=3)
-    premises = [random_qf_formula(rng, max_atoms=5, depth=3) for _ in range(2)]
-    if pc.taut_check(goal, premises[:1]).consequence:
-        assert pc.taut_check(goal, premises).consequence
 
 
 # --- one-resolution ---------------------------------------------------------
@@ -96,7 +68,7 @@ def test_one_resolution_soundness(seed):
     except CheckError:
         return
     derived = sx.disj(out) if out else sx.fand(q, Not(q))
-    assert pc.taut_check(derived, [c, sx.disj(d)]).consequence
+    assert truth_table_consequence(derived, [c, sx.disj(d)])
 
 
 # --- ground refutation ------------------------------------------------------
@@ -436,7 +408,7 @@ def _reference_search(problem):
     splits as nested (atom, splits, splits) tuples, None at a leaf.  Both
     are independent of the order in which units are propagated."""
     clauses = [lits for f in problem for lits in pc.clausify(f)]
-    atoms = pc.elementary_subformulas(problem)
+    atoms = elementary_subformulas(problem)
 
     def search(assign):
         while True:
