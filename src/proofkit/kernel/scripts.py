@@ -46,7 +46,11 @@ class Entry:
 
 class Registry:
     """Append-only store of citable statements, plus the unary-formula
-    registry the induction schema draws from."""
+    registry the induction schema draws from.  `bases` holds the prepared
+    forms that citations instantiate, each made the first time it is asked
+    for (`prepared`): under (label, direction) a cited statement's negation
+    form, under ("BSI", phi label) the induction instance's, and under
+    (label, "normal form") the normal form a `special` step reads."""
 
     def __init__(self, symbols: sx.SymbolTable):
         self.symbols = symbols
@@ -54,6 +58,7 @@ class Registry:
         self.order: list[str] = []
         self.phi_formulas: dict[str, Formula] = {}
         self.bsi_template: Optional[Formula] = None
+        self.bases: dict[tuple, Formula] = {}
 
     def add(self, entry: Entry):
         if entry.label in self.entries:
@@ -73,10 +78,13 @@ class Registry:
     def register_phi(self, label: str, unary: Formula):
         if tuple(sx.free_vars(unary)) != ("x",):
             raise CheckError("phi formulas are unary with free variable x")
+        if label in self.phi_formulas:
+            raise CheckError(f"duplicate phi label {label!r}")
         self.phi_formulas[label] = unary
 
     def enable_bsi(self, template: Formula):
         self.bsi_template = template
+        self.bases = {k: v for k, v in self.bases.items() if k[0] != "BSI"}
 
     def lookup(self, label: str) -> Entry:
         got = self.entries.get(label)
@@ -91,6 +99,14 @@ class Registry:
         if phi is None:
             raise CheckError(f"unregistered phi label {phi_label!r}")
         return instantiate_phi(self.bsi_template, phi)
+
+    def prepared(self, key: tuple, make) -> Formula:
+        """bases[key], made by make() the first time; a make() that raises
+        stores nothing."""
+        got = self.bases.get(key)
+        if got is None:
+            got = self.bases[key] = make()
+        return got
 
 
 def instantiate_phi(template: Formula, phi: Formula) -> Formula:
@@ -335,15 +351,19 @@ def select_direction(statement: Formula, direction: Optional[str]) -> Formula:
 
 
 def elaborate_citation(registry: Registry, use: UseLine, env: dict) -> Formula:
-    """One citation line to one closed instance."""
+    """One citation line to one closed instance: the special case of the
+    cited statement's negation form, prepared once per registry."""
     if use.label == "BSI":
-        stmt = registry.bsi_statement(use.phi_label)
+        key = ("BSI", use.phi_label)
+        cited = lambda: registry.bsi_statement(use.phi_label)
     else:
         entry = registry.lookup(use.label)
         if not entry.checked:
             raise CheckError(f"citation of unchecked theorem {use.label!r}")
-        stmt = select_direction(entry.statement, use.direction)
-    return _special_case(registry, nform.to_negation_form(closure(stmt)), use.items, env)
+        key = (use.label, use.direction)
+        cited = lambda: select_direction(entry.statement, use.direction)
+    base = registry.prepared(key, lambda: nform.to_negation_form(closure(cited())))
+    return _special_case(registry, base, use.items, env)
 
 
 def _special_case(registry: Registry, base: Formula, items, env: dict) -> Formula:
@@ -487,7 +507,10 @@ def _replay_explicit(registry, script, statement: Formula) -> list:
             entry = registry.lookup(label)
             if entry.kind != "axiom":
                 raise CheckError("special steps cite nonlogical axioms only")
-            base = nform.to_normal_form(closure(entry.statement))
+            base = registry.prepared(
+                (label, "normal form"),
+                lambda: nform.to_normal_form(closure(entry.statement)),
+            )
             parts = sx.conjuncts(_special_case(registry, base, items, env))
             if k is not None:
                 if not 1 <= k <= len(parts):

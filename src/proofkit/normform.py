@@ -1,12 +1,20 @@
 """Formula transformations: negation, prenex, conjunctive, and normal forms,
 frozen variables, and special cases.
 
-Special-casing is implemented in place on negation-form formulas: the
-leftmost quantifier occurrence is never enclosed by another quantifier, so a
-universal occurrence can take a variable-free term and an existential one its
-special constant directly.  On fully prenexed input this coincides with
-prefix consumption; on partially consumed statements it leaves the remaining
-quantified subformulas intact (they stay opaque to the propositional layer).
+Special cases are taken on negation-form formulas, read through the form's
+own connectives as to_negation_form builds them: a conjunction
+(`as_and`, that is Not(Or(Not a, Not b))) and a disjunction are
+connectives whose sides are read left first, Not(Exists x B) is a
+universal, Exists x B an existential, and anything else a leaf.  The
+leftmost quantifier occurrence so read is never enclosed by another
+quantifier, so a universal can take a variable-free term and an
+existential its special constant in place.  special_case does this for a
+whole directive in one top-down walk, and substitutes without subst's
+capture check: every term it binds is variable free, so no quantifier can
+capture it.  On fully prenexed input it
+coincides with prefix consumption; on partially consumed statements it
+leaves the remaining quantified subformulas intact (they stay opaque to
+the propositional layer).
 """
 
 from __future__ import annotations
@@ -217,20 +225,21 @@ class SpecialCaseDirective:
 
 
 def leftmost_quantifier(f: Formula):
-    """(kind, path) of the leftmost quantifier occurrence, or None.  kind is
-    "A" for a universal pattern, "E" for a bare instantiation; path addresses
-    the Exists node (for "A", its enclosing negation)."""
+    """(kind, path) of the leftmost quantifier occurrence of a negation-form
+    formula, or None, read as special_case reads it.  kind is "A" for a
+    universal Not(Exists ...), "E" for an existential; path addresses the
+    Exists node (for "A", its enclosing negation)."""
 
     def walk(g, path):
+        pair = as_and(g)
+        if pair is not None:
+            return walk(pair[0], path + (0, 0, 0)) or walk(pair[1], path + (0, 1, 0))
+        if isinstance(g, Or):
+            return walk(g.left, path + (0,)) or walk(g.right, path + (1,))
         if isinstance(g, Not) and isinstance(g.body, Exists):
             return ("A", path)
         if isinstance(g, Exists):
             return ("E", path)
-        if not isinstance(g, Atom):
-            for i, h in enumerate(sx.children(g)):
-                got = walk(h, path + (i,))
-                if got is not None:
-                    return got
         return None
 
     return walk(f, ())
@@ -240,42 +249,65 @@ def special_case(
     f: Formula, directive: SpecialCaseDirective, record=None
 ) -> Formula:
     """Apply the directive to the leftmost quantifier occurrences of a closed
-    formula: universal occurrences take the given variable-free terms,
-    existential ones their special constants (aliased by the witness name).
-    With an empty directive this is the identity."""
+    negation-form formula: universal occurrences take the given
+    variable-free terms, existential ones their special constants (aliased
+    by the witness name, each appended to record as (alias, constant)).
+    With an empty directive this is the identity.
+
+    One top-down walk with an accumulating binding does it.  A conjunction
+    and a disjunction are walked left side first.  Not(Exists x B) takes the
+    next term for x and goes on into its instance body, C for B = Not(C)
+    and Not(B) otherwise.  Exists x B takes the special constant of
+    Exists x B under the binding so far and goes on into B.  Any other node
+    is a leaf.  Once the directive is used up, each remaining subtree gets
+    the binding by one substitution without the capture check: every bound
+    term is variable free (terms are checked, special constants closed), so
+    no quantifier can capture a variable of it."""
     if free_vars(f):
         raise CheckError("special cases apply to closed formulas")
-    cur = f
-    for idx, (kind, payload) in enumerate(directive.steps):
-        loc = leftmost_quantifier(cur)
-        if loc is None:
-            raise CheckError(f"directive longer than quantifier prefix (step {idx + 1})")
-        qkind, path = loc
+    steps = directive.steps
+    used = 0  # steps taken so far
+
+    def leaf(g, binding):
+        return subst(g, binding, check=False) if binding else g
+
+    def walk(g, binding):
+        nonlocal used
+        if used == len(steps):
+            return leaf(g, binding)
+        pair = as_and(g)
+        if pair is not None:
+            a = walk(pair[0], binding)
+            return fand(a, walk(pair[1], binding))
+        if isinstance(g, Or):
+            left = walk(g.left, binding)
+            return Or(left, walk(g.right, binding))
+        universal = isinstance(g, Not) and isinstance(g.body, Exists)
+        if not universal and not isinstance(g, Exists):
+            return leaf(g, binding)
+        kind, payload = steps[used]
+        used += 1
         if kind == "term":
-            if qkind != "A":
-                raise CheckError(
-                    f"term argument at existential position (step {idx + 1})"
-                )
+            if not universal:
+                raise CheckError(f"term argument at existential position (step {used})")
             if not sx.is_variable_free(payload):
                 raise CheckError("special-case terms must be variable free")
-            node = sx.node_at(cur, path)  # Not(Exists(x, M))
-            e = node.body
-            inner = e.body
-            if isinstance(inner, Not):
-                repl = subst(inner.body, {e.var: payload})
-            else:
-                repl = Not(subst(inner, {e.var: payload}))
-            cur = sx.replace_at(cur, path, repl)
-        elif kind == "witness":
-            if qkind != "E":
-                raise CheckError(
-                    f"witness name at universal position (step {idx + 1})"
-                )
-            e = sx.node_at(cur, path)
+            e = g.body
+            binding = {**binding, e.var: payload}
+            if isinstance(e.body, Not):
+                return walk(e.body.body, binding)
+            return walk(Not(e.body), binding)
+        if kind == "witness":
+            if universal:
+                raise CheckError(f"witness name at universal position (step {used})")
+            e = leaf(g, binding)  # Exists(x, body under the binding so far)
             r = special_constant(e, payload)
             if record is not None:
                 record.append((payload, r))
-            cur = sx.replace_at(cur, path, subst(e.body, {e.var: r}))
-        else:
-            raise CheckError(f"unknown directive step kind {kind!r}")
-    return cur
+            return walk(e.body, {e.var: r})
+        raise CheckError(f"unknown directive step kind {kind!r}")
+
+    out = walk(f, {})
+    if used < len(steps):
+        raise CheckError(f"directive longer than quantifier prefix (step {used + 1})")
+    return out

@@ -478,6 +478,9 @@ def load_theory(path: Optional[Path] = None) -> TheoryBundle:
             continue
         m = re.match(r"phi\s+([a-z0-9_']+)\s*:\s*([a-z0-9_']+)$", line)
         if m:
+            first = next((n for label, _, n in pending_phi if label == m.group(1)), None)
+            if first is not None:
+                raise ParseError(f"phi {m.group(1)} repeats the label of line {first}", lineno, 1)
             pending_phi.append((m.group(1), m.group(2), lineno))
             continue
         if line == "bsi":

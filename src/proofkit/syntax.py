@@ -881,14 +881,17 @@ class _Reader:
     def __init__(self, text: str):
         self.text = text
         self.toks: list[tuple[str, int, int]] = []
-        line, col = 1, 1
-        i = 0
+        # a token holds no newline, so only the gap before it can start a
+        # line; line_start is the index of the current line's first character
+        line, line_start, end = 1, 0, 0
         for m in _TOKEN.finditer(text):
-            seg = text[i : m.start()]
-            line += seg.count("\n")
-            col = m.start() - text.rfind("\n", 0, m.start())
-            self.toks.append((m.group(0), line, col))
-            i = m.start()
+            start = m.start()
+            breaks = text.count("\n", end, start)
+            if breaks:
+                line += breaks
+                line_start = text.rfind("\n", end, start) + 1
+            self.toks.append((m.group(0), line, start - line_start + 1))
+            end = m.end()
         self.pos = 0
 
     def peek(self):

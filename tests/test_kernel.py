@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -366,7 +370,7 @@ def test_extract_special_sequence_toy():
     assert core.sequence_valid(seq)
 
 
-def test_sequence_valid_past_the_truth_table_guard():
+def test_sequence_valid_on_25_atoms_and_an_exhausted_budget():
     atoms = [Atom(PredSym(f"a{i}", 0)) for i in range(25)]
     valid = core.SpecialSequence(tuple(atoms) + (Not(atoms[0]),))
     invalid = core.SpecialSequence(tuple(atoms))
@@ -576,6 +580,54 @@ def _check_explicit(reg, goal, *steps):
     return check_script(reg, script)
 
 
+def test_an_existential_conjunct_takes_a_witness_not_a_term():
+    # a true axiom whose first conjunct is an existential; read as a
+    # universal, `use tex ; eps` gave the false -[eps = eps v eps != eps],
+    # from which the false goal followed
+    reg = _explicit_registry(tex="(and (exists y (not (= y eps))) (= eps eps))")
+    (bogus,) = parse_script_file(
+        "theorem bogus : (= (s0 eps) eps)\nproof\n  H\n  use tex ; eps\nqed\n"
+    )
+    v = check_script(reg, bogus)
+    assert not v.ok and v.message == "term argument at existential position (step 1)"
+    (script,) = parse_script_file("theorem t : (q eps)\nproof\n  H\n  use tex : w\nqed\n")
+    instance = ks.elaborate_citation(reg, script.lines[0], {})
+    assert sx.render(instance, "infix-pretty") == "w != eps & eps = eps"
+    # the generated proof reads the conjunction the same way, and checks
+    base = nf.to_negation_form(reg.lookup("tex").statement)
+    directive = nf.SpecialCaseDirective((("witness", "w"),))
+    out, proof, idx = special_case_proof(base, directive)
+    assert out == instance == nf.special_case(base, directive)
+    assert proof.lines[idx].formula == sx.fimp(base, out)
+    assert check_proof(TOY, proof).ok
+
+
+def test_citations_share_one_prepared_base_per_statement_and_direction():
+    reg = _toy_registry()
+    (s,) = parse_script_file(
+        "theorem d : (p x x)\nproof\n  H : x\n"
+        "  use ax1 ; x\n  use ax1 ; eps\n  use ax2 ; x\n  use dd.fw ; x ; x : w\n"
+        "  use dd.bw ; x ; x\n  use dd.fw ; eps ; eps : v\n  use ax2 ; x\nqed\n"
+    )
+    assert check_script(reg, s).ok
+    bases = [("ax1", None), ("ax2", None), ("dd", "fw"), ("dd", "bw")]
+    assert list(reg.bases) == bases
+    # an unchecked theorem and a direction on a non-biconditional are
+    # refused at every citation, and nothing is stored for them
+    reg.add_theorem("later", parse("(q (pd x))"))
+    uses = {}
+    for line, message in (("use later ; eps", "unchecked"), ("use ax1.fw ; eps", "direction marker")):
+        (bad,) = parse_script_file(f"theorem b : (q eps)\nproof\n  H\n  {line}\nqed\n")
+        uses[message] = bad.lines[0]
+        for _ in range(2):
+            with pytest.raises(CheckError, match=message):
+                ks.elaborate_citation(reg, uses[message], {})
+    assert list(reg.bases) == bases
+    reg.lookup("later").checked = True
+    assert ks.elaborate_citation(reg, uses["unchecked"], {}) == parse("(q (pd eps))")
+    assert list(reg.bases) == bases + [("later", None)]
+
+
 def test_explicit_mutations_fail_with_their_own_message():
     reg = _explicit_registry(ax1="(q x)", ax3="(or (not (q x)) (p x x))")
     good = ("special ax1 ; eps", "special ax3 ; eps", "resolve 2 3")
@@ -722,6 +774,14 @@ def test_one_proof_block_per_theorem(blocks, line):
         parse_script_file(f"theorem t1 : (q eps)\n{blocks}qed\n")
 
 
+def test_registry_refuses_a_repeated_phi_label():
+    reg = _toy_registry()
+    reg.register_phi("b1", parse("(q x)"))
+    with pytest.raises(CheckError, match=r"^duplicate phi label 'b1'$"):
+        reg.register_phi("b1", parse("(q (s0 x))"))
+    assert reg.phi_formulas["b1"] == parse("(q x)")
+
+
 def test_bsi_template_shape():
     t = bsi_template()
     assert sx.free_vars(t) == ("x",)
@@ -747,6 +807,41 @@ def test_every_corpus_segment_refutation_replays(monkeypatch):
         res = pc.ground_refute(inputs, budget)
         assert isinstance(res, pc.Refutation)
         assert pc.replay(res, inputs)
+
+
+# The SHA-256 of each corpus script's label, verdict and `spent`, and of
+# each of its instances rendered in both styles together with the subscript
+# and alias of every special constant appearing in it, the scripts checked
+# in dependency order.  It was recorded while each citation was still
+# instantiated one leftmost quantifier at a time.  A special constant keeps
+# the alias it was first made with, so the corpus is checked in a fresh
+# interpreter, where no earlier test has made one, at a fixed hash seed.
+CORPUS_ELABORATION_DIGEST = "ef6e3292fd7ffb87808e3f52ba8ecd676925a8848758a1a1363e6d44cb836609"
+
+_CORPUS_ELABORATION = """
+import hashlib
+from proofkit import stringarith, syntax as sx
+
+report = stringarith.check_corpus(stringarith.load_theory())
+digest = hashlib.sha256()
+for e in report.entries:
+    digest.update(f"{e.label} {e.ok} {e.spent}\\n".encode())
+    for inst in e.instances:
+        consts = sorted((sx.render(c.subscript), c.alias) for c in sx.appearing_constants(inst))
+        pretty = sx.render(inst, "infix-pretty")
+        digest.update(f"{sx.render(inst)} | {pretty} | {consts}\\n".encode())
+print(len(report.entries), report.ok, digest.hexdigest())
+"""
+
+
+def test_corpus_elaboration_is_pinned():
+    src = Path(stringarith.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
+    out = subprocess.run(
+        [sys.executable, "-c", _CORPUS_ELABORATION],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert out == ["76", "True", CORPUS_ELABORATION_DIGEST]
 
 
 def test_check_proof_reports_an_exhausted_budget_as_such():

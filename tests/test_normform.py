@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -209,6 +210,99 @@ def test_special_case_errors():
         nf.special_case(
             f, nf.SpecialCaseDirective((("term", Var("v")),))
         )
+
+
+def test_special_case_reads_a_conjunction_as_a_connective():
+    # an existential conjunct is an existential: some y differs from eps
+    e = App(EPS)
+    ex = Exists("y", Not(sx.eq(Var("y"), e)))
+    f = sx.fand(ex, sx.fall("x", qx()))
+    assert nf.leftmost_quantifier(f) == ("E", (0, 0, 0))
+    d = nf.SpecialCaseDirective((("witness", "w"), ("term", e)))
+    w = sx.special_constant(ex, "w")
+    assert nf.special_case(f, d) == sx.fand(Not(sx.eq(w, e)), Atom(Q, (e,)))
+    for steps, message in (
+        ((("term", e),), r"term argument at existential position \(step 1\)"),
+        ((("witness", "w"), ("witness", "v")), r"witness name at universal position \(step 2\)"),
+        (d.steps + (("term", e),), r"directive longer than quantifier prefix \(step 3\)"),
+    ):
+        with pytest.raises(CheckError, match=f"^{message}$"):
+            nf.special_case(f, nf.SpecialCaseDirective(steps))
+
+
+def test_special_case_binds_each_variable_in_its_own_scope():
+    # forall x [forall x q(x) & p(x, x)]: the inner x takes the second term,
+    # and the right conjunct still reads the outer one
+    e, s0e = App(EPS), App(sx.S0, (App(EPS),))
+    f = sx.fall("x", sx.fand(sx.fall("x", qx()), Atom(R2, (Var("x"), Var("x")))))
+    d = nf.SpecialCaseDirective((("term", e), ("term", s0e)))
+    assert nf.special_case(f, d) == sx.fand(Atom(Q, (s0e,)), Atom(R2, (e, e)))
+
+
+def _one_quantifier_at_a_time(f, steps):
+    """special_case's reference: find the leftmost quantifier from the root
+    and replace it, once per step."""
+    cur = f
+    for k, (kind, payload) in enumerate(steps, 1):
+        loc = nf.leftmost_quantifier(cur)
+        if loc is None:
+            raise CheckError(f"directive longer than quantifier prefix (step {k})")
+        qkind, path = loc
+        node = sx.node_at(cur, path)
+        if kind == "term":
+            if qkind != "A":
+                raise CheckError(f"term argument at existential position (step {k})")
+            e = node.body
+            body = e.body.body if isinstance(e.body, Not) else Not(e.body)
+            repl = sx.subst(body, {e.var: payload})
+        else:
+            if qkind != "E":
+                raise CheckError(f"witness name at universal position (step {k})")
+            repl = sx.subst(node.body, {node.var: sx.special_constant(node, payload)})
+        cur = sx.replace_at(cur, path, repl)
+    return cur
+
+
+def _quantified_formulas():
+    names = st.sampled_from(["x", "y", "z"])
+    term = st.one_of(names.map(Var), st.just(App(EPS)))
+    atoms = st.one_of(
+        term.map(lambda t: Atom(Q, (t,))),
+        st.tuples(term, term).map(lambda p: Atom(R2, p)),
+    )
+    return st.recursive(
+        atoms,
+        lambda c: st.one_of(
+            c.map(Not),
+            st.tuples(c, c).map(lambda p: Or(*p)),
+            st.tuples(c, c).map(lambda p: sx.fand(*p)),
+            st.tuples(names, c).map(lambda p: Exists(*p)),
+            st.tuples(names, c).map(lambda p: sx.fall(*p)),
+        ),
+        max_leaves=7,
+    )
+
+
+_directive_steps = st.lists(
+    st.one_of(
+        st.sampled_from([App(EPS), App(sx.S0, (App(EPS),))]).map(lambda t: ("term", t)),
+        st.sampled_from(["w1", "w2", "w3"]).map(lambda w: ("witness", w)),
+    ),
+    max_size=5,
+).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_quantified_formulas(), _directive_steps)
+def test_special_case_is_one_quantifier_at_a_time(f, steps):
+    base = nf.to_negation_form(sx.closure(f))
+    try:
+        want = _one_quantifier_at_a_time(base, steps)
+    except CheckError as e:
+        with pytest.raises(CheckError, match=f"^{re.escape(str(e))}$"):
+            nf.special_case(base, nf.SpecialCaseDirective(steps))
+    else:
+        assert nf.special_case(base, nf.SpecialCaseDirective(steps)) == want
 
 
 def test_special_case_closed_when_directive_exhausts_prefix():

@@ -692,6 +692,18 @@ def test_theory_file_refuses_a_repeated_definiens(tmp_path):
         with pytest.raises(ParseError, match=r"definition d2 repeats the definiens of d1 at 4:1$"):
             sa.load_theory(path)
 
+def test_theory_file_refuses_a_repeated_phi_label(tmp_path):
+    # the second line would rebind b1, and with it every BSI citation of b1
+    path = tmp_path / "phi.th"
+    path.write_text(
+        "theory T\naxiom a1 : (not (= (s0 x) eps))\n"
+        "define pred d1 p1 : (= x eps)\ndefine pred d2 p2 : (= (s0 x) eps)\n"
+        "phi b1 : p1\nphi c1 : p2\nphi b1 : p2\n"
+    )
+    with pytest.raises(ParseError, match=r"^phi b1 repeats the label of line 5 at 7:1$"):
+        sa.load_theory(path)
+
+
 def test_theory_file_with_axioms_only(tmp_path):
     path = tmp_path / "axioms.th"
     path.write_text("theory T\naxiom a1 : (not (= (s0 x) eps))\naxiom a6 : (= (cat eps x) x)\n")

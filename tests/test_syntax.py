@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,6 +101,34 @@ def test_parse_errors_have_locations():
     assert "expects" in str(e.value)
     with pytest.raises(ParseError):
         parse("(unknownop x)")
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    ("(= eps\n   (s0 eps))\n  )", "trailing input ')'", 3, 3),
+    ("(or (q eps)\n\t(= (s0 eps)\n      (foo eps)))", "unknown function symbol 'foo'", 3, 8),
+    ("\n\n  (= eps", "unclosed parenthesis", 3, 3),
+    ("(q eps)\n\n(q", "trailing input '('", 3, 1),
+], ids=["trailing", "unknown-symbol", "unclosed", "blank-line"])
+def test_parse_error_line_and_column_on_multi_line_input(text, message, line, col):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (str(e.value), e.value.line, e.value.col) == (f"{message} at {line}:{col}", line, col)
+
+
+def test_tokens_of_one_long_line_cost_linear_time():
+    # each token once: 80,000 tokens on one line take no longer than the same
+    # tokens one per line, up to noise (a rescan to the line's start per
+    # token made the one line about five times slower)
+    def best(text):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            sx._Reader(text)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    tokens = ["abcdefgh"] * 80_000
+    assert best(" ".join(tokens)) < 2 * best("\n".join(tokens))
 
 
 @settings(max_examples=300, deadline=None)
