@@ -49,8 +49,7 @@ class Registry:
     registry the induction schema draws from.  `bases` holds the prepared
     forms that citations instantiate, each made the first time it is asked
     for (`prepared`): under (label, direction) a cited statement's negation
-    form, under ("BSI", phi label) the induction instance's, and under
-    (label, "normal form") the normal form a `special` step reads."""
+    form and under ("BSI", phi label) the induction instance's."""
 
     def __init__(self, symbols: sx.SymbolTable):
         self.symbols = symbols
@@ -84,7 +83,6 @@ class Registry:
 
     def enable_bsi(self, template: Formula):
         self.bsi_template = template
-        self.bases = {k: v for k, v in self.bases.items() if k[0] != "BSI"}
 
     def lookup(self, label: str) -> Entry:
         got = self.entries.get(label)
@@ -507,10 +505,7 @@ def _replay_explicit(registry, script, statement: Formula) -> list:
             entry = registry.lookup(label)
             if entry.kind != "axiom":
                 raise CheckError("special steps cite nonlogical axioms only")
-            base = registry.prepared(
-                (label, "normal form"),
-                lambda: nform.to_normal_form(closure(entry.statement)),
-            )
+            base = nform.to_normal_form(closure(entry.statement))
             parts = sx.conjuncts(_special_case(registry, base, items, env))
             if k is not None:
                 if not 1 <= k <= len(parts):

@@ -478,9 +478,6 @@ def load_theory(path: Optional[Path] = None) -> TheoryBundle:
             continue
         m = re.match(r"phi\s+([a-z0-9_']+)\s*:\s*([a-z0-9_']+)$", line)
         if m:
-            first = next((n for label, _, n in pending_phi if label == m.group(1)), None)
-            if first is not None:
-                raise ParseError(f"phi {m.group(1)} repeats the label of line {first}", lineno, 1)
             pending_phi.append((m.group(1), m.group(2), lineno))
             continue
         if line == "bsi":
@@ -502,7 +499,11 @@ def load_theory(path: Optional[Path] = None) -> TheoryBundle:
         if p.arity != 1:
             message = f"phi {phi_label} needs a unary predicate; {pred_name} expects {p.arity} arguments"
             raise ParseError(message, lineno, 1)
-        registry.register_phi(phi_label, Atom(p, (Var("x"),)))
+        try:
+            registry.register_phi(phi_label, Atom(p, (Var("x"),)))
+        except CheckError:  # the registry refuses a repeated label
+            first = next(n for label, _, n in pending_phi if label == phi_label)
+            raise ParseError(f"phi {phi_label} repeats the label of line {first}", lineno, 1) from None
     return bundle
 
 
