@@ -220,9 +220,18 @@ def cmd_rm_run(args) -> int:
 
 
 def cmd_rm_kbound(args) -> int:
-    got = machines.k_upper_bound(args.target, args.len_cap, _budget(args, machines.KBOUND_BUDGET))
+    budget = _budget(args, machines.KBOUND_BUDGET)
+    search = machines.k_search(args.target, args.len_cap, budget)
+    got = search.bound
     if got is None:
-        _emit(args, {"ok": False, "found": False}, ["no machine found under the caps"])
+        _emit(
+            args,
+            {"ok": False, "found": False, "budget_cut": search.budget_cut},
+            [
+                "no machine found under the caps",
+                f"runs cut off by the {budget}-step budget: {search.budget_cut}",
+            ],
+        )
         return 1
     payload = {
         "ok": True,

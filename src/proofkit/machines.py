@@ -392,7 +392,7 @@ class KBound:
     encoding: str
 
 
-KBOUND_BUDGET = 200  # steps per machine run in k_upper_bound
+KBOUND_BUDGET = 200  # steps per machine run in k_search
 
 
 def _halt_reachable(m: Machine) -> bool:
@@ -411,10 +411,12 @@ def _halt_reachable(m: Machine) -> bool:
     return False
 
 
-def _halting_output(m: Machine, budget: int) -> Optional[str]:
-    """The output of run(m, [], budget) if that run halts, else None.  The
-    run stops early at its first repeated configuration: step is
-    deterministic, so from there the machine loops and never halts."""
+def _halting_output(m: Machine, budget: int) -> tuple[Optional[str], bool]:
+    """The output of run(m, [], budget) if that run halts, else None, and
+    whether the budget ended the run before it halted or repeated a
+    configuration.  The run stops early at its first repeated
+    configuration: step is deterministic, so from there the machine loops
+    and never halts."""
     c = initial_configuration(m, [])
     seen = set()
     for _ in range(budget):
@@ -422,29 +424,53 @@ def _halting_output(m: Machine, budget: int) -> Optional[str]:
             break
         seen.add(c)
         c = step(m, c)
-    return c.registers[-1] if c.state == m.states else None
+    if c.state == m.states:
+        return c.registers[-1], False
+    return None, c not in seen
 
 
-def k_upper_bound(target: str, len_cap: int = 16, budget: int = KBOUND_BUDGET) -> Optional[KBound]:
+@dataclass
+class KSearch:
+    """What k_search found: the bound, None when there is none, and how many
+    runs the step budget cut off.  With no bound, a cut-off count of 0
+    means no machine within the cap outputs the target; any other count
+    means none did within the budget, and a longer run might."""
+
+    bound: Optional[KBound]
+    budget_cut: int
+
+
+def k_search(target: str, len_cap: int = 16, budget: int = KBOUND_BUDGET) -> KSearch:
     """Run the machine encodings of at most len_cap bits in the order of
-    encodings(), by length then lexicographically; return the first (hence
-    shortest under this encoding) that halts within budget steps with the
-    target in its output register.  Each machine is built from the fields
-    its encoding is assembled from, and no encoding is decoded; the result
-    is the one a scan decoding every bit string in that order would find.
-    An upper bound only.
+    encodings(), by length then lexicographically; the bound is the first
+    (hence shortest under this encoding) that halts within budget steps
+    with the target in its output register.  Each machine is built from
+    the fields its encoding is assembled from, and no encoding is decoded;
+    the result is the one a scan decoding every bit string in that order
+    would find.  An upper bound only.
 
     Two prunes skip machines that never halt, and so leave the result
     unchanged: a machine whose halt state is unreachable from state 1 in
     its command graph is not run, and a run stops at its first repeated
     (state, registers) configuration.  Both are sound because step is
-    deterministic."""
+    deterministic, and neither counts as a budget cut-off."""
     if not _is_bit_string(target):
         raise CheckError(f"target must be a bit string, got {target!r}")
+    cut = 0
     for bits, m in _machines(len_cap):
-        if _halt_reachable(m) and _halting_output(m, budget) == target:
-            return KBound(len(bits), m, bits)
-    return None
+        if not _halt_reachable(m):
+            continue
+        output, was_cut = _halting_output(m, budget)
+        if output == target:
+            return KSearch(KBound(len(bits), m, bits), cut)
+        cut += was_cut
+    return KSearch(None, cut)
+
+
+def k_upper_bound(target: str, len_cap: int = 16, budget: int = KBOUND_BUDGET) -> Optional[KBound]:
+    """k_search's bound: the shortest machine found that outputs the target,
+    None when there is none."""
+    return k_search(target, len_cap, budget).bound
 
 
 # ---------------------------------------------------------------------------

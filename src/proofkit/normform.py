@@ -183,7 +183,11 @@ class FrozenResult:
 def freeze(f: Formula, names: Optional[Sequence[str]] = None) -> FrozenResult:
     """Replace the closure prefix by witness constants: each x_k becomes the
     special constant for  exists x_k not A_k  (so the result is closed and
-    provably equivalent to the closure)."""
+    provably equivalent to the closure).
+
+    Each substitution skips the capture check: the bound term is a special
+    constant, which has a closed subscript and no variable occurrence of
+    its own, so no quantifier of the body can capture anything in it."""
     order = free_vars(f)
     if names is None:
         names = order
@@ -199,7 +203,7 @@ def freeze(f: Formula, names: Optional[Sequence[str]] = None) -> FrozenResult:
         body = pair[1]
         r = special_constant(Exists(x, Not(body)), alias)
         witnesses.append((x, r))
-        cur = subst(body, {x: r})
+        cur = subst(body, {x: r}, check=False)
     return FrozenResult(cur, tuple(witnesses))
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from operator import is_not as _is_not
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -24,16 +24,31 @@ from .errors import ArityError, CaptureError, ParseError
 # symbols
 
 
-@dataclass(frozen=True)
-class FnSym:
-    name: str
-    arity: int
+class _Symbol:
+    """A function or predicate symbol: a frozen dataclass whose hash, the
+    one the generated dataclass hash would return, is stored once, since
+    every App or Atom built hashes its symbol.  Each symbol class names
+    `__hash__` in its body, so that the dataclass decorator keeps it."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.name, self.arity)))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)
-class PredSym:
+class FnSym(_Symbol):
     name: str
     arity: int
+    __hash__ = _Symbol.__hash__
+
+
+@dataclass(frozen=True)
+class PredSym(_Symbol):
+    name: str
+    arity: int
+    __hash__ = _Symbol.__hash__
 
 
 EQ = PredSym("=", 2)
@@ -58,14 +73,18 @@ class Language:
     zero: FnSym
 
     def __post_init__(self):
-        names = [s.name for s in self.functions + self.predicates]
-        if len(set(names)) != len(names):
+        # fn and pred look a name up in these tables
+        fns = {f.name: f for f in self.functions}
+        preds = {p.name: p for p in self.predicates}
+        if len(fns.keys() | preds.keys()) != len(self.functions) + len(self.predicates):
             raise ArityError("duplicate symbol names in language")
+        object.__setattr__(self, "_fns", fns)
+        object.__setattr__(self, "_preds", preds)
         if self.zero not in self.functions:
             raise ArityError("language must contain its distinguished constant")
         if self.zero.arity != 0:
             raise ArityError("distinguished constant must have index 0")
-        if any(p.name == "=" for p in self.predicates):
+        if "=" in preds:
             raise ArityError("= is logical and never part of a language")
 
     def extend(self, functions=(), predicates=()):
@@ -76,16 +95,10 @@ class Language:
         )
 
     def fn(self, name):
-        for f in self.functions:
-            if f.name == name:
-                return f
-        return None
+        return self._fns.get(name)
 
     def pred(self, name):
-        for p in self.predicates:
-            if p.name == name:
-                return p
-        return None
+        return self._preds.get(name)
 
 
 # ---------------------------------------------------------------------------
@@ -102,22 +115,35 @@ class Formula:
 
 def _node(cls):
     """Make `cls` a frozen, slotted dataclass hashed by a stored `_hash`
-    field, which its `__post_init__` sets once to the hash of the tuple of
-    its compare fields (the value the generated dataclass hash returns).
-    Children are built first, so that costs O(arity), never a tree walk."""
+    field, set once to the hash of the tuple of its compare fields (the
+    value the generated dataclass hash returns).  Children are built
+    first, so that costs O(arity), never a tree walk.
+
+    The class writes its own `__init__`: it makes the class's checks, then
+    stores each field and `_hash` through the setters `_setters` returns,
+    which write the slots past the frozen `__setattr__`."""
     cls.__annotations__["_hash"] = int
     cls._hash = field(init=False, repr=False, compare=False)
-    cls = dataclass(frozen=True, slots=True)(cls)
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
     cls.__hash__ = lambda node: node._hash
     return cls
+
+
+def _setters(cls):
+    """The `__set__` of each field's slot of a `_node` class, `_hash`'s last."""
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
 
 
 @_node
 class Var(Term):
     name: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.name,)))
+    def __init__(self, name):
+        _var_name(self, name)
+        _var_hash(self, hash((name,)))
+
+
+_var_name, _var_hash = _setters(Var)
 
 
 @_node
@@ -125,10 +151,15 @@ class App(Term):
     fn: FnSym
     args: tuple[Term, ...] = ()
 
-    def __post_init__(self):
-        if len(self.args) != self.fn.arity:
-            raise ArityError(f"{self.fn.name} expects {self.fn.arity} arguments")
-        object.__setattr__(self, "_hash", hash((self.fn, self.args)))
+    def __init__(self, fn, args=()):
+        if len(args) != fn.arity:
+            raise ArityError(f"{fn.name} expects {fn.arity} arguments")
+        _app_fn(self, fn)
+        _app_args(self, args)
+        _app_hash(self, hash((fn, args)))
+
+
+_app_fn, _app_args, _app_hash = _setters(App)
 
 
 @_node
@@ -139,12 +170,17 @@ class SpecialConst(Term):
     subscript: "Formula"
     alias: Optional[str] = field(default=None, compare=False)
 
-    def __post_init__(self):
-        if not isinstance(self.subscript, Exists):
+    def __init__(self, subscript, alias=None):
+        if not isinstance(subscript, Exists):
             raise ArityError("special-constant subscript must be an instantiation")
-        if free_vars(self.subscript):
+        if free_vars(subscript):
             raise ArityError("special-constant subscript must be closed")
-        object.__setattr__(self, "_hash", hash((self.subscript,)))
+        _sc_subscript(self, subscript)
+        _sc_alias(self, alias)
+        _sc_hash(self, hash((subscript,)))
+
+
+_sc_subscript, _sc_alias, _sc_hash = _setters(SpecialConst)
 
 
 @_node
@@ -152,18 +188,27 @@ class Atom(Formula):
     pred: PredSym
     args: tuple[Term, ...] = ()
 
-    def __post_init__(self):
-        if len(self.args) != self.pred.arity:
-            raise ArityError(f"{self.pred.name} expects {self.pred.arity} arguments")
-        object.__setattr__(self, "_hash", hash((self.pred, self.args)))
+    def __init__(self, pred, args=()):
+        if len(args) != pred.arity:
+            raise ArityError(f"{pred.name} expects {pred.arity} arguments")
+        _atom_pred(self, pred)
+        _atom_args(self, args)
+        _atom_hash(self, hash((pred, args)))
+
+
+_atom_pred, _atom_args, _atom_hash = _setters(Atom)
 
 
 @_node
 class Not(Formula):
     body: Formula
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.body,)))
+    def __init__(self, body):
+        _not_body(self, body)
+        _not_hash(self, hash((body,)))
+
+
+_not_body, _not_hash = _setters(Not)
 
 
 @_node
@@ -171,8 +216,13 @@ class Or(Formula):
     left: Formula
     right: Formula
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+    def __init__(self, left, right):
+        _or_left(self, left)
+        _or_right(self, right)
+        _or_hash(self, hash((left, right)))
+
+
+_or_left, _or_right, _or_hash = _setters(Or)
 
 
 @_node
@@ -180,8 +230,13 @@ class Exists(Formula):
     var: str
     body: Formula
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.var, self.body)))
+    def __init__(self, var, body):
+        _exists_var(self, var)
+        _exists_body(self, body)
+        _exists_hash(self, hash((var, body)))
+
+
+_exists_var, _exists_body, _exists_hash = _setters(Exists)
 
 
 Node = Union[Term, Formula]
@@ -877,48 +932,51 @@ _TOKEN = re.compile(r"\(|\)|[^\s()]+")
 _IDENT = re.compile(r"[a-z][a-z0-9_']*$")
 
 
+class _Misread(Exception):
+    """A parse error as (message, index of the token it is at).  `parse`
+    raises it again as a ParseError at the token's line and column, which
+    are worked out only then."""
+
+
 class _Reader:
+    """A text's tokens, read one s-expression at a time.  An s-expression
+    is (body, index): the body is a token or the list of the s-expressions
+    between a parenthesis and its match, and the index is that of its
+    first token."""
+
     def __init__(self, text: str):
         self.text = text
-        self.toks: list[tuple[str, int, int]] = []
-        # a token holds no newline, so only the gap before it can start a
-        # line; line_start is the index of the current line's first character
-        line, line_start, end = 1, 0, 0
-        for m in _TOKEN.finditer(text):
-            start = m.start()
-            breaks = text.count("\n", end, start)
-            if breaks:
-                line += breaks
-                line_start = text.rfind("\n", end, start) + 1
-            self.toks.append((m.group(0), line, start - line_start + 1))
-            end = m.end()
+        self.toks = _TOKEN.findall(text)
         self.pos = 0
 
+    def where(self, index: int) -> tuple[int, int]:
+        """The line and column, both counted from 1, of the index-th token."""
+        offset = next(itertools.islice(_TOKEN.finditer(self.text), index, None)).start()
+        line_start = self.text.rfind("\n", 0, offset) + 1
+        return self.text.count("\n", 0, line_start) + 1, offset - line_start + 1
+
     def peek(self):
+        """The next token, None at the end."""
         return self.toks[self.pos] if self.pos < len(self.toks) else None
 
-    def next(self):
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of input")
-        self.pos += 1
-        return t
-
     def read_sexpr(self):
-        tok, line, col = self.next()
+        toks, start = self.toks, self.pos
+        if start == len(toks):
+            raise ParseError("unexpected end of input")
+        tok = toks[start]
+        self.pos += 1
         if tok == "(":
             items = []
             while True:
-                nxt = self.peek()
-                if nxt is None:
-                    raise ParseError("unclosed parenthesis", line, col)
-                if nxt[0] == ")":
-                    self.next()
-                    return (items, line, col)
+                if self.pos == len(toks):
+                    raise _Misread("unclosed parenthesis", start)
+                if toks[self.pos] == ")":
+                    self.pos += 1
+                    return (items, start)
                 items.append(self.read_sexpr())
         if tok == ")":
-            raise ParseError("unbalanced ')'", line, col)
-        return (tok, line, col)
+            raise _Misread("unbalanced ')'", start)
+        return (tok, start)
 
 
 class SymbolTable:
@@ -954,7 +1012,7 @@ class SymbolTable:
 
 
 def _parse_term(sx, symbols: SymbolTable, env: Mapping[str, Term]):
-    body, line, col = sx
+    body, index = sx
     if isinstance(body, str):
         if body in env:
             return env[body]
@@ -964,54 +1022,54 @@ def _parse_term(sx, symbols: SymbolTable, env: Mapping[str, Term]):
                 raise ArityError(f"{body} expects {f.arity} arguments")
             return App(f)
         if not _IDENT.match(body):
-            raise ParseError(f"bad identifier {body!r}", line, col)
+            raise _Misread(f"bad identifier {body!r}", index)
         if symbols.pred(body) is not None:
-            raise ParseError(f"{body} is a predicate symbol, not a term", line, col)
+            raise _Misread(f"{body} is a predicate symbol, not a term", index)
         return Var(body)
     if not body:
-        raise ParseError("empty term", line, col)
-    head, hline, hcol = body[0]
+        raise _Misread("empty term", index)
+    head, head_index = body[0]
     if not isinstance(head, str):
-        raise ParseError("term must start with a symbol", hline, hcol)
+        raise _Misread("term must start with a symbol", head_index)
     if head == "sc":
         if len(body) != 2:
-            raise ParseError("sc takes one subscript formula", line, col)
+            raise _Misread("sc takes one subscript formula", index)
         sub = _parse_formula(body[1], symbols, env)
         if not isinstance(sub, Exists) or free_vars(sub):
-            raise ParseError("sc subscript must be a closed instantiation", line, col)
+            raise _Misread("sc subscript must be a closed instantiation", index)
         return special_constant(sub)
     f = symbols.fn(head)
     if f is None:
-        raise ParseError(f"unknown function symbol {head!r}", hline, hcol)
+        raise _Misread(f"unknown function symbol {head!r}", head_index)
     args = body[1:]
     if len(args) != f.arity:
-        raise ParseError(
-            f"{head} expects {f.arity} arguments, got {len(args)}", line, col
+        raise _Misread(
+            f"{head} expects {f.arity} arguments, got {len(args)}", index
         )
     return App(f, tuple(_parse_term(a, symbols, env) for a in args))
 
 
 def _parse_formula(sx, symbols: SymbolTable, env: Mapping[str, Term]):
-    body, line, col = sx
+    body, index = sx
     if isinstance(body, str):
         p = symbols.pred(body)
         if p is None:
             p = symbols.auto_pred(body, 0)
         if p is not None:
             if p.arity != 0:
-                raise ParseError(f"{body} expects {p.arity} arguments", line, col)
+                raise _Misread(f"{body} expects {p.arity} arguments", index)
             return Atom(p)
-        raise ParseError(f"expected a formula, got {body!r}", line, col)
+        raise _Misread(f"expected a formula, got {body!r}", index)
     if not body:
-        raise ParseError("empty formula", line, col)
-    head, hline, hcol = body[0]
+        raise _Misread("empty formula", index)
+    head, head_index = body[0]
     if not isinstance(head, str):
-        raise ParseError("formula must start with an operator", hline, hcol)
+        raise _Misread("formula must start with an operator", head_index)
     args = body[1:]
 
     def need(n):
         if len(args) != n:
-            raise ParseError(f"{head} expects {n} arguments, got {len(args)}", line, col)
+            raise _Misread(f"{head} expects {n} arguments, got {len(args)}", index)
 
     if head == "not":
         need(1)
@@ -1032,21 +1090,21 @@ def _parse_formula(sx, symbols: SymbolTable, env: Mapping[str, Term]):
         need(2)
         vtok = args[0][0]
         if not isinstance(vtok, str) or not _IDENT.match(vtok):
-            raise ParseError("quantifier expects a variable", line, col)
+            raise _Misread("quantifier expects a variable", index)
         inner_env = {k: v for k, v in env.items() if k != vtok}
         sub = _parse_formula(args[1], symbols, inner_env)
         return Exists(vtok, sub) if head == "exists" else fall(vtok, sub)
     if head in ("exists<=", "forall<="):
         need(3)
         if symbols.order is None:
-            raise ParseError("no order symbol registered for bounded quantifiers", line, col)
+            raise _Misread("no order symbol registered for bounded quantifiers", index)
         vtok = args[0][0]
         if not isinstance(vtok, str) or not _IDENT.match(vtok):
-            raise ParseError("bounded quantifier expects a variable", line, col)
+            raise _Misread("bounded quantifier expects a variable", index)
         bound = _parse_term(args[1], symbols, env)
         if vtok in occurring_var_names(bound):
-            raise ParseError(
-                f"capture in sugar expansion: {vtok} occurs in its own bound", line, col
+            raise _Misread(
+                f"capture in sugar expansion: {vtok} occurs in its own bound", index
             )
         inner_env = {k: v for k, v in env.items() if k != vtok}
         sub = _parse_formula(args[2], symbols, inner_env)
@@ -1063,21 +1121,24 @@ def _parse_formula(sx, symbols: SymbolTable, env: Mapping[str, Term]):
     if p is not None:
         need(p.arity)
         return Atom(p, tuple(_parse_term(a, symbols, env) for a in args))
-    raise ParseError(f"unknown predicate or operator {head!r}", hline, hcol)
+    raise _Misread(f"unknown predicate or operator {head!r}", head_index)
 
 
 def parse(text: str, kind: str, symbols: SymbolTable, env: Optional[Mapping[str, Term]] = None):
     """Parse a term or formula from the parenthesized prefix grammar."""
     env = env or {}
     reader = _Reader(text)
-    sx = reader.read_sexpr()
-    if reader.peek() is not None:
-        tok, line, col = reader.peek()
-        raise ParseError(f"trailing input {tok!r}", line, col)
-    if kind == "term":
-        return _parse_term(sx, symbols, env)
-    if kind == "formula":
-        return _parse_formula(sx, symbols, env)
+    try:
+        sx = reader.read_sexpr()
+        if reader.peek() is not None:
+            raise _Misread(f"trailing input {reader.peek()!r}", reader.pos)
+        if kind == "term":
+            return _parse_term(sx, symbols, env)
+        if kind == "formula":
+            return _parse_formula(sx, symbols, env)
+    except _Misread as e:
+        message, index = e.args
+        raise ParseError(message, *reader.where(index)) from None
     raise ParseError(f"unknown parse kind {kind!r}")
 
 

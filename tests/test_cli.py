@@ -222,7 +222,9 @@ def test_rm_kbound_pins(capsys, target, cap, encoding):
     code, jout, _ = run(capsys, *argv)
     payload = json.loads(jout)
     if encoding is None:
-        assert code == 1 and payload == {"ok": False, "found": False}
+        # 22 machines of at most 16 bits neither halt nor repeat a
+        # configuration within 200 steps
+        assert code == 1 and payload == {"ok": False, "found": False, "budget_cut": 22}
     else:
         assert code == 0 and payload["encoding"] == encoding and payload["length"] == len(encoding)
 
@@ -241,19 +243,31 @@ def test_rm_kbound_default_budget(capsys, monkeypatch, tmp_path):
     """Without --budget, rm-kbound runs each machine for k_upper_bound's own
     200 steps, while rm-run keeps the 100,000-step default."""
     budgets = []
-    real = machines.k_upper_bound
+    real = machines.k_search
 
     def spy(target, len_cap, budget):
         budgets.append(budget)
         return real(target, len_cap, budget)
 
-    monkeypatch.setattr(machines, "k_upper_bound", spy)
+    monkeypatch.setattr(machines, "k_search", spy)
     code, out, _ = run(capsys, "rm-kbound", "11", "--len-cap", "14")
     assert code == 0 and out.split()[-1] == "011101010110" and budgets == [200]
     loop = tmp_path / "loop.rm"
     loop.write_text("machine i=1 m=2 k=2\nstate 1 : case 1 ? 1 1 1\n")
     code, out, _ = run(capsys, "rm-run", str(loop), "0")
     assert code == 1 and out.strip() == "budget exhausted after 100000 steps"
+
+
+def test_rm_kbound_says_how_many_runs_the_budget_cut_off(capsys):
+    code, out, _ = run(capsys, "rm-kbound", "0110", "--len-cap", "14")
+    assert code == 1
+    assert out == "no machine found under the caps\nruns cut off by the 200-step budget: 0\n"
+    code, out, _ = run(capsys, "--budget", "1", "rm-kbound", "0110", "--len-cap", "12")
+    assert code == 1
+    assert out == "no machine found under the caps\nruns cut off by the 1-step budget: 9\n"
+    argv = ("--format", "json", "--budget", "1", "rm-kbound", "0110", "--len-cap", "12")
+    code, jout, _ = run(capsys, *argv)
+    assert code == 1 and json.loads(jout) == {"ok": False, "found": False, "budget_cut": 9}
 
 
 def test_rm_subcommands(capsys, tmp_path):

@@ -179,7 +179,7 @@ def test_pruned_machines_never_halt():
             assert not outcome.halted, bits
         # a run cut at a repeated configuration returns None, as run does
         # for a machine that has not halted
-        assert rm._halting_output(m, 300) == outcome.output, bits
+        assert rm._halting_output(m, 300)[0] == outcome.output, bits
     assert unreachable == 93
 
 
@@ -216,7 +216,7 @@ REVISITING = [
 def test_halting_output_is_the_runs_output_at_every_budget(machine):
     assert rm._halt_reachable(machine)
     for budget in range(13):
-        assert rm._halting_output(machine, budget) == rm.run(machine, [], budget).output
+        assert rm._halting_output(machine, budget)[0] == rm.run(machine, [], budget).output
     assert rm.run(machine, [], 9).output == ("00" if machine is REVISITING[0] else None)
 
 
@@ -259,7 +259,7 @@ def _decoding_k_upper_bound(target, len_cap, budget):
     """k_upper_bound as a scan that decodes each encoding."""
     for bits in rm.encodings(len_cap):
         m = rm.decode_machine(bits)
-        if rm._halt_reachable(m) and rm._halting_output(m, budget) == target:
+        if rm._halt_reachable(m) and rm._halting_output(m, budget)[0] == target:
             return bits
     return None
 
@@ -288,6 +288,31 @@ def test_k_upper_bound_equals_the_decoding_scan(target, len_cap, length):
     else:
         assert len(bits) == length
         assert (got.length, got.encoding, got.machine) == (length, bits, rm.decode_machine(bits))
+
+
+def _budget_cut_runs(len_cap, budget):
+    """The runs of the decoding scan, for a target it never finds, that the
+    budget cuts off: the halt state is reachable, and the first budget
+    steps neither halt nor repeat a configuration."""
+    cut = 0
+    for bits in rm.encodings(len_cap):
+        m = rm.decode_machine(bits)
+        if not rm._halt_reachable(m):
+            continue
+        configs = [rm.initial_configuration(m, [])]
+        for _ in range(budget):
+            if configs[-1].state == m.states:
+                break
+            configs.append(rm.step(m, configs[-1]))
+        cut += configs[-1].state != m.states and len(set(configs)) == len(configs)
+    return cut
+
+
+@pytest.mark.parametrize("len_cap,budget,cut", [(12, 1, 9), (12, 200, 0), (16, 3, 22), (16, 200, 22)])
+def test_k_search_counts_the_runs_the_budget_cut_off(len_cap, budget, cut):
+    got = rm.k_search("0110", len_cap, budget)
+    assert got.bound is None and rm.k_upper_bound("0110", len_cap, budget) is None
+    assert got.budget_cut == _budget_cut_runs(len_cap, budget) == cut
 
 
 @pytest.mark.parametrize("cap,count", [(8, 21), (12, 198), (16, 1226)])

@@ -176,6 +176,28 @@ def test_unfreeze_gives_variant_of_matrix():
     assert sx.is_variant(back, f)
 
 
+def _freeze_with_capture_checks(f, names):
+    """freeze as a chain of substitutions that each make the capture check."""
+    cur, witnesses = sx.closure(f), []
+    for x, alias in zip(sx.free_vars(f), names):
+        _, body = sx.as_all(cur)
+        r = sx.special_constant(Exists(x, Not(body)), alias)
+        witnesses.append((x, r))
+        cur = sx.subst(body, {x: r}, check=True)
+    return cur, tuple(witnesses)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_freeze_equals_freezing_with_capture_checks(data):
+    f = data.draw(_quantified_formulas())
+    aliases = st.sampled_from(["x", "y", "z", "w1", "c1"])
+    names = data.draw(st.lists(aliases, min_size=len(sx.free_vars(f)), max_size=len(sx.free_vars(f))))
+    got = nf.freeze(f, names)
+    frozen, witnesses = _freeze_with_capture_checks(f, names)
+    assert (got.frozen, got.witnesses) == (frozen, witnesses)
+
+
 # --- special cases -----------------------------------------------------------
 
 

@@ -115,6 +115,57 @@ def test_parse_error_line_and_column_on_multi_line_input(text, message, line, co
     assert (str(e.value), e.value.line, e.value.col) == (f"{message} at {line}:{col}", line, col)
 
 
+# bare names, 0-ary symbols, predicate names as terms, bad identifiers and
+# wrong arities: the node read, or the error with its message and position
+READ = [
+    ("x", "term", Var("x")),
+    ("  x  ", "term", Var("x")),
+    ("x'", "term", Var("x'")),
+    ("eps", "term", App(EPS)),
+    ("(eps)", "term", App(EPS)),
+    ("s0", "term", (ArityError, "s0 expects 1 arguments", None, None)),
+    ("q", "term", (ParseError, "q is a predicate symbol, not a term", 1, 1)),
+    ("\n  p", "term", (ParseError, "p is a predicate symbol, not a term", 2, 3)),
+    ("X", "term", (ParseError, "bad identifier 'X'", 1, 1)),
+    ("1x", "term", (ParseError, "bad identifier '1x'", 1, 1)),
+    ("x.y", "term", (ParseError, "bad identifier 'x.y'", 1, 1)),
+    ("(s0)", "term", (ParseError, "s0 expects 1 arguments, got 0", 1, 1)),
+    ("(cat eps)", "term", (ParseError, "cat expects 2 arguments, got 1", 1, 1)),
+    ("(s0 eps eps)", "term", (ParseError, "s0 expects 1 arguments, got 2", 1, 1)),
+    ("(s0\n  (cat x))", "term", (ParseError, "cat expects 2 arguments, got 1", 2, 3)),
+    ("(foo eps)", "term", (ParseError, "unknown function symbol 'foo'", 1, 2)),
+    ("()", "term", (ParseError, "empty term", 1, 1)),
+    ("((s0) eps)", "term", (ParseError, "term must start with a symbol", 1, 2)),
+    ("   ", "term", (ParseError, "unexpected end of input", None, None)),
+    (")", "term", (ParseError, "unbalanced ')'", 1, 1)),
+    ("x y", "term", (ParseError, "trailing input 'y'", 1, 3)),
+    ("(s0 x", "term", (ParseError, "unclosed parenthesis", 1, 1)),
+    ("q", "formula", (ParseError, "q expects 1 arguments", 1, 1)),
+    ("(q x y)", "formula", (ParseError, "q expects 1 arguments, got 2", 1, 1)),
+    ("(p x)", "formula", (ParseError, "p expects 2 arguments, got 1", 1, 1)),
+    ("x", "formula", (ParseError, "expected a formula, got 'x'", 1, 1)),
+    ("(exists X (q x))", "formula", (ParseError, "quantifier expects a variable", 1, 1)),
+    ("(q X)", "formula", (ParseError, "bad identifier 'X'", 1, 4)),
+    ("(r x)", "formula", (ParseError, "unknown predicate or operator 'r'", 1, 2)),
+    ("((q x))", "formula", (ParseError, "formula must start with an operator", 1, 2)),
+    ("(forall x\n\t(q (s0)))", "formula", (ParseError, "s0 expects 1 arguments, got 0", 2, 5)),
+    ("(q x)", "nope", (ParseError, "unknown parse kind 'nope'", None, None)),
+]
+
+
+@pytest.mark.parametrize("text, kind, want", READ)
+def test_read_table(text, kind, want):
+    if not isinstance(want, tuple):
+        assert sx.parse(text, kind, ST) == want
+        return
+    error, message, line, col = want
+    with pytest.raises(error) as e:
+        sx.parse(text, kind, ST)
+    assert str(e.value) == message + ("" if line is None else f" at {line}:{col}")
+    if error is ParseError:
+        assert (e.value.line, e.value.col) == (line, col)
+
+
 def test_tokens_of_one_long_line_cost_linear_time():
     # each token once: 80,000 tokens on one line take no longer than the same
     # tokens one per line, up to noise (a rescan to the line's start per
@@ -358,6 +409,74 @@ def test_deep_chain_hashes_without_recursion():
     seen = {t}
     assert t in seen
     assert App(S0, (t,)) not in seen
+
+
+# each node and symbol class's dataclass fields, in order
+FIELDS = {
+    Var: ("name", "_hash"),
+    App: ("fn", "args", "_hash"),
+    SpecialConst: ("subscript", "alias", "_hash"),
+    Atom: ("pred", "args", "_hash"),
+    Not: ("body", "_hash"),
+    Or: ("left", "right", "_hash"),
+    Exists: ("var", "body", "_hash"),
+    FnSym: ("name", "arity"),
+    PredSym: ("name", "arity"),
+}
+
+
+def _one_of_each_class():
+    return [node for node, _ in _one_of_each_kind()] + [S0, Q]
+
+
+def test_nodes_and_symbols_are_frozen():
+    objs = _one_of_each_class()
+    assert {type(o) for o in objs} == set(FIELDS)
+    for obj in objs:
+        for name in FIELDS[type(obj)]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, name)
+
+
+def test_field_names_are_unchanged():
+    for cls, names in FIELDS.items():
+        assert tuple(f.name for f in dataclasses.fields(cls)) == names, cls.__name__
+
+
+def test_replace_rebuilds_through_the_constructor():
+    for obj in _one_of_each_class():
+        again = dataclasses.replace(obj)
+        assert again == obj and again is not obj and hash(again) == hash(obj)
+    with pytest.raises(ArityError, match="^s0 expects 1 arguments$"):
+        dataclasses.replace(App(S0, (Var("x"),)), args=())
+    sc = SpecialConst(Exists("x", Atom(Q, (Var("x"),))))
+    with pytest.raises(ArityError, match="^special-constant subscript must be closed$"):
+        dataclasses.replace(sc, subscript=Exists("x", Atom(P2, (Var("x"), Var("y")))))
+    assert hash(dataclasses.replace(S0, arity=2)) == hash(("s0", 2))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.text(max_size=6), st.integers(0, 5))
+def test_symbol_hash_is_the_hash_of_name_and_arity(name, arity):
+    assert hash(FnSym(name, arity)) == hash((name, arity))
+    assert hash(PredSym(name, arity)) == hash((name, arity))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: App(S0), "s0 expects 1 arguments"),
+    (lambda: App(CAT, (App(EPS),)), "cat expects 2 arguments"),
+    (lambda: App(EPS, (App(EPS),)), "eps expects 0 arguments"),
+    (lambda: Atom(Q), "q expects 1 arguments"),
+    (lambda: Atom(P2, (Var("x"),)), "p expects 2 arguments"),
+    (lambda: SpecialConst(Atom(Q, (Var("x"),))), "special-constant subscript must be an instantiation"),
+    (lambda: SpecialConst(Exists("x", Atom(P2, (Var("x"), Var("y"))))), "special-constant subscript must be closed"),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_constructor_checks_keep_their_messages(build, message):
+    with pytest.raises(ArityError) as e:
+        build()
+    assert str(e.value) == message
 
 
 def test_disjuncts_are_the_leaves_left_to_right():
