@@ -74,6 +74,8 @@ def cmd_check_corpus(args) -> int:
     if paths and len(paths) == 1 and paths[0].is_dir():
         paths = sorted(paths[0].glob("*.prf"))
     scripts = stringarith.load_corpus(paths)
+    if not scripts:
+        raise ProofkitError(f"no scripts in {' '.join(args.paths)}")
     report = stringarith.check_corpus(
         bundle, scripts, budget=_budget(args), oracle_samples=args.oracle, seed=args.seed
     )
@@ -95,9 +97,11 @@ def cmd_check_corpus(args) -> int:
 
 def cmd_check_proof(args) -> int:
     bundle = _bundle(args)
+    scripts = kscripts.parse_script_file(Path(args.file).read_text())
+    if not scripts:
+        raise ProofkitError(f"no scripts in {args.file}")
     if args.with_corpus:
         stringarith.check_corpus(bundle, budget=_budget(args))
-    scripts = kscripts.parse_script_file(Path(args.file).read_text())
     report = stringarith.check_corpus(bundle, scripts, budget=_budget(args), halt_on_failure=False)
     _emit(
         args,

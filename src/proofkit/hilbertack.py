@@ -18,7 +18,7 @@ from .errors import CheckError
 from . import propcalc
 from . import syntax as sx
 from .kernel import core
-from .kernel.core import ProofBuilder, ProofObject, SpecialSequence, Theory
+from .kernel.core import SpecialSequence, Theory
 from .syntax import Formula, Not, SpecialConst, Term, fimp
 
 TOWER_CUTOFF = 2 ** 64
@@ -317,34 +317,6 @@ def ha_run(
             raise CheckError("formula limit exhausted")
     within = None if bound_value is None else observed <= bound_value
     return RunResult(cur, trace, bound, bound_value, observed, within, prof0)
-
-
-# ---------------------------------------------------------------------------
-# Theorem-24 mode: reassemble a low-rank proof
-
-
-def reassemble_proof(
-    theory: Theory, goal: Formula, final_seq: SpecialSequence
-) -> ProofObject:
-    """Given the final special sequence produced from T[not closure(goal)],
-    a proof of the goal in T: the non-hypothesis members are delta lines and
-    the closure follows tautologically."""
-    neg = Not(sx.closure(goal))
-    pb = ProofBuilder()
-    used = []
-    for f in final_seq.formulas:
-        if f == neg:
-            continue
-        core.classify_delta(theory, f)
-        used.append(pb.delta(f))
-    idx = pb.taut(sx.closure(goal), tuple(used))
-    proof = pb.build()
-    verdict = core.check_proof(theory, proof)
-    if not verdict.ok:
-        raise CheckError(
-            f"reassembled proof fails at {verdict.failed_index}: {verdict.message}"
-        )
-    return proof
 
 
 # ---------------------------------------------------------------------------

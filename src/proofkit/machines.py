@@ -12,11 +12,11 @@ opcode 11 carries nu lambda1 lambda2 lambda3.  gamma is the Elias gamma
 code.  The estimator builds each well-formed encoding and its machine
 together from these fields, and decodes nothing; it meets them in the
 order, and with the machines, of decoding every bit string by length then
-lexicographically (encodings() yields the bits alone).  It skips two kinds of
-machine that never halt: one whose halt state no command path reaches from
-state 1, and one whose run repeats a (state, registers) configuration.
-Since step is deterministic, neither can halt later, so the first halting
-encoding with the target output, and the bound, are unchanged."""
+lexicographically.  It skips two kinds of machine that never halt: one
+whose halt state no command path reaches from state 1, and one whose run
+repeats a (state, registers) configuration.  Since step is deterministic,
+neither can halt later, so the first halting encoding with the target
+output, and the bound, are unchanged."""
 
 from __future__ import annotations
 
@@ -355,14 +355,6 @@ def _machines(len_cap: int) -> Iterator[tuple[str, Machine]]:
             yield bits, Machine(0, mu, kappa, cmds)
 
 
-def encodings(len_cap: int) -> Iterator[str]:
-    """Every string of at most len_cap bits that decode_machine accepts,
-    ordered by length then lexicographically, built from the encoding's
-    fields rather than found by decoding every bit string."""
-    for bits, _ in _machines(len_cap):
-        yield bits
-
-
 def decode_machine(bits: str) -> Machine:
     r = _BitReader(bits)
     kappa = r.gamma()
@@ -441,13 +433,13 @@ class KSearch:
 
 
 def k_search(target: str, len_cap: int = 16, budget: int = KBOUND_BUDGET) -> KSearch:
-    """Run the machine encodings of at most len_cap bits in the order of
-    encodings(), by length then lexicographically; the bound is the first
-    (hence shortest under this encoding) that halts within budget steps
-    with the target in its output register.  Each machine is built from
-    the fields its encoding is assembled from, and no encoding is decoded;
-    the result is the one a scan decoding every bit string in that order
-    would find.  An upper bound only.
+    """Run the machine encodings of at most len_cap bits by length then
+    lexicographically; the bound is the first (hence shortest under this
+    encoding) that halts within budget steps with the target in its output
+    register.  Each machine is built from the fields its encoding is
+    assembled from, and no encoding is decoded; the result is the one a scan
+    decoding every bit string in that order would find.  An upper bound
+    only.
 
     Two prunes skip machines that never halt, and so leave the result
     unchanged: a machine whose halt state is unreachable from state 1 in

@@ -1,6 +1,11 @@
-"""Generators for kernel-checkable proof objects: the equality theorem,
-special cases, frozen variables, variant implications, and the negation- and
-prenex-form equivalences.
+"""The paper's proof constructions, kept apart from the verdict path: a
+builder for proof objects; the transformations that rebuild a proof line by
+line (the deduction theorem, the purge of extraneous symbols) and the
+extraction of a special sequence from a proof of 0 != 0; the Theorem-24
+reassembly of a proof from a final special sequence; and the generators of
+kernel-checkable proofs (the equality theorem, special cases, frozen
+variables, variant implications, and the negation- and prenex-form
+equivalences).  Every proof made here is one kernel.core.check_proof accepts.
 
 All generators work with closed instances throughout: recursion under a
 quantifier instantiates the bound variable with the special constant the
@@ -13,6 +18,15 @@ from typing import Sequence
 from ..errors import CheckError
 from .. import normform as nform
 from .. import syntax as sx
+from ..kernel.core import (
+    ProofLine,
+    ProofObject,
+    SpecialSequence,
+    Theory,
+    check_proof,
+    classify_delta,
+    sequence_valid,
+)
 from ..syntax import (
     Atom,
     Exists,
@@ -21,16 +35,196 @@ from ..syntax import (
     Or,
     Term,
     Var,
+    EQ,
     as_all,
     as_and,
     fand,
     fall,
     fimp,
+    free_vars,
     special_constant,
     special_axiom,
     subst,
 )
-from .core import ProofBuilder, ProofObject
+
+
+# ---------------------------------------------------------------------------
+# building proofs
+
+
+class ProofBuilder:
+    def __init__(self):
+        self.lines: list[ProofLine] = []
+        self._index: dict = {}
+
+    def delta(self, f: Formula) -> int:
+        return self._add(ProofLine(f, ("delta",)))
+
+    def taut(self, f: Formula, premises: Sequence[int] = ()) -> int:
+        return self._add(ProofLine(f, ("taut", tuple(premises))))
+
+    def default(self, f: Formula) -> int:
+        return self._add(ProofLine(f, ("default",)))
+
+    def extend(self, proof: ProofObject) -> dict:
+        """Append all lines of a finished proof, returning old->new index."""
+        remap = {}
+        for i, ln in enumerate(proof.lines):
+            if ln.just[0] == "taut" and ln.just[1] is not None:
+                just = ("taut", tuple(remap[j] for j in ln.just[1]))
+            else:
+                just = ln.just
+            remap[i] = self._add(ProofLine(ln.formula, just))
+        return remap
+
+    def _add(self, line: ProofLine) -> int:
+        if line.just[0] == "delta" and line.formula in self._index:
+            return self._index[line.formula]
+        self.lines.append(line)
+        if line.formula not in self._index:
+            self._index[line.formula] = len(self.lines) - 1
+        return len(self.lines) - 1
+
+    def build(self) -> ProofObject:
+        return ProofObject(tuple(self.lines))
+
+
+def map_proof(pb: ProofBuilder, proof: ProofObject, line_map, on_delta) -> None:
+    """Rebuild a proof line by line into pb.  Delta and default lines go to
+    on_delta, which returns the index of the line's image in pb; every other
+    line becomes line_map of its formula, cited from the images of its
+    premises."""
+    images: dict[int, int] = {}
+    for i, line in enumerate(proof.lines):
+        if line.just[0] in ("delta", "default"):
+            images[i] = on_delta(line)
+        else:
+            idxs = line.just[1]
+            if idxs is None:
+                idxs = range(i)
+            images[i] = pb.taut(line_map(line.formula), tuple(images[j] for j in idxs))
+
+
+def in_delta(theory: Theory, f: Formula) -> bool:
+    try:
+        classify_delta(theory, f)
+        return True
+    except CheckError:
+        return False
+
+
+# ---------------------------------------------------------------------------
+# deduction theorem
+
+
+def deduction_transform(theory: Theory, c: Formula, proof: ProofObject) -> ProofObject:
+    """From a proof in T[C] (C closed) produce a proof of C -> B in T for
+    every line B; delta formulas of T[C] that are instances of C become
+    tautologies, the rest stay available as delta lines of T."""
+    if free_vars(c):
+        raise CheckError("the deduction hypothesis must be closed")
+    extended = theory.extend(c)
+    verdict = check_proof(extended, proof)
+    if not verdict.ok:
+        raise CheckError(f"input proof fails in T[C] at line {verdict.failed_index}: {verdict.message}")
+    out = ProofBuilder()
+
+    def on_delta(line):
+        f = line.formula
+        goal = sx.fimp(c, f)
+        if in_delta(theory, f):
+            return out.taut(goal, (out.delta(f),))
+        # a closed instance of the new axiom C; C is closed, so the instance
+        # is C itself and C -> C is a tautology
+        if f != c:
+            raise CheckError("unexpected delta formula in T[C]")
+        return out.taut(goal, ())
+
+    map_proof(out, proof, lambda f: sx.fimp(c, f), on_delta)
+    return out.build()
+
+
+# ---------------------------------------------------------------------------
+# purging extraneous symbols
+
+
+def purge_extraneous(theory: Theory, goal: Formula, proof: ProofObject) -> ProofObject:
+    """Rewrite the proof into the language of T[goal]: atoms with outside
+    predicate symbols become 0=0, terms headed by outside function symbols
+    become 0, everywhere including subscripts."""
+    keep = theory.language_symbols() | sx.appearing_symbols(goal) | {theory.zero}
+    zero = theory.zero_term
+    zero_eq = sx.eq(zero, zero)
+
+    def purge(f: Formula) -> Formula:
+        return sx.rewrite(
+            f,
+            app=lambda t: t if t.fn in keep else zero,
+            atom=lambda a: a if a.pred == EQ or a.pred in keep else zero_eq,
+        )
+
+    out = ProofBuilder()
+    ident = out.delta(zero_eq)
+
+    def on_delta(line):
+        g = purge(line.formula)
+        if line.just[0] == "default":
+            return out.default(g)
+        if in_delta(theory, g):
+            return out.delta(g)
+        # an equality formula for a purged symbol collapses to a
+        # tautological consequence of the identity formula 0=0
+        return out.taut(g, (ident,))
+
+    map_proof(out, proof, purge, on_delta)
+    return out.build()
+
+
+# ---------------------------------------------------------------------------
+# special sequences and the Theorem-24 reassembly
+
+
+def extract_special_sequence(theory: Theory, proof: ProofObject) -> SpecialSequence:
+    """From a checked proof of 0 != 0, the delta formulas whose negation
+    disjunction is a tautology (0=0 appended when needed)."""
+    verdict = check_proof(theory, proof)
+    if not verdict.ok:
+        raise CheckError(f"proof fails at line {verdict.failed_index}: {verdict.message}")
+    target = theory.zero_ne_zero()
+    if not proof.contains(target):
+        raise CheckError("proof does not derive 0 != 0")
+    deltas = [ln.formula for ln in proof.lines if ln.just[0] == "delta"]
+    seq = SpecialSequence(tuple(dict.fromkeys(deltas)))
+    if sequence_valid(seq):
+        return seq
+    seq = SpecialSequence(tuple(dict.fromkeys(deltas + [theory.zero_eq_zero()])))
+    if not sequence_valid(seq):
+        raise CheckError("extracted sequence fails the tautology invariant")
+    return seq
+
+
+def reassemble_proof(
+    theory: Theory, goal: Formula, final_seq: SpecialSequence
+) -> ProofObject:
+    """Given the final special sequence produced from T[not closure(goal)],
+    a proof of the goal in T: the non-hypothesis members are delta lines and
+    the closure follows tautologically."""
+    neg = Not(sx.closure(goal))
+    pb = ProofBuilder()
+    used = []
+    for f in final_seq.formulas:
+        if f == neg:
+            continue
+        classify_delta(theory, f)
+        used.append(pb.delta(f))
+    pb.taut(sx.closure(goal), tuple(used))
+    proof = pb.build()
+    verdict = check_proof(theory, proof)
+    if not verdict.ok:
+        raise CheckError(
+            f"reassembled proof fails at {verdict.failed_index}: {verdict.message}"
+        )
+    return proof
 
 
 # ---------------------------------------------------------------------------

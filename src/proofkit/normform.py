@@ -207,15 +207,6 @@ def freeze(f: Formula, names: Optional[Sequence[str]] = None) -> FrozenResult:
     return FrozenResult(cur, tuple(witnesses))
 
 
-def unfreeze(res: FrozenResult) -> Formula:
-    """Replace witnesses by their variables again (test helper; yields a
-    variant of the closure's matrix)."""
-    out = res.frozen
-    for x, r in reversed(res.witnesses):
-        out = sx.replace_const(out, r, sx.Var(x))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # special cases
 

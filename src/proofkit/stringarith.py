@@ -775,66 +775,3 @@ def _oracle_check(bundle, stmt: Formula, samples: int, strings) -> tuple[str, st
             env = dict(zip(fv, values))
             return "disagrees", f"oracle disagrees on {sx.render(stmt)} at {env}"
     return "agrees", ""
-
-
-# ---------------------------------------------------------------------------
-# the schema re-instantiation device
-
-
-class _RemapSymbols(sx.SymbolTable):
-    """Resolves the uninterpreted schema names to their instantiated
-    predicate symbols, leaving everything else alone."""
-
-    def __init__(self, inner: sx.SymbolTable, override: dict):
-        super().__init__(inner.language, inner.order)
-        self._override = override
-
-    def pred(self, name):
-        got = self._override.get(name)
-        if got is not None:
-            return got
-        return super().pred(name)
-
-
-def instantiate_schema(bundle: TheoryBundle, phi_label: str) -> Registry:
-    """A parallel registry in which the schema definitions are re-registered
-    with the uninterpreted predicate replaced by a registered concrete
-    unary formula; the schema scripts must re-check against it unchanged."""
-    phi = bundle.registry.phi_formulas[phi_label]
-    out = Registry(bundle.symbols)
-    out.phi_formulas = dict(bundle.registry.phi_formulas)
-    out.bsi_template = bundle.registry.bsi_template
-    reg2 = bundle.definitions.continued(*bundle.schema_symbols)
-    mapping = {}
-    for label in bundle.registry.order:
-        entry = bundle.registry.entries[label]
-        if entry.section != "schema":
-            out.add(kscripts.Entry(entry.label, entry.kind, entry.statement, entry.section, entry.checked))
-            continue
-        if entry.kind == "theorem":
-            continue  # re-proved against the instantiated statements
-        stages = bundle.schema.stages if bundle.schema else []
-        stage = next((s for s in stages if s.label == label), None)
-        if stage is None or stage.kind != "p":
-            raise CheckError(f"cannot re-instantiate schema entry {label}")
-        definiens = kscripts.instantiate_phi(stage.definiens, phi)
-
-        def swap(atom):
-            repl = mapping.get(atom.pred)
-            if repl is not None:
-                return Atom(repl, atom.args)
-            return atom
-
-        definiens = sx.map_atoms(definiens, swap)
-        name = f"{stage.symbol.name}_{phi_label}"
-        st2 = reg2.define_predicate(f"{label}_{phi_label}", name, definiens)
-        if bundle.symbols.language.pred(name) is None:
-            bundle.symbols.language = bundle.symbols.language.extend(predicates=[st2.symbol])
-        bundle.stages[st2.symbol] = st2
-        mapping[stage.symbol] = st2.symbol
-        out.add(kscripts.Entry(label, "definition", st2.axiom, "schema"))
-    override = {old.name: new for old, new in mapping.items()}
-    if isinstance(phi, Atom) and len(phi.args) == 1 and phi.args[0] == Var("x"):
-        override["phi"] = phi.pred
-    out.symbols = _RemapSymbols(bundle.symbols, override)
-    return out

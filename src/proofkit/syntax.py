@@ -450,11 +450,6 @@ def _names(measure, node: Node) -> frozenset[str]:
 
 
 @lru_cache(maxsize=None)
-def bound_vars(node: Node) -> frozenset[str]:
-    return _names(bound_vars, node)
-
-
-@lru_cache(maxsize=None)
 def all_var_names(node: Node) -> frozenset[str]:
     """Every variable name occurring, free or bound (subscripts included,
     since fresh-name generation must avoid them)."""
@@ -478,10 +473,6 @@ def is_variable_free(node: Node) -> bool:
     return not occurring_var_names(node)
 
 
-def is_closed(f: Formula) -> bool:
-    return not free_vars(f)
-
-
 def is_open(f: Formula) -> bool:
     """No existential quantifier occurs."""
     return not isinstance(f, Exists) and all(map(is_open, _subformulas(f)))
@@ -491,15 +482,6 @@ def is_open(f: Formula) -> bool:
 def is_plain(node: Node) -> bool:
     """No special constant appears, including transitively inside subscripts."""
     return not isinstance(node, SpecialConst) and all(map(is_plain, children(node)))
-
-
-def height(f: Formula) -> int:
-    """Number of logical-operator occurrences."""
-    return (not isinstance(f, Atom)) + sum(map(height, _subformulas(f)))
-
-
-def index(f: Formula) -> int:
-    return len(free_vars(f))
 
 
 @lru_cache(maxsize=None)
@@ -565,48 +547,6 @@ def appearing_symbols(node: Node) -> frozenset:
             out.add(n.pred)
         todo.extend(children(n))
     return frozenset(out)
-
-
-def appearing_vars(node: Node) -> frozenset[str]:
-    """Variables appearing (transitive through subscripts): the paper's
-    example is that x appears in q(r) when r is special for exists x q(x)."""
-    out = set(all_var_names(node))
-    for c in appearing_constants(node):
-        out |= all_var_names(c.subscript)
-    return frozenset(out)
-
-
-@dataclass(frozen=True)
-class SyntaxProfile:
-    free: tuple[str, ...]
-    index: int
-    height: int
-    open: bool
-    closed: bool
-    plain: bool
-    elementary: bool
-    nested_rank: int
-    unnested_rank: int
-    appearing_symbols: frozenset
-    appearing_vars: frozenset[str]
-    bound: frozenset[str]
-
-
-def analyze(f: Formula) -> SyntaxProfile:
-    return SyntaxProfile(
-        free=free_vars(f),
-        index=index(f),
-        height=height(f),
-        open=is_open(f),
-        closed=is_closed(f),
-        plain=is_plain(f),
-        elementary=is_elementary(f),
-        nested_rank=nested_rank(f),
-        unnested_rank=unnested_rank(f),
-        appearing_symbols=appearing_symbols(f),
-        appearing_vars=appearing_vars(f),
-        bound=bound_vars(f),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -763,21 +703,9 @@ def _resubscript(c: SpecialConst, sub: Formula) -> SpecialConst:
     return c if sub == c.subscript else special_constant(sub, c.alias)
 
 
-def replace_subformula(f: Formula, old: Formula, new: Formula) -> Formula:
-    """Replace every occurrence of old as a subformula (tree level; special
-    constants are atomic for occurrence)."""
-    if f == old:
-        return new
-    subs = _subformulas(f)
-    if not subs:
-        return f
-    return _rebuild(f, tuple(replace_subformula(g, old, new) for g in subs))
-
-
 def has_subformula(f: Formula, olds) -> bool:
-    """Whether some subformula of f is in the set olds: whether
-    replace_subformula would replace anything (special constants are
-    atomic for occurrence)."""
+    """Whether some subformula of f is in the set olds (special constants
+    are atomic for occurrence)."""
     todo = [f]
     while todo:
         g = todo.pop()
@@ -841,88 +769,6 @@ def make_adjusted_variant(f: Formula, avoid: Iterable[str] = ()) -> Formula:
         return _rebuild(g, tuple(walk(h, ren) for h in _subformulas(g)))
 
     return walk(f, {})
-
-
-def is_adjusted(f: Formula) -> bool:
-    seen = set()
-    free = set(free_vars(f))
-
-    def walk(g):
-        if isinstance(g, Exists):
-            if g.var in seen or g.var in free:
-                return False
-            seen.add(g.var)
-        return all(map(walk, _subformulas(g)))
-
-    return walk(f)
-
-
-def is_variant(a: Formula, b: Formula) -> bool:
-    """Variant relation, decided by simultaneous structural walk with binder
-    correspondence."""
-
-    def walk(x, y, m, n):
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, Atom):
-            return (
-                x.pred == y.pred
-                and len(x.args) == len(y.args)
-                and all(walk_t(s, t, m, n) for s, t in zip(x.args, y.args))
-            )
-        if isinstance(x, Not):
-            return walk(x.body, y.body, m, n)
-        if isinstance(x, Or):
-            return walk(x.left, y.left, m, n) and walk(x.right, y.right, m, n)
-        if isinstance(x, Exists):
-            return walk(x.body, y.body, m + ((x.var, y.var),), n + ((y.var, x.var),))
-        return False
-
-    def walk_t(s, t, m, n):
-        if type(s) is not type(t):
-            return False
-        if isinstance(s, Var):
-            for a, b2 in reversed(m):
-                if s.name == a:
-                    return t.name == b2
-                if t.name == b2:
-                    return False
-            for a, b2 in reversed(n):
-                if t.name == a:
-                    return False
-            return s.name == t.name
-        if isinstance(s, App):
-            return s.fn == t.fn and all(walk_t(p, q, m, n) for p, q in zip(s.args, t.args))
-        if isinstance(s, SpecialConst):
-            return s == t
-        return False
-
-    return walk(a, b, (), ())
-
-
-# ---------------------------------------------------------------------------
-# names and numerals
-
-
-def name_term(bits: str) -> Term:
-    """The canonical name of a bit string: beta_1 ... beta_nu eps with each
-    beta the matching successor."""
-    out: Term = App(EPS)
-    for b in reversed(bits):
-        if b == "0":
-            out = App(S0, (out,))
-        elif b == "1":
-            out = App(S1, (out,))
-        else:
-            raise ParseError(f"not a bit: {b!r}")
-    return out
-
-
-def numeral(n: int) -> Term:
-    out: Term = App(EPS)
-    for _ in range(n):
-        out = App(S0, (out,))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1019,7 +865,7 @@ def _parse_term(sx, symbols: SymbolTable, env: Mapping[str, Term]):
         f = symbols.fn(body)
         if f is not None:
             if f.arity != 0:
-                raise ArityError(f"{body} expects {f.arity} arguments")
+                raise _Misread(f"{body} expects {f.arity} arguments, got 0", index)
             return App(f)
         if not _IDENT.match(body):
             raise _Misread(f"bad identifier {body!r}", index)
@@ -1057,7 +903,7 @@ def _parse_formula(sx, symbols: SymbolTable, env: Mapping[str, Term]):
             p = symbols.auto_pred(body, 0)
         if p is not None:
             if p.arity != 0:
-                raise _Misread(f"{body} expects {p.arity} arguments", index)
+                raise _Misread(f"{body} expects {p.arity} arguments, got 0", index)
             return Atom(p)
         raise _Misread(f"expected a formula, got {body!r}", index)
     if not body:

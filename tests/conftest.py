@@ -1,7 +1,8 @@
 """Shared fixtures: the loaded theory bundle, a one-time corpus run, the
 brute-force truth-table oracles (which share no code with propcalc),
-random generators, script mutation, and a 28-atom valid special
-sequence."""
+random generators, script mutation, a 28-atom valid special sequence, and
+small oracles and builders over syntax and machine encodings that the
+package itself does not need."""
 
 from __future__ import annotations
 
@@ -9,10 +10,10 @@ import random
 
 import pytest
 
-from proofkit import hilbertack, stringarith
+from proofkit import hilbertack, machines, stringarith
 from proofkit import syntax as sx
 from proofkit.kernel import SpecialSequence, scripts as kscripts
-from proofkit.syntax import App, Atom, Exists, FnSym, Not, Or, PredSym, Var
+from proofkit.syntax import App, Atom, Exists, FnSym, Not, Or, PredSym, SpecialConst, Var, EPS, S0
 
 
 @pytest.fixture(scope="session")
@@ -41,7 +42,7 @@ def demo_valid_28_atoms():
     in 28 steps."""
     theory, seq = hilbertack.demo_rank1()
     q = sx.PredSym("q", 1)
-    more = tuple(Atom(q, (sx.numeral(i),)) for i in range(1, 26))
+    more = tuple(Atom(q, (numeral(i),)) for i in range(1, 26))
     return theory, SpecialSequence(seq.formulas + more)
 
 
@@ -366,3 +367,103 @@ def _replace_first_atom(f, old, new):
         return g
 
     return walk(f)
+
+
+# ---------------------------------------------------------------------------
+# syntax oracles and builders, and the machine encodings
+
+
+def numeral(n: int):
+    """The term s0^n eps."""
+    out = App(EPS)
+    for _ in range(n):
+        out = App(S0, (out,))
+    return out
+
+
+def replace_subformula(f, old, new):
+    """f with every occurrence of old as a subformula replaced by new
+    (special constants are atomic for occurrence)."""
+    if f == old:
+        return new
+    if isinstance(f, Not):
+        return Not(replace_subformula(f.body, old, new))
+    if isinstance(f, Or):
+        return Or(replace_subformula(f.left, old, new), replace_subformula(f.right, old, new))
+    if isinstance(f, Exists):
+        return Exists(f.var, replace_subformula(f.body, old, new))
+    return f
+
+
+def is_adjusted(f) -> bool:
+    """No variable is bound twice, and none is both bound and free."""
+    seen = set()
+    free = set(sx.free_vars(f))
+
+    def walk(g):
+        if isinstance(g, Exists):
+            if g.var in seen or g.var in free:
+                return False
+            seen.add(g.var)
+        return all(map(walk, sx.children(g)))
+
+    return walk(f)
+
+
+def is_variant(a, b) -> bool:
+    """The variant relation, decided by a simultaneous structural walk with
+    binder correspondence."""
+
+    def walk(x, y, m, n):
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, Atom):
+            return (
+                x.pred == y.pred
+                and len(x.args) == len(y.args)
+                and all(walk_t(s, t, m, n) for s, t in zip(x.args, y.args))
+            )
+        if isinstance(x, Not):
+            return walk(x.body, y.body, m, n)
+        if isinstance(x, Or):
+            return walk(x.left, y.left, m, n) and walk(x.right, y.right, m, n)
+        if isinstance(x, Exists):
+            return walk(x.body, y.body, m + ((x.var, y.var),), n + ((y.var, x.var),))
+        return False
+
+    def walk_t(s, t, m, n):
+        if type(s) is not type(t):
+            return False
+        if isinstance(s, Var):
+            for a, b2 in reversed(m):
+                if s.name == a:
+                    return t.name == b2
+                if t.name == b2:
+                    return False
+            for a, b2 in reversed(n):
+                if t.name == a:
+                    return False
+            return s.name == t.name
+        if isinstance(s, App):
+            return s.fn == t.fn and all(walk_t(p, q, m, n) for p, q in zip(s.args, t.args))
+        if isinstance(s, SpecialConst):
+            return s == t
+        return False
+
+    return walk(a, b, (), ())
+
+
+def unfreeze(res):
+    """normform.freeze's frozen form with each witness replaced by its
+    variable again: a variant of the closure's matrix."""
+    out = res.frozen
+    for x, r in reversed(res.witnesses):
+        out = sx.replace_const(out, r, Var(x))
+    return out
+
+
+def encodings(len_cap: int):
+    """The machine encodings of at most len_cap bits, by length then
+    lexicographically: the bits of the machines k_search runs."""
+    for bits, _ in machines._machines(len_cap):
+        yield bits

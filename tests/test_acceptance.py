@@ -19,13 +19,13 @@ from proofkit import normform as nf
 from proofkit import propcalc as pc
 from proofkit import stringarith as sa
 from proofkit import syntax as sx
-from proofkit.kernel import (
+from proofkit.kernel import Theory, check_proof, core, scripts as ks
+from proofkit.meta.extensions import bounded_translation_check, eliminate_defaults
+from proofkit.meta.proofs import (
     ProofBuilder,
-    Theory,
-    check_proof,
-    core,
+    deduction_transform,
     prenex_equivalence_proof,
-    scripts as ks,
+    purge_extraneous,
 )
 from proofkit.syntax import App, Atom, FnSym, Not, PredSym, Var, EPS
 
@@ -260,7 +260,7 @@ def test_criterion_7_extensions(bundle, corpus_report):
     bounded_probe = sx.parse(
         "(exists<= z y (= z eps))", "formula", bundle.symbols
     )
-    bounded_ok = extend.bounded_translation_check(reg, bounded_probe, leq).bounded
+    bounded_ok = bounded_translation_check(reg, bounded_probe, leq).bounded
     ok = identity_ok and bounded_ok and total == 76 and agreeing >= 40
     _report(
         "extensions: all 76 statements translate symbol-free; interpreter agreement",
@@ -295,7 +295,7 @@ def test_criterion_8_proof_transformations():
 
     for _ in range(20):
         p = random_proof(t.extend(c))
-        out = core.deduction_transform(t, c, p)
+        out = deduction_transform(t, c, p)
         v = check_proof(t, out)
         assert v.ok, v.message
     scratch = PredSym("scratch", 1)
@@ -309,7 +309,7 @@ def test_criterion_8_proof_transformations():
                 Atom(scratch, (App(EPS),)),
             )
         )
-        out = core.purge_extraneous(t, Atom(q, (App(EPS),)), pb.build())
+        out = purge_extraneous(t, Atom(q, (App(EPS),)), pb.build())
         v = check_proof(t, out)
         assert v.ok, v.message
         assert all(
@@ -322,7 +322,7 @@ def test_criterion_8_proof_transformations():
     d = pb.default(sx.fimp(Not(e), sx.eq(r, App(EPS))))
     spa = pb.delta(sx.special_axiom(r))
     pb.taut(sx.Or(Atom(q, (r,)), sx.eq(r, App(EPS))), (d, spa))
-    out = extend.eliminate_defaults(Theory("toy", (), EPS), pb.build())
+    out = eliminate_defaults(Theory("toy", (), EPS), pb.build())
     v = check_proof(Theory("toy", (), EPS), out)
     ok = v.ok and all(l.just[0] != "default" for l in out.lines)
     _report(

@@ -143,6 +143,19 @@ def test_check_proof_tags_schema_theorems(capsys, tmp_path, monkeypatch):
     assert bundle.registry.entries["ta3"].section == "schema"
 
 
+@pytest.mark.parametrize("command", ["check-corpus", "check-proof"])
+def test_a_check_of_no_scripts_is_a_usage_error(capsys, tmp_path, command):
+    # a directory without a .prf file, or a file without a theorem block
+    path = tmp_path / "empty"
+    if command == "check-corpus":
+        path.mkdir()
+        (path / "notes.txt").write_text("theorem t1 : (= eps eps)\n")
+    else:
+        path.write_text("# nothing to check\n")
+    code, out, err = run(capsys, "--format", "json", command, str(path))
+    assert (code, out, err) == (2, "", f"error: no scripts in {path}\n")
+
+
 def test_ha_reduce_demo(capsys):
     code, out, _ = run(capsys, "ha-reduce", "--demo", "rank1")
     assert code == 0

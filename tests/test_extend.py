@@ -5,7 +5,9 @@ from proofkit import normform as nf
 from proofkit import propcalc as pc
 from proofkit import syntax as sx
 from proofkit.errors import CheckError
-from proofkit.kernel import Entry, ProofBuilder, Theory, check_proof, core, proofgen as pg
+from proofkit.kernel import Entry, Theory, check_proof
+from proofkit.meta import extensions as mx, proofs as pg
+from proofkit.meta.proofs import ProofBuilder
 from proofkit.syntax import (
     App,
     Atom,
@@ -91,7 +93,7 @@ def _prove_ec_uc_for_pd():
     uc_f = sx.fimp(sx.fand(d, sx.subst(d, {"y": Var(yp)})), sx.eq(Var("y"), Var(yp)))
     fru = nf.freeze(uc_f)
     pb = ProofBuilder()
-    gap = extend.quasitaut_gap(pb, fru.frozen, ())
+    gap = mx.quasitaut_gap(pb, fru.frozen, ())
     fp2, fi2 = pg.freeze_proof(uc_f, fru)
     remap2 = pb.extend(fp2)
     pb.taut(sx.closure(uc_f), (gap, remap2[fi2]))
@@ -135,7 +137,7 @@ def test_reduce_proof_through_a_stage_defined_by_cited_entries_is_refused():
     pb = ProofBuilder()
     pb.delta(sx.subst(st.axiom, {"x": E, "y": E}))
     with pytest.raises(CheckError) as err:
-        extend.reduce_proof(reg, pb.build())
+        mx.reduce_proof(reg, pb.build())
     assert str(err.value) == (
         "function stage dg has no proof of its existence condition to reduce through"
     )
@@ -210,7 +212,7 @@ def test_translate_out_rewrites_inside_subscripts():
 def test_f_homomorphism_rewrites_inside_subscripts():
     reg = fresh_registry()
     st = reg.define_function_explicit("df", "g1", App(PD, (Var("x"),)))
-    hom = extend._f_hom(st)
+    hom = mx._f_hom(st)
     c = sx.special_constant(
         Exists("pin_v", sx.eq(Var("pin_v"), App(st.symbol, (E,)))), "pin_f"
     )
@@ -260,7 +262,7 @@ def test_respects_obligations():
     ob = extend.respects_obligation(PD, phi)
     assert ob == sx.fimp(sx.conj([Atom(Q, (Var("x1"),))]), Atom(Q, (App(PD, (Var("x1"),)),)))
     assert extend.respects_obligation(EPS, phi) == Atom(Q, (E,))
-    term_ob = extend.respects_term_obligation(App(PD, (App(S0, (Var("u"),)),)), phi)
+    term_ob = mx.respects_term_obligation(App(PD, (App(S0, (Var("u"),)),)), phi)
     assert sx.as_imp(term_ob)[1] == Atom(Q, (App(PD, (App(S0, (Var("u"),)),)),))
 
 
@@ -270,19 +272,19 @@ def test_respects_obligations():
 def test_bounded_analysis_strict():
     reg, zee, leq = _zee_leq_registry()
     ok = Exists("z", sx.fand(Atom(leq, (Var("z"), Var("y"))), sx.eq(Var("z"), Var("z"))))
-    assert extend.bounded_analysis(ok, leq).bounded
+    assert mx.bounded_analysis(ok, leq).bounded
     bad = Exists("z", sx.eq(Var("z"), Var("z")))
-    prof = extend.bounded_analysis(bad, leq)
+    prof = mx.bounded_analysis(bad, leq)
     assert not prof.bounded and prof.offender == bad
     # the bound may not mention the bound variable
     capture = Exists("z", sx.fand(Atom(leq, (Var("z"), App(S0, (Var("z"),)))), sx.eq(Var("z"), E)))
-    assert not extend.bounded_analysis(capture, leq).bounded
+    assert not mx.bounded_analysis(capture, leq).bounded
 
 
 def test_bounded_translation_through_chain():
     reg, zee, leq = _zee_leq_registry()
     f = Exists("z", sx.fand(Atom(leq, (Var("z"), Var("y"))), sx.eq(Var("z"), E)))
-    prof = extend.bounded_translation_check(reg, f, leq)
+    prof = mx.bounded_translation_check(reg, f, leq)
     assert prof.bounded, prof.offender and sx.render(prof.offender)
 
 
@@ -310,7 +312,7 @@ def test_reduce_proof_through_p_stage():
     qq = pb.delta(Atom(Q, (E,)))
     pb.taut(Atom(p2, (E,)), (ax, qq))
     proof = pb.build()
-    red = extend.reduce_proof(reg, proof)
+    red = mx.reduce_proof(reg, proof)
     v = check_proof(BASE, red)
     assert v.ok, v.message
     assert red.contains(sx.subst(d, {"x": E}))
@@ -338,7 +340,7 @@ def r_extension_proofs():
         ob = extend.respects_obligation(fsym, R_PHI)
         if not sx.free_vars(ob):
             pb = ProofBuilder()
-            pb.delta(ob) if core.in_delta(BASE, ob) else pb.taut(ob, ())
+            pb.delta(ob) if pg.in_delta(BASE, ob) else pb.taut(ob, ())
             return pb.build()
         frp = nf.freeze(ob)
         cp = frp.witnesses[0][1]
@@ -384,7 +386,7 @@ def test_reduce_proof_through_r_stage_with_defaults():
     pb.taut(Or(Not(sx.subst(added, {"x": E})), Or(e, Not(Atom(Q, (r,))))), (i1, i2))
     proof = pb.build()
     assert check_proof(reg.theory(), proof).ok
-    red = extend.reduce_proof(reg, proof)
+    red = mx.reduce_proof(reg, proof)
     v = check_proof(BASE, red)
     assert v.ok, v.message
     assert all(l.just[0] != "default" for l in red.lines)
@@ -403,7 +405,7 @@ def test_eliminate_defaults_example():
     proof = pb.build()
     assert check_proof(Theory("toy", (), EPS), proof, allow_defaults=True).ok
     assert not check_proof(Theory("toy", (), EPS), proof).ok
-    out = extend.eliminate_defaults(Theory("toy", (), EPS), proof)
+    out = mx.eliminate_defaults(Theory("toy", (), EPS), proof)
     v = check_proof(Theory("toy", (), EPS), out)
     assert v.ok, v.message
     assert all(l.just[0] != "default" for l in out.lines)
@@ -414,7 +416,7 @@ def test_eliminate_defaults_no_defaults_is_renaming():
     r = sx.special_constant(e, "r")
     pb = ProofBuilder()
     pb.delta(sx.special_axiom(r))
-    out = extend.eliminate_defaults(Theory("toy", (), EPS), pb.build())
+    out = mx.eliminate_defaults(Theory("toy", (), EPS), pb.build())
     assert check_proof(Theory("toy", (), EPS), out).ok
     # the image line carries the default-compatible constant in place of r
     last = out.lines[-1].formula
@@ -429,7 +431,7 @@ def test_default_special_axiom_specializes():
     r = sx.special_constant(e, "r")
     pb = ProofBuilder()
     pb.delta(sx.special_axiom(r))
-    out = extend.eliminate_defaults(Theory("toy", (), EPS), pb.build())
+    out = mx.eliminate_defaults(Theory("toy", (), EPS), pb.build())
     last = out.lines[-1].formula
     hyp, concl = sx.as_imp(last)
     assert hyp == e

@@ -6,9 +6,10 @@ from hypothesis import example, given, settings, strategies as st
 from proofkit import hilbertack as ha
 from proofkit import propcalc as pc
 from proofkit import syntax as sx
-from conftest import demo_valid_28_atoms
+from conftest import demo_valid_28_atoms, replace_subformula
 from proofkit.errors import BudgetExhausted, CheckError
-from proofkit.kernel import ProofBuilder, SpecialSequence, Theory, check_proof, core
+from proofkit.kernel import SpecialSequence, Theory, check_proof, core
+from proofkit.meta.proofs import reassemble_proof
 from proofkit.syntax import App, Atom, Exists, Not, Or, PredSym, Var, EPS, S0
 
 Q = PredSym("q", 1)
@@ -131,7 +132,7 @@ def _rebuilt_differs(f, targets):
     to its instance at the target, and compare."""
     image = f
     for e in targets:
-        image = sx.replace_subformula(image, e, sx.subst(e.body, {e.var: sx.special_constant(e)}))
+        image = replace_subformula(image, e, sx.subst(e.body, {e.var: sx.special_constant(e)}))
     return image != f
 
 
@@ -266,5 +267,5 @@ def test_reassemble_low_rank_proof():
     # a special sequence extracted from the contradiction in T[not goal]:
     seq = SpecialSequence((qa(E), neg))
     assert core.sequence_valid(seq)
-    proof = ha.reassemble_proof(theory, goal, seq)
+    proof = reassemble_proof(theory, goal, seq)
     assert core.proves(theory, proof, goal)

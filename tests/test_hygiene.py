@@ -8,6 +8,9 @@ Package ``__init__.py`` files are exempt from the import check: their
 imports are re-exports."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -239,3 +242,60 @@ def test_brute_force_oracle_shares_no_code_with_propcalc():
     own = _module_level_names(ast.parse((PACKAGE / "propcalc.py").read_text()))
     foreign = set().union(*map(_references, oracle.values())) & (own | {"propcalc"})
     assert not foreign, f"the oracle refers to {sorted(foreign)}"
+
+
+# The paper's metatheory lives in proofkit.meta: it imports the verdict
+# path, and neither the command line nor the benchmark's layers import it.
+META = "proofkit.meta"
+
+
+def _absolute_imports(path):
+    """(line, absolute module name) for every module an import in path
+    names, `from X import y` naming both X and X.y."""
+    package = ".".join(("proofkit",) + path.relative_to(PACKAGE).parent.parts)
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                yield node.lineno, a.name
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            base = package.split(".")
+            if node.level:
+                base = base[: len(base) - node.level + 1]
+            else:
+                base = []
+            module = ".".join(base + ([node.module] if node.module else []))
+            yield node.lineno, module
+            for a in node.names:
+                yield node.lineno, f"{module}.{a.name}"
+
+
+def test_only_meta_imports_meta():
+    inside = PACKAGE / "meta"
+    offenders = [
+        f"{path.relative_to(PACKAGE)}:{line} {name}"
+        for path in SOURCES
+        if inside not in path.parents
+        for line, name in _absolute_imports(path)
+        if name == META or name.startswith(META + ".")
+    ]
+    assert not offenders, f"imports of {META} outside it: {', '.join(offenders)}"
+
+
+def test_the_cli_and_the_bench_layers_load_no_meta_module():
+    code = (
+        "import importlib, sys\n"
+        f"sys.path.insert(0, {str(REPO / 'perfbench')!r})\n"
+        "import tracing\n"
+        "import proofkit.cli\n"
+        "for layer in tracing.LAYERS:\n"
+        "    importlib.import_module('proofkit.' + layer)\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('proofkit'))))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    loaded = done.stdout.split()
+    assert "proofkit.cli" in loaded and "proofkit.hilbertack" in loaded
+    meta = [m for m in loaded if m == META or m.startswith(META + ".")]
+    assert not meta, f"loaded: {', '.join(meta)}"

@@ -7,14 +7,13 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import truth_table_consequence
+from conftest import numeral, truth_table_consequence
 from proofkit import normform as nf
 from proofkit import propcalc as pc
 from proofkit import stringarith
 from proofkit import syntax as sx
 from proofkit.errors import BudgetExhausted, CheckError, ParseError, SizeGuardExceeded
 from proofkit.kernel import (
-    ProofBuilder,
     ProofLine,
     ProofObject,
     Registry,
@@ -23,14 +22,17 @@ from proofkit.kernel import (
     check_proof,
     check_script,
     classify_delta,
+    parse_script_file,
+    proves,
+)
+from proofkit.meta.proofs import (
+    ProofBuilder,
     deduction_transform,
     equality_substitution,
     extract_special_sequence,
     freeze_proof,
     negation_form_proof,
-    parse_script_file,
     prenex_equivalence_proof,
-    proves,
     purge_extraneous,
     special_case_proof,
     variant_iff_proof,
@@ -251,7 +253,7 @@ PRENEX_TEMPLATES = [
 def test_prenex_equivalence_proofs(text):
     st2 = SymbolTable(LANG, auto_predicates=True)
     f = sx.parse(text, "formula", st2)
-    assert sx.is_closed(f)
+    assert not sx.free_vars(f)
     proof, idx = prenex_equivalence_proof(f)
     v = check_proof(TOY, proof)
     assert v.ok, v.message
@@ -848,7 +850,7 @@ def test_check_proof_reports_an_exhausted_budget_as_such():
     # the links a0 -> a1, ..., a10 -> a11 over 12 atoms give a0 -> a11:
     # decided at budget 1,000, not at budget 2, where the search stops
     # before it has an answer
-    atoms = [Atom(Q, (sx.numeral(i),)) for i in range(12)]
+    atoms = [Atom(Q, (numeral(i),)) for i in range(12)]
     chain = sx.conj([sx.fimp(a, b) for a, b in zip(atoms, atoms[1:])])
 
     def one_line(f):
@@ -869,7 +871,7 @@ def test_check_proof_reports_an_exhausted_budget_as_such():
 def test_check_proof_reports_a_clausification_blowup_as_a_failing_line():
     # 15 two-atom conjunctions in one disjunction: distributing it passes
     # the clause guard, which fails the line instead of raising
-    atoms = [Atom(Q, (sx.numeral(i),)) for i in range(30)]
+    atoms = [Atom(Q, (numeral(i),)) for i in range(30)]
     big = sx.disj([sx.fand(a, b) for a, b in zip(atoms[::2], atoms[1::2])])
     pb = ProofBuilder()
     pb.taut(sx.fimp(big, big), ())

@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_qf_formula, truth_table_consequence
+from conftest import is_variant, random_qf_formula, truth_table_consequence, unfreeze
 from proofkit import normform as nf
 from proofkit import syntax as sx
 from proofkit.errors import CheckError, SizeGuardExceeded
@@ -150,7 +150,7 @@ def test_freeze_unary_example():
     assert xname == "x"
     assert r.subscript == Exists("x", Not(sx.eq(Var("x"), Var("x"))))
     assert res.frozen == sx.eq(r, r)
-    assert sx.is_closed(res.frozen)
+    assert not sx.free_vars(res.frozen)
 
 
 def test_freeze_closed_identity():
@@ -166,14 +166,14 @@ def test_freeze_two_variables_nested_levels():
     assert sx.const_level(rx) == 1
     assert sx.const_level(ry) == 2
     assert rx in sx.appearing_constants(ry.subscript)
-    assert sx.is_closed(res.frozen)
+    assert not sx.free_vars(res.frozen)
 
 
 def test_unfreeze_gives_variant_of_matrix():
     f = Or(qx(), Exists("z", Atom(R2, (Var("z"), Var("y")))))
     res = nf.freeze(f)
-    back = nf.unfreeze(res)
-    assert sx.is_variant(back, f)
+    back = unfreeze(res)
+    assert is_variant(back, f)
 
 
 def _freeze_with_capture_checks(f, names):
@@ -330,4 +330,4 @@ def test_special_case_is_one_quantifier_at_a_time(f, steps):
 def test_special_case_closed_when_directive_exhausts_prefix():
     f = sx.fall("x", Exists("y", Atom(R2, (Var("x"), Var("y")))))
     d = nf.SpecialCaseDirective((("term", App(EPS)), ("witness", "w")))
-    assert sx.is_closed(nf.special_case(f, d))
+    assert not sx.free_vars(nf.special_case(f, d))

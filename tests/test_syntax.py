@@ -4,6 +4,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import is_adjusted, is_variant, replace_subformula
 from proofkit import syntax as sx
 from proofkit.errors import ArityError, CaptureError, ParseError
 from proofkit.syntax import (
@@ -92,7 +93,7 @@ def test_parse_bounded_quantifier_expansion():
 
 def test_parse_eq_atom_is_closed_and_plain():
     f = parse("(= eps eps)")
-    assert sx.is_closed(f) and sx.is_plain(f) and sx.is_open(f)
+    assert not sx.free_vars(f) and sx.is_plain(f) and sx.is_open(f)
 
 
 def test_parse_errors_have_locations():
@@ -123,7 +124,7 @@ READ = [
     ("x'", "term", Var("x'")),
     ("eps", "term", App(EPS)),
     ("(eps)", "term", App(EPS)),
-    ("s0", "term", (ArityError, "s0 expects 1 arguments", None, None)),
+    ("s0", "term", (ParseError, "s0 expects 1 arguments, got 0", 1, 1)),
     ("q", "term", (ParseError, "q is a predicate symbol, not a term", 1, 1)),
     ("\n  p", "term", (ParseError, "p is a predicate symbol, not a term", 2, 3)),
     ("X", "term", (ParseError, "bad identifier 'X'", 1, 1)),
@@ -140,7 +141,7 @@ READ = [
     (")", "term", (ParseError, "unbalanced ')'", 1, 1)),
     ("x y", "term", (ParseError, "trailing input 'y'", 1, 3)),
     ("(s0 x", "term", (ParseError, "unclosed parenthesis", 1, 1)),
-    ("q", "formula", (ParseError, "q expects 1 arguments", 1, 1)),
+    ("q", "formula", (ParseError, "q expects 1 arguments, got 0", 1, 1)),
     ("(q x y)", "formula", (ParseError, "q expects 1 arguments, got 2", 1, 1)),
     ("(p x)", "formula", (ParseError, "p expects 2 arguments, got 1", 1, 1)),
     ("x", "formula", (ParseError, "expected a formula, got 'x'", 1, 1)),
@@ -150,6 +151,7 @@ READ = [
     ("((q x))", "formula", (ParseError, "formula must start with an operator", 1, 2)),
     ("(forall x\n\t(q (s0)))", "formula", (ParseError, "s0 expects 1 arguments, got 0", 2, 5)),
     ("(q x)", "nope", (ParseError, "unknown parse kind 'nope'", None, None)),
+    ("(q s0)", "formula", (ParseError, "s0 expects 1 arguments, got 0", 1, 4)),
 ]
 
 
@@ -250,17 +252,16 @@ def test_closure_order_of_first_free_occurrence():
     assert sx.free_vars(f) == ("x", "y")
     c = sx.closure(f)
     assert sx.as_all(c)[0] == "x"
-    assert sx.is_closed(c)
+    assert not sx.free_vars(c)
     assert sx.closure(c) == c
-    assert sx.index(c) == 0
 
 
 def test_adjusted_variant():
     f = parse("(or (exists x (q x)) (exists x (= x y)))")
     v = sx.make_adjusted_variant(f, avoid={"x"})
-    assert sx.is_adjusted(v)
-    assert "x" not in sx.bound_vars(v)
-    assert sx.is_variant(f, v)
+    assert is_adjusted(v)
+    assert "x" not in sx.all_var_names(v)
+    assert is_variant(f, v)
     g = parse("(q x)")
     assert sx.make_adjusted_variant(g) == g
 
@@ -269,7 +270,7 @@ def test_adjusted_variant():
 @given(formulas())
 def test_variant_symmetry(f):
     v = sx.make_adjusted_variant(f, avoid={"x"})
-    assert sx.is_variant(f, v) and sx.is_variant(v, f)
+    assert is_variant(f, v) and is_variant(v, f)
 
 
 # --- special constants ----------------------------------------------------
@@ -329,9 +330,8 @@ def test_appears_in_through_subscripts():
     e = parse("(exists x (q x))")
     r = sx.special_constant(e)
     f = Atom(Q, (r,))
-    prof = sx.analyze(f)
     assert "x" not in sx.occurring_var_names(f)
-    assert "x" in prof.appearing_vars
+    assert "x" in sx.all_var_names(f)
 
 
 def test_rank_examples():
@@ -339,15 +339,6 @@ def test_rank_examples():
     assert sx.nested_rank(two) == 2 and sx.unnested_rank(two) == 2
     split = parse("(or (exists x (q x)) (exists y (q y)))")
     assert sx.nested_rank(split) == 1 and sx.unnested_rank(split) == 2
-
-
-# --- names and numerals ---------------------------------------------------
-
-
-def test_name_term_and_numeral():
-    assert sx.render(sx.name_term("01")) == "(s0 (s1 eps))"
-    assert sx.name_term("") == App(EPS)
-    assert sx.render(sx.numeral(3)) == "(s0 (s0 (s0 eps)))"
 
 
 def test_sc_term_round_trip():
@@ -496,31 +487,30 @@ C2 = SpecialConst(Exists("v", Or(sx.eq(Var("v"), C1), Atom(Q, (Var("v"),)))), "c
 SHADOWED = Or(sx.eq(x, C2), Exists("x", Not(Atom(P2, (x, y)))))
 NESTED = Not(Exists("z", Or(Atom(Q, (App(S1, (z,)),)), Exists("w", sx.eq(w, z)))))
 
-# node, bound_vars, all_var_names, occurring_var_names, is_plain,
-# special_constants, appearing_symbols, and for a formula is_open, height,
-# unnested_rank and nested_rank
+# node, all_var_names, occurring_var_names, is_plain, special_constants,
+# appearing_symbols, and for a formula is_open, unnested_rank and
+# nested_rank
 MEASURED = [
     # x is free on the left and bound on the right; C1 is inside C2's
     # subscript; p is a predicate other than =
-    (SHADOWED, "x", "uvxy", "xy", False, {C2}, {EPS, P2, Q}, (False, 3, 1, 1)),
-    (NESTED, "wz", "wz", "wz", True, set(), {Q, S1}, (False, 4, 2, 2)),
-    (sx.fimp(Atom(Q, (App(S0, (x,)),)), sx.eq(App(EPS), x)), "", "x", "x", True, set(),
-     {EPS, Q, S0}, (True, 2, 0, 0)),
-    (App(CAT, (x, C2)), "", "uvx", "x", False, {C2}, {CAT, EPS, Q}, None),
-    (C2, "", "uv", "", False, {C2}, {EPS, Q}, None),
+    (SHADOWED, "uvxy", "xy", False, {C2}, {EPS, P2, Q}, (False, 1, 1)),
+    (NESTED, "wz", "wz", True, set(), {Q, S1}, (False, 2, 2)),
+    (sx.fimp(Atom(Q, (App(S0, (x,)),)), sx.eq(App(EPS), x)), "x", "x", True, set(),
+     {EPS, Q, S0}, (True, 0, 0)),
+    (App(CAT, (x, C2)), "uvx", "x", False, {C2}, {CAT, EPS, Q}, None),
+    (C2, "uv", "", False, {C2}, {EPS, Q}, None),
 ]
 
 
 @pytest.mark.parametrize("case", MEASURED, ids=lambda c: sx.render(c[0]))
 def test_structural_measures(case):
-    node, bound, every, occurring, plain, consts, symbols, formula = case
-    assert sx.bound_vars(node) == set(bound)
+    node, every, occurring, plain, consts, symbols, formula = case
     assert sx.all_var_names(node) == set(every)
     assert sx.occurring_var_names(node) == set(occurring)
     assert sx.is_plain(node) is plain
     assert sx.special_constants(node) == consts
     assert sx.appearing_symbols(node) == symbols
-    measures = (sx.is_open, sx.height, sx.unnested_rank, sx.nested_rank)
+    measures = (sx.is_open, sx.unnested_rank, sx.nested_rank)
     if formula is None:
         for measure in measures:
             with pytest.raises(TypeError):
@@ -530,12 +520,12 @@ def test_structural_measures(case):
 
 
 def test_replace_subformula_examples():
-    got = sx.replace_subformula(SHADOWED, Atom(P2, (x, y)), sx.eq(x, y))
+    got = replace_subformula(SHADOWED, Atom(P2, (x, y)), sx.eq(x, y))
     assert got == Or(sx.eq(x, C2), Exists("x", Not(sx.eq(x, y))))
-    got = sx.replace_subformula(NESTED, sx.eq(w, z), Atom(Q, (w,)))
+    got = replace_subformula(NESTED, sx.eq(w, z), Atom(Q, (w,)))
     assert got == Not(Exists("z", Or(Atom(Q, (App(S1, (z,)),)), Exists("w", Atom(Q, (w,))))))
     # occurrence is at formula level: an atom's terms are not searched
-    assert sx.replace_subformula(NESTED, Atom(Q, (z,)), Atom(Q, (w,))) == NESTED
+    assert replace_subformula(NESTED, Atom(Q, (z,)), Atom(Q, (w,))) == NESTED
 
 
 def test_children_and_node_paths():
