@@ -7,7 +7,7 @@ meta.extensions."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import CheckError
 from . import syntax as sx
@@ -270,8 +270,7 @@ def _translate_f_in_atom(stage: Stage, atom: Atom, avoid: set) -> Formula:
     return Exists(z, fand(cond, inner))
 
 
-@dataclass
-class TranslationResult:
+class TranslationResult(NamedTuple):
     formula: Formula
     obligations: tuple  # (stage label, biconditional) pairs
 
@@ -313,8 +312,7 @@ def contains_defined_symbols(reg: DefinitionRegistry, f: Formula) -> bool:
 # relativization
 
 
-@dataclass
-class Relativization:
+class Relativization(NamedTuple):
     bounded: Formula  # A_phi
     relativized: Formula  # A^phi = phi(free A) -> A_phi (A_phi when closed)
 

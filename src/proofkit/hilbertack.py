@@ -11,8 +11,7 @@ strictly decreases the owner count."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import CheckError
 from . import propcalc
@@ -31,8 +30,7 @@ MAX_FORMULAS = 100_000
 # tower arithmetic
 
 
-@dataclass(frozen=True)
-class TowerExpr:
+class TowerExpr(NamedTuple):
     """Symbolic natural number: a numeral, or a right-associated tower of
     exponents."""
 
@@ -88,8 +86,7 @@ def bound_eval(nu: int, lam: int, rho: int, rho0: int) -> TowerExpr:
 # profiling
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(NamedTuple):
     rho: int
     lam: int
     kappa: int
@@ -158,8 +155,7 @@ class _Analysis:
 # the one-step eliminator
 
 
-@dataclass
-class StepTrace:
+class StepTrace(NamedTuple):
     profile_in: Profile
     profile_out: Profile
     targets: tuple  # the set M
@@ -275,8 +271,7 @@ def _eliminate(analysis, seq, targets, prof, mode):
 # the driver
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     final: SpecialSequence
     trace: list
     bound: TowerExpr

@@ -4,8 +4,7 @@ sequences.  The proof transformations and generators are in meta.proofs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..errors import BudgetExhausted, CheckError, SizeGuardExceeded
 from .. import propcalc
@@ -28,8 +27,7 @@ from ..syntax import (
 )
 
 
-@dataclass(frozen=True)
-class Theory:
+class Theory(NamedTuple):
     """A finite sequence of nonlogical axioms plus the distinguished
     constant playing the role of 0 (eps for string arithmetic)."""
 
@@ -67,8 +65,7 @@ class Theory:
 # the five delta classes
 
 
-@dataclass(frozen=True)
-class DeltaClass:
+class DeltaClass(NamedTuple):
     kind: str  # special-axiom | substitution | identity | equality | axiom-instance
     owner: Optional[SpecialConst] = None  # for special-axiom / substitution
     detail: tuple = ()
@@ -186,23 +183,20 @@ def check_rank_cap(cls: DeltaClass, rho_cap: Optional[int]) -> DeltaClass:
 # proof objects
 
 
-@dataclass(frozen=True)
-class ProofLine:
+class ProofLine(NamedTuple):
     formula: Formula
     # justification: ("delta",) | ("taut", indices-or-None) | ("default",)
     just: tuple = ("delta",)
 
 
-@dataclass(frozen=True)
-class ProofObject:
+class ProofObject(NamedTuple):
     lines: tuple[ProofLine, ...]
 
     def contains(self, f: Formula) -> bool:
         return any(ln.formula == f for ln in self.lines)
 
 
-@dataclass
-class ProofVerdict:
+class ProofVerdict(NamedTuple):
     ok: bool
     failed_index: Optional[int] = None
     message: str = ""
@@ -293,8 +287,7 @@ def proves(theory: Theory, proof: ProofObject, f: Formula, **kw) -> bool:
 # special sequences
 
 
-@dataclass(frozen=True)
-class SpecialSequence:
+class SpecialSequence(NamedTuple):
     formulas: tuple[Formula, ...]
 
 

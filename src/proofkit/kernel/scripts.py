@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..errors import CheckError, ParseError, ProofkitError
 from .. import normform as nform
@@ -148,15 +148,13 @@ class UseLine:
     lineno: int = 0
 
 
-@dataclass
-class ClaimBlock:
+class ClaimBlock(NamedTuple):
     statement_text: str
     lines: list
     lineno: int = 0
 
 
-@dataclass
-class ExplicitStep:
+class ExplicitStep(NamedTuple):
     kind: str  # special | eqsub | resolve
     payload: tuple
     lineno: int = 0

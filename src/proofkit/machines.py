@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import CheckError, ParseError
 
@@ -33,8 +33,7 @@ _OPCODE = {"prepend0": "00", "prepend1": "01", "pred": "10", "case": "11"}
 _OPNAME = {v: k for k, v in _OPCODE.items()}
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     op: str  # prepend0 | prepend1 | pred | case
     reg: int  # the register read (nu)
     dst: Optional[int] = None  # nu' for the three store commands
@@ -71,8 +70,7 @@ class Machine:
                     raise CheckError("goto target out of range")
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     registers: tuple  # mu bit strings
     state: int  # 1..kappa (the string 0_state)
 
@@ -127,8 +125,7 @@ def step(m: Machine, c: Configuration) -> Configuration:
 # compiled form: the nested case-function expression
 
 
-@dataclass(frozen=True)
-class CaseExpr:
+class CaseExpr(NamedTuple):
     """Expression tree over the four basic string functions, register
     projections, and state-string literals."""
 
@@ -194,8 +191,7 @@ def _h(m: Machine, lam: int, gamma: int) -> CaseExpr:
     return _var(gamma)
 
 
-@dataclass(frozen=True)
-class CompiledMachine:
+class CompiledMachine(NamedTuple):
     machine: Machine
     coordinates: tuple  # per-coordinate nested case expression
 
@@ -225,8 +221,7 @@ def compiled_step(m: Machine, c: Configuration, compiled: Optional[CompiledMachi
 # runs
 
 
-@dataclass
-class RunOutcome:
+class RunOutcome(NamedTuple):
     halted: bool
     output: Optional[str]
     steps: int
@@ -377,8 +372,7 @@ def decode_machine(bits: str) -> Machine:
     return Machine(0, mu, kappa, tuple(cmds))
 
 
-@dataclass
-class KBound:
+class KBound(NamedTuple):
     length: int
     machine: Machine
     encoding: str
@@ -421,8 +415,7 @@ def _halting_output(m: Machine, budget: int) -> tuple[Optional[str], bool]:
     return None, c not in seen
 
 
-@dataclass
-class KSearch:
+class KSearch(NamedTuple):
     """What k_search found: the bound, None when there is none, and how many
     runs the step budget cut off.  With no bound, a cut-off count of 0
     means no machine within the cap outputs the target; any other count

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..errors import CheckError
-from .. import normform as nform
 from .. import propcalc
 from .. import syntax as sx
 from ..extend import (
@@ -46,11 +45,18 @@ from ..syntax import (
     fand,
     fimp,
     free_vars,
-    special_axiom,
     special_constant,
     subst,
 )
-from .proofs import ProofBuilder, equality_theorem_proof, in_delta, map_proof, purge_extraneous
+from .proofs import (
+    ProofBuilder,
+    equality_theorem_proof,
+    in_delta,
+    map_proof,
+    prenex_prefix,
+    purge_extraneous,
+    special_axiom,
+)
 
 # the refutation budget of one gap in a reduced proof
 GAP_BUDGET = 50_000
@@ -349,7 +355,7 @@ def _reduce_f(theory: Theory, stage: Stage, proof: ProofObject) -> ProofObject:
         uc = closure(uniqueness_condition(existential))
         base = _embed(pb, condition(stage.uc_proof, "uniqueness"), uc)
         # closure order: params then y then y'
-        prefix, _ = nform.prenex_prefix(uc)
+        prefix, _ = prenex_prefix(uc)
         order = [x for _, x in prefix]
         binding = {}
         for x in order:

@@ -33,6 +33,7 @@ from ..syntax import (
     Formula,
     Not,
     Or,
+    SpecialConst,
     Term,
     Var,
     EQ,
@@ -43,7 +44,6 @@ from ..syntax import (
     fimp,
     free_vars,
     special_constant,
-    special_axiom,
     subst,
 )
 
@@ -111,6 +111,11 @@ def in_delta(theory: Theory, f: Formula) -> bool:
         return True
     except CheckError:
         return False
+
+
+def special_axiom(c: SpecialConst) -> Formula:
+    e = c.subscript
+    return fimp(e, subst(e.body, {e.var: c}))
 
 
 # ---------------------------------------------------------------------------
@@ -725,6 +730,23 @@ def _rebuild(node: Formula, path, rhs: Formula) -> Formula:
     if tag == "ex":
         return Exists(node.var, _rebuild(node.body, rest, rhs))
     raise AssertionError(tag)
+
+
+def prenex_prefix(f: Formula):
+    """(prefix, matrix) of a formula already in prenex shape."""
+    prefix = []
+    cur = f
+    while True:
+        pair = as_all(cur)
+        if pair is not None:
+            prefix.append(("A", pair[0]))
+            cur = pair[1]
+            continue
+        if isinstance(cur, Exists):
+            prefix.append(("E", cur.var))
+            cur = cur.body
+            continue
+        return prefix, cur
 
 
 def prenex_equivalence_proof(f: Formula):

@@ -19,8 +19,7 @@ the propositional layer).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import CheckError, SizeGuardExceeded
 from . import propcalc
@@ -129,23 +128,6 @@ def to_prenex(f: Formula) -> Formula:
     return _assemble(prefix, matrix)
 
 
-def prenex_prefix(f: Formula):
-    """(prefix, matrix) of a formula already in prenex shape."""
-    prefix = []
-    cur = f
-    while True:
-        pair = as_all(cur)
-        if pair is not None:
-            prefix.append(("A", pair[0]))
-            cur = pair[1]
-            continue
-        if isinstance(cur, Exists):
-            prefix.append(("E", cur.var))
-            cur = cur.body
-            continue
-        return prefix, cur
-
-
 # ---------------------------------------------------------------------------
 # conjunctive and normal form
 
@@ -174,8 +156,7 @@ def to_normal_form(f: Formula) -> Formula:
 # frozen variables
 
 
-@dataclass(frozen=True)
-class FrozenResult:
+class FrozenResult(NamedTuple):
     frozen: Formula
     witnesses: tuple[tuple[str, SpecialConst], ...]
 
@@ -211,8 +192,7 @@ def freeze(f: Formula, names: Optional[Sequence[str]] = None) -> FrozenResult:
 # special cases
 
 
-@dataclass(frozen=True)
-class SpecialCaseDirective:
+class SpecialCaseDirective(NamedTuple):
     """Ordered instructions, each ("term", variable-free term) for the next
     universal occurrence or ("witness", alias) for the next existential."""
 

@@ -42,8 +42,7 @@ last step derives the empty clause.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .errors import CheckError, SizeGuardExceeded
 from . import syntax as sx
@@ -65,8 +64,7 @@ DEFAULT_BUDGET = 100_000
 # truth valuations
 
 
-@dataclass
-class TruthValuation:
+class TruthValuation(NamedTuple):
     """Assignment of truth values to elementary formulas, extended to all
     formulas by the two evaluation rules for negation and disjunction."""
 
@@ -86,20 +84,17 @@ class TruthValuation:
 # certificates and their replayer
 
 
-@dataclass
-class Refutation:
+class Refutation(NamedTuple):
     steps: list
     spent: int = 0
 
 
-@dataclass
-class Saturated:
+class Saturated(NamedTuple):
     model: TruthValuation
     spent: int = 0
 
 
-@dataclass
-class OutOfBudget:
+class OutOfBudget(NamedTuple):
     spent: int
 
 

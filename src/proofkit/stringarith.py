@@ -48,7 +48,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import CheckError, ParseError
 from . import extend
@@ -522,8 +522,7 @@ def bsi_instance(bundle: TheoryBundle, phi_label: str, t: Term) -> Formula:
 # axiom fuzzing
 
 
-@dataclass
-class FuzzReport:
+class FuzzReport(NamedTuple):
     checked: int
     counterexamples: list
 
@@ -703,8 +702,7 @@ def load_corpus(paths: Optional[Sequence[Path]] = None) -> list[kscripts.Script]
     return out
 
 
-@dataclass
-class CorpusReport:
+class CorpusReport(NamedTuple):
     entries: list[kscripts.ScriptVerdict]
     elapsed: float
 

@@ -572,11 +572,6 @@ def special_constant(subscript: Formula, alias: Optional[str] = None) -> Special
         return c
 
 
-def special_axiom(c: SpecialConst) -> Formula:
-    e = c.subscript
-    return fimp(e, subst(e.body, {e.var: c}))
-
-
 # ---------------------------------------------------------------------------
 # substitution and replacement
 
@@ -636,11 +631,6 @@ def subst(node: Node, binding: Mapping[str, Term], check: bool = True) -> Node:
         raise TypeError(n)
 
     return walk(node, frozenset())
-
-
-def substitute(f: Formula, bindings: Sequence[tuple[str, Term]]) -> Formula:
-    """The instance A_{x1..xn}(a1..an); bindings apply simultaneously."""
-    return subst(f, dict(bindings))
 
 
 def rewrite(node: Node, app=None, atom=None, exists=None, const=None) -> Node:

@@ -25,7 +25,9 @@ from proofkit.meta.proofs import (
     ProofBuilder,
     deduction_transform,
     prenex_equivalence_proof,
+    prenex_prefix,
     purge_extraneous,
+    special_axiom,
 )
 from proofkit.syntax import App, Atom, FnSym, Not, PredSym, Var, EPS
 
@@ -185,7 +187,7 @@ def test_criterion_5_normal_form_pipeline():
     for text in PRENEX_TEMPLATES:
         f = sx.parse(text, "formula", quantified)
         p = nf.to_prenex(f)
-        _, matrix = nf.prenex_prefix(p)
+        _, matrix = prenex_prefix(p)
         assert sx.is_open(matrix)
         proof, idx = prenex_equivalence_proof(f)
         v = check_proof(toy, proof)
@@ -320,7 +322,7 @@ def test_criterion_8_proof_transformations():
     r = sx.special_constant(e, "rdef")
     pb = ProofBuilder()
     d = pb.default(sx.fimp(Not(e), sx.eq(r, App(EPS))))
-    spa = pb.delta(sx.special_axiom(r))
+    spa = pb.delta(special_axiom(r))
     pb.taut(sx.Or(Atom(q, (r,)), sx.eq(r, App(EPS))), (d, spa))
     out = eliminate_defaults(Theory("toy", (), EPS), pb.build())
     v = check_proof(Theory("toy", (), EPS), out)

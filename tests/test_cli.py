@@ -166,6 +166,70 @@ def test_ha_reduce_demo(capsys):
     assert payload["refutable"] is True and "ground-refutable=True" in out
 
 
+HA_HEADER = "step mode       rho  lam  kap  |seq|   out"
+HA_DEMOS = {
+    "rank1": (
+        [
+            HA_HEADER,
+            "   0 input        1    1    1      4      ",
+            "   1 batch        1    1    0      4     3",
+            "final: 3 formulas; ground-refutable=True; bound ((4 ^ (2 ^ 1)) ^ (2 ^ 2 ^ 2 ^ 1)) "
+            "= 18446744073709551616; observed max 4; within bound: True",
+        ],
+        {
+            "ok": True,
+            "steps": 1,
+            "final_size": 3,
+            "refutable": True,
+            "bound": "((4 ^ (2 ^ 1)) ^ (2 ^ 2 ^ 2 ^ 1))",
+            "bound_value": 18446744073709551616,
+            "observed_max": 4,
+            "within_bound": True,
+            "trace": [
+                {"mode": "batch", "size_in": 4, "size_out": 3, "rho": 1, "lam": 1, "kappa": 0},
+            ],
+        },
+    ),
+    "rank2": (
+        [
+            HA_HEADER,
+            "   0 input        2    2    1      6      ",
+            "   1 batch        2    2    0      6     6",
+            "   2 batch        2    2    0      6     5",
+            "   3 batch        2    2    0      5     4",
+            "final: 4 formulas; ground-refutable=True; bound ((6 ^ (2 ^ 2)) ^ (2 ^ 2 ^ 2 ^ 2 ^ 2)) "
+            "= symbolic; observed max 8",
+        ],
+        {
+            "ok": True,
+            "steps": 3,
+            "final_size": 4,
+            "refutable": True,
+            "bound": "((6 ^ (2 ^ 2)) ^ (2 ^ 2 ^ 2 ^ 2 ^ 2))",
+            "bound_value": None,
+            "observed_max": 8,
+            "within_bound": None,
+            "trace": [
+                {"mode": "batch", "size_in": 6, "size_out": 6, "rho": 2, "lam": 2, "kappa": 0},
+                {"mode": "batch", "size_in": 6, "size_out": 5, "rho": 2, "lam": 2, "kappa": 0},
+                {"mode": "batch", "size_in": 5, "size_out": 4, "rho": 2, "lam": 2, "kappa": 0},
+            ],
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("demo", sorted(HA_DEMOS))
+def test_ha_reduce_demo_output_is_pinned(capsys, demo):
+    # the whole report: the bound is a TowerExpr printed by its __str__, the
+    # rows read each step's StepTrace and Profile
+    text, payload = HA_DEMOS[demo]
+    code, out, _ = run(capsys, "ha-reduce", "--demo", demo)
+    assert code == 0 and out == "\n".join(text) + "\n"
+    code, jout, _ = run(capsys, "--format", "json", "ha-reduce", "--demo", demo)
+    assert code == 0 and jout == json.dumps(payload, indent=2) + "\n"
+
+
 def test_ha_reduce_fails_when_the_certificate_does_not_replay(capsys, monkeypatch):
     def reject(cert, inputs):
         raise CheckError("step 3 does not follow")
@@ -239,7 +303,15 @@ def test_rm_kbound_pins(capsys, target, cap, encoding):
         # configuration within 200 steps
         assert code == 1 and payload == {"ok": False, "found": False, "budget_cut": 22}
     else:
-        assert code == 0 and payload["encoding"] == encoding and payload["length"] == len(encoding)
+        # the whole JSON, byte for byte
+        pinned = {
+            "ok": True,
+            "found": True,
+            "length": len(encoding),
+            "encoding": encoding,
+            "encoding_version": 1,
+        }
+        assert code == 0 and jout == json.dumps(pinned, indent=2) + "\n"
 
 
 def test_machine_strings_must_be_bits(capsys, tmp_path):

@@ -400,7 +400,7 @@ def test_eliminate_defaults_example():
     r = sx.special_constant(e, "r")
     pb = ProofBuilder()
     d = pb.default(sx.fimp(Not(e), sx.eq(r, E)))
-    spa = pb.delta(sx.special_axiom(r))
+    spa = pb.delta(pg.special_axiom(r))
     pb.taut(Or(Atom(Q, (r,)), sx.eq(r, E)), (d, spa))
     proof = pb.build()
     assert check_proof(Theory("toy", (), EPS), proof, allow_defaults=True).ok
@@ -415,7 +415,7 @@ def test_eliminate_defaults_no_defaults_is_renaming():
     e = Exists("x", Atom(Q, (Var("x"),)))
     r = sx.special_constant(e, "r")
     pb = ProofBuilder()
-    pb.delta(sx.special_axiom(r))
+    pb.delta(pg.special_axiom(r))
     out = mx.eliminate_defaults(Theory("toy", (), EPS), pb.build())
     assert check_proof(Theory("toy", (), EPS), out).ok
     # the image line carries the default-compatible constant in place of r
@@ -430,7 +430,7 @@ def test_default_special_axiom_specializes():
     e = Exists("x", Atom(Q, (Var("x"),)))
     r = sx.special_constant(e, "r")
     pb = ProofBuilder()
-    pb.delta(sx.special_axiom(r))
+    pb.delta(pg.special_axiom(r))
     out = mx.eliminate_defaults(Theory("toy", (), EPS), pb.build())
     last = out.lines[-1].formula
     hyp, concl = sx.as_imp(last)

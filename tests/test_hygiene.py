@@ -8,6 +8,9 @@ Package ``__init__.py`` files are exempt from the import check: their
 imports are re-exports."""
 
 import ast
+import dataclasses
+import functools
+import importlib
 import os
 import subprocess
 import sys
@@ -281,7 +284,10 @@ def test_only_meta_imports_meta():
     assert not offenders, f"imports of {META} outside it: {', '.join(offenders)}"
 
 
-def test_the_cli_and_the_bench_layers_load_no_meta_module():
+@functools.cache
+def _verdict_path_modules() -> tuple[str, ...]:
+    """The proofkit modules that `import proofkit.cli` and the bench's eight
+    layers (perfbench/tracing.LAYERS) load, read in a fresh interpreter."""
     code = (
         "import importlib, sys\n"
         f"sys.path.insert(0, {str(REPO / 'perfbench')!r})\n"
@@ -295,7 +301,47 @@ def test_the_cli_and_the_bench_layers_load_no_meta_module():
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    loaded = done.stdout.split()
+    return tuple(done.stdout.split())
+
+
+def test_the_cli_and_the_bench_layers_load_no_meta_module():
+    loaded = _verdict_path_modules()
     assert "proofkit.cli" in loaded and "proofkit.hilbertack" in loaded
     meta = [m for m in loaded if m == META or m.startswith(META + ".")]
     assert not meta, f"loaded: {', '.join(meta)}"
+
+
+# The dataclasses the verdict path keeps.  A record nothing mutates is a
+# typing.NamedTuple: it is built and hashed in C, and making its class
+# execs no generated methods at start-up.
+_NODES = "the tests use dataclasses.replace, fields and FrozenInstanceError on nodes"
+_SYMBOLS = "as tuples, FnSym('f', 1) would equal PredSym('f', 1) in propcalc's term codes"
+KEPT_DATACLASSES = {
+    **{
+        f"proofkit.syntax.{name}": _NODES
+        for name in ("Var", "App", "SpecialConst", "Atom", "Not", "Or", "Exists")
+    },
+    "proofkit.syntax.FnSym": _SYMBOLS,
+    "proofkit.syntax.PredSym": _SYMBOLS,
+    "proofkit.syntax.Language": "validates its symbols in __post_init__",
+    "proofkit.machines.Machine": "validates its commands in __post_init__",
+    "proofkit.stringarith.TheoryBundle": "the bench calls dataclasses.replace on it",
+    "proofkit.kernel.scripts.Entry": "a theorem's entry is marked checked after it is built",
+    "proofkit.kernel.scripts.UseLine": "the tests' script mutator sets its items after it is built",
+    "proofkit.kernel.scripts.ScriptVerdict": "the corpus driver adds the oracle's verdict to it",
+    "proofkit.kernel.scripts.Script": "its lines field has a default_factory",
+    "proofkit.extend.Stage": "its respects field has a default_factory",
+}
+
+
+def test_every_verdict_path_dataclass_is_on_the_allow_list():
+    found = {
+        f"{name}.{cls.__qualname__}"
+        for name in _verdict_path_modules()
+        for cls in vars(importlib.import_module(name)).values()
+        if isinstance(cls, type) and cls.__module__ == name and dataclasses.is_dataclass(cls)
+    }
+    unlisted = sorted(found - KEPT_DATACLASSES.keys())
+    assert not unlisted, f"not NamedTuples and not listed with a reason: {', '.join(unlisted)}"
+    stale = sorted(KEPT_DATACLASSES.keys() - found)
+    assert not stale, f"listed but no longer dataclasses: {', '.join(stale)}"

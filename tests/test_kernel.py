@@ -34,6 +34,7 @@ from proofkit.meta.proofs import (
     negation_form_proof,
     prenex_equivalence_proof,
     purge_extraneous,
+    special_axiom,
     special_case_proof,
     variant_iff_proof,
 )
@@ -109,7 +110,7 @@ def test_classify_axiom_instance_and_rejection():
 def test_rho_cap_excludes_high_rank_owners():
     e2 = parse("(exists x (exists y (p x y)))")
     r2 = sx.special_constant(e2)
-    spa = sx.special_axiom(r2)
+    spa = special_axiom(r2)
     assert classify_delta(TOY, spa, rho_cap=2).kind == "special-axiom"
     with pytest.raises(CheckError):
         classify_delta(TOY, spa, rho_cap=1)
@@ -142,7 +143,7 @@ def test_theorem5_skeleton_accepted():
     # special axiom, substitution formula, biconditional as consequence
     e = parse("(exists x (not (q x)))")
     r = sx.special_constant(e)
-    spa = sx.special_axiom(r)
+    spa = special_axiom(r)
     inst = sx.subst(e.body, {"x": r})
     subf = sx.fimp(inst, e)
     bic = sx.fiff(sx.fall("x", Atom(Q, (Var("x"),))), Atom(Q, (r,)))
@@ -168,7 +169,7 @@ def test_level_cap():
     r = sx.special_constant(e)
     e2 = Exists("y", sx.eq(Var("y"), r))
     r2 = sx.special_constant(e2)
-    proof = ProofObject((ProofLine(sx.special_axiom(r2)),))
+    proof = ProofObject((ProofLine(special_axiom(r2)),))
     assert check_proof(TOY, proof, level_cap=2).ok
     assert not check_proof(TOY, proof, level_cap=1).ok
 
@@ -382,6 +383,13 @@ def test_sequence_valid_on_25_atoms_and_an_exhausted_budget():
     for seq in (valid, invalid):
         with pytest.raises(BudgetExhausted, match=r"^budget exhausted \(6 spent, budget 5\)$"):
             core.sequence_valid(seq, budget=5)
+
+
+def test_a_special_sequence_hashes_as_its_field_tuple():
+    # the field tuple's hash: the order of a set of sequences under a fixed
+    # PYTHONHASHSEED rests on it
+    fs = (Atom(Q, (E,)), Not(Atom(Q, (E,))))
+    assert hash(core.SpecialSequence(fs)) == hash((fs,))
 
 
 S0E = App(S0, (E,))

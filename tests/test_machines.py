@@ -26,6 +26,13 @@ def test_step_semantics_store_commands():
     assert nxt.registers == ("1", "01") and nxt.state == 2
 
 
+def test_a_configuration_hashes_as_its_field_tuple():
+    # the field tuple's hash: the order of a set of configurations under a
+    # fixed PYTHONHASHSEED rests on it
+    registers = ("1", "01")
+    assert hash(rm.Configuration(registers, 2)) == hash((registers, 2))
+
+
 def test_halt_state_is_fixed():
     m = rm.const0_machine()
     c = rm.Configuration(("1", "0"), 2)

@@ -8,6 +8,7 @@ from conftest import is_variant, random_qf_formula, truth_table_consequence, unf
 from proofkit import normform as nf
 from proofkit import syntax as sx
 from proofkit.errors import CheckError, SizeGuardExceeded
+from proofkit.meta.proofs import prenex_prefix
 from proofkit.syntax import App, Atom, Exists, Not, Or, PredSym, Var, EPS
 
 Q = PredSym("q", 1)
@@ -84,7 +85,7 @@ def test_prenex_examples():
 def test_prenex_open_matrix_and_free_variables():
     f = Or(Exists("x", Atom(R2, (Var("x"), Var("y")))), Not(Exists("z", qx("z"))))
     p = nf.to_prenex(f)
-    prefix, matrix = nf.prenex_prefix(p)
+    prefix, matrix = prenex_prefix(p)
     assert prefix and sx.is_open(matrix)
     assert sx.free_vars(p) == sx.free_vars(f)
 
@@ -92,7 +93,7 @@ def test_prenex_open_matrix_and_free_variables():
 def test_prenex_left_quantifier_pulled_first():
     f = Or(Exists("x", qx()), Exists("y", qx("y")))
     p = nf.to_prenex(f)
-    prefix, _ = nf.prenex_prefix(p)
+    prefix, _ = prenex_prefix(p)
     assert [k for k, _ in prefix] == ["E", "E"]
     assert [v for _, v in prefix] == ["x", "y"]
 
@@ -135,7 +136,7 @@ def test_normal_form_requires_closed():
         nf.to_normal_form(qx())
     f = Not(Exists("x", Or(qx(), Atom(P))))
     out = nf.to_normal_form(f)
-    prefix, matrix = nf.prenex_prefix(out)
+    prefix, matrix = prenex_prefix(out)
     assert prefix == [("A", "x")]
     assert sx.is_open(matrix)
 

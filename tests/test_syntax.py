@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import is_adjusted, is_variant, replace_subformula
 from proofkit import syntax as sx
 from proofkit.errors import ArityError, CaptureError, ParseError
+from proofkit.meta.proofs import special_axiom
 from proofkit.syntax import (
     App,
     Atom,
@@ -220,14 +221,14 @@ def test_infix_precedence_examples():
 def test_substitute_capture_error_names_the_binder():
     f = parse("(exists x (not (= x y)))")
     with pytest.raises(CaptureError) as e:
-        sx.substitute(f, [("y", Var("x"))])
+        sx.subst(f, {"y": Var("x")})
     assert e.value.variable == "y" and e.value.binder == "x"
 
 
 def test_substitute_examples():
-    assert sx.substitute(parse("(= x x)"), [("x", App(EPS))]) == parse("(= eps eps)")
+    assert sx.subst(parse("(= x x)"), {"x": App(EPS)}) == parse("(= eps eps)")
     f = parse("(q x)")
-    assert sx.substitute(f, []) == f
+    assert sx.subst(f, {}) == f
 
 
 @settings(max_examples=150, deadline=None)
@@ -240,7 +241,7 @@ def test_variable_free_terms_always_substitutable(f, t):
 
 def test_simultaneous_substitution():
     f = parse("(p x y)")
-    out = sx.substitute(f, [("x", Var("y")), ("y", Var("x"))])
+    out = sx.subst(f, {"x": Var("y"), "y": Var("x")})
     assert out == parse("(p y x)")
 
 
@@ -289,7 +290,7 @@ def test_special_constant_canonical_and_levels():
     assert sx.const_level(r2) == 2
     assert sx.const_level(r2) > sx.const_level(r)
     assert (
-        sx.render(sx.special_axiom(r), "infix-pretty")
+        sx.render(special_axiom(r), "infix-pretty")
         == f"exists x q9(x) -> q9({r.alias})"
     )
 
