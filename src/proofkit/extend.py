@@ -7,6 +7,7 @@ meta.extensions."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .errors import CheckError
@@ -48,6 +49,24 @@ class Stage:
     uc_proof: Optional[ProofObject] = None
     phi: Optional[Formula] = None  # r: the relativizer (unary, free var x)
     respects: dict = field(default_factory=dict)  # r: FnSym -> ProofObject
+
+    @cached_property
+    def unfolding(self) -> "Unfolding":
+        """What every occurrence of a p- or f-stage's symbol reads, worked
+        out on the stage's first translation, not when it is logged."""
+        binders = []
+        sx.rewrite(self.definiens, exists=lambda e: binders.append(e.var) or e)
+        bound = frozenset(binders)
+        frees = free_vars(self.definiens)
+        params = free_vars(Exists(self.out_var, self.definiens)) if self.kind == "f" else frees
+        adjusted = len(bound) == len(binders) and bound.isdisjoint(frees)
+        return Unfolding(params, bound, adjusted)
+
+
+class Unfolding(NamedTuple):
+    params: tuple  # the definiens' variables the symbol's arguments replace
+    binders: frozenset  # the definiens' bound variables
+    adjusted: bool  # distinct binders, none of them free
 
 
 class DefinitionRegistry:
@@ -231,16 +250,30 @@ def _establish(
 # translation out of p/f extensions
 
 
+def _variant(stage: Stage, avoid) -> Formula:
+    """An adjusted variant of the stage's definiens with no binder in avoid:
+    the definiens itself when it is adjusted and already avoids it (the
+    variant make_adjusted_variant would build is then equal to it)."""
+    u = stage.unfolding
+    if u.adjusted and u.binders.isdisjoint(avoid):
+        return stage.definiens
+    return sx.make_adjusted_variant(stage.definiens, avoid)
+
+
 def _translate_p_atom(stage: Stage, atom: Atom, avoid) -> Formula:
-    d = sx.make_adjusted_variant(stage.definiens, avoid)
-    args = free_vars(stage.definiens)
-    return subst(d, dict(zip(args, atom.args)))
+    """The definiens at the atom's arguments.  avoid holds the atom's
+    variables and the variant binds none of them, so no argument is
+    captured and the substitution needs no capture check."""
+    binding = dict(zip(stage.unfolding.params, atom.args))
+    return subst(_variant(stage, avoid), binding, check=False)
 
 
 def _translate_f_in_atom(stage: Stage, atom: Atom, avoid: set) -> Formula:
     """Eliminate every occurrence of the stage's function symbol from one
     atomic formula, rightmost first, introducing an existential per
-    occurrence."""
+    occurrence.  Each variant of the definiens binds neither a variable of
+    the atom, where the occurrence's arguments come from, nor the fresh z,
+    so the substitution needs no capture check."""
     f = stage.symbol
 
     def rightmost(n):
@@ -262,11 +295,10 @@ def _translate_f_in_atom(stage: Stage, atom: Atom, avoid: set) -> Formula:
     avoid = avoid | {z}
     reduced = sx.replace_at(atom, path, Var(z))
     inner = _translate_f_in_atom(stage, reduced, avoid)
-    d = sx.make_adjusted_variant(stage.definiens, avoid | sx.occurring_var_names(atom))
-    params = free_vars(Exists(stage.out_var, stage.definiens))
-    binding = dict(zip(params, occurrence.args))
+    d = _variant(stage, avoid | sx.occurring_var_names(atom))
+    binding = dict(zip(stage.unfolding.params, occurrence.args))
     binding[stage.out_var] = Var(z)
-    cond = subst(d, binding)
+    cond = subst(d, binding, check=False)
     return Exists(z, fand(cond, inner))
 
 
@@ -277,15 +309,26 @@ class TranslationResult(NamedTuple):
 
 def translate_out(reg: DefinitionRegistry, f: Formula) -> TranslationResult:
     """Eliminate all defined symbols, stage by stage from the most recent;
-    the stagewise equivalences are returned as kernel obligations."""
+    the stagewise equivalences are returned as kernel obligations.
+
+    A stage is walked only when its symbol can still occur: the symbols
+    that can occur are f's own (subscripts included, as the walk enters
+    them) and those of each definiens unfolded so far, since an unfolding
+    puts only its definiens' symbols in.  Stages run newest first and a
+    definiens names only symbols older than its own, so a stage's symbol,
+    once unfolded, never comes back.  A skipped stage's walk would have
+    returned the formula unchanged, and rewrite returns an unchanged node
+    as it is, so `is not` tells which walks changed something."""
     obligations = []
     cur = f
+    live = set(sx.appearing_symbols(f))
     for stage in reversed(reg.stages):
-        if stage.kind not in ("p", "f"):
+        if stage.kind not in ("p", "f") or stage.symbol not in live:
             continue
         nxt = _translate_stage(stage, cur)
-        if nxt != cur:
+        if nxt is not cur:
             obligations.append((stage.label, sx.fiff(cur, nxt)))
+            live |= sx.appearing_symbols(stage.definiens)
         cur = nxt
     return TranslationResult(cur, tuple(obligations))
 

@@ -73,10 +73,6 @@ def lam_mu(lam: int, mu: int) -> TowerExpr:
     return tpow(*([tnum(2)] * mu + [tnum(lam)]))
 
 
-def theorem22_bound(nu: int, lam: int) -> TowerExpr:
-    return tpow(tnum(nu), tpow(tnum(2), tnum(lam)))
-
-
 def bound_eval(nu: int, lam: int, rho: int, rho0: int) -> TowerExpr:
     """The final-sequence size bound  (nu ^ 2 ^ lam) ^ lam_(rho - rho0 + 2)."""
     return tpow(tpow(tnum(nu), tpow(tnum(2), tnum(lam))), lam_mu(lam, rho - rho0 + 2))

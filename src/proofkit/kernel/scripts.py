@@ -139,8 +139,7 @@ def bsi_template() -> Formula:
 # script syntax
 
 
-@dataclass
-class UseLine:
+class UseLine(NamedTuple):
     label: str
     direction: Optional[str]  # fw | bw | None
     items: tuple  # (";", text) | (":", name)

@@ -1,11 +1,12 @@
 """The paper's proof constructions, kept apart from the verdict path: a
 builder for proof objects; the transformations that rebuild a proof line by
 line (the deduction theorem, the purge of extraneous symbols) and the
-extraction of a special sequence from a proof of 0 != 0; the Theorem-24
-reassembly of a proof from a final special sequence; and the generators of
-kernel-checkable proofs (the equality theorem, special cases, frozen
-variables, variant implications, and the negation- and prenex-form
-equivalences).  Every proof made here is one kernel.core.check_proof accepts.
+extraction of a special sequence from a proof of 0 != 0; Theorem 22's size
+bound and the Theorem-24 reassembly of a proof from a final special
+sequence; and the generators of kernel-checkable proofs (the equality
+theorem, special cases, frozen variables, variant implications, and the
+negation- and prenex-form equivalences).  Every proof made here is one
+kernel.core.check_proof accepts.
 
 All generators work with closed instances throughout: recursion under a
 quantifier instantiates the bound variable with the special constant the
@@ -16,6 +17,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..errors import CheckError
+from ..hilbertack import TowerExpr, tnum, tpow
 from .. import normform as nform
 from .. import syntax as sx
 from ..kernel.core import (
@@ -186,7 +188,7 @@ def purge_extraneous(theory: Theory, goal: Formula, proof: ProofObject) -> Proof
 
 
 # ---------------------------------------------------------------------------
-# special sequences and the Theorem-24 reassembly
+# special sequences, Theorem 22's bound and the Theorem-24 reassembly
 
 
 def extract_special_sequence(theory: Theory, proof: ProofObject) -> SpecialSequence:
@@ -206,6 +208,11 @@ def extract_special_sequence(theory: Theory, proof: ProofObject) -> SpecialSeque
     if not sequence_valid(seq):
         raise CheckError("extracted sequence fails the tautology invariant")
     return seq
+
+
+def theorem22_bound(nu: int, lam: int) -> TowerExpr:
+    """The tower nu ^ 2 ^ lam, the base of hilbertack.bound_eval."""
+    return tpow(tnum(nu), tpow(tnum(2), tnum(lam)))
 
 
 def reassemble_proof(

@@ -409,23 +409,21 @@ def free_vars(node: Node) -> tuple[str, ...]:
     out: list[str] = []
 
     def walk(n, bound):
-        if isinstance(n, Var):
+        # Dispatch on the exact class, the most frequent first: no node
+        # class has a subclass.
+        cls = type(n)
+        if cls is Var:
             if n.name not in bound and n.name not in out:
                 out.append(n.name)
-        elif isinstance(n, App):
+        elif cls is App or cls is Atom:
             for a in n.args:
                 walk(a, bound)
-        elif isinstance(n, SpecialConst):
-            pass
-        elif isinstance(n, Atom):
-            for a in n.args:
-                walk(a, bound)
-        elif isinstance(n, Not):
+        elif cls is Not:
             walk(n.body, bound)
-        elif isinstance(n, Or):
+        elif cls is Or:
             walk(n.left, bound)
             walk(n.right, bound)
-        elif isinstance(n, Exists):
+        elif cls is Exists:
             walk(n.body, bound | {n.var})
 
     walk(node, frozenset())
@@ -612,22 +610,25 @@ def subst(node: Node, binding: Mapping[str, Term], check: bool = True) -> Node:
                 raise CaptureError(x, bad)
 
     def walk(n, shadowed):
-        if isinstance(n, Var):
+        # Dispatch on the exact class, the most frequent first: no node
+        # class has a subclass.
+        cls = type(n)
+        if cls is Var:
             if n.name in binding and n.name not in shadowed:
                 return binding[n.name]
             return n
-        if isinstance(n, SpecialConst):
-            return n  # subscripts are closed
-        if isinstance(n, App):
+        if cls is App:
             return App(n.fn, tuple(walk(a, shadowed) for a in n.args))
-        if isinstance(n, Atom):
+        if cls is Atom:
             return Atom(n.pred, tuple(walk(a, shadowed) for a in n.args))
-        if isinstance(n, Not):
+        if cls is Not:
             return Not(walk(n.body, shadowed))
-        if isinstance(n, Or):
+        if cls is Or:
             return Or(walk(n.left, shadowed), walk(n.right, shadowed))
-        if isinstance(n, Exists):
+        if cls is Exists:
             return Exists(n.var, walk(n.body, shadowed | {n.var}))
+        if cls is SpecialConst:
+            return n  # subscripts are closed
         raise TypeError(n)
 
     return walk(node, frozenset())

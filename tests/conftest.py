@@ -296,7 +296,9 @@ def mutate_script(rng: random.Random, script, symbols):
 
     out = copy.deepcopy(script)
     use_lines = [
-        l for l in out.lines if isinstance(l, kscripts.UseLine) and any(k == ";" for k, _ in l.items)
+        j
+        for j, l in enumerate(out.lines)
+        if isinstance(l, kscripts.UseLine) and any(k == ";" for k, _ in l.items)
     ]
     if rng.random() < 0.5 or not use_lines:
         stmt = sx.parse(out.statement_text, "formula", symbols)
@@ -330,7 +332,8 @@ def mutate_script(rng: random.Random, script, symbols):
         out.statement_text = sx.render(new_stmt)
         out.mutated = ("goal", sx.render(stmt), sx.render(new_stmt))
         return out
-    line = rng.choice(use_lines)
+    j = rng.choice(use_lines)
+    line = out.lines[j]
     idxs = [i for i, (k, _) in enumerate(line.items) if k == ";"]
     i = rng.choice(idxs)
     text = line.items[i][1]
@@ -338,7 +341,7 @@ def mutate_script(rng: random.Random, script, symbols):
     new_term = _perturb_term(rng, term)
     items = list(line.items)
     items[i] = (";", sx.render(new_term))
-    line.items = tuple(items)
+    out.lines[j] = line._replace(items=tuple(items))
     out.mutated = ("citation", text, sx.render(new_term))
     return out
 

@@ -278,6 +278,45 @@ def test_translate_verbose_obligation_sides_differ(capsys):
     assert code == 0 and json.loads(jout)["obligations"] == ["d27", "d25"]
 
 
+# A defined predicate whose definiens binds z, free in the formula, so that
+# an adjusted variant renames it, and a defined function: the output of
+# `translate --verbose` and of `reduce`, recorded while translate_out still
+# walked every stage of the chain.
+LEQ_Z = (
+    "(exists z1 (exists z2 (not (or (not (= z2 (zprod (s0 eps) (cat y z)))) (not (exists z3 "
+    "(not (or (not (= z3 (zprod (s0 eps) z))) (not (exists z4 (not (or (not (= z4 (zprod "
+    "(s0 eps) z1))) (not (= (cat z4 z3) z2))))))))))))))"
+)
+ZEE_CAT = (
+    "(exists z1 (not (or (not (= z1 (zprod (s0 eps) z))) (not (exists z2 (not (or (not "
+    "(= z2 (zprod (s0 eps) (cat x y)))) (not (= z2 z1)))))))))"
+)
+TRANSLATIONS = {
+    "(leq z (cat y z))": (
+        LEQ_Z,
+        [
+            "obligation [d27]: (leq z (cat y z)) <-> "
+            "(exists z1 (= (cat (zee z1) (zee z)) (zee (cat y z))))",
+            "obligation [d25]: (exists z1 (= (cat (zee z1) (zee z)) (zee (cat y z)))) <-> "
+            + LEQ_Z,
+        ],
+    ),
+    "(= (zee (cat x y)) (zee z))": (
+        ZEE_CAT,
+        ["obligation [d25]: (= (zee (cat x y)) (zee z)) <-> " + ZEE_CAT],
+    ),
+}
+
+
+@pytest.mark.parametrize("text", sorted(TRANSLATIONS))
+def test_translate_and_reduce_output_is_pinned(capsys, text):
+    rendered, obligations = TRANSLATIONS[text]
+    code, out, _ = run(capsys, "translate", "--verbose", text)
+    assert code == 0 and out == "\n".join([rendered, *obligations]) + "\n"
+    code, out, _ = run(capsys, "reduce", text)
+    assert code == 0 and out == rendered + "\n"
+
+
 @pytest.mark.parametrize(
     "target,cap,encoding",
     [

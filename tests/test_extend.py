@@ -159,18 +159,47 @@ def _zee_leq_registry():
     return reg, zee, leq
 
 
-def test_translate_out_removes_defined_symbols():
+def stage_walks(monkeypatch) -> list:
+    """The labels of the stages translate_out walks, in order."""
+    walks = []
+    walk = extend._translate_stage
+    monkeypatch.setattr(
+        extend, "_translate_stage", lambda stage, f: walks.append(stage.label) or walk(stage, f)
+    )
+    return walks
+
+
+def test_translate_out_removes_defined_symbols(monkeypatch):
+    # only leq occurs, but its definiens names the older zee, which is then
+    # unfolded too; the obligations are as recorded while every stage was
+    # walked
     reg, zee, leq = _zee_leq_registry()
+    walks = stage_walks(monkeypatch)
     f = Atom(leq, (Var("x"), E))
     out = extend.translate_out(reg, f)
     assert not extend.contains_defined_symbols(reg, out.formula)
-    assert [l for l, _ in out.obligations] == ["d27", "d25"]
+    assert walks == ["d27", "d25"]
+    unfolded = "(exists z (= (cat (zee z) (zee x)) (zee eps)))"
+    base = (
+        "(exists z (exists z1 (not (or (not (= z1 (zprod (s0 eps) eps))) (not (exists z2 "
+        "(not (or (not (= z2 (zprod (s0 eps) x))) (not (exists z3 (not (or (not (= z3 "
+        "(zprod (s0 eps) z))) (not (= (cat z3 z2) z1))))))))))))))"
+    )
+    sides = [(label, *map(sx.render, sx.as_iff(ob))) for label, ob in out.obligations]
+    assert sides == [("d27", "(leq x eps)", unfolded), ("d25", unfolded, base)]
+    assert sx.render(out.formula) == base
 
 
-def test_translate_out_identity_on_base_language():
-    reg, _, _ = _zee_leq_registry()
+def test_translate_out_identity_on_base_language(monkeypatch):
+    # no defined symbol occurs, so no stage is walked and f itself comes back
+    reg, zee, _ = _zee_leq_registry()
+    walks = stage_walks(monkeypatch)
     f = sx.fimp(sx.eq(Var("x"), E), sx.eq(E, Var("x")))
-    assert extend.translate_out(reg, f).formula == f
+    out = extend.translate_out(reg, f)
+    assert out.formula is f and out.obligations == () and walks == []
+    # leq's stage is newer than zee's and does not occur: it is skipped
+    out = extend.translate_out(reg, sx.eq(App(zee, (Var("x"),)), E))
+    assert walks == ["d25"] and [label for label, _ in out.obligations] == ["d25"]
 
 
 def test_translate_single_f_occurrence_shape():

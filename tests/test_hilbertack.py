@@ -9,7 +9,7 @@ from proofkit import syntax as sx
 from conftest import demo_valid_28_atoms, replace_subformula
 from proofkit.errors import BudgetExhausted, CheckError
 from proofkit.kernel import SpecialSequence, Theory, check_proof, core
-from proofkit.meta.proofs import reassemble_proof
+from proofkit.meta.proofs import reassemble_proof, theorem22_bound
 from proofkit.syntax import App, Atom, Exists, Not, Or, PredSym, Var, EPS, S0
 
 Q = PredSym("q", 1)
@@ -37,7 +37,7 @@ def test_bound_eval_symbolic_above_cutoff():
 
 
 def test_theorem22_bound():
-    assert ha.theorem22_bound(3, 2).eval() == 3 ** 4
+    assert theorem22_bound(3, 2).eval() == 3 ** 4
 
 
 # --- profiling ----------------------------------------------------------------

@@ -327,7 +327,6 @@ KEPT_DATACLASSES = {
     "proofkit.machines.Machine": "validates its commands in __post_init__",
     "proofkit.stringarith.TheoryBundle": "the bench calls dataclasses.replace on it",
     "proofkit.kernel.scripts.Entry": "a theorem's entry is marked checked after it is built",
-    "proofkit.kernel.scripts.UseLine": "the tests' script mutator sets its items after it is built",
     "proofkit.kernel.scripts.ScriptVerdict": "the corpus driver adds the oracle's verdict to it",
     "proofkit.kernel.scripts.Script": "its lines field has a default_factory",
     "proofkit.extend.Stage": "its respects field has a default_factory",

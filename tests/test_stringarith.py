@@ -1,7 +1,11 @@
 import collections
 import dataclasses
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -853,3 +857,45 @@ def test_translate_corpus_statement_agreement(bundle, corpus_report):
             assert lhs  # the theorems are true
             checked += 1
     assert checked == 240
+
+
+# The SHA-256 of each corpus statement's translation out of its chain (the
+# schema section's for its statements, as the bench's oracle workload picks
+# it, the definitions' for the rest), rendered in both styles, and of each
+# obligation with its stage label, the statements registered as theorems in
+# corpus order.  It was recorded while translate_out still walked every
+# stage of the chain and built a fresh adjusted variant of the definiens at
+# every occurrence.  Run in a fresh interpreter at a fixed hash seed, like
+# the corpus-elaboration digest, so that no earlier test's special constant
+# lends its alias.
+TRANSLATION_DIGEST = "616fc64830168816fd361d9c109a711a8999280bcac0b95152b30471e9173d3f"
+
+_TRANSLATION = """
+import hashlib
+from proofkit import extend, stringarith, syntax as sx
+
+bundle = stringarith.load_theory()
+digest = hashlib.sha256()
+scripts = stringarith.load_corpus()
+for script in scripts:
+    stmt = sx.parse(script.statement_text, "formula", bundle.registry.symbols)
+    bundle.register_theorem(script.label, stmt)
+    section = bundle.registry.entries[script.label].section
+    chain = bundle.schema if section == "schema" else bundle.definitions
+    out = extend.translate_out(chain, stmt)
+    pretty = sx.render(out.formula, "infix-pretty")
+    digest.update(f"{script.label} {sx.render(out.formula)} | {pretty}\\n".encode())
+    for label, ob in out.obligations:
+        digest.update(f"{label} {sx.render(ob)}\\n".encode())
+print(len(scripts), digest.hexdigest())
+"""
+
+
+def test_corpus_translation_is_pinned():
+    src = Path(sa.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
+    out = subprocess.run(
+        [sys.executable, "-c", _TRANSLATION],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert out == ["76", TRANSLATION_DIGEST]
