@@ -184,7 +184,7 @@ def cmd_translate(args) -> int:
     lines = [rendered]
     if args.verbose:
         # Prefix form shows each special constant's subscript; infix shows
-        # only its alias, which a translated constant keeps.
+        # only a name.
         for label, ob in res.obligations:
             before, after = sx.as_iff(ob)
             lines.append(f"obligation [{label}]: {sx.render(before)} <-> {sx.render(after)}")

@@ -394,10 +394,20 @@ def respects_obligation(fsym: FnSym, phi: Formula) -> Formula:
 
 
 def reduce_image(reg: DefinitionRegistry, f: Formula) -> Formula:
+    """f's image through the chain, newest stage first.  A p- or f-stage
+    whose symbol can no longer occur is skipped, by translate_out's rule: a
+    stage that changes the formula adds the symbols it put in, those of a
+    definiens or of a relativizer."""
     cur = f
+    live = set(sx.appearing_symbols(f))
     for stage in reversed(reg.stages):
-        if stage.kind in ("p", "f"):
-            cur = _translate_stage(stage, cur)
-        elif stage.kind == "r":
-            cur = relativize(cur, stage.phi).relativized
+        if stage.kind == "r":
+            nxt, put_in = relativize(cur, stage.phi).relativized, stage.phi
+        elif stage.symbol in live:
+            nxt, put_in = _translate_stage(stage, cur), stage.definiens
+        else:
+            continue
+        if nxt is not cur:
+            live |= sx.appearing_symbols(put_in)
+        cur = nxt
     return cur

@@ -322,7 +322,7 @@ def demo_rank1():
     qeps = sx.Atom(q, (sx.Var("x"),))
     theory = Theory("demo", (qeps, Not(sx.Atom(q, (sx.Var("y"),)))), sx.EPS)
     e = sx.Exists("x", sx.Atom(q, (sx.Var("x"),)))
-    r = sx.special_constant(e, "r")
+    r = sx.special_constant(e)
     q_at = lambda t: sx.Atom(q, (t,))
     seq = SpecialSequence(
         (

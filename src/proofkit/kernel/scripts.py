@@ -364,7 +364,7 @@ def elaborate_citation(registry: Registry, use: UseLine, env: dict) -> Formula:
 def _special_case(registry: Registry, base: Formula, items, env: dict) -> Formula:
     """base's special case by a citation's `; term` and `: witness` items,
     read under env: a term must be variable free and a witness name
-    unbound.  The witnesses' aliases are bound into env."""
+    unbound.  Each witness name is bound into env to its constant."""
     steps = []
     for kind, text in items:
         if kind == ";":
@@ -402,7 +402,7 @@ def check_script(
             raise CheckError(
                 f"H declares {len(script.h_names)} names for {len(order)} free variables"
             )
-        frozen = nform.freeze(statement, script.h_names)
+        frozen = nform.freeze(statement)
         env = {name: const for (_, const), name in zip(frozen.witnesses, script.h_names)}
         goal_negation = nform.to_negation_form(Not(frozen.frozen))
 
@@ -442,9 +442,11 @@ def check_script(
                     if claim_formula is not None
                     else "goal"
                 )
-                dump = "; ".join(sx.render(i, "infix-pretty") for i in inputs)
+                # each constant under the name the script first gave it
+                names = {const: name for name, const in reversed(env.items())}
+                dump = "; ".join(sx.render(i, "infix-pretty", names) for i in inputs)
                 true_atoms = sorted(
-                    sx.render(a, "infix-pretty")
+                    sx.render(a, "infix-pretty", names)
                     for a, v in res.model.assignment.items()
                     if v
                 )

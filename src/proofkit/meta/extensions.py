@@ -571,7 +571,7 @@ def _default_repl(theory: Theory):
         new_e = Exists(
             x, Or(body, fand(Not(variant), sx.eq(Var(x), theory.zero_term)))
         )
-        out = special_constant(new_e, (c.alias or "c") + "~")
+        out = special_constant(new_e)
         cache[c] = out
         return out
 

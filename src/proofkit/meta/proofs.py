@@ -379,7 +379,7 @@ def special_case_proof(f: Formula, directive: nform.SpecialCaseDirective):
             if qkind != "E":
                 raise CheckError("witness name at universal position")
             e = sx.node_at(cur, path)
-            r = special_constant(e, payload)
+            r = special_constant(e)
             repl = subst(e.body, {e.var: r})
             bridge = pb.delta(special_axiom(r))
             nxt = sx.replace_at(cur, path, repl)

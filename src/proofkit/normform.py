@@ -19,7 +19,7 @@ the propositional layer).
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple
 
 from .errors import CheckError, SizeGuardExceeded
 from . import propcalc
@@ -161,7 +161,7 @@ class FrozenResult(NamedTuple):
     witnesses: tuple[tuple[str, SpecialConst], ...]
 
 
-def freeze(f: Formula, names: Optional[Sequence[str]] = None) -> FrozenResult:
+def freeze(f: Formula) -> FrozenResult:
     """Replace the closure prefix by witness constants: each x_k becomes the
     special constant for  exists x_k not A_k  (so the result is closed and
     provably equivalent to the closure).
@@ -169,20 +169,12 @@ def freeze(f: Formula, names: Optional[Sequence[str]] = None) -> FrozenResult:
     Each substitution skips the capture check: the bound term is a special
     constant, which has a closed subscript and no variable occurrence of
     its own, so no quantifier of the body can capture anything in it."""
-    order = free_vars(f)
-    if names is None:
-        names = order
-    if len(names) != len(order):
-        raise CheckError(
-            f"freeze expects {len(order)} witness names for {', '.join(order) or 'no variables'}"
-        )
     cur = closure(f)
     witnesses = []
-    for x, alias in zip(order, names):
-        pair = as_all(cur)
-        assert pair is not None and pair[0] == x
-        body = pair[1]
-        r = special_constant(Exists(x, Not(body)), alias)
+    for x in free_vars(f):
+        y, body = as_all(cur)
+        assert y == x
+        r = special_constant(Exists(x, Not(body)))
         witnesses.append((x, r))
         cur = subst(body, {x: r}, check=False)
     return FrozenResult(cur, tuple(witnesses))
@@ -194,7 +186,7 @@ def freeze(f: Formula, names: Optional[Sequence[str]] = None) -> FrozenResult:
 
 class SpecialCaseDirective(NamedTuple):
     """Ordered instructions, each ("term", variable-free term) for the next
-    universal occurrence or ("witness", alias) for the next existential."""
+    universal occurrence or ("witness", name) for the next existential."""
 
     steps: tuple
 
@@ -225,8 +217,8 @@ def special_case(
 ) -> Formula:
     """Apply the directive to the leftmost quantifier occurrences of a closed
     negation-form formula: universal occurrences take the given
-    variable-free terms, existential ones their special constants (aliased
-    by the witness name, each appended to record as (alias, constant)).
+    variable-free terms, existential ones their special constants (each
+    appended to record as (witness name, constant)).
     With an empty directive this is the identity.
 
     One top-down walk with an accumulating binding does it.  A conjunction
@@ -276,7 +268,7 @@ def special_case(
             if universal:
                 raise CheckError(f"witness name at universal position (step {used})")
             e = leaf(g, binding)  # Exists(x, body under the binding so far)
-            r = special_constant(e, payload)
+            r = special_constant(e)
             if record is not None:
                 record.append((payload, r))
             return walk(e.body, {e.var: r})

@@ -3,9 +3,9 @@
 Formulas are immutable trees over the primitive operators not/or/exists;
 the derived connectives and/imp/iff/forall and the bounded quantifiers exist
 only as parser sugar and printer styles.  Special constants are index-0
-function symbols carrying a closed instantiation as subscript; two special
-constants are the same constant exactly when their subscripts are
-structurally identical.
+function symbols carrying a closed instantiation as subscript: a special
+constant is its subscript alone, and has no name but the one its printer
+gives it.
 """
 
 from __future__ import annotations
@@ -164,23 +164,20 @@ _app_fn, _app_args, _app_hash = _setters(App)
 
 @_node
 class SpecialConst(Term):
-    """The special constant for a closed instantiation; identity is by
-    subscript, the alias is presentation only."""
+    """The special constant for a closed instantiation: its subscript alone."""
 
     subscript: "Formula"
-    alias: Optional[str] = field(default=None, compare=False)
 
-    def __init__(self, subscript, alias=None):
+    def __init__(self, subscript):
         if not isinstance(subscript, Exists):
             raise ArityError("special-constant subscript must be an instantiation")
         if free_vars(subscript):
             raise ArityError("special-constant subscript must be closed")
         _sc_subscript(self, subscript)
-        _sc_alias(self, alias)
         _sc_hash(self, hash((subscript,)))
 
 
-_sc_subscript, _sc_alias, _sc_hash = _setters(SpecialConst)
+_sc_subscript, _sc_hash = _setters(SpecialConst)
 
 
 @_node
@@ -548,26 +545,19 @@ def appearing_symbols(node: Node) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# the special-constant canonicalizer
+# the special-constant intern table
 
 _sc_lock = threading.Lock()
 _sc_table: dict[Exists, SpecialConst] = {}
-_sc_counter = itertools.count(1)
 
 
-def special_constant(subscript: Formula, alias: Optional[str] = None) -> SpecialConst:
+def special_constant(subscript: Formula) -> SpecialConst:
     """Insert-or-get the canonical constant for a closed instantiation."""
-    if not isinstance(subscript, Exists):
-        raise ArityError("special constant requires an instantiation subscript")
-    if free_vars(subscript):
-        raise ArityError("special constant requires a closed subscript")
     with _sc_lock:
         got = _sc_table.get(subscript)
-        if got is not None:
-            return got
-        c = SpecialConst(subscript, alias if alias is not None else f"c{next(_sc_counter)}")
-        _sc_table[subscript] = c
-        return c
+        if got is None:
+            got = _sc_table[subscript] = SpecialConst(subscript)
+        return got
 
 
 # ---------------------------------------------------------------------------
@@ -588,16 +578,12 @@ def substitutable(term: Term, x: str, f: Formula) -> Optional[str]:
         if isinstance(g, Exists):
             if g.var == x:
                 return None  # no free occurrence below
-            if occurs_free(g.body, x) and g.var in names:
+            if x in free_vars(g.body) and g.var in names:
                 return g.var
             return walk(g.body, binders)
         raise TypeError(g)
 
     return walk(f, ())
-
-
-def occurs_free(f: Formula, x: str) -> bool:
-    return x in free_vars(f)
 
 
 def subst(node: Node, binding: Mapping[str, Term], check: bool = True) -> Node:
@@ -641,38 +627,41 @@ def rewrite(node: Node, app=None, atom=None, exists=None, const=None) -> Node:
     when given, maps the rebuilt App, Atom or Exists.  A node whose children
     all come back as the same objects is kept as it is.  const, when given,
     maps each special constant and its result is final.  Without it a
-    special constant's subscript goes through the same hooks and is
-    re-canonicalised under the constant's alias; the constant is kept when
-    its subscript is unchanged."""
+    special constant's subscript goes through the same hooks and the
+    constant of the result takes its place; the constant is kept when its
+    subscript is unchanged."""
 
     def walk(n):
-        if isinstance(n, App):
+        # Dispatch on the exact class, the most frequent first: no node
+        # class has a subclass.
+        cls = type(n)
+        if cls is Var:
+            return n
+        if cls is App:
             args = tuple(map(walk, n.args))
             if any(map(_is_not, args, n.args)):
                 n = App(n.fn, args)
             return n if app is None else app(n)
-        if isinstance(n, Var):
-            return n
-        if isinstance(n, SpecialConst):
-            if const is not None:
-                return const(n)
-            return _resubscript(n, walk(n.subscript))
-        if isinstance(n, Atom):
+        if cls is Atom:
             args = tuple(map(walk, n.args))
             if any(map(_is_not, args, n.args)):
                 n = Atom(n.pred, args)
             return n if atom is None else atom(n)
-        if isinstance(n, Not):
+        if cls is Not:
             body = walk(n.body)
             return n if body is n.body else Not(body)
-        if isinstance(n, Or):
+        if cls is Or:
             left, right = walk(n.left), walk(n.right)
             return n if left is n.left and right is n.right else Or(left, right)
-        if isinstance(n, Exists):
+        if cls is Exists:
             body = walk(n.body)
             if body is not n.body:
                 n = Exists(n.var, body)
             return n if exists is None else exists(n)
+        if cls is SpecialConst:
+            if const is not None:
+                return const(n)
+            return _resubscript(n, walk(n.subscript))
         raise TypeError(n)
 
     return walk(node)
@@ -689,9 +678,8 @@ def replace_const(node: Node, c: SpecialConst, a: Term) -> Node:
 
 
 def _resubscript(c: SpecialConst, sub: Formula) -> SpecialConst:
-    """c itself when sub is its subscript, else the canonical constant for
-    sub under c's alias."""
-    return c if sub == c.subscript else special_constant(sub, c.alias)
+    """c itself when sub is its subscript, else sub's constant."""
+    return c if sub == c.subscript else special_constant(sub)
 
 
 def has_subformula(f: Formula, olds) -> bool:
@@ -983,11 +971,15 @@ def parse(text: str, kind: str, symbols: SymbolTable, env: Optional[Mapping[str,
 # printing
 
 
-def render(node: Node, style: str = "prefix-canonical") -> str:
+def render(node: Node, style: str = "prefix-canonical", names: Optional[dict] = None) -> str:
+    """Prefix form writes a special constant's subscript out.  Infix form
+    writes its name in names, else the first of c1, c2, ... not yet in
+    names, which it adds there: one dict passed to each call of one output
+    names the constants of that output in order of first appearance."""
     if style == "prefix-canonical":
         return _render_prefix(node)
     if style == "infix-pretty":
-        return _render_infix(node)
+        return _render_infix(node, {} if names is None else names)
     raise ParseError(f"unknown render style {style!r}")
 
 
@@ -1016,78 +1008,81 @@ def _render_prefix(node: Node) -> str:
 # infix precedence: not / exists bind tightly; or and & bind tighter than
 # imp and iff; infix operators associate right to left
 _PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_UNARY = 10, 20, 30, 40
-
-
-def _render_infix(node: Node, prec: int = 0) -> str:
-    if isinstance(node, Term):
-        return _render_term_infix(node)
-    if isinstance(node, Atom):
-        if node.pred == EQ:
-            return f"{_render_term_infix(node.args[0])} = {_render_term_infix(node.args[1])}"
-        if not node.args:
-            return node.pred.name
-        return node.pred.name + "(" + ", ".join(_render_term_infix(a) for a in node.args) + ")"
-    if isinstance(node, Not):
-        inner = node.body
-        if isinstance(inner, Atom) and inner.pred == EQ:
-            s = f"{_render_term_infix(inner.args[0])} != {_render_term_infix(inner.args[1])}"
-            return _paren(s, _PREC_UNARY, prec)
-        pair = as_all(node)
-        if pair is not None:
-            x, b = pair
-            return _paren(f"forall {x} {_render_infix(b, _PREC_UNARY)}", _PREC_UNARY, prec)
-        pair = as_iff(node)
-        if pair is not None:
-            a, b = pair
-            s = f"{_render_infix(a, _PREC_IFF + 1)} <-> {_render_infix(b, _PREC_IFF)}"
-            return _paren(s, _PREC_IFF, prec)
-        pair = as_and(node)
-        if pair is not None:
-            a, b = pair
-            s = f"{_render_mixed(a, 'and')} & {_render_mixed(b, 'and', right=True)}"
-            return _paren(s, _PREC_OR, prec)
-        return _paren("-" + _render_infix(node.body, _PREC_UNARY + 1), _PREC_UNARY, prec)
-    if isinstance(node, Or):
-        pair = as_imp(node)
-        if pair is not None:
-            a, b = pair
-            s = f"{_render_infix(a, _PREC_IMP + 1)} -> {_render_infix(b, _PREC_IMP)}"
-            return _paren(s, _PREC_IMP, prec)
-        s = f"{_render_mixed(node.left, 'or')} v {_render_mixed(node.right, 'or', right=True)}"
-        return _paren(s, _PREC_OR, prec)
-    if isinstance(node, Exists):
-        return _paren(
-            f"exists {node.var} {_render_infix(node.body, _PREC_UNARY)}", _PREC_UNARY, prec
-        )
-    raise TypeError(node)
+_INFIX_FNS = {CAT: "++", ZPROD: "**"}
 
 
 def _paren(s: str, mine: int, outer: int) -> str:
     return "[" + s + "]" if mine < outer else s
 
 
-def _render_mixed(child: Formula, parent_op: str, right: bool = False) -> str:
-    """Operand of v or &: bracket the other connective of equal binding."""
-    is_and = as_and(child) is not None and as_iff(child) is None
-    is_or = isinstance(child, Or) and as_imp(child) is None
-    mixing = (parent_op == "and" and is_or) or (parent_op == "or" and is_and)
-    same = (parent_op == "and" and is_and) or (parent_op == "or" and is_or)
-    if mixing or (same and not right):
-        return "[" + _render_infix(child, 0) + "]"
-    return _render_infix(child, _PREC_OR if right else _PREC_OR + 1)
+def _render_infix(node: Node, names: dict) -> str:
+    def formula(node, prec):
+        if isinstance(node, Term):
+            return term(node)
+        if isinstance(node, Atom):
+            if node.pred == EQ:
+                return f"{term(node.args[0])} = {term(node.args[1])}"
+            if not node.args:
+                return node.pred.name
+            return node.pred.name + "(" + ", ".join(map(term, node.args)) + ")"
+        if isinstance(node, Not):
+            inner = node.body
+            if isinstance(inner, Atom) and inner.pred == EQ:
+                s = f"{term(inner.args[0])} != {term(inner.args[1])}"
+                return _paren(s, _PREC_UNARY, prec)
+            pair = as_all(node)
+            if pair is not None:
+                x, b = pair
+                return _paren(f"forall {x} {formula(b, _PREC_UNARY)}", _PREC_UNARY, prec)
+            pair = as_iff(node)
+            if pair is not None:
+                a, b = pair
+                s = f"{formula(a, _PREC_IFF + 1)} <-> {formula(b, _PREC_IFF)}"
+                return _paren(s, _PREC_IFF, prec)
+            pair = as_and(node)
+            if pair is not None:
+                a, b = pair
+                s = f"{mixed(a, 'and')} & {mixed(b, 'and', right=True)}"
+                return _paren(s, _PREC_OR, prec)
+            return _paren("-" + formula(node.body, _PREC_UNARY + 1), _PREC_UNARY, prec)
+        if isinstance(node, Or):
+            pair = as_imp(node)
+            if pair is not None:
+                a, b = pair
+                s = f"{formula(a, _PREC_IMP + 1)} -> {formula(b, _PREC_IMP)}"
+                return _paren(s, _PREC_IMP, prec)
+            s = f"{mixed(node.left, 'or')} v {mixed(node.right, 'or', right=True)}"
+            return _paren(s, _PREC_OR, prec)
+        if isinstance(node, Exists):
+            return _paren(
+                f"exists {node.var} {formula(node.body, _PREC_UNARY)}", _PREC_UNARY, prec
+            )
+        raise TypeError(node)
 
+    def mixed(child, parent_op, right=False):
+        """Operand of v or &: bracket the other connective of equal binding."""
+        is_and = as_and(child) is not None and as_iff(child) is None
+        is_or = isinstance(child, Or) and as_imp(child) is None
+        mixing = (parent_op == "and" and is_or) or (parent_op == "or" and is_and)
+        same = (parent_op == "and" and is_and) or (parent_op == "or" and is_or)
+        if mixing or (same and not right):
+            return "[" + formula(child, 0) + "]"
+        return formula(child, _PREC_OR if right else _PREC_OR + 1)
 
-def _render_term_infix(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, SpecialConst):
-        return t.alias or "c?"
-    if isinstance(t, App):
-        if not t.args:
-            return t.fn.name
-        if t.fn == CAT:
-            return "(" + _render_term_infix(t.args[0]) + " ++ " + _render_term_infix(t.args[1]) + ")"
-        if t.fn == ZPROD:
-            return "(" + _render_term_infix(t.args[0]) + " ** " + _render_term_infix(t.args[1]) + ")"
-        return t.fn.name + "(" + ", ".join(_render_term_infix(a) for a in t.args) + ")"
-    raise TypeError(t)
+    def term(t):
+        if isinstance(t, Var):
+            return t.name
+        if isinstance(t, SpecialConst):
+            if t not in names:
+                taken = set(names.values())
+                names[t] = next(f"c{k}" for k in itertools.count(1) if f"c{k}" not in taken)
+            return names[t]
+        if isinstance(t, App):
+            if not t.args:
+                return t.fn.name
+            if t.fn in _INFIX_FNS:
+                return f"({term(t.args[0])} {_INFIX_FNS[t.fn]} {term(t.args[1])})"
+            return t.fn.name + "(" + ", ".join(map(term, t.args)) + ")"
+        raise TypeError(t)
+
+    return formula(node, 0)

@@ -319,7 +319,7 @@ def test_criterion_8_proof_transformations():
         )
     # default elimination re-checks without default steps
     e = sx.Exists("x", Atom(q, (Var("x"),)))
-    r = sx.special_constant(e, "rdef")
+    r = sx.special_constant(e)
     pb = ProofBuilder()
     d = pb.default(sx.fimp(Not(e), sx.eq(r, App(EPS))))
     spa = pb.delta(special_axiom(r))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +106,48 @@ def test_failing_script_exit_one(capsys, tmp_path, monkeypatch):
     verdicts = [(s["label"], s["ok"]) for s in json.loads(jout)["scripts"]]
     assert verdicts == [("nope", False), ("t22", True)]
     assert bundle.registry.entries["t22"].checked
+
+
+_WITNESS_THEORY = """theory T
+axiom a1 : (not (= (s0 x) eps))
+axiom tex : (exists y (not (= y eps)))
+"""
+
+
+def _witness_script(name):
+    return f"theorem g{name} : (= (s0 eps) eps)\nproof\n  H\n  use tex : {name}\nqed\n"
+
+
+def _failure(name):
+    return (
+        f"g{name}       FAIL  refutation failed for goal: [{name} != eps; s0(eps) != eps]; "
+        "true in the surviving valuation: []"
+    )
+
+
+def test_a_failure_message_names_the_scripts_own_witness(capsys, tmp_path):
+    # two scripts cite the same existential axiom, so their witnesses are
+    # one special constant; each message names it as its own script does
+    theory = tmp_path / "t.th"
+    theory.write_text(_WITNESS_THEORY)
+    paths = {}
+    for name in ("w", "v"):
+        paths[name] = tmp_path / f"{name}.prf"
+        paths[name].write_text(_witness_script(name))
+    both = tmp_path / "both.prf"
+    both.write_text(_witness_script("w") + _witness_script("v"))
+    code, out, _ = run(capsys, "--theory", str(theory), "check-proof", str(both))
+    assert code == 1 and out.splitlines() == [_failure("w"), _failure("v")]
+    # the v script after the w script in one process, and in a fresh one
+    for name in ("w", "v"):
+        code, out, _ = run(capsys, "--theory", str(theory), "check-proof", str(paths[name]))
+        assert code == 1 and out.splitlines() == [_failure(name)]
+    src = Path(cli.__file__).resolve().parents[1]
+    fresh = subprocess.run(
+        [sys.executable, "-m", "proofkit.cli", "--theory", str(theory), "check-proof", str(paths["v"])],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+    )
+    assert fresh.returncode == 1 and fresh.stdout == out
 
 
 def test_spent_per_script(capsys, tmp_path):

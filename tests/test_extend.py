@@ -225,16 +225,13 @@ def test_translate_rightmost_first_nesting():
 
 
 def test_translate_out_rewrites_inside_subscripts():
-    # the variable names private to this test keep the intern table's
-    # aliases independent of suite order
     reg, _, leq = _zee_leq_registry()
-    c = sx.special_constant(Exists("pin_y", Atom(leq, (Var("pin_y"), E))), "pin_t")
+    c = sx.special_constant(Exists("pin_y", Atom(leq, (Var("pin_y"), E))))
     out = extend.translate_out(reg, Atom(Q, (c,))).formula
     (inner,) = out.args
-    assert isinstance(inner, sx.SpecialConst) and inner.alias == "pin_t"
-    assert inner.subscript == extend.translate_out(reg, c.subscript).formula
+    assert inner == sx.special_constant(extend.translate_out(reg, c.subscript).formula)
     assert not extend.contains_defined_symbols(reg, out)
-    plain = sx.special_constant(Exists("pin_u", Atom(Q, (Var("pin_u"),))), "pin_k")
+    plain = sx.special_constant(Exists("pin_u", Atom(Q, (Var("pin_u"),))))
     assert extend.translate_out(reg, Atom(Q, (plain,))).formula.args[0] is plain
 
 
@@ -243,13 +240,12 @@ def test_f_homomorphism_rewrites_inside_subscripts():
     st = reg.define_function_explicit("df", "g1", App(PD, (Var("x"),)))
     hom = mx._f_hom(st)
     c = sx.special_constant(
-        Exists("pin_v", sx.eq(Var("pin_v"), App(st.symbol, (E,)))), "pin_f"
+        Exists("pin_v", sx.eq(Var("pin_v"), App(st.symbol, (E,))))
     )
     (inner,) = hom(Atom(Q, (c,))).args
     r = sx.special_constant(Exists(st.out_var, sx.eq(Var(st.out_var), App(PD, (E,)))))
-    assert inner.subscript == Exists("pin_v", sx.eq(Var("pin_v"), r))
-    assert inner.alias == "pin_f"
-    plain = sx.special_constant(Exists("pin_w", Atom(Q, (Var("pin_w"),))), "pin_g")
+    assert inner == sx.special_constant(Exists("pin_v", sx.eq(Var("pin_v"), r)))
+    plain = sx.special_constant(Exists("pin_w", Atom(Q, (Var("pin_w"),))))
     assert hom(Atom(Q, (plain,))).args[0] is plain
 
 
@@ -279,11 +275,11 @@ def test_relativization_distributes():
 
 def test_relativize_leaves_subscripts_alone():
     phi = Atom(Q, (Var("x"),))
-    c = sx.special_constant(Exists("pin_r", Atom(Q, (Var("pin_r"),))), "pin_rel")
+    c = sx.special_constant(Exists("pin_r", Atom(Q, (Var("pin_r"),))))
     f = Exists("u", sx.eq(Var("u"), c))
     bounded = extend.relativize(f, phi).bounded
     assert bounded == Exists("u", sx.fand(Atom(Q, (Var("u"),)), sx.eq(Var("u"), c)))
-    assert sx.as_and(bounded.body)[1].args[1].alias == "pin_rel"
+    assert sx.as_and(bounded.body)[1].args[1] is c
 
 
 def test_respects_obligations():
@@ -329,6 +325,41 @@ def test_reduce_image_single_p_stage_is_translation():
     reg, zee, leq = _zee_leq_registry()
     f = Atom(leq, (E, E))
     assert extend.reduce_image(reg, f) == extend.translate_out(reg, f).formula
+
+
+def _reduce_through_every_stage(reg, f):
+    """reduce_image's reference: every stage walked, none skipped."""
+    for stage in reversed(reg.stages):
+        if stage.kind == "r":
+            f = extend.relativize(f, stage.phi).relativized
+        else:
+            f = extend._translate_stage(stage, f)
+    return f
+
+
+@pytest.mark.parametrize("text, walked", [
+    ("(q x)", ["d27", "d25"]),  # the guard on x puts leq in
+    ("(leq x y)", ["d27", "d25"]),
+    ("(exists u (q (zee u)))", ["d27", "d25"]),  # the guard on u
+    ("(q (sc (exists y (leq y eps))))", ["d27", "d25"]),  # a subscript's leq
+    ("(= eps eps)", []),  # relativizing changes nothing
+])
+def test_reduce_image_skips_only_stages_it_cannot_use(monkeypatch, text, walked):
+    # zee, then leq over zee, then an r-stage whose relativizer names leq:
+    # relativizing puts leq in, and unfolding leq puts zee in.  reduce_image
+    # reads only a stage's kind, symbol, definiens and relativizer, so the
+    # r-stage is logged without its proofs.
+    reg, zee, leq = _zee_leq_registry()
+    phi = Atom(leq, (Var("x"), App(S0, (E,))))
+    reg.stages.append(extend.Stage("r", "r1", R_ADDED, phi=phi))
+    symbols = sx.SymbolTable(sx.Language(DECL + (zee,), (Q, leq), EPS))
+    f = sx.parse(text, "formula", symbols)
+    want = _reduce_through_every_stage(reg, f)
+    walks = stage_walks(monkeypatch)
+    got = extend.reduce_image(reg, f)
+    assert got == want
+    assert not extend.contains_defined_symbols(reg, got)
+    assert walks == walked
 
 
 def test_reduce_proof_through_p_stage():
@@ -408,7 +439,7 @@ def test_reduce_proof_through_r_stage_with_defaults():
     reg = extend.DefinitionRegistry(BASE, declared=(EPS, PD))
     reg.add_r_extension("r1", added, R_PHI, *r_extension_proofs())
     e = Exists("u", Atom(Q, (Var("u"),)))
-    r = sx.special_constant(Exists("w", Atom(Q, (Var("w"),))), "w0")
+    r = sx.special_constant(Exists("w", Atom(Q, (Var("w"),))))
     pb = ProofBuilder()
     i1 = pb.delta(sx.subst(added, {"x": E}))
     i2 = pb.delta(sx.fimp(Atom(Q, (r,)), e))
@@ -426,7 +457,7 @@ def test_reduce_proof_through_r_stage_with_defaults():
 
 def test_eliminate_defaults_example():
     e = Exists("x", Atom(Q, (Var("x"),)))
-    r = sx.special_constant(e, "r")
+    r = sx.special_constant(e)
     pb = ProofBuilder()
     d = pb.default(sx.fimp(Not(e), sx.eq(r, E)))
     spa = pb.delta(pg.special_axiom(r))
@@ -442,7 +473,7 @@ def test_eliminate_defaults_example():
 
 def test_eliminate_defaults_no_defaults_is_renaming():
     e = Exists("x", Atom(Q, (Var("x"),)))
-    r = sx.special_constant(e, "r")
+    r = sx.special_constant(e)
     pb = ProofBuilder()
     pb.delta(pg.special_axiom(r))
     out = mx.eliminate_defaults(Theory("toy", (), EPS), pb.build())
@@ -457,7 +488,7 @@ def test_default_special_axiom_specializes():
     # the rewritten constant's special axiom restricted to the first
     # disjunct is exactly the (54) shape produced by the eliminator
     e = Exists("x", Atom(Q, (Var("x"),)))
-    r = sx.special_constant(e, "r")
+    r = sx.special_constant(e)
     pb = ProofBuilder()
     pb.delta(pg.special_axiom(r))
     out = mx.eliminate_defaults(Theory("toy", (), EPS), pb.build())

@@ -107,11 +107,44 @@ def test_empty_elimination_output_fails_reverification():
     # a sequence of the target's special axiom alone eliminates to nothing
     theory, _ = ha.demo_rank1()
     e = Exists("x", qa(Var("x")))
-    r = sx.special_constant(e, "r")
+    r = sx.special_constant(e)
     seq = SpecialSequence((sx.fimp(e, qa(r)),))
     analysis = ha._Analysis(theory, pc.DEFAULT_BUDGET)
     with pytest.raises(CheckError, match="output failed the tautology re-verification"):
         ha._eliminate(analysis, seq, (r,), analysis.profile(seq), "batch")
+
+
+def test_ha_step_falls_back_to_one_target_when_the_batch_fails():
+    # two constants of one rank and level, each with its special axiom and
+    # a substitution formula at eps, and a formula that names both.  Both
+    # at once give  q(c) v p(c') v -q(eps) v -p(eps)...  with c and c' left
+    # false: no longer valid.  One at a time keeps the other's formulas.
+    p = PredSym("p", 1)
+    pa = lambda t: Atom(p, (t,))
+    x, y = Var("x"), Var("y")
+    theory = Theory("two", (qa(x), pa(x), Or(Not(qa(x)), Not(pa(y)))), EPS)
+    eq_, ep = Exists("x", qa(x)), Exists("x", pa(x))
+    rq, rp = sx.special_constant(eq_), sx.special_constant(ep)
+    seq = SpecialSequence((
+        sx.fimp(eq_, qa(rq)),
+        sx.fimp(qa(E), eq_),
+        sx.fimp(ep, pa(rp)),
+        sx.fimp(pa(E), ep),
+        qa(E),
+        pa(E),
+        Or(Not(qa(rq)), Not(pa(rp))),
+    ))
+    analysis = ha._Analysis(theory, pc.DEFAULT_BUDGET)
+    with pytest.raises(CheckError, match="output failed the tautology re-verification"):
+        ha._eliminate(analysis, seq, (rp, rq), analysis.profile(seq), "batch")
+    out, trace = ha.ha_step(theory, seq)
+    # the targets sort by subscript, so p's constant is the one taken
+    assert (trace.mode, trace.targets, trace.pairs) == ("singleton", (rp,), ((rp, E),))
+    assert core.sequence_valid(out) and rp not in trace.profile_out.owners
+    assert rq in trace.profile_out.owners
+    result = ha.ha_run(theory, seq)
+    assert [t.mode for t in result.trace] == ["singleton", "batch"]
+    assert all(o is None for o in ha.profile(result.final).owners)
 
 
 def test_ha_step_retargets_lower_owned_rank():

@@ -75,7 +75,7 @@ def parse(t, kind="formula"):
 
 def test_classify_special_axiom():
     e = parse("(exists x (q x))")
-    r = sx.special_constant(e, "r")
+    r = sx.special_constant(e)
     cls = classify_delta(TOY, sx.fimp(e, Atom(Q, (r,))))
     assert cls.kind == "special-axiom" and cls.owner == r
 
@@ -152,6 +152,37 @@ def test_theorem5_skeleton_accepted():
     i2 = pb.delta(subf)
     pb.taut(bic, (i1, i2))
     assert check_proof(TOY, pb.build()).ok
+
+
+def test_a_taut_line_without_indices_cites_every_preceding_line():
+    # q(eps) -> e and e -> q(r) give q(eps) -> q(r) only together
+    e = parse("(exists x (q x))")
+    r = sx.special_constant(e)
+    lines = (
+        ProofLine(sx.fimp(Atom(Q, (E,)), e)),
+        ProofLine(special_axiom(r)),
+        ProofLine(sx.fimp(Atom(Q, (E,)), Atom(Q, (r,))), ("taut", None)),
+    )
+    assert check_proof(TOY, ProofObject(lines)).ok
+    one = lines[:2] + (lines[2]._replace(just=("taut", (1,))),)
+    v = check_proof(TOY, ProofObject(one))
+    assert (v.ok, v.failed_index, v.message) == (
+        False, 2, "not a tautological consequence of cited lines"
+    )
+    v = check_proof(TOY, ProofObject(lines[1:]))
+    assert (v.ok, v.failed_index) == (False, 1)
+
+
+def test_check_proof_refuses_a_default_line_that_is_no_default_formula():
+    proof = ProofObject((ProofLine(parse("(= eps eps)"), ("default",)),))
+    v = check_proof(TOY, proof, allow_defaults=True)
+    assert (v.ok, v.failed_index, v.message) == (False, 0, "not a default formula")
+
+
+def test_check_proof_refuses_an_unknown_justification():
+    proof = ProofObject((ProofLine(parse("(= eps eps)"), ("lemma", ())),))
+    v = check_proof(TOY, proof)
+    assert (v.ok, v.failed_index, v.message) == (False, 0, "unknown justification 'lemma'")
 
 
 def test_taut_premises_must_strictly_precede():
@@ -347,15 +378,14 @@ def test_purge_rewrites_inside_subscripts():
     t = Theory("t", (Atom(Q, (Var("x"),)),), EPS)
     scratch = PredSym("pin_scratch", 1)
     w = Var("pin_w")
-    c = sx.special_constant(Exists("pin_w", Or(Atom(Q, (w,)), Atom(scratch, (w,)))), "pin_p")
-    plain = sx.special_constant(Exists("pin_z", Atom(Q, (Var("pin_z"),))), "pin_q")
+    c = sx.special_constant(Exists("pin_w", Or(Atom(Q, (w,)), Atom(scratch, (w,)))))
+    plain = sx.special_constant(Exists("pin_z", Atom(Q, (Var("pin_z"),))))
     pb = ProofBuilder()
     pb.taut(Or(Atom(Q, (c,)), Atom(Q, (plain,))), ())
     out = purge_extraneous(t, Atom(Q, (E,)), pb.build())
     line = out.lines[-1].formula
     purged, kept = line.left.args[0], line.right.args[0]
-    assert purged.subscript == Exists("pin_w", Or(Atom(Q, (w,)), sx.eq(E, E)))
-    assert purged.alias == "pin_p"
+    assert purged == sx.special_constant(Exists("pin_w", Or(Atom(Q, (w,)), sx.eq(E, E))))
     assert kept is plain
 
 
@@ -601,8 +631,10 @@ def test_an_existential_conjunct_takes_a_witness_not_a_term():
     v = check_script(reg, bogus)
     assert not v.ok and v.message == "term argument at existential position (step 1)"
     (script,) = parse_script_file("theorem t : (q eps)\nproof\n  H\n  use tex : w\nqed\n")
-    instance = ks.elaborate_citation(reg, script.lines[0], {})
-    assert sx.render(instance, "infix-pretty") == "w != eps & eps = eps"
+    env = {}
+    instance = ks.elaborate_citation(reg, script.lines[0], env)
+    names = {c: name for name, c in env.items()}
+    assert sx.render(instance, "infix-pretty", names) == "w != eps & eps = eps"
     # the generated proof reads the conjunction the same way, and checks
     base = nf.to_negation_form(reg.lookup("tex").statement)
     directive = nf.SpecialCaseDirective((("witness", "w"),))
@@ -678,6 +710,22 @@ def test_explicit_verdict_is_the_replayed_certificate(monkeypatch):
     monkeypatch.setattr(pc, "replay", refuse)
     v = _check_explicit(reg, "(p eps eps)", *steps)
     assert not v.ok and v.message == "replay refused"
+
+
+def test_explicit_special_step_names_its_conjunct():
+    reg = _explicit_registry(ax5="(and (q x) (p x x))")
+    v = _check_explicit(reg, "(p eps eps)", "special ax5 ; eps conjunct 2", "resolve 2 1")
+    assert v.ok, v.message
+    assert v.instances == (Not(Atom(P2, (E, E))), Atom(P2, (E, E)))
+    for k, message in (
+        ("1", "opposite of the pivot is not in the clause"),
+        ("3", "no conjunct 3"),
+        ("0", "no conjunct 0"),
+    ):
+        v = _check_explicit(reg, "(p eps eps)", f"special ax5 ; eps conjunct {k}", "resolve 2 1")
+        assert (v.ok, v.message) == (False, message), k
+    v = _check_explicit(reg, "(p eps eps)", "special ax5 ; eps", "resolve 2 1")
+    assert (v.ok, v.message) == (False, "ambiguous conjunct; say `conjunct <k>`")
 
 
 def test_explicit_unit_against_unit_ends_the_certificate():
@@ -820,27 +868,31 @@ def test_every_corpus_segment_refutation_replays(monkeypatch):
 
 
 # The SHA-256 of each corpus script's label, verdict and `spent`, and of
-# each of its instances rendered in both styles together with the subscript
-# and alias of every special constant appearing in it, the scripts checked
-# in dependency order.  It was recorded while each citation was still
-# instantiated one leftmost quantifier at a time.  A special constant keeps
-# the alias it was first made with, so the corpus is checked in a fresh
-# interpreter, where no earlier test has made one, at a fixed hash seed.
-CORPUS_ELABORATION_DIGEST = "ef6e3292fd7ffb87808e3f52ba8ecd676925a8848758a1a1363e6d44cb836609"
+# each of its instances in prefix form, in infix form and with the
+# subscripts of every special constant appearing in it, the scripts checked
+# in dependency order.  Infix form names a script's constants c1, c2, ...
+# in order of first appearance over its instances.  The prefix forms,
+# subscripts and `spent` are as they were while each citation was still
+# instantiated one leftmost quantifier at a time.  The corpus is checked
+# twice in one interpreter at a fixed hash seed: nothing the first pass
+# builds may change what the second prints.
+CORPUS_ELABORATION_DIGEST = "445fd6145b769b814dc3586b5003156728939b7e9a702117754ce5831f9d1f02"
 
 _CORPUS_ELABORATION = """
 import hashlib
 from proofkit import stringarith, syntax as sx
 
-report = stringarith.check_corpus(stringarith.load_theory())
-digest = hashlib.sha256()
-for e in report.entries:
-    digest.update(f"{e.label} {e.ok} {e.spent}\\n".encode())
-    for inst in e.instances:
-        consts = sorted((sx.render(c.subscript), c.alias) for c in sx.appearing_constants(inst))
-        pretty = sx.render(inst, "infix-pretty")
-        digest.update(f"{sx.render(inst)} | {pretty} | {consts}\\n".encode())
-print(len(report.entries), report.ok, digest.hexdigest())
+for _ in range(2):
+    report = stringarith.check_corpus(stringarith.load_theory())
+    digest = hashlib.sha256()
+    for e in report.entries:
+        digest.update(f"{e.label} {e.ok} {e.spent}\\n".encode())
+        names = {}
+        for inst in e.instances:
+            consts = sorted(sx.render(c.subscript) for c in sx.appearing_constants(inst))
+            pretty = sx.render(inst, "infix-pretty", names)
+            digest.update(f"{sx.render(inst)} | {pretty} | {consts}\\n".encode())
+    print(len(report.entries), report.ok, digest.hexdigest())
 """
 
 
@@ -851,7 +903,7 @@ def test_corpus_elaboration_is_pinned():
         [sys.executable, "-c", _CORPUS_ELABORATION],
         env=env, capture_output=True, text=True, check=True,
     ).stdout.split()
-    assert out == ["76", "True", CORPUS_ELABORATION_DIGEST]
+    assert out == ["76", "True", CORPUS_ELABORATION_DIGEST] * 2
 
 
 def test_check_proof_reports_an_exhausted_budget_as_such():

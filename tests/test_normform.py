@@ -177,12 +177,12 @@ def test_unfreeze_gives_variant_of_matrix():
     assert is_variant(back, f)
 
 
-def _freeze_with_capture_checks(f, names):
+def _freeze_with_capture_checks(f):
     """freeze as a chain of substitutions that each make the capture check."""
     cur, witnesses = sx.closure(f), []
-    for x, alias in zip(sx.free_vars(f), names):
+    for x in sx.free_vars(f):
         _, body = sx.as_all(cur)
-        r = sx.special_constant(Exists(x, Not(body)), alias)
+        r = sx.special_constant(Exists(x, Not(body)))
         witnesses.append((x, r))
         cur = sx.subst(body, {x: r}, check=True)
     return cur, tuple(witnesses)
@@ -192,10 +192,8 @@ def _freeze_with_capture_checks(f, names):
 @given(st.data())
 def test_freeze_equals_freezing_with_capture_checks(data):
     f = data.draw(_quantified_formulas())
-    aliases = st.sampled_from(["x", "y", "z", "w1", "c1"])
-    names = data.draw(st.lists(aliases, min_size=len(sx.free_vars(f)), max_size=len(sx.free_vars(f))))
-    got = nf.freeze(f, names)
-    frozen, witnesses = _freeze_with_capture_checks(f, names)
+    got = nf.freeze(f)
+    frozen, witnesses = _freeze_with_capture_checks(f)
     assert (got.frozen, got.witnesses) == (frozen, witnesses)
 
 
@@ -242,7 +240,7 @@ def test_special_case_reads_a_conjunction_as_a_connective():
     f = sx.fand(ex, sx.fall("x", qx()))
     assert nf.leftmost_quantifier(f) == ("E", (0, 0, 0))
     d = nf.SpecialCaseDirective((("witness", "w"), ("term", e)))
-    w = sx.special_constant(ex, "w")
+    w = sx.special_constant(ex)
     assert nf.special_case(f, d) == sx.fand(Not(sx.eq(w, e)), Atom(Q, (e,)))
     for steps, message in (
         ((("term", e),), r"term argument at existential position \(step 1\)"),
@@ -281,7 +279,7 @@ def _one_quantifier_at_a_time(f, steps):
         else:
             if qkind != "E":
                 raise CheckError(f"witness name at universal position (step {k})")
-            repl = sx.subst(node.body, {node.var: sx.special_constant(node, payload)})
+            repl = sx.subst(node.body, {node.var: sx.special_constant(node)})
         cur = sx.replace_at(cur, path, repl)
     return cur
 

@@ -737,3 +737,58 @@ def test_recognizers_accept_equal_terms_built_apart_and_refuse_others():
     pred = lambda t: sx.disj([Not(sx.eq(a1, b1)), Not(Atom(q, (a2,))), Atom(q, (t,))])
     assert pc.is_equality_axiom_instance(pred(b2))
     assert not pc.is_equality_axiom_instance(pred(c))
+
+
+_F1, _Q1, _R1 = FnSym("f1", 1), PredSym("q1", 1), PredSym("r1", 1)
+
+# name -> a closed formula that is no identity or equality axiom instance
+_NOT_EQUALITY_AXIOMS = {
+    # a hypothesis that is no negated atom: as_horn finds no reading
+    "hypothesis not a negated atom": sx.disj([Atom(_Q1, (E1,)), sx.eq(E1, E1)]),
+    # an equality conclusion needs equality hypotheses
+    "equality from a non-equality": sx.fimp(Atom(_Q1, (E1,)), sx.eq(E1, E2)),
+    # a predicate conclusion needs one hypothesis per argument and a premise
+    "predicate, premise missing": sx.fimp(sx.eq(E1, E2), Atom(_Q1, (E2,))),
+    "nullary predicate": sx.fimp(sx.eq(E1, E2), A),
+    "premise of another predicate": sx.disj(
+        [Not(sx.eq(E1, E2)), Not(Atom(_R1, (E1,))), Atom(_Q1, (E2,))]
+    ),
+    "argument hypothesis no equality": sx.disj(
+        [Not(Atom(_R1, (E1,))), Not(Atom(_Q1, (E1,))), Atom(_Q1, (E2,))]
+    ),
+}
+
+
+def _closed_by_its_axiom(f):
+    """A certificate that takes f as an eq_axiom step and resolves its
+    clause against the negation of each literal, given as inputs."""
+    negations = [lit.body if isinstance(lit, Not) else Not(lit) for lit in sx.disjuncts(f)]
+    steps = [("eq_axiom", f)] + [("input", n) for n in negations]
+    for k in range(len(negations)):
+        steps.append(("resolve", k + 1, len(steps) - 1 if k else 0))
+    return pc.Refutation(steps), negations
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_EQUALITY_AXIOMS))
+def test_replay_refuses_an_eq_axiom_step_that_is_no_instance(name):
+    f = _NOT_EQUALITY_AXIOMS[name]
+    assert sx.is_variable_free(f)
+    assert not pc.is_identity_instance(f) and not pc.is_equality_axiom_instance(f)
+    if name == "hypothesis not a negated atom":
+        assert pc.as_horn(f) is None
+    # only the recognizer stands in the way: an instance closes the same way
+    instance = sx.fimp(sx.eq(E1, E2), sx.eq(App(_F1, (E1,)), App(_F1, (E2,))))
+    assert pc.replay(*_closed_by_its_axiom(instance))
+    with pytest.raises(CheckError, match="^not an identity/equality axiom instance: "):
+        pc.replay(*_closed_by_its_axiom(f))
+
+
+def test_replay_reads_a_negated_disjunction_as_its_negated_disjuncts():
+    source = Not(Or(A, B))
+    inputs = [source, A]
+    good = [("conjunct", (Not(A),), source), ("input", A), ("resolve", 1, 0)]
+    assert pc.replay(pc.Refutation(good), inputs)
+    for clause in ((A,), (Not(A), Not(B)), (Not(C),)):
+        bad = [("conjunct", clause, source)] + good[1:]
+        with pytest.raises(CheckError, match="^claimed conjunct is not one$"):
+            pc.replay(pc.Refutation(bad), inputs)

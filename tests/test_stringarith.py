@@ -635,8 +635,8 @@ def test_bsi_frozen_witness_level(bundle):
     out = nf.special_case(
         base, nf.SpecialCaseDirective((("witness", "x'"),)), record
     )
-    (alias, const), = record
-    assert alias == "x'" and sx.const_level(const) >= 1
+    (name, const), = record
+    assert name == "x'" and sx.const_level(const) >= 1
 
 
 def test_theory_file_fun_by_citation(tmp_path):
@@ -866,8 +866,7 @@ def test_translate_corpus_statement_agreement(bundle, corpus_report):
 # corpus order.  It was recorded while translate_out still walked every
 # stage of the chain and built a fresh adjusted variant of the definiens at
 # every occurrence.  Run in a fresh interpreter at a fixed hash seed, like
-# the corpus-elaboration digest, so that no earlier test's special constant
-# lends its alias.
+# the corpus-elaboration digest.
 TRANSLATION_DIGEST = "616fc64830168816fd361d9c109a711a8999280bcac0b95152b30471e9173d3f"
 
 _TRANSLATION = """

@@ -80,6 +80,13 @@ def test_parse_desugars_imp():
     assert f == Or(Not(Atom(Q, (Var("x"),))), Atom(Q, (Var("y"),)))
 
 
+def test_parse_desugars_iff():
+    qx, qy = Atom(Q, (Var("x"),)), Atom(Q, (Var("y"),))
+    assert parse("(iff (q x) (q y))") == sx.fiff(qx, qy)
+    with pytest.raises(ParseError, match="iff expects 2 arguments, got 1"):
+        parse("(iff (q x))")
+
+
 def test_parse_bounded_quantifier_expansion():
     leq = PredSym("leq", 2)
     st2 = SymbolTable(LANG.extend(predicates=[leq]), order=leq)
@@ -90,6 +97,11 @@ def test_parse_bounded_quantifier_expansion():
     )
     with pytest.raises(ParseError):
         sx.parse("(exists<= x (s0 x) (q x))", "formula", st2)
+    # forall x [leq(x, b) -> q(x)], that is, not exists x not [...]
+    g = sx.parse("(forall<= x b (q x))", "formula", st2)
+    assert g == sx.fall("x", sx.fimp(Atom(leq, (Var("x"), Var("b"))), Atom(Q, (Var("x"),))))
+    with pytest.raises(ParseError, match="no order symbol registered"):
+        parse("(forall<= x b (q x))")
 
 
 def test_parse_eq_atom_is_closed_and_plain():
@@ -213,6 +225,29 @@ def test_infix_precedence_examples():
     assert sx.render(g, "infix-pretty") == "q(x) v q(y)"
     h = parse("(and (or (q x) (q y)) (q z))")
     assert sx.render(h, "infix-pretty") == "[q(x) v q(y)] & q(z)"
+    # forall binds tightly; <-> associates to the right, looser than ->
+    a = parse("(forall x (iff (q x) (forall y (q y))))")
+    assert sx.render(a, "infix-pretty") == "forall x [q(x) <-> forall y q(y)]"
+    b = parse("(iff (iff (q x) (q y)) (imp (q z) (q w)))")
+    assert sx.render(b, "infix-pretty") == "[q(x) <-> q(y)] <-> q(z) -> q(w)"
+    assert sx.render(parse("(not (forall x (q x)))"), "infix-pretty") == "-[forall x q(x)]"
+
+
+def test_infix_names_constants_by_first_appearance_within_one_output():
+    a = sx.special_constant(parse("(exists x (q x))"))
+    b = sx.special_constant(parse("(exists x (not (q x)))"))
+    f = Or(Atom(P2, (b, a)), Atom(Q, (b,)))
+    assert sx.render(f, "infix-pretty") == "p(c1, c2) v q(c1)"
+    # a name the caller gives is used, and never handed out again
+    names = {a: "c1"}
+    assert sx.render(f, "infix-pretty", names) == "p(c2, c1) v q(c2)"
+    # one dict through several calls names each constant once
+    assert names == {a: "c1", b: "c2"}
+    assert sx.render(Atom(Q, (b,)), "infix-pretty", names) == "q(c2)"
+    # nothing outlives a call: a fresh output numbers from c1 again
+    assert sx.render(Atom(Q, (a,)), "infix-pretty") == "q(c1)"
+    # prefix form writes the subscript and takes no name
+    assert sx.render(Atom(Q, (a,)), "prefix-canonical", {a: "w"}) == "(q (sc (exists x (q x))))"
 
 
 # --- substitution ---------------------------------------------------------
@@ -278,46 +313,39 @@ def test_variant_symmetry(f):
 
 
 def test_special_constant_canonical_and_levels():
-    # a predicate private to this test keeps the intern table's first-come
-    # alias deterministic regardless of suite order
     q9 = PredSym("q9", 1)
     e = Exists("x", Atom(q9, (Var("x"),)))
-    r = sx.special_constant(e, "r")
+    r = sx.special_constant(e)
     assert sx.special_constant(e) is r
     assert sx.const_level(r) == 1 and sx.const_rank(r) == 1
     e2 = Exists("y", sx.eq(Var("y"), r))
     r2 = sx.special_constant(e2)
     assert sx.const_level(r2) == 2
     assert sx.const_level(r2) > sx.const_level(r)
-    assert (
-        sx.render(special_axiom(r), "infix-pretty")
-        == f"exists x q9(x) -> q9({r.alias})"
-    )
+    assert sx.render(special_axiom(r), "infix-pretty") == "exists x q9(x) -> q9(c1)"
+    assert sx.render(special_axiom(r), "infix-pretty", {r: "r"}) == "exists x q9(x) -> q9(r)"
 
 
 def test_replace_const_rewrites_inside_subscripts():
-    # predicates private to this test keep the intern table's aliases
-    # independent of suite order
     pin = PredSym("pin_rc", 2)
-    c = sx.special_constant(Exists("x", Atom(pin, (Var("x"), Var("x")))), "pin_c")
-    d = sx.special_constant(Exists("y", Atom(pin, (Var("y"), c))), "pin_d")
+    c = sx.special_constant(Exists("x", Atom(pin, (Var("x"), Var("x")))))
+    d = sx.special_constant(Exists("y", Atom(pin, (Var("y"), c))))
     out = sx.replace_const(Atom(Q, (d,)), c, App(EPS))
     (inner,) = out.args
-    assert inner.subscript == Exists("y", Atom(pin, (Var("y"), App(EPS))))
-    assert inner.alias == "pin_d"
-    # nothing to replace: the constant itself, alias and all, is kept
-    other = sx.special_constant(Exists("z", Atom(pin, (Var("z"), App(EPS)))), "pin_o")
+    assert inner == sx.special_constant(Exists("y", Atom(pin, (Var("y"), App(EPS)))))
+    # nothing to replace: the constant itself is kept
+    other = sx.special_constant(Exists("z", Atom(pin, (Var("z"), App(EPS)))))
     assert sx.replace_const(Atom(Q, (d,)), other, App(EPS)).args[0] is d
 
 
 def test_map_atoms_leaves_subscripts_alone():
     pin, swap = PredSym("pin_ma", 1), PredSym("pin_ma2", 1)
-    c = sx.special_constant(Exists("x", Atom(pin, (Var("x"),))), "pin_mc")
+    c = sx.special_constant(Exists("x", Atom(pin, (Var("x"),))))
     f = Or(Atom(pin, (c,)), Not(Atom(Q, (c,))))
     out = sx.map_atoms(f, lambda a: Atom(swap, a.args) if a.pred == pin else a)
     assert out == Or(Atom(swap, (c,)), Not(Atom(Q, (c,))))
     assert out.left.args[0].subscript == Exists("x", Atom(pin, (Var("x"),)))
-    assert out.left.args[0].alias == "pin_mc"
+    assert out.left.args[0] is c
 
 
 def test_special_constant_requires_closed_instantiation():
@@ -359,7 +387,7 @@ def _one_of_each_kind():
     return [
         (x, ("x",)),
         (App(S0, (x,)), (S0, (x,))),
-        (SpecialConst(sub, "c"), (sub,)),
+        (SpecialConst(sub), (sub,)),
         (qx, (Q, (x,))),
         (Not(qx), (qx,)),
         (Or(qx, qe), (qx, qe)),
@@ -376,10 +404,11 @@ def test_stored_hash_is_the_dataclass_hash():
         assert hash(node) == hash(compare_fields), type(node).__name__
 
 
-def test_special_constant_alias_is_not_hashed():
+def test_special_constant_is_its_subscript_alone():
     sub = Exists("x", Atom(Q, (Var("x"),)))
-    a, b = SpecialConst(sub, "a"), SpecialConst(sub, "b")
-    assert a == b and hash(a) == hash(b)
+    a, b = SpecialConst(sub), sx.special_constant(sub)
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert sx.special_constant(Exists("x", Atom(Q, (Var("x"),)))) is b
 
 
 def test_replace_recomputes_the_stored_hash():
@@ -407,7 +436,7 @@ def test_deep_chain_hashes_without_recursion():
 FIELDS = {
     Var: ("name", "_hash"),
     App: ("fn", "args", "_hash"),
-    SpecialConst: ("subscript", "alias", "_hash"),
+    SpecialConst: ("subscript", "_hash"),
     Atom: ("pred", "args", "_hash"),
     Not: ("body", "_hash"),
     Or: ("left", "right", "_hash"),
@@ -483,8 +512,8 @@ def test_disjuncts_are_the_leaves_left_to_right():
 # --- the node-shape table and the measures over it ---------------------------
 
 x, y, z, w = map(Var, "xyzw")
-C1 = SpecialConst(Exists("u", sx.eq(Var("u"), App(EPS))), "c1")
-C2 = SpecialConst(Exists("v", Or(sx.eq(Var("v"), C1), Atom(Q, (Var("v"),)))), "c2")
+C1 = SpecialConst(Exists("u", sx.eq(Var("u"), App(EPS))))
+C2 = SpecialConst(Exists("v", Or(sx.eq(Var("v"), C1), Atom(Q, (Var("v"),)))))
 SHADOWED = Or(sx.eq(x, C2), Exists("x", Not(Atom(P2, (x, y)))))
 NESTED = Not(Exists("z", Or(Atom(Q, (App(S1, (z,)),)), Exists("w", sx.eq(w, z)))))
 
