@@ -129,13 +129,15 @@ def as_horn(f: Formula):
 
 def is_equality_axiom_instance(f: Formula) -> bool:
     """Closed instance of an equality axiom: for a function symbol, for a
-    predicate symbol, or for equality itself."""
-    if not sx.is_variable_free(f):
-        return False
+    predicate symbol, or for equality itself.  f is closed when the atoms
+    as_horn reads it into are: they are the refuter's shared nodes, where f
+    is built afresh."""
     horn = as_horn(f)
     if horn is None:
         return False
     parts, concl = horn
+    if not (sx.is_variable_free(concl) and all(map(sx.is_variable_free, parts))):
+        return False
     eqs = [
         (p.args[0], p.args[1]) if p.pred == EQ else None
         for p in parts

@@ -23,9 +23,10 @@ those of a direct recursive evaluation: a special constant, an
 uninterpretable symbol or an unbounded quantifier raises only when
 reached.  An equationally determined witness is a local assigned outright,
 an order-bounded one ranges over the strings up to the bound's length, and
-one that appears only under the zero product over all-zero strings.  Any
-other search is bounded by the lengths of the values in scope plus 4, which
-the code adds up in place.
+one that appears only under the zero product over all-zero strings, of the
+one length its body's equations allow when they fix it.  Any other search
+is bounded by the lengths of the values in scope plus 4, which the code
+adds up in place.
 
 Random strings are drawn as rng.randint(0, maxlen) and then one
 rng.choice("01") per bit would draw them, so a seed samples the same
@@ -46,6 +47,7 @@ import random
 import re
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
@@ -94,6 +96,19 @@ BUILTINS = {
     "zprod": "'0' * (len({0}) * len({1}))",
 }
 
+
+# each builtin's length, a polynomial over its arguments' lengths (see
+# _Generator.length); pd's is unknown
+LENGTHS = {
+    "eps": Counter,
+    "s0": Counter({(): 1}).__add__,
+    "s1": Counter({(): 1}).__add__,
+    "cat": Counter.__add__,
+    "zprod": lambda a, b: sum(
+        (Counter({tuple(sorted(m + k)): i * j}) for m, i in a.items() for k, j in b.items()), Counter()
+    ),
+}
+
 # Parentheses one generated expression may nest (CPython refuses 200): a
 # deeper node becomes a function of its own.
 _MAX_DEPTH = 50
@@ -103,10 +118,16 @@ def _raise(message: str):
     raise CheckError(message)
 
 
-def _zeros(local: int):
+def _zeros(local: int, *pins):
     """The all-zero strings a length-only witness ranges over: the length
-    needed under the zero product is at worst quadratic."""
-    return map("0".__mul__, range(max(local, (local - 4) * (local - 4) + 4) + 1))
+    needed under the zero product is at worst quadratic.  The first pin
+    (c, k) with c not 0 allows only n = k / c, if whole and in range."""
+    top = max(local, (local - 4) * (local - 4) + 4)
+    for c, k in pins:
+        if c:
+            n, r = divmod(k, c)
+            return ("0" * n,) if not r and 0 <= n <= top else ()
+    return map("0".__mul__, range(top + 1))
 
 
 def _all_strings(maxlen: int):
@@ -150,12 +171,14 @@ class _Code:
     """The generated function `fn` of one memo entry, positional in the
     entry's free variables `params`.  Called on an environment, it reads the
     parameters from it; other keys are ignored, and a missing one raises
-    before any code runs."""
+    before any code runs.  `raises` counts the places where `fn`, or code it
+    calls, can raise."""
 
-    __slots__ = ("fn", "params")
+    __slots__ = ("fn", "params", "raises")
 
     def __init__(self, node, bundle, strict):
-        self.fn, self.params = _Generator(bundle, strict).unit(node)
+        gen = _Generator(bundle, strict)
+        (self.fn, self.params), self.raises = gen.unit(node), gen.raises
 
     def __call__(self, env: dict):
         try:
@@ -178,6 +201,7 @@ class _Generator:
         self.consts: dict = {}
         self.defs: list[str] = []
         self.count = 0
+        self.raises = 0  # as _Code's
 
     def unit(self, node):
         """The entry's function and its parameters' names."""
@@ -220,12 +244,14 @@ class _Generator:
         return self.call(scope, f"    return {text}")
 
     def fail(self, message: str):
+        self.raises += 1
         return f"_raise({self.const(message)})", 1
 
     def apply(self, code: _Code, args: tuple, scope: dict):
         """A defined symbol's function on its arguments' values.  The
         symbol's arity is its definiens's free-variable count, so the
         arguments bind the function's parameters one for one."""
+        self.raises += code.raises
         texts = [self.term(a, scope) for a in args]
         depth = 1 + max((d for _, d in texts), default=0)
         return self.fits(f"{self.const(code.fn)}({', '.join(t for t, _ in texts)})", depth, scope)
@@ -277,20 +303,32 @@ class _Generator:
             return self.exists(f, scope)
         raise TypeError(f)
 
+    def first(self, z: str, parts: list):
+        """(b, True) or (b, False) when z is b's value or ranges up to b's
+        length (see exists), else None."""
+        eqs = [p.args for p in parts if isinstance(p, Atom) and p.pred == sx.EQ]
+        found = [(b, True) for args in eqs for a, b in (args, args[::-1]) if a == Var(z)]
+        head, order = parts[0], self.bundle.symbols.order if self.bundle is not None else None
+        if isinstance(head, Atom) and head.pred == order and head.args[0] == Var(z):
+            found.append((head.args[1], False))
+        return next(((b, one) for b, one in found if z not in sx.occurring_var_names(b)), None)
+
     def exists(self, e: Exists, scope: dict):
         """The witness z is, in order of preference: b, for the first
         conjunct z = b or b = z with z not in b; every string up to the
         length of b, when the first conjunct is the order's z <= b with z
         not in b; an all-zero string, when z is length-only; else, unless
         strict, any string up to a capped length.  Every variable in scope
-        is bound, so the first candidate is taken."""
+        is bound, so the first candidate is taken.
+
+        When the body's code cannot raise, a length-only z is tried only at
+        the length the first of pins' equations with a coefficient not 0 at
+        run time allows (see _zeros).  The body implies each equation: a
+        conjunction implies its conjuncts, a defined v is b, and equal
+        strings have equal lengths.  So no other candidate makes it true, and
+        none can raise."""
         z, parts = e.var, sx.conjuncts(e.body)
-        eqs = [p.args for p in parts if isinstance(p, Atom) and p.pred == sx.EQ]
-        found = [(b, True) for args in eqs for a, b in (args, args[::-1]) if a == Var(z)]
-        head, order = parts[0], self.bundle.symbols.order if self.bundle is not None else None
-        if isinstance(head, Atom) and head.pred == order and head.args[0] == Var(z):
-            found.append((head.args[1], False))
-        first = next(((b, one) for b, one in found if z not in sx.occurring_var_names(b)), None)
+        first = self.first(z, parts)
         length_only = not _occurs_outside_length(z, e.body)
         if self.strict and not (first or length_only):
             return self.fail(f"unbounded quantifier: {sx.render(e)[:80]}")
@@ -304,11 +342,16 @@ class _Generator:
                 given, dg = self.conjunction([p for p in parts if not _defines(p, z, b)], inner)
                 return self.fits(f"(({w} := {value}), {given})[1]", 2 + max(dv, dg), scope)
             space = f"_all_strings(len({value}))"
-        else:
+        raises = self.raises
+        body = self.formula(e.body, inner)[0]
+        if not first:
             # the lengths of the values in scope, a witness in place of the name it rebinds
             local = "".join(f"len({v}) + " for v in scope.values()) + "4"
-            space = f"_zeros({local})" if length_only else f"_all_strings(min({local}, 10))"
-        body = self.formula(e.body, inner)[0]
+            space = f"_all_strings(min({local}, 10))"
+            if length_only:
+                lens = {x: Counter({(v,): 1}) for x, v in inner.items()}
+                pins = self.pins(w, parts, lens) if self.raises == raises else []
+                space = f"_zeros({', '.join([local, *pins])})"
         lines = (
             f"    for {w} in {space}:",
             f"        if {body}:",
@@ -316,6 +359,48 @@ class _Generator:
             "    return False",
         )
         return self.call(scope, "\n".join(lines))
+
+    def pins(self, w: str, parts: list, lens: dict) -> list:
+        """(c, k) for each equation among `parts`, or in a conjunct exists v
+        [v = b & ...] that `first` reads as defining v, whose sides' lengths
+        differ by c*n - k, n being w's length and c not identically 0."""
+        out = []
+        for p in parts:
+            if isinstance(p, Exists):
+                inner = sx.conjuncts(p.body)
+                b, one = self.first(p.var, inner) or (None, False)
+                if one:  # v = b itself gives no pin: its sides' lengths are equal
+                    out += self.pins(w, inner, {**lens, p.var: self.length(b, lens)})
+            elif isinstance(p, Atom) and p.pred == sx.EQ:
+                left, right = (self.length(a, lens) for a in p.args)
+                if left is None or right is None:
+                    continue
+                diff = Counter(left)
+                diff.subtract(right)
+                terms = [
+                    (m.count(w), f"{i}" + "".join(f" * len({x})" for x in m if x != w))
+                    for m, i in diff.items() if i
+                ]
+                c, k = (" + ".join(t for d, t in terms if d == deg) or "0" for deg in (1, 0))
+                if c != "0" and all(d < 2 for d, _ in terms):
+                    out.append(f"({c}, -({k}))")
+        return out
+
+    def length(self, t: Term, lens: dict):
+        """t's length, a Counter from monomials (sorted tuples of the names
+        whose lengths `lens` gives t's variables) to coefficients; None for
+        a special constant, pd, or a symbol without an explicit body."""
+        if isinstance(t, Var):
+            return lens[t.name]
+        if isinstance(t, sx.SpecialConst):
+            return None
+        rule = LENGTHS.get(t.fn.name)
+        stage = self.bundle.stages.get(t.fn) if self.bundle is not None else None
+        if rule is None and stage is not None and stage.explicit_body is not None:
+            body = stage.explicit_body  # its variables bind the arguments, as in apply
+            rule = lambda *args: self.length(body, dict(zip(sx.free_vars(body), args)))
+        args = [self.length(a, lens) for a in t.args]
+        return None if rule is None or None in args else rule(*args)
 
     def conjunction(self, parts: list, scope: dict):
         """The conjunction of `parts`, left to right; True when empty."""

@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used in that module,
 every private definition is referred to from outside itself, no module
 names another module's private names, every function and method is named
-outside its own definition, and every private module-level function reads
-each of its parameters.
+outside its own definition, every private module-level function reads
+each of its parameters, and every source parses at the oldest Python that
+pyproject.toml supports.
 
 Package ``__init__.py`` files are exempt from the import check: their
 imports are re-exports."""
@@ -12,6 +13,7 @@ import dataclasses
 import functools
 import importlib
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -60,6 +62,16 @@ def test_every_import_is_used(path):
 
 
 SOURCES = sorted(PACKAGE.rglob("*.py"))
+
+
+def test_every_source_parses_at_the_oldest_python_supported():
+    # syntax newer than pyproject.toml's floor (such as 3.11's except*)
+    # would load on this interpreter and fail on the floor's
+    pyproject = (PACKAGE.parent.parent / "pyproject.toml").read_text()
+    floor = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups()))
+    assert floor == (3, 10)
+    for path in SOURCES:
+        ast.parse(path.read_text(), str(path), feature_version=floor)
 
 
 def _references(tree):

@@ -739,6 +739,25 @@ def test_recognizers_accept_equal_terms_built_apart_and_refuse_others():
     assert not pc.is_equality_axiom_instance(pred(c))
 
 
+def test_equality_axiom_instances_are_closed_by_their_atoms():
+    # closedness is read off the atoms, nodes the refuter shares: a freshly
+    # built instance adds nothing to the process-wide name cache
+    f, x = FnSym("f1", 1), Var("x")
+    hyp, concl = sx.eq(E1, E2), sx.eq(App(f, (E1,)), App(f, (E2,)))
+    assert all(map(sx.is_variable_free, (hyp, concl)))
+    before = sx.occurring_var_names.cache_info().currsize
+    assert pc.is_equality_axiom_instance(sx.disj([Not(hyp), concl]))
+    assert pc.is_equality_axiom_instance(sx.fimp(hyp, concl))
+    assert sx.occurring_var_names.cache_info().currsize == before
+    # an instance's shape over an open atom is none
+    q = PredSym("q1", 1)
+    for shaped in (
+        sx.fimp(sx.eq(E1, x), sx.eq(App(f, (E1,)), App(f, (x,)))),
+        sx.disj([Not(sx.eq(x, E2)), Not(Atom(q, (x,))), Atom(q, (E2,))]),
+    ):
+        assert not pc.is_equality_axiom_instance(shaped)
+
+
 _F1, _Q1, _R1 = FnSym("f1", 1), PredSym("q1", 1), PredSym("r1", 1)
 
 # name -> a closed formula that is no identity or equality axiom instance

@@ -1,5 +1,7 @@
 import collections
 import dataclasses
+import itertools
+import math
 import os
 import random
 import re
@@ -449,6 +451,169 @@ def quantified(bodies):
 )
 def test_length_only_witnesses_as_erased(f):
     assert_length_only_as_erased(f)
+
+
+# --- length-pinned witnesses ---------------------------------------------------
+
+
+def full_range(local, *pins):
+    """_zeros with its pins ignored: the whole range of a length-only loop."""
+    return map("0".__mul__, range(max(local, (local - 4) * (local - 4) + 4) + 1))
+
+
+def counting(zeros, tried):
+    """`zeros`, appending to `tried` the candidates each loop takes from it."""
+
+    def spy(local, *pins):
+        tried.append(0)
+        for candidate in zeros(local, *pins):
+            tried[-1] += 1
+            yield candidate
+
+    return spy
+
+
+def outcome(bundle, f, env, zeros=sa._zeros, tried=None):
+    """f's truth under env, or its CheckError's message, with the length-only
+    loops of a fresh copy of bundle ranging over `zeros`."""
+    tried = [] if tried is None else tried
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sa, "_zeros", counting(zeros, tried))
+        try:
+            return sa.eval_formula(f, env, dataclasses.replace(bundle))
+        except CheckError as e:
+            return str(e)
+
+
+def length_terms(names, max_leaves=4):
+    """Builtin terms and zee over the variables `names`, eps and zee(z); pd,
+    whose length is unknown, is rarer than the other symbols."""
+    leaves = st.sampled_from([E, App(ZEE, (Var("z"),))] + [Var(x) for x in names])
+    unary = st.sampled_from([S0, S1, ZEE] * 3 + [PD])
+    binary = st.sampled_from([CAT, ZPROD])
+
+    def grow(children):
+        return st.one_of(
+            st.builds(lambda f, a: App(f, (a,)), unary, children),
+            st.builds(lambda f, a, b: App(f, (a, b)), binary, children, children),
+        )
+
+    return st.recursive(leaves, grow, max_leaves=max_leaves)
+
+
+def pinned_bodies(names=("x", "y"), depth=2):
+    """Conjunctions of equations, most of them k * z + a = b in lengths,
+    of their negations and disjunctions, of a special constant's equation,
+    and of a witness defined by an equation that heads a body of its own:
+    u, and within u's body z again."""
+    eq = lambda a, b: Atom(sx.EQ, (a, b))
+    terms = length_terms(names)
+    equation = st.builds(eq, terms, terms)
+    # k is 1, 2 or |x|, which may be 0
+    factors = st.sampled_from([App(S0, (E,)), App(S0, (App(S0, (E,)),)), Var("x")])
+    pinning = st.builds(
+        lambda k, a, b, flip: eq(
+            *[App(CAT, (App(ZPROD, (k, Var("z"))), App(ZEE, (a,)))), App(ZEE, (b,))][:: flip or -1]
+        ),
+        factors, terms, terms, st.booleans(),
+    )
+    sc = sx.special_constant(sx.Exists("y", Not(eq(Var("y"), E))))
+    parts = [pinning, equation, st.builds(Not, equation), st.builds(Or, equation, pinning)]
+    if depth:
+        v = "zu"[depth - 1]
+        defined = st.builds(lambda b, flip: eq(*[Var(v), b][:: flip or -1]), terms, st.booleans())
+        body = pinned_bodies(names + (v,), depth - 1)
+        parts.insert(1, st.builds(lambda d, rest: sx.Exists(v, sx.fand(d, rest)), defined, body))
+    return st.lists(st.one_of(*parts, st.just(eq(sc, E))), min_size=1, max_size=3).map(sx.conj)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pinned_bodies(),
+    st.dictionaries(st.sampled_from("xy"), st.text(alphabet="01", max_size=2)),
+)
+def test_a_pinned_witness_takes_the_value_of_the_full_range(bundle, body, env):
+    f = sx.Exists("z", body)
+    assume(not sa._occurs_outside_length("z", body))
+    pinned = outcome(bundle, f, {"x": "", "y": "", **env})
+    assert pinned == outcome(bundle, f, {"x": "", "y": "", **env}, full_range)
+
+
+def test_pinned_witness_examples(bundle):
+    def both(text, env):
+        f = formula(bundle, text)
+        tried, full = [], []
+        got = outcome(bundle, f, env, tried=tried)
+        assert got == outcome(bundle, f, env, full_range, full)
+        return got, tried, full
+
+    # |z| = |y|^3 is past the bound at |y| = 3 (13), and just in it at 2 (8)
+    cube = "(exists z (= (zee z) (zprod y (zprod y y))))"
+    assert both(cube, {"y": "111"}) == (False, [0], [14])
+    assert both(cube, {"y": "11"}) == (True, [1], [9])
+    body = formula(bundle, "(= (zee z) (zprod y (zprod y y)))")
+    assert sa.eval_formula(body, {"z": "0" * 27, "y": "111"}, bundle)
+    # 2|z| = |y| allows no length when |y| is odd
+    halves = "(exists z (= (zprod (s0 (s0 eps)) z) (zee y)))"
+    assert both(halves, {"y": "111"}) == (False, [0], [14])
+    assert both(halves, {"y": "1111"}) == (True, [1], [3])
+    # |z|^2 = |y|^2 is no equation in |z| the code can solve
+    square = "(exists z (= (zprod z z) (zprod y y)))"
+    assert both(square, {"y": "11"}) == (True, [3], [3])
+    # nor is |z|^2 + |z| = |y|, which |z| = 1 solves at |y| = 2
+    quadratic = "(exists z (= (cat (zprod z z) (zee z)) (zee y)))"
+    assert both(quadratic, {"y": "11"}) == (True, [2], [2])
+    # the first equation whose coefficient is not 0 at run time pins
+    zero_then = "(exists z (and (= (zprod y z) eps) (= (zee z) (s0 (zee x)))))"
+    assert both(zero_then, {"x": "1", "y": ""}) == (True, [1], [3])
+    assert both(zero_then, {"x": "1", "y": "0"}) == (False, [1], [9])
+    # a coefficient that is 0 at run time, or always, keeps the full range
+    for y, factor in (("", "y"), ("1", "eps")):
+        zero = f"(exists z (and (= (zprod {factor} z) eps) (not (= (zee z) (zee x)))))"
+        assert both(zero, {"x": "", "y": y})[:2] == (True, [2])
+    # a body whose code can raise keeps the full range, and raises as it did:
+    # pinned past the bound, it would search nothing and be False
+    sc = "(sc (exists y (not (= y eps))))"
+    after = f"(exists z (and (= (zee z) (zee y)) (= {sc} eps)))"
+    assert both(after, {"y": "11"})[:2] == ("special constants are uninterpretable", [3])
+    unbounded = "unbounded quantifier: (exists y (not (or (not (= (cat x y) x)) (= y eps))))"
+    for first, message in (
+        (f"(= {sc} eps)", "special constants are uninterpretable"),
+        ("(phi_b1 y)", unbounded),  # a defined symbol whose code can raise
+    ):
+        before = f"(exists z (and {first} (= (zee z) (zprod y (zprod y y)))))"
+        assert both(before, {"y": "111"})[:2] == (message, [1])
+
+
+def test_builtin_lengths_are_the_lengths_of_their_values():
+    assert set(sa.LENGTHS) == set(sa.BUILTINS) - {"pd"}  # pd's length is unknown
+    rng = random.Random(5)
+    arity = {f.name: f.arity for f in (EPS, S0, S1, CAT, ZPROD)}
+    names = ("a", "b")
+    for name, rule in sa.LENGTHS.items():
+        poly = rule(*(collections.Counter({(x,): 1}) for x in names[: arity[name]]))
+        for _ in range(50):
+            values = {x: sa.random_string(rng, 12) for x in names}
+            value = eval(sa.BUILTINS[name].format(*names), {}, values)
+            lengths = sum(i * math.prod(len(values[x]) for x in m) for m, i in poly.items())
+            assert lengths == len(value), (name, values)
+
+
+def test_the_leq_statements_try_one_candidate_per_length_only_loop(bundle, corpus_scripts):
+    # t64, sim x y & sim y z -> sim x z, as written and translated: a loop
+    # pinned by |z| = |y| - |x| tries that length alone, or none
+    script = next(s for s in corpus_scripts if s.label == "t64")
+    stmt = formula(bundle, script.statement_text)
+    translated = extend.translate_out(bundle.definitions, stmt).formula
+    rows = [*itertools.product(sa._all_strings(2), repeat=3)]
+    for f, strict in ((stmt, True), (translated, False)):
+        tried = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sa, "_zeros", counting(sa._zeros, tried))
+            fresh = dataclasses.replace(bundle)
+            for x, y, z in rows:
+                assert sa.eval_formula(f, {"x": x, "y": y, "z": z}, fresh, strict) is True
+        assert len(tried) >= len(rows) and set(tried) == {0, 1}, (strict, collections.Counter(tried))
 
 
 # --- axioms ------------------------------------------------------------------
