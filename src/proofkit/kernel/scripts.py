@@ -489,9 +489,18 @@ def _replay_explicit(registry, script, statement: Formula) -> list:
         cur = nform.special_case(
             cur, nform.SpecialCaseDirective((("witness", cur.var),)), record
         )
+    table: dict = {}  # the checker's literal table (propcalc.literal_codes)
+    literals: dict = {}  # literal code -> the literal
+
+    def clause(f) -> tuple:
+        lits = sx.disjuncts(f)
+        codes = propcalc.literal_codes(table, lits)
+        literals.update(zip(codes, lits))
+        return codes
+
     inputs: list = list(sx.conjuncts(cur))
     steps: list = [("input", f) for f in inputs]
-    have: list = [tuple(sx.disjuncts(f)) for f in inputs]  # position -> clause
+    have: list = [clause(f) for f in inputs]  # position -> clause, as codes
     env: dict = dict(record)
     for step in script.explicit:
         if step.kind == "resolve":
@@ -527,12 +536,13 @@ def _replay_explicit(registry, script, statement: Formula) -> list:
                 raise CheckError(f"equality substitution is not closed: {sx.render(f)}")
         inputs.append(f)
         steps.append(("input", f))
-        have.append(tuple(sx.disjuncts(f)))
-    derived = [sx.disj(c) for c in have if c]
-    if () in have:
-        del steps[have.index(()) + 1 :]
+        have.append(clause(f))
+    clauses = [tuple(literals[c] for c in codes) for codes in have]
+    derived = [sx.disj(c) for c in clauses if c]
+    if () in clauses:
+        del steps[clauses.index(()) + 1 :]
     else:
-        steps += _closing(have)
+        steps += _closing(clauses)
     propcalc.replay(propcalc.Refutation(steps), inputs)
     return derived
 

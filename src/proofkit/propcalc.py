@@ -13,7 +13,8 @@ backtracks by popping, with two watched positions per clause for unit
 propagation (Chaff, 2001; MiniSat, 2003).  Each conflict records
 what refutes it; once the search has refuted its root, and only then, a
 certificate is built from those records, and replay checks it by code of
-its own that shares nothing with the search but the syntax.
+its own, on literal numbers of its own, sharing nothing with the search
+but the syntax.
 
 A certificate is a list of steps, read as resolution proofs are checked
 (Zhang & Malik, 2003): every step but a split derives one clause, a tuple
@@ -71,13 +72,20 @@ class TruthValuation(NamedTuple):
     assignment: dict
 
     def value(self, f: Formula) -> bool:
-        if is_elementary(f):
-            return self.assignment[f]
-        if isinstance(f, Not):
-            return not self.value(f.body)
-        if isinstance(f, Or):
-            return self.value(f.left) or self.value(f.right)
-        raise TypeError(f)
+        """Negations and a disjunction's right spine are followed in a loop,
+        left operand first, so a long clause costs no recursion."""
+        negated = False
+        while not is_elementary(f):
+            if isinstance(f, Not):
+                negated = not negated
+                f = f.body
+            elif isinstance(f, Or):
+                if self.value(f.left):
+                    return not negated
+                f = f.right
+            else:
+                raise TypeError(f)
+        return self.assignment[f] != negated
 
 
 # ---------------------------------------------------------------------------
@@ -98,12 +106,14 @@ class OutOfBudget(NamedTuple):
     spent: int
 
 
-def is_identity_instance(f: Formula) -> bool:
+def is_identity_instance(f: Formula, closed=sx.is_variable_free) -> bool:
+    """Closed instance of the identity axiom; `closed` decides an atom's
+    closedness (replay reads it off its literal table)."""
     return (
         isinstance(f, Atom)
         and f.pred == EQ
         and f.args[0] == f.args[1]
-        and sx.is_variable_free(f)
+        and closed(f)
     )
 
 
@@ -127,16 +137,16 @@ def as_horn(f: Formula):
     return None
 
 
-def is_equality_axiom_instance(f: Formula) -> bool:
+def is_equality_axiom_instance(f: Formula, closed=sx.is_variable_free) -> bool:
     """Closed instance of an equality axiom: for a function symbol, for a
     predicate symbol, or for equality itself.  f is closed when the atoms
-    as_horn reads it into are: they are the refuter's shared nodes, where f
-    is built afresh."""
+    as_horn reads it into are, as `closed` decides: they are the refuter's
+    shared nodes, where f is built afresh."""
     horn = as_horn(f)
     if horn is None:
         return False
     parts, concl = horn
-    if not (sx.is_variable_free(concl) and all(map(sx.is_variable_free, parts))):
+    if not (closed(concl) and all(map(closed, parts))):
         return False
     eqs = [
         (p.args[0], p.args[1]) if p.pred == EQ else None
@@ -171,54 +181,106 @@ def is_equality_axiom_instance(f: Formula) -> bool:
 _STEP_LENGTHS = {"input": 2, "conjunct": 3, "eq_axiom": 2, "resolve": 3, "split": 4}
 
 
+def literal_codes(table: dict, lits) -> tuple:
+    """The literals' codes in a checker's table of literal bases (a
+    negation's base is its body, so not not a is keyed by not a), adding
+    each base when new: the n-th base is 2n + 1 and its negation 2n, or
+    ~(2n + 1) and ~2n for a base that is no closed elementary formula and
+    so can be no pivot."""
+    codes = []
+    for lit in lits:
+        base = lit.body if type(lit) is Not else lit
+        c = table.get(base)
+        if c is None:
+            c = 2 * len(table) + 1
+            if not is_elementary(base) or sx.free_vars(base):
+                c = ~c
+            table[base] = c
+        codes.append(c if base is lit else c ^ 1)
+    return tuple(codes)
+
+
 def replay(cert: Refutation, inputs: Sequence[Formula]) -> bool:
     """Check a certificate against the inputs, every side condition
-    included; returns True or raises CheckError.  Branches are checked
-    from an explicit stack, over one list of the clauses derived in scope
-    that each branch cuts back to its start."""
-    inputs = set(inputs)
+    included; returns True or raises CheckError, whatever the certificate
+    holds.  Branches are checked from an explicit stack, over one list of
+    the clauses derived in scope that each branch cuts back to its start.
+
+    The call numbers the literals it meets in a table of its own (see
+    literal_codes), deciding once per atom whether it is closed and
+    elementary: clauses are tuples of codes, and each input is coded and
+    each eq_axiom formula recognized once."""
+    table: dict = {}  # literal base -> its code
+    coded = dict.fromkeys(inputs)  # input -> its clause's codes, once cited
     conjunctive: dict = {}  # input -> the clauses of its conjunctive form
+    accepted: dict = {}  # eq_axiom formula -> its clause's codes
+
+    def closed(atom) -> bool:
+        return literal_codes(table, (atom,))[0] >= 0
+
     have: list = []  # position -> the clause derived there
     todo = [(cert.steps, 0, None)]  # (steps, positions before, assumption)
     while todo:
         steps, length, assumed = todo.pop()
+        try:
+            last = len(steps) - 1
+        except TypeError:
+            raise CheckError("a certificate branch must be a list of steps") from None
         del have[length:]
         if assumed is not None:
             have.append((assumed,))
         for at, step in enumerate(steps):
-            kind = step[0]
-            if _STEP_LENGTHS.get(kind) != len(step):
+            try:
+                kind = step[0]
+                known = _STEP_LENGTHS.get(kind) == len(step)
+            except (TypeError, LookupError):  # no kind, or an unhashable one
+                kind, known = None, False
+            if not known:
                 raise CheckError(f"unknown or malformed step of kind {kind!r}")
-            if kind == "input":
-                if step[1] not in inputs:
-                    raise CheckError("certificate cites a non-input formula")
-                have.append(tuple(sx.disjuncts(step[1])))
+            if kind == "resolve":
+                have.append(resolvent(have, step[1], step[2]))
+            elif kind == "input":
+                f = step[1]
+                try:
+                    got = coded[f]
+                except (KeyError, TypeError):  # an unhashable one is no input
+                    raise CheckError("certificate cites a non-input formula") from None
+                if got is None:
+                    got = coded[f] = literal_codes(table, sx.disjuncts(f))
+                have.append(got)
             elif kind == "conjunct":
-                _, clause, f = step
-                if f not in inputs:
+                _, claim, f = step
+                if not isinstance(f, Formula) or f not in coded:
                     raise CheckError("conjunct of a non-input formula")
                 if f not in conjunctive:
                     conjunctive[f] = set(_conjunctive_clauses(f))
-                if clause not in conjunctive[f]:
+                try:
+                    found = claim in conjunctive[f]
+                except TypeError:  # an unhashable claim is no clause
+                    found = False
+                if not found:
                     raise CheckError("claimed conjunct is not one")
-                have.append(clause)
+                have.append(literal_codes(table, claim))
             elif kind == "eq_axiom":
                 f = step[1]
-                if not (is_identity_instance(f) or is_equality_axiom_instance(f)):
-                    raise CheckError(
-                        f"not an identity/equality axiom instance: {sx.render(f)}"
-                    )
-                have.append(tuple(sx.disjuncts(f)))
-            elif kind == "resolve":
-                have.append(resolvent(have, step[1], step[2]))
+                got = accepted.get(f) if isinstance(f, Formula) else None
+                if got is None:
+                    if not (
+                        is_identity_instance(f, closed) or is_equality_axiom_instance(f, closed)
+                    ):
+                        shown = sx.render(f) if isinstance(f, (Formula, sx.Term)) else repr(f)
+                        raise CheckError(f"not an identity/equality axiom instance: {shown}")
+                    got = accepted[f] = literal_codes(table, sx.disjuncts(f))
+                have.append(got)
             else:
                 _, atom, first, second = step
-                if not is_elementary(atom) or sx.free_vars(atom):
+                c = literal_codes(table, (atom,))[0] if is_elementary(atom) else -1
+                if c < 0:
                     raise CheckError("split must be on a closed elementary formula")
-                if at != len(steps) - 1:
+                if at != last:
                     raise CheckError("a split must be its branch's last step")
-                todo.append((second, len(have), Not(atom)))
-                todo.append((first, len(have), atom))
+                todo.append((second, len(have), c ^ 1))
+                todo.append((first, len(have), c))
                 break
         else:
             if not steps or have[-1]:
@@ -227,30 +289,21 @@ def replay(cert: Refutation, inputs: Sequence[Formula]) -> bool:
 
 
 def resolvent(have: list, i, j) -> tuple:
-    """The clause at position j without the opposite of the literal of the
-    unit clause at position i: for a positive pivot the first negation of
-    it, for a negative pivot the first occurrence of its body.  No node is
-    built; literals are told apart by identity, then by their stored
-    hashes, so two distinct deep literals are never walked."""
+    """The clause at position j without the first occurrence of the
+    opposite of the literal of the unit clause at position i.  Clauses are
+    tuples of literal codes (see literal_codes): the pivot must have a code
+    that is not negative, and its opposite is that code with the last bit
+    flipped."""
     if not (type(i) is type(j) is int and 0 <= i < len(have) and 0 <= j < len(have)):
         raise CheckError("resolution premises must precede")
     unit, clause = have[i], have[j]
-    lit = unit[0] if len(unit) == 1 else None
-    base = lit.body if isinstance(lit, Not) else lit
-    if not is_elementary(base) or sx.free_vars(base):
+    if len(unit) != 1 or unit[0] < 0:
         raise CheckError("resolution pivot must be a closed elementary literal")
-    h = hash(base)
-    if base is lit:
-        for k, x in enumerate(clause):
-            if isinstance(x, Not):
-                b = x.body
-                if b is base or (hash(b) == h and b == base):
-                    return clause[:k] + clause[k + 1 :]
-    else:
-        for k, x in enumerate(clause):
-            if x is base or (hash(x) == h and x == base):
-                return clause[:k] + clause[k + 1 :]
-    raise CheckError("opposite of the pivot is not in the clause")
+    try:
+        k = clause.index(unit[0] ^ 1)
+    except ValueError:
+        raise CheckError("opposite of the pivot is not in the clause") from None
+    return clause[:k] + clause[k + 1 :]
 
 
 def _conjunctive_clauses(f: Formula) -> list[tuple]:
@@ -669,8 +722,9 @@ def _refute(clauses, sources, atoms, budget, use_congruence, want_cert):
                 backtrack(length)
                 steps = [("split", atoms[i], first, steps)]
             if not frames:
+                instances: dict = {}  # the leaves' equality-axiom instances
                 for leaf_steps, found, why, depth in leaves:
-                    emitter = _Emitter(clauses, sources, table, why, depth)
+                    emitter = _Emitter(clauses, sources, table, why, depth, instances)
                     leaf_steps.extend(emitter.refute(found))
                 return Refutation(steps, spent)
             frame = frames[-1]
@@ -725,14 +779,17 @@ class _Emitter:
     assumptions, one per split around it; the assumption of the split at
     depth d holds position d.  `at` maps each derived literal, by its code,
     and each derived input clause, by its tuple of codes, to its position;
-    equations are atom ids of the term table, and nodes only in the steps."""
+    equations are atom ids of the term table, and nodes only in the steps.
+    `instances`, shared by the leaves of one refutation, holds each
+    equality-axiom instance built, by its (*hypotheses, conclusion)."""
 
-    def __init__(self, clauses, sources, table, reasons, depth):
+    def __init__(self, clauses, sources, table, reasons, depth, instances):
         self.clauses = clauses
         self.sources = sources
         self.table = table
         self.reasons = reasons
         self.depth = depth
+        self.instances = instances
         self.steps: list = []
         self.at: dict = {}
 
@@ -850,8 +907,12 @@ class _Emitter:
     def _horn(self, hyps, concl):
         """Emit the clause form of an equality-axiom instance and resolve
         its (already derived) hypotheses away, deriving the conclusion."""
-        atoms = self.table.atoms
-        ax = self.emit(("eq_axiom", sx.disj([Not(atoms[h]) for h in hyps] + [atoms[concl]])))
+        key = (*hyps, concl)
+        f = self.instances.get(key)
+        if f is None:
+            atoms = self.table.atoms
+            f = self.instances[key] = sx.disj([Not(atoms[h]) for h in hyps] + [atoms[concl]])
+        ax = self.emit(("eq_axiom", f))
         self.at[2 * concl + 1] = self.resolve_away(ax, [2 * h + 1 for h in hyps])
 
     def _identity(self, a: int) -> int:

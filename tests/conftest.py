@@ -1,8 +1,8 @@
 """Shared fixtures: the loaded theory bundle, a one-time corpus run, the
-brute-force truth-table oracles (which share no code with propcalc),
-random generators, script mutation, a 28-atom valid special sequence, and
-small oracles and builders over syntax and machine encodings that the
-package itself does not need."""
+brute-force truth-table oracles (which share no code with propcalc), the
+node-walking reference certificate checker, random generators, script
+mutation, a 28-atom valid special sequence, and small oracles and builders
+over syntax and machine encodings that the package itself does not need."""
 
 from __future__ import annotations
 
@@ -11,7 +11,9 @@ import random
 import pytest
 
 from proofkit import hilbertack, machines, stringarith
+from proofkit import propcalc as pc
 from proofkit import syntax as sx
+from proofkit.errors import CheckError
 from proofkit.kernel import SpecialSequence, scripts as kscripts
 from proofkit.syntax import App, Atom, Exists, FnSym, Not, Or, PredSym, SpecialConst, Var, EPS, S0
 
@@ -203,6 +205,94 @@ def brute_force_quasitaut_unsat(fs):
     """Truth-table unsatisfiability of the inputs together with all
     identity/equality-axiom instances over the occurring ground terms."""
     return truth_table_unsat(list(fs) + axiom_instances(fs))
+
+
+# ---------------------------------------------------------------------------
+# the reference certificate checker: propcalc.replay as it was before it
+# numbered literals, walking formula nodes; the recognizers and the
+# conjunctive reading are propcalc's, called as their public callers do
+
+
+def reference_replay(cert, inputs) -> bool:
+    """Check a certificate against the inputs, every side condition
+    included; returns True or raises CheckError.  Branches are checked
+    from an explicit stack, over one list of the clauses derived in scope
+    that each branch cuts back to its start."""
+    inputs = set(inputs)
+    conjunctive: dict = {}  # input -> the clauses of its conjunctive form
+    have: list = []  # position -> the clause derived there
+    todo = [(cert.steps, 0, None)]  # (steps, positions before, assumption)
+    while todo:
+        steps, length, assumed = todo.pop()
+        del have[length:]
+        if assumed is not None:
+            have.append((assumed,))
+        for at, step in enumerate(steps):
+            kind = step[0]
+            if pc._STEP_LENGTHS.get(kind) != len(step):
+                raise CheckError(f"unknown or malformed step of kind {kind!r}")
+            if kind == "input":
+                if step[1] not in inputs:
+                    raise CheckError("certificate cites a non-input formula")
+                have.append(tuple(sx.disjuncts(step[1])))
+            elif kind == "conjunct":
+                _, clause, f = step
+                if f not in inputs:
+                    raise CheckError("conjunct of a non-input formula")
+                if f not in conjunctive:
+                    conjunctive[f] = set(pc._conjunctive_clauses(f))
+                if clause not in conjunctive[f]:
+                    raise CheckError("claimed conjunct is not one")
+                have.append(clause)
+            elif kind == "eq_axiom":
+                f = step[1]
+                if not (pc.is_identity_instance(f) or pc.is_equality_axiom_instance(f)):
+                    raise CheckError(
+                        f"not an identity/equality axiom instance: {sx.render(f)}"
+                    )
+                have.append(tuple(sx.disjuncts(f)))
+            elif kind == "resolve":
+                have.append(reference_resolvent(have, step[1], step[2]))
+            else:
+                _, atom, first, second = step
+                if not sx.is_elementary(atom) or sx.free_vars(atom):
+                    raise CheckError("split must be on a closed elementary formula")
+                if at != len(steps) - 1:
+                    raise CheckError("a split must be its branch's last step")
+                todo.append((second, len(have), Not(atom)))
+                todo.append((first, len(have), atom))
+                break
+        else:
+            if not steps or have[-1]:
+                raise CheckError("certificate branch reaches no contradiction")
+    return True
+
+
+def reference_resolvent(have: list, i, j) -> tuple:
+    """The clause at position j without the opposite of the literal of the
+    unit clause at position i: for a positive pivot the first negation of
+    it, for a negative pivot the first occurrence of its body.  No node is
+    built; literals are told apart by identity, then by their stored
+    hashes, so two distinct deep literals are never walked."""
+    if not (type(i) is type(j) is int and 0 <= i < len(have) and 0 <= j < len(have)):
+        raise CheckError("resolution premises must precede")
+    unit, clause = have[i], have[j]
+    lit = unit[0] if len(unit) == 1 else None
+    base = lit.body if isinstance(lit, Not) else lit
+    if not sx.is_elementary(base) or sx.free_vars(base):
+        raise CheckError("resolution pivot must be a closed elementary literal")
+    h = hash(base)
+    if base is lit:
+        for k, x in enumerate(clause):
+            if isinstance(x, Not):
+                b = x.body
+                if b is base or (hash(b) == h and b == base):
+                    return clause[:k] + clause[k + 1 :]
+    else:
+        for k, x in enumerate(clause):
+            if x is base or (hash(x) == h and x == base):
+                return clause[:k] + clause[k + 1 :]
+    raise CheckError("opposite of the pivot is not in the clause")
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from conftest import (
     ground_subterms,
     random_ground_problem,
     random_qf_formula,
+    reference_replay,
     truth_table_consequence,
 )
 from proofkit import propcalc as pc
@@ -32,27 +33,73 @@ def test_valuation_extension_rules():
     assert v.value(Not(B)) and v.value(Or(B, A)) and not v.value(Not(Or(B, A)))
 
 
+def test_a_model_values_a_clause_of_five_thousand_literals():
+    # -p0 | ... | -p4998 | p4999 with the units p0 ... p4998: the refuter
+    # saturates, and its model values the clause and a negation chain as
+    # long, left operands first, without recursing along them
+    ps = [Atom(PredSym(f"p{i}", 0)) for i in range(5_000)]
+    clause = sx.disj([Not(p) for p in ps[:-1]] + [ps[-1]])
+    res = pc.ground_refute([*ps[:-1], clause])
+    assert isinstance(res, pc.Saturated)
+    assert res.model.value(clause) and res.model.assignment[ps[-1]] is True
+    chain = ps[0]
+    for _ in range(5_001):
+        chain = Not(chain)
+    assert res.model.value(chain) is False
+    # a missing atom raises where the left-to-right reading first needs it
+    v = pc.TruthValuation({A: True})
+    assert v.value(Or(A, B)) and v.value(Not(Not(Or(A, B))))
+    for f, missing in (
+        (Or(Not(A), B), B),
+        (Not(Or(Not(A), Or(B, C))), B),
+        (Or(Or(Not(A), C), B), C),
+    ):
+        with pytest.raises(KeyError) as err:
+            v.value(f)
+        assert err.value.args == (missing,)
+    with pytest.raises(TypeError):
+        v.value(Not(E1))
+
+
 # --- one-resolution ---------------------------------------------------------
+
+
+def _negation(lit):
+    return lit.body if isinstance(lit, Not) else Not(lit)
+
+
+def _resolves_to(unit, clause, derived):
+    """Replay the one resolution of the input clause by the input unit, then
+    resolve each literal of `derived` away against its negation, given as
+    an input: accepted exactly when the resolvent holds those literals."""
+    inputs = [unit, clause] + [_negation(lit) for lit in derived]
+    steps = [("input", unit), ("input", clause), ("resolve", 0, 1)]
+    for lit in derived:
+        steps += [("input", _negation(lit)), ("resolve", len(steps), len(steps) - 1)]
+    return pc.replay(pc.Refutation(steps), inputs)
 
 
 def test_one_resolution_examples():
     p = Atom(PredSym("p0", 0))
     q = Atom(PredSym("q0", 0))
     s = Atom(PredSym("s0p", 0))
-    assert pc.resolvent([(p,), (Not(p), q)], 0, 1) == (q,)
-    have = [(Not(sx.eq(E1, E2)),), (sx.eq(E1, E2), q, s)]
-    assert pc.resolvent(have, 0, 1) == (q, s)
-    assert pc.resolvent([(p,), (Not(p),)], 0, 1) == ()  # unit against unit
+    assert _resolves_to(p, Or(Not(p), q), [q])
+    assert _resolves_to(Not(sx.eq(E1, E2)), sx.disj([sx.eq(E1, E2), q, s]), [q, s])
+    assert _resolves_to(p, Not(p), [])  # unit against unit
     e = Exists("x", Atom(PredSym("r", 1), (Var("x"),)))
-    assert pc.resolvent([(Not(e),), (e, q)], 0, 1) == (q,)  # closed existential
-    with pytest.raises(CheckError, match="closed elementary"):
-        pc.resolvent([(Or(p, q),), (Not(Or(p, q)), q)], 0, 1)  # pivot not a literal
-    with pytest.raises(CheckError, match="closed elementary"):
-        pc.resolvent([(p, q), (Not(p),)], 0, 1)  # premise not a unit
-    with pytest.raises(CheckError, match="not in the clause"):
-        pc.resolvent([(p,), (p, q)], 0, 1)
-    with pytest.raises(CheckError, match="must precede"):
-        pc.resolvent([(p,)], 0, 1)
+    assert _resolves_to(Not(e), Or(e, q), [q])  # closed existential
+    for unit, clause in (
+        (Not(Or(p, q)), Or(p, q)),  # pivot not a literal
+        (Not(Not(p)), Or(Not(p), q)),  # not not p is keyed by not p
+        (Atom(PredSym("r", 1), (Var("x"),)), q),  # pivot open
+        (Or(p, q), Not(p)),  # premise not a unit
+    ):
+        with pytest.raises(CheckError, match="^resolution pivot must be a closed elementary literal$"):
+            _resolves_to(unit, clause, [])
+    with pytest.raises(CheckError, match="^opposite of the pivot is not in the clause$"):
+        _resolves_to(p, Or(p, q), [])
+    with pytest.raises(CheckError, match="^resolution premises must precede$"):
+        pc.replay(pc.Refutation([("input", p), ("resolve", 0, 1)]), [p])
 
 
 @settings(max_examples=100, deadline=None)
@@ -63,11 +110,14 @@ def test_one_resolution_soundness(seed):
     lits = [q, Not(q), A, Not(A), B, Not(B)]
     d = tuple(rng.choice(lits) for _ in range(rng.randint(1, 4)))
     c = rng.choice(lits)
+    table: dict = {}
+    have = [pc.literal_codes(table, (c,)), pc.literal_codes(table, d)]
+    literal = dict(zip(pc.literal_codes(table, lits), lits))
     try:
-        out = pc.resolvent([(c,), d], 0, 1)
+        out = pc.resolvent(have, 0, 1)
     except CheckError:
         return
-    derived = sx.disj(out) if out else sx.fand(q, Not(q))
+    derived = sx.disj([literal[x] for x in out]) if out else sx.fand(q, Not(q))
     assert truth_table_consequence(derived, [c, sx.disj(d)])
 
 
@@ -562,16 +612,17 @@ def test_resolvent_finds_an_equal_opposite_built_apart():
 
     pivot, twin = q_e1(), q_e1()
     assert pivot is not twin and pivot == twin
+    # the checker's table gives equal literals one code
+    table: dict = {}
+    assert pc.literal_codes(table, (pivot, twin, Not(q_e1()))) == (1, 1, 0)
     # a positive pivot removes the first negation of it
     last = Not(q_e1())
-    got = pc.resolvent([(pivot,), (B, Not(twin), last)], 0, 1)
-    assert got == (B, last) and got[1] is last
+    assert _resolves_to(pivot, sx.disj([B, Not(twin), last]), [B, last])
     # a negative pivot removes the first occurrence of its body
-    have = [(Not(pivot),), (twin, B)]
-    assert pc.resolvent(have, 0, 1) == (B,)
+    assert _resolves_to(Not(pivot), Or(twin, B), [B])
     # a literal of the pivot's own polarity is no opposite
     with pytest.raises(CheckError, match="opposite of the pivot is not in the clause"):
-        pc.resolvent([(pivot,), (twin, B)], 0, 1)
+        _resolves_to(pivot, Or(twin, B), [])
 
 
 def test_a_clause_of_five_thousand_literals_is_refuted_and_replays():
@@ -670,6 +721,156 @@ def test_replay_rejects_a_leaf_short_of_the_empty_clause():
     branch.pop()
     with pytest.raises(CheckError):
         pc.replay(res, _SPLIT_INPUTS)
+
+
+# name -> (steps, inputs): certificates that are no certificates, on each
+# of which the node-walking reference checker fails by a TypeError or an
+# IndexError
+_MALFORMED = {
+    "a step that is no tuple": ([5], [A]),
+    "an empty step": ([()], [A]),
+    "an unhashable kind": ([([1], A)], [A]),
+    "an unhashable input": ([("input", [1])], [A]),
+    "an eq_axiom of no formula": ([("eq_axiom", 3)], [A]),
+    "a conjunct of an unhashable formula": ([("conjunct", (A,), [1])], [A]),
+    "an unhashable conjunct": ([("conjunct", [A], sx.fand(A, B))], [sx.fand(A, B)]),
+    "a split branch that is no list": ([("split", A, 5, [])], [A]),
+    "no steps at all": (None, [A]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED))
+def test_replay_refuses_a_malformed_certificate_by_a_check_error(name):
+    steps, inputs = _MALFORMED[name]
+    with pytest.raises((TypeError, LookupError)):
+        reference_replay(pc.Refutation(steps), inputs)
+    with pytest.raises(CheckError):
+        pc.replay(pc.Refutation(steps), inputs)
+
+
+def _steps_copy(steps):
+    return [
+        (*s[:2], _steps_copy(s[2]), _steps_copy(s[3])) if s[0] == "split" else s
+        for s in steps
+    ]
+
+
+def _branches(steps):
+    """Every branch of a certificate, depth first."""
+    yield steps
+    for s in steps:
+        if s[0] == "split":
+            yield from _branches(s[2])
+            yield from _branches(s[3])
+
+
+def _verdict(check, cert, inputs):
+    try:
+        return check(cert, inputs)
+    except CheckError as e:
+        return str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32))
+def test_replay_agrees_with_the_node_walking_reference(seed):
+    # a random refutable problem, its first two inputs sometimes joined into
+    # one conjunction so that conjunct steps occur, and its certificate with
+    # one field of one step (or the whole step) replaced by another step's
+    # field or a stray value: both checkers accept, or both refuse with one
+    # message; where the reference fails otherwise, replay still refuses
+    rng = random.Random(seed)
+    while True:
+        problem = random_ground_problem(rng, nesting=rng.choice((0, 0, 3)))
+        if rng.random() < 0.3:
+            problem = [sx.fand(problem[0], problem[1])] + problem[2:]
+        res = pc.ground_refute(problem)
+        if isinstance(res, pc.Refutation):
+            break
+    assert pc.replay(res, problem) and reference_replay(res, problem)
+    steps = _steps_copy(res.steps)
+    branch = rng.choice([b for b in _branches(steps) if b])
+    k = rng.randrange(len(branch))
+    # the fields come from a copy of their own, so that no branch comes to
+    # hold itself
+    fields = [x for b in _branches(_steps_copy(steps)) for s in b for x in (s, *s[1:])]
+    stray = [None, 5, -1, 0, True, "resolve", (), [], [1], A, Not(A), Or(A, B), E1]
+    stray += [Atom(Q, (Var("x"),)), sx.eq(E1, E1)]
+    # the whole step (at -1), its kind (at 0), or, four times as often, a
+    # field after the kind; an index field also moves by one
+    step = branch[k]
+    at = rng.choice([-1, 0] + 4 * list(range(1, len(step))))
+    value = rng.choice(fields + stray)
+    if at > 0 and type(step[at]) is int and rng.random() < 0.5:
+        value = step[at] + rng.choice((-1, 1))
+    branch[k] = value if at < 0 else (*step[:at], value, *step[at + 1 :])
+    cert = pc.Refutation(steps)
+    mine = _verdict(pc.replay, cert, problem)
+    try:
+        reference = _verdict(reference_replay, cert, problem)
+    except (TypeError, LookupError):
+        assert isinstance(mine, str)
+    else:
+        assert mine == reference
+
+
+def test_replay_decides_closedness_once_per_atom(monkeypatch):
+    # every clause over a, b and c: a refutation that splits and resolves,
+    # with no eq_axiom step; the checker asks whether an atom is closed once
+    letters = (A, B, C)
+    inputs = [
+        sx.disj([x if (n >> i) & 1 else Not(x) for i, x in enumerate(letters)])
+        for n in range(8)
+    ]
+    res = pc.ground_refute(inputs)
+    assert isinstance(res, pc.Refutation)
+    kinds = [s[0] for s in _every_step(res.steps)]
+    assert "eq_axiom" not in kinds and kinds.count("resolve") > len(letters)
+    asked = []
+    for name in ("free_vars", "is_variable_free"):
+        real = getattr(sx, name)
+        monkeypatch.setattr(sx, name, lambda node, real=real: asked.append(node) or real(node))
+    assert pc.replay(res, inputs)
+    assert 0 < len(asked) <= len(letters)
+
+
+def test_replay_recognizes_a_repeated_equality_axiom_instance_once(monkeypatch):
+    # a split on a whose branches both close by one congruence instance,
+    # built apart; the second branch's copy is accepted as the first's was,
+    # and a different formula in its place is refused
+    inputs = [sx.eq(E1, E2), Atom(Q, (E1,)), Not(Atom(Q, (E2,)))]
+
+    def branch(conclusion):
+        instance = sx.disj([Not(sx.eq(E1, E2)), Not(Atom(Q, (E1,))), conclusion])
+        return [("eq_axiom", instance), ("input", inputs[0]), ("resolve", 2, 1),
+                ("input", inputs[1]), ("resolve", 4, 3), ("input", inputs[2]),
+                ("resolve", 6, 5)]
+
+    recognized = []
+    real = pc.is_equality_axiom_instance
+    monkeypatch.setattr(
+        pc, "is_equality_axiom_instance", lambda f, *a: recognized.append(f) or real(f, *a)
+    )
+    good = Atom(Q, (E2,))
+    assert pc.replay(pc.Refutation([("split", A, branch(good), branch(good))]), inputs)
+    assert len(recognized) == 1
+    bad = pc.Refutation([("split", A, branch(good), branch(Atom(Q, (E3,))))])
+    with pytest.raises(CheckError, match="^not an identity/equality axiom instance: "):
+        pc.replay(bad, inputs)
+
+
+def test_a_refutation_builds_each_equality_axiom_instance_once():
+    # p or r, and either gives e1 = e2, which q(e1) and not q(e2) refute by
+    # one congruence instance: both leaves of the split on p cite it, and
+    # the refutation builds it once
+    inputs = [Or(P, R), Atom(Q, (E1,)), Not(Atom(Q, (E2,)))]
+    inputs += [Or(Not(P), sx.eq(E1, E2)), Or(Not(R), sx.eq(E1, E2))]
+    res = pc.ground_refute(inputs)
+    assert isinstance(res, pc.Refutation) and pc.replay(res, inputs)
+    (split,) = res.steps
+    instance = sx.disj([Not(sx.eq(E1, E2)), Not(Atom(Q, (E1,))), Atom(Q, (E2,))])
+    cited = [[s[1] for s in b if s[0] == "eq_axiom"] for b in split[2:]]
+    assert cited[0] == cited[1] == [instance] and cited[0][0] is cited[1][0]
 
 
 def test_certificate_is_built_only_for_a_refutation(monkeypatch):
