@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .errors import BudgetExhausted, CheckError, ProofkitError
-from . import extend, hilbertack, machines, normform, propcalc, stringarith
+from . import checker, extend, hilbertack, machines, normform, propcalc, stringarith
 from . import syntax as sx
 from .kernel import scripts as kscripts
 
@@ -128,7 +128,7 @@ def cmd_ha_reduce(args) -> int:
     failure = None
     if refutable:
         try:
-            propcalc.replay(refuted, final)
+            checker.replay(refuted, final)
         except CheckError as e:
             refutable = False
             failure = f"the refutation's certificate does not replay: {e}"

@@ -1,13 +1,14 @@
 """The trusted core: theories, the five closed-formula classes proofs draw
 from, proof objects and their checking, and the validity of special
-sequences.  The proof transformations and generators are in meta.proofs."""
+sequences.  checker.replay checks certificates in the format its module
+documents; the proof transformations and generators are in meta.proofs."""
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
 from ..errors import BudgetExhausted, CheckError, SizeGuardExceeded
-from .. import propcalc
+from .. import checker, propcalc
 from .. import syntax as sx
 from ..syntax import (
     App,
@@ -125,11 +126,11 @@ def classify_matched(
         return special
     misses = ["not a special axiom", "not a substitution formula"]
 
-    if propcalc.is_identity_instance(f):
+    if checker.is_identity_instance(f):
         return DeltaClass("identity")
     misses.append("not an identity formula")
 
-    if propcalc.is_equality_axiom_instance(f):
+    if checker.is_equality_axiom_instance(f):
         return DeltaClass("equality")
     misses.append("not an equality formula")
 

@@ -10,9 +10,10 @@ quasitautologically inconsistent.
 Explicit scripts are instead very simple proofs, each step a conjunct of a
 special case of a nonlogical axiom, a closed equality substitution
 not a=b | not A(a) | A(b), or a resolution of prior steps.  The script is
-turned into a certificate whose inputs are the negated goal's conjuncts and
-those steps, closed by a derived literal and its opposite or a formula
-a != a, and passes only when propcalc.replay accepts it.
+turned into a certificate, in proofkit.checker's format, whose inputs are
+the negated goal's conjuncts and those steps, closed by a derived literal
+and its opposite or a formula a != a; it passes only when checker.replay
+accepts it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import NamedTuple, Optional
 
 from ..errors import CheckError, ParseError, ProofkitError
 from .. import normform as nform
-from .. import propcalc
+from .. import checker, propcalc
 from .. import syntax as sx
 from ..syntax import Formula, Not, closure, fimp, subst
 
@@ -471,14 +472,14 @@ def check_script(
 
 
 def _replay_explicit(registry, script, statement: Formula) -> list:
-    """A very simple proof as a certificate that propcalc.replay checks.
-    The negated goal's conjuncts, the `special` conjuncts and the `eqsub`
-    clauses are its inputs, `resolve i j` resolves positions i and j, and
-    the certificate ends at the first empty clause a step derives, else in
-    a derived unit resolved against its opposite or, for a != a, against
-    the identity a = a.  The goal's variables name their frozen constants,
-    and a witness a `special` step names is bound for the steps after it.
-    Returns the derived formulas."""
+    """A very simple proof as a certificate, in proofkit.checker's format,
+    that checker.replay checks.  The negated goal's conjuncts, the `special`
+    conjuncts and the `eqsub` clauses are its inputs, `resolve i j` resolves
+    positions i and j, and the certificate ends at the first empty clause a
+    step derives, else in a derived unit resolved against its opposite or,
+    for a != a, against the identity a = a.  The goal's variables name their
+    frozen constants, and a witness a `special` step names is bound for the
+    steps after it.  Returns the derived formulas."""
     cur = nform.to_normal_form(Not(closure(statement)))
     # witness the leading existentials (the goal's frozen variables) by name
     record: list = []
@@ -489,12 +490,12 @@ def _replay_explicit(registry, script, statement: Formula) -> list:
         cur = nform.special_case(
             cur, nform.SpecialCaseDirective((("witness", cur.var),)), record
         )
-    table: dict = {}  # the checker's literal table (propcalc.literal_codes)
+    table: dict = {}  # the checker's literal table (checker.literal_codes)
     literals: dict = {}  # literal code -> the literal
 
     def clause(f) -> tuple:
         lits = sx.disjuncts(f)
-        codes = propcalc.literal_codes(table, lits)
+        codes = checker.literal_codes(table, lits)
         literals.update(zip(codes, lits))
         return codes
 
@@ -506,7 +507,7 @@ def _replay_explicit(registry, script, statement: Formula) -> list:
         if step.kind == "resolve":
             i, j = step.payload
             steps.append(("resolve", i - 1, j - 1))
-            have.append(propcalc.resolvent(have, i - 1, j - 1))
+            have.append(checker.resolvent(have, i - 1, j - 1))
             continue
         if step.kind == "special":
             label, items, k = step.payload
@@ -543,7 +544,7 @@ def _replay_explicit(registry, script, statement: Formula) -> list:
         del steps[clauses.index(()) + 1 :]
     else:
         steps += _closing(clauses)
-    propcalc.replay(propcalc.Refutation(steps), inputs)
+    checker.replay(checker.Refutation(steps), inputs)
     return derived
 
 
@@ -556,6 +557,6 @@ def _closing(have: list) -> list:
         opp = lit.body if isinstance(lit, Not) else Not(lit)
         if opp in units:
             return [("resolve", k, units[opp])]
-        if isinstance(lit, Not) and propcalc.is_identity_instance(lit.body):
+        if isinstance(lit, Not) and checker.is_identity_instance(lit.body):
             return [("eq_axiom", lit.body), ("resolve", len(have), k)]
     return []

@@ -1,8 +1,9 @@
 """Shared fixtures: the loaded theory bundle, a one-time corpus run, the
-brute-force truth-table oracles (which share no code with propcalc), the
-node-walking reference certificate checker, random generators, script
-mutation, a 28-atom valid special sequence, and small oracles and builders
-over syntax and machine encodings that the package itself does not need."""
+brute-force truth-table oracles (which share no code with propcalc or the
+certificate checker), the node-walking reference certificate checker,
+random generators, script mutation, a 28-atom valid special sequence, and
+small oracles and builders over syntax and machine encodings that the
+package itself does not need."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import random
 import pytest
 
 from proofkit import hilbertack, machines, stringarith
-from proofkit import propcalc as pc
+from proofkit import checker
 from proofkit import syntax as sx
 from proofkit.errors import CheckError
 from proofkit.kernel import SpecialSequence, scripts as kscripts
@@ -208,9 +209,9 @@ def brute_force_quasitaut_unsat(fs):
 
 
 # ---------------------------------------------------------------------------
-# the reference certificate checker: propcalc.replay as it was before it
+# the reference certificate checker: checker.replay as it was before it
 # numbered literals, walking formula nodes; the recognizers and the
-# conjunctive reading are propcalc's, called as their public callers do
+# conjunctive reading are the checker's, called as their public callers do
 
 
 def reference_replay(cert, inputs) -> bool:
@@ -229,7 +230,7 @@ def reference_replay(cert, inputs) -> bool:
             have.append((assumed,))
         for at, step in enumerate(steps):
             kind = step[0]
-            if pc._STEP_LENGTHS.get(kind) != len(step):
+            if checker._STEP_LENGTHS.get(kind) != len(step):
                 raise CheckError(f"unknown or malformed step of kind {kind!r}")
             if kind == "input":
                 if step[1] not in inputs:
@@ -240,13 +241,13 @@ def reference_replay(cert, inputs) -> bool:
                 if f not in inputs:
                     raise CheckError("conjunct of a non-input formula")
                 if f not in conjunctive:
-                    conjunctive[f] = set(pc._conjunctive_clauses(f))
+                    conjunctive[f] = set(checker._conjunctive_clauses(f))
                 if clause not in conjunctive[f]:
                     raise CheckError("claimed conjunct is not one")
                 have.append(clause)
             elif kind == "eq_axiom":
                 f = step[1]
-                if not (pc.is_identity_instance(f) or pc.is_equality_axiom_instance(f)):
+                if not (checker.is_identity_instance(f) or checker.is_equality_axiom_instance(f)):
                     raise CheckError(
                         f"not an identity/equality axiom instance: {sx.render(f)}"
                     )

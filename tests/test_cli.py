@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import demo_valid_28_atoms
-from proofkit import cli, hilbertack, machines, propcalc, stringarith
+from proofkit import checker, cli, hilbertack, machines, stringarith
 from proofkit.errors import CheckError
 from proofkit.stringarith import DATA_DIR
 
@@ -280,7 +280,7 @@ def test_ha_reduce_fails_when_the_certificate_does_not_replay(capsys, monkeypatc
     def reject(cert, inputs):
         raise CheckError("step 3 does not follow")
 
-    monkeypatch.setattr(propcalc, "replay", reject)
+    monkeypatch.setattr(checker, "replay", reject)
     code, out, _ = run(capsys, "ha-reduce", "--demo", "rank1")
     assert code == 1
     assert "ground-refutable=False" in out

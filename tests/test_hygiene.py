@@ -190,21 +190,38 @@ def test_private_functions_read_every_parameter():
     assert not unread, f"unread parameters: {', '.join(unread)}"
 
 
-# The refuter's side of propcalc: the search, the congruence closure and
-# the certificate emitter.
-REFUTER = {
-    "_Emitter",
-    "_refute",
-    "_clauses",
-    "_conjunctive",
-    "_Terms",
-    "clausify",
-    "CongruenceCore",
-    "_UnionFind",
-    "_theory_conflict",
-    "normform",
-    "to_conjunctive",
-}
+# All that the certificate checker may import: it is the trusted base.
+CHECKER_IMPORTS = {"__future__", "typing", ".errors", ".syntax"}
+CHECKER_LOADS = ["proofkit", "proofkit.checker", "proofkit.errors", "proofkit.syntax"]
+
+
+def test_certificate_checker_shares_no_code_with_the_refuter():
+    # replay must not trust what it checks: its module imports, at any
+    # depth, nothing but the syntax and the errors, so nothing of the
+    # search, the congruence closure or the emitter in propcalc (nor
+    # normform's to_conjunctive, which goes through propcalc's clausify)
+    tree = ast.parse((PACKAGE / "checker.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            imported |= {"." * node.level + a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + node.module)
+    assert imported <= CHECKER_IMPORTS, f"the checker imports {sorted(imported - CHECKER_IMPORTS)}"
+    code = (
+        "import sys\n"
+        "import proofkit.checker\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'proofkit')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.split() == CHECKER_LOADS
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert {"replay", "resolvent", "is_equality_axiom_instance"} <= defined
 
 
 def _reached(tree, root):
@@ -225,16 +242,6 @@ def _reached(tree, root):
     return reached
 
 
-def test_certificate_checker_shares_no_code_with_the_refuter():
-    # replay must not trust what it checks: it and its side-condition
-    # helpers refer to nothing of the search or the emitter (normform's
-    # to_conjunctive goes through the refuter's clausify)
-    checker = _reached(ast.parse((PACKAGE / "propcalc.py").read_text()), "replay")
-    assert {"replay", "resolvent", "is_equality_axiom_instance"} <= set(checker)
-    refs = set().union(*map(_references, checker.values()))
-    assert not refs & REFUTER, f"the checker refers to {sorted(refs & REFUTER)}"
-
-
 def _module_level_names(tree):
     """The names a module defines at its top level."""
     names = set()
@@ -249,13 +256,16 @@ def _module_level_names(tree):
 
 def test_brute_force_oracle_shares_no_code_with_propcalc():
     # the oracle that tests the refuter enumerates valuations with helpers
-    # of its own: they name neither propcalc nor anything it defines
+    # of its own: they name neither propcalc, nor the certificate checker,
+    # nor anything either defines
     tree = ast.parse((REPO / "tests" / "conftest.py").read_text())
     oracle = _reached(tree, "brute_force_quasitaut_unsat")
     helpers = {"truth_table_unsat", "elementary_subformulas", "atom_patterns", "bitvec_value"}
     assert helpers | {"axiom_instances"} <= set(oracle)
-    own = _module_level_names(ast.parse((PACKAGE / "propcalc.py").read_text()))
-    foreign = set().union(*map(_references, oracle.values())) & (own | {"propcalc"})
+    own = {"propcalc", "checker"}
+    for name in ("propcalc.py", "checker.py"):
+        own |= _module_level_names(ast.parse((PACKAGE / name).read_text()))
+    foreign = set().union(*map(_references, oracle.values())) & own
     assert not foreign, f"the oracle refers to {sorted(foreign)}"
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import numeral, truth_table_consequence
+from proofkit import checker
 from proofkit import normform as nf
 from proofkit import propcalc as pc
 from proofkit import stringarith
@@ -690,13 +691,13 @@ def test_explicit_verdict_is_the_replayed_certificate(monkeypatch):
     reg = _explicit_registry(ax1="(q x)", ax3="(or (not (q x)) (p x x))")
     steps = ("special ax1 ; eps", "special ax3 ; eps", "resolve 2 3")
     replayed = []
-    replay = pc.replay
+    replay = checker.replay
 
     def spy(cert, inputs):
         replayed.append(cert.steps)
         return replay(cert, inputs)
 
-    monkeypatch.setattr(pc, "replay", spy)
+    monkeypatch.setattr(checker, "replay", spy)
     assert _check_explicit(reg, "(p eps eps)", *steps).ok
     # the negated goal, two axiom instances, the cited resolution, and the
     # closing resolution of not p(eps, eps) against the derived p(eps, eps)
@@ -707,7 +708,7 @@ def test_explicit_verdict_is_the_replayed_certificate(monkeypatch):
     def refuse(cert, inputs):
         raise CheckError("replay refused")
 
-    monkeypatch.setattr(pc, "replay", refuse)
+    monkeypatch.setattr(checker, "replay", refuse)
     v = _check_explicit(reg, "(p eps eps)", *steps)
     assert not v.ok and v.message == "replay refused"
 
@@ -864,7 +865,7 @@ def test_every_corpus_segment_refutation_replays(monkeypatch):
     for inputs, budget in segments:
         res = pc.ground_refute(inputs, budget)
         assert isinstance(res, pc.Refutation)
-        assert pc.replay(res, inputs)
+        assert checker.replay(res, inputs)
 
 
 # The SHA-256 of each corpus script's label, verdict and `spent`, and of

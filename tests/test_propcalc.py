@@ -14,6 +14,7 @@ from conftest import (
     reference_replay,
     truth_table_consequence,
 )
+from proofkit import checker
 from proofkit import propcalc as pc
 from proofkit import syntax as sx
 from proofkit.errors import CheckError
@@ -76,7 +77,7 @@ def _resolves_to(unit, clause, derived):
     steps = [("input", unit), ("input", clause), ("resolve", 0, 1)]
     for lit in derived:
         steps += [("input", _negation(lit)), ("resolve", len(steps), len(steps) - 1)]
-    return pc.replay(pc.Refutation(steps), inputs)
+    return checker.replay(checker.Refutation(steps), inputs)
 
 
 def test_one_resolution_examples():
@@ -99,7 +100,7 @@ def test_one_resolution_examples():
     with pytest.raises(CheckError, match="^opposite of the pivot is not in the clause$"):
         _resolves_to(p, Or(p, q), [])
     with pytest.raises(CheckError, match="^resolution premises must precede$"):
-        pc.replay(pc.Refutation([("input", p), ("resolve", 0, 1)]), [p])
+        checker.replay(checker.Refutation([("input", p), ("resolve", 0, 1)]), [p])
 
 
 @settings(max_examples=100, deadline=None)
@@ -111,10 +112,10 @@ def test_one_resolution_soundness(seed):
     d = tuple(rng.choice(lits) for _ in range(rng.randint(1, 4)))
     c = rng.choice(lits)
     table: dict = {}
-    have = [pc.literal_codes(table, (c,)), pc.literal_codes(table, d)]
-    literal = dict(zip(pc.literal_codes(table, lits), lits))
+    have = [checker.literal_codes(table, (c,)), checker.literal_codes(table, d)]
+    literal = dict(zip(checker.literal_codes(table, lits), lits))
     try:
-        out = pc.resolvent(have, 0, 1)
+        out = checker.resolvent(have, 0, 1)
     except CheckError:
         return
     derived = sx.disj([literal[x] for x in out]) if out else sx.fand(q, Not(q))
@@ -128,11 +129,11 @@ def test_theorem_one_symmetry_and_transitivity_certified():
     inputs = [sx.eq(E1, E2), Not(sx.eq(E2, E1))]
     res = pc.ground_refute(inputs)
     assert isinstance(res, pc.Refutation)
-    assert pc.replay(res, inputs)
+    assert checker.replay(res, inputs)
     inputs2 = [sx.eq(E1, E2), sx.eq(E2, E3), Not(sx.eq(E1, E3))]
     res2 = pc.ground_refute(inputs2)
     assert isinstance(res2, pc.Refutation)
-    assert pc.replay(res2, inputs2)
+    assert checker.replay(res2, inputs2)
 
 
 def test_consistent_set_saturates_with_model():
@@ -148,14 +149,14 @@ def test_congruence_lifts_predicates():
     inputs = [sx.eq(E1, E2), Atom(q, (E1,)), Not(Atom(q, (E2,)))]
     res = pc.ground_refute(inputs)
     assert isinstance(res, pc.Refutation)
-    assert pc.replay(res, inputs)
+    assert checker.replay(res, inputs)
 
 
 def test_function_congruence():
     f = FnSym("f1", 1)
     inputs = [sx.eq(E1, E2), Not(sx.eq(App(f, (E1,)), App(f, (E2,))))]
     res = pc.ground_refute(inputs)
-    assert isinstance(res, pc.Refutation) and pc.replay(res, inputs)
+    assert isinstance(res, pc.Refutation) and checker.replay(res, inputs)
 
 
 def _iterate(fn, t, n):
@@ -167,7 +168,7 @@ def _iterate(fn, t, n):
 def _refuted_and_replayed(inputs):
     res = pc.ground_refute(inputs)
     assert isinstance(res, pc.Refutation)
-    assert pc.replay(res, inputs)
+    assert checker.replay(res, inputs)
 
 
 def test_congruence_over_several_rounds_cycles():
@@ -217,7 +218,7 @@ def test_budget_meters_congruence_merges():
     assert isinstance(pc.ground_refute(inputs, budget=n + 1), pc.OutOfBudget)
     res = pc.ground_refute(inputs, budget=2 * (n + 1))
     assert isinstance(res, pc.Refutation) and res.spent == 2 * (n + 1)
-    assert pc.replay(res, inputs)
+    assert checker.replay(res, inputs)
 
 
 def test_adversarial_unions_reroot_the_smaller_proof_tree():
@@ -250,7 +251,7 @@ def test_deep_terms_equal_below_are_refuted_and_replay():
     inputs = [sx.eq(E1, E2), Not(sx.eq(_iterate(f, E1, 200), _iterate(f, E2, 200)))]
     start = time.perf_counter()
     res = pc.ground_refute(inputs)
-    assert isinstance(res, pc.Refutation) and pc.replay(res, inputs)
+    assert isinstance(res, pc.Refutation) and checker.replay(res, inputs)
     assert time.perf_counter() - start < 5.0
 
 
@@ -274,7 +275,7 @@ def test_deep_certified_equalities_compare_stored_hashes_first():
     joined_through_k = [sx.eq(k, gc), sx.eq(k, gd), Not(sx.eq(gc, gd))]
     for inputs in (equal_below, joined_through_k):
         res = pc.ground_refute(inputs)
-        assert isinstance(res, pc.Refutation) and pc.replay(res, inputs)
+        assert isinstance(res, pc.Refutation) and checker.replay(res, inputs)
 
 
 def test_long_unit_chain_certificate_replays():
@@ -284,7 +285,7 @@ def test_long_unit_chain_certificate_replays():
     inputs = [ps[0], *(Or(Not(ps[i]), ps[i + 1]) for i in range(2000)), Not(ps[2000])]
     res = pc.ground_refute(inputs)
     assert isinstance(res, pc.Refutation) and res.spent == 2001
-    assert pc.replay(res, inputs)
+    assert checker.replay(res, inputs)
 
 
 def test_refute_requires_closed_inputs():
@@ -332,7 +333,7 @@ def test_split_certificates_replay():
     res = pc.ground_refute(inputs)
     assert isinstance(res, pc.Refutation)
     assert any(s[0] == "split" for s in res.steps)
-    assert pc.replay(res, inputs)
+    assert checker.replay(res, inputs)
 
 
 def test_instantiations_are_opaque_atoms():
@@ -340,7 +341,7 @@ def test_instantiations_are_opaque_atoms():
     e = Exists("x", Atom(q, (Var("x"),)))
     inputs = [sx.fimp(Atom(q, (E1,)), e), Atom(q, (E1,)), Not(e)]
     res = pc.ground_refute(inputs)
-    assert isinstance(res, pc.Refutation) and pc.replay(res, inputs)
+    assert isinstance(res, pc.Refutation) and checker.replay(res, inputs)
 
 
 def test_oracle_agreement_random_problems():
@@ -364,7 +365,7 @@ def test_oracle_agreement_nested_problems():
         assert isinstance(mine, pc.Refutation) == brute
         if brute:
             refuted += 1
-            assert pc.replay(mine, problem)
+            assert checker.replay(mine, problem)
     assert refuted >= 10
 
 
@@ -376,7 +377,7 @@ def test_certificates_always_replay_on_random_refutables():
         res = pc.ground_refute(problem)
         if isinstance(res, pc.Refutation):
             found += 1
-            assert pc.replay(res, problem)
+            assert checker.replay(res, problem)
     assert found >= 10
 
 
@@ -532,7 +533,7 @@ def test_search_agrees_with_brute_force_and_a_recursive_search(problem):
     assert isinstance(res, pc.Refutation) == brute_force_quasitaut_unsat(problem)
     kind, want = _reference_search(problem)
     if isinstance(res, pc.Refutation):
-        assert pc.replay(res, problem)
+        assert checker.replay(res, problem)
         assert kind == "refuted" and _splits(res.steps) == want
     else:
         assert all(res.model.value(f) for f in problem)
@@ -599,7 +600,7 @@ def test_an_input_that_is_not_literally_a_clause_enters_by_a_conjunct_step():
     source = Or(Not(Not(P)), R)
     inputs = [source, Not(P), Not(R)]
     res = pc.ground_refute(inputs)
-    assert isinstance(res, pc.Refutation) and pc.replay(res, inputs)
+    assert isinstance(res, pc.Refutation) and checker.replay(res, inputs)
     steps = list(_every_step(res.steps))
     assert ("conjunct", (P, R), source) in steps
     assert ("input", source) not in steps
@@ -614,7 +615,7 @@ def test_resolvent_finds_an_equal_opposite_built_apart():
     assert pivot is not twin and pivot == twin
     # the checker's table gives equal literals one code
     table: dict = {}
-    assert pc.literal_codes(table, (pivot, twin, Not(q_e1()))) == (1, 1, 0)
+    assert checker.literal_codes(table, (pivot, twin, Not(q_e1()))) == (1, 1, 0)
     # a positive pivot removes the first negation of it
     last = Not(q_e1())
     assert _resolves_to(pivot, sx.disj([B, Not(twin), last]), [B, last])
@@ -629,7 +630,7 @@ def test_a_clause_of_five_thousand_literals_is_refuted_and_replays():
     atoms = [Atom(PredSym(f"w{i}", 0)) for i in range(5_000)]
     inputs = [sx.disj(atoms)] + [Not(a) for a in atoms]
     res = pc.ground_refute(inputs)
-    assert isinstance(res, pc.Refutation) and pc.replay(res, inputs)
+    assert isinstance(res, pc.Refutation) and checker.replay(res, inputs)
     assert res.steps[0] == ("input", inputs[0])
 
 
@@ -668,7 +669,7 @@ def _every_step(steps):
 
 def test_certificate_steps_are_compact():
     res = pc.ground_refute(_SPLIT_INPUTS)
-    assert isinstance(res, pc.Refutation) and pc.replay(res, _SPLIT_INPUTS)
+    assert isinstance(res, pc.Refutation) and checker.replay(res, _SPLIT_INPUTS)
     kinds = {step[0] for step in _every_step(res.steps)}
     assert kinds == {"input", "conjunct", "eq_axiom", "resolve", "split"}
     branch, k, _ = _first(res.steps, "conjunct")
@@ -711,7 +712,7 @@ def test_replay_rejects_a_certificate_with_one_field_altered(name):
     branch, k, pos = _first(res.steps, kind)
     branch[k : k + 1] = mutate(branch[k], pos)
     with pytest.raises(CheckError):
-        pc.replay(res, _SPLIT_INPUTS)
+        checker.replay(res, _SPLIT_INPUTS)
 
 
 def test_replay_rejects_a_leaf_short_of_the_empty_clause():
@@ -720,7 +721,7 @@ def test_replay_rejects_a_leaf_short_of_the_empty_clause():
     assert branch[-1][0] == "resolve"
     branch.pop()
     with pytest.raises(CheckError):
-        pc.replay(res, _SPLIT_INPUTS)
+        checker.replay(res, _SPLIT_INPUTS)
 
 
 # name -> (steps, inputs): certificates that are no certificates, on each
@@ -743,9 +744,23 @@ _MALFORMED = {
 def test_replay_refuses_a_malformed_certificate_by_a_check_error(name):
     steps, inputs = _MALFORMED[name]
     with pytest.raises((TypeError, LookupError)):
-        reference_replay(pc.Refutation(steps), inputs)
+        reference_replay(checker.Refutation(steps), inputs)
     with pytest.raises(CheckError):
-        pc.replay(pc.Refutation(steps), inputs)
+        checker.replay(checker.Refutation(steps), inputs)
+
+
+def test_replay_refuses_a_branch_it_meets_twice():
+    # a certificate is a tree: a split whose branch is the very list that
+    # holds it would be pushed without end, and one branch shared by both
+    # sides of a split, though it refutes either way, is no tree either
+    inputs = [C, Not(C)]
+    holds_itself: list = []
+    holds_itself.append(("split", A, holds_itself, [("input", C)]))
+    shared = [("input", C), ("input", Not(C)), ("resolve", 1, 2)]
+    for steps in (holds_itself, [("split", A, shared, shared)]):
+        with pytest.raises(CheckError, match="^a certificate branch occurs in it twice$"):
+            checker.replay(checker.Refutation(steps), inputs)
+    assert checker.replay(checker.Refutation([("split", A, shared, list(shared))]), inputs)
 
 
 def _steps_copy(steps):
@@ -787,7 +802,7 @@ def test_replay_agrees_with_the_node_walking_reference(seed):
         res = pc.ground_refute(problem)
         if isinstance(res, pc.Refutation):
             break
-    assert pc.replay(res, problem) and reference_replay(res, problem)
+    assert checker.replay(res, problem) and reference_replay(res, problem)
     steps = _steps_copy(res.steps)
     branch = rng.choice([b for b in _branches(steps) if b])
     k = rng.randrange(len(branch))
@@ -804,8 +819,8 @@ def test_replay_agrees_with_the_node_walking_reference(seed):
     if at > 0 and type(step[at]) is int and rng.random() < 0.5:
         value = step[at] + rng.choice((-1, 1))
     branch[k] = value if at < 0 else (*step[:at], value, *step[at + 1 :])
-    cert = pc.Refutation(steps)
-    mine = _verdict(pc.replay, cert, problem)
+    cert = checker.Refutation(steps)
+    mine = _verdict(checker.replay, cert, problem)
     try:
         reference = _verdict(reference_replay, cert, problem)
     except (TypeError, LookupError):
@@ -830,7 +845,7 @@ def test_replay_decides_closedness_once_per_atom(monkeypatch):
     for name in ("free_vars", "is_variable_free"):
         real = getattr(sx, name)
         monkeypatch.setattr(sx, name, lambda node, real=real: asked.append(node) or real(node))
-    assert pc.replay(res, inputs)
+    assert checker.replay(res, inputs)
     assert 0 < len(asked) <= len(letters)
 
 
@@ -847,16 +862,16 @@ def test_replay_recognizes_a_repeated_equality_axiom_instance_once(monkeypatch):
                 ("resolve", 6, 5)]
 
     recognized = []
-    real = pc.is_equality_axiom_instance
+    real = checker.is_equality_axiom_instance
     monkeypatch.setattr(
-        pc, "is_equality_axiom_instance", lambda f, *a: recognized.append(f) or real(f, *a)
+        checker, "is_equality_axiom_instance", lambda f, *a: recognized.append(f) or real(f, *a)
     )
     good = Atom(Q, (E2,))
-    assert pc.replay(pc.Refutation([("split", A, branch(good), branch(good))]), inputs)
+    assert checker.replay(checker.Refutation([("split", A, branch(good), branch(good))]), inputs)
     assert len(recognized) == 1
-    bad = pc.Refutation([("split", A, branch(good), branch(Atom(Q, (E3,))))])
+    bad = checker.Refutation([("split", A, branch(good), branch(Atom(Q, (E3,))))])
     with pytest.raises(CheckError, match="^not an identity/equality axiom instance: "):
-        pc.replay(bad, inputs)
+        checker.replay(bad, inputs)
 
 
 def test_a_refutation_builds_each_equality_axiom_instance_once():
@@ -866,7 +881,7 @@ def test_a_refutation_builds_each_equality_axiom_instance_once():
     inputs = [Or(P, R), Atom(Q, (E1,)), Not(Atom(Q, (E2,)))]
     inputs += [Or(Not(P), sx.eq(E1, E2)), Or(Not(R), sx.eq(E1, E2))]
     res = pc.ground_refute(inputs)
-    assert isinstance(res, pc.Refutation) and pc.replay(res, inputs)
+    assert isinstance(res, pc.Refutation) and checker.replay(res, inputs)
     (split,) = res.steps
     instance = sx.disj([Not(sx.eq(E1, E2)), Not(Atom(Q, (E1,))), Atom(Q, (E2,))])
     cited = [[s[1] for s in b if s[0] == "eq_axiom"] for b in split[2:]]
@@ -894,7 +909,7 @@ def test_certificate_is_built_only_for_a_refutation(monkeypatch):
     res = pc.ground_refute(refutable)
     assert isinstance(res, pc.Refutation)
     assert built == [s for s in _every_step(res.steps) if s[0] != "split"]
-    assert pc.replay(res, refutable)
+    assert checker.replay(res, refutable)
     kind, want = _reference_search(refutable)
     assert kind == "refuted" and _splits(res.steps) == want and want is not None
 
@@ -905,15 +920,15 @@ def test_certificate_is_built_only_for_a_refutation(monkeypatch):
 def test_equality_axiom_instance_recognizer():
     f = FnSym("f1", 1)
     good = sx.fimp(sx.conj([sx.eq(E1, E2)]), sx.eq(App(f, (E1,)), App(f, (E2,))))
-    assert pc.is_equality_axiom_instance(good)
+    assert checker.is_equality_axiom_instance(good)
     clause = sx.disj([Not(sx.eq(E1, E2)), sx.eq(App(f, (E1,)), App(f, (E2,)))])
-    assert pc.is_equality_axiom_instance(clause)
-    assert not pc.is_equality_axiom_instance(sx.eq(E1, E1))
-    assert pc.is_identity_instance(sx.eq(E1, E1))
+    assert checker.is_equality_axiom_instance(clause)
+    assert not checker.is_equality_axiom_instance(sx.eq(E1, E1))
+    assert checker.is_identity_instance(sx.eq(E1, E1))
     sym = sx.fimp(
         sx.conj([sx.eq(E1, E2), sx.eq(E1, E1), sx.eq(E1, E1)]), sx.eq(E2, E1)
     )
-    assert pc.is_equality_axiom_instance(sym)
+    assert checker.is_equality_axiom_instance(sym)
 
 
 def test_recognizers_accept_equal_terms_built_apart_and_refuse_others():
@@ -924,20 +939,20 @@ def test_recognizers_accept_equal_terms_built_apart_and_refuse_others():
     b1, b2 = _iterate(f, E2, 40), _iterate(f, E2, 40)
     c = _iterate(f, E3, 40)
     assert a1 is not a2 and a1 == a2
-    assert pc.is_identity_instance(sx.eq(a1, a2))
-    assert not pc.is_identity_instance(sx.eq(a1, b1))
+    assert checker.is_identity_instance(sx.eq(a1, a2))
+    assert not checker.is_identity_instance(sx.eq(a1, b1))
     cong = lambda s, t: sx.disj([Not(sx.eq(a1, b1)), sx.eq(App(f, (s,)), App(f, (t,)))])
-    assert pc.is_equality_axiom_instance(cong(a2, b2))
-    assert not pc.is_equality_axiom_instance(cong(a2, c))
+    assert checker.is_equality_axiom_instance(cong(a2, b2))
+    assert not checker.is_equality_axiom_instance(cong(a2, c))
     # u = s, u = v, u = u -> s = v
     trans = lambda v: sx.disj(
         [Not(sx.eq(a1, b1)), Not(sx.eq(a2, v)), Not(sx.eq(a2, a1)), sx.eq(b2, b1)]
     )
-    assert pc.is_equality_axiom_instance(trans(b2))
-    assert not pc.is_equality_axiom_instance(trans(c))
+    assert checker.is_equality_axiom_instance(trans(b2))
+    assert not checker.is_equality_axiom_instance(trans(c))
     pred = lambda t: sx.disj([Not(sx.eq(a1, b1)), Not(Atom(q, (a2,))), Atom(q, (t,))])
-    assert pc.is_equality_axiom_instance(pred(b2))
-    assert not pc.is_equality_axiom_instance(pred(c))
+    assert checker.is_equality_axiom_instance(pred(b2))
+    assert not checker.is_equality_axiom_instance(pred(c))
 
 
 def test_equality_axiom_instances_are_closed_by_their_atoms():
@@ -947,8 +962,8 @@ def test_equality_axiom_instances_are_closed_by_their_atoms():
     hyp, concl = sx.eq(E1, E2), sx.eq(App(f, (E1,)), App(f, (E2,)))
     assert all(map(sx.is_variable_free, (hyp, concl)))
     before = sx.occurring_var_names.cache_info().currsize
-    assert pc.is_equality_axiom_instance(sx.disj([Not(hyp), concl]))
-    assert pc.is_equality_axiom_instance(sx.fimp(hyp, concl))
+    assert checker.is_equality_axiom_instance(sx.disj([Not(hyp), concl]))
+    assert checker.is_equality_axiom_instance(sx.fimp(hyp, concl))
     assert sx.occurring_var_names.cache_info().currsize == before
     # an instance's shape over an open atom is none
     q = PredSym("q1", 1)
@@ -956,7 +971,7 @@ def test_equality_axiom_instances_are_closed_by_their_atoms():
         sx.fimp(sx.eq(E1, x), sx.eq(App(f, (E1,)), App(f, (x,)))),
         sx.disj([Not(sx.eq(x, E2)), Not(Atom(q, (x,))), Atom(q, (E2,))]),
     ):
-        assert not pc.is_equality_axiom_instance(shaped)
+        assert not checker.is_equality_axiom_instance(shaped)
 
 
 _F1, _Q1, _R1 = FnSym("f1", 1), PredSym("q1", 1), PredSym("r1", 1)
@@ -986,29 +1001,29 @@ def _closed_by_its_axiom(f):
     steps = [("eq_axiom", f)] + [("input", n) for n in negations]
     for k in range(len(negations)):
         steps.append(("resolve", k + 1, len(steps) - 1 if k else 0))
-    return pc.Refutation(steps), negations
+    return checker.Refutation(steps), negations
 
 
 @pytest.mark.parametrize("name", sorted(_NOT_EQUALITY_AXIOMS))
 def test_replay_refuses_an_eq_axiom_step_that_is_no_instance(name):
     f = _NOT_EQUALITY_AXIOMS[name]
     assert sx.is_variable_free(f)
-    assert not pc.is_identity_instance(f) and not pc.is_equality_axiom_instance(f)
+    assert not checker.is_identity_instance(f) and not checker.is_equality_axiom_instance(f)
     if name == "hypothesis not a negated atom":
-        assert pc.as_horn(f) is None
+        assert checker.as_horn(f) is None
     # only the recognizer stands in the way: an instance closes the same way
     instance = sx.fimp(sx.eq(E1, E2), sx.eq(App(_F1, (E1,)), App(_F1, (E2,))))
-    assert pc.replay(*_closed_by_its_axiom(instance))
+    assert checker.replay(*_closed_by_its_axiom(instance))
     with pytest.raises(CheckError, match="^not an identity/equality axiom instance: "):
-        pc.replay(*_closed_by_its_axiom(f))
+        checker.replay(*_closed_by_its_axiom(f))
 
 
 def test_replay_reads_a_negated_disjunction_as_its_negated_disjuncts():
     source = Not(Or(A, B))
     inputs = [source, A]
     good = [("conjunct", (Not(A),), source), ("input", A), ("resolve", 1, 0)]
-    assert pc.replay(pc.Refutation(good), inputs)
+    assert checker.replay(checker.Refutation(good), inputs)
     for clause in ((A,), (Not(A), Not(B)), (Not(C),)):
         bad = [("conjunct", clause, source)] + good[1:]
         with pytest.raises(CheckError, match="^claimed conjunct is not one$"):
-            pc.replay(pc.Refutation(bad), inputs)
+            checker.replay(checker.Refutation(bad), inputs)
