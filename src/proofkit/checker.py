@@ -55,22 +55,20 @@ def is_identity_instance(f: Formula, closed=sx.is_variable_free) -> bool:
 
 
 def as_horn(f: Formula):
-    """Read f as hypotheses -> conclusion, accepting both the conjunction
-    form  h1 & ... & hk -> c  and the clause form  -h1 v ... v -hk v c."""
+    """Read f as hypotheses -> conclusion: in the clause form
+    -h1 v ... v -hk v c, which the emitter writes, else in the conjunction
+    form  h1 & ... & hk -> c.  Where both apply (k = 1) they agree."""
+    parts = sx.disjuncts(f)
+    concl = parts[-1]
+    hyps = [p.body for p in parts[:-1] if isinstance(p, Not) and isinstance(p.body, Atom)]
+    if len(parts) >= 2 and isinstance(concl, Atom) and len(hyps) == len(parts) - 1:
+        return hyps, concl
     pair = sx.as_imp(f)
     if pair is not None:
         hyp, concl = pair
         parts = sx.conjuncts(hyp)
         if all(isinstance(p, Atom) for p in parts) and isinstance(concl, Atom):
             return parts, concl
-    parts = sx.disjuncts(f)
-    if len(parts) >= 2 and isinstance(parts[-1], Atom):
-        hyps = []
-        for p in parts[:-1]:
-            if not (isinstance(p, Not) and isinstance(p.body, Atom)):
-                return None
-            hyps.append(p.body)
-        return hyps, parts[-1]
     return None
 
 

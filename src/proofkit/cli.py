@@ -101,7 +101,15 @@ def cmd_check_proof(args) -> int:
     if not scripts:
         raise ProofkitError(f"no scripts in {args.file}")
     if args.with_corpus:
-        stringarith.check_corpus(bundle, budget=_budget(args))
+        corpus = stringarith.check_corpus(bundle, budget=_budget(args))
+        if not corpus.ok:  # the file is not checked against a partial registry
+            failed = corpus.entries[-1]
+            _emit(
+                args,
+                {"ok": False, "corpus_label": failed.label, "message": failed.message},
+                [f"FAIL: the bundled corpus fails at {failed.label}: {failed.message}"],
+            )
+            return 1
     report = stringarith.check_corpus(bundle, scripts, budget=_budget(args), halt_on_failure=False)
     _emit(
         args,

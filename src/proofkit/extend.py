@@ -14,7 +14,6 @@ from .errors import CheckError
 from . import syntax as sx
 from .kernel import core
 from .kernel.core import ProofObject, Theory
-from .kernel.scripts import Entry
 from .syntax import (
     App,
     Atom,
@@ -129,18 +128,11 @@ class DefinitionRegistry:
 
         return self._define(("f", Exists(y, definiens)), definiens, build)
 
-    def define_function(
-        self,
-        label: str,
-        name: str,
-        existential: Exists,
-        ec: ProofObject | Entry,
-        uc: ProofObject | Entry,
-    ) -> Stage:
+    def define_function(self, label: str, name: str, existential: Exists, ec, uc) -> Stage:
         """The function f(xs) = the y with D, for `existential` exists y D.
         `ec` and `uc` establish its existence and uniqueness conditions in
-        the chain's theory: each is a proof of its condition, or a checked
-        registry entry that states it."""
+        the chain's theory: each is a proof of its condition, or a registry
+        entry (kernel.scripts.Entry) that states it."""
         if not isinstance(existential, Exists):
             raise CheckError("function definition wants an existential formula")
         y, definiens = existential.var, existential.body
@@ -226,18 +218,14 @@ def uniqueness_condition(existential: Exists) -> Formula:
     return fimp(fand(d, subst(d, {y: Var(yp)})), sx.eq(Var(y), Var(yp)))
 
 
-def _establish(
-    theory: Theory, evidence: ProofObject | Entry, condition: Formula, what: str
-) -> Optional[ProofObject]:
+def _establish(theory: Theory, evidence, condition: Formula, what: str) -> Optional[ProofObject]:
     """Refuse evidence that does not establish the condition: a proof that
-    does not prove it in the theory, or a registry entry that is unchecked
-    or states something else.  The proof is returned, an entry gives None."""
+    does not prove it in the theory, or a registry entry that states
+    something else.  The proof is returned, an entry gives None."""
     if isinstance(evidence, ProofObject):
         if not core.proves(theory, evidence, condition):
             raise CheckError(f"{what} condition unproved")
         return evidence
-    if not evidence.checked:
-        raise CheckError(f"{what} citation {evidence.label!r} is unchecked")
     if evidence.statement != condition:
         raise CheckError(
             f"{what} citation {evidence.label!r} states {sx.render(evidence.statement)}, "

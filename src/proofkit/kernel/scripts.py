@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from ..errors import CheckError, ParseError, ProofkitError
@@ -36,13 +35,14 @@ DEFAULT_SCRIPT_BUDGET = 100_000
 # registry
 
 
-@dataclass
-class Entry:
+class Entry(NamedTuple):
+    """A citable statement: an axiom, a definition, or a theorem whose
+    script passed."""
+
     label: str
     kind: str  # axiom | definition | theorem | schema-template
     statement: Formula
     section: str = "base"
-    checked: bool = True  # theorems flip to True once their script passes
 
 
 class Registry:
@@ -71,9 +71,6 @@ class Registry:
 
     def add_definition(self, label: str, statement: Formula, section: str = "base"):
         self.add(Entry(label, "definition", statement, section))
-
-    def add_theorem(self, label: str, statement: Formula, section: str = "base"):
-        self.add(Entry(label, "theorem", statement, section, checked=False))
 
     def register_phi(self, label: str, unary: Formula):
         if tuple(sx.free_vars(unary)) != ("x",):
@@ -160,14 +157,13 @@ class ExplicitStep(NamedTuple):
     lineno: int = 0
 
 
-@dataclass
-class Script:
+class Script(NamedTuple):
     label: str
     statement_text: str
-    h_names: tuple[str, ...] = ()
-    lines: list = field(default_factory=list)  # UseLine / ClaimBlock interleaved
-    explicit: Optional[list] = None  # ExplicitStep list for very simple proofs
-    lineno: int = 0
+    h_names: tuple[str, ...]
+    lines: list  # UseLine / ClaimBlock interleaved
+    explicit: Optional[list]  # ExplicitStep list for very simple proofs; None for hints
+    lineno: int
 
 
 _USE = re.compile(r"use\s+(\S+)(.*)$")
@@ -188,7 +184,7 @@ def parse_script_file(text: str) -> list[Script]:
             m = re.match(r"theorem\s+([a-z0-9_']+)\s*:\s*(.+)$", line)
             if not m:
                 raise ParseError("malformed theorem header", lineno, 1)
-            cur = Script(m.group(1), m.group(2), lineno=lineno)
+            cur = Script(m.group(1), m.group(2), (), [], None, lineno)
             mode = None
             continue
         if cur is None:
@@ -198,7 +194,7 @@ def parse_script_file(text: str) -> list[Script]:
                 raise ParseError(f"second proof block in theorem {cur.label}", lineno, 1)
             mode = line
             if line == "explicit":
-                cur.explicit = []
+                cur = cur._replace(explicit=[])
             continue
         if line == "qed":
             if claim is not None:
@@ -215,7 +211,7 @@ def parse_script_file(text: str) -> list[Script]:
                     part = part.strip()
                     if part:
                         names.append(part)
-                cur.h_names = tuple(names)
+                cur = cur._replace(h_names=tuple(names))
                 continue
             if line.startswith("claim"):
                 m = re.match(r"claim\s*:?\s*(.+)$", line)
@@ -321,10 +317,10 @@ def _parse_explicit(line: str, lineno: int) -> ExplicitStep:
 # elaboration
 
 
-@dataclass
-class ScriptVerdict:
-    """The one record of a checked script: check_script's verdict, which the
-    corpus driver completes with the oracle's and reports as it stands."""
+class ScriptVerdict(NamedTuple):
+    """The one record of a checked script: check_script's verdict, to which
+    the corpus driver adds the oracle's (with _replace), reported as it
+    stands."""
 
     label: str
     ok: bool
@@ -354,8 +350,6 @@ def elaborate_citation(registry: Registry, use: UseLine, env: dict) -> Formula:
         cited = lambda: registry.bsi_statement(use.phi_label)
     else:
         entry = registry.lookup(use.label)
-        if not entry.checked:
-            raise CheckError(f"citation of unchecked theorem {use.label!r}")
         key = (use.label, use.direction)
         cited = lambda: select_direction(entry.statement, use.direction)
     base = registry.prepared(key, lambda: nform.to_negation_form(closure(cited())))

@@ -683,7 +683,7 @@ def instantiate_schema(bundle: TheoryBundle, phi_label: str) -> Registry:
     for label in bundle.registry.order:
         entry = bundle.registry.entries[label]
         if entry.section != "schema":
-            out.add(kscripts.Entry(entry.label, entry.kind, entry.statement, entry.section, entry.checked))
+            out.add(entry)
             continue
         if entry.kind == "theorem":
             continue  # re-proved against the instantiated statements

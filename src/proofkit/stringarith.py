@@ -271,7 +271,7 @@ class _Generator:
             # at most as deep as the template's own brackets over its deepest argument
             depth = 1 + template.count("(") + template.count("[") + max((d for _, d in args), default=0)
             return self.fits(f"({template.format(*(a for a, _ in args))})", depth, scope)
-        stage = self.bundle.stages.get(t.fn) if self.bundle is not None else None
+        stage = self.bundle.stages.get(t.fn)
         if stage is None or stage.explicit_body is None:
             return self.fail(f"uninterpretable symbol {t.fn.name}")
         body = stage.explicit_body
@@ -283,7 +283,7 @@ class _Generator:
             if f.pred == sx.EQ:
                 (x, dx), (y, dy) = (self.term(a, scope) for a in f.args)
                 return self.fits(f"({x} == {y})", 1 + max(dx, dy), scope)
-            stage = self.bundle.stages.get(f.pred) if self.bundle is not None else None
+            stage = self.bundle.stages.get(f.pred)
             if stage is None:
                 return self.fail(f"uninterpretable predicate {f.pred.name}")
             return self.apply(self.code(stage.definiens, self.strict), f.args, scope)
@@ -308,7 +308,7 @@ class _Generator:
         length (see exists), else None."""
         eqs = [p.args for p in parts if isinstance(p, Atom) and p.pred == sx.EQ]
         found = [(b, True) for args in eqs for a, b in (args, args[::-1]) if a == Var(z)]
-        head, order = parts[0], self.bundle.symbols.order if self.bundle is not None else None
+        head, order = parts[0], self.bundle.symbols.order
         if isinstance(head, Atom) and head.pred == order and head.args[0] == Var(z):
             found.append((head.args[1], False))
         return next(((b, one) for b, one in found if z not in sx.occurring_var_names(b)), None)
@@ -395,7 +395,7 @@ class _Generator:
         if isinstance(t, sx.SpecialConst):
             return None
         rule = LENGTHS.get(t.fn.name)
-        stage = self.bundle.stages.get(t.fn) if self.bundle is not None else None
+        stage = self.bundle.stages.get(t.fn)
         if rule is None and stage is not None and stage.explicit_body is not None:
             body = stage.explicit_body  # its variables bind the arguments, as in apply
             rule = lambda *args: self.length(body, dict(zip(sx.free_vars(body), args)))
@@ -414,15 +414,13 @@ class _Generator:
 def _compiled(bundle, node, strict) -> _Code:
     """The code for (node, strict), compiled once per bundle.  It relies on
     no stage or order changing once looked up."""
-    if bundle is None:
-        return _Code(node, bundle, strict)
     code = bundle.compiled.get((node, strict))
     if code is None:
         code = bundle.compiled[node, strict] = _Code(node, bundle, strict)
     return code
 
 
-def eval_term(t: Term, env: Optional[dict] = None, bundle: "TheoryBundle" = None) -> str:
+def eval_term(t: Term, env: Optional[dict], bundle: "TheoryBundle") -> str:
     """`t`'s value under env, which binds every free variable of `t` (see
     the module docstring)."""
     return _Code(t, bundle, None)(env or {})
@@ -430,8 +428,8 @@ def eval_term(t: Term, env: Optional[dict] = None, bundle: "TheoryBundle" = None
 
 def eval_formula(
     f: Formula,
-    env: Optional[dict] = None,
-    bundle: "TheoryBundle" = None,
+    env: Optional[dict],
+    bundle: "TheoryBundle",
     strict: bool = True,
 ) -> bool:
     """Truth of a formula on concrete strings, under env, which binds every
@@ -470,17 +468,21 @@ class TheoryBundle:
 
     def register_theorem(self, label: str, statement: Formula):
         """Record a checked theorem, tagging it with the schema section when
-        it mentions the uninterpreted predicate's closure layers."""
-        if label in self.registry.entries:
-            self.registry.entries[label].checked = True
-            return
+        it mentions the uninterpreted predicate's closure layers.  A label
+        names one statement: registering the same theorem again does
+        nothing, and any other reuse of a label is refused."""
+        got = self.registry.entries.get(label)
+        if got is not None:
+            if got.kind == "theorem" and got.statement == statement:
+                return
+            raise CheckError(f"label {label!r} is already taken by {got.kind} {label}")
         schema_preds = set(self.schema_symbols) | {PredSym("phi", 1)}
         section = (
             "schema"
             if sx.appearing_symbols(statement) & schema_preds
             else "base"
         )
-        self.registry.add(kscripts.Entry(label, "theorem", statement, section, checked=True))
+        self.registry.add(kscripts.Entry(label, "theorem", statement, section))
 
 
 def load_theory(path: Optional[Path] = None) -> TheoryBundle:
@@ -833,11 +835,13 @@ def check_corpus(
     for script in scripts:
         v = kscripts.check_script(bundle.registry, script, budget)
         if v.ok and strings is not None:
-            v.oracle, disagreement = _oracle_check(bundle, v.statement, oracle_samples, strings)
-            if disagreement:
-                v.ok, v.message = False, disagreement
+            oracle, disagreement = _oracle_check(bundle, v.statement, oracle_samples, strings)
+            v = v._replace(ok=not disagreement, message=disagreement, oracle=oracle)
         if v.ok:
-            bundle.register_theorem(script.label, v.statement)
+            try:
+                bundle.register_theorem(script.label, v.statement)
+            except CheckError as e:
+                v = v._replace(ok=False, message=str(e))
         entries.append(v)
         if not v.ok and halt_on_failure:
             break

@@ -296,6 +296,27 @@ def reference_resolvent(have: list, i, j) -> tuple:
     raise CheckError("opposite of the pivot is not in the clause")
 
 
+def reference_as_horn(f):
+    """checker.as_horn as it was when it tried the conjunction form
+    h1 & ... & hk -> c first and the clause form -h1 v ... v -hk v c
+    second."""
+    pair = sx.as_imp(f)
+    if pair is not None:
+        hyp, concl = pair
+        parts = sx.conjuncts(hyp)
+        if all(isinstance(p, Atom) for p in parts) and isinstance(concl, Atom):
+            return parts, concl
+    parts = sx.disjuncts(f)
+    if len(parts) >= 2 and isinstance(parts[-1], Atom):
+        hyps = []
+        for p in parts[:-1]:
+            if not (isinstance(p, Not) and isinstance(p.body, Atom)):
+                return None
+            hyps.append(p.body)
+        return hyps, parts[-1]
+    return None
+
+
 # ---------------------------------------------------------------------------
 # random generators
 
@@ -382,17 +403,15 @@ def _perturb_term(rng, t):
 
 def mutate_script(rng: random.Random, script, symbols):
     """One random perturbation: either a citation argument term or a term
-    inside the goal statement."""
-    import copy
-
-    out = copy.deepcopy(script)
+    inside the goal statement.  Returns the mutant and what was changed,
+    or None."""
     use_lines = [
         j
-        for j, l in enumerate(out.lines)
+        for j, l in enumerate(script.lines)
         if isinstance(l, kscripts.UseLine) and any(k == ";" for k, _ in l.items)
     ]
     if rng.random() < 0.5 or not use_lines:
-        stmt = sx.parse(out.statement_text, "formula", symbols)
+        stmt = sx.parse(script.statement_text, "formula", symbols)
         atoms = []
 
         def collect(f, path=()):
@@ -420,11 +439,10 @@ def mutate_script(rng: random.Random, script, symbols):
         new_stmt = _replace_first_atom(stmt, atom, new_atom)
         if new_stmt == stmt:
             return None
-        out.statement_text = sx.render(new_stmt)
-        out.mutated = ("goal", sx.render(stmt), sx.render(new_stmt))
-        return out
+        mutant = script._replace(statement_text=sx.render(new_stmt))
+        return mutant, ("goal", sx.render(stmt), sx.render(new_stmt))
     j = rng.choice(use_lines)
-    line = out.lines[j]
+    line = script.lines[j]
     idxs = [i for i, (k, _) in enumerate(line.items) if k == ";"]
     i = rng.choice(idxs)
     text = line.items[i][1]
@@ -432,9 +450,9 @@ def mutate_script(rng: random.Random, script, symbols):
     new_term = _perturb_term(rng, term)
     items = list(line.items)
     items[i] = (";", sx.render(new_term))
-    out.lines[j] = line._replace(items=tuple(items))
-    out.mutated = ("citation", text, sx.render(new_term))
-    return out
+    lines = list(script.lines)
+    lines[j] = line._replace(items=tuple(items))
+    return script._replace(lines=lines), ("citation", text, sx.render(new_term))
 
 
 def _names_in(text):

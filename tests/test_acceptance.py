@@ -74,11 +74,11 @@ def test_criterion_2_mutation_soundness(bundle, corpus_report, corpus_scripts):
     false_goals = 0
     while tried < 20:
         script = rng.choice(corpus_scripts)
-        mut = mutate_script(rng, script, bundle.symbols)
-        if mut is None:
+        got = mutate_script(rng, script, bundle.symbols)
+        if got is None:
             continue
         tried += 1
-        mut.label = f"mutant{tried}"
+        mut, mutated = got[0]._replace(label=f"mutant{tried}"), got[1]
         stmt = sx.parse(mut.statement_text, "formula", bundle.symbols)
         goal_false = False
         if sa.evaluable(stmt, bundle):
@@ -94,7 +94,7 @@ def test_criterion_2_mutation_soundness(bundle, corpus_report, corpus_scripts):
                 _report(
                     "mutation soundness",
                     False,
-                    f"accepted a semantically false goal: {mut.mutated}",
+                    f"accepted a semantically false goal: {mutated}",
                 )
     _report(
         "mutation soundness: every oracle-false mutant rejected",

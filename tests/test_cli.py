@@ -9,6 +9,7 @@ import pytest
 from conftest import demo_valid_28_atoms
 from proofkit import checker, cli, hilbertack, machines, stringarith
 from proofkit.errors import CheckError
+from proofkit.kernel import scripts as kscripts
 from proofkit.stringarith import DATA_DIR
 
 
@@ -23,6 +24,31 @@ def test_parse_and_nf(capsys):
     assert code == 0 and out.strip() == "(or (not a) b)"
     code, out, _ = run(capsys, "nf", "--mode", "prenex", "(or p (exists x (q x)))")
     assert code == 0 and out.strip() == "(exists x (or p (q x)))"
+
+
+_NF_INPUT = "(imp (forall x (p x)) (and q (exists y (r y))))"
+
+
+@pytest.mark.parametrize(
+    "mode, rendered",
+    [
+        ("negation", "(or (exists x (not (p x))) (not (or (not q) (not (exists y (r y))))))"),
+        (
+            "conjunctive",
+            "(not (or (not (or (exists x (not (p x))) q)) "
+            "(not (or (exists x (not (p x))) (exists y (r y))))))",
+        ),
+        (
+            "normal",
+            "(exists x (exists y (not (or (not (or (not (p x)) q)) (not (or (not (p x)) (r y)))))))",
+        ),
+    ],
+)
+def test_nf_modes_are_pinned(capsys, mode, rendered):
+    code, out, _ = run(capsys, "nf", "--mode", mode, _NF_INPUT)
+    assert (code, out) == (0, rendered + "\n")
+    code, jout, _ = run(capsys, "--format", "json", "nf", "--mode", mode, _NF_INPUT)
+    assert code == 0 and json.loads(jout) == {"ok": True, "mode": mode, "rendered": rendered}
 
 
 def test_usage_error_exit_code(capsys):
@@ -105,7 +131,74 @@ def test_failing_script_exit_one(capsys, tmp_path, monkeypatch):
     assert code == 1
     verdicts = [(s["label"], s["ok"]) for s in json.loads(jout)["scripts"]]
     assert verdicts == [("nope", False), ("t22", True)]
-    assert bundle.registry.entries["t22"].checked
+    assert bundle.registry.entries["t22"].kind == "theorem"
+
+
+def test_a_label_names_one_statement(capsys, tmp_path, monkeypatch):
+    # a theorem may not take an axiom's label, and the scripts after it
+    # cite the axiom; the same file checked again gives the same verdicts
+    bundle = stringarith.load_theory()
+    monkeypatch.setattr(cli, "_bundle", lambda args: bundle)
+    axiom = bundle.registry.entries["a20"]
+    path = tmp_path / "a20.prf"
+    path.write_text(
+        "theorem a20 : (not (= (cat (s0 x) y) eps))\nproof\n  H : x : y\n"
+        "  use a8 ; x ; y\n  use a1 ; (cat x y)\nqed\n\n"
+        "theorem cites : (= (pd eps) eps)\nproof\n  H\n  use a20\nqed\n"
+    )
+    message = "label 'a20' is already taken by axiom a20"
+    for _ in range(2):
+        code, out, _ = run(capsys, "check-proof", str(path))
+        assert (code, out) == (1, f"a20      FAIL  {message}\ncites    pass  \n")
+    code, jout, _ = run(capsys, "--format", "json", "check-proof", str(path))
+    verdicts = [(e["label"], e["ok"], e["message"]) for e in json.loads(jout)["scripts"]]
+    assert code == 1 and verdicts == [("a20", False, message), ("cites", True, "")]
+    assert bundle.registry.entries["a20"] is axiom
+    # a theorem's label cannot be given to another statement either
+    (other,) = kscripts.parse_script_file(
+        "theorem cites : (not (= (s0 eps) eps))\nproof\n  H\n  use a1 ; eps\nqed\n"
+    )
+    (v,) = stringarith.check_corpus(bundle, [other]).entries
+    assert not v.ok and v.message == "label 'cites' is already taken by theorem cites"
+
+
+_CITES_T22 = "theorem mine : (not (= (cat (s0 eps) eps) eps))\nproof\n  H\n  use t22 ; eps ; eps\nqed\n"
+
+
+def test_check_proof_with_corpus(capsys, tmp_path):
+    path = tmp_path / "mine.prf"
+    path.write_text(_CITES_T22)
+    code, out, _ = run(capsys, "check-proof", str(path))
+    assert (code, out) == (1, "mine     FAIL  unresolved label 't22'\n")
+    code, out, _ = run(capsys, "check-proof", str(path), "--with-corpus")
+    assert (code, out) == (0, "mine     pass  \n")
+    code, jout, _ = run(capsys, "--format", "json", "check-proof", str(path), "--with-corpus")
+    payload = json.loads(jout)
+    assert code == 0 and payload["ok"] and [e["label"] for e in payload["scripts"]] == ["mine"]
+
+
+def test_check_proof_with_a_failing_corpus_checks_no_file(capsys, tmp_path, monkeypatch):
+    # under a budget of 5 the corpus fails at t24, and the file, which the
+    # registry the corpus left would fail too, is not checked
+    path = tmp_path / "mine.prf"
+    path.write_text(_CITES_T22)
+    checked = []
+    check_script = kscripts.check_script
+    monkeypatch.setattr(
+        kscripts, "check_script", lambda reg, s, *a: checked.append(s.label) or check_script(reg, s, *a)
+    )
+    code, out, _ = run(capsys, "--budget", "5", "check-proof", str(path), "--with-corpus")
+    assert code == 1
+    assert out == "FAIL: the bundled corpus fails at t24: refutation budget exhausted (6)\n"
+    assert "mine" not in checked and checked[-1] == "t24"
+    code, jout, _ = run(
+        capsys, "--format", "json", "--budget", "5", "check-proof", str(path), "--with-corpus"
+    )
+    assert code == 1 and json.loads(jout) == {
+        "ok": False,
+        "corpus_label": "t24",
+        "message": "refutation budget exhausted (6)",
+    }
 
 
 _WITNESS_THEORY = """theory T
@@ -463,6 +556,27 @@ def test_fuzz_axioms_cli(capsys):
     argv = ("--seed", "3", "fuzz-axioms", "--samples", "50", "--maxlen", "16", "--exhaustive", "2")
     code, jout, _ = run(capsys, "--format", "json", *argv)
     assert code == 0 and json.loads(jout) == {"ok": True, "checked": 2613, "counterexamples": []}
+
+
+def test_fuzz_axioms_lists_each_counterexample(capsys, tmp_path):
+    # x x = x holds only for the empty string
+    path = tmp_path / "false.th"
+    path.write_text("theory T\naxiom a1 : (not (= (s0 x) eps))\naxiom bad : (= (cat x x) x)\n")
+    argv = ("--theory", str(path), "fuzz-axioms", "--samples", "0", "--exhaustive", "1")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out == (
+        "6 instances checked; counterexamples: 2\n  bad: {'x': '0'}\n  bad: {'x': '1'}\n"
+    )
+    code, jout, _ = run(capsys, "--format", "json", *argv)
+    assert code == 1 and json.loads(jout) == {
+        "ok": False,
+        "checked": 6,
+        "counterexamples": [
+            {"axiom": "bad", "assignment": {"x": "0"}},
+            {"axiom": "bad", "assignment": {"x": "1"}},
+        ],
+    }
 
 
 def test_theory_file_with_a_late_axiom_is_a_usage_error(capsys, tmp_path):

@@ -112,17 +112,13 @@ def test_function_extension_with_ec_uc():
 
 
 def test_function_extension_by_cited_entries():
-    # a checked entry stating a condition establishes it as its proof does
+    # an entry stating a condition establishes it as its proof does
     ex, ec, uc = _prove_ec_uc_for_pd()
     by_proof = fresh_registry().define_function("dg", "g1", ex, ec, uc)
     ec_entry = Entry("ec", "theorem", ex)
     uc_entry = Entry("uc", "theorem", extend.uniqueness_condition(ex))
     by_entry = fresh_registry().define_function("dg", "g1", ex, ec_entry, uc_entry)
     assert by_entry.axiom == by_proof.axiom and by_entry.uc_proof is None
-    with pytest.raises(CheckError, match="uniqueness citation 'uc' is unchecked"):
-        fresh_registry().define_function(
-            "dg", "g1", ex, ec_entry, Entry("uc", "theorem", uc_entry.statement, checked=False)
-        )
     with pytest.raises(CheckError, match="existence citation 'uc' states"):
         fresh_registry().define_function("dg", "g1", ex, uc_entry, uc_entry)
 

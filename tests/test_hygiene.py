@@ -9,6 +9,7 @@ Package ``__init__.py`` files are exempt from the import check: their
 imports are re-exports."""
 
 import ast
+import collections
 import dataclasses
 import functools
 import importlib
@@ -122,9 +123,19 @@ def _own_names(tree):
     return names
 
 
+# The methods and fields every typing.NamedTuple has: public, with a leading
+# underscore only so that they cannot clash with a field's name.
+NAMEDTUPLE_API = {
+    name
+    for name in dir(collections.namedtuple("Record", ()))
+    if name.startswith("_") and not name.endswith("__")
+}
+
+
 def test_no_module_names_another_modules_private_names():
     # x._name, for x other than self or cls, must name something of this
-    # module: what another module keeps private is its own to change
+    # module: what another module keeps private is its own to change.
+    # The NamedTuple methods, such as _replace, are no module's own.
     foreign = []
     for path in MODULES:
         tree = ast.parse(path.read_text())
@@ -136,7 +147,7 @@ def test_no_module_names_another_modules_private_names():
             and node.attr.startswith("_")
             and not node.attr.endswith("__")
             and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
-            and node.attr not in own
+            and node.attr not in own | NAMEDTUPLE_API
         ]
     assert not foreign, f"private names of other modules: {', '.join(foreign)}"
 
@@ -306,6 +317,21 @@ def test_only_meta_imports_meta():
     assert not offenders, f"imports of {META} outside it: {', '.join(offenders)}"
 
 
+def test_extensions_by_definitions_import_nothing_of_the_scripts():
+    # extend takes a registry entry as evidence without knowing its class:
+    # it imports, at any depth, neither kernel.scripts nor a name the kernel
+    # package re-exports from it
+    scripts = "proofkit.kernel.scripts"
+    own = _module_level_names(ast.parse((PACKAGE / "kernel" / "scripts.py").read_text()))
+    forbidden = {scripts} | {f"proofkit.kernel.{name}" for name in own}
+    offenders = [
+        f"extend.py:{line} {name}"
+        for line, name in _absolute_imports(PACKAGE / "extend.py")
+        if name in forbidden or name.startswith(scripts + ".")
+    ]
+    assert not offenders, f"imports of {scripts}: {', '.join(offenders)}"
+
+
 @functools.cache
 def _verdict_path_modules() -> tuple[str, ...]:
     """The proofkit modules that `import proofkit.cli` and the bench's eight
@@ -348,9 +374,6 @@ KEPT_DATACLASSES = {
     "proofkit.syntax.Language": "validates its symbols in __post_init__",
     "proofkit.machines.Machine": "validates its commands in __post_init__",
     "proofkit.stringarith.TheoryBundle": "the bench calls dataclasses.replace on it",
-    "proofkit.kernel.scripts.Entry": "a theorem's entry is marked checked after it is built",
-    "proofkit.kernel.scripts.ScriptVerdict": "the corpus driver adds the oracle's verdict to it",
-    "proofkit.kernel.scripts.Script": "its lines field has a default_factory",
     "proofkit.extend.Stage": "its respects field has a default_factory",
 }
 

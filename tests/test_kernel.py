@@ -524,17 +524,17 @@ def test_check_script_accepts_and_rejects():
     assert not v2.ok and "refutation failed" in v2.message
 
 
-def test_script_unresolved_and_unchecked_citations():
+def test_script_unresolved_citation_fails_and_every_entry_is_citable():
     reg = _toy_registry()
     (s,) = parse_script_file(
         "theorem demo3 : (q eps)\nproof\n  H\n  use nosuch\nqed\n"
     )
     assert "unresolved" in check_script(reg, s).message
-    reg.add_theorem("later", parse("(q (pd x))"))
+    reg.add(ks.Entry("later", "theorem", parse("(q (pd x))")))
     (s2,) = parse_script_file(
         "theorem demo4 : (q (pd eps))\nproof\n  H\n  use later ; eps\nqed\n"
     )
-    assert "unchecked" in check_script(reg, s2).message
+    assert check_script(reg, s2).ok
 
 
 def test_script_direction_markers_and_witnesses():
@@ -655,19 +655,16 @@ def test_citations_share_one_prepared_base_per_statement_and_direction():
     assert check_script(reg, s).ok
     bases = [("ax1", None), ("ax2", None), ("dd", "fw"), ("dd", "bw")]
     assert list(reg.bases) == bases
-    # an unchecked theorem and a direction on a non-biconditional are
-    # refused at every citation, and nothing is stored for them
-    reg.add_theorem("later", parse("(q (pd x))"))
-    uses = {}
-    for line, message in (("use later ; eps", "unchecked"), ("use ax1.fw ; eps", "direction marker")):
-        (bad,) = parse_script_file(f"theorem b : (q eps)\nproof\n  H\n  {line}\nqed\n")
-        uses[message] = bad.lines[0]
-        for _ in range(2):
-            with pytest.raises(CheckError, match=message):
-                ks.elaborate_citation(reg, uses[message], {})
+    # a direction on a non-biconditional is refused at every citation,
+    # and nothing is stored for it
+    (bad,) = parse_script_file("theorem b : (q eps)\nproof\n  H\n  use ax1.fw ; eps\nqed\n")
+    for _ in range(2):
+        with pytest.raises(CheckError, match="direction marker"):
+            ks.elaborate_citation(reg, bad.lines[0], {})
     assert list(reg.bases) == bases
-    reg.lookup("later").checked = True
-    assert ks.elaborate_citation(reg, uses["unchecked"], {}) == parse("(q (pd eps))")
+    reg.add(ks.Entry("later", "theorem", parse("(q (pd x))")))
+    (later,) = parse_script_file("theorem b : (q eps)\nproof\n  H\n  use later ; eps\nqed\n")
+    assert ks.elaborate_citation(reg, later.lines[0], {}) == parse("(q (pd eps))")
     assert list(reg.bases) == bases + [("later", None)]
 
 

@@ -11,6 +11,7 @@ from conftest import (
     ground_subterms,
     random_ground_problem,
     random_qf_formula,
+    reference_as_horn,
     reference_replay,
     truth_table_consequence,
 )
@@ -1016,6 +1017,45 @@ def test_replay_refuses_an_eq_axiom_step_that_is_no_instance(name):
     assert checker.replay(*_closed_by_its_axiom(instance))
     with pytest.raises(CheckError, match="^not an identity/equality axiom instance: "):
         checker.replay(*_closed_by_its_axiom(f))
+
+
+# Formulas in clause form and in conjunction form, with hypotheses and
+# conclusions that are sometimes no atom, and any formula over a few atoms.
+_HORN_ATOMS = st.sampled_from([A, B, sx.eq(E1, E2), Atom(_Q1, (E1,))])
+_HORN_ANY = st.recursive(
+    _HORN_ATOMS,
+    lambda sub: st.one_of(sub.map(Not), st.tuples(sub, sub).map(lambda p: Or(*p))),
+    max_leaves=6,
+)
+_HORN_PART = st.one_of(_HORN_ATOMS, _HORN_ANY)
+_HORN_SHAPES = st.one_of(
+    st.builds(
+        lambda hyps, concl: sx.disj(hyps + [concl]),
+        st.lists(st.one_of(_HORN_ATOMS.map(Not), _HORN_PART), min_size=1, max_size=4),
+        _HORN_PART,
+    ),
+    st.builds(
+        lambda hyps, concl: Or(sx.disj([Not(h) for h in hyps]), concl),
+        st.lists(_HORN_ATOMS, min_size=1, max_size=3),
+        _HORN_PART,
+    ),
+    st.builds(
+        lambda hyps, concl: sx.fimp(sx.conj(hyps), concl),
+        st.lists(_HORN_PART, min_size=1, max_size=4),
+        _HORN_PART,
+    ),
+    _HORN_ANY,
+)
+
+
+@given(_HORN_SHAPES)
+@example(sx.disj([Not(A), Not(B), C]))
+@example(sx.fimp(sx.conj([A, B]), C))
+@example(sx.fimp(A, C))
+@settings(max_examples=400, deadline=None)
+def test_as_horn_reads_clause_form_first_as_the_reference_reads_it(f):
+    # the clause form is tried first; where both readings apply they agree
+    assert checker.as_horn(f) == reference_as_horn(f)
 
 
 def test_replay_reads_a_negated_disjunction_as_its_negated_disjuncts():

@@ -960,11 +960,11 @@ def test_random_mutations_sound(bundle, corpus_report, corpus_scripts):
     rejected_false = 0
     while tried < 20:
         script = rng.choice(corpus_scripts)
-        mut = mutate_script(rng, script, bundle.symbols)
-        if mut is None:
+        got = mutate_script(rng, script, bundle.symbols)
+        if got is None:
             continue
         tried += 1
-        mut.label = f"mut{tried}"
+        mut, mutated = got[0]._replace(label=f"mut{tried}"), got[1]
         stmt = formula(bundle, mut.statement_text)
         false_goal = False
         if sa.evaluable(stmt, bundle):
@@ -975,7 +975,7 @@ def test_random_mutations_sound(bundle, corpus_report, corpus_scripts):
                     break
         v = ks.check_script(bundle.registry, mut)
         if false_goal:
-            assert not v.ok, (mut.mutated, mut.statement_text)
+            assert not v.ok, (mutated, mut.statement_text)
             rejected_false += 1
     assert rejected_false >= 3
 
@@ -991,17 +991,8 @@ def test_schema_reinstantiation(bundle, corpus_report):
     for s in scripts:
         v = ks.check_script(reg2, s)
         assert v.ok, (s.label, v.message)
-        if s.label in reg2.entries:
-            reg2.entries[s.label].checked = True
-        else:
-            reg2.add(
-                ks.Entry(
-                    s.label,
-                    "theorem",
-                    sx.parse(s.statement_text, "formula", reg2.symbols),
-                    checked=True,
-                )
-            )
+        if s.label not in reg2.entries:  # a base theorem is copied already
+            reg2.add(ks.Entry(s.label, "theorem", v.statement))
 
 
 # --- translation of the corpus ----------------------------------------------------
