@@ -1,6 +1,6 @@
 """The certificate checker, the trusted base of a certified verdict.
 
-It imports only syntax and errors, so replay checks a certificate by code
+It imports only nodes and errors, so replay checks a certificate by code
 of its own, sharing nothing with the search, the closure or the emitter
 in propcalc that built it.  The axiom recognizers it rests on are here.
 
@@ -34,8 +34,8 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .errors import CheckError
-from . import syntax as sx
-from .syntax import Atom, EQ, Formula, Not, Or, is_elementary
+from . import nodes
+from .nodes import App, Atom, EQ, Formula, Not, Or, Term, is_elementary
 
 
 class Refutation(NamedTuple):
@@ -43,7 +43,7 @@ class Refutation(NamedTuple):
     spent: int = 0
 
 
-def is_identity_instance(f: Formula, closed=sx.is_variable_free) -> bool:
+def is_identity_instance(f: Formula, closed=nodes.is_variable_free) -> bool:
     """Closed instance of the identity axiom; `closed` decides an atom's
     closedness (replay reads it off its literal table)."""
     return (
@@ -58,21 +58,21 @@ def as_horn(f: Formula):
     """Read f as hypotheses -> conclusion: in the clause form
     -h1 v ... v -hk v c, which the emitter writes, else in the conjunction
     form  h1 & ... & hk -> c.  Where both apply (k = 1) they agree."""
-    parts = sx.disjuncts(f)
+    parts = nodes.disjuncts(f)
     concl = parts[-1]
     hyps = [p.body for p in parts[:-1] if isinstance(p, Not) and isinstance(p.body, Atom)]
     if len(parts) >= 2 and isinstance(concl, Atom) and len(hyps) == len(parts) - 1:
         return hyps, concl
-    pair = sx.as_imp(f)
+    pair = nodes.as_imp(f)
     if pair is not None:
         hyp, concl = pair
-        parts = sx.conjuncts(hyp)
+        parts = nodes.conjuncts(hyp)
         if all(isinstance(p, Atom) for p in parts) and isinstance(concl, Atom):
             return parts, concl
     return None
 
 
-def is_equality_axiom_instance(f: Formula, closed=sx.is_variable_free) -> bool:
+def is_equality_axiom_instance(f: Formula, closed=nodes.is_variable_free) -> bool:
     """Closed instance of an equality axiom: for a function symbol, for a
     predicate symbol, or for equality itself.  f is closed when the atoms
     as_horn reads it into are, as `closed` decides: they are the refuter's
@@ -92,8 +92,8 @@ def is_equality_axiom_instance(f: Formula, closed=sx.is_variable_free) -> bool:
             return False
         lhs, rhs = concl.args
         if (
-            isinstance(lhs, sx.App)
-            and isinstance(rhs, sx.App)
+            isinstance(lhs, App)
+            and isinstance(rhs, App)
             and lhs.fn == rhs.fn
             and len(eqs) == len(lhs.args) == len(rhs.args) > 0
             and all(e == (a, b) for e, a, b in zip(eqs, lhs.args, rhs.args))
@@ -128,7 +128,7 @@ def literal_codes(table: dict, lits) -> tuple:
         c = table.get(base)
         if c is None:
             c = 2 * len(table) + 1
-            if not is_elementary(base) or sx.free_vars(base):
+            if not is_elementary(base) or nodes.free_vars(base):
                 c = ~c
             table[base] = c
         codes.append(c if base is lit else c ^ 1)
@@ -185,7 +185,7 @@ def replay(cert: Refutation, inputs: Sequence[Formula]) -> bool:
                 except (KeyError, TypeError):  # an unhashable one is no input
                     raise CheckError("certificate cites a non-input formula") from None
                 if got is None:
-                    got = coded[f] = literal_codes(table, sx.disjuncts(f))
+                    got = coded[f] = literal_codes(table, nodes.disjuncts(f))
                 have.append(got)
             elif kind == "conjunct":
                 _, claim, f = step
@@ -207,9 +207,9 @@ def replay(cert: Refutation, inputs: Sequence[Formula]) -> bool:
                     if not (
                         is_identity_instance(f, closed) or is_equality_axiom_instance(f, closed)
                     ):
-                        shown = sx.render(f) if isinstance(f, (Formula, sx.Term)) else repr(f)
+                        shown = nodes.render(f) if isinstance(f, (Formula, Term)) else repr(f)
                         raise CheckError(f"not an identity/equality axiom instance: {shown}")
-                    got = accepted[f] = literal_codes(table, sx.disjuncts(f))
+                    got = accepted[f] = literal_codes(table, nodes.disjuncts(f))
                 have.append(got)
             else:
                 _, atom, first, second = step
@@ -248,7 +248,7 @@ def resolvent(have: list, i, j) -> tuple:
 def _conjunctive_clauses(f: Formula) -> list[tuple]:
     """The clauses of f's conjunctive form, as tuples of literals: the
     checker's own reading, which agrees with clausify's."""
-    pair = sx.as_and(f)
+    pair = nodes.as_and(f)
     if pair is not None:
         return _conjunctive_clauses(pair[0]) + _conjunctive_clauses(pair[1])
     if isinstance(f, Or):

@@ -687,3 +687,38 @@ def test_fuzz_axioms_out_of_memory_exit_two(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err.strip() == "error: out of memory"
     assert "Traceback" not in err
+
+
+# Commands whose JSON must not depend on the hash seed, that is on the order
+# of a set or a dict keyed by nodes or strings.
+_SEED_FREE_COMMANDS = (
+    ("check-corpus", "--oracle", "50"),
+    ("ha-reduce", "--demo", "rank1"),
+    ("ha-reduce", "--demo", "rank2"),
+    ("fuzz-axioms",),
+)
+
+
+def _without_elapsed(value):
+    if isinstance(value, dict):
+        return {k: _without_elapsed(v) for k, v in value.items() if k != "elapsed"}
+    if isinstance(value, list):
+        return [_without_elapsed(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("argv", _SEED_FREE_COMMANDS, ids=" ".join)
+def test_outputs_do_not_depend_on_the_hash_seed(argv):
+    src = Path(cli.__file__).resolve().parents[1]
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "proofkit.cli", "--format", "json", *argv],
+            env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed),
+            stdout=subprocess.PIPE, text=True,
+        )
+        for seed in ("0", "1")
+    ]
+    outs = [run.communicate(timeout=60)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    first, second = (json.dumps(_without_elapsed(json.loads(out))) for out in outs)
+    assert first == second

@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 import proofkit
+from proofkit import nodes, syntax
 
 PACKAGE = Path(proofkit.__file__).parent
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
@@ -201,17 +202,16 @@ def test_private_functions_read_every_parameter():
     assert not unread, f"unread parameters: {', '.join(unread)}"
 
 
-# All that the certificate checker may import: it is the trusted base.
-CHECKER_IMPORTS = {"__future__", "typing", ".errors", ".syntax"}
-CHECKER_LOADS = ["proofkit", "proofkit.checker", "proofkit.errors", "proofkit.syntax"]
+# All that the certificate checker may import, and all that the node core
+# may: the two and the errors are the trusted base.
+CHECKER_IMPORTS = {"__future__", "typing", ".errors", ".nodes"}
+CORE_IMPORTS = {"__future__", "dataclasses", "functools", "typing", ".errors"}
+CHECKER_LOADS = ["proofkit", "proofkit.checker", "proofkit.errors", "proofkit.nodes"]
 
 
-def test_certificate_checker_shares_no_code_with_the_refuter():
-    # replay must not trust what it checks: its module imports, at any
-    # depth, nothing but the syntax and the errors, so nothing of the
-    # search, the congruence closure or the emitter in propcalc (nor
-    # normform's to_conjunctive, which goes through propcalc's clausify)
-    tree = ast.parse((PACKAGE / "checker.py").read_text())
+def _imports(tree):
+    """Every module an import in tree names, at any depth, a relative one
+    with its leading dots."""
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -220,7 +220,21 @@ def test_certificate_checker_shares_no_code_with_the_refuter():
             imported |= {"." * node.level + a.name for a in node.names}
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + node.module)
+    return imported
+
+
+def test_certificate_checker_shares_no_code_with_the_refuter():
+    # replay must not trust what it checks: its module imports, at any
+    # depth, nothing but the node core and the errors, and the core nothing
+    # of the package but the errors, so nothing of the search, the
+    # congruence closure or the emitter in propcalc (nor normform's
+    # to_conjunctive, which goes through propcalc's clausify), nor the
+    # reader and printers of syntax
+    tree = ast.parse((PACKAGE / "checker.py").read_text())
+    imported = _imports(tree)
     assert imported <= CHECKER_IMPORTS, f"the checker imports {sorted(imported - CHECKER_IMPORTS)}"
+    imported = _imports(ast.parse((PACKAGE / "nodes.py").read_text()))
+    assert imported <= CORE_IMPORTS, f"the node core imports {sorted(imported - CORE_IMPORTS)}"
     code = (
         "import sys\n"
         "import proofkit.checker\n"
@@ -263,6 +277,20 @@ def _module_level_names(tree):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
     return names
+
+
+def test_syntax_takes_each_core_name_from_the_core():
+    # one definition of each symbol and node class and each measure: every
+    # public name of the node core but render, whose prefix style syntax's
+    # own render hands to the core, is the core's very object in syntax
+    tree = ast.parse((PACKAGE / "nodes.py").read_text())
+    core = {name for name in _module_level_names(tree) if not name.startswith("_")}
+    assert {"Var", "EQ", "children", "free_vars", "render"} <= core
+    taken = sorted(core - {"render"})
+    missing = [name for name in taken if not hasattr(syntax, name)]
+    assert not missing, f"syntax lacks {', '.join(missing)}"
+    copies = [name for name in taken if getattr(syntax, name) is not getattr(nodes, name)]
+    assert not copies, f"syntax has its own {', '.join(copies)}"
 
 
 def test_brute_force_oracle_shares_no_code_with_propcalc():
@@ -366,11 +394,11 @@ _NODES = "the tests use dataclasses.replace, fields and FrozenInstanceError on n
 _SYMBOLS = "as tuples, FnSym('f', 1) would equal PredSym('f', 1) in propcalc's term codes"
 KEPT_DATACLASSES = {
     **{
-        f"proofkit.syntax.{name}": _NODES
+        f"proofkit.nodes.{name}": _NODES
         for name in ("Var", "App", "SpecialConst", "Atom", "Not", "Or", "Exists")
     },
-    "proofkit.syntax.FnSym": _SYMBOLS,
-    "proofkit.syntax.PredSym": _SYMBOLS,
+    "proofkit.nodes.FnSym": _SYMBOLS,
+    "proofkit.nodes.PredSym": _SYMBOLS,
     "proofkit.syntax.Language": "validates its symbols in __post_init__",
     "proofkit.machines.Machine": "validates its commands in __post_init__",
     "proofkit.stringarith.TheoryBundle": "the bench calls dataclasses.replace on it",

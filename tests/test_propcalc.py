@@ -15,7 +15,7 @@ from conftest import (
     reference_replay,
     truth_table_consequence,
 )
-from proofkit import checker
+from proofkit import checker, nodes
 from proofkit import propcalc as pc
 from proofkit import syntax as sx
 from proofkit.errors import CheckError
@@ -844,8 +844,8 @@ def test_replay_decides_closedness_once_per_atom(monkeypatch):
     assert "eq_axiom" not in kinds and kinds.count("resolve") > len(letters)
     asked = []
     for name in ("free_vars", "is_variable_free"):
-        real = getattr(sx, name)
-        monkeypatch.setattr(sx, name, lambda node, real=real: asked.append(node) or real(node))
+        real = getattr(nodes, name)
+        monkeypatch.setattr(nodes, name, lambda node, real=real: asked.append(node) or real(node))
     assert checker.replay(res, inputs)
     assert 0 < len(asked) <= len(letters)
 
@@ -985,6 +985,8 @@ _NOT_EQUALITY_AXIOMS = {
     "equality from a non-equality": sx.fimp(Atom(_Q1, (E1,)), sx.eq(E1, E2)),
     # a predicate conclusion needs one hypothesis per argument and a premise
     "predicate, premise missing": sx.fimp(sx.eq(E1, E2), Atom(_Q1, (E2,))),
+    # q(e1) -> q(e2) wants e1 = e2: taken, it would refute {q(e1), -q(e2)}
+    "predicate, argument hypothesis missing": sx.fimp(Atom(_Q1, (E1,)), Atom(_Q1, (E2,))),
     "nullary predicate": sx.fimp(sx.eq(E1, E2), A),
     "premise of another predicate": sx.disj(
         [Not(sx.eq(E1, E2)), Not(Atom(_R1, (E1,))), Atom(_Q1, (E2,))]
@@ -1067,3 +1069,31 @@ def test_replay_reads_a_negated_disjunction_as_its_negated_disjuncts():
         bad = [("conjunct", clause, source)] + good[1:]
         with pytest.raises(CheckError, match="^claimed conjunct is not one$"):
             checker.replay(checker.Refutation(bad), inputs)
+
+
+def test_replay_refuses_a_list_claimed_as_a_conjunct():
+    # a clause is a tuple: a list of literals is no clause of any input,
+    # though it would code as one, and taken it would refute {q(e1)}
+    q_e1 = Atom(_Q1, (E1,))
+    claim = ("conjunct", [Not(q_e1)], q_e1)
+    for steps in ([claim], [("input", q_e1), claim, ("resolve", 0, 1)]):
+        with pytest.raises(CheckError, match="^claimed conjunct is not one$"):
+            checker.replay(checker.Refutation(steps), [q_e1])
+
+
+def test_replay_reads_a_conjunctive_form_of_at_most_ten_thousand_clauses():
+    def product(m, n):
+        """(p0 & ... & pm-1) v (q0 & ... & qn-1), of m * n clauses."""
+        ps = [Atom(PredSym(f"p{i}", 0)) for i in range(m)]
+        qs = [Atom(PredSym(f"q{i}", 0)) for i in range(n)]
+        return Or(sx.conj(ps), sx.conj(qs)), (ps[0], qs[0])
+
+    for (m, n), message in (
+        ((101, 101), "^conjunctive form too large to check$"),
+        ((73, 137), "^conjunctive form too large to check$"),  # one past the limit
+        # at the limit the form is read, and the claim is found in it
+        ((100, 100), "^certificate branch reaches no contradiction$"),
+    ):
+        f, clause = product(m, n)
+        with pytest.raises(CheckError, match=message):
+            checker.replay(checker.Refutation([("conjunct", clause, f)]), [f])
