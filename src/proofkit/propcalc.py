@@ -85,126 +85,138 @@ class OutOfBudget(NamedTuple):
 # congruence closure with explanation recording
 
 
-class _UnionFind:
-    """Union-find with a proof forest (Nieuwenhuis & Oliveras, 2007): each
-    union adds one edge, labelled with its reason, between the two terms it
-    joins.  The smaller class's proof tree is re-rooted at its end of the
-    edge, so a term lies on O(log n) re-rooted paths in all.  The classes
-    themselves are not linked by size: a's root goes under b's, because the
-    roots steer which signature `CongruenceCore._propagate` meets first in
-    a round, and so its merges and the certificates.  Terms are compared
-    with ==, never `is`: they are a `_Terms` table's integer ids."""
-
-    def __init__(self):
-        self.parent: dict = {}
-        self.size: dict = {}  # root -> size of its class, when above 1
-        self.proof_parent: dict = {}
-        self.proof_reason: dict = {}
-
-    def find(self, t):
-        while self.parent[t] != t:
-            self.parent[t] = self.parent[self.parent[t]]
-            t = self.parent[t]
-        return t
-
-    def union(self, a, b, reason):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        size_a, size_b = self.size.pop(ra, 1), self.size.get(rb, 1)
-        if size_a > size_b:
-            a, b = b, a
-        path = []
-        node = a
-        while node in self.proof_parent:
-            path.append(node)
-            node = self.proof_parent[node]
-        for child in reversed(path):
-            par = self.proof_parent[child]
-            self.proof_parent[par] = child
-            self.proof_reason[par] = self.proof_reason[child]
-        self.proof_parent[a] = b
-        self.proof_reason[a] = reason
-        self.parent[ra] = rb
-        self.size[rb] = size_a + size_b
-        return True
-
-    def explain_path(self, a, b):
-        """Edges (p, q, reason) joining a to b in the proof forest, oriented
-        from a to b."""
-        anc = {}
-        node = a
-        while True:
-            anc[node] = True
-            if node not in self.proof_parent:
-                break
-            node = self.proof_parent[node]
-        back = []
-        node = b
-        while node not in anc:
-            back.append((self.proof_parent[node], node, self.proof_reason[node]))
-            node = self.proof_parent[node]
-        meet = node
-        edges = []
-        node = a
-        while node != meet:
-            edges.append((node, self.proof_parent[node], self.proof_reason[node]))
-            node = self.proof_parent[node]
-        edges.extend(reversed(back))
-        return edges
-
-
 class CongruenceCore:
-    """Congruence closure over variable-free terms by signature table: an
-    application's signature is its symbol and the classes of its arguments,
-    and two applications with one signature are merged.  Terms are the ids
-    of a `_Terms` table, whose `shapes` it is given.  Merge reasons are
-    ("eq", equation) or ("cong", lhs-app, rhs-app); merges counts the
-    unions made."""
+    """Congruence closure that backtracks (Downey, Sethi & Tarjan, 1980;
+    Nieuwenhuis & Oliveras, 2007) over the terms of a `_Terms` table, given
+    its `shapes`: integer ids of distinct terms.  The signature table holds
+    one application per signature (symbol and argument roots), and each
+    root a use list of the applications with an argument in its class.  A
+    merge is made once, when taken off the pending queue: the smaller
+    class goes under the larger's root, with no path compression, and its
+    uses are looked up again.  `merges` counts the merges made.  Each adds
+    an edge labelled with its reason, ("eq", equation) or ("cong",) for a
+    congruence of the edge's two applications, to a proof forest, after
+    re-rooting the smaller class's proof tree at its end, so a term lies on
+    O(log n) re-rooted paths in all.
+    `backtrack(key)` undoes every change made since the earliest
+    `mark(key')` with key' >= key."""
 
     def __init__(self, shapes):
-        self.uf = _UnionFind()
+        n = len(shapes)
         self.shapes = shapes
-        self.apps: list = []  # (application, symbol, arguments), in order added
-        self.closed = True
+        self.parent = list(range(n))
+        self.size = [1] * n
+        self.uses: list = [[] for _ in range(n)]  # root -> applications
+        self.sig: dict = {}  # (symbol, argument roots) -> application
+        self.pending: list = []  # (a, b, reason): merges to make
+        self.proof_parent: list = [None] * n
+        self.proof_reason: list = [None] * n
+        self.unions: list = []  # (root, new root, its uses' length, edge's ends)
+        self.added: list = []  # signatures added by merges
+        self.marks: list = []  # (key, len(unions), len(added))
         self.merges = 0
+        for t, (fn, args) in enumerate(shapes):
+            if args:
+                self.sig[fn, args] = t
+                for a in args:
+                    self.uses[a].append(t)
 
-    def add_term(self, t):
-        if t in self.uf.parent:
-            return
-        self.uf.parent[t] = t
-        fn, args = self.shapes[t]
-        if args:
-            self.apps.append((t, fn, args))
-            self.closed = False
-            for a in args:
-                self.add_term(a)
+    def find(self, t):
+        parent = self.parent
+        while parent[t] != t:
+            t = parent[t]
+        return t
 
     def assert_eq(self, a, b, reason):
-        self.add_term(a)
-        self.add_term(b)
-        if self.uf.union(a, b, reason):
-            self.merges += 1
-            self.closed = False
-
-    def _propagate(self):
-        """Close under congruence: rounds of signature lookups until a
-        round merges nothing.  A no-op when nothing was added since."""
-        find, union = self.uf.find, self.uf.union
-        while not self.closed:
-            self.closed = True
-            sig: dict = {}
-            for t, fn, args in self.apps:
-                s = sig.setdefault((fn, tuple(map(find, args))), t)
-                if s != t and union(s, t, ("cong", s, t)):
-                    self.merges += 1
-                    self.closed = False
+        self.pending.append((a, b, reason))
+        self._propagate()
 
     def congruent(self, a, b) -> bool:
-        self.add_term(a)
-        self.add_term(b)
         self._propagate()
-        return self.uf.find(a) == self.uf.find(b)
+        return self.find(a) == self.find(b)
+
+    def _propagate(self):
+        """Make the pending merges, and those they make pending, in turn."""
+        find, size, uses, sig, pending = self.find, self.size, self.uses, self.sig, self.pending
+        while pending:
+            a, b, reason = pending.pop()
+            ra, rb = find(a), find(b)
+            if ra == rb:
+                continue
+            if size[ra] > size[rb]:
+                a, b, ra, rb = b, a, rb, ra
+            self.merges += 1
+            self.unions.append((ra, rb, len(uses[rb]), a, b))
+            self._reroot(a)
+            self.proof_parent[a] = b
+            self.proof_reason[a] = reason
+            self.parent[ra] = rb
+            size[rb] += size[ra]
+            for u in uses[ra]:
+                fn, args = self.shapes[u]
+                key = (fn, tuple(map(find, args)))
+                v = sig.get(key)
+                if v is None:
+                    sig[key] = u
+                    self.added.append(key)
+                    uses[rb].append(u)
+                else:
+                    pending.append((v, u, ("cong",)))
+
+    def _reroot(self, t):
+        """Turn the proof-tree edges from t to its root round, leaving t's
+        own edge for the caller to set."""
+        parent, reason = self.proof_parent, self.proof_reason
+        path = []
+        while parent[t] is not None:
+            path.append(t)
+            t = parent[t]
+        for child in reversed(path):
+            par = parent[child]
+            parent[par] = child
+            reason[par] = reason[child]
+
+    def forest(self):
+        """A copy of the proof forest, as its parent and reason lists."""
+        return list(self.proof_parent), list(self.proof_reason)
+
+    def mark(self, key):
+        self.marks.append((key, len(self.unions), len(self.added)))
+
+    def backtrack(self, key):
+        unions, added = len(self.unions), len(self.added)
+        while self.marks and self.marks[-1][0] >= key:
+            _, unions, added = self.marks.pop()
+        for k in self.added[added:]:
+            del self.sig[k]
+        del self.added[added:]
+        while len(self.unions) > unions:
+            ra, rb, length, a, b = self.unions.pop()
+            self.parent[ra] = ra
+            self.size[rb] -= self.size[ra]
+            del self.uses[rb][length:]
+            # cut the merge's edge at whichever end holds it now
+            self.proof_parent[a if self.proof_parent[a] == b else b] = None
+
+
+def explain_path(forest, a, b):
+    """Edges (p, q, reason) joining a to b in a proof forest, given as its
+    parent and reason lists, oriented from a to b."""
+    parent, reason = forest
+    anc = set()
+    node = a
+    while node is not None:
+        anc.add(node)
+        node = parent[node]
+    back = []
+    while b not in anc:
+        back.append((parent[b], b, reason[b]))
+        b = parent[b]
+    edges = []
+    while a != b:
+        edges.append((a, parent[a], reason[a]))
+        a = parent[a]
+    return edges + back[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -353,25 +365,31 @@ def _refute(clauses, sources, atoms, budget, use_congruence, want_cert):
     """Case splits on the atoms in order, True first; unit propagation by
     two watched positions per clause; with use_congruence (which want_cert
     needs), a congruence check at each node that assigned an atom with
-    arguments, on the problem's terms numbered once in a `_Terms` table.
+    arguments, against one closure per search over the problem's terms,
+    numbered once in a `_Terms` table, made at the first check and
+    backtracked with the trail.
 
     Clauses are tuples of literal codes (see `_clauses`), and `val[code]` is
     a literal's truth value, None while unassigned.  A frame per decision
     level holds the decided atom, the trail length before it and, once its
     True branch is refuted, that branch's steps.  Each unit propagation,
-    decision and congruence merge costs one budget unit.
+    decision and congruence merge costs one budget unit; a merge is charged
+    when it is made, and again only if a backtrack undid it.
 
     A refuted node's steps are an empty list until the root is refuted.
     With want_cert, each conflict records what its steps are built from:
-    the conflict, a snapshot of the reasons and its split depth.  Only a
-    Refutation builds them, filling those lists in place."""
+    the conflict, a snapshot of the reasons, one of the closure's proof
+    forest for a theory conflict, and its split depth.  Only a Refutation
+    builds them, filling those lists in place."""
     n = len(atoms)
     val: list = [None] * (2 * n)
     trail: list = []
     reasons: list = [None] * n  # atom id -> reason of its latest assignment
     frames: list = []  # [atom id, trail length before it, True-branch steps]
-    leaves: list = []  # (steps to fill, conflict, reasons, split depth)
+    leaves: list = []  # (steps to fill, conflict, reasons, forest, split depth)
     table = _Terms(atoms) if use_congruence else None
+    core = None  # the closure of the true equations in trail[:synced]
+    synced = 0
     # watches[code]: clauses with a watched position holding that literal;
     # watched[k]: clause k's two watched positions (clauses of two or more)
     watches: list = [[] for _ in range(2 * n)]
@@ -397,11 +415,14 @@ def _refute(clauses, sources, atoms, budget, use_congruence, want_cert):
         reasons[i] = reason
 
     def backtrack(length):
-        nonlocal head
+        nonlocal head, synced
         while len(trail) > length:
             i = trail.pop()
             val[2 * i] = val[2 * i + 1] = None
         head = length
+        if synced > length:
+            core.backtrack(length)
+            synced = length
 
     def propagate():
         """Unit propagation from the trail's head to a fixpoint; returns the
@@ -454,9 +475,18 @@ def _refute(clauses, sources, atoms, budget, use_congruence, want_cert):
             if conflict is None and use_congruence and any(
                 table.args[i] for i in trail[frames[-1][1] if frames else 0 :]
             ):
-                conflict = _theory_conflict(
-                    [(i, val[2 * i + 1]) for i in trail if table.args[i]], table, charge
-                )
+                if core is None:
+                    core = CongruenceCore(table.shapes)
+                merges = core.merges
+                for at in range(synced, len(trail)):
+                    i = trail[at]
+                    if val[2 * i + 1] and table.preds[i] == 0:
+                        core.mark(at)
+                        core.assert_eq(*table.args[i], ("eq", i))
+                synced = len(trail)
+                charge(core.merges - merges)
+                assigned = [(i, val[2 * i + 1]) for i in trail if table.args[i]]
+                conflict = _theory_conflict(core, assigned, table)
             if conflict is None:
                 while cursor < n and val[2 * cursor] is not None:
                     cursor += 1
@@ -470,7 +500,8 @@ def _refute(clauses, sources, atoms, budget, use_congruence, want_cert):
                 continue
             steps: list = []
             if want_cert:
-                leaves.append((steps, conflict, list(reasons), len(frames)))
+                forest = core.forest() if isinstance(conflict, tuple) else None
+                leaves.append((steps, conflict, list(reasons), forest, len(frames)))
             # the node is refuted: close every split whose branches both are
             while frames and frames[-1][2] is not None:
                 i, length, first = frames.pop()
@@ -478,8 +509,8 @@ def _refute(clauses, sources, atoms, budget, use_congruence, want_cert):
                 steps = [("split", atoms[i], first, steps)]
             if not frames:
                 instances: dict = {}  # the leaves' equality-axiom instances
-                for leaf_steps, found, why, depth in leaves:
-                    emitter = _Emitter(clauses, sources, table, why, depth, instances)
+                for leaf_steps, found, *why in leaves:
+                    emitter = _Emitter(clauses, sources, table, *why, instances)
                     leaf_steps.extend(emitter.refute(found))
                 return Refutation(steps, spent)
             frame = frames[-1]
@@ -492,29 +523,20 @@ def _refute(clauses, sources, atoms, budget, use_congruence, want_cert):
         return OutOfBudget(spent)
 
 
-def _theory_conflict(assigned, table, charge):
+def _theory_conflict(core, assigned, table):
     """What refutes the assigned (atom id, polarity) pairs by equality
-    reasoning, or None: (closure, None, e) for a false equation e that the
-    closure of the true ones makes true, or (closure, t, f) for a true atom
-    t and a false atom f of one predicate whose arguments it joins.  Only
-    atoms with arguments matter: a 0-ary atom takes part in no congruence.
-    The closure's merges are charged to the budget."""
+    reasoning, given the closure of the true equations among them, or None:
+    (None, e) for a false equation e that the closure makes true, or (t, f)
+    for a true atom t and a false atom f of one predicate whose arguments
+    it joins.  Only atoms with arguments matter: a 0-ary atom takes part in
+    no congruence."""
     args, preds = table.args, table.preds
-    core = CongruenceCore(table.shapes)
-    for i, pol in assigned:
-        for t in args[i]:
-            core.add_term(t)
-        if pol and preds[i] == 0:
-            core.assert_eq(args[i][0], args[i][1], ("eq", i))
-    core._propagate()
-    charge(core.merges)
-
     for i, pol in assigned:
         if preds[i] == 0 and not pol and core.congruent(*args[i]):
-            return core, None, i
+            return None, i
 
     def signature(i):
-        return preds[i], tuple(map(core.uf.find, args[i]))
+        return preds[i], tuple(map(core.find, args[i]))
 
     trues: dict = {}
     for i, pol in assigned:
@@ -523,26 +545,28 @@ def _theory_conflict(assigned, table, charge):
     for i, pol in assigned:
         t = trues.get(signature(i)) if preds[i] != 0 and not pol else None
         if t is not None:
-            return core, t, i
+            return t, i
     return None
 
 
 class _Emitter:
     """Builds one refuted leaf's steps, deriving each literal it needs from
-    the inputs, unit chains, congruence-closure explanations and the
-    enclosing split assumptions.  The leaf's positions start after those
-    assumptions, one per split around it; the assumption of the split at
-    depth d holds position d.  `at` maps each derived literal, by its code,
-    and each derived input clause, by its tuple of codes, to its position;
-    equations are atom ids of the term table, and nodes only in the steps.
+    the inputs, unit chains, the closure's proof forest as it stood at the
+    conflict and the enclosing split assumptions.  The leaf's positions
+    start after those assumptions, one per split around it; the assumption
+    of the split at depth d holds position d.  `at` maps each derived
+    literal, by its code, and each derived input clause, by its tuple of
+    codes, to its position; equations are atom ids of the term table, and
+    nodes only in the steps.
     `instances`, shared by the leaves of one refutation, holds each
     equality-axiom instance built, by its (*hypotheses, conclusion)."""
 
-    def __init__(self, clauses, sources, table, reasons, depth, instances):
+    def __init__(self, clauses, sources, table, reasons, forest, depth, instances):
         self.clauses = clauses
         self.sources = sources
         self.table = table
         self.reasons = reasons
+        self.forest = forest
         self.depth = depth
         self.instances = instances
         self.steps: list = []
@@ -555,9 +579,9 @@ class _Emitter:
     def refute(self, conflict) -> list:
         """The leaf's steps, down to the empty clause: for a clause (by its
         index) whose literals are all false, each is resolved away; for
-        _theory_conflict's (closure, true atom or None, false atom), the
-        false atom is derived from the closure and resolved against its
-        own negation."""
+        _theory_conflict's (true atom or None, false atom), the false atom
+        is derived from the proof forest and resolved against its own
+        negation."""
         if not isinstance(conflict, tuple):
             cur = self.derive_clause(conflict)
             pivots = [c ^ 1 for c in self.clauses[conflict]]
@@ -565,15 +589,15 @@ class _Emitter:
                 self.derive_assigned(c)
             self.resolve_away(cur, pivots)
             return self.steps
-        core, true, false = conflict
+        true, false = conflict
         args = self.table.args
         if true is not None:
             self.derive_assigned(2 * true + 1)
         neg = self.derive_assigned(2 * false)
         if true is None:
-            self.derive_eq(core, *args[false])
+            self.derive_eq(*args[false])
         else:
-            hyps = [self.derive_eq(core, p, q) for p, q in zip(args[true], args[false])]
+            hyps = [self.derive_eq(p, q) for p, q in zip(args[true], args[false])]
             self._horn(hyps + [true], false)
         self.emit(("resolve", neg, self.at[2 * false + 1]))
         return self.steps
@@ -626,38 +650,35 @@ class _Emitter:
 
     # --- equality reasoning: equations are atom ids, s = t derived at 2i+1 ---
 
-    def derive_eq(self, core: CongruenceCore, s: int, t: int) -> int:
-        """Derive s = t along the closure's proof-forest path from s to t,
+    def derive_eq(self, s: int, t: int) -> int:
+        """Derive s = t along the proof forest's path from s to t,
         joining the edges' equations by transitivity; returns s = t."""
         goal = self.table.eq(s, t)
         if 2 * goal + 1 in self.at:
             return goal
         if s == t:
             return self._identity(s)
-        edges = core.uf.explain_path(s, t)
-        cur = self._edge(core, *edges[0])
+        edges = explain_path(self.forest, s, t)
+        cur = self._edge(*edges[0])
         for p, q, reason in edges[1:]:
-            cur = self._transitivity(cur, self._edge(core, p, q, reason))
+            cur = self._transitivity(cur, self._edge(p, q, reason))
         return cur
 
-    def _edge(self, core, p, q, reason) -> int:
+    def _edge(self, p, q, reason) -> int:
         """Derive p = q for a proof-forest edge: from its equation, or from
-        a congruence axiom over its applications' arguments."""
+        a congruence axiom over the arguments of p and q, the edge's two
+        applications, in the edge's own direction."""
         want = self.table.eq(p, q)
         if 2 * want + 1 in self.at:
             return want
-        if reason[0] == "eq":
-            base = reason[1]
-            self.derive_assigned(2 * base + 1)
-        else:
-            _, lhs, rhs = reason
-            base = self.table.eq(lhs, rhs)
-            if 2 * base + 1 not in self.at:
-                pairs = zip(self.table.shapes[lhs][1], self.table.shapes[rhs][1])
-                self._horn([self.derive_eq(core, x, y) for x, y in pairs], base)
-        if base == want:
+        if reason[0] == "cong":
+            pairs = zip(self.table.shapes[p][1], self.table.shapes[q][1])
+            self._horn([self.derive_eq(x, y) for x, y in pairs], want)
             return want
-        return self._symmetry(base, want)
+        self.derive_assigned(2 * reason[1] + 1)
+        if reason[1] == want:
+            return want
+        return self._symmetry(reason[1], want)
 
     def _horn(self, hyps, concl):
         """Emit the clause form of an equality-axiom instance and resolve

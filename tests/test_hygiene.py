@@ -13,6 +13,7 @@ import collections
 import dataclasses
 import functools
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -23,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import proofkit
-from proofkit import nodes, syntax
+from proofkit import nodes, propcalc, syntax
 
 PACKAGE = Path(proofkit.__file__).parent
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
@@ -291,6 +292,23 @@ def test_syntax_takes_each_core_name_from_the_core():
     assert not missing, f"syntax lacks {', '.join(missing)}"
     copies = [name for name in taken if getattr(syntax, name) is not getattr(nodes, name)]
     assert not copies, f"syntax has its own {', '.join(copies)}"
+
+
+def test_the_bench_wraps_congruence_methods_the_closure_defines():
+    # perfbench/tracing.py wraps CongruenceCore's entry points by name,
+    # through the class's own __dict__, in a layer Tier-1 does not collect:
+    # read its CONGRUENCE_METHODS without importing it
+    tree = ast.parse((REPO / "perfbench" / "tracing.py").read_text())
+    methods = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["CONGRUENCE_METHODS"]
+    )
+    assert methods, "CONGRUENCE_METHODS names no method"
+    core = propcalc.CongruenceCore
+    missing = [m for m in methods if not inspect.isfunction(core.__dict__.get(m))]
+    assert not missing, f"CongruenceCore defines no {', '.join(missing)}"
 
 
 def test_brute_force_oracle_shares_no_code_with_propcalc():

@@ -1,6 +1,10 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -238,11 +242,134 @@ def test_adversarial_unions_reroot_the_smaller_proof_tree():
         core.assert_eq(end, ks[j], ("eq", (end, ks[j])))
     assert time.perf_counter() - start < 5.0
     assert core.merges == n
-    edges = core.uf.explain_path(ks[0], ks[half])
+    edges = pc.explain_path(core.forest(), ks[0], ks[half])
     assert len(edges) == half
     assert [p for p, _, _ in edges] == ks[:half]
     assert [q for _, q, _ in edges] == ks[1 : half + 1]
     assert all(reason == ("eq", (p, q)) for p, q, reason in edges)
+
+
+def _reference_classes(shapes, eqs) -> list:
+    """Each term's root in the congruence closure of eqs over a table's
+    terms, computed from scratch: join the equations, then join every two
+    applications of one symbol whose arguments are joined, until none is
+    left to join."""
+    root = list(range(len(shapes)))
+
+    def find(t):
+        while root[t] != t:
+            t = root[t]
+        return t
+
+    for a, b in eqs:
+        root[find(a)] = find(b)
+    changed = True
+    while changed:
+        changed = False
+        for s, (f, xs) in enumerate(shapes):
+            for t, (g, ys) in enumerate(shapes):
+                joined = list(map(find, xs)) == list(map(find, ys))
+                if xs and f == g and find(s) != find(t) and joined:
+                    root[find(s)] = find(t)
+                    changed = True
+    return [find(t) for t in range(len(shapes))]
+
+
+@st.composite
+def _term_tables(draw):
+    # constants, then applications of unary symbols 1 and 2 and binary
+    # symbol 3 to earlier terms, each shape once, as a `_Terms` table has
+    shapes = [(None, ())] * draw(st.integers(1, 6))
+    for _ in range(draw(st.integers(0, 16))):
+        fn = draw(st.integers(1, 3))
+        args = tuple(draw(st.integers(0, len(shapes) - 1)) for _ in range(1 if fn < 3 else 2))
+        if (fn, args) not in shapes:
+            shapes.append((fn, args))
+    return shapes
+
+
+_core_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("eq"), st.integers(0, 99), st.integers(0, 99)),
+        st.tuples(st.just("undo"), st.integers(0, 8)),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_term_tables(), _core_ops)
+# c = f1(c), undone, then c = f2(c): no signature the undone merge added
+# may outlive it
+@example(
+    [(None, ()), (1, (0,)), (2, (0,)), (1, (1,)), (2, (1,)), (3, (0, 0)), (1, (4,))],
+    [("eq", 0, 1), ("undo", 0), ("eq", 0, 2)],
+)
+def test_backtracked_closure_is_the_closure_of_the_equations_in_force(shapes, ops):
+    # equation k is asserted under mark k, as the search marks each
+    # equation by its trail position, and undoing to mark k drops the
+    # equations from k on
+    core = pc.CongruenceCore(shapes)
+    eqs: list = []
+    n = len(shapes)
+    for op in ops:
+        if op[0] == "eq":
+            a, b = op[1] % n, op[2] % n
+            core.mark(len(eqs))
+            core.assert_eq(a, b, ("eq", (a, b)))
+            eqs.append((a, b))
+        else:
+            core.backtrack(op[1])
+            del eqs[op[1] :]
+        want = _reference_classes(shapes, eqs)
+        got = [core.find(t) for t in range(n)]
+        forest = core.forest()
+        tops = []  # each term's proof-tree root
+        for t in range(n):
+            top = t
+            for _ in range(n):  # a walk up the forest ends
+                if forest[0][top] is None:
+                    break
+                top = forest[0][top]
+            assert forest[0][top] is None
+            tops.append(top)
+        for a in range(n):
+            for b in range(n):
+                joined = want[a] == want[b]
+                assert (got[a] == got[b]) == joined and (tops[a] == tops[b]) == joined
+                if a == b or not joined:
+                    continue
+                # the forest joins a to b by edges that the equations in
+                # force and congruence justify
+                edges = pc.explain_path(forest, a, b)
+                assert edges[0][0] == a and edges[-1][1] == b
+                assert all(e[1] == d[0] for e, d in zip(edges, edges[1:]))
+                for p, q, reason in edges:
+                    if reason[0] == "eq":
+                        assert reason[1] in eqs and {p, q} == set(reason[1])
+                    else:
+                        (f, xs), (g, ys) = shapes[p], shapes[q]
+                        assert reason == ("cong",) and xs and f == g
+                        assert [want[x] for x in xs] == [want[y] for y in ys]
+
+
+def test_budget_grows_linearly_along_an_equation_chain():
+    # k_i = k_(i+1) | f1(k_i) = k_(i+1): one closure per search charges each
+    # merge once, where a closure rebuilt at every node charged the merges
+    # above it again (20,300 at n = 100, and out of budget at n = 300)
+    f = FnSym("f1", 1)
+
+    def spent(n):
+        ks = [App(FnSym(f"k{i}", 0)) for i in range(n + 1)]
+        res = pc.ground_refute(
+            [Or(sx.eq(ks[i], ks[i + 1]), sx.eq(App(f, (ks[i],)), ks[i + 1])) for i in range(n)]
+        )
+        assert isinstance(res, pc.Saturated)
+        return res.spent
+
+    at_100 = spent(100)
+    spent(300)
+    assert spent(1000) <= 11 * at_100
 
 
 def test_deep_terms_equal_below_are_refuted_and_replay():
@@ -382,12 +509,18 @@ def test_certificates_always_replay_on_random_refutables():
     assert found >= 10
 
 
-# The SHA-256 of what `ground_refute`, certificates on, gives on every
-# problem of `_pinned_problems`: the verdict's class, the budget spent, and
-# the rendered steps or the sorted model.  It was recorded while the refuter
-# still worked on formula nodes, before it numbered each problem's atoms and
-# terms; any change to a verdict, a spent figure or a step changes it.
-PINNED_DIGEST = "ba86cf8bd0489df87e10abac634d257c0344c5b3ea1d443e92020c01cc9989ec"
+# Two SHA-256 digests of what `ground_refute`, certificates on, gives on
+# every problem of `_pinned_problems`.  VERDICTS_DIGEST pins each verdict's
+# class and a Saturated one's sorted model: it has held since the refuter
+# still worked on formula nodes, before it numbered each problem's atoms
+# and terms, and through the change to one backtracking congruence closure
+# per search.  COSTS_DIGEST pins each verdict's `spent` and a refutation's
+# rendered steps: it was recorded when that closure began to charge each
+# merge once, when it is made; the steps themselves were the same before.
+# Any change to a verdict, a model, a spent figure or a step changes one
+# of them.
+VERDICTS_DIGEST = "4fc2d32c9197ef152618d4c429b7e811a514cf1222f147a02558d7989cfad365"
+COSTS_DIGEST = "6f296b5bfe0113e02717cb996803f870d71bdd3955c9aa81ad239a09d3c7fd1d"
 
 
 def _pinned_problems():
@@ -412,30 +545,45 @@ def _rendered(x) -> str:
     return str(x)
 
 
-def test_verdicts_spent_models_and_certificates_are_pinned():
-    # The digest pins behaviour.  The towers give one problem more than 256
-    # distinct terms under equations, so term ids run past CPython's
-    # small-int cache; each id is one int object made once by its table, so
-    # `is` on ids would pass here too, and `==` is kept by design, not by
-    # this test.  The assertion below only guards that the data still holds
-    # such a problem.
-    problems = _pinned_problems()
+def pinned_digests() -> tuple[str, str]:
+    """The verdicts digest and the costs digest of `_pinned_problems`."""
+    verdicts, costs = hashlib.sha256(), hashlib.sha256()
+    for problem in _pinned_problems():
+        res = pc.ground_refute(problem)
+        model = ""
+        if isinstance(res, pc.Saturated):
+            model = _rendered(sorted((sx.render(a), v) for a, v in res.model.assignment.items()))
+        steps = _rendered(res.steps) if isinstance(res, pc.Refutation) else ""
+        verdicts.update(f"{type(res).__name__} {model}\n".encode())
+        costs.update(f"{res.spent} {steps}\n".encode())
+    return verdicts.hexdigest(), costs.hexdigest()
+
+
+def test_pinned_problems_hold_a_table_past_the_small_int_cache():
+    # The towers give one problem more than 256 distinct terms under
+    # equations, so term ids run past CPython's small-int cache; each id is
+    # one int object made once by its table, so `is` on ids would pass the
+    # digests too, and `==` is kept by design, not by them.  This only
+    # guards that the data still holds such a problem.
     atoms = [
         [d.body if isinstance(d, Not) else d for f in p for d in sx.disjuncts(f)]
-        for p in problems
+        for p in _pinned_problems()
     ]
     assert max(len(ground_subterms([a for a in p if a.pred == sx.EQ])) for p in atoms) > 256
-    digest = hashlib.sha256()
-    for problem in problems:
-        res = pc.ground_refute(problem)
-        if isinstance(res, pc.Refutation):
-            body = _rendered(res.steps)
-        elif isinstance(res, pc.Saturated):
-            body = _rendered(sorted((sx.render(a), v) for a, v in res.model.assignment.items()))
-        else:
-            body = ""
-        digest.update(f"{type(res).__name__} {res.spent} {body}\n".encode())
-    assert digest.hexdigest() == PINNED_DIGEST
+
+
+def test_verdicts_spent_models_and_certificates_are_pinned():
+    # in a fresh interpreter at each of two hash seeds: the search, its
+    # models and its certificates depend on no set or dict order of nodes
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join(map(str, (tests.parent / "src", tests)))
+    run = "import test_propcalc as t; print(*t.pinned_digests())"
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed)
+        out = subprocess.run(
+            [sys.executable, "-c", run], env=env, capture_output=True, text=True, check=True
+        ).stdout.split()
+        assert out == [VERDICTS_DIGEST, COSTS_DIGEST], f"PYTHONHASHSEED={hash_seed}"
 
 
 # --- the search: watched positions, the trail, backtracking ----------------
@@ -750,17 +898,40 @@ def test_replay_refuses_a_malformed_certificate_by_a_check_error(name):
         checker.replay(checker.Refutation(steps), inputs)
 
 
+# A split whose branch is the very list that holds it: without the check,
+# replay pushes it without end, so it is replayed in a process of its own
+# under a memory limit and a timeout.
+_SELF_HOLDING = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from proofkit import checker
+from proofkit.errors import CheckError
+from proofkit.syntax import Atom, Not, PredSym
+a, c = (Atom(PredSym(name, 0)) for name in "ac")
+holds_itself = []
+holds_itself.append(("split", a, holds_itself, [("input", c)]))
+try:
+    checker.replay(checker.Refutation(holds_itself), [c, Not(c)])
+except CheckError as e:
+    print(e)
+"""
+
+
 def test_replay_refuses_a_branch_it_meets_twice():
-    # a certificate is a tree: a split whose branch is the very list that
-    # holds it would be pushed without end, and one branch shared by both
-    # sides of a split, though it refutes either way, is no tree either
+    # a certificate is a tree: a split that holds itself is none, and one
+    # branch shared by both sides of a split, though it refutes either way,
+    # is no tree either
+    src = Path(checker.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", _SELF_HOLDING],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert (done.returncode, done.stdout) == (0, "a certificate branch occurs in it twice\n")
     inputs = [C, Not(C)]
-    holds_itself: list = []
-    holds_itself.append(("split", A, holds_itself, [("input", C)]))
     shared = [("input", C), ("input", Not(C)), ("resolve", 1, 2)]
-    for steps in (holds_itself, [("split", A, shared, shared)]):
-        with pytest.raises(CheckError, match="^a certificate branch occurs in it twice$"):
-            checker.replay(checker.Refutation(steps), inputs)
+    with pytest.raises(CheckError, match="^a certificate branch occurs in it twice$"):
+        checker.replay(checker.Refutation([("split", A, shared, shared)]), inputs)
     assert checker.replay(checker.Refutation([("split", A, shared, list(shared))]), inputs)
 
 
