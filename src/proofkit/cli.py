@@ -40,8 +40,7 @@ def _budget(args, default: int = kscripts.DEFAULT_SCRIPT_BUDGET) -> int:
 
 
 def _loose_symbols(bundle):
-    st = sx.SymbolTable(bundle.symbols.language, bundle.symbols.order, auto_predicates=True)
-    return st
+    return sx.SymbolTable(bundle.symbols, bundle.symbols.order, auto_predicates=True)
 
 
 def cmd_parse(args) -> int:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import CheckError, ParseError
@@ -41,33 +40,35 @@ class Command(NamedTuple):
     branches: Optional[tuple] = None  # (l1, l2, l3) for case commands
 
 
-@dataclass(frozen=True)
-class Machine:
+class Machine(NamedTuple):
     index: int  # iota: number of inputs
     registers: int  # mu > iota; register mu is the output
     states: int  # kappa; state kappa is the halt state
     commands: tuple  # commands[i] drives state i+1; length kappa-1
 
-    def __post_init__(self):
-        if self.registers <= self.index:
-            raise CheckError("need more registers than inputs")
-        if self.states < 1:
-            raise CheckError("at least the halt state is required")
-        if len(self.commands) != self.states - 1:
-            raise CheckError("every non-halt state needs exactly one command")
-        for c in self.commands:
-            if not 1 <= c.reg <= self.registers:
-                raise CheckError(f"register {c.reg} out of range")
-            if c.op == "case":
-                if c.branches is None or len(c.branches) != 3:
-                    raise CheckError("case commands carry three targets")
-                if any(not 1 <= l <= self.states for l in c.branches):
-                    raise CheckError("case target out of range")
-            else:
-                if c.dst is None or not 1 <= c.dst <= self.registers:
-                    raise CheckError("store destination out of range")
-                if c.goto is None or not 1 <= c.goto <= self.states:
-                    raise CheckError("goto target out of range")
+
+def checked(m: Machine) -> Machine:
+    """m, once its fields are found in range: for a machine read from outside."""
+    if m.registers <= m.index:
+        raise CheckError("need more registers than inputs")
+    if m.states < 1:
+        raise CheckError("at least the halt state is required")
+    if len(m.commands) != m.states - 1:
+        raise CheckError("every non-halt state needs exactly one command")
+    for c in m.commands:
+        if not 1 <= c.reg <= m.registers:
+            raise CheckError(f"register {c.reg} out of range")
+        if c.op == "case":
+            if c.branches is None or len(c.branches) != 3:
+                raise CheckError("case commands carry three targets")
+            if any(not 1 <= l <= m.states for l in c.branches):
+                raise CheckError("case target out of range")
+        else:
+            if c.dst is None or not 1 <= c.dst <= m.registers:
+                raise CheckError("store destination out of range")
+            if c.goto is None or not 1 <= c.goto <= m.states:
+                raise CheckError("goto target out of range")
+    return m
 
 
 class Configuration(NamedTuple):
@@ -319,7 +320,8 @@ def _machines(len_cap: int) -> Iterator[tuple[str, Machine]]:
     """(encoding, machine) for every string of at most len_cap bits that
     decode_machine accepts, ordered by length then lexicographically.  Each
     machine is built from the fields its encoding is assembled from, when
-    it is yielded; the machine is the one decode_machine would return."""
+    it is yielded; the machine is the one decode_machine would return, and
+    its fields are in range as built, so it is not checked."""
     by_length: list[list] = [[] for _ in range(len_cap + 1)]
     for kappa in itertools.count(1):
         sw = _field_width(kappa)
@@ -369,7 +371,7 @@ def decode_machine(bits: str) -> Machine:
             cmds.append(Command(op, reg, dst, goto))
     if not r.done():
         raise CheckError("trailing bits")
-    return Machine(0, mu, kappa, tuple(cmds))
+    return checked(Machine(0, mu, kappa, tuple(cmds)))
 
 
 class KBound(NamedTuple):
@@ -510,7 +512,7 @@ def parse_machine(text: str) -> Machine:
     extra = set(commands) - set(range(1, kappa))
     if extra:
         raise ParseError(f"commands for unknown states {sorted(extra)}")
-    return Machine(iota, mu, kappa, tuple(cmds))
+    return checked(Machine(iota, mu, kappa, tuple(cmds)))
 
 
 def const0_machine() -> Machine:

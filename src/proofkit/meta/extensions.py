@@ -660,7 +660,7 @@ class _RemapSymbols(sx.SymbolTable):
     predicate symbols, leaving everything else alone."""
 
     def __init__(self, inner: sx.SymbolTable, override: dict):
-        super().__init__(inner.language, inner.order)
+        super().__init__(inner, inner.order)
         self._override = override
 
     def pred(self, name):
@@ -702,8 +702,8 @@ def instantiate_schema(bundle: TheoryBundle, phi_label: str) -> Registry:
         definiens = sx.map_atoms(definiens, swap)
         name = f"{stage.symbol.name}_{phi_label}"
         st2 = reg2.define_predicate(f"{label}_{phi_label}", name, definiens)
-        if bundle.symbols.language.pred(name) is None:
-            bundle.symbols.language = bundle.symbols.language.extend(predicates=[st2.symbol])
+        if bundle.symbols.pred(name) is None:
+            bundle.symbols.add(st2.symbol)
         bundle.stages[st2.symbol] = st2
         mapping[stage.symbol] = st2.symbol
         out.add(kscripts.Entry(label, "definition", st2.axiom, "schema"))

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import CheckError, ParseError
+from .errors import ArityError, CheckError, ParseError
 from . import extend
 from . import syntax as sx
 from .kernel import Registry, Theory, bsi_template, scripts as kscripts
@@ -76,7 +76,7 @@ from .syntax import (
 
 DATA_DIR = Path(__file__).parent / "data"
 
-S_LANGUAGE = sx.Language((EPS, S0, S1, PD, CAT, ZPROD), (), EPS)
+S_LANGUAGE = (EPS, S0, S1, PD, CAT, ZPROD)  # the base function symbols
 
 
 # ---------------------------------------------------------------------------
@@ -501,18 +501,21 @@ def load_theory(path: Optional[Path] = None) -> TheoryBundle:
 
     def base_chain():
         theory = Theory("S", tuple(axioms), EPS)
-        return extend.DefinitionRegistry(theory, declared=S_LANGUAGE.functions)
+        return extend.DefinitionRegistry(theory, declared=S_LANGUAGE)
+
+    def add(symbol, what: str, lineno: int):
+        try:
+            symbols.add(symbol)
+        except ArityError as e:
+            raise ParseError(f"{what}: {e}", lineno, 1) from None
 
     def define(label: str, stage: extend.Stage, lineno: int):
         if bundle.stages.get(stage.symbol) is stage:  # an earlier line made it
             message = f"definition {label} repeats the definiens of {stage.label}"
             raise ParseError(message, lineno, 1)
-        if isinstance(stage.symbol, PredSym):
-            symbols.language = symbols.language.extend(predicates=[stage.symbol])
-            if in_schema:
-                bundle.schema_symbols += (stage.symbol,)
-        else:
-            symbols.language = symbols.language.extend(functions=[stage.symbol])
+        add(stage.symbol, f"definition {label}", lineno)
+        if in_schema and isinstance(stage.symbol, PredSym):
+            bundle.schema_symbols += (stage.symbol,)
         bundle.stages[stage.symbol] = stage
         registry.add_definition(label, stage.axiom, "schema" if in_schema else "base")
 
@@ -573,7 +576,7 @@ def load_theory(path: Optional[Path] = None) -> TheoryBundle:
         if line == "schema phi":
             in_schema = True
             phi = PredSym("phi", 1)
-            symbols.language = symbols.language.extend(predicates=[phi])
+            add(phi, "schema phi", lineno)
             chain = bundle.schema = bundle.definitions.continued(phi)
             continue
         raise ParseError(f"unrecognized theory line: {line!r}", lineno, 1)
@@ -715,8 +718,56 @@ def random_string(rng: random.Random, maxlen: int) -> str:
     return out
 
 
-# the most assignments fuzz_axioms makes for one axiom's exhaustive check
+# the most assignments, random bits, or characters of one value that
+# fuzz_axioms allows an axiom
 MAX_EXHAUSTIVE = 10**8
+
+# each builtin's longest value, given its arguments' longest values
+LENGTH_BOUNDS = {
+    "eps": lambda: 0,
+    "s0": lambda a: a + 1,
+    "s1": lambda a: a + 1,
+    "pd": lambda a: a,
+    "cat": lambda a, b: a + b,
+    "zprod": lambda a, b: a * b,
+}
+
+
+def _longest_value(f: Formula, maxlen: int, bundle) -> int:
+    """The most characters a term of f can hold when each variable holds at
+    most maxlen: an explicitly defined symbol's through its body.  A term
+    with no value (a special constant, or a symbol without an explicit body,
+    which evaluation refuses) counts nothing."""
+    longest = 0
+
+    def length(t: Term, lens: dict) -> Optional[int]:
+        nonlocal longest
+        if isinstance(t, Var):
+            return lens.get(t.name, maxlen)
+        if isinstance(t, sx.SpecialConst):
+            return None
+        args = [length(a, lens) for a in t.args]
+        if None in args:
+            return None
+        rule = LENGTH_BOUNDS.get(t.fn.name)
+        stage = bundle.stages.get(t.fn)
+        if rule is None and stage is not None and stage.explicit_body is not None:
+            body = stage.explicit_body  # its variables bind the arguments, as in apply
+            rule = lambda *args: length(body, dict(zip(sx.free_vars(body), args)))
+        n = None if rule is None else rule(*args)
+        if n is not None:
+            longest = max(longest, n)
+        return n
+
+    todo = [f]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Atom):
+            for a in node.args:
+                length(a, {})
+        else:
+            todo += sx.children(node)
+    return longest
 
 
 def fuzz_axioms(
@@ -732,7 +783,9 @@ def fuzz_axioms(
     to its code as a tuple; only a counterexample becomes a dict.  A run
     whose samples could hold more than MAX_EXHAUSTIVE random bits for the
     widest axiom, or whose exhaustive length gives it more than
-    MAX_EXHAUSTIVE assignments, is refused before anything is drawn."""
+    MAX_EXHAUSTIVE assignments, or where a term of an axiom could be more
+    than MAX_EXHAUSTIVE characters long, is refused before anything is
+    drawn."""
     axioms = [(lbl, bundle.registry.entries[lbl].statement) for lbl in bundle.registry.order
               if bundle.registry.entries[lbl].kind == "axiom"]
     width = max((len(sx.free_vars(f)) for _, f in axioms), default=0)
@@ -753,6 +806,14 @@ def fuzz_axioms(
                 f"axiom's {width} variables, more than {MAX_EXHAUSTIVE}"
             )
         strings = _all_strings(exhaustive_len)
+    top = max(maxlen, exhaustive_len)
+    for label, f in axioms:
+        longest = _longest_value(f, top, bundle)
+        if longest > MAX_EXHAUSTIVE:
+            raise CheckError(
+                f"axiom {label} has a term that may be {longest} characters long on strings "
+                f"up to {top} bits long, more than {MAX_EXHAUSTIVE}"
+            )
     reader = _StringReader(random.Random(seed))
     checked = 0
     bad = []

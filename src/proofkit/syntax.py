@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import re
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import is_not as _is_not
 from typing import Iterable, Mapping, Optional, Sequence
@@ -40,44 +39,6 @@ S1 = FnSym("s1", 1)
 PD = FnSym("pd", 1)
 CAT = FnSym("cat", 2)
 ZPROD = FnSym("zprod", 2)
-
-
-@dataclass(frozen=True)
-class Language:
-    """Ordered nonlogical symbols plus the distinguished constant (the
-    symbol playing the role of 0; for string arithmetic it is eps)."""
-
-    functions: tuple[FnSym, ...]
-    predicates: tuple[PredSym, ...]
-    zero: FnSym
-
-    def __post_init__(self):
-        # fn and pred look a name up in these tables
-        fns = {f.name: f for f in self.functions}
-        preds = {p.name: p for p in self.predicates}
-        if len(fns.keys() | preds.keys()) != len(self.functions) + len(self.predicates):
-            raise ArityError("duplicate symbol names in language")
-        object.__setattr__(self, "_fns", fns)
-        object.__setattr__(self, "_preds", preds)
-        if self.zero not in self.functions:
-            raise ArityError("language must contain its distinguished constant")
-        if self.zero.arity != 0:
-            raise ArityError("distinguished constant must have index 0")
-        if "=" in preds:
-            raise ArityError("= is logical and never part of a language")
-
-    def extend(self, functions=(), predicates=()):
-        return Language(
-            self.functions + tuple(functions),
-            self.predicates + tuple(predicates),
-            self.zero,
-        )
-
-    def fn(self, name):
-        return self._fns.get(name)
-
-    def pred(self, name):
-        return self._preds.get(name)
 
 
 # how to rebuild a node of each class from new immediate subnodes
@@ -537,26 +498,40 @@ class _Reader:
 
 
 class SymbolTable:
-    """Resolves identifiers while parsing: function and predicate symbols of
-    the language plus registered definitions; unknown identifiers in term
+    """Resolves identifiers while parsing: the language's function and
+    predicate symbols, which definitions extend; unknown identifiers in term
     position are variables.  With auto_predicates, unknown identifiers in
     formula position become predicate symbols of the arity they are first
     used at (handy for ad-hoc propositional work on the command line)."""
 
-    def __init__(self, language: Language, order: Optional[PredSym] = None, auto_predicates: bool = False):
-        self.language = language
+    def __init__(self, symbols: Iterable, order: Optional[PredSym] = None, auto_predicates: bool = False):
+        self._symbols: dict[str, FnSym | PredSym] = {}
+        for symbol in symbols:
+            self.add(symbol)
         self.order = order  # the binary order symbol the bounded sugar expands with
         self.auto_predicates = auto_predicates
         self._auto: dict[str, PredSym] = {}
 
+    def add(self, symbol):
+        """Add a function or predicate symbol whose name no symbol holds."""
+        if symbol.name == "=":
+            raise ArityError("= is logical and never part of a language")
+        got = self._symbols.get(symbol.name)
+        if got is not None:
+            raise ArityError(f"the name {symbol.name} is taken by {got.name}/{got.arity}")
+        self._symbols[symbol.name] = symbol
+
+    def __iter__(self):
+        """Every symbol added, in the order it was added."""
+        return iter(self._symbols.values())
+
     def fn(self, name):
-        return self.language.fn(name)
+        got = self._symbols.get(name)
+        return got if isinstance(got, FnSym) else None
 
     def pred(self, name):
-        got = self.language.pred(name)
-        if got is None:
-            got = self._auto.get(name)
-        return got
+        got = self._symbols.get(name)
+        return got if isinstance(got, PredSym) else self._auto.get(name)
 
     def auto_pred(self, name, arity):
         if not self.auto_predicates or not _IDENT.match(name):

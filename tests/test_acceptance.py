@@ -179,10 +179,7 @@ def test_criterion_5_normal_form_pipeline():
         except Exception:
             continue
         assert truth_table_consequence(sx.fiff(f, c))
-    quantified = sx.SymbolTable(
-        sx.Language((EPS,), (PredSym("q", 1), PredSym("p", 2)), EPS),
-        auto_predicates=True,
-    )
+    quantified = sx.SymbolTable((EPS, PredSym("q", 1), PredSym("p", 2)), auto_predicates=True)
     rng2 = random.Random(56)
     for text in PRENEX_TEMPLATES:
         f = sx.parse(text, "formula", quantified)
@@ -278,9 +275,7 @@ def test_criterion_8_proof_transformations():
     rng = random.Random(88)
     q = PredSym("q", 1)
     t = Theory("t", (Atom(q, (Var("x"),)), sx.eq(App(sx.PD, (App(EPS),)), App(EPS))), EPS)
-    c = sx.parse(
-        "(exists x (q x))", "formula", sx.SymbolTable(sx.Language((EPS, sx.PD), (q,), EPS))
-    )
+    c = sx.parse("(exists x (q x))", "formula", sx.SymbolTable((EPS, sx.PD, q)))
 
     def random_proof(theory):
         pb = ProofBuilder()

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import demo_valid_28_atoms
 from proofkit import checker, cli, hilbertack, machines, stringarith
-from proofkit.errors import CheckError
+from proofkit.errors import CheckError, ParseError
 from proofkit.kernel import scripts as kscripts
 from proofkit.stringarith import DATA_DIR
 
@@ -604,6 +604,26 @@ def test_theory_file_with_a_repeated_definiens_is_a_usage_error(capsys, tmp_path
     assert err.strip() == "error: definition d2 repeats the definiens of d1 at 4:1"
 
 
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (
+            "define pred d1 p : (= x eps)\ndefine pred d2 p : (= x (s0 eps))\n",
+            "definition d2: the name p is taken by p/1 at 4:1",
+        ),
+        ("define pred d1 eps : (= x eps)\n", "definition d1: the name eps is taken by eps/0 at 3:1"),
+        ("define fun d1 s0 := (cat x x)\n", "definition d1: the name s0 is taken by s0/1 at 3:1"),
+    ],
+)
+def test_theory_file_defining_a_taken_name_is_a_parse_error(capsys, tmp_path, lines, message):
+    path = tmp_path / "clash.th"
+    path.write_text(f"theory T\naxiom a1 : (not (= (s0 x) eps))\n{lines}")
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        stringarith.load_theory(path)
+    code, out, err = run(capsys, "--theory", str(path), "translate", "(= x x)")
+    assert code == 2 and out == "" and err.strip() == f"error: {message}"
+
+
 def test_script_parse_errors_name_their_line(capsys, tmp_path):
     for body, message in (
         ("proof\n  H\n  use a2\nexplicit\n  special a1 ; eps\n", "second proof block in theorem e1 at 5:1"),
@@ -675,10 +695,31 @@ def test_fuzz_axioms_refuses_a_maxlen_past_the_bound(capsys, monkeypatch):
         assert f"may draw {int(samples) * 3 * maxlen} bits, more than 100000000" in err
 
 
+# fuzz-axioms --maxlen 3000 under a 1-GB address-space limit: a15, x times
+# y times z, could build 2.7 * 10^10 characters, so the run is refused
+# before anything is drawn, not ended by the limit
+_FUZZ_UNDER_A_LIMIT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from proofkit import cli
+sys.exit(cli.main(["fuzz-axioms", "--maxlen", "3000"]))
+"""
+
+
+def test_fuzz_axioms_refuses_a_term_past_the_bound_under_a_memory_limit():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", _FUZZ_UNDER_A_LIMIT],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert "axiom a15" in done.stderr and "out of memory" not in done.stderr
+
+
 def test_fuzz_axioms_out_of_memory_exit_two(capsys, monkeypatch):
-    # --maxlen 33333333 passes the bit bound, but the zero-product axioms
-    # would then build strings of about 10^14 characters; the exhaustion is
-    # simulated, never run
+    # --maxlen 33333333 passes the bit bound; the length bound refuses it,
+    # and an exhaustion is simulated here, never run
     def exhausted(*args, **kwargs):
         raise MemoryError
 

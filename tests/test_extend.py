@@ -348,7 +348,7 @@ def test_reduce_image_skips_only_stages_it_cannot_use(monkeypatch, text, walked)
     reg, zee, leq = _zee_leq_registry()
     phi = Atom(leq, (Var("x"), App(S0, (E,))))
     reg.stages.append(extend.Stage("r", "r1", R_ADDED, phi=phi))
-    symbols = sx.SymbolTable(sx.Language(DECL + (zee,), (Q, leq), EPS))
+    symbols = sx.SymbolTable(DECL + (zee, Q, leq))
     f = sx.parse(text, "formula", symbols)
     want = _reduce_through_every_stage(reg, f)
     walks = stage_walks(monkeypatch)

@@ -45,7 +45,6 @@ from proofkit.syntax import (
     Atom,
     Exists,
     FnSym,
-    Language,
     Not,
     Or,
     PredSym,
@@ -61,7 +60,7 @@ from proofkit.syntax import (
 
 Q = PredSym("q", 1)
 P2 = PredSym("p", 2)
-LANG = Language((EPS, S0, S1, PD, CAT, ZPROD), (Q, P2), EPS)
+LANG = (EPS, S0, S1, PD, CAT, ZPROD, Q, P2)
 ST = SymbolTable(LANG)
 TOY = Theory("toy", (), EPS)
 E = App(EPS)

@@ -10,13 +10,13 @@ from proofkit.errors import CheckError, ParseError
 
 def test_machine_validation():
     with pytest.raises(CheckError):
-        rm.Machine(1, 1, 2, (rm.Command("prepend0", 1, 1, 2),))  # mu <= iota
+        rm.checked(rm.Machine(1, 1, 2, (rm.Command("prepend0", 1, 1, 2),)))  # mu <= iota
     with pytest.raises(CheckError):
-        rm.Machine(0, 1, 2, (rm.Command("prepend0", 5, 1, 2),))  # register range
+        rm.checked(rm.Machine(0, 1, 2, (rm.Command("prepend0", 5, 1, 2),)))  # register range
     with pytest.raises(CheckError):
-        rm.Machine(0, 1, 2, (rm.Command("case", 1, branches=(1, 2, 9)),))
+        rm.checked(rm.Machine(0, 1, 2, (rm.Command("case", 1, branches=(1, 2, 9)),)))
     with pytest.raises(CheckError):
-        rm.Machine(0, 1, 3, (rm.Command("prepend0", 1, 1, 2),))  # missing command
+        rm.checked(rm.Machine(0, 1, 3, (rm.Command("prepend0", 1, 1, 2),)))  # missing command
 
 
 def test_step_semantics_store_commands():
@@ -342,6 +342,21 @@ state 3 : prepend1 2 -> 2 goto 4
 """
     m = rm.parse_machine(text)
     assert rm.run(m, ["0"]).output == "0"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("state 1 : prepend0 2 -> 2 goto 3", "goto target out of range"),
+        ("state 1 : case 1 ? 2 2 9", "case target out of range"),
+        ("state 1 : pred 5 -> 2 goto 2", "register 5 out of range"),
+        ("state 1 : prepend1 2 -> 3 goto 2", "store destination out of range"),
+    ],
+)
+def test_parse_machine_refuses_fields_out_of_range(line, message):
+    # the fields of a machine file are checked where they are read
+    with pytest.raises(CheckError, match=f"^{message}$"):
+        rm.parse_machine(f"machine i=1 m=2 k=2\n{line}\n")
 
 
 def test_parse_machine_errors():

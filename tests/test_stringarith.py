@@ -710,23 +710,58 @@ def test_lengths_needing_more_than_one_word_are_refused(maxlen):
     assert rng.getstate() == state
 
 
-def test_fuzz_axioms_refuses_more_random_bits_than_the_bound(bundle, monkeypatch):
+def test_fuzz_axioms_refuses_more_random_bits_than_the_bound(bundle, monkeypatch, tmp_path):
     # The widest axioms have three variables: one sample of up to
     # 33,333,333 bits each may draw 99,999,999 bits, one bit more per
-    # variable is over 10^8.  A refused run draws nothing.
+    # variable is over 10^8.  A refused run draws nothing.  The run that
+    # draws has a10 alone, whose longest term, 99,999,999 characters, is
+    # within the length bound that the zero-product axioms exceed.
     def empty(reader, maxlen, count):
         drawn.append(maxlen)
         return [""] * count
 
     drawn = []
     monkeypatch.setattr(sa._StringReader, "strings", empty)
-    rep = sa.fuzz_axioms(bundle, samples=1, maxlen=33_333_333)
+    path = tmp_path / "a10.th"
+    path.write_text("theory T\naxiom a10 : (= (cat x (cat y z)) (cat (cat x y) z))\n")
+    rep = sa.fuzz_axioms(sa.load_theory(path), samples=1, maxlen=33_333_333)
     assert rep.ok and drawn and set(drawn) == {33_333_333}
     drawn.clear()
     for samples, maxlen, bits in ((1, 33_333_334, 100_000_002), (200, 2**32 - 1, 200 * 3 * (2**32 - 1))):
         with pytest.raises(CheckError, match=f"may draw {bits} bits, more than 100000000"):
             sa.fuzz_axioms(bundle, samples=samples, maxlen=maxlen)
     assert drawn == []
+
+
+def test_fuzz_axioms_refuses_a_term_longer_than_the_bound(bundle, monkeypatch):
+    # a15's terms hold up to maxlen^3 characters: 464^3 = 99,897,344 is
+    # within 10^8 and 465^3 is not, whether or not anything is sampled.
+    # A refused run reads no random word.
+    assert sa.fuzz_axioms(bundle, samples=0, maxlen=464).checked == 0
+
+    def never(*args):
+        raise AssertionError("read random words before refusing")
+
+    monkeypatch.setattr(sa._StringReader, "refill", never)
+    message = (
+        "axiom a15 has a term that may be 100544625 characters long on strings "
+        "up to 465 bits long, more than 100000000"
+    )
+    for samples in (0, 1):
+        with pytest.raises(CheckError, match=f"^{message}$"):
+            sa.fuzz_axioms(bundle, samples=samples, maxlen=465)
+
+
+def test_fuzz_axioms_bounds_a_defined_symbol_through_its_body(tmp_path):
+    # zee x is (s0 eps) times x: one character per character of x, so
+    # (zee (zprod x x)) holds maxlen^2
+    path = tmp_path / "zee.th"
+    path.write_text("theory T\naxiom a6 : (= (cat eps x) x)\ndefine fun d25 zee := (zprod (s0 eps) x)\n")
+    b = sa.load_theory(path)
+    b.registry.add_axiom("z1", sx.parse("(= (zee (zprod x x)) (zprod x x))", "formula", b.symbols))
+    assert sa._longest_value(b.registry.entries["z1"].statement, 10_000, b) == 10**8
+    with pytest.raises(CheckError, match="^axiom z1 has a term that may be 100020001 characters"):
+        sa.fuzz_axioms(b, samples=0, maxlen=10_001)
 
 
 def test_fuzz_axioms_counterexamples_are_pinned(bundle, monkeypatch):

@@ -13,7 +13,6 @@ from proofkit.syntax import (
     Atom,
     Exists,
     FnSym,
-    Language,
     Not,
     Or,
     PredSym,
@@ -30,7 +29,7 @@ from proofkit.syntax import (
 
 Q = PredSym("q", 1)
 P2 = PredSym("p", 2)
-LANG = Language((EPS, S0, S1, PD, CAT, ZPROD), (Q, P2), EPS)
+LANG = (EPS, S0, S1, PD, CAT, ZPROD, Q, P2)
 ST = SymbolTable(LANG)
 
 
@@ -89,7 +88,7 @@ def test_parse_desugars_iff():
 
 def test_parse_bounded_quantifier_expansion():
     leq = PredSym("leq", 2)
-    st2 = SymbolTable(LANG.extend(predicates=[leq]), order=leq)
+    st2 = SymbolTable(LANG + (leq,), order=leq)
     f = sx.parse("(exists<= x b (q x))", "formula", st2)
     # exists x not [ not leq(x,b) v not q(x) ]
     assert f == Exists(
