@@ -55,20 +55,13 @@ def is_identity_instance(f: Formula, closed=nodes.is_variable_free) -> bool:
 
 
 def as_horn(f: Formula):
-    """Read f as hypotheses -> conclusion: in the clause form
-    -h1 v ... v -hk v c, which the emitter writes, else in the conjunction
-    form  h1 & ... & hk -> c.  Where both apply (k = 1) they agree."""
+    """Read f as hypotheses -> conclusion in the clause form
+    -h1 v ... v -hk v c (k >= 1) over atoms, which the emitter writes."""
     parts = nodes.disjuncts(f)
     concl = parts[-1]
     hyps = [p.body for p in parts[:-1] if isinstance(p, Not) and isinstance(p.body, Atom)]
     if len(parts) >= 2 and isinstance(concl, Atom) and len(hyps) == len(parts) - 1:
         return hyps, concl
-    pair = nodes.as_imp(f)
-    if pair is not None:
-        hyp, concl = pair
-        parts = nodes.conjuncts(hyp)
-        if all(isinstance(p, Atom) for p in parts) and isinstance(concl, Atom):
-            return parts, concl
     return None
 
 

@@ -376,7 +376,8 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ProofkitError, OSError) as e:
+    # a UnicodeDecodeError is an input file that is not UTF-8 text
+    except (ProofkitError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:

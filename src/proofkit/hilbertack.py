@@ -179,7 +179,7 @@ def ha_step(
         rho0 = theory.rank_profile()
     if analysis is None:
         analysis = _Analysis(theory, budget)
-    if any(not (sx.is_open(a) and sx.is_plain(a)) for a in theory.axioms):
+    if not theory.is_open():
         raise CheckError("the eliminator requires plain nonlogical axioms")
     prof = analysis.profile(seq)
     if not prof.valid:

@@ -130,7 +130,7 @@ def classify_matched(
         return DeltaClass("identity")
     misses.append("not an identity formula")
 
-    if checker.is_equality_axiom_instance(f):
+    if checker.is_equality_axiom_instance(clause_spelling(f)):
         return DeltaClass("equality")
     misses.append("not an equality formula")
 
@@ -140,6 +140,20 @@ def classify_matched(
             return DeltaClass("axiom-instance", detail=(k, tuple(sorted(binding.items()))))
     misses.append(f"not a closed instance of any of the {len(theory.axioms)} axioms")
     raise CheckError("; ".join(misses))
+
+
+def clause_spelling(f: Formula) -> Formula:
+    """A Hilbert line h1 & ... & hk -> c over atoms respelled as the clause
+    -h1 v ... v -hk v c, the one spelling of an axiom instance that the
+    certificate checker reads; any other formula unchanged."""
+    pair = sx.as_imp(f)
+    if pair is None:
+        return f
+    hyp, concl = pair
+    parts = sx.conjuncts(hyp)
+    if not (isinstance(concl, Atom) and all(isinstance(p, Atom) for p in parts)):
+        return f
+    return sx.disj([Not(p) for p in parts] + [concl])
 
 
 def match_special(f: Formula) -> Optional[DeltaClass]:

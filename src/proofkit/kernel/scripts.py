@@ -293,9 +293,8 @@ def _parse_use(line: str, lineno: int) -> UseLine:
 
 def _parse_explicit(line: str, lineno: int) -> ExplicitStep:
     if line.startswith("special "):
+        # matches: the line is stripped, so a non-space follows "special "
         m = re.match(r"special\s+(\S+)(.*?)(?:\s+conjunct\s+(\d+))?$", line)
-        if not m:
-            raise ParseError("malformed special step", lineno, 1)
         label = m.group(1)
         items = _split_items(m.group(2), lineno)
         k = int(m.group(3)) if m.group(3) else None
@@ -403,7 +402,6 @@ def check_script(
 
         segments: list[tuple[list, Optional[Formula]]] = []
         pending: list = []
-        claims: list[Formula] = []
         for item in script.lines:
             if isinstance(item, UseLine):
                 pending.append(item)

@@ -271,7 +271,7 @@ def _reduce_p(theory: Theory, stage: Stage, proof: ProofObject) -> ProofObject:
                 return pb.taut(g, ())
         # an equality formula for the defined predicate becomes an instance
         # of the equality theorem
-        horn = checker.as_horn(f)
+        horn = checker.as_horn(core.clause_spelling(f))
         if horn is not None:
             parts, concl = horn
             prem = parts[-1]
@@ -413,7 +413,7 @@ def _reduce_f(theory: Theory, stage: Stage, proof: ProofObject) -> ProofObject:
                 # backward: D(as, b) & D(as, r) -> b = r by UC
                 uc_idx = derive_uc_at(pb, arg_terms, b_term, r)
                 return quasitaut_gap(pb, g, (d_r, eq_idx, uc_idx))
-        horn = checker.as_horn(f_line)
+        horn = checker.as_horn(core.clause_spelling(f_line))
         if horn is not None:
             parts, concl = horn
             if (

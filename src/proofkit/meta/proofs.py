@@ -555,51 +555,38 @@ def negation_form_proof(f: Formula):
 
 
 def _pull_redex(f: Formula):
-    """Outermost-leftmost redex of the prenex rewrite system: (path, lhs,
-    rhs) or None.  At a node with quantifiers on both operands the left one
-    is pulled first."""
+    """Innermost-leftmost redex of the prenex rewrite system: (path, lhs,
+    rhs) or None.  A node's operands are made prenex before its own
+    quantifiers are pulled, the left operand's first, so the rewrites build
+    the prefix normform.to_prenex builds."""
 
-    def pull(rebuild, operands):
-        """Pull the first quantified operand's quantifier above rebuild."""
+    def walk(g, path):
+        pair = as_all(g)
+        if pair is not None:
+            return walk(pair[1], path + (("all", g),))
+        if isinstance(g, Exists):
+            return walk(g.body, path + (("ex", g),))
+        pair = as_and(g)
+        if pair is not None:
+            rebuild, operands, tags = fand, pair, ("and-l", "and-r")
+        elif isinstance(g, Or):
+            rebuild, operands, tags = Or, (g.left, g.right), ("or-l", "or-r")
+        elif isinstance(g, (Atom, Not)):
+            return None  # literal in negation form
+        else:
+            raise TypeError(g)
+        for operand, tag in zip(operands, tags):
+            inner = walk(operand, path + ((tag, g),))
+            if inner is not None:
+                return inner
+        # pull the first quantified operand's quantifier above g
         for i, operand in enumerate(operands):
             q = _quant(operand)
             if q is not None:
                 kind, x, b = q
                 inner = rebuild(*operands[:i], b, *operands[i + 1 :])
-                return Exists(x, inner) if kind == "E" else fall(x, inner)
+                return (path, g, Exists(x, inner) if kind == "E" else fall(x, inner))
         return None
-
-    def node_rewrite(g):
-        pair = as_and(g)
-        if pair is not None:
-            return pull(fand, pair)
-        if isinstance(g, Or):
-            return pull(Or, (g.left, g.right))
-        return None
-
-    def walk(g, path):
-        if isinstance(g, Atom):
-            return None
-        got = node_rewrite(g)
-        if got is not None:
-            return (path, g, got)
-        pair = as_all(g)
-        if pair is not None:
-            return walk(pair[1], path + (("all", g),))
-        pair = as_and(g)
-        if pair is not None:
-            return walk(pair[0], path + (("and-l", g),)) or walk(
-                pair[1], path + (("and-r", g),)
-            )
-        if isinstance(g, Exists):
-            return walk(g.body, path + (("ex", g),))
-        if isinstance(g, Or):
-            return walk(g.left, path + (("or-l", g),)) or walk(
-                g.right, path + (("or-r", g),)
-            )
-        if isinstance(g, Not):
-            return None  # literal in negation form
-        raise TypeError(g)
 
     return walk(f, ())
 
@@ -716,27 +703,15 @@ def _lift_iff(pb: ProofBuilder, path, rhs, sub, leaf) -> int:
     raise AssertionError(tag)
 
 
+# the child indices each tag of a redex path steps through, as
+# normform.leftmost_quantifier addresses a negation-form formula
+_TAG_INDICES = {
+    "or-l": (0,), "or-r": (1,), "and-l": (0, 0, 0), "and-r": (0, 1, 0), "all": (0, 0, 0), "ex": (0,),
+}
+
+
 def _rebuild(node: Formula, path, rhs: Formula) -> Formula:
-    if not path:
-        return rhs
-    (tag, n), rest = path[0], path[1:]
-    assert n == node
-    if tag == "or-l":
-        return Or(_rebuild(node.left, rest, rhs), node.right)
-    if tag == "or-r":
-        return Or(node.left, _rebuild(node.right, rest, rhs))
-    if tag == "and-l":
-        a, b = as_and(node)
-        return fand(_rebuild(a, rest, rhs), b)
-    if tag == "and-r":
-        a, b = as_and(node)
-        return fand(a, _rebuild(b, rest, rhs))
-    if tag == "all":
-        x, body = as_all(node)
-        return fall(x, _rebuild(body, rest, rhs))
-    if tag == "ex":
-        return Exists(node.var, _rebuild(node.body, rest, rhs))
-    raise AssertionError(tag)
+    return sx.replace_at(node, [i for tag, _ in path for i in _TAG_INDICES[tag]], rhs)
 
 
 def prenex_prefix(f: Formula):

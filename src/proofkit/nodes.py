@@ -220,19 +220,6 @@ def as_and(f: Formula):
     return None
 
 
-def as_imp(f: Formula):
-    if isinstance(f, Or) and isinstance(f.left, Not):
-        return f.left.body, f.right
-    return None
-
-
-def conjuncts(f: Formula) -> list[Formula]:
-    pair = as_and(f)
-    if pair is None:
-        return [f]
-    return conjuncts(pair[0]) + conjuncts(pair[1])
-
-
 def disjuncts(f: Formula) -> list[Formula]:
     """The leaves of f's tree of disjunctions, left to right.  The right
     spine is followed in a loop, so a long clause built by `disj` costs no

@@ -783,9 +783,10 @@ def fuzz_axioms(
     to its code as a tuple; only a counterexample becomes a dict.  A run
     whose samples could hold more than MAX_EXHAUSTIVE random bits for the
     widest axiom, or whose exhaustive length gives it more than
-    MAX_EXHAUSTIVE assignments, or where a term of an axiom could be more
+    MAX_EXHAUSTIVE assignments or the strings up to that length more than
+    MAX_EXHAUSTIVE characters, or where a term of an axiom could be more
     than MAX_EXHAUSTIVE characters long, is refused before anything is
-    drawn."""
+    drawn or built."""
     axioms = [(lbl, bundle.registry.entries[lbl].statement) for lbl in bundle.registry.order
               if bundle.registry.entries[lbl].kind == "axiom"]
     width = max((len(sx.free_vars(f)) for _, f in axioms), default=0)
@@ -804,6 +805,14 @@ def fuzz_axioms(
             raise CheckError(
                 f"exhaustive length {exhaustive_len} gives {shown} assignments to an "
                 f"axiom's {width} variables, more than {MAX_EXHAUSTIVE}"
+            )
+        # the 2^k strings of each length k <= n hold k * 2^k characters,
+        # (n - 1) * 2^(n + 1) + 2 in all
+        chars = (exhaustive_len - 1) * 2 ** (exhaustive_len + 1) + 2
+        if chars > MAX_EXHAUSTIVE:
+            raise CheckError(
+                f"exhaustive length {exhaustive_len} builds strings of {chars} "
+                f"characters in all, more than {MAX_EXHAUSTIVE}"
             )
         strings = _all_strings(exhaustive_len)
     top = max(maxlen, exhaustive_len)

@@ -21,11 +21,11 @@ from . import nodes
 from .errors import ArityError, CaptureError, ParseError
 from .nodes import (
     EQ, App, Atom, Exists, FnSym, Formula, Node, Not, Or, PredSym, SpecialConst, Term, Var,
-    as_and, as_imp, children, free_vars, occurring_var_names,
+    as_and, children, free_vars, occurring_var_names,
 )
 
 # core names that syntax's callers reach through it, unused in syntax itself
-conjuncts, disjuncts = nodes.conjuncts, nodes.disjuncts
+disjuncts = nodes.disjuncts
 is_elementary, is_variable_free = nodes.is_elementary, nodes.is_variable_free
 
 # ---------------------------------------------------------------------------
@@ -113,6 +113,19 @@ def disj(parts: Sequence[Formula]) -> Formula:
 
 
 # pattern views for the abbreviations
+
+
+def as_imp(f: Formula):
+    if isinstance(f, Or) and isinstance(f.left, Not):
+        return f.left.body, f.right
+    return None
+
+
+def conjuncts(f: Formula) -> list[Formula]:
+    pair = as_and(f)
+    if pair is None:
+        return [f]
+    return conjuncts(pair[0]) + conjuncts(pair[1])
 
 
 def as_all(f: Formula):

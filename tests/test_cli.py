@@ -637,6 +637,116 @@ def test_script_parse_errors_name_their_line(capsys, tmp_path):
         assert code == 2 and out == "" and err.strip() == f"error: {message}"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-proof", "{}"),
+        ("check-corpus", "{}"),
+        ("--theory", "{}", "translate", "(= x x)"),
+        ("rm-run", "{}"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_file_that_is_not_utf8_text_is_a_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    code, out, err = run(capsys, *(a.format(path) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+_THEOREM = "theorem e1 : (not (= (s0 eps) eps))\n"
+
+# reader, file text, exit status, and the error or the script's FAIL line
+_INPUT_ERRORS = {
+    "previous theorem open": (
+        "check-proof", _THEOREM + _THEOREM, 2, "previous theorem not closed by qed at 2:1"
+    ),
+    "malformed header": ("check-proof", "theorem E1 : eps\n", 2, "malformed theorem header at 1:1"),
+    "statement outside": (
+        "check-proof", "proof\n", 2, "statement outside a theorem block: 'proof' at 1:1"
+    ),
+    "claim open": (
+        "check-proof", _THEOREM + "proof\n  claim : (= eps eps)\nqed\n", 2,
+        "claim block not closed by shown at 4:1",
+    ),
+    "malformed claim": ("check-proof", _THEOREM + "proof\n  claim\n", 2, "malformed claim at 3:1"),
+    "shown without claim": (
+        "check-proof", _THEOREM + "proof\n  shown\n", 2, "shown without claim at 3:1"
+    ),
+    "unexpected line": ("check-proof", _THEOREM + "H\n", 2, "unexpected line 'H' at 2:1"),
+    "unterminated block": (
+        "check-proof", _THEOREM + "proof\n  H\n", 2, "unterminated theorem block at 1:1"
+    ),
+    "malformed citation": (
+        "check-proof", _THEOREM + "proof\n  use\n", 2, "malformed citation line 'use' at 3:1"
+    ),
+    "BSI without phi": (
+        "check-proof", _THEOREM + "proof\n  use BSI ; eps\n", 2,
+        "BSI citation needs (phi <label>) at 3:1",
+    ),
+    # a special step's own pattern takes any line that reaches it: its
+    # arguments are what can be malformed
+    "malformed special step": (
+        "check-proof", _THEOREM + "explicit\n  special a1 eps\n", 2,
+        "stray citation arguments ' eps' at 3:1",
+    ),
+    "malformed eqsub step": (
+        "check-proof", _THEOREM + "explicit\n  eqsub ; eps ; eps\n", 2,
+        "eqsub expects ; a ; b ; x ; A at 3:1",
+    ),
+    "malformed resolve step": (
+        "check-proof", _THEOREM + "explicit\n  resolve 1\n", 2, "malformed resolve step at 3:1"
+    ),
+    "unknown explicit step": (
+        "check-proof", _THEOREM + "explicit\n  split a1\n", 2,
+        "unknown explicit step 'split a1' at 3:1",
+    ),
+    "open claim": (
+        "check-proof", _THEOREM + "proof\n  H\n  claim : (= x x)\n  shown\nqed\n", 1,
+        "e1       FAIL  claims must be variable free",
+    ),
+    "citation before a claim": (
+        "check-proof",
+        _THEOREM + "proof\n  H\n  use a1 ; eps\n  claim : (= eps eps)\n  shown\nqed\n", 1,
+        "e1       FAIL  citation lines must follow the last claim",
+    ),
+    "special step of a definition": (
+        "check-proof", _THEOREM + "explicit\n  special d25 ; eps\nqed\n", 1,
+        "e1       FAIL  special steps cite nonlogical axioms only",
+    ),
+    "duplicate machine header": (
+        "rm-run", "machine i=1 m=2 k=2\nmachine i=1 m=2 k=2\n", 2,
+        "duplicate machine header at 2:1",
+    ),
+    "unrecognized machine line": (
+        "rm-run", "machine i=1 m=2 k=2\nhalt\n", 2, "unrecognized machine line 'halt' at 2:1"
+    ),
+    "unknown order symbol": (
+        "--theory", "theory T\naxiom a6 : (= (cat eps x) x)\norder leq\n", 2,
+        "unknown order symbol leq at 3:1",
+    ),
+    "unrecognized theory line": (
+        "--theory", "theory T\nlemma l1 : (= x x)\n", 2,
+        "unrecognized theory line: 'lemma l1 : (= x x)' at 2:1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INPUT_ERRORS))
+def test_each_input_error_of_the_file_readers_is_reported(capsys, tmp_path, name):
+    reader, text, status, message = _INPUT_ERRORS[name]
+    path = tmp_path / "input"
+    path.write_text(text)
+    argv = (reader, str(path)) + (("translate", "(= x x)") if reader == "--theory" else ())
+    code, out, err = run(capsys, *argv)
+    assert code == status and "Traceback" not in err
+    if status == 2:
+        assert out == "" and err == f"error: {message}\n"
+    else:
+        assert out == f"{message}\n" and err == ""
+
+
 def test_theory_file_phi_errors_name_their_line(capsys, tmp_path):
     for target, message in (
         ("nosuch", "unknown predicate nosuch for phi b1 at 4:1"),
@@ -680,6 +790,57 @@ def test_fuzz_axioms_refuses_an_exhaustive_length_past_the_bound(capsys, monkeyp
         code, out, err = run(capsys, "fuzz-axioms", "--samples", "1", "--exhaustive", length)
         assert code == 2 and out == ""
         assert f"exhaustive length {length} gives {count} assignments" in err
+
+
+_ONE_VARIABLE_AXIOMS = (
+    "theory T\n"
+    "axiom a20 : (= (pd eps) eps)\n"
+    "axiom a21 : (imp (not (= x eps)) (or (= x (s0 (pd x))) (= x (s1 (pd x)))))\n"
+)
+
+
+def test_fuzz_axioms_refuses_an_exhaustive_list_past_the_bound(capsys, monkeypatch, tmp_path):
+    # One variable: length 22 gives 2^23 - 1 assignments, under the bound,
+    # but its strings hold 176,160,770 characters; length 21's hold
+    # 83,886,082, and the list is built
+    path = tmp_path / "one.th"
+    path.write_text(_ONE_VARIABLE_AXIOMS)
+    built = []
+
+    def record(maxlen):
+        built.append(maxlen)
+        return [""]
+
+    monkeypatch.setattr(stringarith, "_all_strings", record)
+    argv = ("--theory", str(path), "fuzz-axioms", "--samples", "0", "--exhaustive")
+    code, out, err = run(capsys, *argv, "21")
+    assert code == 0 and built == [21]
+    code, out, err = run(capsys, *argv, "22")
+    assert code == 2 and out == "" and built == [21]
+    assert err.strip() == (
+        "error: exhaustive length 22 builds strings of 176160770 characters in all, "
+        "more than 100000000"
+    )
+
+
+def test_fuzz_axioms_refuses_an_exhaustive_list_past_the_bound_under_a_memory_limit(tmp_path):
+    path = tmp_path / "one.th"
+    path.write_text(_ONE_VARIABLE_AXIOMS)
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from proofkit import cli\n"
+        f"sys.exit(cli.main(['--theory', {str(path)!r}, 'fuzz-axioms', '--samples', '0',"
+        " '--exhaustive', '23']))\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert "exhaustive length 23 builds strings" in done.stderr
+    assert "out of memory" not in done.stderr
 
 
 def test_fuzz_axioms_refuses_a_maxlen_past_the_bound(capsys, monkeypatch):

@@ -292,6 +292,41 @@ def test_prenex_equivalence_proofs(text):
     assert proof.lines[idx].formula == sx.fiff(f, nf.to_prenex(f))
 
 
+def _closed_formulas():
+    """Closed formulas with quantifiers under and over every connective, so
+    that a pulled quantifier's path passes through each of them."""
+    names = st.sampled_from(["x", "y"])
+    term = st.one_of(names.map(Var), st.just(E))
+    atoms = st.one_of(
+        term.map(lambda t: Atom(Q, (t,))), st.tuples(term, term).map(lambda p: Atom(P2, p))
+    )
+    formulas = st.recursive(
+        atoms,
+        lambda c: st.one_of(
+            c.map(Not),
+            st.tuples(c, c).map(lambda p: Or(*p)),
+            st.tuples(c, c).map(lambda p: sx.fand(*p)),
+            st.tuples(names, c).map(lambda p: Exists(*p)),
+            st.tuples(names, c).map(lambda p: sx.fall(*p)),
+        ),
+        max_leaves=5,
+    )
+    return formulas.map(sx.closure)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_closed_formulas())
+@example(parse("(and (or (q eps) (exists x (q x))) (forall y (and (q y) (exists x (q x)))))"))
+@example(parse("(or (and (q eps) (exists x (q x))) (or (q eps) (forall y (q y))))"))
+def test_prenex_equivalence_proofs_of_random_formulas(f):
+    # the first example's pulls must take exists x before forall y, as
+    # to_prenex does, though forall y is the outermost quantifier to pull
+    proof, idx = prenex_equivalence_proof(f)
+    v = check_proof(TOY, proof)
+    assert v.ok, v.message
+    assert proof.lines[idx].formula == sx.fiff(f, nf.to_prenex(f))
+
+
 # --- deduction and purge -------------------------------------------------------
 
 

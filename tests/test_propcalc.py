@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import os
 import random
@@ -19,10 +20,11 @@ from conftest import (
     reference_replay,
     truth_table_consequence,
 )
-from proofkit import checker, nodes
+from proofkit import checker, nodes, stringarith
 from proofkit import propcalc as pc
 from proofkit import syntax as sx
 from proofkit.errors import CheckError
+from proofkit.kernel import core, scripts as kscripts
 from proofkit.syntax import App, Atom, Exists, FnSym, Not, Or, PredSym, Var
 
 A = Atom(PredSym("a", 0))
@@ -816,6 +818,32 @@ def _every_step(steps):
             yield from _every_step(step[3])
 
 
+def test_every_corpus_refutation_makes_a_certificate_that_replays(corpus_scripts, monkeypatch):
+    # check_script asks for no certificate; here each refuted segment's is
+    # made and replayed, so the checker reads every eq_axiom and conjunct
+    # step the emitter writes for the corpus
+    real = pc.ground_refute
+    replayed, kinds = [], collections.Counter()
+
+    def certified(inputs, budget=pc.DEFAULT_BUDGET, want_cert=True):
+        res = real(inputs, budget, want_cert=True)
+        if isinstance(res, pc.Refutation):
+            replayed.append(checker.replay(res, inputs))
+            kinds.update(step[0] for step in _every_step(res.steps))
+        return res
+
+    monkeypatch.setattr(pc, "ground_refute", certified)
+    report = stringarith.check_corpus(stringarith.load_theory(), corpus_scripts)
+    assert len(report.entries) == 76 and all(e.ok for e in report.entries)
+    # one segment for each claim and one for the goal
+    segments = sum(
+        1 + sum(isinstance(line, kscripts.ClaimBlock) for line in script.lines)
+        for script in corpus_scripts
+    )
+    assert replayed == [True] * segments
+    assert kinds["eq_axiom"] and kinds["conjunct"]
+
+
 def test_certificate_steps_are_compact():
     res = pc.ground_refute(_SPLIT_INPUTS)
     assert isinstance(res, pc.Refutation) and checker.replay(res, _SPLIT_INPUTS)
@@ -1100,7 +1128,10 @@ def test_equality_axiom_instance_recognizer():
     sym = sx.fimp(
         sx.conj([sx.eq(E1, E2), sx.eq(E1, E1), sx.eq(E1, E1)]), sx.eq(E2, E1)
     )
-    assert checker.is_equality_axiom_instance(sym)
+    # the checker reads the clause spelling alone, into which kernel.core
+    # respells a Hilbert line's conjunction of hypotheses
+    assert not checker.is_equality_axiom_instance(sym)
+    assert checker.is_equality_axiom_instance(core.clause_spelling(sym))
 
 
 def test_recognizers_accept_equal_terms_built_apart_and_refuse_others():
@@ -1192,6 +1223,18 @@ def test_replay_refuses_an_eq_axiom_step_that_is_no_instance(name):
         checker.replay(*_closed_by_its_axiom(f))
 
 
+def test_replay_refuses_the_conjunction_spelling_that_kernel_core_classifies():
+    # h1 & h2 -> c is no eq_axiom step, though a Hilbert proof line so
+    # spelled is an equality formula: its clause spelling is the step
+    f = sx.fimp(sx.conj([sx.eq(E1, E2), Atom(_Q1, (E1,))]), Atom(_Q1, (E2,)))
+    assert checker.as_horn(f) is None
+    with pytest.raises(CheckError, match="^not an identity/equality axiom instance: "):
+        checker.replay(*_closed_by_its_axiom(f))
+    assert checker.replay(*_closed_by_its_axiom(core.clause_spelling(f)))
+    theory = core.Theory("t", (), FnSym("e1", 0))
+    assert core.classify_delta(theory, f).kind == "equality"
+
+
 # Formulas in clause form and in conjunction form, with hypotheses and
 # conclusions that are sometimes no atom, and any formula over a few atoms.
 _HORN_ATOMS = st.sampled_from([A, B, sx.eq(E1, E2), Atom(_Q1, (E1,))])
@@ -1227,8 +1270,9 @@ _HORN_SHAPES = st.one_of(
 @example(sx.fimp(A, C))
 @settings(max_examples=400, deadline=None)
 def test_as_horn_reads_clause_form_first_as_the_reference_reads_it(f):
-    # the clause form is tried first; where both readings apply they agree
-    assert checker.as_horn(f) == reference_as_horn(f)
+    # the checker reads the clause form alone; respelled into it by
+    # kernel.core, a line reads as the reference read either spelling
+    assert checker.as_horn(core.clause_spelling(f)) == reference_as_horn(f)
 
 
 def test_replay_reads_a_negated_disjunction_as_its_negated_disjuncts():
