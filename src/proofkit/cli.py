@@ -18,7 +18,6 @@ from pathlib import Path
 from .errors import BudgetExhausted, CheckError, ProofkitError
 from . import checker, extend, hilbertack, machines, normform, propcalc, stringarith
 from . import syntax as sx
-from .kernel import scripts as kscripts
 
 
 def _bundle(args):
@@ -34,7 +33,7 @@ def _emit(args, payload: dict, text_lines):
             print(line)
 
 
-def _budget(args, default: int = kscripts.DEFAULT_SCRIPT_BUDGET) -> int:
+def _budget(args, default: int = propcalc.DEFAULT_BUDGET) -> int:
     """The global --budget, or the command's own default when it is not given."""
     return default if args.budget is None else args.budget
 
@@ -96,7 +95,7 @@ def cmd_check_corpus(args) -> int:
 
 def cmd_check_proof(args) -> int:
     bundle = _bundle(args)
-    scripts = kscripts.parse_script_file(Path(args.file).read_text())
+    scripts = stringarith.load_corpus([args.file])
     if not scripts:
         raise ProofkitError(f"no scripts in {args.file}")
     if args.with_corpus:
@@ -213,7 +212,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_rm_run(args) -> int:
-    machine = machines.parse_machine(Path(args.file).read_text())
+    machine = stringarith.read_file(args.file, machines.parse_machine)
     outcome = machines.run(machine, args.inputs, _budget(args), mode=args.mode)
     payload = {
         "ok": outcome.halted,
@@ -305,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=_positive_int,
         help=f"steps per run for rm-kbound (default {machines.KBOUND_BUDGET}), "
-        f"else the refutation or run budget (default {kscripts.DEFAULT_SCRIPT_BUDGET})",
+        f"else the refutation or run budget (default {propcalc.DEFAULT_BUDGET})",
     )
     ap.add_argument(
         "--seed", type=int, default=0, help="seed of every randomized subcommand"
@@ -376,8 +375,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    # a UnicodeDecodeError is an input file that is not UTF-8 text
-    except (ProofkitError, OSError, UnicodeDecodeError) as e:
+    except (ProofkitError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:

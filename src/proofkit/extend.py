@@ -6,8 +6,6 @@ meta.extensions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .errors import CheckError
@@ -34,8 +32,7 @@ from .syntax import (
 # the extension log
 
 
-@dataclass
-class Stage:
+class Stage(NamedTuple):
     kind: str  # "p" | "f" | "r"
     label: str
     axiom: Formula
@@ -47,19 +44,8 @@ class Stage:
     ec_proof: Optional[ProofObject] = None
     uc_proof: Optional[ProofObject] = None
     phi: Optional[Formula] = None  # r: the relativizer (unary, free var x)
-    respects: dict = field(default_factory=dict)  # r: FnSym -> ProofObject
-
-    @cached_property
-    def unfolding(self) -> "Unfolding":
-        """What every occurrence of a p- or f-stage's symbol reads, worked
-        out on the stage's first translation, not when it is logged."""
-        binders = []
-        sx.rewrite(self.definiens, exists=lambda e: binders.append(e.var) or e)
-        bound = frozenset(binders)
-        frees = free_vars(self.definiens)
-        params = free_vars(Exists(self.out_var, self.definiens)) if self.kind == "f" else frees
-        adjusted = len(bound) == len(binders) and bound.isdisjoint(frees)
-        return Unfolding(params, bound, adjusted)
+    respects: Optional[dict] = None  # r: FnSym -> ProofObject
+    unfolding: Optional["Unfolding"] = None  # p/f: what an occurrence reads
 
 
 class Unfolding(NamedTuple):
@@ -68,15 +54,28 @@ class Unfolding(NamedTuple):
     adjusted: bool  # distinct binders, none of them free
 
 
+def _unfolded(stage: Stage) -> Stage:
+    """A p- or f-stage with what every occurrence of its symbol reads."""
+    binders = []
+    sx.rewrite(stage.definiens, exists=lambda e: binders.append(e.var) or e)
+    bound = frozenset(binders)
+    frees = free_vars(stage.definiens)
+    params = free_vars(Exists(stage.out_var, stage.definiens)) if stage.kind == "f" else frees
+    adjusted = len(bound) == len(binders) and bound.isdisjoint(frees)
+    return stage._replace(unfolding=Unfolding(params, bound, adjusted))
+
+
 class DefinitionRegistry:
     """Base theory plus the append-only log of extensions, keyed by
     canonical definiens: re-registering a structurally identical definiens
-    returns the existing symbol.  Only this class builds and logs a stage."""
+    returns the existing symbol.  Only this class builds and logs a stage,
+    and `defined` is the one index from a defined symbol to its stage."""
 
     def __init__(self, base: Theory, declared=()):
         self.base = base
         self.declared = tuple(declared)  # language symbols beyond occurrences
         self.stages: list[Stage] = []
+        self.defined: dict = {}  # FnSym or PredSym -> its p- or f-stage
         self._by_definiens: dict = {}
 
     def continued(self, *declared) -> "DefinitionRegistry":
@@ -85,16 +84,15 @@ class DefinitionRegistry:
         language."""
         out = DefinitionRegistry(self.base, self.declared + declared)
         out.stages = list(self.stages)
+        out.defined = dict(self.defined)
         out._by_definiens = dict(self._by_definiens)
         return out
 
     def theory(self) -> Theory:
-        t = self.base
-        for s in self.stages:
-            t = t.extend(s.axiom)
-        return t
+        return self.theory_before(None)
 
-    def theory_before(self, stage: Stage) -> Theory:
+    def theory_before(self, stage: Optional[Stage]) -> Theory:
+        """The base theory with the stages' axioms before `stage` (all for None)."""
         t = self.base
         for s in self.stages:
             if s is stage:
@@ -194,19 +192,20 @@ class DefinitionRegistry:
 
     def _define(self, key: tuple, definiens: Formula, build) -> Stage:
         """The stage logged under `key`, else the one `build()` makes once
-        the definiens is found plain and in the chain's language, logged."""
+        the definiens is found plain and in the chain's language, logged
+        with its unfolding."""
         got = self._by_definiens.get(key)
         if got is not None:
             return got
         if not sx.is_plain(definiens):
             raise CheckError("definiens must be plain")
         known = set(self.base.language_symbols()) | set(self.declared)
-        known |= {s.symbol for s in self.stages if s.symbol is not None}
         for symb in sx.appearing_symbols(definiens):
-            if symb not in known:
+            if symb not in known and symb not in self.defined:
                 raise CheckError(f"definiens uses unregistered symbol {symb.name}")
-        st = build()
+        st = _unfolded(build())
         self.stages.append(st)
+        self.defined[st.symbol] = st
         self._by_definiens[key] = st
         return st
 
@@ -335,8 +334,7 @@ def _translate_stage(stage: Stage, f: Formula) -> Formula:
 
 
 def contains_defined_symbols(reg: DefinitionRegistry, f: Formula) -> bool:
-    defined = {s.symbol for s in reg.stages if s.symbol is not None}
-    return bool(sx.appearing_symbols(f) & defined)
+    return not sx.appearing_symbols(f).isdisjoint(reg.defined)
 
 
 # ---------------------------------------------------------------------------

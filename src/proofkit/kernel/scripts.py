@@ -28,8 +28,6 @@ from .. import checker, propcalc
 from .. import syntax as sx
 from ..syntax import Formula, Not, closure, fimp, subst
 
-DEFAULT_SCRIPT_BUDGET = 100_000
-
 
 # ---------------------------------------------------------------------------
 # registry
@@ -379,7 +377,7 @@ def _special_case(registry: Registry, base: Formula, items, env: dict) -> Formul
 def check_script(
     registry: Registry,
     script: Script,
-    budget: int = DEFAULT_SCRIPT_BUDGET,
+    budget: int = propcalc.DEFAULT_BUDGET,
 ) -> ScriptVerdict:
     start = time.perf_counter()
     spent = 0  # refutation budget used, summed over the segments

@@ -673,12 +673,15 @@ class _RemapSymbols(sx.SymbolTable):
 def instantiate_schema(bundle: TheoryBundle, phi_label: str) -> Registry:
     """A parallel registry in which the schema definitions are re-registered
     with the uninterpreted predicate replaced by a registered concrete
-    unary formula; the schema scripts must re-check against it unchanged."""
+    unary formula; the schema scripts must re-check against it unchanged.
+    The bundle, its symbol table and its chains are left as they are: the
+    new stages are logged on a continuation of the schema chain, which
+    holds the stages they re-instantiate."""
     phi = bundle.registry.phi_formulas[phi_label]
     out = Registry(bundle.symbols)
     out.phi_formulas = dict(bundle.registry.phi_formulas)
     out.bsi_template = bundle.registry.bsi_template
-    reg2 = bundle.definitions.continued(*bundle.schema_symbols)
+    reg2 = (bundle.schema or bundle.definitions).continued()
     mapping = {}
     for label in bundle.registry.order:
         entry = bundle.registry.entries[label]
@@ -687,8 +690,7 @@ def instantiate_schema(bundle: TheoryBundle, phi_label: str) -> Registry:
             continue
         if entry.kind == "theorem":
             continue  # re-proved against the instantiated statements
-        stages = bundle.schema.stages if bundle.schema else []
-        stage = next((s for s in stages if s.label == label), None)
+        stage = next((s for s in reg2.stages if s.label == label), None)
         if stage is None or stage.kind != "p":
             raise CheckError(f"cannot re-instantiate schema entry {label}")
         definiens = kscripts.instantiate_phi(stage.definiens, phi)
@@ -702,9 +704,6 @@ def instantiate_schema(bundle: TheoryBundle, phi_label: str) -> Registry:
         definiens = sx.map_atoms(definiens, swap)
         name = f"{stage.symbol.name}_{phi_label}"
         st2 = reg2.define_predicate(f"{label}_{phi_label}", name, definiens)
-        if bundle.symbols.pred(name) is None:
-            bundle.symbols.add(st2.symbol)
-        bundle.stages[st2.symbol] = st2
         mapping[stage.symbol] = st2.symbol
         out.add(kscripts.Entry(label, "definition", st2.axiom, "schema"))
     override = {old.name: new for old, new in mapping.items()}

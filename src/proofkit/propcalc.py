@@ -485,8 +485,7 @@ def _refute(clauses, sources, atoms, budget, use_congruence, want_cert):
                         core.assert_eq(*table.args[i], ("eq", i))
                 synced = len(trail)
                 charge(core.merges - merges)
-                assigned = [(i, val[2 * i + 1]) for i in trail if table.args[i]]
-                conflict = _theory_conflict(core, assigned, table)
+                conflict = _theory_conflict(core, trail, val, table)
             if conflict is None:
                 while cursor < n and val[2 * cursor] is not None:
                     cursor += 1
@@ -523,27 +522,27 @@ def _refute(clauses, sources, atoms, budget, use_congruence, want_cert):
         return OutOfBudget(spent)
 
 
-def _theory_conflict(core, assigned, table):
-    """What refutes the assigned (atom id, polarity) pairs by equality
+def _theory_conflict(core, trail, val, table):
+    """What refutes the trail's atoms (atom i is val[2 * i + 1]) by equality
     reasoning, given the closure of the true equations among them, or None:
     (None, e) for a false equation e that the closure makes true, or (t, f)
     for a true atom t and a false atom f of one predicate whose arguments
     it joins.  Only atoms with arguments matter: a 0-ary atom takes part in
-    no congruence."""
+    no congruence, and its predicate code is None."""
     args, preds = table.args, table.preds
-    for i, pol in assigned:
-        if preds[i] == 0 and not pol and core.congruent(*args[i]):
+    for i in trail:
+        if preds[i] == 0 and val[2 * i] and core.congruent(*args[i]):
             return None, i
 
     def signature(i):
         return preds[i], tuple(map(core.find, args[i]))
 
     trues: dict = {}
-    for i, pol in assigned:
-        if preds[i] != 0 and pol:
+    for i in trail:
+        if preds[i] and val[2 * i + 1]:
             trues.setdefault(signature(i), i)
-    for i, pol in assigned:
-        t = trues.get(signature(i)) if preds[i] != 0 and not pol else None
+    for i in trail:
+        t = trues.get(signature(i)) if preds[i] and val[2 * i] else None
         if t is not None:
             return t, i
     return None

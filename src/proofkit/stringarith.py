@@ -52,8 +52,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import ArityError, CheckError, ParseError
-from . import extend
+from .errors import ArityError, CheckError, ParseError, ProofkitError
+from . import extend, propcalc
 from . import syntax as sx
 from .kernel import Registry, Theory, bsi_template, scripts as kscripts
 from .syntax import (
@@ -197,6 +197,7 @@ class _Generator:
 
     def __init__(self, bundle, strict):
         self.bundle, self.strict = bundle, strict
+        self.defined = (bundle.schema or bundle.definitions).defined  # symbol -> stage
         self.ns = {"_raise": _raise, "_zeros": _zeros, "_all_strings": _all_strings}
         self.consts: dict = {}
         self.defs: list[str] = []
@@ -271,10 +272,9 @@ class _Generator:
             # at most as deep as the template's own brackets over its deepest argument
             depth = 1 + template.count("(") + template.count("[") + max((d for _, d in args), default=0)
             return self.fits(f"({template.format(*(a for a, _ in args))})", depth, scope)
-        stage = self.bundle.stages.get(t.fn)
-        if stage is None or stage.explicit_body is None:
+        body = getattr(self.defined.get(t.fn), "explicit_body", None)  # None without a stage
+        if body is None:
             return self.fail(f"uninterpretable symbol {t.fn.name}")
-        body = stage.explicit_body
         return self.apply(self.code(body, None), t.args, scope)
 
     def formula(self, f: Formula, scope: dict):
@@ -283,7 +283,7 @@ class _Generator:
             if f.pred == sx.EQ:
                 (x, dx), (y, dy) = (self.term(a, scope) for a in f.args)
                 return self.fits(f"({x} == {y})", 1 + max(dx, dy), scope)
-            stage = self.bundle.stages.get(f.pred)
+            stage = self.defined.get(f.pred)
             if stage is None:
                 return self.fail(f"uninterpretable predicate {f.pred.name}")
             return self.apply(self.code(stage.definiens, self.strict), f.args, scope)
@@ -395,9 +395,8 @@ class _Generator:
         if isinstance(t, sx.SpecialConst):
             return None
         rule = LENGTHS.get(t.fn.name)
-        stage = self.bundle.stages.get(t.fn)
-        if rule is None and stage is not None and stage.explicit_body is not None:
-            body = stage.explicit_body  # its variables bind the arguments, as in apply
+        body = getattr(self.defined.get(t.fn), "explicit_body", None)
+        if rule is None and body is not None:  # its variables bind the arguments, as in apply
             rule = lambda *args: self.length(body, dict(zip(sx.free_vars(body), args)))
         args = [self.length(a, lens) for a in t.args]
         return None if rule is None or None in args else rule(*args)
@@ -455,15 +454,14 @@ def evaluable(f: Formula, bundle, strict: bool = True) -> bool:
 @dataclass
 class TheoryBundle:
     """A loaded theory, each fact kept once: the axioms and checked theorems
-    in `registry`, the base theory in `definitions.base`, the order symbol
-    in `symbols.order`."""
+    in `registry`, the base theory in `definitions.base`, each defined
+    symbol's stage in the chain's `defined` (the schema chain's maps every
+    one), the order symbol in `symbols.order`."""
 
     symbols: sx.SymbolTable
     registry: Registry
     definitions: extend.DefinitionRegistry  # main chain
-    schema: Optional[extend.DefinitionRegistry] = None  # chain over phi
-    stages: dict = field(default_factory=dict)  # each defined symbol's, FnSym or PredSym
-    schema_symbols: tuple = ()  # the predicates the schema section defines
+    schema: Optional[extend.DefinitionRegistry] = None  # continues the main chain over phi
     compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def register_theorem(self, label: str, statement: Formula):
@@ -476,27 +474,38 @@ class TheoryBundle:
             if got.kind == "theorem" and got.statement == statement:
                 return
             raise CheckError(f"label {label!r} is already taken by {got.kind} {label}")
-        schema_preds = set(self.schema_symbols) | {PredSym("phi", 1)}
-        section = (
-            "schema"
-            if sx.appearing_symbols(statement) & schema_preds
-            else "base"
-        )
+        only_schema = self.schema.defined.keys() - self.definitions.defined.keys() if self.schema else ()
+        preds = {s for s in sx.appearing_symbols(statement) if isinstance(s, PredSym)}
+        section = "schema" if preds & {PredSym("phi", 1), *only_schema} else "base"
         self.registry.add(kscripts.Entry(label, "theorem", statement, section))
 
 
+def read_file(path, parse):
+    """parse(text) for the file's text.  An error in the file, bytes that
+    are not UTF-8 text included, names its path, as an OSError does."""
+    try:
+        return parse(Path(path).read_text())
+    except UnicodeDecodeError as e:
+        raise ProofkitError(f"{path}: {e}") from None
+    except ProofkitError as e:
+        e.args = (f"{path}: {e}",)
+        raise
+
+
 def load_theory(path: Optional[Path] = None) -> TheoryBundle:
-    """The theory file at `path` (the bundled theory_s.th by default).  Its
-    axioms come first: the base theory is frozen at the first other line,
-    or at the end of the file, and a later axiom is refused."""
-    path = path or (DATA_DIR / "theory_s.th")
-    text = Path(path).read_text()
+    """The theory file at `path` (the bundled theory_s.th by default)."""
+    return read_file(path or (DATA_DIR / "theory_s.th"), _parse_theory)
+
+
+def _parse_theory(text: str) -> TheoryBundle:
+    """A theory file's bundle.  Its axioms come first: the base theory is
+    frozen at the first other line, or at the end of the file, and a later
+    axiom is refused."""
     symbols = sx.SymbolTable(S_LANGUAGE)
     registry = Registry(symbols)
     bundle = TheoryBundle(symbols, registry, None)
     axioms: list[Formula] = []
     chain: Optional[extend.DefinitionRegistry] = None  # where definitions go
-    in_schema = False
     pending_phi: list[tuple[str, str, int]] = []  # (label, predicate, line)
 
     def base_chain():
@@ -509,15 +518,14 @@ def load_theory(path: Optional[Path] = None) -> TheoryBundle:
         except ArityError as e:
             raise ParseError(f"{what}: {e}", lineno, 1) from None
 
-    def define(label: str, stage: extend.Stage, lineno: int):
-        if bundle.stages.get(stage.symbol) is stage:  # an earlier line made it
+    def define(label: str, lineno: int, make, *args):
+        logged = len(chain.stages)
+        stage = make(label, *args)
+        if len(chain.stages) == logged:  # an earlier line made it
             message = f"definition {label} repeats the definiens of {stage.label}"
             raise ParseError(message, lineno, 1)
         add(stage.symbol, f"definition {label}", lineno)
-        if in_schema and isinstance(stage.symbol, PredSym):
-            bundle.schema_symbols += (stage.symbol,)
-        bundle.stages[stage.symbol] = stage
-        registry.add_definition(label, stage.axiom, "schema" if in_schema else "base")
+        registry.add_definition(label, stage.axiom, "schema" if chain is bundle.schema else "base")
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -538,13 +546,13 @@ def load_theory(path: Optional[Path] = None) -> TheoryBundle:
         if m:
             label, name, body = m.groups()
             definiens = sx.parse(body, "formula", symbols)
-            define(label, chain.define_predicate(label, name, definiens), lineno)
+            define(label, lineno, chain.define_predicate, name, definiens)
             continue
         m = re.match(r"define\s+fun\s+([a-z0-9_']+)\s+([a-z0-9_']+)\s*:=\s*(.+)$", line)
         if m:
             label, name, body = m.groups()
             term = sx.parse(body, "term", symbols)
-            define(label, chain.define_function_explicit(label, name, term), lineno)
+            define(label, lineno, chain.define_function_explicit, name, term)
             continue
         m = re.match(
             r"define\s+fun\s+([a-z0-9_']+)\s+([a-z0-9_']+)\s*:\s*(.+?)\s+using\s+"
@@ -554,10 +562,8 @@ def load_theory(path: Optional[Path] = None) -> TheoryBundle:
         if m:
             label, name, body, ec_label, uc_label = m.groups()
             existential = sx.parse(body, "formula", symbols)
-            stage = chain.define_function(
-                label, name, existential, registry.lookup(ec_label), registry.lookup(uc_label)
-            )
-            define(label, stage, lineno)
+            ec, uc = registry.lookup(ec_label), registry.lookup(uc_label)
+            define(label, lineno, chain.define_function, name, existential, ec, uc)
             continue
         m = re.match(r"order\s+([a-z0-9_']+)$", line)
         if m:
@@ -574,7 +580,6 @@ def load_theory(path: Optional[Path] = None) -> TheoryBundle:
             registry.enable_bsi(bsi_template())
             continue
         if line == "schema phi":
-            in_schema = True
             phi = PredSym("phi", 1)
             add(phi, "schema phi", lineno)
             chain = bundle.schema = bundle.definitions.continued(phi)
@@ -739,6 +744,7 @@ def _longest_value(f: Formula, maxlen: int, bundle) -> int:
     with no value (a special constant, or a symbol without an explicit body,
     which evaluation refuses) counts nothing."""
     longest = 0
+    defined = (bundle.schema or bundle.definitions).defined
 
     def length(t: Term, lens: dict) -> Optional[int]:
         nonlocal longest
@@ -750,9 +756,8 @@ def _longest_value(f: Formula, maxlen: int, bundle) -> int:
         if None in args:
             return None
         rule = LENGTH_BOUNDS.get(t.fn.name)
-        stage = bundle.stages.get(t.fn)
-        if rule is None and stage is not None and stage.explicit_body is not None:
-            body = stage.explicit_body  # its variables bind the arguments, as in apply
+        body = getattr(defined.get(t.fn), "explicit_body", None)
+        if rule is None and body is not None:  # its variables bind the arguments, as in apply
             rule = lambda *args: length(body, dict(zip(sx.free_vars(body), args)))
         n = None if rule is None else rule(*args)
         if n is not None:
@@ -855,7 +860,7 @@ def load_corpus(paths: Optional[Sequence[Path]] = None) -> list[kscripts.Script]
         paths = [DATA_DIR / "corpus" / name for name in CORPUS_FILES]
     out = []
     for p in paths:
-        out.extend(kscripts.parse_script_file(Path(p).read_text()))
+        out.extend(read_file(p, kscripts.parse_script_file))
     return out
 
 
@@ -889,7 +894,7 @@ class CorpusReport(NamedTuple):
 def check_corpus(
     bundle: TheoryBundle,
     scripts: Optional[Sequence[kscripts.Script]] = None,
-    budget: int = kscripts.DEFAULT_SCRIPT_BUDGET,
+    budget: int = propcalc.DEFAULT_BUDGET,
     oracle_samples: int = 0,
     seed: int = 0,
     halt_on_failure: bool = True,

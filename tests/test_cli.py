@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -601,7 +602,7 @@ def test_theory_file_with_a_repeated_definiens_is_a_usage_error(capsys, tmp_path
     )
     code, out, err = run(capsys, "--theory", str(dup), "translate", "(p2 x)")
     assert code == 2 and out == ""
-    assert err.strip() == "error: definition d2 repeats the definiens of d1 at 4:1"
+    assert err.strip() == f"error: {dup}: definition d2 repeats the definiens of d1 at 4:1"
 
 
 @pytest.mark.parametrize(
@@ -618,10 +619,10 @@ def test_theory_file_with_a_repeated_definiens_is_a_usage_error(capsys, tmp_path
 def test_theory_file_defining_a_taken_name_is_a_parse_error(capsys, tmp_path, lines, message):
     path = tmp_path / "clash.th"
     path.write_text(f"theory T\naxiom a1 : (not (= (s0 x) eps))\n{lines}")
-    with pytest.raises(ParseError, match=f"^{message}$"):
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: {message}$"):
         stringarith.load_theory(path)
     code, out, err = run(capsys, "--theory", str(path), "translate", "(= x x)")
-    assert code == 2 and out == "" and err.strip() == f"error: {message}"
+    assert code == 2 and out == "" and err.strip() == f"error: {path}: {message}"
 
 
 def test_script_parse_errors_name_their_line(capsys, tmp_path):
@@ -634,7 +635,7 @@ def test_script_parse_errors_name_their_line(capsys, tmp_path):
         path = tmp_path / "e1.prf"
         path.write_text(f"theorem e1 : (not (= (s0 eps) eps))\n{body}qed\n")
         code, out, err = run(capsys, "check-proof", str(path))
-        assert code == 2 and out == "" and err.strip() == f"error: {message}"
+        assert code == 2 and out == "" and err.strip() == f"error: {path}: {message}"
 
 
 @pytest.mark.parametrize(
@@ -642,17 +643,22 @@ def test_script_parse_errors_name_their_line(capsys, tmp_path):
     [
         ("check-proof", "{}"),
         ("check-corpus", "{}"),
+        pytest.param(
+            ("check-corpus", str(DATA_DIR / "corpus" / "s20.prf"), "{}"), id="check-corpus-second"
+        ),
         ("--theory", "{}", "translate", "(= x x)"),
         ("rm-run", "{}"),
     ],
     ids=lambda argv: argv[0],
 )
 def test_a_file_that_is_not_utf8_text_is_a_usage_error(capsys, tmp_path, argv):
+    # the error names the file, also when it follows a good one
     path = tmp_path / "bad.bin"
     path.write_bytes(b"\xff\xfe\x00bad")
     code, out, err = run(capsys, *(a.format(path) for a in argv))
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 0")
+    assert "Traceback" not in err
 
 
 _THEOREM = "theorem e1 : (not (= (s0 eps) eps))\n"
@@ -663,6 +669,9 @@ _INPUT_ERRORS = {
         "check-proof", _THEOREM + _THEOREM, 2, "previous theorem not closed by qed at 2:1"
     ),
     "malformed header": ("check-proof", "theorem E1 : eps\n", 2, "malformed theorem header at 1:1"),
+    "malformed header in a corpus file": (
+        "check-corpus", "theorem E1 : eps\n", 2, "malformed theorem header at 1:1"
+    ),
     "statement outside": (
         "check-proof", "proof\n", 2, "statement outside a theorem block: 'proof' at 1:1"
     ),
@@ -741,8 +750,8 @@ def test_each_input_error_of_the_file_readers_is_reported(capsys, tmp_path, name
     argv = (reader, str(path)) + (("translate", "(= x x)") if reader == "--theory" else ())
     code, out, err = run(capsys, *argv)
     assert code == status and "Traceback" not in err
-    if status == 2:
-        assert out == "" and err == f"error: {message}\n"
+    if status == 2:  # the error names the file
+        assert out == "" and err == f"error: {path}: {message}\n"
     else:
         assert out == f"{message}\n" and err == ""
 
@@ -760,7 +769,7 @@ def test_theory_file_phi_errors_name_their_line(capsys, tmp_path):
             f"phi b1 : {target}\n"
         )
         code, out, err = run(capsys, "--theory", str(path), "translate", "(= x x)")
-        assert code == 2 and out == "" and err.strip() == f"error: {message}"
+        assert code == 2 and out == "" and err.strip() == f"error: {path}: {message}"
 
 
 def test_theory_file_with_axioms_only(capsys, tmp_path):

@@ -374,6 +374,43 @@ def test_reduce_proof_through_p_stage():
     assert red.contains(sx.subst(d, {"x": E}))
 
 
+def _no_defined_symbol(reg, proof):
+    return not any(extend.contains_defined_symbols(reg, l.formula) for l in proof.lines)
+
+
+def test_reduce_proof_through_explicit_f_stage():
+    # q(g(eps)) from the defining equation of g(x) := s0 x and q(s0 eps);
+    # g(eps) becomes the special constant of exists y [y = s0 eps]
+    reg = fresh_registry()
+    g = reg.define_function_explicit("dg", "g", App(S0, (Var("x"),))).symbol
+    pb = ProofBuilder()
+    defining = pb.delta(sx.eq(App(g, (E,)), App(S0, (E,))))
+    q_s0 = pb.delta(Atom(Q, (App(S0, (E,)),)))
+    mx.quasitaut_gap(pb, Atom(Q, (App(g, (E,)),)), (defining, q_s0))
+    proof = pb.build()
+    assert check_proof(reg.theory(), proof).ok
+    red = mx.reduce_proof(reg, proof)
+    v = check_proof(BASE, red)
+    assert v.ok, v.message
+    assert _no_defined_symbol(reg, red)
+    r = sx.special_constant(Exists("y", sx.eq(Var("y"), App(S0, (E,)))))
+    assert red.lines[-1].formula == Atom(Q, (r,))
+
+
+def test_reduce_proof_through_f_stage_with_ec_uc_proofs():
+    # a closed instance of the defining axiom g1(eps) = eps <-> eps = pd eps
+    # reduces through the stage's existence and uniqueness proofs
+    ex, ec, uc = _prove_ec_uc_for_pd()
+    reg = fresh_registry()
+    st = reg.define_function("dg", "g1", ex, ec, uc)
+    pb = ProofBuilder()
+    pb.delta(sx.subst(st.axiom, {"x": E, "y": E}))
+    red = mx.reduce_proof(reg, pb.build())
+    v = check_proof(BASE, red)
+    assert v.ok, v.message
+    assert _no_defined_symbol(reg, red)
+
+
 # The r-extension of BASE by q(pd(x)) relativized to q(x): the relativizer,
 # the added axiom, a proof of its relativization, and the respects proofs
 # for eps and pd.

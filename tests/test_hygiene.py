@@ -419,7 +419,6 @@ KEPT_DATACLASSES = {
     "proofkit.nodes.FnSym": _SYMBOLS,
     "proofkit.nodes.PredSym": _SYMBOLS,
     "proofkit.stringarith.TheoryBundle": "the bench calls dataclasses.replace on it",
-    "proofkit.extend.Stage": "its unfolding is a cached_property, which needs an instance dict",
 }
 
 

@@ -145,7 +145,9 @@ def test_compiled_code_is_kept_per_strictness_and_bundle(bundle):
         sa.eval_formula(f, env, bundle, strict=True)
     sim = formula(bundle, "(sim x y)")
     assert sa.eval_formula(sim, {"x": "00", "y": "11"}, bundle)
-    bare = dataclasses.replace(bundle, stages={})
+    # the same theory over a chain that defines nothing
+    nothing = extend.DefinitionRegistry(bundle.definitions.base)
+    bare = dataclasses.replace(bundle, definitions=nothing, schema=None)
     with pytest.raises(CheckError, match="uninterpretable predicate sim"):
         sa.eval_formula(sim, {"x": "00", "y": "11"}, bare)
 
@@ -905,7 +907,8 @@ def test_theory_file_refuses_a_repeated_phi_label(tmp_path):
         "define pred d1 p1 : (= x eps)\ndefine pred d2 p2 : (= (s0 x) eps)\n"
         "phi b1 : p1\nphi c1 : p2\nphi b1 : p2\n"
     )
-    with pytest.raises(ParseError, match=r"^phi b1 repeats the label of line 5 at 7:1$"):
+    message = "phi b1 repeats the label of line 5 at 7:1"
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: {message}$"):
         sa.load_theory(path)
 
 
@@ -1028,6 +1031,17 @@ def test_schema_reinstantiation(bundle, corpus_report):
         assert v.ok, (s.label, v.message)
         if s.label not in reg2.entries:  # a base theorem is copied already
             reg2.add(ks.Entry(s.label, "theorem", v.statement))
+
+
+def test_schema_reinstantiation_leaves_the_bundle_as_it_found_it(bundle):
+    # the instantiated stages go on a chain of their own, their symbols
+    # into the registry's remapping table
+    symbols = list(bundle.symbols)
+    chains = [(list(c.stages), dict(c.defined)) for c in (bundle.definitions, bundle.schema)]
+    reg2 = instantiate_schema(bundle, "c1")
+    assert list(bundle.symbols) == symbols
+    assert [(c.stages, c.defined) for c in (bundle.definitions, bundle.schema)] == chains
+    assert reg2.symbols.pred("phi0").name == "phi0_c1" and bundle.symbols.pred("phi0_c1") is None
 
 
 # --- translation of the corpus ----------------------------------------------------
