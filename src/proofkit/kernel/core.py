@@ -1,6 +1,7 @@
-"""The trusted core: theories, the five closed-formula classes proofs draw
+"""The proof kernel: theories, the five closed-formula classes proofs draw
 from, proof objects and their checking, and the validity of special
-sequences.  checker.replay checks certificates in the format its module
+sequences.  The trusted base is the certificate checker (checker.py) with
+the node core (nodes.py) and errors.py; this module builds on it.  checker.replay checks certificates in the format its module
 documents; the proof transformations and generators are in meta.proofs."""
 
 from __future__ import annotations

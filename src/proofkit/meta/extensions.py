@@ -29,7 +29,7 @@ from ..extend import (
 )
 from ..kernel import Registry, core, scripts as kscripts
 from ..kernel.core import ProofObject, Theory
-from ..stringarith import TheoryBundle
+from ..stringarith import TheoryBundle, length_functions, occurs_outside_length, witness_bound
 from ..syntax import (
     App,
     Atom,
@@ -87,44 +87,22 @@ class BoundedProfile:
 def bounded_analysis(f: Formula, order: PredSym) -> BoundedProfile:
     """Strict reading: every existential occurrence is  exists x <= b  with
     x not occurring in b."""
-    offender = _find_unbounded(f, order, strict=True)
+    offender = _find_unbounded(f, order, None)
     return BoundedProfile(offender is None, offender)
 
 
-def _bounded_shape(g: Exists, order: PredSym, strict: bool) -> Optional[str]:
-    parts = sx.conjuncts(g.body)
-    head = parts[0]
-    if (
-        isinstance(head, Atom)
-        and head.pred == order
-        and head.args[0] == Var(g.var)
-        and g.var not in sx.occurring_var_names(head.args[1])
-    ):
-        return "order"
-    if strict:
-        return None
-    # equationally determined witness: some conjunct z = t or t = z, z not in t
-    for p in parts:
-        if isinstance(p, Atom) and p.pred == sx.EQ:
-            for a, b in (p.args, p.args[::-1]):
-                if a == Var(g.var) and g.var not in sx.occurring_var_names(b):
-                    return "equation"
-    # length-only witness: z occurs only under zprod and some conjunct is an
-    # equation one side of which is z-free
-    if _length_only(g):
-        return "length"
-    return None
-
-
-def _length_only(g: Exists) -> bool:
-    z = g.var
-
-    def ok(n, under_zprod=False) -> bool:
-        """z occurs in n only as an argument of zprod."""
-        if isinstance(n, Var) and n.name == z:
-            return under_zprod
-        zprod = isinstance(n, App) and n.fn.name == "zprod"
-        return all(ok(k, zprod) for k in sx.children(n))
+def _bounded_shape(g: Exists, order: PredSym, length_funs: Optional[set]) -> bool:
+    """Whether g bounds its witness as the interpreter reads it (see
+    stringarith.witness_bound).  The strict reading (length_funs None)
+    admits only the order's guard at the head.  Otherwise an equation
+    determining the witness is admitted too, and so is a witness occurring
+    only under length_funs when some equation has it on exactly one side."""
+    z, parts = g.var, sx.conjuncts(g.body)
+    if length_funs is None:
+        found = witness_bound(z, parts[:1], order)
+        return found is not None and not found[1]
+    if witness_bound(z, parts, order) is not None:
+        return True
 
     def bounding(f: Formula) -> bool:
         """Some equation in f has z on exactly one side."""
@@ -133,22 +111,22 @@ def _length_only(g: Exists) -> bool:
             return f.pred == sx.EQ and sides[0] != sides[1]
         return any(map(bounding, sx.children(f)))
 
-    return ok(g.body) and bounding(g.body)
+    return not occurs_outside_length(z, g.body, length_funs) and bounding(g.body)
 
 
-def _find_unbounded(f: Formula, order: PredSym, strict: bool) -> Optional[Formula]:
+def _find_unbounded(f: Formula, order: PredSym, length_funs: Optional[set]) -> Optional[Formula]:
     if isinstance(f, Atom):
         return None
     if isinstance(f, Not):
-        return _find_unbounded(f.body, order, strict)
+        return _find_unbounded(f.body, order, length_funs)
     if isinstance(f, Or):
-        return _find_unbounded(f.left, order, strict) or _find_unbounded(
-            f.right, order, strict
+        return _find_unbounded(f.left, order, length_funs) or _find_unbounded(
+            f.right, order, length_funs
         )
     if isinstance(f, Exists):
-        if _bounded_shape(f, order, strict) is None:
+        if not _bounded_shape(f, order, length_funs):
             return f
-        return _find_unbounded(f.body, order, strict)
+        return _find_unbounded(f.body, order, length_funs)
     raise TypeError(f)
 
 
@@ -159,7 +137,7 @@ def bounded_translation_check(
     formula, with equationally determined and length-only witnesses admitted
     for the explicit-function and zero-product unfoldings."""
     out = translate_out(reg, f).formula
-    offender = _find_unbounded(out, order, strict=False)
+    offender = _find_unbounded(out, order, length_functions(reg.defined))
     return BoundedProfile(offender is None, offender)
 
 

@@ -23,10 +23,13 @@ those of a direct recursive evaluation: a special constant, an
 uninterpretable symbol or an unbounded quantifier raises only when
 reached.  An equationally determined witness is a local assigned outright,
 an order-bounded one ranges over the strings up to the bound's length, and
-one that appears only under the zero product over all-zero strings, of the
-one length its body's equations allow when they fix it.  Any other search
-is bounded by the lengths of the values in scope plus 4, which the code
-adds up in place.
+one that appears only under length functions over all-zero strings, of the
+one length its body's equations allow when they fix it.  The length
+functions are worked out from the definitions: zprod, and each explicitly
+defined symbol whose body's variables appear only under length functions
+defined before it.  Any other search is bounded by the lengths of the
+values in scope plus 4, which the code adds up in place.  meta.extensions
+reads a witness's bound by the same functions.
 
 Random strings are drawn as rng.randint(0, maxlen) and then one
 rng.choice("01") per bit would draw them, so a seed samples the same
@@ -83,8 +86,6 @@ S_LANGUAGE = (EPS, S0, S1, PD, CAT, ZPROD)  # the base function symbols
 # the interpreter: each formula is compiled to one Python function per bundle
 
 
-LENGTH_FUNS = {"zprod", "zee"}
-
 # the builtin function symbols, each a Python expression over its arguments'
 # values {0} and {1}, which generated code writes out in place
 BUILTINS = {
@@ -97,8 +98,9 @@ BUILTINS = {
 }
 
 
-# each builtin's length, a polynomial over its arguments' lengths (see
-# _Generator.length); pd's is unknown
+# each builtin's length, a Counter from monomials (sorted tuples of names
+# whose lengths are variables) to coefficients, over its arguments' lengths
+# (see term_length); pd's is unknown
 LENGTHS = {
     "eps": Counter,
     "s0": Counter({(): 1}).__add__,
@@ -108,6 +110,29 @@ LENGTHS = {
         (Counter({tuple(sorted(m + k)): i * j}) for m, i in a.items() for k, j in b.items()), Counter()
     ),
 }
+
+
+def term_length(t: Term, lens: dict, rules: dict, defined: dict, seen: Optional[list] = None):
+    """t's length by `rules` (LENGTHS, or LENGTH_BOUNDS for the longest
+    value), each variable's from `lens`.  An explicitly defined symbol of
+    `defined` (a chain's) is measured through its body, whose variables bind
+    the arguments' lengths as in apply; a special constant, or a symbol with
+    neither a rule nor an explicit body, has None.  Each length worked out
+    along the way is appended to `seen`."""
+    if isinstance(t, Var):
+        return lens[t.name]
+    if isinstance(t, sx.SpecialConst):
+        return None
+    args = [term_length(a, lens, rules, defined, seen) for a in t.args]
+    rule = rules.get(t.fn.name)
+    body = getattr(defined.get(t.fn), "explicit_body", None)  # None without a stage
+    if rule is None and body is not None:
+        rule = lambda *args: term_length(body, dict(zip(sx.free_vars(body), args)), rules, defined, seen)
+    n = None if rule is None or None in args else rule(*args)
+    if seen is not None and n is not None:
+        seen.append(n)
+    return n
+
 
 # Parentheses one generated expression may nest (CPython refuses 200): a
 # deeper node becomes a function of its own.
@@ -139,9 +164,10 @@ def _all_strings(maxlen: int):
     return out
 
 
-def _occurs_outside_length(z: str, f: Formula) -> bool:
-    """Whether z occurs free in f other than under a length function: if
-    not, only its length matters."""
+def occurs_outside_length(z: str, f: Formula, length_funs) -> bool:
+    """Whether z occurs free in f other than under one of the functions
+    named in length_funs (see length_functions): if not, only its length
+    matters."""
     todo = [f]
     while todo:
         n = todo.pop()
@@ -149,7 +175,7 @@ def _occurs_outside_length(z: str, f: Formula) -> bool:
             if n.name == z:
                 return True
         elif isinstance(n, App):
-            if n.fn.name not in LENGTH_FUNS:
+            if n.fn.name not in length_funs:
                 todo += n.args
         elif isinstance(n, Atom):
             todo += n.args
@@ -160,6 +186,35 @@ def _occurs_outside_length(z: str, f: Formula) -> bool:
         elif isinstance(n, Exists) and n.var != z:
             todo.append(n.body)
     return False
+
+
+def length_functions(defined: dict) -> set:
+    """The names of the functions whose value is the all-zero string of a
+    length that their arguments' lengths fix: zprod, and each explicitly
+    defined symbol of `defined` (a chain's, in definition order) whose
+    body's variables occur only under those found before it."""
+    out = {ZPROD.name}
+    for symbol, stage in defined.items():
+        body = stage.explicit_body
+        if body is not None and not any(occurs_outside_length(x, body, out) for x in sx.free_vars(body)):
+            out.add(symbol.name)
+    return out
+
+
+def witness_bound(z: str, parts: list, order) -> Optional[tuple]:
+    """How the conjuncts `parts` of an existential's body bound its witness
+    z: (b, True) when z is b's value, for the first conjunct z = b or b = z
+    with z not in b; else (b, False) when z ranges up to b's length, the
+    first conjunct being the order's z <= b with z not in b; else None.  A
+    first conjunct not (or (not a) c), which forall<= gives, is read as a."""
+    eqs = [p.args for p in parts if isinstance(p, Atom) and p.pred == sx.EQ]
+    found = [(b, True) for args in eqs for a, b in (args, args[::-1]) if a == Var(z)]
+    head = parts[0]
+    if isinstance(head, Not) and isinstance(head.body, Or) and isinstance(head.body.left, Not):
+        head = head.body.left.body
+    if isinstance(head, Atom) and head.pred == order and head.args[0] == Var(z):
+        found.append((head.args[1], False))
+    return next(((b, one) for b, one in found if z not in sx.occurring_var_names(b)), None)
 
 
 def _defines(f: Formula, z: str, b: Term) -> bool:
@@ -198,6 +253,7 @@ class _Generator:
     def __init__(self, bundle, strict):
         self.bundle, self.strict = bundle, strict
         self.defined = (bundle.schema or bundle.definitions).defined  # symbol -> stage
+        self.length_funs = length_functions(self.defined)
         self.ns = {"_raise": _raise, "_zeros": _zeros, "_all_strings": _all_strings}
         self.consts: dict = {}
         self.defs: list[str] = []
@@ -303,23 +359,13 @@ class _Generator:
             return self.exists(f, scope)
         raise TypeError(f)
 
-    def first(self, z: str, parts: list):
-        """(b, True) or (b, False) when z is b's value or ranges up to b's
-        length (see exists), else None."""
-        eqs = [p.args for p in parts if isinstance(p, Atom) and p.pred == sx.EQ]
-        found = [(b, True) for args in eqs for a, b in (args, args[::-1]) if a == Var(z)]
-        head, order = parts[0], self.bundle.symbols.order
-        if isinstance(head, Atom) and head.pred == order and head.args[0] == Var(z):
-            found.append((head.args[1], False))
-        return next(((b, one) for b, one in found if z not in sx.occurring_var_names(b)), None)
-
     def exists(self, e: Exists, scope: dict):
-        """The witness z is, in order of preference: b, for the first
-        conjunct z = b or b = z with z not in b; every string up to the
-        length of b, when the first conjunct is the order's z <= b with z
-        not in b; an all-zero string, when z is length-only; else, unless
-        strict, any string up to a capped length.  Every variable in scope
-        is bound, so the first candidate is taken.
+        """The witness z is, in order of preference: b's value or every
+        string up to b's length, as witness_bound reads the body; an
+        all-zero string, when z occurs only under length functions (see
+        length_functions); else, unless strict, any string up to a capped
+        length.  Every variable in scope is bound, so the first candidate is
+        taken.
 
         When the body's code cannot raise, a length-only z is tried only at
         the length the first of pins' equations with a coefficient not 0 at
@@ -328,8 +374,8 @@ class _Generator:
         strings have equal lengths.  So no other candidate makes it true, and
         none can raise."""
         z, parts = e.var, sx.conjuncts(e.body)
-        first = self.first(z, parts)
-        length_only = not _occurs_outside_length(z, e.body)
+        first = witness_bound(z, parts, self.bundle.symbols.order)
+        length_only = not occurs_outside_length(z, e.body, self.length_funs)
         if self.strict and not (first or length_only):
             return self.fail(f"unbounded quantifier: {sx.render(e)[:80]}")
         w = self.fresh("w")
@@ -362,17 +408,19 @@ class _Generator:
 
     def pins(self, w: str, parts: list, lens: dict) -> list:
         """(c, k) for each equation among `parts`, or in a conjunct exists v
-        [v = b & ...] that `first` reads as defining v, whose sides' lengths
-        differ by c*n - k, n being w's length and c not identically 0."""
+        [v = b & ...] that witness_bound reads as defining v, whose sides'
+        lengths differ by c*n - k, n being w's length and c not identically
+        0."""
         out = []
+        length = lambda t: term_length(t, lens, LENGTHS, self.defined)
         for p in parts:
             if isinstance(p, Exists):
                 inner = sx.conjuncts(p.body)
-                b, one = self.first(p.var, inner) or (None, False)
+                b, one = witness_bound(p.var, inner, self.bundle.symbols.order) or (None, False)
                 if one:  # v = b itself gives no pin: its sides' lengths are equal
-                    out += self.pins(w, inner, {**lens, p.var: self.length(b, lens)})
+                    out += self.pins(w, inner, {**lens, p.var: length(b)})
             elif isinstance(p, Atom) and p.pred == sx.EQ:
-                left, right = (self.length(a, lens) for a in p.args)
+                left, right = map(length, p.args)
                 if left is None or right is None:
                     continue
                 diff = Counter(left)
@@ -385,21 +433,6 @@ class _Generator:
                 if c != "0" and all(d < 2 for d, _ in terms):
                     out.append(f"({c}, -({k}))")
         return out
-
-    def length(self, t: Term, lens: dict):
-        """t's length, a Counter from monomials (sorted tuples of the names
-        whose lengths `lens` gives t's variables) to coefficients; None for
-        a special constant, pd, or a symbol without an explicit body."""
-        if isinstance(t, Var):
-            return lens[t.name]
-        if isinstance(t, sx.SpecialConst):
-            return None
-        rule = LENGTHS.get(t.fn.name)
-        body = getattr(self.defined.get(t.fn), "explicit_body", None)
-        if rule is None and body is not None:  # its variables bind the arguments, as in apply
-            rule = lambda *args: self.length(body, dict(zip(sx.free_vars(body), args)))
-        args = [self.length(a, lens) for a in t.args]
-        return None if rule is None or None in args else rule(*args)
 
     def conjunction(self, parts: list, scope: dict):
         """The conjunction of `parts`, left to right; True when empty."""
@@ -743,36 +776,18 @@ def _longest_value(f: Formula, maxlen: int, bundle) -> int:
     most maxlen: an explicitly defined symbol's through its body.  A term
     with no value (a special constant, or a symbol without an explicit body,
     which evaluation refuses) counts nothing."""
-    longest = 0
+    lens = dict.fromkeys(sx.occurring_var_names(f), maxlen)
     defined = (bundle.schema or bundle.definitions).defined
-
-    def length(t: Term, lens: dict) -> Optional[int]:
-        nonlocal longest
-        if isinstance(t, Var):
-            return lens.get(t.name, maxlen)
-        if isinstance(t, sx.SpecialConst):
-            return None
-        args = [length(a, lens) for a in t.args]
-        if None in args:
-            return None
-        rule = LENGTH_BOUNDS.get(t.fn.name)
-        body = getattr(defined.get(t.fn), "explicit_body", None)
-        if rule is None and body is not None:  # its variables bind the arguments, as in apply
-            rule = lambda *args: length(body, dict(zip(sx.free_vars(body), args)))
-        n = None if rule is None else rule(*args)
-        if n is not None:
-            longest = max(longest, n)
-        return n
-
+    seen = [0]
     todo = [f]
     while todo:
         node = todo.pop()
         if isinstance(node, Atom):
             for a in node.args:
-                length(a, {})
+                term_length(a, lens, LENGTH_BOUNDS, defined, seen)
         else:
             todo += sx.children(node)
-    return longest
+    return max(seen)
 
 
 def fuzz_axioms(
@@ -926,14 +941,19 @@ def check_corpus(
 def _oracle_check(bundle, stmt: Formula, samples: int, strings) -> tuple[str, str]:
     """The interpreter's verdict on `stmt` over `samples` assignments of
     strings up to 8 bits long from `strings` (a reader's), and a message
-    naming the first assignment that falsifies it ("" when none does)."""
+    naming the first assignment that falsifies it ("" when none does).  A
+    statement the interpreter refuses, on the probe of `evaluable` or on a
+    sample, is skipped."""
     if not evaluable(stmt, bundle):
         return "skipped", ""
     fn = _compiled(bundle, stmt, True).fn
     fv = sx.free_vars(stmt)
-    for _ in range(samples):
-        values = strings(8, len(fv))
-        if not fn(*values):
-            env = dict(zip(fv, values))
-            return "disagrees", f"oracle disagrees on {sx.render(stmt)} at {env}"
+    try:
+        for _ in range(samples):
+            values = strings(8, len(fv))
+            if not fn(*values):
+                env = dict(zip(fv, values))
+                return "disagrees", f"oracle disagrees on {sx.render(stmt)} at {env}"
+    except CheckError:
+        return "skipped", ""
     return "agrees", ""

@@ -116,6 +116,21 @@ def test_oracle_disagreement_is_a_failing_verdict(capsys, tmp_path, monkeypatch)
     assert code == 1 and "FAIL" in out and "disagrees" in out
 
 
+def test_oracle_skips_a_statement_refused_on_a_later_sample(capsys, tmp_path):
+    # the probe's x = y = "01" stops at the first disjunct; a sample with x
+    # and y apart reaches the unbounded quantifier, and the passing script's
+    # verdict stands
+    script = tmp_path / "u1.prf"
+    script.write_text(
+        "theorem u1 : (or (= x y) (or (exists z (= (cat z x) y)) (not (= x y))))\n"
+        "proof\n  H : x : y\nqed\n"
+    )
+    code, jout, err = run(capsys, "--format", "json", "check-corpus", "--oracle", "5", str(script))
+    assert (code, err) == (0, "")
+    [entry] = json.loads(jout)["scripts"]
+    assert (entry["label"], entry["ok"], entry["oracle"]) == ("u1", True, "skipped")
+
+
 def test_failing_script_exit_one(capsys, tmp_path, monkeypatch):
     bundle = stringarith.load_theory()
     monkeypatch.setattr(cli, "_bundle", lambda args: bundle)

@@ -372,6 +372,17 @@ def test_reduce_proof_through_p_stage():
     v = check_proof(BASE, red)
     assert v.ok, v.message
     assert red.contains(sx.subst(d, {"x": E}))
+    # an equality formula of pp(x) := exists y [x = s0 y] becomes an
+    # instance of the equality theorem
+    pp = reg.define_predicate("dpp", "pp", Exists("y", sx.eq(Var("x"), App(S0, (Var("y"),))))).symbol
+    s0e, s1e = App(S0, (E,)), App(S1, (E,))
+    pb = ProofBuilder()
+    pb.delta(sx.fimp(sx.fand(sx.eq(s0e, s1e), Atom(pp, (s0e,))), Atom(pp, (s1e,))))
+    proof = pb.build()
+    assert check_proof(reg.theory(), proof).ok
+    red = mx.reduce_proof(reg, proof)
+    v = check_proof(BASE, red)
+    assert v.ok and len(red.lines) == 9, v.message
 
 
 def _no_defined_symbol(reg, proof):
@@ -395,6 +406,17 @@ def test_reduce_proof_through_explicit_f_stage():
     assert _no_defined_symbol(reg, red)
     r = sx.special_constant(Exists("y", sx.eq(Var("y"), App(S0, (E,)))))
     assert red.lines[-1].formula == Atom(Q, (r,))
+    # an equality formula of g: each side's constant satisfies the definiens
+    # and they are equal by uniqueness
+    s0e, s1e = App(S0, (E,)), App(S1, (E,))
+    pb = ProofBuilder()
+    pb.delta(sx.fimp(sx.eq(s0e, s1e), sx.eq(App(g, (s0e,)), App(g, (s1e,)))))
+    proof = pb.build()
+    assert check_proof(reg.theory(), proof).ok
+    red = mx.reduce_proof(reg, proof)
+    v = check_proof(BASE, red)
+    assert v.ok and len(red.lines) == 23, v.message
+    assert _no_defined_symbol(reg, red)
 
 
 def test_reduce_proof_through_f_stage_with_ec_uc_proofs():

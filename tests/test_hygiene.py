@@ -363,6 +363,22 @@ def test_only_meta_imports_meta():
     assert not offenders, f"imports of {META} outside it: {', '.join(offenders)}"
 
 
+def test_no_source_names_a_symbol_the_bundled_theory_defines():
+    # the interpreter and the metatheory work out what a definition is from
+    # the definition itself: no string constant of the package is the name
+    # of a symbol that theory_s.th defines
+    text = (PACKAGE / "data" / "theory_s.th").read_text()
+    defined = set(re.findall(r"^define\s+(?:pred|fun)\s+\S+\s+([a-z0-9_']+)", text, re.M))
+    assert {"zee", "leq", "phi2"} <= defined
+    named = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno} {node.value!r}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and node.value in defined
+    ]
+    assert not named, f"sources name defined symbols: {', '.join(named)}"
+
+
 def test_extensions_by_definitions_import_nothing_of_the_scripts():
     # extend takes a registry entry as evidence without knowing its class:
     # it imports, at any depth, neither kernel.scripts nor a name the kernel

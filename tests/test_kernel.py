@@ -221,6 +221,11 @@ def test_equality_substitution_instances():
     # existential case per the induction
     f3, proof3 = equality_substitution(a, b, parse("(exists y (= y x))"), "x")
     assert check_proof(TOY, proof3).ok
+    # a negation turns the hypothesis round, a disjunction proves each side,
+    # and an application's equation rests on its arguments'
+    for body, lines in (("(not (q x))", 7), ("(or (q x) (not (q (s0 x))))", 13), ("(q (s0 (s1 x)))", 7)):
+        _, proof4 = equality_substitution(a, b, parse(body), "x")
+        assert check_proof(TOY, proof4).ok and len(proof4.lines) == lines, body
 
 
 def test_equality_substitution_rejects_open_terms():
@@ -254,11 +259,17 @@ def test_variant_iff_proof_checks():
 
 
 def test_negation_form_proof_checks():
-    f = Not(parse("(exists x (or (q x) (not (q eps))))"))
-    proof, idx = negation_form_proof(f)
-    assert check_proof(TOY, proof).ok
-    target = proof.lines[idx].formula
-    assert target == sx.fiff(f, nf.to_negation_form(f))
+    # the second's existential has a body that the normal form changes
+    for text, lines in (
+        ("(not (exists x (or (q x) (not (q eps)))))", None),
+        ("(exists x (not (or (q x) (q (s0 x)))))", 13),
+    ):
+        f = parse(text)
+        proof, idx = negation_form_proof(f)
+        assert check_proof(TOY, proof).ok
+        target = proof.lines[idx].formula
+        assert target == sx.fiff(f, nf.to_negation_form(f))
+        assert lines in (None, len(proof.lines))
 
 
 PRENEX_TEMPLATES = [

@@ -17,7 +17,7 @@ from proofkit import extend, stringarith as sa
 from proofkit import syntax as sx
 from proofkit.errors import CheckError, ParseError
 from proofkit.kernel import scripts as ks
-from proofkit.meta.extensions import instantiate_schema
+from proofkit.meta.extensions import bounded_analysis, instantiate_schema
 from proofkit.syntax import App, Atom, FnSym, Not, Or, Var, EPS, S0, S1, PD, CAT, ZPROD
 
 E = App(EPS)
@@ -78,6 +78,24 @@ def test_eval_rejects_unbounded_quantifier(bundle):
         sa.eval_formula(f, {"x": "0", "y": "10"}, bundle, strict=True)
     # capped mode searches exhaustively
     assert sa.eval_formula(f, {"x": "0", "y": "10"}, bundle, strict=False)
+
+
+@pytest.mark.parametrize(
+    "body", ["(= z z)", "(leq z x)", "(not (= z x))", "(or (= z eps) (endswith z x))", "(endswith x z)"]
+)
+def test_forall_leq_evaluates_as_its_dual(bundle, body):
+    # forall<= z y B expands to not exists z [not (not z <= y v B)]: its
+    # guard heads a body that is no conjunction unless B is a negation
+    forall = formula(bundle, f"(forall<= z y {body})")
+    dual = formula(bundle, f"(not (exists<= z y (not {body})))")
+    assert all(bounded_analysis(f, bundle.symbols.order).bounded for f in (forall, dual))
+    seen = set()
+    for x, y in itertools.product(sa._all_strings(3), repeat=2):
+        env = {"x": x, "y": y}
+        got = sa.eval_formula(forall, env, bundle)
+        assert got is sa.eval_formula(dual, env, bundle), env
+        seen.add(got)
+    assert seen == ({True} if body == "(= z z)" else {True, False})
 
 
 def test_eval_phi_b1_unbounded(bundle):
@@ -409,33 +427,38 @@ def test_twenty_five_nested_quantifiers(bundle):
         assert sa.eval_formula(chain, {"x": "1"}, bundle) is want
 
 
-def erased_length_only(e):
+def erased_length_only(e, length_funs):
     """Whether e's witness is length-only as first defined: it is not free
     once every length function's application is erased to eps."""
     erased = sx.rewrite(
-        e.body, app=lambda t: E if t.fn.name in sa.LENGTH_FUNS else t, const=lambda c: c
+        e.body, app=lambda t: E if t.fn.name in length_funs else t, const=lambda c: c
     )
     return e.var not in sx.free_vars(erased)
 
 
-def assert_length_only_as_erased(f):
+def assert_length_only_as_erased(f, length_funs):
     found = []
     sx.rewrite(f, exists=lambda e: found.append(e) or e, const=lambda c: c)
     for e in found:
-        assert (not sa._occurs_outside_length(e.var, e.body)) is erased_length_only(e), e
+        outside = sa.occurs_outside_length(e.var, e.body, length_funs)
+        assert (not outside) is erased_length_only(e, length_funs), e
     return found
 
 
 def test_length_only_witnesses_of_the_corpus_as_erased(bundle, corpus_report):
+    # the bundled theory's length functions are zprod and zee, d25
+    length_funs = sa.length_functions(bundle.schema.defined)
+    assert length_funs == sa.length_functions(bundle.definitions.defined) == {"zprod", "zee"}
     seen = []
     for entry in corpus_report.entries:
         stmt = bundle.registry.entries[entry.label].statement
         section = bundle.registry.entries[entry.label].section
         chain = bundle.schema if section == "schema" else bundle.definitions
-        seen += assert_length_only_as_erased(stmt)
-        seen += assert_length_only_as_erased(extend.translate_out(chain, stmt).formula)
+        seen += assert_length_only_as_erased(stmt, length_funs)
+        seen += assert_length_only_as_erased(extend.translate_out(chain, stmt).formula, length_funs)
     assert len(corpus_report.entries) == 76
-    assert any(map(erased_length_only, seen)) and not all(map(erased_length_only, seen))
+    length_only = [erased_length_only(e, length_funs) for e in seen]
+    assert any(length_only) and not all(length_only)
 
 
 def quantified(bodies):
@@ -452,7 +475,7 @@ def quantified(bodies):
     )
 )
 def test_length_only_witnesses_as_erased(f):
-    assert_length_only_as_erased(f)
+    assert_length_only_as_erased(f, {"zprod", "zee"})
 
 
 # --- length-pinned witnesses ---------------------------------------------------
@@ -536,7 +559,7 @@ def pinned_bodies(names=("x", "y"), depth=2):
 )
 def test_a_pinned_witness_takes_the_value_of_the_full_range(bundle, body, env):
     f = sx.Exists("z", body)
-    assume(not sa._occurs_outside_length("z", body))
+    assume(not sa.occurs_outside_length("z", body, sa.length_functions(bundle.definitions.defined)))
     pinned = outcome(bundle, f, {"x": "", "y": "", **env})
     assert pinned == outcome(bundle, f, {"x": "", "y": "", **env}, full_range)
 
@@ -910,6 +933,36 @@ def test_theory_file_refuses_a_repeated_phi_label(tmp_path):
     message = "phi b1 repeats the label of line 5 at 7:1"
     with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: {message}$"):
         sa.load_theory(path)
+
+
+def test_length_functions_are_worked_out_from_the_definitions(tmp_path):
+    # a length-only witness is read from what a symbol's body computes, not
+    # from its name: zee := s0 x is no length function, zed := (s0 eps)
+    # times x is one, and so is twice, defined through zed
+    def load(defines):
+        path = tmp_path / "lengths.th"
+        path.write_text("theory T\naxiom a6 : (= (cat eps x) x)\n" + defines)
+        return sa.load_theory(path)
+
+    def outcome(b, text, strict):
+        try:
+            return sa.eval_formula(formula(b, text), {}, b, strict)
+        except CheckError as e:
+            return str(e)
+
+    b = load("define fun d1 zee := (s0 x)\n")
+    assert sa.length_functions(b.definitions.defined) == {"zprod"}
+    f = "(exists z (= (zee z) (s0 (s1 eps))))"
+    assert outcome(b, f, True) == f"unbounded quantifier: {f}"
+    assert outcome(b, f, False) is True
+    b = load("define fun d1 zed := (zprod (s0 eps) x)\ndefine fun d2 twice := (cat (zed x) (zed x))\n")
+    assert sa.length_functions(b.definitions.defined) == {"zprod", "zed", "twice"}
+    for text, want in (
+        ("(exists z (= (zed z) (s0 (s0 eps))))", True),
+        ("(exists z (= (twice z) (s0 (s0 (s0 (s0 eps))))))", True),
+        ("(exists z (= (twice z) (s0 (s0 (s0 eps)))))", False),  # no length is 3/2
+    ):
+        assert outcome(b, text, True) is outcome(b, text, False) is want, text
 
 
 def test_theory_file_with_axioms_only(tmp_path):
